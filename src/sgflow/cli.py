@@ -205,10 +205,6 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if ok else EXIT_NO
     if head[0] == "cert":
         acert = flows.parse_avoidance(cert_text)
-        if len(acert.fbar) < g.m:
-            acert.fbar.extend([acert.group.zero] * (g.m - len(acert.fbar)))
-            if acert.flow is not None:
-                acert.flow.extend([acert.group.zero] * (g.m - len(acert.flow)))
         ok = flows.verify_avoidance(g, acert)
         print("OK" if ok else "FAIL")
         return EXIT_OK if ok else EXIT_NO

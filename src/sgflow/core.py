@@ -325,60 +325,98 @@ def signatures_equivalent(g1: SignedGraph, g2: SignedGraph) -> EquivalenceResult
 
 
 def min_negative_edges(g: SignedGraph, budget: int = 2) -> Optional[int]:
-    """Minimum number of negative edges over all equivalent signatures.
+    """Frustration index: the fewest negative edges over all signatures
+    equivalent to g's, if it is at most budget, else None ("exceeds
+    budget").
 
-    Returns the exact minimum if it is <= budget, else None ("exceeds
-    budget").  Budgets >= 2 use exhaustive switching-set search and are
-    limited to desk scale.
+    It equals the fewest edges whose deletion leaves g balanced (Zaslavsky,
+    "Signed graphs", 1982), so this returns the least j <= budget such that
+    deleting some j edges balances g: at most C(m, j) linear-time balance
+    checks per j, polynomial for a fixed budget.
     """
-    if is_balanced(g).balanced:
-        return 0
-    if budget < 1:
-        return None
-    # budget 1: is some single-edge signature equivalent?
-    for e in range(g.m):
-        cand = g.with_signs([MINUS if x == e else PLUS for x in range(g.m)])
-        if signatures_equivalent(g, cand).equivalent:
-            return 1
-    if budget < 2:
-        return None
-    checked_desk_scale(g, elimit=64)
-    best = g.m + 1
-    for mask in range(1 << max(g.n - 1, 0)):
-        side = [v for v in range(g.n - 1) if mask >> v & 1]
-        cnt = sum(1 for e in range(g.m) if _switched_sign(g, e, side) == MINUS)
-        best = min(best, cnt)
-        if best <= 2:
-            break
-    return best if best <= budget else None
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    neg_loops = []
+    for e, (u, w, s) in enumerate(g.edges):
+        if u == w:
+            if s == MINUS:
+                neg_loops.append(e)
+            continue
+        adj[u].append((e, w, s))
+        adj[w].append((e, u, s))
+    for j in range(budget + 1):
+        for drop in itertools.combinations(range(g.m), j):
+            if _balanced_without(adj, neg_loops, drop):
+                return j
+    return None
 
 
-def _switched_sign(g: SignedGraph, e: int, side: Sequence[int]) -> int:
-    u, v, s = g.edges[e]
-    sset = set(side)
-    if (u in sset) != (v in sset):
-        return -s
-    return s
+def _balanced_without(adj: list[list[tuple[int, int, int]]],
+                      neg_loops: list[int], drop: tuple[int, ...]) -> bool:
+    """Sign-parity 2-colouring of the graph given by its non-loop adjacency
+    (edge, other end, sign) and its negative loops, with `drop` deleted."""
+    if any(e not in drop for e in neg_loops):
+        return False
+    colour = [0] * len(adj)
+    for root in range(len(adj)):
+        if colour[root]:
+            continue
+        colour[root] = PLUS
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for e, y, s in adj[x]:
+                if e in drop:
+                    continue
+                want = colour[x] * s
+                if not colour[y]:
+                    colour[y] = want
+                    stack.append(y)
+                elif colour[y] != want:
+                    return False
+    return True
 
 
 def is_k_unbalanced(g: SignedGraph, k: int) -> bool:
-    mne = min_negative_edges(g, budget=k)
-    return mne is None or mne >= k
+    """Every signature equivalent to g's has at least k negative edges."""
+    return min_negative_edges(g, budget=k - 1) is None
 
 
 # -- connectivity ----------------------------------------------------------
 
 def edge_connectivity(g: SignedGraph) -> int:
-    """Global min cut of the underlying multigraph (signs ignored)."""
+    """Global min cut of the underlying multigraph (signs ignored).
+
+    Stoer-Wagner (JACM 1997) on the edge multiplicities between vertex
+    pairs: each phase orders the remaining vertices by maximum adjacency,
+    takes the cut around the last one, and merges the last two; O(n^3).
+    """
     if g.n <= 1:
         return g.m + 1 if g.n == 1 else 0  # conventionally infinite; callers compare with small k
     if not g.is_connected():
         return 0
-    checked_desk_scale(g, elimit=1 << 30)
+    w = [[0] * g.n for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        if u != v:
+            w[u][v] += 1
+            w[v][u] += 1
+    alive = list(range(g.n))
     best = g.m
-    for mask in range(1, 1 << (g.n - 1)):
-        side = [v for v in range(g.n - 1) if mask >> v & 1]
-        best = min(best, len(delta(g, side)))
+    while len(alive) > 1:
+        conn = {v: w[alive[0]][v] for v in alive[1:]}
+        s = t = alive[0]
+        while conn:
+            s, t = t, max(conn, key=conn.__getitem__)
+            cut = conn.pop(t)  # edges from t to every vertex ordered before it
+            wt = w[t]
+            for v in conn:
+                conn[v] += wt[v]
+        best = min(best, cut)
+        ws, wt = w[s], w[t]
+        for v in alive:
+            ws[v] += wt[v]
+            w[v][s] = ws[v]
+        ws[s] = 0
+        alive.remove(t)
     return best
 
 

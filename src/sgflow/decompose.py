@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import (MINUS, PLUS, SignedGraph, delete_edges, delete_vertices,
-                   delta, is_balanced)
+from .core import (MINUS, PLUS, SignedGraph, checked_desk_scale, delete_edges,
+                   delete_vertices, delta, is_balanced)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
                          find_peripheral_cycle, k_closure)
 
@@ -141,9 +141,10 @@ def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
     closure = k_closure(g, wp.b, 2).closure
     assert wp.a <= closure, "(d) 2-closure of B misses part of A"
     if require_cycle_in_b:
+        # a forest has |E| = |V| - #components; anything more closes a cycle
         sub_b = _edge_subgraph(g, wp.b)
-        has_cycle = sub_b.m > 0 and any(True for _ in all_cycles(sub_b))
-        assert has_cycle, "(e) B contains no cycle"
+        assert sub_b.m > sub_b.n - len(sub_b.components()), \
+            "(e) B contains no cycle"
         if mode == BASE_SUN or (mode == TREE_2BASE and not is_balanced(g).balanced):
             assert _unbalanced_edge_set(g, wp.b), "(e) B has no negative cycle"
 
@@ -230,7 +231,9 @@ def _induced_edges(g: SignedGraph, x: set[int]) -> list[int]:
 def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int]]:
     """A vertex set X with G[X] balanced and either |X| >= 2, |delta(X)| = 3,
     or |X| >= 3, |delta(X)| = 4 and G[X] plane-embeddable with its degree-2
-    vertices on a common face.  None if no such X exists."""
+    vertices on a common face.  None if no such X exists.  Scans every
+    vertex subset, so graphs past desk scale raise DeskScaleError."""
+    checked_desk_scale(g, elimit=1 << 30)
     import networkx as nx
 
     for mask in range(1, 1 << g.n):
@@ -437,7 +440,7 @@ def decompose_general(g: SignedGraph, validate: bool = True) -> PartitionCertifi
         raise
 
 
-def _decompose_general_dispatch(g: SignedGraph, cycles: list[CycleRef],
+def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef],
                                 validate: bool) -> PartitionCertificate:
     if is_balanced(g).balanced:
         base = decompose_tree_2base(g, validate=validate)

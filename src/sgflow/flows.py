@@ -717,6 +717,8 @@ def verify_avoidance(g: SignedGraph, cert: AvoidanceCertificate) -> bool:
     A = cert.group
     if len(cert.fbar) != g.m:
         raise ValueError("certificate forbidden map size mismatch")
+    if not all(map(A.contains, cert.fbar + (cert.flow or []))):
+        raise ValueError(f"certificate holds a value outside {A}")
     if cert.flow is None:
         sol = oracle.satisfy_boundary(g, A, [A.zero] * g.n, fbar=cert.fbar,
                                       allow_zero=True)
@@ -748,11 +750,15 @@ def format_avoidance(cert: AvoidanceCertificate) -> str:
 
 
 def parse_avoidance(text: str) -> AvoidanceCertificate:
+    """Read format_avoidance output.  The fbar lines must give edges 1..m
+    once each, and unless the certificate says unsat the f lines must give
+    the same edges once each, all with elements of the group; anything else
+    raises ValueError naming a line."""
     strategy: Optional[str] = None
     group: Optional[AbelianGroup] = None
     e_prime: Optional[int] = None
-    fbar: dict[int, Elem] = {}
-    fvals: dict[int, Elem] = {}
+    # keyword -> edge -> (line number, value)
+    values: dict[str, dict[int, tuple[int, Elem]]] = {"fbar": {}, "f": {}}
     unsat = False
     artifacts: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -768,10 +774,15 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
                 group = parse_group(parts[1])
             elif key == "eprime":
                 e_prime = None if parts[1] == "-" else int(parts[1]) - 1
-            elif key in ("fbar", "f"):
+            elif key in values:
                 e = int(parts[1]) - 1
                 v = tuple(int(x) for x in parts[2].split(","))
-                (fbar if key == "fbar" else fvals)[e] = v
+                if e < 0:
+                    raise ValueError(f"edge index {e + 1} is below 1")
+                if e in values[key]:
+                    raise ValueError(f"edge {e + 1} already has its {key} on"
+                                     f" line {values[key][e][0]}")
+                values[key][e] = (ln, v)
             elif key == "unsat":
                 unsat = True
             elif key == "aux":
@@ -779,20 +790,34 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
             else:
                 raise ValueError(f"unknown keyword {key!r}")
         except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {ln}: bad certificate line {raw!r}") from exc
+            raise ValueError(f"line {ln}: bad certificate line {raw!r}: {exc}") from exc
     if strategy is None or group is None:
         raise ValueError("certificate is missing its cert/group header")
-    m = (max(fbar) + 1) if fbar else 0
-    fb = [group.zero] * m
-    for e, v in fbar.items():
-        fb[e] = v
-    if unsat:
-        flow: Optional[list[Elem]] = None
-    else:
-        flow = [group.zero] * m
-        for e, v in fvals.items():
-            flow[e] = v
-    return AvoidanceCertificate(strategy, group, flow, fb, e_prime, artifacts)
+    fbar, fvals = values["fbar"], values["f"]
+    for key, entries in values.items():
+        for e, (ln, v) in entries.items():
+            if not group.contains(v):
+                raise ValueError(f"line {ln}: {key} of edge {e + 1} is not an"
+                                 f" element of {group}")
+    m = max(fbar, default=-1) + 1
+    for e in range(m):
+        if e not in fbar:
+            raise ValueError(f"line {fbar[m - 1][0]}: fbar of edge {m} given,"
+                             f" but edge {e + 1} has no fbar line")
+    for e, (ln, _) in sorted(fvals.items()):
+        if e >= m:
+            raise ValueError(f"line {ln}: f of edge {e + 1} is past the last"
+                             f" fbar edge {m}")
+    flow: Optional[list[Elem]] = None
+    if not unsat:
+        for e in range(m):
+            if e not in fvals:
+                raise ValueError(f"line {fbar[e][0]}: edge {e + 1} has an fbar"
+                                 f" line but no f line")
+        flow = [fvals[e][1] for e in range(m)]
+    return AvoidanceCertificate(strategy, group, flow,
+                                [fbar[e][1] for e in range(m)], e_prime,
+                                artifacts)
 
 
 # -- composite-order construction ---------------------------------------------

@@ -44,7 +44,8 @@ def k4_negative_triangle() -> SignedGraph:
     return SignedGraph(4, tuple(edges))
 
 
-def k4(all_positive: bool = True) -> SignedGraph:
+def k4() -> SignedGraph:
+    """All-positive K4."""
     edges = [(0, 1, PLUS), (1, 2, PLUS), (0, 2, PLUS),
              (0, 3, PLUS), (1, 3, PLUS), (2, 3, PLUS)]
     return SignedGraph(4, tuple(edges))

@@ -8,6 +8,7 @@ scale keeps the dimension small (6 for Petersen, 10 for K6).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -16,6 +17,7 @@ from .core import (DeskScaleError, SignedGraph, MINUS, PLUS, delete_edges,
                    is_balanced)
 
 MAX_CYCLE_SPACE_DIM = 20
+ALL_CYCLES_MEMO = 16  # graphs whose cycle lists all_cycles keeps
 
 
 @dataclass(frozen=True)
@@ -44,39 +46,58 @@ def cycle_sign(g: SignedGraph, edges: Iterable[int]) -> int:
 def order_cycle(g: SignedGraph, edge_set: Iterable[int]) -> CycleRef:
     """Arrange an unordered cycle edge set into a CycleRef; raises if the
     set is not a single simple cycle."""
-    es = sorted(set(edge_set))
-    if not es:
-        raise ValueError("empty edge set")
+    c = _as_cycle(g.edges, frozenset(edge_set))
+    if c is None:
+        raise ValueError("edge set is not a single simple cycle")
+    return c
+
+
+def _as_cycle(edges: Sequence[tuple[int, int, int]],
+              es: frozenset[int]) -> Optional[CycleRef]:
+    """The CycleRef of edge set es if it is one simple cycle, else None.
+
+    The walk starts at the least vertex and leaves it by its lesser edge.
+    A set whose vertices all have degree <= 2 and that has as many vertices
+    as edges is a union of disjoint cycles; it is one cycle when the walk
+    uses every edge.
+    """
     if len(es) == 1:
-        e = es[0]
-        if not g.is_loop(e):
-            raise ValueError("single non-loop edge is not a cycle")
-        return CycleRef((e,), (g.ends(e)[0],), g.sigma(e))
+        (e,) = es
+        u, v, s = edges[e]
+        return CycleRef((e,), (u,), s) if u == v else None
     inc: dict[int, list[int]] = {}
     for e in es:
-        u, v = g.ends(e)
+        u, v, _ = edges[e]
         if u == v:
-            raise ValueError("loop inside a multi-edge cycle set")
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-    if any(len(x) != 2 for x in inc.values()) or len(inc) != len(es):
-        raise ValueError("edge set is not 2-regular with |V| = |E|")
+            return None
+        for x in (u, v):
+            at = inc.get(x)
+            if at is None:
+                inc[x] = [e]
+            elif len(at) == 2:
+                return None
+            else:
+                at.append(e)
+    if not inc or len(inc) != len(es):
+        return None
     start = min(inc)
     verts = [start]
-    edges = []
-    prev_e = -1
+    walk = [min(inc[start])]
+    sign = 1
     cur = start
     while True:
-        e = next(x for x in inc[cur] if x != prev_e)
-        edges.append(e)
-        cur = g.other_end(e, cur)
-        prev_e = e
+        e = walk[-1]
+        u, v, s = edges[e]
+        sign *= s
+        cur = v if cur == u else u
         if cur == start:
             break
         verts.append(cur)
-    if len(edges) != len(es):
-        raise ValueError("edge set is disconnected (two or more cycles)")
-    return CycleRef(tuple(edges), tuple(verts), cycle_sign(g, edges))
+        a, b = inc[cur]
+        walk.append(b if a == e else a)
+    if len(walk) != len(es):
+        return None
+    return CycleRef(tuple(walk), tuple(verts), sign)
 
 
 def _spanning_forest(g: SignedGraph) -> list[int]:
@@ -128,8 +149,16 @@ def fundamental_cycle(g: SignedGraph, tree: Sequence[int], e: int) -> list[int]:
     return path + [e]
 
 
-def all_cycles(g: SignedGraph) -> list[CycleRef]:
-    """Every simple cycle of g, by scanning the GF(2) cycle space."""
+@functools.lru_cache(maxsize=ALL_CYCLES_MEMO)
+def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
+    """Every simple cycle of g, by scanning the GF(2) cycle space, sorted by
+    (length, edge sequence).
+
+    The scan visits the combinations of fundamental cycles in Gray-code
+    order, so each one is one symmetric difference away from the last.
+    Results are memoised per graph value: the pipeline asks for the cycles
+    of the same graph many times.
+    """
     tree = _spanning_forest(g)
     cotree = [e for e in range(g.m) if e not in set(tree)]
     dim = len(cotree)
@@ -137,19 +166,14 @@ def all_cycles(g: SignedGraph) -> list[CycleRef]:
         raise DeskScaleError(f"cycle space dimension {dim} too large")
     fund = [frozenset(fundamental_cycle(g, tree, e)) for e in cotree]
     out = []
+    acc: frozenset[int] = frozenset()
     for mask in range(1, 1 << dim):
-        acc: frozenset[int] = frozenset()
-        for i in range(dim):
-            if mask >> i & 1:
-                acc = acc ^ fund[i]
-        if not acc:
-            continue
-        try:
-            out.append(order_cycle(g, acc))
-        except ValueError:
-            continue
+        acc = acc ^ fund[(mask & -mask).bit_length() - 1]
+        c = _as_cycle(g.edges, acc)
+        if c is not None:
+            out.append(c)
     out.sort(key=lambda c: (len(c), c.edges))
-    return out
+    return tuple(out)
 
 
 def find_negative_cycle(g: SignedGraph) -> Optional[CycleRef]:
@@ -294,7 +318,7 @@ class ClosureResult:
 
 
 def k_closure(g: SignedGraph, seed: Iterable[int], k: int,
-              cycles: Optional[list[CycleRef]] = None) -> ClosureResult:
+              cycles: Optional[Sequence[CycleRef]] = None) -> ClosureResult:
     """Least fixpoint of: absorb E(C) for any positive cycle C with
     1 <= |E(C) - S| <= k.  Order-independent; we scan shortest first."""
     if cycles is None:
@@ -385,7 +409,7 @@ def find_peripheral_cycle(
     want_sign: Optional[int] = None,
     require_unbalanced_complement: bool = False,
     prefer_bridge_with: Optional[CycleRef] = None,
-    cycles: Optional[list[CycleRef]] = None,
+    cycles: Optional[Sequence[CycleRef]] = None,
 ) -> Optional[CycleRef]:
     """First peripheral cycle of the requested sign, optionally with
     g - E(C) still unbalanced.

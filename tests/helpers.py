@@ -45,3 +45,32 @@ def random_elem(rng: random.Random, A) -> tuple:
 
 def random_fbar(rng: random.Random, A, m: int) -> list[tuple]:
     return [random_elem(rng, A) for _ in range(m)]
+
+
+# -- exhaustive test oracles ----------------------------------------------------
+# Exponential scans kept to check the polynomial routines in sgflow.core.
+
+def brute_frustration_index(g: SignedGraph) -> int:
+    """Fewest negative edges over all switchings: switch at every subset of
+    the first n-1 vertices (switching the last one too changes nothing)."""
+    best = g.m
+    for mask in range(1 << max(g.n - 1, 0)):
+        count = 0
+        for u, v, s in g.edges:
+            if (mask >> u & 1) != (mask >> v & 1):
+                s = -s
+            count += s == MINUS
+        best = min(best, count)
+    return best
+
+
+def brute_edge_connectivity(g: SignedGraph) -> int:
+    """Fewest edges across any bipartition of the vertices; g.m + 1 for a
+    single vertex, 0 for no vertices."""
+    if g.n <= 1:
+        return g.m + 1 if g.n == 1 else 0
+    best = g.m
+    for mask in range(1, 1 << (g.n - 1)):
+        best = min(best, sum((mask >> u & 1) != (mask >> v & 1)
+                             for u, v, _ in g.edges))
+    return best

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: exit codes, report formats, piping, errors."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sgflow
 from sgflow.cli import main
 from sgflow.core import format_sg, parse_sg
 from sgflow.duality import format_emb, k6_projective_embedding
@@ -146,3 +151,63 @@ def test_gen_output_is_deterministic(capsys):
     code, out1, _ = run(capsys, "gen", "petersen-ps")
     code, out2, _ = run(capsys, "gen", "petersen-ps")
     assert code == 0 and out1 == out2
+
+
+def _cert_and_graph(tmp_path, capsys):
+    gpath = write_graph(tmp_path, petersen())
+    code, out, _ = run(capsys, "connect", "--group", "Z6", gpath)
+    assert code == 0
+    return out.splitlines(), gpath
+
+
+def _verify_lines(tmp_path, capsys, lines, gpath):
+    cpath = tmp_path / "bad.cert"
+    cpath.write_text("\n".join(lines) + "\n")
+    return run(capsys, "verify", str(cpath), gpath)
+
+
+def test_verify_exits_2_on_duplicate_certificate_line(tmp_path, capsys):
+    lines, gpath = _cert_and_graph(tmp_path, capsys)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("fbar 2 "))
+    code, _, err = _verify_lines(tmp_path, capsys,
+                                 lines[:i + 1] + [lines[i]] + lines[i + 1:], gpath)
+    assert code == 2 and f"line {i + 2}" in err
+
+
+def test_verify_exits_2_on_missing_certificate_line(tmp_path, capsys):
+    lines, gpath = _cert_and_graph(tmp_path, capsys)
+    for prefix in ("fbar 2 ", "f 2 ", "f 15 "):
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        code, _, err = _verify_lines(tmp_path, capsys, lines[:i] + lines[i + 1:], gpath)
+        assert code == 2 and "error: line" in err
+
+
+def test_verify_exits_2_on_flow_past_the_last_edge(tmp_path, capsys):
+    lines, gpath = _cert_and_graph(tmp_path, capsys)
+    code, _, err = _verify_lines(tmp_path, capsys, lines + ["f 16 1"], gpath)
+    assert code == 2 and f"line {len(lines) + 1}" in err
+
+
+def test_verify_exits_2_on_value_outside_the_group(tmp_path, capsys):
+    lines, gpath = _cert_and_graph(tmp_path, capsys)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("fbar 4 "))
+    lines[i] = "fbar 4 7"
+    code, _, err = _verify_lines(tmp_path, capsys, lines, gpath)
+    assert code == 2 and f"line {i + 1}" in err
+
+
+def test_verify_exits_2_on_certificate_for_fewer_edges(tmp_path, capsys):
+    lines, gpath = _cert_and_graph(tmp_path, capsys)
+    kept = [ln for ln in lines if not ln.startswith(("fbar 15 ", "f 15 "))]
+    code, _, err = _verify_lines(tmp_path, capsys, kept, gpath)
+    assert code == 2 and "size mismatch" in err
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = Path(sgflow.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sgflow.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_connected_graph
+from helpers import (brute_edge_connectivity, brute_frustration_index,
+                     random_connected_graph)
 from sgflow.core import (MINUS, PLUS, EdgeCut, Orientation, SignedGraph,
                          contract, delete_edges, delta, edge_connectivity,
                          format_sg, is_balanced, is_cyclically_k_edge_connected,
@@ -80,6 +82,33 @@ def test_edge_connectivity_values():
     assert edge_connectivity(petersen()) == 3
     assert edge_connectivity(negsun(4)) == 1
     assert edge_connectivity(k4()) == 3
+
+
+@st.composite
+def signed_multigraphs(draw):
+    """n = 1..9 vertices; loops of either sign, parallel edges and
+    disconnected graphs all occur."""
+    n = draw(st.integers(1, 9))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
+                          max_size=14))
+    return SignedGraph(n, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_multigraphs())
+def test_min_negative_edges_matches_switching_scan(g):
+    index = brute_frustration_index(g)
+    for budget in range(4):
+        assert min_negative_edges(g, budget) == (index if index <= budget else None)
+    for k in range(4):
+        assert is_k_unbalanced(g, k) == (index >= k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_multigraphs())
+def test_edge_connectivity_matches_bipartition_scan(g):
+    assert edge_connectivity(g) == brute_edge_connectivity(g)
 
 
 def test_cyclic_edge_connectivity():

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from sgflow.core import MINUS
+from sgflow.core import MINUS, DeskScaleError
 from sgflow.decompose import (decompose_base_sun, decompose_general,
                               decompose_tree_2base, format_certificate,
                               has_two_disjoint_cycles, parse_certificate,
-                              verify_partition)
+                              verify_partition, violating_balanced_cut)
 from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
                                petersen_2neg, random_cubic_3connected)
 from sgflow.structures import as_negative_sun, is_k_base, k_closure
@@ -85,3 +85,9 @@ def test_two_disjoint_negative_cycles():
 def test_decompose_requires_cubic_3connected_input():
     with pytest.raises(ValueError):
         decompose_tree_2base(negsun(4))
+
+
+def test_balanced_cut_scan_refuses_past_desk_scale():
+    g = random_cubic_3connected(18, random.Random(18))
+    with pytest.raises(DeskScaleError):
+        violating_balanced_cut(g)

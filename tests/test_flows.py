@@ -7,10 +7,10 @@ import pytest
 
 from helpers import host_with_sun, random_connected_graph, random_fbar
 from sgflow import flows
-from sgflow.core import MINUS, PLUS, Orientation, SignedGraph
+from sgflow.core import MINUS, PLUS, Orientation, SignedGraph, is_k_unbalanced
 from sgflow.duality import k6_projective_embedding, match_dual
 from sgflow.generators import (k4_negative_triangle, negsun, petersen,
-                               petersen_2neg)
+                               petersen_2neg, random_cubic_3connected)
 from sgflow.groups import (boundary, integer_boundary, is_flow,
                            is_nowhere_zero, parse_group)
 from sgflow.structures import all_cycles, order_cycle
@@ -261,3 +261,79 @@ def test_verifier_rejects_tampered_flows():
     cert = flows.connect(g, A, [A.zero] * g.m)
     cert.flow[0] = A.zero  # zero value breaks avoidance of fbar = 0
     assert not flows.verify_avoidance(g, cert)
+
+
+def _petersen_cert_lines():
+    g = petersen()
+    A = parse_group("Z6")
+    cert = flows.connect(g, A, random_fbar(random.Random(72), A, g.m))
+    return flows.format_avoidance(cert).splitlines()
+
+
+def _line_of(lines, prefix):
+    return next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+
+
+def test_parse_avoidance_rejects_duplicate_lines():
+    lines = _petersen_cert_lines()
+    for key in ("fbar 3 ", "f 3 "):
+        i = _line_of(lines, key)
+        text = "\n".join(lines[:i + 1] + [lines[i]] + lines[i + 1:]) + "\n"
+        with pytest.raises(ValueError, match=rf"^line {i + 2}: .*line {i + 1}"):
+            flows.parse_avoidance(text)
+
+
+def test_parse_avoidance_rejects_missing_edge_indices():
+    lines = _petersen_cert_lines()
+    i = _line_of(lines, "fbar 3 ")
+    with pytest.raises(ValueError, match=r"^line \d+: .*edge 3 has no fbar"):
+        flows.parse_avoidance("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+    i = _line_of(lines, "f 3 ")
+    fbar3 = _line_of(lines, "fbar 3 ") + 1
+    with pytest.raises(ValueError, match=rf"^line {fbar3}: edge 3 .*no f line"):
+        flows.parse_avoidance("\n".join(lines[:i] + lines[i + 1:]) + "\n")
+
+
+def test_parse_avoidance_rejects_flow_past_the_last_edge():
+    lines = _petersen_cert_lines()
+    i = _line_of(lines, "f 15 ")
+    text = "\n".join(lines[:i + 1] + ["f 16 0"] + lines[i + 1:]) + "\n"
+    with pytest.raises(ValueError, match=rf"^line {i + 2}: f of edge 16"):
+        flows.parse_avoidance(text)
+
+
+def test_parse_avoidance_rejects_values_outside_the_group():
+    lines = _petersen_cert_lines()
+    i = _line_of(lines, "f 1 ")
+    value = int(lines[i].split()[2])
+    lines[i] = f"f 1 {value + 6}"  # the same residue mod 6, out of range
+    with pytest.raises(ValueError, match=rf"^line {i + 1}: f of edge 1 .*Z6"):
+        flows.parse_avoidance("\n".join(lines) + "\n")
+
+
+def test_verifier_rejects_values_outside_the_group():
+    g = petersen()
+    A = parse_group("Z6")
+    cert = flows.connect(g, A, [A.zero] * g.m)
+    cert.fbar[0] = (cert.flow[0][0] + 6,)  # equals f(0) in Z6
+    with pytest.raises(ValueError, match="outside Z6"):
+        flows.verify_avoidance(g, cert)
+
+
+def _cubic_2unbalanced(n, seed):
+    rng = random.Random(seed)
+    while True:
+        g = random_cubic_3connected(n, rng, ensure_unbalanced=True)
+        if is_k_unbalanced(g, 2):
+            return g
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_connect_past_sixteen_vertices(n):
+    # n > 16 used to be refused with DeskScaleError by the hypothesis checks
+    g = _cubic_2unbalanced(n, f"past-the-wall:{n}")
+    for spec in ("Z6", "Z9"):
+        A = parse_group(spec)
+        cert = flows.connect(g, A, random_fbar(random.Random(n), A, g.m))
+        assert cert.strategy == "composite"
+        assert flows.verify_avoidance(g, cert)
