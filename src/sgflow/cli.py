@@ -13,13 +13,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import decompose, flows, oracle
-from .core import (DeskScaleError, Orientation, SignedGraph,
-                   edge_connectivity, format_sg, is_balanced,
-                   is_cyclically_k_edge_connected, is_k_unbalanced,
-                   min_negative_edges, parse_sg)
+from .core import (DeskScaleError, SignedGraph, edge_connectivity, format_sg,
+                   is_balanced, is_cyclically_k_edge_connected,
+                   is_k_unbalanced, min_negative_edges, parse_sg)
 from .duality import format_emb, k6_projective_embedding, match_dual, \
     oriented_dual, parse_emb
-from .generators import k4_negative_triangle, negsun, petersen, petersen_2neg
+from .generators import GENERATORS, negsun
 from .groups import format_map, parse_group, parse_map
 from .structures import k_closure
 
@@ -72,20 +71,14 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     name = args.name
-    if name == "petersen-ps":
-        sys.stdout.write(format_sg(petersen()))
-    elif name == "petersen-2neg":
-        sys.stdout.write(format_sg(petersen_2neg()))
-    elif name == "k4-negtri":
-        sys.stdout.write(format_sg(k4_negative_triangle()))
-    elif name == "negsun":
+    if name == "negsun":
         if args.n is None:
             raise ValueError("negsun needs a size argument, e.g. 'sg gen negsun 4'")
         sys.stdout.write(format_sg(negsun(args.n)))
     elif name == "k6-projective":
         sys.stdout.write(format_emb(k6_projective_embedding()))
     else:
-        raise ValueError(f"unknown generator {name!r}")
+        sys.stdout.write(format_sg(GENERATORS[name]()))
     return EXIT_OK
 
 
@@ -226,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gen", help="write a named example graph")
-    p.add_argument("name", choices=["petersen-ps", "petersen-2neg", "negsun",
-                                    "k4-negtri", "k6-projective"])
+    p.add_argument("name", choices=[*GENERATORS, "negsun", "k6-projective"])
     p.add_argument("n", nargs="?", type=int, default=None,
                    help="size parameter (negsun only)")
     p.set_defaults(func=_cmd_gen)
@@ -257,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["a-connected", "nz-flow", "k-flow"])
     p.add_argument("--group", default=None)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--exact", action="store_true",
-                   help="exact enumeration (the default)")
     p.add_argument("--samples", type=int, default=None,
                    help="sampling mode: number of (boundary, map) samples")
     p.add_argument("--seed", type=int, default=0)

@@ -13,9 +13,8 @@ from old to new indices.
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 PLUS = 1
 MINUS = -1
@@ -85,13 +84,6 @@ class SignedGraph:
         """Loops count twice."""
         return len(self.halfedges_at(v))
 
-    def neighbors(self, v: int) -> set[int]:
-        out = set()
-        for e in self.incident_edges(v):
-            if not self.is_loop(e):
-                out.add(self.other_end(e, v))
-        return out
-
     def edges_between(self, u: int, v: int) -> list[int]:
         return [e for e, (a, b, _) in enumerate(self.edges)
                 if {a, b} == ({u, v} if u != v else {u}) and (a, b) in ((u, v), (v, u))]
@@ -144,6 +136,27 @@ class SignedGraph:
         return len(self.components()) <= 1
 
 
+def spanning_forest(g: SignedGraph, edges: Iterable[int]) -> list[int]:
+    """A spanning forest of the edge set: the edges, taken in the given
+    order, that join two components of the edges before them (union-find
+    with path halving).  Loops never qualify."""
+    par = list(range(g.n))
+
+    def find(x: int) -> int:
+        while par[x] != x:
+            par[x] = par[par[x]]
+            x = par[x]
+        return x
+
+    forest = []
+    for e in edges:
+        u, v = find(g.edges[e][0]), find(g.edges[e][1])
+        if u != v:
+            par[u] = v
+            forest.append(e)
+    return forest
+
+
 def checked_desk_scale(g: SignedGraph, vlimit: int = DESK_VERTEX_LIMIT, elimit: int = DESK_EDGE_LIMIT) -> None:
     if g.n > vlimit or g.m > elimit:
         raise DeskScaleError(f"graph with {g.n} vertices / {g.m} edges exceeds limit ({vlimit}, {elimit})")
@@ -176,12 +189,6 @@ class Orientation:
         for e in range(g.m):
             if self.tau[2 * e] * self.tau[2 * e + 1] != -g.sigma(e):
                 raise ValueError(f"orientation inconsistent with sign on edge {e}")
-
-    def flip_edge(self, e: int) -> "Orientation":
-        t = list(self.tau)
-        t[2 * e] = -t[2 * e]
-        t[2 * e + 1] = -t[2 * e + 1]
-        return Orientation(tuple(t))
 
     def switch_at(self, g: SignedGraph, v: int) -> "Orientation":
         """Flip every half-edge at v (changes the signature of edges at v)."""
@@ -235,11 +242,6 @@ def switch_on_set(g: SignedGraph, side: Iterable[int]) -> SignedGraph:
             sg = -sg
         new.append((u, w, sg))
     return SignedGraph(g.n, tuple(new))
-
-
-def switch_on_cut(g: SignedGraph, cut: EdgeCut) -> SignedGraph:
-    cut.validate(g)
-    return switch_on_set(g, cut.side)
 
 
 # -- balance --------------------------------------------------------------
@@ -421,42 +423,10 @@ def edge_connectivity(g: SignedGraph) -> int:
 
 
 def _has_cycle(g: SignedGraph, vertices: set[int]) -> bool:
-    """Does the induced subgraph on `vertices` contain a cycle?"""
+    """Does the induced subgraph on `vertices` contain a cycle?  Exactly
+    when some of its edges (a loop, say) is left out of a spanning forest."""
     es = [e for e, (u, v, _) in enumerate(g.edges) if u in vertices and v in vertices]
-    if any(g.is_loop(e) for e in es):
-        return True
-    seen_pairs = set()
-    for e in es:
-        u, v = g.ends(e)
-        key = (min(u, v), max(u, v))
-        if key in seen_pairs:
-            return True  # parallel edges = digon
-        seen_pairs.add(key)
-    # forest check per component
-    deg = {}
-    for e in es:
-        u, v = g.ends(e)
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    verts = set(deg)
-    return len(es) > 0 and len(es) > len(verts) - _component_count(es, g, verts)
-
-
-def _component_count(es: list[int], g: SignedGraph, verts: set[int]) -> int:
-    par = {v: v for v in verts}
-
-    def find(x):
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    for e in es:
-        u, v = g.ends(e)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            par[ru] = rv
-    return len({find(v) for v in verts})
+    return len(spanning_forest(g, es)) < len(es)
 
 
 def is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:

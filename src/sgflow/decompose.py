@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import (MINUS, PLUS, SignedGraph, checked_desk_scale, delete_edges,
-                   delete_vertices, delta, is_balanced)
+                   delete_vertices, delta, is_balanced, spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
                          find_peripheral_cycle, k_closure)
 
@@ -66,15 +66,6 @@ def _edge_subgraph(g: SignedGraph, es: Iterable[int]) -> SignedGraph:
     """The edge set viewed as its own signed graph (vertices = the ends),
     keeping g's vertex indexing so results translate back directly."""
     return delete_edges(g, set(range(g.m)) - set(es)).graph
-
-
-def _is_connected_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
-    es = set(es)
-    if not es:
-        return True
-    verts = _edge_subgraph_vertices(g, es)
-    comps = _edge_subgraph(g, es).components()
-    return len([c for c in comps if c & verts]) == 1
 
 
 def _is_2_connected_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
@@ -120,33 +111,36 @@ class WorkingPartition:
     c: set[int]
 
 
+def _check(ok: bool, tag: str) -> None:
+    if not ok:
+        raise AssertionError(tag)
+
+
 def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
                             require_cycle_in_b: bool = True) -> None:
-    """Assert the loop invariants; raises AssertionError with the failing
-    property tag."""
-    assert wp.a | wp.b | wp.c == set(range(g.m)), "partition does not cover E"
-    assert not (wp.a & wp.b or wp.a & wp.c or wp.b & wp.c), "parts overlap"
-    assert _is_2_connected_edge_set(g, wp.a | wp.b), "(a) A+B not 2-connected"
+    """Check the loop invariants; raises AssertionError with the failing
+    property tag (also under python -O)."""
+    _check(wp.a | wp.b | wp.c == set(range(g.m)), "partition does not cover E")
+    _check(not (wp.a & wp.b or wp.a & wp.c or wp.b & wp.c), "parts overlap")
+    _check(_is_2_connected_edge_set(g, wp.a | wp.b), "(a) A+B not 2-connected")
     if wp.c:
         sub = _edge_subgraph(g, wp.c)
         verts = _edge_subgraph_vertices(g, wp.c)
-        assert len([x for x in sub.components() if x & verts]) == 1, "(b) C disconnected"
+        _check(len([x for x in sub.components() if x & verts]) == 1, "(b) C disconnected")
         degs = _sub_degrees(g, wp.c)
-        assert all(d in (1, 3) for d in degs.values()), "(b) C degree not in {1,3}"
+        _check(all(d in (1, 3) for d in degs.values()), "(b) C degree not in {1,3}")
         if mode in (BASE_SUN, GENERAL):
-            assert _unbalanced_edge_set(g, wp.c), "(b) C balanced"
-    assert _spans_and_connected(g, wp.a | wp.c), "(c) A+C not spanning/connected"
+            _check(_unbalanced_edge_set(g, wp.c), "(b) C balanced")
+    _check(_spans_and_connected(g, wp.a | wp.c), "(c) A+C not spanning/connected")
     if mode in (BASE_SUN, GENERAL):
-        assert _unbalanced_edge_set(g, wp.a | wp.c), "(c) A+C has no negative cycle"
+        _check(_unbalanced_edge_set(g, wp.a | wp.c), "(c) A+C has no negative cycle")
     closure = k_closure(g, wp.b, 2).closure
-    assert wp.a <= closure, "(d) 2-closure of B misses part of A"
+    _check(wp.a <= closure, "(d) 2-closure of B misses part of A")
     if require_cycle_in_b:
-        # a forest has |E| = |V| - #components; anything more closes a cycle
-        sub_b = _edge_subgraph(g, wp.b)
-        assert sub_b.m > sub_b.n - len(sub_b.components()), \
-            "(e) B contains no cycle"
+        # an edge left out of a spanning forest closes a cycle
+        _check(len(spanning_forest(g, wp.b)) < len(wp.b), "(e) B contains no cycle")
         if mode == BASE_SUN or (mode == TREE_2BASE and not is_balanced(g).balanced):
-            assert _unbalanced_edge_set(g, wp.b), "(e) B has no negative cycle"
+            _check(_unbalanced_edge_set(g, wp.b), "(e) B has no negative cycle")
 
 
 # -- improving paths ------------------------------------------------------------------
@@ -321,20 +315,7 @@ def decompose_tree_2base(g: SignedGraph, validate: bool = True) -> PartitionCert
 
 
 def _spanning_tree_within(g: SignedGraph, es: Iterable[int]) -> frozenset[int]:
-    par = list(range(g.n))
-
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    tree = set()
-    for e in sorted(es):
-        u, v = g.ends(e)
-        if u != v and find(u) != find(v):
-            par[find(u)] = find(v)
-            tree.add(e)
+    tree = spanning_forest(g, sorted(es))
     if len(tree) != g.n - 1:
         raise AssertionError("edge set does not contain a spanning tree")
     return frozenset(tree)
@@ -345,32 +326,12 @@ def _connected_base_containing(g: SignedGraph, must: set[int],
     """Connected base of g containing `must` (which holds exactly one
     cycle, negative): greedily add pool edges without creating a second
     cycle, until spanning and connected."""
-    par = list(range(g.n))
-
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    base = set(must)
-    cycles_used = 0
-    for e in must:
-        u, v = g.ends(e)
-        if find(u) == find(v):
-            cycles_used += 1
-        else:
-            par[find(u)] = find(v)
-    if cycles_used != 1:
+    forest = spanning_forest(g, [*must, *sorted(pool - must)])
+    if len(must.intersection(forest)) != len(must) - 1:
         raise AssertionError("seed edge set does not contain exactly one cycle")
-    for e in sorted(pool - must):
-        u, v = g.ends(e)
-        if u != v and find(u) != find(v):
-            par[find(u)] = find(v)
-            base.add(e)
-    if len({find(v) for v in range(g.n)}) != 1:
+    if len(forest) != g.n - 1:
         raise AssertionError("pool does not connect the graph")
-    return frozenset(base)
+    return frozenset(must.union(forest))
 
 
 def decompose_base_sun(g: SignedGraph, assume_hypotheses: bool = False,
@@ -586,41 +547,6 @@ def _is_connected_base(g: SignedGraph, es: Iterable[int]) -> bool:
     sub = _edge_subgraph(g, es)
     cyc = all_cycles(sub)
     return len(cyc) == 1 and cyc[0].sign == MINUS
-
-
-# -- disjoint path search ------------------------------------------------------------------
-
-def two_disjoint_paths(g: SignedGraph, x1: int, x2: int,
-                       y: Iterable[int]) -> Optional[tuple[tuple[int, ...],
-                                                           tuple[int, ...]]]:
-    """Vertex-disjoint paths: one from x1 to x2, one between two distinct
-    vertices of y; exhaustive search."""
-    y = set(y)
-    inc: dict[int, list[int]] = {v: [] for v in range(g.n)}
-    for e, (u, v, _) in enumerate(g.edges):
-        if u != v:
-            inc[u].append(e)
-            inc[v].append(e)
-
-    def paths(src: int, targets: set[int], banned: set[int]):
-        stack = [(src, (), {src})]
-        while stack:
-            v, path, seen = stack.pop()
-            if path and v in targets:
-                yield path, seen
-                continue
-            for e in inc[v]:
-                w = g.other_end(e, v)
-                if w in seen or w in banned:
-                    continue
-                stack.append((w, path + (e,), seen | {w}))
-
-    for px, seen_x in paths(x1, {x2}, set()):
-        for ystart in sorted(y - seen_x):
-            for py, seen_y in paths(ystart, y - {ystart} - seen_x, seen_x):
-                if not (seen_x & seen_y):
-                    return px, py
-    return None
 
 
 # -- certificate text format ------------------------------------------------------------------

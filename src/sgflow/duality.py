@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .core import (MINUS, PLUS, Orientation, SignedGraph, is_balanced,
+from .core import (MINUS, PLUS, Orientation, SignedGraph,
                    signatures_equivalent)
 from .groups import AbelianGroup, Elem
 

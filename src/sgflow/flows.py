@@ -64,14 +64,29 @@ def _half_at(g: SignedGraph, e: int, v: int) -> int:
     raise ValueError(f"edge {e} not incident to vertex {v}")
 
 
+def _walk(g: SignedGraph, tau: Orientation, edges: Sequence[int], start: int,
+          kappa: int) -> tuple[list[int], int]:
+    """Coefficients along the walk from `start` through `edges` that keep
+    the boundary zero at every inner vertex, kappa on the first edge:
+    conservation at the vertex shared by consecutive edges forces
+    kappa_next = -tau(h_in) tau(h_out) kappa_prev.  Also returns the vertex
+    where the walk ends."""
+    out = [kappa]
+    v = g.other_end(edges[0], start)
+    for prev, e in zip(edges, edges[1:]):
+        kappa = -tau(_half_at(g, prev, v)) * tau(_half_at(g, e, v)) * kappa
+        out.append(kappa)
+        v = g.other_end(e, v)
+    return out, v
+
+
 def circulation_coeffs(g: SignedGraph, tau: Orientation,
                        cycle: CycleRef) -> dict[int, int]:
     """Coefficients kappa (+-1 per edge, kappa = +1 on the first edge) such
     that e -> kappa(e) * x is a flow for every x, supported on the cycle.
 
-    Conservation at the vertex shared by consecutive edges forces
-    kappa_next = -tau(h_in) tau(h_out) kappa_prev; the cycle must be
-    positive, otherwise the walk closes with the opposite sign.
+    Walking once around the cycle (see _walk) comes back to kappa = +1 on
+    the first edge exactly when the cycle is positive.
     """
     if cycle.sign != PLUS:
         raise ValueError("circulations exist only on positive cycles")
@@ -82,19 +97,10 @@ def circulation_coeffs(g: SignedGraph, tau: Orientation,
             raise ValueError("single-edge cycle must be a loop")
         # positive loop: tau(2e) = -tau(2e+1), so a constant is conserved
         return {e: 1}
-    coeffs = {cycle.edges[0]: 1}
-    for i in range(1, k):
-        v = cycle.vertices[i]
-        h_in = _half_at(g, cycle.edges[i - 1], v)
-        h_out = _half_at(g, cycle.edges[i], v)
-        coeffs[cycle.edges[i]] = -tau(h_in) * tau(h_out) * coeffs[cycle.edges[i - 1]]
-    v = cycle.vertices[0]
-    h_in = _half_at(g, cycle.edges[k - 1], v)
-    h_out = _half_at(g, cycle.edges[0], v)
-    closed = -tau(h_in) * tau(h_out) * coeffs[cycle.edges[k - 1]]
-    if closed != coeffs[cycle.edges[0]]:
+    kappa, _ = _walk(g, tau, cycle.edges + cycle.edges[:1], cycle.vertices[0], 1)
+    if kappa[-1] != kappa[0]:
         raise AssertionError("positive cycle failed to close consistently")
-    return coeffs
+    return dict(zip(cycle.edges, kappa))
 
 
 def add_scaled(A: AbelianGroup, f: list[Elem], coeffs: dict[int, int],
@@ -125,18 +131,12 @@ def _rotate_cycle(c: CycleRef, v: int) -> CycleRef:
                     c.sign)
 
 
-def _propagate_cycle(g: SignedGraph, tau: Orientation, c: CycleRef,
-                     init: int) -> dict[int, int]:
-    """Walk the (rotated) cycle assigning coefficients by the conservation
-    recurrence, starting with `init` on the first edge; no closure check,
-    so negative cycles are allowed (they leak +-2*init at the start)."""
-    coeffs = {c.edges[0]: init}
-    for i in range(1, len(c.edges)):
-        v = c.vertices[i]
-        h_in = _half_at(g, c.edges[i - 1], v)
-        h_out = _half_at(g, c.edges[i], v)
-        coeffs[c.edges[i]] = -tau(h_in) * tau(h_out) * coeffs[c.edges[i - 1]]
-    return coeffs
+def _open_cycle(g: SignedGraph, tau: Orientation, c: CycleRef,
+                v: int) -> dict[int, int]:
+    """Walk the cycle from v with +1 on its first edge there; no closure
+    check, so negative cycles are allowed (they leak +-2 at v)."""
+    c = _rotate_cycle(c, v)
+    return dict(zip(c.edges, _walk(g, tau, c.edges, v, 1)[0]))
 
 
 def _leak_at(g: SignedGraph, tau: Orientation, coeffs: dict[int, int],
@@ -156,29 +156,22 @@ def _barbell_coeffs(g: SignedGraph, tau: Orientation, c1: CycleRef,
     """Zero-boundary integer coefficients on a barbell: +-1 on the two
     negative cycles, +-2 on the connecting path (empty path when the
     cycles share the single vertex u1 == u2)."""
-    w = _propagate_cycle(g, tau, _rotate_cycle(c1, u1), 1)
+    w = _open_cycle(g, tau, c1, u1)
     leak1 = _leak_at(g, tau, w, u1)
     if abs(leak1) != 2:
         raise AssertionError("negative cycle leak is not +-2")
     if path:
-        cur = u1
-        prev = -leak1 * tau(_half_at(g, path[0], u1))
-        w[path[0]] = prev
-        cur = g.other_end(path[0], cur)
-        for i in range(1, len(path)):
-            h_in = _half_at(g, path[i - 1], cur)
-            h_out = _half_at(g, path[i], cur)
-            prev = -tau(h_in) * tau(h_out) * prev
-            w[path[i]] = prev
-            cur = g.other_end(path[i], cur)
-        if cur != u2:
+        kappa, end = _walk(g, tau, path, u1,
+                           -leak1 * tau(_half_at(g, path[0], u1)))
+        w.update(zip(path, kappa))
+        if end != u2:
             raise ValueError("path does not end at the second junction")
-        t = tau(_half_at(g, path[-1], u2)) * prev
+        t = tau(_half_at(g, path[-1], u2)) * kappa[-1]
     else:
         if u1 != u2:
             raise ValueError("empty path needs a shared junction vertex")
         t = leak1
-    w2 = _propagate_cycle(g, tau, _rotate_cycle(c2, u2), 1)
+    w2 = _open_cycle(g, tau, c2, u2)
     leak2 = _leak_at(g, tau, w2, u2)
     if abs(leak2) != 2:
         raise AssertionError("negative cycle leak is not +-2")
@@ -273,7 +266,8 @@ def z2_to_3flow(g: SignedGraph, support: Iterable[int],
 
     Preconditions: support is inside the carrier, every vertex meets an
     even number of support edges, and support holds an even number of
-    negative edges.  Found by bounded backtracking over carrier edges.
+    negative edges.  Found by the oracle's backtracking kernel over the
+    carrier edges.
     """
     sup = set(support)
     car = set(carrier)
@@ -293,94 +287,13 @@ def z2_to_3flow(g: SignedGraph, support: Iterable[int],
         raise DeskScaleError(f"carrier with {len(car)} edges exceeds limit")
     if tau is None:
         tau = Orientation.default(g)
-
-    coeff: list[dict[int, int]] = []
-    for e in range(g.m):
-        c: dict[int, int] = {}
-        if e in car:
-            for h in (2 * e, 2 * e + 1):
-                v = g.halfedge_vertex(h)
-                c[v] = c.get(v, 0) + tau(h)
-        coeff.append(c)
-    remaining = [0] * g.n
-    for e in car:
-        for v in coeff[e]:
-            remaining[v] += 1
-    residual = [0] * g.n
-
-    # cotree edges of the carrier first: tree edges are then mostly forced
-    par = list(range(g.n))
-
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    tree = set()
-    for e in sorted(car):
-        u, v = g.ends(e)
-        if u != v and find(u) != find(v):
-            par[find(u)] = find(v)
-            tree.add(e)
-    order = [e for e in sorted(car) if e not in tree] + sorted(tree)
-    domains = {e: ([1, -1] if e in sup else [0, 1, -1, 2, -2]) for e in car}
-    psi: dict[int, Optional[int]] = {e: None for e in car}
-
-    def candidates(e: int) -> list[int]:
-        cands: Optional[list[int]] = None
-        for v, c in coeff[e].items():
-            if remaining[v] != 1:
-                continue
-            r = residual[v]
-            if c == 0:
-                if r != 0:
-                    return []
-                continue
-            if r % c != 0:
-                return []
-            cands = [r // c] if cands is None else [x for x in cands if x == r // c]
-        if cands is None:
-            return domains[e]
-        return [x for x in cands if x in domains[e]]
-
-    def pick() -> Optional[int]:
-        fallback = None
-        for e in order:
-            if psi[e] is not None:
-                continue
-            if any(remaining[v] == 1 for v in coeff[e]):
-                return e
-            if fallback is None:
-                fallback = e
-        return fallback
-
-    def dfs(done: int) -> bool:
-        if done == len(car):
-            return all(r == 0 for r in residual)
-        e = pick()
-        for val in candidates(e):
-            psi[e] = val
-            ok = True
-            for v, c in coeff[e].items():
-                residual[v] -= c * val
-                remaining[v] -= 1
-                if remaining[v] == 0 and residual[v] != 0:
-                    ok = False
-            if ok and dfs(done + 1):
-                return True
-            for v, c in coeff[e].items():
-                residual[v] += c * val
-                remaining[v] += 1
-            psi[e] = None
-        return False
-
-    if not dfs(0):
+    domains = [[1, -1] if e in sup else [0, 1, -1, 2, -2] for e in range(g.m)]
+    psi = oracle._search(g, tau, sorted(car), domains, [0] * g.n,
+                         oracle._INTEGERS)
+    if psi is None:
         raise AssertionError("no bounded 3-flow over the carrier: parity"
                              " preconditions should have guaranteed one")
-    out = [0] * g.m
-    for e in car:
-        out[e] = psi[e]  # type: ignore[assignment]
+    out = [0 if x is None else x for x in psi]
     if any(x != 0 for x in integer_boundary(g, tau, out)):
         raise AssertionError("search returned a non-flow")
     if any(abs(out[e]) != 1 for e in sup):

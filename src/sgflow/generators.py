@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .core import (MINUS, PLUS, SignedGraph, edge_connectivity, is_balanced,
                    delete_vertices)
-from .duality import canonical_ps, k6_projective_embedding
+from .duality import canonical_ps
 
 
 def petersen(all_positive: bool = False) -> SignedGraph:
@@ -51,6 +50,8 @@ def k4() -> SignedGraph:
     return SignedGraph(4, tuple(edges))
 
 
+# the graphs `sg gen` writes by name (negsun takes a size, and k6-projective
+# is an embedding rather than a graph, so the CLI handles those two itself)
 GENERATORS = {
     "petersen-ps": canonical_ps,
     "petersen-2neg": petersen_2neg,

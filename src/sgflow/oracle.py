@@ -1,20 +1,29 @@
 """Ground-truth search for flows and boundary satisfaction.
 
-Everything here is exact backtracking at desk scale: assign group (or
-integer) values edge by edge, propagate forced values at vertices whose
-last incident edge is being decided, and prune on residual-boundary
-violations.  Branching effectively happens only on cotree edges, so
-Petersen-sized instances finish quickly.
+Everything here is exact backtracking at desk scale, and all of it runs
+through one kernel, `_search`.  It orders the edges cotree first, then
+tree, and assigns one edge at a time: the first open edge that is the last
+open one at some vertex, whose residual boundary forces its value, or else
+the first open edge.  A branch dies as soon as a vertex with no open edge
+keeps a nonzero residual.  Branching effectively happens only on cotree
+edges, so Petersen-sized instances finish quickly.
+
+The kernel takes a value list per edge and the arithmetic of its values.
+There are two value domains: elements of a finite abelian group (forced
+values come from negation or halving) for `satisfy_boundary` and
+`has_nz_A_flow`, and bounded integers (forced values come from exact
+division) for `has_nz_k_flow` and `flows.z2_to_3flow`.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import DeskScaleError, Orientation, SignedGraph
-from .groups import AbelianGroup, Elem, boundary, is_A_boundary
+from .core import DeskScaleError, Orientation, SignedGraph, spanning_forest
+from .groups import AbelianGroup, Elem, is_A_boundary
 
 # Hard ceilings for the exact modes.
 MAX_EXACT_VERTICES = 8
@@ -22,23 +31,114 @@ MAX_EXACT_GROUP_ORDER = 9
 MAX_FLOW_EDGES = 18
 
 
-def _edge_order(g: SignedGraph) -> list[int]:
-    """Cotree edges first, then tree edges; forcing cascades through the tree."""
-    par = list(range(g.n))
+class _Arithmetic(NamedTuple):
+    """The values the kernel searches over: zero, addition, subtraction,
+    integer multiples (c, x) -> c x, and solve(c, r) -> every x with
+    c x = r, for a coefficient c in {-2, -1, 1, 2}."""
 
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
+    zero: object
+    add: Callable
+    sub: Callable
+    mul: Callable
+    solve: Callable
 
-    tree_set = set()
-    for e, (u, v, _) in enumerate(g.edges):
-        if u != v and find(u) != find(v):
-            par[find(u)] = find(v)
-            tree_set.add(e)
-    cotree = [e for e in range(g.m) if e not in tree_set]
-    return cotree + sorted(tree_set)
+
+_INTEGERS = _Arithmetic(0, operator.add, operator.sub, operator.mul,
+                        lambda c, r: [] if r % c else [r // c])
+
+
+def _group_arithmetic(A: AbelianGroup) -> _Arithmetic:
+    def solve(c: int, r: Elem) -> list[Elem]:
+        if c == 1:
+            return [r]
+        if c == -1:
+            return [A.neg(r)]
+        return A.halving_preimages(r if c > 0 else A.neg(r))
+
+    return _Arithmetic(A.zero, A.add, A.sub, A.smul, solve)
+
+
+def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
+            domains: Sequence[Sequence], beta: Sequence,
+            ar: _Arithmetic) -> Optional[list]:
+    """Values f(e) in domains[e], for the edges listed (in increasing
+    order), whose boundary under tau is beta, edges not listed carrying
+    nothing; None if there are none.  The returned list is indexed by edge
+    and holds None for edges not listed.
+
+    The edge order is the cotree of a spanning forest of the edges, then
+    the forest's edges, sorted.  The next edge is the first unassigned one
+    with an endpoint where it is the last open edge, else the first
+    unassigned one.  Its candidates are the values every such endpoint
+    forces, in solve order, that its domain holds; or, with no such
+    endpoint, its domain in order.
+    """
+    zero, add, sub, mul, solve = ar
+    # coefficient of edge e at vertex v: sum of tau over its half-edges at v
+    coeff: list[dict[int, int]] = [{} for _ in range(g.m)]
+    remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
+    for e in edges:
+        c = coeff[e]
+        for h in (2 * e, 2 * e + 1):
+            v = g.halfedge_vertex(h)
+            c[v] = c.get(v, 0) + tau(h)
+        for v in c:
+            remaining[v] += 1
+    residual = list(beta)
+    f: list = [None] * g.m
+    tree = spanning_forest(g, edges)
+    in_tree = set(tree)
+    order = [e for e in edges if e not in in_tree] + sorted(tree)
+
+    def candidates(e: int) -> Sequence:
+        """Values compatible with every saturated endpoint of e."""
+        cands = None
+        for v, c in coeff[e].items():
+            if remaining[v] != 1:
+                continue
+            r = residual[v]
+            if c == 0:
+                if r != zero:
+                    return []
+                continue
+            vals = solve(c, r)
+            cands = vals if cands is None else [x for x in cands if x in vals]
+        if cands is None:
+            return domains[e]
+        return [x for x in cands if x in domains[e]]
+
+    def pick() -> int:
+        first = None
+        for e in order:
+            if f[e] is not None:
+                continue
+            if any(remaining[v] == 1 for v in coeff[e]):
+                return e
+            if first is None:
+                first = e
+        return first
+
+    def dfs(done: int) -> bool:
+        if done == len(order):
+            return all(r == zero for r in residual)
+        e = pick()
+        for val in candidates(e):
+            f[e] = val
+            ok = True
+            for v, c in coeff[e].items():
+                residual[v] = sub(residual[v], mul(c, val))
+                remaining[v] -= 1
+                if remaining[v] == 0 and residual[v] != zero:
+                    ok = False
+            if ok and dfs(done + 1):
+                return True
+            for v, c in coeff[e].items():
+                residual[v] = add(residual[v], mul(c, val))
+                remaining[v] += 1
+        f[e] = None
+        return False
+
+    return f if dfs(0) else None
 
 
 def satisfy_boundary(
@@ -63,88 +163,10 @@ def satisfy_boundary(
         raise DeskScaleError(f"{g.m} edges exceeds search limit")
     if tau is None:
         tau = Orientation.default(g)
-
-    # coefficient of edge e at vertex v: sum of tau over its half-edges at v
-    coeff: list[dict[int, int]] = []
-    for e in range(g.m):
-        c: dict[int, int] = {}
-        for h in (2 * e, 2 * e + 1):
-            v = g.halfedge_vertex(h)
-            c[v] = c.get(v, 0) + tau(h)
-        coeff.append(c)
-
-    residual = [b for b in beta]
-    remaining = [0] * g.n  # unassigned incident edges per vertex (loop counts once)
-    for e in range(g.m):
-        for v in coeff[e]:
-            remaining[v] += 1
-
-    f: list[Optional[Elem]] = [None] * g.m
-    order = _edge_order(g)
     domain = [a for a in A.elements() if allow_zero or a != A.zero]
-
-    def candidates(e: int) -> list[Elem]:
-        """Values compatible with every saturated endpoint of e."""
-        cands: Optional[list[Elem]] = None
-        for v, c in coeff[e].items():
-            if remaining[v] != 1:
-                continue
-            r = residual[v]
-            if c == 0:
-                if r != A.zero:
-                    return []
-                continue
-            if abs(c) == 1:
-                want = r if c == 1 else A.neg(r)
-                vals = [want]
-            else:  # |c| == 2, a loop contributing twice
-                target = r if c > 0 else A.neg(r)
-                vals = A.halving_preimages(target)
-            cands = vals if cands is None else [x for x in cands if x in vals]
-        if cands is None:
-            cands = domain
-        bad = fbar[e] if fbar is not None else None
-        return [x for x in cands if (allow_zero or x != A.zero) and x != bad]
-
-    def pick() -> Optional[int]:
-        forced = None
-        for e in order:
-            if f[e] is not None:
-                continue
-            if any(remaining[v] == 1 for v in coeff[e]):
-                return e
-            if forced is None:
-                forced = e
-        return forced
-
-    def assign(e: int, val: Elem) -> None:
-        f[e] = val
-        for v, c in coeff[e].items():
-            residual[v] = A.sub(residual[v], A.smul(c, val))
-            remaining[v] -= 1
-
-    def unassign(e: int) -> None:
-        val = f[e]
-        f[e] = None
-        for v, c in coeff[e].items():
-            residual[v] = A.add(residual[v], A.smul(c, val))
-            remaining[v] += 1
-
-    def dfs(done: int) -> bool:
-        if done == g.m:
-            return all(r == A.zero for r in residual)
-        e = pick()
-        for val in candidates(e):
-            assign(e, val)
-            if all(residual[v] == A.zero for v in coeff[e] if remaining[v] == 0):
-                if dfs(done + 1):
-                    return True
-            unassign(e)
-        return False
-
-    if dfs(0):
-        return [x for x in f]  # type: ignore[list-item]
-    return None
+    domains = [domain if fbar is None else [a for a in domain if a != fbar[e]]
+               for e in range(g.m)]
+    return _search(g, tau, range(g.m), domains, beta, _group_arithmetic(A))
 
 
 def has_nz_A_flow(g: SignedGraph, A: AbelianGroup,
@@ -159,75 +181,9 @@ def has_nz_k_flow(g: SignedGraph, k: int) -> Optional[list[int]]:
         return None
     if g.m > MAX_FLOW_EDGES:
         raise DeskScaleError(f"{g.m} edges exceeds search limit")
-    tau = Orientation.default(g)
-    coeff: list[dict[int, int]] = []
-    for e in range(g.m):
-        c: dict[int, int] = {}
-        for h in (2 * e, 2 * e + 1):
-            v = g.halfedge_vertex(h)
-            c[v] = c.get(v, 0) + tau(h)
-        coeff.append(c)
-    residual = [0] * g.n
-    remaining = [0] * g.n
-    for e in range(g.m):
-        for v in coeff[e]:
-            remaining[v] += 1
-    f: list[Optional[int]] = [None] * g.m
-    order = _edge_order(g)
     domain = [x for x in range(-(k - 1), k) if x != 0]
-
-    def candidates(e: int) -> list[int]:
-        cands: Optional[list[int]] = None
-        for v, c in coeff[e].items():
-            if remaining[v] != 1:
-                continue
-            r = residual[v]
-            if c == 0:
-                if r != 0:
-                    return []
-                continue
-            if r % c != 0:
-                return []
-            vals = [r // c]
-            cands = vals if cands is None else [x for x in cands if x in vals]
-        if cands is None:
-            return domain
-        return [x for x in cands if x != 0 and abs(x) < k]
-
-    def pick() -> Optional[int]:
-        fallback = None
-        for e in order:
-            if f[e] is not None:
-                continue
-            if any(remaining[v] == 1 for v in coeff[e]):
-                return e
-            if fallback is None:
-                fallback = e
-        return fallback
-
-    def dfs(done: int) -> bool:
-        if done == g.m:
-            return all(r == 0 for r in residual)
-        e = pick()
-        for val in candidates(e):
-            f[e] = val
-            ok = True
-            for v, c in coeff[e].items():
-                residual[v] -= c * val
-                remaining[v] -= 1
-                if remaining[v] == 0 and residual[v] != 0:
-                    ok = False
-            if ok and dfs(done + 1):
-                return True
-            for v, c in coeff[e].items():
-                residual[v] += c * val
-                remaining[v] += 1
-            f[e] = None
-        return False
-
-    if dfs(0):
-        return [x for x in f]  # type: ignore[list-item]
-    return None
+    return _search(g, Orientation.default(g), range(g.m), [domain] * g.m,
+                   [0] * g.n, _INTEGERS)
 
 
 @dataclass

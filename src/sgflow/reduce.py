@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import (MINUS, Orientation, SignedGraph, UncontractResult,
-                   contract_set, delete_edges, edge_connectivity,
-                   is_k_unbalanced, uncontract)
+from .core import (Orientation, SignedGraph, contract_set, delete_edges,
+                   edge_connectivity, is_k_unbalanced, uncontract)
 from .groups import AbelianGroup, Elem, boundary
 from . import oracle
 

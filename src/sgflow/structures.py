@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (DeskScaleError, SignedGraph, MINUS, PLUS, delete_edges,
-                   is_balanced)
+                   is_balanced, spanning_forest)
 
 MAX_CYCLE_SPACE_DIM = 20
 ALL_CYCLES_MEMO = 16  # graphs whose cycle lists all_cycles keeps
@@ -100,23 +100,6 @@ def _as_cycle(edges: Sequence[tuple[int, int, int]],
     return CycleRef(tuple(walk), tuple(verts), sign)
 
 
-def _spanning_forest(g: SignedGraph) -> list[int]:
-    par = list(range(g.n))
-
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    tree = []
-    for e, (u, v, _) in enumerate(g.edges):
-        if u != v and find(u) != find(v):
-            par[find(u)] = find(v)
-            tree.append(e)
-    return tree
-
-
 def fundamental_cycle(g: SignedGraph, tree: Sequence[int], e: int) -> list[int]:
     """Edges of the unique cycle in tree + e (e itself if a loop)."""
     if g.is_loop(e):
@@ -159,8 +142,9 @@ def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
     Results are memoised per graph value: the pipeline asks for the cycles
     of the same graph many times.
     """
-    tree = _spanning_forest(g)
-    cotree = [e for e in range(g.m) if e not in set(tree)]
+    tree = spanning_forest(g, range(g.m))
+    in_tree = set(tree)
+    cotree = [e for e in range(g.m) if e not in in_tree]
     dim = len(cotree)
     if dim > MAX_CYCLE_SPACE_DIM:
         raise DeskScaleError(f"cycle space dimension {dim} too large")
@@ -284,22 +268,6 @@ def positive_cycle_in_theta(g: SignedGraph, theta: Theta) -> CycleRef:
 
 # -- bases ----------------------------------------------------------------------
 
-def connected_base(g: SignedGraph) -> frozenset[int]:
-    """Spanning tree, plus one extra edge closing a negative cycle when g
-    is unbalanced.  The result has no positive cycle and no barbell."""
-    if not g.is_connected():
-        raise ValueError("graph must be connected")
-    tree = _spanning_forest(g)
-    if is_balanced(g).balanced:
-        return frozenset(tree)
-    for e in range(g.m):
-        if e in set(tree):
-            continue
-        if cycle_sign(g, fundamental_cycle(g, tree, e)) == MINUS:
-            return frozenset(tree) | {e}
-    raise AssertionError("unbalanced graph with no negative fundamental cycle")
-
-
 def contains_positive_cycle(g: SignedGraph, edge_set: Iterable[int]) -> bool:
     es = set(edge_set)
     for c in all_cycles(delete_edges(g, set(range(g.m)) - es).graph):
@@ -364,22 +332,12 @@ def bridges_of(g: SignedGraph, h_edges: Iterable[int]) -> list[Bridge]:
         u, v = g.ends(e)
         hv.add(u)
         hv.add(v)
-    rest = [e for e in range(g.m) if e not in h]
-    # union-find over vertices using only non-H edges
-    par = list(range(g.n))
-
-    def find(x: int) -> int:
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    for e in rest:
-        u, v = g.ends(e)
-        par[find(u)] = find(v)
+    comp_of = {v: i for i, comp in enumerate(g.components(skip_edges=h))
+               for v in comp}
     groups: dict[int, list[int]] = {}
-    for e in rest:
-        groups.setdefault(find(g.ends(e)[0]), []).append(e)
+    for e in range(g.m):
+        if e not in h:
+            groups.setdefault(comp_of[g.ends(e)[0]], []).append(e)
     out = []
     for es in groups.values():
         vs = set()

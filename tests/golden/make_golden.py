@@ -6,6 +6,11 @@ returned for it.  The certificate carries the group and the forbidden map,
 so it is also the rest of the input.  Cases whose name starts with
 ``k6hint-`` pass the K6 projective embedding as the hint.
 
+``oracle_witnesses.json`` pins the exact searches the same way: each record
+names an oracle call (``has_nz_A_flow``, ``has_nz_k_flow``,
+``satisfy_boundary`` or ``z2_to_3flow``) with its inputs, and holds the
+witness it returned (null for none).
+
 Run from the repository root to rewrite the corpus:
 
     PYTHONPATH=src python tests/golden/make_golden.py
@@ -16,19 +21,28 @@ must leave every file byte for byte as it is.
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 import time
 from pathlib import Path
 
-from sgflow.core import contract_set, edge_connectivity, format_sg, is_k_unbalanced
+from sgflow import oracle
+from sgflow.core import (MINUS, contract_set, edge_connectivity, format_sg,
+                         is_k_unbalanced)
 from sgflow.duality import k6_projective_embedding
-from sgflow.flows import connect, format_avoidance
-from sgflow.generators import petersen, petersen_2neg, random_cubic_3connected
+from sgflow.flows import connect, format_avoidance, z2_to_3flow
+from sgflow.generators import (k4, k4_negative_triangle, petersen,
+                               petersen_2neg, random_cubic_3connected)
 from sgflow.groups import parse_group
+from sgflow.structures import all_cycles
 
 HERE = Path(__file__).resolve().parent
+WITNESSES = HERE / "oracle_witnesses.json"
 COMPOSITE = ("Z6", "Z8", "Z2xZ2xZ2", "Z9")
+# petersen_2neg over Z11 with these seeded maps leaves collisions on B
+# (aux b1 is not "-"), so the prime route runs z2_to_3flow
+PRIME_B1 = (0, 1, 9, 14)
 
 
 def random_fbar(name: str, A, m: int) -> list[tuple[int, ...]]:
@@ -62,7 +76,8 @@ def noncubic(n: int, index: int, k: int):
 
 
 def cases():
-    """(name, graph, group spec, forbidden map or None for all-zero)."""
+    """(name, graph, group spec); the forbidden map is all-zero for names
+    ending in ``-zero`` and seeded by the name otherwise."""
     pet, pet2 = petersen(), petersen_2neg()
     for spec in COMPOSITE:
         yield f"petersen-{spec}", pet, spec
@@ -79,13 +94,98 @@ def cases():
     for n, index, k in ((10, 0, 1), (10, 1, 2), (12, 0, 1), (12, 1, 2)):
         for spec in ("Z6", "Z9"):
             yield f"contract{n}-{index}-{k}-{spec}", noncubic(n, index, k), spec
+    # the oracle route: small prime groups, and an unsat certificate
+    yield "oracle-petersen-Z5", pet, "Z5"
+    yield "oracle-petersen-Z7", pet, "Z7"
+    yield "oracle-petersen-Z4-zero", pet, "Z4"
+    for i in PRIME_B1:
+        yield f"prime-b1-petersen-2neg-Z11-{i}", pet2, "Z11"
+
+
+# -- pinned oracle witnesses ----------------------------------------------------
+
+GRAPHS = {
+    "petersen": petersen,
+    "petersen-positive": lambda: petersen(all_positive=True),
+    "petersen-2neg": petersen_2neg,
+    "k4": k4,
+    "k4-negtri": k4_negative_triangle,
+}
+
+
+def oracle_call(rec: dict):
+    """Run the oracle call a witness record names on its inputs."""
+    g = GRAPHS[rec["graph"]]()
+    call = rec["call"]
+    if call == "has_nz_k_flow":
+        return oracle.has_nz_k_flow(g, rec["k"])
+    if call == "z2_to_3flow":
+        return z2_to_3flow(g, rec["support"], rec["carrier"])
+    A = parse_group(rec["group"])
+    fbar = None if rec.get("fbar") is None else [tuple(x) for x in rec["fbar"]]
+    if call == "has_nz_A_flow":
+        return oracle.has_nz_A_flow(g, A, fbar=fbar)
+    beta = [tuple(x) for x in rec["beta"]]
+    return oracle.satisfy_boundary(g, A, beta, fbar=fbar,
+                                   allow_zero=rec["allow_zero"])
+
+
+def as_json(x):
+    """Witnesses with group elements as lists, as JSON stores them."""
+    if isinstance(x, dict):
+        return {k: as_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [as_json(y) for y in x]
+    return x
+
+
+def witness_records():
+    """The oracle calls to pin, without their results."""
+    rng = random.Random("golden-witnesses")
+    for name, make in GRAPHS.items():
+        g = make()
+        for spec in ("Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2"):
+            A = parse_group(spec)
+            yield {"call": "has_nz_A_flow", "graph": name, "group": spec}
+            fbar = [tuple(rng.randrange(q) for q in A.factors)
+                    for _ in range(g.m)]
+            yield {"call": "has_nz_A_flow", "graph": name, "group": spec,
+                   "fbar": fbar}
+            for allow_zero in (False, True):
+                head = [tuple(rng.randrange(q) for q in A.factors)
+                        for _ in range(g.n - 1)]
+                a = tuple(rng.randrange(q) for q in A.factors)
+                last = A.sub(A.add(a, a), A.sum(head))
+                fbar = [tuple(rng.randrange(q) for q in A.factors)
+                        for _ in range(g.m)]
+                yield {"call": "satisfy_boundary", "graph": name,
+                       "group": spec, "beta": head + [last], "fbar": fbar,
+                       "allow_zero": allow_zero}
+        for k in (2, 3, 4, 5):
+            yield {"call": "has_nz_k_flow", "graph": name, "k": k}
+        cycles = all_cycles(g)
+        made = 0
+        while made < 4:
+            sup: set[int] = set()
+            for c in cycles:
+                if rng.random() < 0.5:
+                    sup ^= set(c.edges)
+            if not sup or sum(g.sigma(e) == MINUS for e in sup) % 2:
+                continue
+            carrier = sup | {e for e in range(g.m) if rng.random() < 0.5}
+            yield {"call": "z2_to_3flow", "graph": name,
+                   "support": sorted(sup), "carrier": sorted(carrier)}
+            made += 1
 
 
 def main() -> int:
     emb = k6_projective_embedding()
     for name, g, spec in cases():
         A = parse_group(spec)
-        fbar = random_fbar(name, A, g.m)
+        if name.endswith("-zero"):
+            fbar = [A.zero] * g.m
+        else:
+            fbar = random_fbar(name, A, g.m)
         t0 = time.perf_counter()
         cert = connect(g, A, fbar,
                        embedding=emb if name.startswith("k6hint-") else None)
@@ -94,6 +194,14 @@ def main() -> int:
         (HERE / f"{name}.cert").write_text(format_avoidance(cert))
         print(f"{name}: {cert.strategy} n={g.n} m={g.m} {dt:.3f}s",
               file=sys.stderr)
+    records = []
+    for rec in witness_records():
+        rec = as_json(rec)
+        rec["result"] = as_json(oracle_call(rec))
+        records.append(rec)
+    WITNESSES.write_text(
+        "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+    print(f"{WITNESSES.name}: {len(records)} records", file=sys.stderr)
     return 0
 
 

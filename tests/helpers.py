@@ -74,3 +74,31 @@ def brute_edge_connectivity(g: SignedGraph) -> int:
         best = min(best, sum((mask >> u & 1) != (mask >> v & 1)
                              for u, v, _ in g.edges))
     return best
+
+
+def brute_boundaries(g: SignedGraph, tau, domains, zero, add, neg) -> set:
+    """Boundaries under tau of every map with f(e) in domains[e].
+
+    Edge by edge, every value of the edge is added to every boundary the
+    earlier edges reach; maps that agree on the boundary so far are merged,
+    which keeps the set small without skipping any map.  The search order,
+    pruning and forcing of sgflow.oracle play no part here.
+    """
+    reach = {(zero,) * g.n}
+    for e in range(g.m):
+        step = []
+        for x in domains[e]:
+            d = {}
+            for h in (2 * e, 2 * e + 1):
+                v = g.halfedge_vertex(h)
+                d[v] = add(d.get(v, zero), x if tau(h) == 1 else neg(x))
+            step.append(d)
+        nxt = set()
+        for b in reach:
+            for d in step:
+                bl = list(b)
+                for v, y in d.items():
+                    bl[v] = add(bl[v], y)
+                nxt.add(tuple(bl))
+        reach = nxt
+    return reach

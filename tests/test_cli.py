@@ -12,8 +12,8 @@ import sgflow
 from sgflow.cli import main
 from sgflow.core import format_sg, parse_sg
 from sgflow.duality import format_emb, k6_projective_embedding
-from sgflow.generators import k4_negative_triangle, negsun, petersen, \
-    petersen_2neg
+from sgflow.generators import GENERATORS, k4_negative_triangle, negsun, \
+    petersen, petersen_2neg
 
 
 def run(capsys, *argv):
@@ -36,6 +36,13 @@ def test_gen_and_check_balance(tmp_path, capsys):
     code, out, _ = run(capsys, "check", "balance", str(path))
     assert code == 1
     assert out.startswith("unbalanced negative-cycle")
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_gen_writes_the_generator_table_graph(capsys, name):
+    code, out, _ = run(capsys, "gen", name)
+    assert code == 0
+    assert out == format_sg(GENERATORS[name]())
 
 
 def test_check_balance_reads_stdin(capsys, monkeypatch):

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
-from sgflow.core import MINUS, DeskScaleError
-from sgflow.decompose import (decompose_base_sun, decompose_general,
-                              decompose_tree_2base, format_certificate,
-                              has_two_disjoint_cycles, parse_certificate,
-                              verify_partition, violating_balanced_cut)
+from sgflow.core import MINUS, PLUS, DeskScaleError, SignedGraph
+from sgflow.decompose import (BASE_SUN, TREE_2BASE, WorkingPartition,
+                              check_working_partition, decompose_base_sun,
+                              decompose_general, decompose_tree_2base,
+                              format_certificate, has_two_disjoint_cycles,
+                              parse_certificate, verify_partition,
+                              violating_balanced_cut)
 from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
                                petersen_2neg, random_cubic_3connected)
 from sgflow.structures import as_negative_sun, is_k_base, k_closure
@@ -91,3 +93,47 @@ def test_balanced_cut_scan_refuses_past_desk_scale():
     g = random_cubic_3connected(18, random.Random(18))
     with pytest.raises(DeskScaleError):
         violating_balanced_cut(g)
+
+
+# -- working-partition invariants ---------------------------------------------------
+# Petersen edges: 0-4 the outer 5-cycle (negative in petersen()), 5-9 the
+# spokes, 10-14 the inner pentagram.
+
+OUTER, SPOKES, PENTAGRAM = set(range(5)), set(range(5, 10)), set(range(10, 15))
+ALL = OUTER | SPOKES | PENTAGRAM
+PETERSEN, POSITIVE = petersen(), petersen(all_positive=True)
+K5 = SignedGraph(5, tuple((u, v, PLUS) for u in range(5)
+                          for v in range(u + 1, 5)))  # edges 0, 1 meet at 0
+BROKEN_PARTITIONS = [
+    # (tag, graph, mode, A, B, C)
+    ("partition does not cover E", PETERSEN, TREE_2BASE, set(), OUTER,
+     SPOKES | PENTAGRAM - {14}),
+    ("parts overlap", PETERSEN, TREE_2BASE, {0}, OUTER, SPOKES | PENTAGRAM),
+    ("(a) A+B not 2-connected", PETERSEN, TREE_2BASE, set(), {0, 1},
+     ALL - {0, 1}),
+    ("(b) C disconnected", PETERSEN, TREE_2BASE, set(), ALL - {10, 11},
+     {10, 11}),
+    ("(b) C degree not in {1,3}", K5, TREE_2BASE, set(), set(range(2, 10)),
+     {0, 1}),
+    ("(b) C balanced", PETERSEN, BASE_SUN, set(), ALL - {10}, {10}),
+    ("(c) A+C not spanning/connected", PETERSEN, TREE_2BASE, set(),
+     ALL - {10}, {10}),
+    ("(c) A+C has no negative cycle", PETERSEN, BASE_SUN,
+     {0, 1, 2, 3} | SPOKES, {4} | PENTAGRAM, set()),
+    ("(d) 2-closure of B misses part of A", POSITIVE, TREE_2BASE,
+     OUTER | SPOKES, PENTAGRAM, set()),
+    ("(e) B contains no cycle", POSITIVE, TREE_2BASE, {3, 4}, {0, 1, 2},
+     SPOKES | PENTAGRAM),
+    ("(e) B has no negative cycle", PETERSEN, TREE_2BASE, set(), PENTAGRAM,
+     OUTER | SPOKES),
+]
+
+
+@pytest.mark.parametrize("tag,g,mode,a,b,c", BROKEN_PARTITIONS,
+                         ids=[case[0] for case in BROKEN_PARTITIONS])
+def test_check_working_partition_names_the_broken_invariant(tag, g, mode, a,
+                                                            b, c):
+    with pytest.raises(AssertionError) as info:
+        check_working_partition(g, WorkingPartition(set(a), set(b), set(c)),
+                                mode)
+    assert str(info.value) == tag

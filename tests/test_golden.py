@@ -1,9 +1,13 @@
 """Golden certificates: connect must reproduce every recorded certificate
-byte for byte (tests/golden/make_golden.py wrote them)."""
+byte for byte, and the exact searches every pinned witness
+(tests/golden/make_golden.py wrote both)."""
 
+import json
 from pathlib import Path
 
 import pytest
+
+from golden.make_golden import as_json, oracle_call
 
 from sgflow.core import parse_sg
 from sgflow.duality import k6_projective_embedding
@@ -25,3 +29,20 @@ def test_connect_reproduces_golden_certificate(name):
     hint = k6_projective_embedding() if name.startswith("k6hint-") else None
     cert = connect(g, recorded.group, recorded.fbar, embedding=hint)
     assert format_avoidance(cert) == want
+
+
+WITNESSES = json.loads((GOLDEN / "oracle_witnesses.json").read_text())
+
+
+def test_oracle_witness_file_covers_every_search():
+    calls = {rec["call"] for rec in WITNESSES}
+    assert calls == {"has_nz_A_flow", "has_nz_k_flow", "satisfy_boundary",
+                     "z2_to_3flow"}
+    assert any(rec.get("allow_zero") for rec in WITNESSES)
+    assert any(rec["result"] is None for rec in WITNESSES)
+
+
+@pytest.mark.parametrize("index", range(len(WITNESSES)))
+def test_oracle_reproduces_pinned_witness(index):
+    rec = WITNESSES[index]
+    assert as_json(oracle_call(rec)) == rec["result"]

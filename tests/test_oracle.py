@@ -1,16 +1,20 @@
 """Exact backtracking oracles: boundary satisfaction, flows, connectivity."""
 
+import operator
 import random
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
-from helpers import random_connected_graph, random_elem
+from helpers import brute_boundaries, random_connected_graph, random_elem
 from sgflow.core import DeskScaleError, MINUS, PLUS, Orientation, SignedGraph
+from sgflow.flows import z2_to_3flow
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
-from sgflow.groups import boundary, is_A_boundary, is_flow, is_nowhere_zero, \
-    parse_group
+from sgflow.groups import boundary, integer_boundary, is_A_boundary, is_flow, \
+    is_nowhere_zero, parse_group
 from sgflow.oracle import (MAX_EXACT_VERTICES, has_nz_A_flow, has_nz_k_flow,
                            is_A_connected, satisfy_boundary)
+from sgflow.structures import all_cycles
 
 
 def test_satisfy_boundary_returns_verified_solutions():
@@ -97,3 +101,96 @@ def test_desk_scale_limits():
     big = SignedGraph(2, tuple((0, 1, PLUS) for _ in range(40)))
     with pytest.raises(DeskScaleError):
         has_nz_k_flow(big, 3)
+
+
+# -- the search kernel against every map ------------------------------------------
+
+GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2")
+
+
+@st.composite
+def small_instances(draw):
+    """A graph with m <= 6 edges (loops of both signs and parallel edges
+    occur) and an orientation that reverses a random set of its edges, so
+    a negative loop can meet its vertex with coefficient 2 or -2."""
+    n = draw(st.integers(1, 4))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
+                          max_size=6))
+    g = SignedGraph(n, tuple(edges))
+    flips = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    tau = list(Orientation.default(g).tau)
+    for e, flip in enumerate(flips):
+        if flip:
+            tau[2 * e], tau[2 * e + 1] = -tau[2 * e], -tau[2 * e + 1]
+    return g, Orientation(tuple(tau))
+
+
+def _elements(draw, A, count):
+    elems = sorted(A.elements())
+    return [draw(st.sampled_from(elems)) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.sampled_from(GROUPS), st.booleans(),
+       st.booleans(), st.data())
+def test_satisfy_boundary_matches_every_map(inst, spec, with_fbar,
+                                            allow_zero, data):
+    g, tau = inst
+    A = parse_group(spec)
+    head = _elements(data.draw, A, g.n - 1)
+    (a,) = _elements(data.draw, A, 1)
+    beta = head + [A.sub(A.add(a, a), A.sum(head))]
+    fbar = _elements(data.draw, A, g.m) if with_fbar else None
+    domains = [[x for x in A.elements()
+                if (allow_zero or x != A.zero)
+                and (fbar is None or x != fbar[e])] for e in range(g.m)]
+    exists = tuple(beta) in brute_boundaries(g, tau, domains, A.zero, A.add,
+                                             A.neg)
+    event(f"exists: {exists}")
+    f = satisfy_boundary(g, A, beta, fbar=fbar, tau=tau, allow_zero=allow_zero)
+    assert (f is not None) == exists
+    if f is not None:
+        assert boundary(g, tau, f, A) == beta
+        assert all(f[e] in domains[e] for e in range(g.m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.integers(2, 4))
+def test_has_nz_k_flow_matches_every_map(inst, k):
+    g, _ = inst
+    tau = Orientation.default(g)
+    values = [x for x in range(1 - k, k) if x]
+    exists = (0,) * g.n in brute_boundaries(g, tau, [values] * g.m, 0,
+                                            operator.add, operator.neg)
+    event(f"exists: {exists}")
+    f = has_nz_k_flow(g, k)
+    assert (f is not None) == exists
+    if f is not None:
+        assert integer_boundary(g, tau, f) == [0] * g.n
+        assert all(x in values for x in f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.data())
+def test_z2_to_3flow_matches_every_map(inst, data):
+    g, tau = inst
+    sup: set[int] = set()  # a cycle-space element: even degree everywhere
+    for c in all_cycles(g):
+        if data.draw(st.booleans()):
+            sup ^= c.edge_set
+    assume(sum(g.sigma(e) == MINUS for e in sup) % 2 == 0)
+    car = sup | {e for e in range(g.m) if data.draw(st.booleans())}
+    domains = [[1, -1] if e in sup else [0, 1, -1, 2, -2] if e in car
+               else [0] for e in range(g.m)]
+    exists = (0,) * g.n in brute_boundaries(g, tau, domains, 0, operator.add,
+                                            operator.neg)
+    event(f"exists: {exists}")
+    try:
+        psi = z2_to_3flow(g, sup, car, tau)
+    except AssertionError:
+        psi = None
+    assert (psi is not None) == exists
+    if psi is not None:
+        assert integer_boundary(g, tau, psi) == [0] * g.n
+        assert all(psi[e] in domains[e] for e in range(g.m))

@@ -43,12 +43,12 @@ def test_order_cycle_rejects_non_cycles():
 
 
 def test_fundamental_cycle_lies_in_tree_plus_edge():
-    from sgflow.structures import _spanning_forest
+    from sgflow.core import spanning_forest
 
     rng = random.Random(3)
     for _ in range(100):
         g = random_connected_graph(rng)
-        tree = _spanning_forest(g)
+        tree = spanning_forest(g, range(g.m))
         cotree = [e for e in range(g.m) if e not in set(tree)]
         if not cotree:
             continue
