@@ -142,25 +142,25 @@ def as_json(x):
 def witness_records():
     """The oracle calls to pin, without their results."""
     rng = random.Random("golden-witnesses")
+
+    def draw(A, count: int) -> list[tuple[int, ...]]:
+        return [tuple(rng.randrange(q) for q in A.factors)
+                for _ in range(count)]
+
     for name, make in GRAPHS.items():
         g = make()
         for spec in ("Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2"):
             A = parse_group(spec)
             yield {"call": "has_nz_A_flow", "graph": name, "group": spec}
-            fbar = [tuple(rng.randrange(q) for q in A.factors)
-                    for _ in range(g.m)]
             yield {"call": "has_nz_A_flow", "graph": name, "group": spec,
-                   "fbar": fbar}
+                   "fbar": draw(A, g.m)}
             for allow_zero in (False, True):
-                head = [tuple(rng.randrange(q) for q in A.factors)
-                        for _ in range(g.n - 1)]
-                a = tuple(rng.randrange(q) for q in A.factors)
-                last = A.sub(A.add(a, a), A.sum(head))
-                fbar = [tuple(rng.randrange(q) for q in A.factors)
-                        for _ in range(g.m)]
+                head = draw(A, g.n - 1)
+                (a,) = draw(A, 1)
                 yield {"call": "satisfy_boundary", "graph": name,
-                       "group": spec, "beta": head + [last], "fbar": fbar,
-                       "allow_zero": allow_zero}
+                       "group": spec,
+                       "beta": head + [A.sub(A.add(a, a), A.sum(head))],
+                       "fbar": draw(A, g.m), "allow_zero": allow_zero}
         for k in (2, 3, 4, 5):
             yield {"call": "has_nz_k_flow", "graph": name, "k": k}
         cycles = all_cycles(g)
