@@ -8,8 +8,10 @@ so it is also the rest of the input.  Cases whose name starts with
 
 ``oracle_witnesses.json`` pins the exact searches the same way: each record
 names an oracle call (``has_nz_A_flow``, ``has_nz_k_flow``,
-``satisfy_boundary`` or ``z2_to_3flow``) with its inputs, and holds the
-witness it returned (null for none).
+``satisfy_boundary``, ``z2_to_3flow`` or ``is_A_connected``) with its
+inputs, and holds the witness it returned (null for none); for
+``is_A_connected`` it is the verdict's status, witness boundary and count
+of boundaries checked.
 
 Run from the repository root to rewrite the corpus:
 
@@ -40,6 +42,9 @@ from sgflow.structures import all_cycles
 HERE = Path(__file__).resolve().parent
 WITNESSES = HERE / "oracle_witnesses.json"
 COMPOSITE = ("Z6", "Z8", "Z2xZ2xZ2", "Z9")
+# groups the exact A-connectivity verdicts of K4 are pinned over
+A_CONNECTED = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z2xZ2",
+               "Z2xZ4", "Z2xZ2xZ2", "Z3xZ3")
 # petersen_2neg over Z11 with these seeded maps leaves collisions on B
 # (aux b1 is not "-"), so the prime route runs z2_to_3flow
 PRIME_B1 = (0, 1, 9, 14)
@@ -122,6 +127,10 @@ def oracle_call(rec: dict):
     if call == "z2_to_3flow":
         return z2_to_3flow(g, rec["support"], rec["carrier"])
     A = parse_group(rec["group"])
+    if call == "is_A_connected":
+        v = oracle.is_A_connected(g, A)
+        return {"status": v.status, "witness_beta": v.witness_beta,
+                "checked": v.checked}
     fbar = None if rec.get("fbar") is None else [tuple(x) for x in rec["fbar"]]
     if call == "has_nz_A_flow":
         return oracle.has_nz_A_flow(g, A, fbar=fbar)
@@ -176,6 +185,9 @@ def witness_records():
             yield {"call": "z2_to_3flow", "graph": name,
                    "support": sorted(sup), "carrier": sorted(carrier)}
             made += 1
+    for name in ("k4", "k4-negtri"):
+        for spec in A_CONNECTED:
+            yield {"call": "is_A_connected", "graph": name, "group": spec}
 
 
 def main() -> int:

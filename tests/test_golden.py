@@ -37,9 +37,12 @@ WITNESSES = json.loads((GOLDEN / "oracle_witnesses.json").read_text())
 def test_oracle_witness_file_covers_every_search():
     calls = {rec["call"] for rec in WITNESSES}
     assert calls == {"has_nz_A_flow", "has_nz_k_flow", "satisfy_boundary",
-                     "z2_to_3flow"}
+                     "z2_to_3flow", "is_A_connected"}
     assert any(rec.get("allow_zero") for rec in WITNESSES)
     assert any(rec["result"] is None for rec in WITNESSES)
+    verdicts = {rec["result"]["status"] for rec in WITNESSES
+                if rec["call"] == "is_A_connected"}
+    assert verdicts == {"yes", "no"}
 
 
 @pytest.mark.parametrize("index", range(len(WITNESSES)))
