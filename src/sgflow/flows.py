@@ -268,6 +268,11 @@ def z2_to_3flow(g: SignedGraph, support: Iterable[int],
     even number of support edges, and support holds an even number of
     negative edges.  Found by the oracle's backtracking kernel over the
     carrier edges.
+
+    Raises ValueError when a precondition fails, and also when none does
+    but no such psi exists: the parity conditions are necessary, not
+    sufficient (two negative loops at different vertices, with nothing
+    joining them, meet all three and carry no flow).
     """
     sup = set(support)
     car = set(carrier)
@@ -291,8 +296,8 @@ def z2_to_3flow(g: SignedGraph, support: Iterable[int],
     psi = oracle._search(g, tau, sorted(car), domains, [0] * g.n,
                          oracle._INTEGERS)
     if psi is None:
-        raise AssertionError("no bounded 3-flow over the carrier: parity"
-                             " preconditions should have guaranteed one")
+        raise ValueError("no flow with values +-1 on the support and at most"
+                         " 2 in size on the carrier")
     out = [0 if x is None else x for x in psi]
     if any(x != 0 for x in integer_boundary(g, tau, out)):
         raise AssertionError("search returned a non-flow")
@@ -936,7 +941,12 @@ def connect_prime(g: SignedGraph, p: int,
         if not set(b1) <= support:
             raise AssertionError("collision edges fell out of the support")
         carrier = T | set(b1)
-        psi = z2_to_3flow(g, support, carrier, tau)
+        try:
+            psi = z2_to_3flow(g, support, carrier, tau)
+        except ValueError as exc:
+            # the support is built from cycles of the base, which joins them
+            raise AssertionError(f"z2_to_3flow refused the base: {exc}") \
+                from exc
 
     def shifted(sign: int) -> list[Elem]:
         one = (1 % p,)

@@ -310,46 +310,6 @@ def is_k_base(g: SignedGraph, B: Iterable[int], k: int) -> bool:
     return k_closure(g, B, k).closure == frozenset(range(g.m))
 
 
-# -- bridges ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Bridge:
-    vertices: frozenset[int]
-    edges: frozenset[int]
-    attachments: frozenset[int]  # vertices shared with the host subgraph
-
-    @property
-    def size(self) -> int:
-        return len(self.vertices) + len(self.edges)
-
-
-def bridges_of(g: SignedGraph, h_edges: Iterable[int]) -> list[Bridge]:
-    """Bridges of the subgraph H: connected components of g - E(H) that
-    contain at least one edge, with their attachment vertices on H."""
-    h = set(h_edges)
-    hv = set()
-    for e in h:
-        u, v = g.ends(e)
-        hv.add(u)
-        hv.add(v)
-    comp_of = {v: i for i, comp in enumerate(g.components(skip_edges=h))
-               for v in comp}
-    groups: dict[int, list[int]] = {}
-    for e in range(g.m):
-        if e not in h:
-            groups.setdefault(comp_of[g.ends(e)[0]], []).append(e)
-    out = []
-    for es in groups.values():
-        vs = set()
-        for e in es:
-            u, v = g.ends(e)
-            vs.add(u)
-            vs.add(v)
-        out.append(Bridge(frozenset(vs), frozenset(es), frozenset(vs & hv)))
-    out.sort(key=lambda b: (-b.size, min(b.attachments) if b.attachments else -1))
-    return out
-
-
 # -- peripheral cycles --------------------------------------------------------------
 
 def is_peripheral(g: SignedGraph, c: CycleRef) -> bool:
@@ -366,19 +326,12 @@ def find_peripheral_cycle(
     g: SignedGraph,
     want_sign: Optional[int] = None,
     require_unbalanced_complement: bool = False,
-    prefer_bridge_with: Optional[CycleRef] = None,
     cycles: Optional[Sequence[CycleRef]] = None,
 ) -> Optional[CycleRef]:
     """First peripheral cycle of the requested sign, optionally with
-    g - E(C) still unbalanced.
-
-    With prefer_bridge_with set, candidates are ranked by the size of the
-    bridge of C containing that cycle (largest first) -- the rerouting
-    choice used when a protected negative cycle must stay intact.
-    """
+    g - E(C) still unbalanced."""
     if cycles is None:
         cycles = all_cycles(g)
-    best: Optional[tuple] = None
     for c in cycles:
         if want_sign is not None and c.sign != want_sign:
             continue
@@ -387,17 +340,8 @@ def find_peripheral_cycle(
         if require_unbalanced_complement:
             if is_balanced(delete_edges(g, c.edge_set).graph).balanced:
                 continue
-        if prefer_bridge_with is None:
-            return c
-        rank = 0
-        for b in bridges_of(g, c.edge_set):
-            if prefer_bridge_with.edge_set <= b.edges:
-                rank = b.size
-                break
-        key = (-rank, len(c), c.edges)
-        if best is None or key < best[0]:
-            best = (key, c)
-    return best[1] if best else None
+        return c
+    return None
 
 
 # -- negative suns -------------------------------------------------------------------

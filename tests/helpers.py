@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from sgflow.core import MINUS, PLUS, SignedGraph
+from sgflow.core import (MINUS, PLUS, SignedGraph, edge_connectivity,
+                         is_k_unbalanced, spanning_forest)
+from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import NegativeSun, build_negative_sun
 
 
@@ -37,6 +40,45 @@ def host_with_sun(n: int) -> tuple[SignedGraph, NegativeSun]:
         edges.append((tips[i], tips[(i + 1) % n], PLUS))
     edges.append((tips[0], tips[n // 2], MINUS))
     return SignedGraph(2 * n, tuple(edges)), sun
+
+
+def _positive(n: int, pairs) -> SignedGraph:
+    return SignedGraph(n, tuple((u, v, PLUS) for u, v in pairs))
+
+
+# small 3-edge-connected cubic graphs, all edges positive
+CUBIC_GRAPHS = {
+    "k4": _positive(4, itertools.combinations(range(4), 2)),
+    "prism": _positive(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                           (0, 3), (1, 4), (2, 5)]),
+    "k33": _positive(6, itertools.product(range(3), range(3, 6))),
+    "wagner": _positive(8, [(i, (i + 1) % 8) for i in range(8)]
+                        + [(i, i + 4) for i in range(4)]),
+    "cube": _positive(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4)
+                          if v < v ^ b]),
+}
+
+
+def switching_classes(g: SignedGraph):
+    """One signature per switching class of g's underlying graph: the
+    edges of a spanning forest stay positive and the other edges take
+    every sign pattern (two signatures that agree on a spanning tree are
+    switching equivalent only if they are equal)."""
+    tree = set(spanning_forest(g, range(g.m)))
+    cotree = [e for e in range(g.m) if e not in tree]
+    for negative in itertools.product((False, True), repeat=len(cotree)):
+        signs = [PLUS] * g.m
+        for e, neg in zip(cotree, negative):
+            if neg:
+                signs[e] = MINUS
+        yield g.with_signs(signs)
+
+
+def theorem_instances(g: SignedGraph) -> list[SignedGraph]:
+    """The switching classes of g that are 3-edge-connected and
+    2-unbalanced, the paper's hypotheses."""
+    return [h for h in switching_classes(g)
+            if edge_connectivity(h) >= 3 and is_k_unbalanced(h, 2)]
 
 
 def random_elem(rng: random.Random, A) -> tuple:
@@ -102,3 +144,15 @@ def brute_boundaries(g: SignedGraph, tau, domains, zero, add, neg) -> set:
                 nxt.add(tuple(bl))
         reach = nxt
     return reach
+
+
+def reference_is_A_connected(g: SignedGraph, A) -> tuple:
+    """(status, witness_beta, checked) of exact A-connectivity by one
+    boundary search per A-boundary, in _all_boundaries order: the first
+    boundary no nowhere-zero map satisfies is the witness."""
+    count = 0
+    for beta in _all_boundaries(g, A):
+        count += 1
+        if satisfy_boundary(g, A, beta) is None:
+            return "no", beta, count
+    return "yes", None, count

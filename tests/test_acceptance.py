@@ -8,8 +8,8 @@ import contextlib
 import random
 import time
 
-from helpers import host_with_sun, random_connected_graph, random_elem, \
-    random_fbar
+from helpers import CUBIC_GRAPHS, host_with_sun, random_connected_graph, \
+    random_elem, random_fbar, theorem_instances
 from sgflow import flows
 from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, contract,
                          signatures_equivalent, switch_on_set,
@@ -18,8 +18,8 @@ from sgflow.decompose import (decompose_base_sun, decompose_tree_2base,
                               verify_partition)
 from sgflow.duality import (flow_from_coloring, k6_projective_embedding,
                             oriented_dual)
-from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
-                               petersen_2neg, random_cubic_3connected)
+from sgflow.generators import (k4, negsun, petersen, petersen_2neg,
+                               random_cubic_3connected)
 from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
                            parse_group)
 from sgflow.oracle import has_nz_A_flow, has_nz_k_flow, is_A_connected
@@ -142,25 +142,35 @@ def test_criterion_5_decomposition_certificates(capsys):
 
 
 def test_criterion_6_oracle_constructor_cross_validation(capsys):
-    with report(capsys, 6, "on every generator-suite graph with <= 8 vertices"
-                " and every group of order 6, 8 or 9, constructor success"
-                " agrees with the exact connectivity oracle"):
-        suite = [k4_negative_triangle(), negsun(3), negsun(4)]
-        groups = ["Z6", "Z8", "Z2xZ4", "Z2xZ2xZ2", "Z9", "Z3xZ3"]
-        for g in suite:
+    with report(capsys, 6, "every 3-edge-connected 2-unbalanced switching"
+                " class of K4, the prism and K3,3 (groups of order 6, 8, 9)"
+                " and of the Wagner graph and the cube (Z6) is A-connected"
+                " by the exact oracle and gets a verified flow from connect;"
+                " negative suns on 6 and 8 vertices are not"):
+        wide = ("Z6", "Z8", "Z2xZ4", "Z2xZ2xZ2", "Z9", "Z3xZ3")
+        suite = [("k4", 1, wide), ("prism", 6, wide), ("k33", 6, wide),
+                 ("wagner", 19, ("Z6",)), ("cube", 19, ("Z6",))]
+        for name, classes, groups in suite:
+            instances = theorem_instances(CUBIC_GRAPHS[name])
+            assert len(instances) == classes, name
             for spec in groups:
                 A = parse_group(spec)
-                try:
+                for g in instances:
+                    verdict = is_A_connected(g, A)
+                    assert verdict.status == "yes", (name, spec, g.edges)
+                    assert verdict.checked == A.order ** (g.n - 1) * \
+                        len({A.add(a, a) for a in A.elements()})
                     cert = flows.connect(g, A, [A.zero] * g.m)
-                    built = cert.flow is not None
-                    if built:
-                        assert flows.verify_avoidance(g, cert)
-                except ValueError:
-                    built = False
+                    assert cert.flow is not None, (name, spec, g.edges)
+                    assert flows.verify_avoidance(g, cert), (name, spec)
+        # a sun's pendant vertices have degree 1: no nowhere-zero map has a
+        # zero boundary there, so the oracle must refuse it with a witness
+        for g in (negsun(3), negsun(4)):
+            for spec in wide:
+                A = parse_group(spec)
                 verdict = is_A_connected(g, A)
-                # never: constructor fails on an instance the oracle accepts
-                assert not (not built and verdict.status == "yes"), \
-                    (g.n, spec, verdict.status)
+                assert verdict.status == "no", (g.n, spec)
+                assert is_A_boundary(A, verdict.witness_beta) is not None
 
 
 def test_criterion_7_property_suites(capsys):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import sgflow
+from helpers import CUBIC_GRAPHS, theorem_instances
 from sgflow.cli import main
 from sgflow.core import format_sg, parse_sg
 from sgflow.duality import format_emb, k6_projective_embedding
@@ -124,6 +125,15 @@ def test_oracle_a_connected_exact(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "a-connected", "--group", "Z6", gpath)
     assert code == 0
     assert "a-connected yes checked 648" in out
+
+
+def test_oracle_a_connected_exact_on_the_prism(tmp_path, capsys):
+    # 6^5 * 3 = 23328 boundaries, out of reach of one search per boundary
+    prism = theorem_instances(CUBIC_GRAPHS["prism"])[0]
+    gpath = write_graph(tmp_path, prism)
+    code, out, _ = run(capsys, "oracle", "a-connected", "--group", "Z6", gpath)
+    assert code == 0
+    assert out == "a-connected yes checked 23328\n"
 
 
 def test_oracle_respects_desk_scale_limit(tmp_path, capsys):

@@ -2,6 +2,7 @@
 sun flows and the three constructors behind connect()."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +101,26 @@ def test_z2_to_3flow_rejects_bad_supports():
         flows.z2_to_3flow(g, {0}, range(g.m))  # odd degrees
     with pytest.raises(ValueError):
         flows.z2_to_3flow(g, {0, 1}, {0, 1})  # support not a cycle space elem
+    # every parity condition holds, but nothing joins the two negative
+    # loops, so no 3-flow exists: an input problem, not a bug
+    loops = SignedGraph(2, ((0, 0, MINUS), (1, 1, MINUS)))
+    with pytest.raises(ValueError, match="no flow"):
+        flows.z2_to_3flow(loops, {0, 1}, {0, 1})
+
+
+def test_prime_route_reports_a_refused_3flow_as_a_bug(monkeypatch):
+    # connect falls back to search on ValueError from the prime route; a
+    # 3-flow the construction guarantees must not be refused silently
+    golden = Path(__file__).resolve().parent / "golden"
+    cert = flows.parse_avoidance(
+        (golden / "prime-b1-petersen-2neg-Z11-0.cert").read_text())
+
+    def refuse(*args, **kwargs):
+        raise ValueError("no flow")
+
+    monkeypatch.setattr(flows, "z2_to_3flow", refuse)
+    with pytest.raises(AssertionError, match="z2_to_3flow refused"):
+        flows.connect(petersen_2neg(), cert.group, cert.fbar)
 
 
 def test_forbidden_band_size():

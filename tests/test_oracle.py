@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from helpers import brute_boundaries, random_connected_graph, random_elem
+from helpers import brute_boundaries, random_connected_graph, random_elem, \
+    reference_is_A_connected
 from sgflow.core import DeskScaleError, MINUS, PLUS, Orientation, SignedGraph
 from sgflow.flows import z2_to_3flow
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
@@ -84,6 +85,26 @@ def test_k4_negative_triangle_is_z6_connected():
     verdict = is_A_connected(k4_negative_triangle(), parse_group("Z6"))
     assert verdict.status == "yes"
     assert verdict.checked == 6 ** 3 * 3  # beta heads times doubled targets
+
+
+def test_exact_mode_keeps_the_search_limits():
+    A = parse_group("Z6")
+    many = SignedGraph(2, tuple((0, 1, PLUS) for _ in range(37)))
+    with pytest.raises(DeskScaleError, match="37 edges exceeds search limit"):
+        is_A_connected(many, A)
+    with pytest.raises(DeskScaleError, match="group order 9"):
+        is_A_connected(k4(), parse_group("Z10"))
+    with pytest.raises(ValueError):
+        is_A_connected(SignedGraph(0, ()), A)
+
+
+def test_exact_mode_reaches_eight_vertices_over_z9():
+    cube = [(v, v ^ b, PLUS) for v in range(8) for b in (1, 2, 4) if v < v ^ b]
+    cube[0] = cube[-1] = None
+    cube = [(0, 1, MINUS)] + [e for e in cube if e] + [(6, 7, MINUS)]
+    verdict = is_A_connected(SignedGraph(8, tuple(cube)), parse_group("Z9"))
+    assert verdict.status == "yes"
+    assert verdict.checked == 9 ** 8
 
 
 def test_sampling_mode_agrees_with_exact_yes():
@@ -188,9 +209,26 @@ def test_z2_to_3flow_matches_every_map(inst, data):
     event(f"exists: {exists}")
     try:
         psi = z2_to_3flow(g, sup, car, tau)
-    except AssertionError:
+    except ValueError:
         psi = None
     assert (psi is not None) == exists
     if psi is not None:
         assert integer_boundary(g, tau, psi) == [0] * g.n
         assert all(psi[e] in domains[e] for e in range(g.m))
+
+
+# -- the boundary sweep against one search per boundary ---------------------------
+
+SWEEP_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2", "Z2xZ4")
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.sampled_from(SWEEP_GROUPS))
+def test_is_A_connected_matches_one_search_per_boundary(inst, spec):
+    g, _ = inst  # n <= 4, m <= 6, loops of both signs, parallel edges and
+    # isolated vertices all occur; exact mode uses the default orientation
+    A = parse_group(spec)
+    want = reference_is_A_connected(g, A)
+    event(f"verdict: {want[0]}")
+    v = is_A_connected(g, A)
+    assert (v.status, v.witness_beta, v.checked) == want
