@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from helpers import brute_boundaries, random_connected_graph, random_elem, \
-    reference_is_A_connected
+from helpers import CUBIC_GRAPHS, brute_boundaries, random_connected_graph, \
+    random_elem, reference_is_A_connected, theorem_instances
 from sgflow.core import DeskScaleError, MINUS, PLUS, Orientation, SignedGraph
 from sgflow.flows import z2_to_3flow
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
@@ -87,22 +87,9 @@ def test_k4_negative_triangle_is_z6_connected():
     assert verdict.checked == 6 ** 3 * 3  # beta heads times doubled targets
 
 
-def test_exact_mode_keeps_the_search_limits():
-    A = parse_group("Z6")
-    many = SignedGraph(2, tuple((0, 1, PLUS) for _ in range(37)))
-    with pytest.raises(DeskScaleError, match="37 edges exceeds search limit"):
-        is_A_connected(many, A)
-    with pytest.raises(DeskScaleError, match="group order 9"):
-        is_A_connected(k4(), parse_group("Z10"))
-    with pytest.raises(ValueError):
-        is_A_connected(SignedGraph(0, ()), A)
-
-
 def test_exact_mode_reaches_eight_vertices_over_z9():
-    cube = [(v, v ^ b, PLUS) for v in range(8) for b in (1, 2, 4) if v < v ^ b]
-    cube[0] = cube[-1] = None
-    cube = [(0, 1, MINUS)] + [e for e in cube if e] + [(6, 7, MINUS)]
-    verdict = is_A_connected(SignedGraph(8, tuple(cube)), parse_group("Z9"))
+    cube = theorem_instances(CUBIC_GRAPHS["cube"])[0]
+    verdict = is_A_connected(cube, parse_group("Z9"))
     assert verdict.status == "yes"
     assert verdict.checked == 9 ** 8
 
@@ -122,6 +109,13 @@ def test_desk_scale_limits():
     big = SignedGraph(2, tuple((0, 1, PLUS) for _ in range(40)))
     with pytest.raises(DeskScaleError):
         has_nz_k_flow(big, 3)
+    # exact A-connectivity keeps the boundary search's edge limit
+    with pytest.raises(DeskScaleError, match="40 edges exceeds search limit"):
+        is_A_connected(big, parse_group("Z6"))
+    with pytest.raises(DeskScaleError, match="group order 9"):
+        is_A_connected(k4(), parse_group("Z10"))
+    with pytest.raises(ValueError):
+        is_A_connected(SignedGraph(0, ()), parse_group("Z6"))
 
 
 # -- the search kernel against every map ------------------------------------------
