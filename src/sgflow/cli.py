@@ -1,9 +1,11 @@
 """Command-line surface for the library: ``sg <command> ...``.
 
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 for success or
-an affirmative verdict, 1 for a negative verdict, 2 for input errors, 3
-when a desk-scale limit refuses the instance.  Graph files use the ``sg``
-text format; ``-`` (the default) reads from stdin so commands pipe.
+an affirmative verdict, 1 for a negative verdict, 2 for input errors
+(including an input outside the theorem's hypotheses), 3 when a
+desk-scale limit refuses the instance, and 4 for an internal error (a
+broken invariant, which is a bug).  Graph files use the ``sg`` text
+format; ``-`` (the default) reads from stdin so commands pipe.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_SCALE = 3
+EXIT_INTERNAL = 4
 
 
 def _read_text(path: str) -> str:
@@ -284,9 +287,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DeskScaleError as exc:
         print(f"desk-scale limit: {exc}", file=sys.stderr)
         return EXIT_SCALE
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

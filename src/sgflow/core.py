@@ -28,6 +28,10 @@ class DeskScaleError(Exception):
     """Input exceeds the configured limits for an exhaustive routine."""
 
 
+class HypothesisError(ValueError):
+    """The input lies outside a theorem's or a construction's hypotheses."""
+
+
 @dataclass(frozen=True)
 class SignedGraph:
     """Signed multigraph with dense vertex indices 0..n-1 and edge indices 0..m-1."""
@@ -422,6 +426,14 @@ def edge_connectivity(g: SignedGraph) -> int:
     return best
 
 
+def is_cubic_3connected(g: SignedGraph) -> bool:
+    """Cubic and 3-connected, for n >= 4.  Such a graph is simple (a loop or
+    a digon leaves a cut of at most two edges), and a simple cubic graph's
+    vertex and edge connectivity agree, so one min-cut call decides it."""
+    return (g.n >= 4 and all(g.degree(v) == 3 for v in range(g.n))
+            and edge_connectivity(g) >= 3)
+
+
 def _has_cycle(g: SignedGraph, vertices: set[int]) -> bool:
     """Does the induced subgraph on `vertices` contain a cycle?  Exactly
     when some of its edges (a loop, say) is left out of a spanning forest."""
@@ -553,27 +565,6 @@ def delete_edges(g: SignedGraph, edge_set: Iterable[int]) -> MinorResult:
     return MinorResult(SignedGraph(g.n, tuple(new_edges)), tuple(range(g.n)), tuple(emap))
 
 
-def delete_vertices(g: SignedGraph, vertex_set: Iterable[int]) -> MinorResult:
-    drop = set(vertex_set)
-    vmap: list[Optional[int]] = []
-    nxt = 0
-    for v in range(g.n):
-        if v in drop:
-            vmap.append(None)
-        else:
-            vmap.append(nxt)
-            nxt += 1
-    new_edges = []
-    emap: list[Optional[int]] = []
-    for u, w, s in g.edges:
-        if u in drop or w in drop:
-            emap.append(None)
-        else:
-            emap.append(len(new_edges))
-            new_edges.append((vmap[u], vmap[w], s))
-    return MinorResult(SignedGraph(nxt, tuple(new_edges)), tuple(vmap), tuple(emap))
-
-
 @dataclass
 class UncontractResult:
     graph: SignedGraph
@@ -604,40 +595,6 @@ def uncontract(g: SignedGraph, v: int, h_e: int, h_f: int) -> UncontractResult:
     edges.append([v, vp, PLUS])
     new = SignedGraph(g.n + 1, tuple(tuple(ed) for ed in edges))
     return UncontractResult(new, vp, new.m - 1, tuple(range(g.m)))
-
-
-def uncontract_edges(g: SignedGraph, v: int, e: int, f: int) -> UncontractResult:
-    """Edge-level convenience wrapper; e, f must be distinct non-loop edges at v."""
-    if e == f:
-        raise ValueError("edges must differ")
-    hs = []
-    for ed in (e, f):
-        cand = [h for h in (2 * ed, 2 * ed + 1) if g.halfedge_vertex(h) == v]
-        if not cand:
-            raise ValueError(f"edge {ed} not incident to {v}")
-        hs.append(cand[0])
-    return uncontract(g, v, hs[0], hs[1])
-
-
-def suppress_degree_two(g: SignedGraph, v: int) -> MinorResult:
-    """Remove a degree-2 vertex, merging its two edges (sign = product)."""
-    inc = g.halfedges_at(v)
-    if len(inc) != 2 or inc[0] // 2 == inc[1] // 2:
-        raise ValueError("vertex is not suppressible")
-    e1, e2 = inc[0] // 2, inc[1] // 2
-    a = g.other_end(e1, v)
-    b = g.other_end(e2, v)
-    s = g.sigma(e1) * g.sigma(e2)
-    res = delete_edges(g, {e1, e2})
-    g2 = res.graph
-    g3 = SignedGraph(g2.n, g2.edges + ((a, b, s),))
-    res2 = delete_vertices(g3, {v})
-    vmap = tuple(res2.vertex_map)
-    emap = []
-    for e in range(g.m):
-        ne = res.edge_map[e]
-        emap.append(res2.edge_map[ne] if ne is not None else None)
-    return MinorResult(res2.graph, vmap, tuple(emap))
 
 
 # -- text format -------------------------------------------------------------

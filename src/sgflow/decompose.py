@@ -23,8 +23,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import (MINUS, PLUS, SignedGraph, checked_desk_scale, delete_edges,
-                   delete_vertices, delta, is_balanced, spanning_forest)
+from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
+                   checked_desk_scale, delete_edges, delta, is_balanced,
+                   is_cubic_3connected, spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
                          find_peripheral_cycle, k_closure)
 
@@ -39,7 +40,6 @@ class PartitionCertificate:
     x1: frozenset[int]
     x2: frozenset[int]
     f: frozenset[int] = frozenset()
-    hypotheses_assumed: bool = False  # caller skipped the exhaustive checks
 
 
 # -- subgraph helpers -------------------------------------------------------------
@@ -275,19 +275,13 @@ def has_two_disjoint_cycles(g: SignedGraph, want_negative: bool = False
 # -- the decomposition loops ------------------------------------------------------------
 
 def _check_cubic_3connected(g: SignedGraph) -> None:
-    if any(g.degree(v) != 3 for v in range(g.n)):
-        raise ValueError("graph is not cubic")
-    if g.n < 4:
-        raise ValueError("too few vertices")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            comps = delete_vertices(g, {u, v}).graph.components()
-            if len(comps) > 1:
-                raise ValueError(f"not 3-connected: cut pair {{{u},{v}}}")
+    if not is_cubic_3connected(g):
+        raise HypothesisError("graph is not cubic and 3-connected")
 
 
-def decompose_tree_2base(g: SignedGraph, validate: bool = True) -> PartitionCertificate:
-    """Partition E into a spanning tree X1 and a 2-base X2."""
+def decompose_tree_2base(g: SignedGraph) -> PartitionCertificate:
+    """Partition E into a spanning tree X1 and a 2-base X2.  Raises
+    HypothesisError unless g is cubic and 3-connected."""
     _check_cubic_3connected(g)
     cycles = all_cycles(g)
     unbal = not is_balanced(g).balanced
@@ -295,16 +289,14 @@ def decompose_tree_2base(g: SignedGraph, validate: bool = True) -> PartitionCert
     if d is None:
         raise AssertionError("no peripheral cycle of the required sign found")
     wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
-    if validate:
-        check_working_partition(g, wp, TREE_2BASE)
+    check_working_partition(g, wp, TREE_2BASE)
     while wp.c:
         path = improving_path(g, wp.c)
         x = {path[0], path[-1]}
         wp.a |= x
         wp.b |= set(path) - x
         wp.c -= set(path)
-        if validate:
-            check_working_partition(g, wp, TREE_2BASE)
+        check_working_partition(g, wp, TREE_2BASE)
     x1 = _spanning_tree_within(g, wp.a)
     x2 = frozenset(range(g.m)) - x1
     cert = PartitionCertificate(TREE_2BASE, x1, x2)
@@ -334,19 +326,20 @@ def _connected_base_containing(g: SignedGraph, must: set[int],
     return frozenset(must.union(forest))
 
 
-def decompose_base_sun(g: SignedGraph, assume_hypotheses: bool = False,
-                       validate: bool = True) -> PartitionCertificate:
+def decompose_base_sun(g: SignedGraph) -> PartitionCertificate:
     """Partition E into a connected base X1 containing a negative sun F
-    and a remainder X2 with 2-closure E - F, 2-connected and unbalanced."""
+    and a remainder X2 with 2-closure E - F, 2-connected and unbalanced.
+    Raises HypothesisError unless g is cubic and 3-connected, has two
+    vertex-disjoint negative cycles and no balanced side of a 3- or
+    4-edge-cut (see violating_balanced_cut)."""
     _check_cubic_3connected(g)
     if has_two_disjoint_cycles(g, want_negative=True) is None:
-        raise ValueError("graph has no two disjoint negative cycles")
-    if not assume_hypotheses:
-        bad = violating_balanced_cut(g)
-        if bad is not None:
-            x, k = bad
-            raise ValueError(f"hypothesis violated: balanced side {sorted(x)}"
-                             f" of a {k}-edge-cut")
+        raise HypothesisError("graph has no two disjoint negative cycles")
+    bad = violating_balanced_cut(g)
+    if bad is not None:
+        x, k = bad
+        raise HypothesisError(f"hypothesis violated: balanced side"
+                              f" {sorted(x)} of a {k}-edge-cut")
     cycles = all_cycles(g)
     d = find_peripheral_cycle(g, want_sign=MINUS,
                               require_unbalanced_complement=True, cycles=cycles)
@@ -354,8 +347,7 @@ def decompose_base_sun(g: SignedGraph, assume_hypotheses: bool = False,
         raise AssertionError("no negative peripheral cycle with unbalanced"
                              " complement found")
     wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
-    if validate:
-        check_working_partition(g, wp, BASE_SUN)
+    check_working_partition(g, wp, BASE_SUN)
     while True:
         sun = as_negative_sun(g, wp.c)
         if sun is not None and len(set(sun.pendant_vertices)) == sun.n:
@@ -365,19 +357,17 @@ def decompose_base_sun(g: SignedGraph, assume_hypotheses: bool = False,
         wp.a |= x
         wp.b |= set(path) - x
         wp.c -= set(path)
-        if validate:
-            check_working_partition(g, wp, BASE_SUN)
+        check_working_partition(g, wp, BASE_SUN)
     x1 = _connected_base_containing(g, set(wp.c), wp.a | wp.c)
     x2 = frozenset(range(g.m)) - x1
-    cert = PartitionCertificate(BASE_SUN, x1, x2, f=frozenset(wp.c),
-                                hypotheses_assumed=assume_hypotheses)
+    cert = PartitionCertificate(BASE_SUN, x1, x2, f=frozenset(wp.c))
     ok, reason = verify_partition(g, cert)
     if not ok:
         raise AssertionError(f"internal invariant breach: {reason}")
     return cert
 
 
-def decompose_general(g: SignedGraph, validate: bool = True) -> PartitionCertificate:
+def decompose_general(g: SignedGraph) -> PartitionCertificate:
     """Partition with X1 containing a connected base and 2-closure of X2
     equal to E - F, F empty or a degenerate negative sun.  Requires a
     cyclically 4-edge-connected cubic graph with no positive cycle of
@@ -391,7 +381,7 @@ def decompose_general(g: SignedGraph, validate: bool = True) -> PartitionCertifi
     # surface it if the run actually gets stuck.
     short_pos = next((c for c in cycles if c.sign == PLUS and len(c) <= 5), None)
     try:
-        return _decompose_general_dispatch(g, cycles, validate)
+        return _decompose_general_dispatch(g, cycles)
     except (ValueError, AssertionError) as exc:
         if short_pos is not None:
             raise ValueError(
@@ -401,10 +391,10 @@ def decompose_general(g: SignedGraph, validate: bool = True) -> PartitionCertifi
         raise
 
 
-def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef],
-                                validate: bool) -> PartitionCertificate:
+def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef]
+                                ) -> PartitionCertificate:
     if is_balanced(g).balanced:
-        base = decompose_tree_2base(g, validate=validate)
+        base = decompose_tree_2base(g)
         cert = PartitionCertificate(GENERAL, base.x1, base.x2, frozenset())
     elif has_two_disjoint_cycles(g) is None:
         d = find_peripheral_cycle(g, want_sign=MINUS, cycles=cycles)
@@ -424,7 +414,7 @@ def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef],
         f = frozenset(range(g.m)) - k_closure(g, x2, 2).closure
         cert = PartitionCertificate(GENERAL, frozenset(x1), x2, f)
     elif has_two_disjoint_cycles(g, want_negative=True) is not None:
-        base = decompose_base_sun(g, validate=validate)
+        base = decompose_base_sun(g)
         cert = PartitionCertificate(GENERAL, base.x1, base.x2, base.f)
     else:
         # two disjoint cycles, one of them can be made negative, but no two
@@ -437,8 +427,7 @@ def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef],
             raise AssertionError("no positive peripheral cycle with"
                                  " unbalanced complement found")
         wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
-        if validate:
-            check_working_partition(g, wp, GENERAL, require_cycle_in_b=False)
+        check_working_partition(g, wp, GENERAL, require_cycle_in_b=False)
         while True:
             sun = as_negative_sun(g, wp.c)
             if sun is not None:
@@ -448,8 +437,7 @@ def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef],
             wp.a |= x
             wp.b |= set(path) - x
             wp.c -= set(path)
-            if validate:
-                check_working_partition(g, wp, GENERAL, require_cycle_in_b=False)
+            check_working_partition(g, wp, GENERAL, require_cycle_in_b=False)
         x1 = _connected_base_containing(g, set(wp.c), wp.a | wp.c)
         x2 = frozenset(range(g.m)) - x1
         cert = PartitionCertificate(GENERAL, x1, x2, frozenset(wp.c))

@@ -219,45 +219,6 @@ def flow_from_coloring(eg: EmbeddedGraph, dual: DualResult,
     return to_default_orientation(dual.graph, dual.tau, vals, A)
 
 
-def coloring_from_flow(eg: EmbeddedGraph, dual: DualResult,
-                       f: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
-    """Flow-to-tension: recover c with c(v) - c(u) = value on the dual edge
-    of uv.  On the projective plane this needs A without order-2 elements
-    (a closed walk picks up a discrepancy d with 2d = 0).
-    Input f is in the default orientation of the dual."""
-    if eg.surface == PROJECTIVE:
-        if any(x != A.zero and A.add(x, x) == A.zero for x in A.elements()):
-            raise ValueError("projective potentials need a group without"
-                             " order-2 elements")
-    # back to the dual's own orientation, then read tensions
-    vals = to_default_orientation(dual.graph, dual.tau, f, A)
-    g = eg.graph
-    c: list[Optional[Elem]] = [None] * g.n
-    c[0] = A.zero
-    stack = [0]
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
-    for e, (u, v, _) in enumerate(g.edges):
-        adj[u].append((e, v))
-        adj[v].append((e, u))
-    while stack:
-        x = stack.pop()
-        for e, y in adj[x]:
-            if c[y] is not None:
-                continue
-            u, v = g.ends(e)
-            if x == u:
-                c[y] = A.add(c[x], vals[e])
-            else:
-                c[y] = A.sub(c[x], vals[e])
-            stack.append(y)
-    if any(x is None for x in c):
-        raise ValueError("primal graph is disconnected")
-    for e, (u, v, _) in enumerate(g.edges):
-        if A.sub(c[v], c[u]) != vals[e]:
-            raise ValueError(f"input is not a flow: tension mismatch on edge {e}")
-    return c  # type: ignore[return-value]
-
-
 # -- dual <-> target correspondence ----------------------------------------------
 
 @dataclass

@@ -36,11 +36,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import (MINUS, PLUS, DeskScaleError, Orientation, SignedGraph,
-                   delete_edges, edge_connectivity, is_k_unbalanced,
-                   switch_on_set, uncontract)
-from .decompose import (_check_cubic_3connected, decompose_base_sun,
-                        decompose_tree_2base, has_two_disjoint_cycles)
+from .core import (MINUS, PLUS, DeskScaleError, HypothesisError, Orientation,
+                   SignedGraph, delete_edges, edge_connectivity,
+                   is_k_unbalanced, switch_on_set, uncontract)
+from .decompose import decompose_base_sun, decompose_tree_2base
 from .duality import (DualCorrespondence, EmbeddedGraph, flow_from_coloring,
                       k6_projective_embedding, match_dual,
                       to_default_orientation)
@@ -745,6 +744,10 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
     """Avoidance flow for composite |A| >= 6 on a cubic 3-connected
     2-unbalanced graph.
 
+    g must be 2-unbalanced: connect checks its input, and cubicize keeps
+    it so.  The tree-2base decomposition refuses a g that is not cubic and
+    3-connected with HypothesisError.
+
     Phase 1 fixes the spanning tree T modulo a minimal subgroup N: the
     2-closure of B = E - T absorbs T through positive cycles C_i adding at
     most two new edges W_i each; processing the steps backwards, a
@@ -758,9 +761,6 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
     connected base T' = T + b' per B-edge, where b, b' close negative
     fundamental cycles and a final flow through both fixes them together.
     """
-    _check_cubic_3connected(g)
-    if not is_k_unbalanced(g, 2):
-        raise ValueError("graph is not 2-unbalanced")
     if is_prime(A.order) or A.order < 6:
         raise ValueError(f"|A| = {A.order} is not composite >= 6")
     if len(fbar) != g.m:
@@ -860,6 +860,10 @@ def connect_prime(g: SignedGraph, p: int,
     """Avoidance flow over Z_p, p prime >= 11, on a cubic 3-connected
     2-unbalanced graph with two vertex-disjoint negative cycles.
 
+    g must be 2-unbalanced: connect checks its input, and cubicize keeps
+    it so.  The base-sun decomposition refuses the other hypotheses (and a
+    balanced side of a 3- or 4-edge-cut) with HypothesisError.
+
     A base-sun decomposition supplies a connected base T containing a
     pendant sun F and a complement B whose 2-closure recovers T - F.  The
     sun flow clears the band Y(e) = {fbar(e), fbar(e)+-3, fbar(e)+-6} on F (one
@@ -872,11 +876,6 @@ def connect_prime(g: SignedGraph, p: int,
     """
     if not is_prime(p) or p < 11:
         raise ValueError(f"need a prime p >= 11, got {p}")
-    _check_cubic_3connected(g)
-    if not is_k_unbalanced(g, 2):
-        raise ValueError("graph is not 2-unbalanced")
-    if not has_two_disjoint_cycles(g, want_negative=True):
-        raise ValueError("graph has no two vertex-disjoint negative cycles")
     A = AbelianGroup((p,))
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
@@ -1066,19 +1065,22 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
             ) -> AvoidanceCertificate:
     """Find a flow avoiding fbar on a 3-edge-connected 2-unbalanced graph.
 
-    Strategy order: an explicit embedding hint takes the projective route;
-    composite |A| >= 6 and prime |A| >= 11 (with two disjoint negative
-    cycles) run their constructions on the cubicized graph and restrict
-    the flow back through the uncontraction history; everything else (and
-    any prime-path structural refusal) falls back to exhaustive search,
-    which may also prove that no avoiding flow exists (flow = None).
+    These two hypotheses are checked here, once, and every layer below
+    trusts them; a graph outside them raises HypothesisError.  Strategy
+    order: an explicit embedding hint takes the projective route;
+    composite |A| >= 6 and prime |A| >= 11 run their constructions on the
+    cubicized graph and restrict the flow back through the uncontraction
+    history; everything else, and a HypothesisError from the prime route's
+    decomposition (no two disjoint negative cycles, or a balanced side of
+    a small cut), falls back to exhaustive search, which may also prove
+    that no avoiding flow exists (flow = None).
     """
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
     if edge_connectivity(g) < 3:
-        raise ValueError("graph is not 3-edge-connected")
+        raise HypothesisError("graph is not 3-edge-connected")
     if not is_k_unbalanced(g, 2):
-        raise ValueError("graph is not 2-unbalanced")
+        raise HypothesisError("graph is not 2-unbalanced")
 
     if embedding is not None:
         corr = embedding if isinstance(embedding, DualCorrespondence) \
@@ -1098,22 +1100,21 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
 
     if is_prime(A.order) and A.order >= 11:
         res = cubicize(g)
-        if has_two_disjoint_cycles(res.graph, want_negative=True):
-            try:
-                fb2 = list(fbar) + [A.zero] * (res.graph.m - g.m)
-                cert2 = connect_prime(res.graph, A.order, fb2)
-                f = _restrict_through_history(g, res, cert2.flow, A)
-                cert = AvoidanceCertificate("prime", A, f, list(fbar),
-                                            cert2.e_prime
-                                            if cert2.e_prime is not None
-                                            and cert2.e_prime < g.m else None,
-                                            cert2.artifacts)
-                if not verify_avoidance(g, cert):
-                    raise AssertionError("restricted prime flow failed to"
-                                         " verify")
-                return cert
-            except ValueError:
-                pass  # structural hypotheses refused: fall back to search
+        fb2 = list(fbar) + [A.zero] * (res.graph.m - g.m)
+        try:
+            cert2 = connect_prime(res.graph, A.order, fb2)
+        except HypothesisError:
+            pass  # the prime route's extra hypotheses fail: search instead
+        else:
+            f = _restrict_through_history(g, res, cert2.flow, A)
+            cert = AvoidanceCertificate("prime", A, f, list(fbar),
+                                        cert2.e_prime
+                                        if cert2.e_prime is not None
+                                        and cert2.e_prime < g.m else None,
+                                        cert2.artifacts)
+            if not verify_avoidance(g, cert):
+                raise AssertionError("restricted prime flow failed to verify")
+            return cert
 
     sol = oracle.satisfy_boundary(g, A, [A.zero] * g.n, fbar=list(fbar),
                                   allow_zero=True)

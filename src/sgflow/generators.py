@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .core import (MINUS, PLUS, SignedGraph, edge_connectivity, is_balanced,
-                   delete_vertices)
+from .core import MINUS, PLUS, SignedGraph, is_balanced, is_cubic_3connected
 from .duality import canonical_ps
 
 
@@ -59,28 +58,17 @@ GENERATORS = {
 }
 
 
-def _is_3_connected_cubic(g: SignedGraph) -> bool:
-    if any(g.degree(v) != 3 for v in range(g.n)):
-        return False
-    if not g.is_connected():
-        return False
-    # for cubic graphs, 3-connectivity == 3-edge-connectivity; vertex form
-    # checked directly by removing vertex pairs
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if len(delete_vertices(g, {u, v}).graph.components()) > 1:
-                return False
-    return g.n >= 4 and edge_connectivity(g) >= 3
+# draws before random_cubic_3connected gives up
+MAX_TRIES = 2000
 
 
 def random_cubic_3connected(n: int, rng: random.Random,
-                            ensure_unbalanced: bool = False,
-                            max_tries: int = 2000) -> SignedGraph:
+                            ensure_unbalanced: bool = False) -> SignedGraph:
     """Random simple cubic 3-connected signed graph on n vertices (n even),
     by repeated perfect-matching completion of a random Hamiltonian cycle."""
     if n % 2 or n < 4:
         raise ValueError("need even n >= 4")
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         order = list(range(n))
         rng.shuffle(order)
         edges = set()
@@ -108,7 +96,7 @@ def random_cubic_3connected(n: int, rng: random.Random,
         edges |= set(matched)
         signs = [rng.choice((PLUS, MINUS)) for _ in edges]
         g = SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(sorted(edges), signs)))
-        if not _is_3_connected_cubic(g):
+        if not is_cubic_3connected(g):
             continue
         if ensure_unbalanced and is_balanced(g).balanced:
             continue

@@ -210,12 +210,6 @@ def integer_boundary(g: SignedGraph, tau: Orientation, f: Sequence[int]) -> list
     return out
 
 
-def is_integer_k_flow(g: SignedGraph, tau: Orientation, f: Sequence[int], k: int) -> bool:
-    if any(abs(v) >= k for v in f):
-        return False
-    return all(b == 0 for b in integer_boundary(g, tau, f))
-
-
 # -- map IO ---------------------------------------------------------------------
 
 def parse_map(text: str, A: AbelianGroup, size: int) -> list[Elem]:

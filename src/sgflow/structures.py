@@ -160,13 +160,6 @@ def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
     return tuple(out)
 
 
-def find_negative_cycle(g: SignedGraph) -> Optional[CycleRef]:
-    res = is_balanced(g)
-    if res.balanced:
-        return None
-    return order_cycle(g, res.negative_cycle)
-
-
 # -- thetas -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -264,16 +257,6 @@ def positive_cycle_in_theta(g: SignedGraph, theta: Theta) -> CycleRef:
         if signs[i] * signs[j] == PLUS:
             return order_cycle(g, set(theta.paths[i]) | set(theta.paths[j]))
     raise AssertionError("all three pair-cycles negative: impossible")
-
-
-# -- bases ----------------------------------------------------------------------
-
-def contains_positive_cycle(g: SignedGraph, edge_set: Iterable[int]) -> bool:
-    es = set(edge_set)
-    for c in all_cycles(delete_edges(g, set(range(g.m)) - es).graph):
-        if c.sign == PLUS:
-            return True
-    return False
 
 
 # -- k-closure -------------------------------------------------------------------
@@ -441,26 +424,3 @@ def as_negative_sun(g: SignedGraph, edge_set: Iterable[int]) -> Optional[Negativ
     pes = tuple(pend_at[v] for v in c.vertices)
     pvs = tuple(g.other_end(pend_at[v], v) for v in c.vertices)
     return NegativeSun(c.edges, c.vertices, pes, pvs)
-
-
-def find_negative_sun(g: SignedGraph) -> Optional[NegativeSun]:
-    """Locate a negative sun: a negative cycle plus one off-cycle edge per
-    cycle vertex (pendant tips may coincide -- degenerate suns allowed)."""
-    for c in all_cycles(g):
-        if c.sign != MINUS:
-            continue
-        pes = []
-        pvs = []
-        ok = True
-        for v in c.vertices:
-            cand = [e for e in g.incident_edges(v)
-                    if e not in c.edge_set and not g.is_loop(e)
-                    and g.other_end(e, v) not in c.vertices]
-            if not cand:
-                ok = False
-                break
-            pes.append(cand[0])
-            pvs.append(g.other_end(cand[0], v))
-        if ok and len(set(pes)) == len(pes):
-            return NegativeSun(c.edges, c.vertices, tuple(pes), tuple(pvs))
-    return None

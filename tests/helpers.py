@@ -5,8 +5,11 @@ from __future__ import annotations
 import itertools
 import random
 
+from typing import Optional
+
 from sgflow.core import (MINUS, PLUS, SignedGraph, edge_connectivity,
-                         is_k_unbalanced, spanning_forest)
+                         is_k_unbalanced, spanning_forest, uncontract)
+from sgflow.duality import PROJECTIVE, to_default_orientation
 from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import NegativeSun, build_negative_sun
 
@@ -79,6 +82,19 @@ def theorem_instances(g: SignedGraph) -> list[SignedGraph]:
     2-unbalanced, the paper's hypotheses."""
     return [h for h in switching_classes(g)
             if edge_connectivity(h) >= 3 and is_k_unbalanced(h, 2)]
+
+
+def uncontract_edges(g: SignedGraph, v: int, e: int, f: int):
+    """core.uncontract by edges: e, f must be distinct non-loop edges at v."""
+    if e == f:
+        raise ValueError("edges must differ")
+    hs = []
+    for ed in (e, f):
+        cand = [h for h in (2 * ed, 2 * ed + 1) if g.halfedge_vertex(h) == v]
+        if not cand:
+            raise ValueError(f"edge {ed} not incident to {v}")
+        hs.append(cand[0])
+    return uncontract(g, v, hs[0], hs[1])
 
 
 def random_elem(rng: random.Random, A) -> tuple:
@@ -156,3 +172,52 @@ def reference_is_A_connected(g: SignedGraph, A) -> tuple:
         if satisfy_boundary(g, A, beta) is None:
             return "no", beta, count
     return "yes", None, count
+
+
+def reference_is_cubic_3connected(g: SignedGraph) -> bool:
+    """Cubic, at least 4 vertices, and no vertex pair whose removal
+    disconnects the rest: the vertex form of 3-connectivity, one
+    component count per pair (O(n^2 m))."""
+    if g.n < 4 or any(g.degree(v) != 3 for v in range(g.n)):
+        return False
+    return all(len(g.components(skip_vertices={u, v})) == 1
+               for u, v in itertools.combinations(range(g.n), 2))
+
+
+def coloring_from_flow(eg, dual, f, A) -> list:
+    """Flow-to-tension, the inverse of duality.flow_from_coloring: recover
+    c with c(v) - c(u) = value on the dual edge of uv, up to a constant (c
+    is 0 at vertex 0).  On the projective plane this needs A without
+    order-2 elements (a closed walk picks up a discrepancy d with 2d = 0).
+    Input f is in the default orientation of the dual."""
+    if eg.surface == PROJECTIVE:
+        if any(x != A.zero and A.add(x, x) == A.zero for x in A.elements()):
+            raise ValueError("projective potentials need a group without"
+                             " order-2 elements")
+    # back to the dual's own orientation, then read tensions
+    vals = to_default_orientation(dual.graph, dual.tau, f, A)
+    g = eg.graph
+    c: list[Optional[tuple]] = [None] * g.n
+    c[0] = A.zero
+    stack = [0]
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
+    for e, (u, v, _) in enumerate(g.edges):
+        adj[u].append((e, v))
+        adj[v].append((e, u))
+    while stack:
+        x = stack.pop()
+        for e, y in adj[x]:
+            if c[y] is not None:
+                continue
+            u, v = g.ends(e)
+            if x == u:
+                c[y] = A.add(c[x], vals[e])
+            else:
+                c[y] = A.sub(c[x], vals[e])
+            stack.append(y)
+    if any(x is None for x in c):
+        raise ValueError("primal graph is disconnected")
+    for e, (u, v, _) in enumerate(g.edges):
+        if A.sub(c[v], c[u]) != vals[e]:
+            raise ValueError(f"input is not a flow: tension mismatch on edge {e}")
+    return c

@@ -9,11 +9,10 @@ import random
 import time
 
 from helpers import CUBIC_GRAPHS, host_with_sun, random_connected_graph, \
-    random_elem, random_fbar, theorem_instances
+    random_elem, random_fbar, theorem_instances, uncontract_edges
 from sgflow import flows
-from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, contract,
-                         signatures_equivalent, switch_on_set,
-                         uncontract_edges)
+from sgflow.core import (MINUS, Orientation, SignedGraph, contract,
+                         signatures_equivalent, switch_on_set)
 from sgflow.decompose import (decompose_base_sun, decompose_tree_2base,
                               verify_partition)
 from sgflow.duality import (flow_from_coloring, k6_projective_embedding,
@@ -23,8 +22,7 @@ from sgflow.generators import (k4, negsun, petersen, petersen_2neg,
 from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
                            parse_group)
 from sgflow.oracle import has_nz_A_flow, has_nz_k_flow, is_A_connected
-from sgflow.structures import (all_cycles, as_negative_sun, is_k_base,
-                               k_closure)
+from sgflow.structures import all_cycles, as_negative_sun, k_closure
 
 
 @contextlib.contextmanager

@@ -158,6 +158,21 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_internal_errors_exit_4_and_hypothesis_refusals_exit_2(
+        tmp_path, capsys, monkeypatch):
+    path = write_graph(tmp_path, negsun(4))
+    code, _, err = run(capsys, "connect", "--group", "Z6", path)
+    assert code == 2 and err.startswith("error: ") \
+        and "not 3-edge-connected" in err
+
+    def broken(args):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setattr(sgflow.cli, "_cmd_check", broken)
+    code, out, err = run(capsys, "check", "balance", path)
+    assert (code, out, err) == (4, "", "internal error: invariant broken\n")
+
+
 def test_unknown_group_exits_2(tmp_path, capsys):
     gpath = write_graph(tmp_path, petersen())
     code, _, err = run(capsys, "connect", "--group", "D4", gpath)

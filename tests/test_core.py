@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (brute_edge_connectivity, brute_frustration_index,
-                     random_connected_graph)
+                     random_connected_graph, reference_is_cubic_3connected,
+                     uncontract_edges)
 from sgflow.core import (MINUS, PLUS, EdgeCut, Orientation, SignedGraph,
                          contract, delete_edges, delta, edge_connectivity,
-                         format_sg, is_balanced, is_cyclically_k_edge_connected,
-                         is_k_unbalanced, min_negative_edges, parse_sg,
-                         signatures_equivalent, suppress_degree_two,
-                         switch_at, switch_on_set, uncontract_edges)
+                         format_sg, is_balanced, is_cubic_3connected,
+                         is_cyclically_k_edge_connected, is_k_unbalanced,
+                         min_negative_edges, parse_sg, signatures_equivalent,
+                         switch_at, switch_on_set)
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
 from sgflow.structures import cycle_sign
 
@@ -111,6 +112,25 @@ def test_edge_connectivity_matches_bipartition_scan(g):
     assert edge_connectivity(g) == brute_edge_connectivity(g)
 
 
+@st.composite
+def cubic_multigraphs(draw):
+    """n = 2, 4, ..., 12 vertices, joined by a random perfect matching of
+    their 3n half-edges: loops of either sign, parallel edges and
+    disconnected graphs all occur."""
+    n = draw(st.sampled_from(range(2, 13, 2)))
+    stubs = draw(st.permutations([v for v in range(n) for _ in range(3)]))
+    signs = draw(st.lists(st.sampled_from((PLUS, MINUS)), min_size=3 * n // 2,
+                          max_size=3 * n // 2))
+    return SignedGraph(n, tuple((stubs[2 * i], stubs[2 * i + 1], s)
+                                for i, s in enumerate(signs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cubic_multigraphs())
+def test_cubic_3connectivity_matches_vertex_pair_scan(g):
+    assert is_cubic_3connected(g) == reference_is_cubic_3connected(g)
+
+
 def test_cyclic_edge_connectivity():
     assert is_cyclically_k_edge_connected(petersen(all_positive=True), 4)
 
@@ -159,11 +179,3 @@ def test_uncontract_then_contract_restores_graph():
         assert back.n == g.n and back.m == g.m
         assert sorted((min(u, w), max(u, w), s) for u, w, s in back.edges) == \
             sorted((min(u, w), max(u, w), s) for u, w, s in g.edges)
-
-
-def test_suppress_degree_two_keeps_path_sign():
-    g = SignedGraph(3, ((0, 1, MINUS), (1, 2, MINUS), (0, 2, PLUS)))
-    res = suppress_degree_two(g, 1)
-    assert res.graph.n == 2 and res.graph.m == 2
-    signs = sorted(s for _, _, s in res.graph.edges)
-    assert signs == [PLUS, PLUS]  # minus*minus merges to a plus edge

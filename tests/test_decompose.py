@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sgflow.core import MINUS, PLUS, DeskScaleError, SignedGraph
+from sgflow.core import MINUS, PLUS, DeskScaleError, HypothesisError, SignedGraph
 from sgflow.decompose import (BASE_SUN, TREE_2BASE, WorkingPartition,
                               check_working_partition, decompose_base_sun,
                               decompose_general, decompose_tree_2base,
@@ -85,7 +85,7 @@ def test_two_disjoint_negative_cycles():
 
 
 def test_decompose_requires_cubic_3connected_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError):
         decompose_tree_2base(negsun(4))
 
 

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from helpers import random_elem
+from helpers import coloring_from_flow, random_elem
 from sgflow.core import PLUS, Orientation, SignedGraph, min_negative_edges
 from sgflow.duality import (PLANE, EmbeddedGraph, build_ps, canonical_ps,
-                            coloring_from_flow, flow_from_coloring, format_emb,
-                            k6_projective_embedding, match_dual, oriented_dual,
-                            parse_emb, trace_faces)
+                            flow_from_coloring, format_emb,
+                            k6_projective_embedding, oriented_dual, parse_emb,
+                            trace_faces)
 from sgflow.groups import is_flow, is_nowhere_zero, parse_group
 
 

@@ -8,13 +8,14 @@ import pytest
 
 from helpers import host_with_sun, random_connected_graph, random_fbar
 from sgflow import flows
-from sgflow.core import MINUS, PLUS, Orientation, SignedGraph, is_k_unbalanced
+from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
+                         SignedGraph, is_k_unbalanced, parse_sg)
+from sgflow.decompose import decompose_base_sun
 from sgflow.duality import k6_projective_embedding, match_dual
-from sgflow.generators import (k4_negative_triangle, negsun, petersen,
-                               petersen_2neg, random_cubic_3connected)
-from sgflow.groups import (boundary, integer_boundary, is_flow,
-                           is_nowhere_zero, parse_group)
-from sgflow.structures import all_cycles, order_cycle
+from sgflow.generators import (negsun, petersen, petersen_2neg,
+                               random_cubic_3connected)
+from sgflow.groups import integer_boundary, is_flow, is_nowhere_zero, parse_group
+from sgflow.structures import all_cycles
 
 
 def test_circulation_on_positive_cycle_has_zero_boundary():
@@ -109,8 +110,9 @@ def test_z2_to_3flow_rejects_bad_supports():
 
 
 def test_prime_route_reports_a_refused_3flow_as_a_bug(monkeypatch):
-    # connect falls back to search on ValueError from the prime route; a
-    # 3-flow the construction guarantees must not be refused silently
+    # connect falls back to search only on HypothesisError from the prime
+    # route; a 3-flow the construction guarantees must not be refused
+    # silently
     golden = Path(__file__).resolve().parent / "golden"
     cert = flows.parse_avoidance(
         (golden / "prime-b1-petersen-2neg-Z11-0.cert").read_text())
@@ -121,6 +123,31 @@ def test_prime_route_reports_a_refused_3flow_as_a_bug(monkeypatch):
     monkeypatch.setattr(flows, "z2_to_3flow", refuse)
     with pytest.raises(AssertionError, match="z2_to_3flow refused"):
         flows.connect(petersen_2neg(), cert.group, cert.fbar)
+
+
+def test_prime_route_surfaces_errors_other_than_hypothesis_refusals(
+        monkeypatch):
+    # only a HypothesisError sends the prime route to search; any other
+    # ValueError inside the construction is a bug and must surface
+    def broken(*args, **kwargs):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(flows, "sun_flow", broken)
+    A = parse_group("Z11")
+    with pytest.raises(ValueError, match="injected") as info:
+        flows.connect(petersen_2neg(), A, [A.zero] * 15)
+    assert not isinstance(info.value, HypothesisError)
+
+
+def test_prime_route_falls_back_to_search_on_a_balanced_cut():
+    golden = Path(__file__).resolve().parent / "golden"
+    g = parse_sg((golden / "cubic10-1-Z11.sg").read_text())
+    cert = flows.parse_avoidance((golden / "cubic10-1-Z11.cert").read_text())
+    with pytest.raises(HypothesisError, match="balanced side"):
+        decompose_base_sun(g)
+    back = flows.connect(g, cert.group, cert.fbar)
+    assert back.strategy == "oracle"
+    assert flows.verify_avoidance(g, back)
 
 
 def test_forbidden_band_size():
@@ -253,11 +280,11 @@ def test_connect_handles_non_cubic_graphs_by_reduction():
 
 def test_connect_rejects_graphs_outside_scope():
     A = parse_group("Z6")
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError):
         flows.connect(negsun(4), A, [A.zero] * 8)  # not 3-edge-connected
     from sgflow.generators import k4
 
-    with pytest.raises(ValueError):
+    with pytest.raises(HypothesisError):
         flows.connect(k4(), A, [A.zero] * 6)  # balanced
 
 

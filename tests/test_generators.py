@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sgflow.core import MINUS, edge_connectivity, is_balanced, is_k_unbalanced
+from sgflow.core import edge_connectivity, is_balanced, is_k_unbalanced
 from sgflow.generators import (GENERATORS, k4, k4_negative_triangle, negsun,
                                petersen, petersen_2neg,
                                random_cubic_3connected)

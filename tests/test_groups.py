@@ -6,9 +6,8 @@ import pytest
 
 from helpers import random_connected_graph, random_elem, random_fbar
 from sgflow.core import Orientation
-from sgflow.groups import (AbelianGroup, boundary, format_map,
-                           integer_boundary, is_A_boundary, is_flow,
-                           is_integer_k_flow, is_nowhere_zero, is_prime,
+from sgflow.groups import (boundary, format_map, integer_boundary,
+                           is_A_boundary, is_flow, is_nowhere_zero, is_prime,
                            minimal_subgroup, parse_group, parse_map)
 
 
@@ -91,8 +90,7 @@ def test_integer_boundary_and_k_flow():
     assert f is not None
     tau = Orientation.default(g)
     assert integer_boundary(g, tau, f) == [0] * g.n
-    assert is_integer_k_flow(g, tau, f, 4)
-    assert not is_integer_k_flow(g, tau, [4] * g.m, 4)
+    assert all(0 < abs(x) < 4 for x in f)
 
 
 def test_map_format_round_trip():

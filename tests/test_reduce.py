@@ -1,16 +1,14 @@
-"""Degree reduction to cubic graphs and moving flows across the reduction."""
-
-import random
+"""Degree reduction to cubic graphs and moving flows back across it."""
 
 import pytest
 
-from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, contract,
-                         edge_connectivity, is_k_unbalanced, uncontract_edges)
+from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
+                         SignedGraph, contract, edge_connectivity,
+                         is_k_unbalanced, uncontract)
 from sgflow.generators import petersen_2neg
-from sgflow.groups import boundary, is_flow, is_nowhere_zero, parse_group
+from sgflow.groups import boundary, parse_group
 from sgflow.oracle import has_nz_A_flow
-from sgflow.reduce import (choose_uncontraction, cubicize,
-                           lift_flow_through_contraction,
+from sgflow.reduce import (choose_uncontraction_half, cubicize,
                            restrict_flow_after_uncontraction)
 
 
@@ -49,6 +47,12 @@ def test_cubicize_rejects_graphs_outside_preconditions():
     path = SignedGraph(3, ((0, 1, PLUS), (1, 2, PLUS)))
     with pytest.raises(ValueError):
         cubicize(path)
+    # a degree-1 vertex next to a degree-4 one: refused before any
+    # uncontraction is tried
+    pendant = SignedGraph(3, ((0, 1, MINUS), (0, 1, MINUS), (0, 1, PLUS),
+                              (0, 2, PLUS)))
+    with pytest.raises(HypothesisError, match="vertex 3 has degree 1"):
+        cubicize(pendant)
 
 
 def test_restrict_flow_after_uncontraction():
@@ -62,8 +66,8 @@ def test_restrict_flow_after_uncontraction():
     res = contract(g, 0)  # merge 0 and 1
     gq = res.graph
     w = res.vertex_map[0]
-    e = choose_uncontraction(gq, w, gq.incident_edges(w)[0])
-    unc = uncontract_edges(gq, w, gq.incident_edges(w)[0], e)
+    h_e = min(gq.halfedges_at(w))
+    unc = uncontract(gq, w, h_e, choose_uncontraction_half(gq, w, h_e))
     f2 = has_nz_A_flow(unc.graph, A)
     assert f2 is not None
     f = restrict_flow_after_uncontraction(gq, unc.graph, f2, A)
@@ -79,24 +83,11 @@ def test_restrict_rejects_nonzero_boundary_at_new_vertex():
     res = contract(g, 0)
     gq = res.graph
     w = res.vertex_map[0]
-    e0 = gq.incident_edges(w)[0]
-    unc = uncontract_edges(gq, w, e0, choose_uncontraction(gq, w, e0))
+    h_e = min(gq.halfedges_at(w))
+    unc = uncontract(gq, w, h_e, choose_uncontraction_half(gq, w, h_e))
     f2 = [(1,)] * unc.graph.m  # arbitrary non-flow values
     b2 = boundary(unc.graph, Orientation.default(unc.graph), f2, A)
     if b2[unc.graph.n - 1] != A.zero:
         with pytest.raises(ValueError):
             restrict_flow_after_uncontraction(gq, unc.graph, f2, A)
 
-
-def test_lift_flow_through_contraction():
-    g = petersen_2neg()
-    A = parse_group("Z6")
-    h_edges = [0]  # contract one edge; the contracted part is a single edge
-    from sgflow.core import contract_set
-
-    res = contract_set(g, h_edges)
-    f_quot = has_nz_A_flow(res.graph, A)
-    assert f_quot is not None
-    beta = [A.zero] * g.n
-    f = lift_flow_through_contraction(g, h_edges, A, f_quot, beta)
-    assert is_flow(g, Orientation.default(g), f, A)

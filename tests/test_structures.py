@@ -6,13 +6,11 @@ import pytest
 
 from helpers import random_connected_graph
 from sgflow.core import MINUS, PLUS, SignedGraph
-from sgflow.generators import petersen, petersen_2neg
+from sgflow.generators import petersen
 from sgflow.structures import (all_cycles, as_negative_sun,
-                               build_negative_sun,
-                               contains_positive_cycle, cycle_sign,
-                               find_negative_cycle, find_negative_sun,
-                               find_theta, fundamental_cycle, is_k_base,
-                               is_peripheral, k_closure, order_cycle,
+                               build_negative_sun, cycle_sign, find_theta,
+                               fundamental_cycle, is_k_base, is_peripheral,
+                               k_closure, order_cycle,
                                positive_cycle_in_theta)
 
 
@@ -56,12 +54,6 @@ def test_fundamental_cycle_lies_in_tree_plus_edge():
         cyc = fundamental_cycle(g, tree, e)
         assert e in cyc
         assert all(x == e or x in set(tree) for x in cyc)
-
-
-def test_negative_cycle_search():
-    assert find_negative_cycle(petersen(all_positive=True)) is None
-    c = find_negative_cycle(petersen_2neg())
-    assert c is not None and c.sign == MINUS
 
 
 def test_theta_yields_positive_cycle():
@@ -112,12 +104,6 @@ def test_peripheral_cycles_in_petersen():
     assert is_peripheral(g, outer)  # the other 5 vertices stay connected
 
 
-def test_contains_positive_cycle():
-    g = petersen_2neg()
-    assert contains_positive_cycle(g, range(g.m))
-    assert not contains_positive_cycle(g, {0, 1, 2, 3, 4})  # negative 5-cycle
-
-
 def test_build_and_recognize_negative_sun():
     for n in (3, 4, 5):
         g, sun = build_negative_sun(n)
@@ -126,12 +112,3 @@ def test_build_and_recognize_negative_sun():
         assert back is not None
         back.validate(g)
         assert back.edge_set == sun.edge_set
-
-
-def test_find_negative_sun_in_host():
-    from helpers import host_with_sun
-
-    g, sun = host_with_sun(4)
-    found = find_negative_sun(g)
-    assert found is not None
-    found.validate(g)
