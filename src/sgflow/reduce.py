@@ -70,7 +70,7 @@ def cubicize(g: SignedGraph) -> CubicizeResult:
                               " are handled directly by the oracle)")
     low = next((v for v in range(g.n) if g.degree(v) < 3), None)
     if low is not None:
-        raise HypothesisError(f"vertex {low + 1} has degree {g.degree(low)}:"
+        raise HypothesisError(f"vertex {low} has degree {g.degree(low)}:"
                               f" graph is not 3-edge-connected")
     history: list[UncontractionStep] = []
     cur = g

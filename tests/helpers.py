@@ -219,5 +219,6 @@ def coloring_from_flow(eg, dual, f, A) -> list:
         raise ValueError("primal graph is disconnected")
     for e, (u, v, _) in enumerate(g.edges):
         if A.sub(c[v], c[u]) != vals[e]:
-            raise ValueError(f"input is not a flow: tension mismatch on edge {e}")
+            raise ValueError(f"input is not a flow: tension mismatch on"
+                             f" edge {e}")
     return c

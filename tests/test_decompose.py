@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from sgflow.core import MINUS, PLUS, DeskScaleError, HypothesisError, SignedGraph
+from sgflow.core import (MINUS, PLUS, DeskScaleError, HypothesisError,
+                         SignedGraph)
 from sgflow.decompose import (BASE_SUN, TREE_2BASE, WorkingPartition,
                               check_working_partition, decompose_base_sun,
                               decompose_general, decompose_tree_2base,

@@ -14,7 +14,8 @@ from sgflow.decompose import decompose_base_sun
 from sgflow.duality import k6_projective_embedding, match_dual
 from sgflow.generators import (negsun, petersen, petersen_2neg,
                                random_cubic_3connected)
-from sgflow.groups import integer_boundary, is_flow, is_nowhere_zero, parse_group
+from sgflow.groups import (integer_boundary, is_flow, is_nowhere_zero,
+                           parse_group)
 from sgflow.structures import all_cycles
 
 
