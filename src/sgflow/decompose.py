@@ -1,7 +1,8 @@
 """Edge partitions of cubic 3-connected signed graphs.
 
-Two decomposition loops drive everything here.  Both maintain a partition
-A + B + C of the edge set with the invariants
+One decomposition loop (_peel) drives everything here, in a tree/2-base
+mode and two sun modes.  It maintains a partition A + B + C of the edge
+set with the invariants
 
   (a) A + B is a 2-connected subgraph,
   (b) C is connected with all degrees 1 or 3 (and stays unbalanced in
@@ -13,8 +14,8 @@ A + B + C of the edge set with the invariants
 Each round finds a path P through C between two of its degree-1 vertices
 that leaves at most one bridge (a non-isolated component of C - E(P)),
 moves the two end-edges of P into A and the rest of P into B, and shrinks
-C.  The tree/2-base mode runs until C is empty; the base/sun mode runs
-until C is a negative sun, which becomes the protected edge set F.
+C.  The tree/2-base mode runs until C is empty; the sun modes run until
+C is a negative sun, which becomes the protected edge set F.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
                    checked_desk_scale, delete_edges, delta, is_balanced,
                    is_cubic_3connected, spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
-                         find_peripheral_cycle, k_closure)
+                         cycles_within, find_peripheral_cycle, k_closure)
 
 TREE_2BASE = "tree-2base"
 BASE_SUN = "base-sun"
@@ -279,31 +280,60 @@ def _check_cubic_3connected(g: SignedGraph) -> None:
         raise HypothesisError("graph is not cubic and 3-connected")
 
 
-def decompose_tree_2base(g: SignedGraph) -> PartitionCertificate:
-    """Partition E into a spanning tree X1 and a 2-base X2.  Raises
-    HypothesisError unless g is cubic and 3-connected."""
-    _check_cubic_3connected(g)
-    cycles = all_cycles(g)
-    unbal = not is_balanced(g).balanced
-    d = find_peripheral_cycle(g, want_sign=MINUS if unbal else None, cycles=cycles)
+def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
+          ) -> PartitionCertificate:
+    """Run the decomposition loop of the given mode from the first
+    peripheral cycle of sign want_sign (any sign when None; in sun modes
+    with unbalanced complement) as B, and read off X1, X2 and F.
+
+    Each round moves an improving path out of C and re-checks the working
+    partition (property (e) only outside GENERAL mode).  TREE_2BASE runs
+    until C is empty and takes a spanning tree of A as X1; the sun modes
+    run until C is a negative sun (with distinct pendant tips in BASE_SUN
+    mode), which becomes F inside a connected base X1."""
+    sun_mode = mode != TREE_2BASE
+    d = find_peripheral_cycle(g, want_sign=want_sign,
+                              require_unbalanced_complement=sun_mode)
     if d is None:
-        raise AssertionError("no peripheral cycle of the required sign found")
+        raise AssertionError(f"no peripheral cycle of sign {want_sign}"
+                             f" for {mode} found")
     wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
-    check_working_partition(g, wp, TREE_2BASE)
-    while wp.c:
-        path = improving_path(g, wp.c)
+    while True:
+        check_working_partition(g, wp, mode, require_cycle_in_b=mode != GENERAL)
+        if sun_mode:
+            sun = as_negative_sun(g, wp.c)
+            if sun is not None and (mode == GENERAL
+                                    or len(set(sun.pendant_vertices)) == sun.n):
+                break
+        elif not wp.c:
+            break
+        path = improving_path(g, wp.c, protect_negative=sun_mode)
         x = {path[0], path[-1]}
         wp.a |= x
         wp.b |= set(path) - x
         wp.c -= set(path)
-        check_working_partition(g, wp, TREE_2BASE)
-    x1 = _spanning_tree_within(g, wp.a)
-    x2 = frozenset(range(g.m)) - x1
-    cert = PartitionCertificate(TREE_2BASE, x1, x2)
+    if sun_mode:
+        x1 = _connected_base_containing(g, wp.c, wp.a | wp.c)
+    else:
+        x1 = _spanning_tree_within(g, wp.a)
+    return PartitionCertificate(mode, x1, frozenset(range(g.m)) - x1,
+                                frozenset(wp.c))
+
+
+def _verified(g: SignedGraph, cert: PartitionCertificate
+              ) -> PartitionCertificate:
     ok, reason = verify_partition(g, cert)
     if not ok:
         raise AssertionError(f"internal invariant breach: {reason}")
     return cert
+
+
+def decompose_tree_2base(g: SignedGraph) -> PartitionCertificate:
+    """Partition E into a spanning tree X1 and a 2-base X2.  Raises
+    HypothesisError unless g is cubic and 3-connected."""
+    _check_cubic_3connected(g)
+    unbal = not is_balanced(g).balanced
+    return _verified(g, _peel(g, TREE_2BASE, MINUS if unbal else None))
 
 
 def _spanning_tree_within(g: SignedGraph, es: Iterable[int]) -> frozenset[int]:
@@ -340,31 +370,7 @@ def decompose_base_sun(g: SignedGraph) -> PartitionCertificate:
         x, k = bad
         raise HypothesisError(f"hypothesis violated: balanced side"
                               f" {sorted(x)} of a {k}-edge-cut")
-    cycles = all_cycles(g)
-    d = find_peripheral_cycle(g, want_sign=MINUS,
-                              require_unbalanced_complement=True, cycles=cycles)
-    if d is None:
-        raise AssertionError("no negative peripheral cycle with unbalanced"
-                             " complement found")
-    wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
-    check_working_partition(g, wp, BASE_SUN)
-    while True:
-        sun = as_negative_sun(g, wp.c)
-        if sun is not None and len(set(sun.pendant_vertices)) == sun.n:
-            break
-        path = improving_path(g, wp.c, protect_negative=True)
-        x = {path[0], path[-1]}
-        wp.a |= x
-        wp.b |= set(path) - x
-        wp.c -= set(path)
-        check_working_partition(g, wp, BASE_SUN)
-    x1 = _connected_base_containing(g, set(wp.c), wp.a | wp.c)
-    x2 = frozenset(range(g.m)) - x1
-    cert = PartitionCertificate(BASE_SUN, x1, x2, f=frozenset(wp.c))
-    ok, reason = verify_partition(g, cert)
-    if not ok:
-        raise AssertionError(f"internal invariant breach: {reason}")
-    return cert
+    return _verified(g, _peel(g, BASE_SUN, MINUS))
 
 
 def decompose_general(g: SignedGraph) -> PartitionCertificate:
@@ -378,24 +384,25 @@ def decompose_general(g: SignedGraph) -> PartitionCertificate:
         raise ValueError("graph is not cyclically 4-edge-connected")
     # A short positive cycle violates the stated precondition, but the
     # dispatch below often succeeds regardless; keep the witness and only
-    # surface it if the run actually gets stuck.
+    # surface it if the run actually gets stuck on bad input.  A broken
+    # invariant (AssertionError) is a bug and passes through unchanged.
     short_pos = next((c for c in cycles if c.sign == PLUS and len(c) <= 5), None)
     try:
-        return _decompose_general_dispatch(g, cycles)
-    except (ValueError, AssertionError) as exc:
+        cert = _decompose_general_dispatch(g, cycles)
+    except ValueError as exc:
         if short_pos is not None:
             raise ValueError(
                 f"positive cycle of length {len(short_pos)}: edges "
                 f"{sorted(short_pos.edges)} (precondition violated; "
                 f"dispatch failed: {exc})") from exc
         raise
+    return _verified(g, cert)
 
 
 def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef]
                                 ) -> PartitionCertificate:
     if is_balanced(g).balanced:
         base = decompose_tree_2base(g)
-        cert = PartitionCertificate(GENERAL, base.x1, base.x2, frozenset())
     elif has_two_disjoint_cycles(g) is None:
         d = find_peripheral_cycle(g, want_sign=MINUS, cycles=cycles)
         if d is None:
@@ -412,39 +419,15 @@ def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef]
             x1.add(link)
         x2 = frozenset(range(g.m)) - frozenset(x1)
         f = frozenset(range(g.m)) - k_closure(g, x2, 2).closure
-        cert = PartitionCertificate(GENERAL, frozenset(x1), x2, f)
+        return PartitionCertificate(GENERAL, frozenset(x1), x2, f)
     elif has_two_disjoint_cycles(g, want_negative=True) is not None:
         base = decompose_base_sun(g)
-        cert = PartitionCertificate(GENERAL, base.x1, base.x2, base.f)
     else:
         # two disjoint cycles, one of them can be made negative, but no two
         # disjoint negative cycles: run the sun loop from a positive
         # peripheral cycle with unbalanced complement, without property (e)
-        d = find_peripheral_cycle(g, want_sign=PLUS,
-                                  require_unbalanced_complement=True,
-                                  cycles=cycles)
-        if d is None:
-            raise AssertionError("no positive peripheral cycle with"
-                                 " unbalanced complement found")
-        wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
-        check_working_partition(g, wp, GENERAL, require_cycle_in_b=False)
-        while True:
-            sun = as_negative_sun(g, wp.c)
-            if sun is not None:
-                break
-            path = improving_path(g, wp.c, protect_negative=True)
-            x = {path[0], path[-1]}
-            wp.a |= x
-            wp.b |= set(path) - x
-            wp.c -= set(path)
-            check_working_partition(g, wp, GENERAL, require_cycle_in_b=False)
-        x1 = _connected_base_containing(g, set(wp.c), wp.a | wp.c)
-        x2 = frozenset(range(g.m)) - x1
-        cert = PartitionCertificate(GENERAL, x1, x2, frozenset(wp.c))
-    ok, reason = verify_partition(g, cert)
-    if not ok:
-        raise AssertionError(f"internal invariant breach: {reason}")
-    return cert
+        return _peel(g, GENERAL, PLUS)
+    return PartitionCertificate(GENERAL, base.x1, base.x2, base.f)
 
 
 def _cyclically_4ec(g: SignedGraph) -> bool:
@@ -459,12 +442,10 @@ def is_degenerate_sun(g: SignedGraph, es: Iterable[int]) -> bool:
     """A negative cycle plus exactly one pendant edge per cycle vertex;
     pendant tips off the cycle but possibly shared."""
     es = set(es)
-    res = delete_edges(g, set(range(g.m)) - es)
-    back = {ne: e for e, ne in enumerate(res.edge_map) if ne is not None}
-    for c in all_cycles(res.graph):
+    for c in cycles_within(g, es):
         if c.sign != MINUS:
             continue
-        cyc_edges = {back[e] for e in c.edges}
+        cyc_edges = c.edge_set
         cyc_verts = set(c.vertices)
         pend = es - cyc_edges
         if len(pend) != len(cyc_verts):
@@ -532,8 +513,7 @@ def _is_connected_base(g: SignedGraph, es: Iterable[int]) -> bool:
         return False
     if len(es) != g.n:
         return False
-    sub = _edge_subgraph(g, es)
-    cyc = all_cycles(sub)
+    cyc = cycles_within(g, es)
     return len(cyc) == 1 and cyc[0].sign == MINUS
 
 

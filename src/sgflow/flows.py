@@ -34,20 +34,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (MINUS, PLUS, DeskScaleError, HypothesisError, Orientation,
-                   SignedGraph, delete_edges, edge_connectivity,
-                   is_k_unbalanced, switch_on_set, uncontract)
+                   SignedGraph, edge_connectivity, is_k_unbalanced,
+                   switch_on_set)
 from .decompose import decompose_base_sun, decompose_tree_2base
 from .duality import (DualCorrespondence, EmbeddedGraph, flow_from_coloring,
                       k6_projective_embedding, match_dual,
                       to_default_orientation)
 from .groups import (AbelianGroup, Elem, integer_boundary, is_flow,
                      is_prime, minimal_subgroup, parse_group)
-from .reduce import CubicizeResult, cubicize, restrict_flow_after_uncontraction
-from .structures import (CycleRef, NegativeSun, all_cycles, cycle_sign,
-                         fundamental_cycle, k_closure, order_cycle)
+from .reduce import cubicize
+from .structures import (CycleRef, NegativeSun, as_negative_sun, cycle_sign,
+                         cycles_within, fundamental_cycle, k_closure,
+                         order_cycle)
 from . import oracle
 
 
@@ -107,21 +108,6 @@ def add_scaled(A: AbelianGroup, f: list[Elem], coeffs: dict[int, int],
     """f += coeffs * x in place (coeffs are small integers)."""
     for e, c in coeffs.items():
         f[e] = A.add(f[e], A.smul(c, x))
-
-
-def _cycles_within(g: SignedGraph, pool: Iterable[int]) -> list[CycleRef]:
-    """All simple cycles of g using only the given edges.
-
-    The edge-deleted subgraph re-indexes edges, so cycles found there are
-    translated back through the deletion's edge map.
-    """
-    pool = set(pool)
-    res = delete_edges(g, set(range(g.m)) - pool)
-    back = {ne: e for e, ne in enumerate(res.edge_map) if ne is not None}
-    out = [order_cycle(g, {back[e] for e in c.edges})
-           for c in all_cycles(res.graph)]
-    out.sort(key=lambda c: (len(c), c.edges))
-    return out
 
 
 def _rotate_cycle(c: CycleRef, v: int) -> CycleRef:
@@ -228,7 +214,7 @@ def flow_coeffs_through(g: SignedGraph, tau: Orientation, pool: Iterable[int],
     if one exists, otherwise a barbell flow covering them."""
     pool = set(pool)
     req = set(required)
-    cycles = _cycles_within(g, pool)
+    cycles = cycles_within(g, pool)
     for c in cycles:
         if c.sign == PLUS and req <= c.edge_set:
             return dict(circulation_coeffs(g, tau, c))
@@ -737,6 +723,46 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
                                 artifacts)
 
 
+# -- fixing over closure steps ---------------------------------------------------
+
+def _fix_over_closure(g: SignedGraph, tau: Orientation, A: AbelianGroup,
+                      phi: list[Elem], seed: Iterable[int], cover: set[int],
+                      V: AbelianGroup, lift: Callable[[Elem], Elem],
+                      ruled_out: Callable[[int], Iterable[Elem]],
+                      bound: int) -> frozenset[int]:
+    """Fix the edges the 2-closure of seed absorbs, last step first: push
+    around each step's positive cycle the least value x of V whose lift
+    into A keeps every edge the step absorbed off its forbidden values.
+    Updates phi in place and returns the absorbed edges, which must cover
+    `cover`.
+
+    ruled_out(e) lists the values of V that would land edge e on a
+    forbidden value if added with coefficient +1 (reading phi as it stands);
+    one step may rule out at most `bound` values.  A step's cycle touches
+    no edge a later step absorbed, so every edge keeps the value its own
+    step gave it.
+    """
+    steps = k_closure(g, seed, 2).steps
+    absorbed = frozenset().union(*(w for _, w in steps))
+    if not cover <= absorbed:
+        raise AssertionError("2-closure of the seed missed edges it must"
+                             f" cover: {sorted(cover - absorbed)}")
+    values = sorted(V.elements())
+    fixed: set[int] = set()
+    for cyc, w in reversed(steps):
+        if fixed.intersection(cyc.edges):
+            raise AssertionError("closure step cycle touches an edge a later"
+                                 " step fixed")
+        kap = circulation_coeffs(g, tau, cyc)
+        bad = {V.smul(kap[e], x) for e in w for x in ruled_out(e)}
+        if len(bad) > bound:
+            raise AssertionError(f"closure step rules out {len(bad)} values,"
+                                 f" more than {bound}")
+        add_scaled(A, phi, kap, lift(next(v for v in values if v not in bad)))
+        fixed |= w
+    return absorbed
+
+
 # -- composite-order construction ---------------------------------------------
 
 def connect_composite(g: SignedGraph, A: AbelianGroup,
@@ -774,30 +800,10 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
     part = decompose_tree_2base(g)
     T = set(part.x1)
     B = set(part.x2)
-    cycles = all_cycles(g)
-    closure = k_closure(g, B, 2, cycles=cycles)
-    absorbed = set().union(*(w for _, w in closure.steps)) if closure.steps else set()
-    if not T <= absorbed:
-        raise AssertionError("2-closure of the cotree missed tree edges")
-
     phi1: list[Elem] = [A.zero] * g.m
-    q_elems = sorted(Q.elements())
-    fixed: list[int] = []
-    for cyc, w in reversed(closure.steps):
-        kap = circulation_coeffs(g, tau, cyc)
-        bad_q: set[Elem] = set()
-        for e in w:
-            bad_q.add(Q.smul(kap[e], Q.sub(ms.project(fbar[e]),
-                                           ms.project(phi1[e]))))
-        if len(bad_q) > 2:
-            raise AssertionError("closure step absorbed more than two edges")
-        q = next(v for v in q_elems if v not in bad_q)
-        add_scaled(A, phi1, kap, ms.represent(q))
-        fixed.extend(sorted(w))
-        for e in fixed:
-            if ms.same_coset(phi1[e], fbar[e]):
-                raise AssertionError("phase-1 coset invariant broken on a"
-                                     " previously fixed edge")
+    _fix_over_closure(
+        g, tau, A, phi1, B, T, Q, ms.represent,
+        lambda e: [Q.sub(ms.project(fbar[e]), ms.project(phi1[e]))], 2)
     for e in T:
         if ms.same_coset(phi1[e], fbar[e]):
             raise AssertionError("tree edge left on the forbidden coset")
@@ -885,11 +891,10 @@ def connect_prime(g: SignedGraph, p: int,
     T = set(part.x1)
     B = set(part.x2)
     F = set(part.f)
-    from .structures import as_negative_sun
     sun = as_negative_sun(g, F)
     if sun is None:
         raise AssertionError("base-sun certificate without a sun")
-    reserve = next((c for c in _cycles_within(g, B) if c.sign == MINUS), None)
+    reserve = next((c for c in cycles_within(g, B) if c.sign == MINUS), None)
     if reserve is None:
         raise AssertionError("base-sun complement lost its negative cycle")
 
@@ -897,23 +902,9 @@ def connect_prime(g: SignedGraph, p: int,
     phi1 = list(sf.flow)
     e_prime = sf.e_prime
 
-    cycles = all_cycles(g)
-    closure = k_closure(g, B, 2, cycles=cycles)
-    absorbed = set().union(*(w for _, w in closure.steps)) if closure.steps else set()
-    if not (T - F) <= absorbed:
-        raise AssertionError("2-closure of B missed part of the base")
-    elems = sorted(A.elements())
-    for cyc, w in reversed(closure.steps):
-        kap = circulation_coeffs(g, tau, cyc)
-        bad: set[Elem] = set()
-        for e in w:
-            for y in forbidden_band(A, fbar[e]):
-                bad.add(A.smul(kap[e], A.sub(y, phi1[e])))
-        if len(bad) > 10:
-            raise AssertionError("closure fixing step with more than 10"
-                                 " forbidden values")
-        x = next(v for v in elems if v not in bad)
-        add_scaled(A, phi1, kap, x)
+    absorbed = _fix_over_closure(
+        g, tau, A, phi1, B, T - F, A, lambda x: x,
+        lambda e: [A.sub(y, phi1[e]) for y in forbidden_band(A, fbar[e])], 10)
     for e in T:
         if e in F and e == e_prime and e not in absorbed:
             continue
@@ -924,10 +915,10 @@ def connect_prime(g: SignedGraph, p: int,
     psi = [0] * g.m
     if b1:
         support: set[int] = set()
-        base_cycle = next(c for c in _cycles_within(g, T) if c.sign == MINUS)
+        base_cycle = next(c for c in cycles_within(g, T) if c.sign == MINUS)
         for e in b1:
             pool = T | {e}
-            through = [c for c in _cycles_within(g, pool) if e in c.edge_set]
+            through = [c for c in cycles_within(g, pool) if e in c.edge_set]
             pos = [c for c in through if c.sign == PLUS]
             if pos:
                 support ^= set(pos[0].edge_set)
@@ -1047,19 +1038,6 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
 
 # -- dispatcher --------------------------------------------------------------------
 
-def _restrict_through_history(g: SignedGraph, res: CubicizeResult,
-                              f2: list[Elem], A: AbelianGroup) -> list[Elem]:
-    """Walk a flow on the cubicized graph back through every uncontraction."""
-    graphs = [g]
-    for st in res.history:
-        graphs.append(uncontract(graphs[-1], st.vertex, st.half_e,
-                                 st.half_f).graph)
-    f = f2
-    for i in range(len(graphs) - 1, 0, -1):
-        f = restrict_flow_after_uncontraction(graphs[i - 1], graphs[i], f, A)
-    return f
-
-
 def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
             embedding: Optional[Union[DualCorrespondence, EmbeddedGraph]] = None
             ) -> AvoidanceCertificate:
@@ -1069,10 +1047,12 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     trusts them; a graph outside them raises HypothesisError.  Strategy
     order: an explicit embedding hint takes the projective route;
     composite |A| >= 6 and prime |A| >= 11 run their constructions on the
-    cubicized graph and restrict the flow back through the uncontraction
-    history; everything else, and a HypothesisError from the prime route's
+    cubicized graph and restrict the flow to g by a slice (cubicize keeps
+    g's edges as edges 0..m-1 and adds only positive edges, whose
+    contraction leaves the boundary zero); everything else, a graph with
+    fewer than 2 vertices, and a HypothesisError from the prime route's
     decomposition (no two disjoint negative cycles, or a balanced side of
-    a small cut), falls back to exhaustive search, which may also prove
+    a small cut) falls back to exhaustive search, which may also prove
     that no avoiding flow exists (flow = None).
     """
     if len(fbar) != g.m:
@@ -1087,33 +1067,25 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
             else match_dual(embedding, g)
         return connect_projective(g, A, fbar, corr)
 
-    if A.order >= 6 and not is_prime(A.order):
-        res = cubicize(g)
-        fb2 = list(fbar) + [A.zero] * (res.graph.m - g.m)
-        cert2 = connect_composite(res.graph, A, fb2)
-        f = _restrict_through_history(g, res, cert2.flow, A)
-        cert = AvoidanceCertificate("composite", A, f, list(fbar),
-                                    artifacts=cert2.artifacts)
-        if not verify_avoidance(g, cert):
-            raise AssertionError("restricted composite flow failed to verify")
-        return cert
-
-    if is_prime(A.order) and A.order >= 11:
-        res = cubicize(g)
-        fb2 = list(fbar) + [A.zero] * (res.graph.m - g.m)
+    composite = A.order >= 6 and not is_prime(A.order)
+    if g.n >= 2 and (composite or A.order >= 11):  # or prime >= 11
+        h = cubicize(g).graph
+        fb = list(fbar) + [A.zero] * (h.m - g.m)
         try:
-            cert2 = connect_prime(res.graph, A.order, fb2)
+            cert = connect_composite(h, A, fb) if composite \
+                else connect_prime(h, A.order, fb)
         except HypothesisError:
-            pass  # the prime route's extra hypotheses fail: search instead
+            if composite:
+                raise
+            # the prime route's extra hypotheses fail: search instead
         else:
-            f = _restrict_through_history(g, res, cert2.flow, A)
-            cert = AvoidanceCertificate("prime", A, f, list(fbar),
-                                        cert2.e_prime
-                                        if cert2.e_prime is not None
-                                        and cert2.e_prime < g.m else None,
-                                        cert2.artifacts)
+            cert.flow = cert.flow[:g.m]
+            cert.fbar = list(fbar)
+            if cert.e_prime is not None and cert.e_prime >= g.m:
+                cert.e_prime = None
             if not verify_avoidance(g, cert):
-                raise AssertionError("restricted prime flow failed to verify")
+                raise AssertionError(f"restricted {cert.strategy} flow failed"
+                                     " to verify")
             return cert
 
     sol = oracle.satisfy_boundary(g, A, [A.zero] * g.n, fbar=list(fbar),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .core import MINUS, PLUS, SignedGraph, is_balanced, is_cubic_3connected
+from .core import MINUS, PLUS, SignedGraph, is_cubic_3connected
 from .duality import canonical_ps
 
 
@@ -62,8 +62,7 @@ GENERATORS = {
 MAX_TRIES = 2000
 
 
-def random_cubic_3connected(n: int, rng: random.Random,
-                            ensure_unbalanced: bool = False) -> SignedGraph:
+def random_cubic_3connected(n: int, rng: random.Random) -> SignedGraph:
     """Random simple cubic 3-connected signed graph on n vertices (n even),
     by repeated perfect-matching completion of a random Hamiltonian cycle."""
     if n % 2 or n < 4:
@@ -96,9 +95,6 @@ def random_cubic_3connected(n: int, rng: random.Random,
         edges |= set(matched)
         signs = [rng.choice((PLUS, MINUS)) for _ in edges]
         g = SignedGraph(n, tuple((u, v, s) for (u, v), s in zip(sorted(edges), signs)))
-        if not is_cubic_3connected(g):
-            continue
-        if ensure_unbalanced and is_balanced(g).balanced:
-            continue
-        return g
+        if is_cubic_3connected(g):
+            return g
     raise RuntimeError(f"could not generate a cubic 3-connected graph on {n} vertices")

@@ -1,20 +1,19 @@
-"""Degree reduction toward cubic graphs, and restriction of flows back.
+"""Degree reduction toward cubic graphs.
 
 Uncontraction splits a high-degree vertex while preserving the two
 invariants everything downstream relies on (2-unbalancedness and
 3-edge-connectivity); candidate pairs are verified directly rather than
-trusting the existence argument.  Flows move in the other direction:
-restriction drops the uncontraction edge.
+trusting the existence argument.  Each step keeps the old edges' indices
+and appends one positive edge, so a flow on the cubic graph restricts to
+the input graph by slicing off the appended edges (see flows.connect).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .core import (HypothesisError, Orientation, SignedGraph,
-                   edge_connectivity, is_k_unbalanced, uncontract)
-from .groups import AbelianGroup, Elem, boundary
+from .core import (HypothesisError, SignedGraph, edge_connectivity,
+                   is_k_unbalanced, uncontract)
 
 
 def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int) -> int:
@@ -84,24 +83,3 @@ def cubicize(g: SignedGraph) -> CubicizeResult:
         history.append(UncontractionStep(v, h_e, h_f, res.new_vertex, res.new_edge))
         cur = res.graph
     return CubicizeResult(cur, history)
-
-
-def restrict_flow_after_uncontraction(
-    g: SignedGraph,
-    g2: SignedGraph,
-    f2: Sequence[Elem],
-    A: AbelianGroup,
-) -> list[Elem]:
-    """Restrict a flow-like map from an uncontracted graph back to g.
-
-    g2 must be uncontract(g, ...): one extra vertex (the last) and one
-    extra positive edge (the last).  The boundary of f2 at the new vertex
-    must vanish; the restriction then has, at each vertex of g, the same
-    boundary f2 had (new-vertex contributions fold back into v).
-    """
-    if g2.n != g.n + 1 or g2.m != g.m + 1:
-        raise ValueError("g2 is not an uncontraction of g")
-    b2 = boundary(g2, Orientation.default(g2), f2, A)
-    if b2[g2.n - 1] != A.zero:
-        raise ValueError("boundary at the uncontraction vertex is nonzero")
-    return list(f2[:-1])

@@ -160,6 +160,16 @@ def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
     return tuple(out)
 
 
+def cycles_within(g: SignedGraph, edges: Iterable[int]) -> list[CycleRef]:
+    """The cycles of g that use only the given edges, in all_cycles order.
+
+    Read off g's memoised cycle list, so no subgraph is enumerated and the
+    memo keeps g's entry.
+    """
+    es = frozenset(edges)
+    return [c for c in all_cycles(g) if es.issuperset(c.edges)]
+
+
 # -- thetas -------------------------------------------------------------------
 
 @dataclass(frozen=True)

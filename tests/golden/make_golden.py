@@ -61,8 +61,8 @@ def cubic(n: int, index: int):
     rng = random.Random(f"golden-cubic:{n}")
     found = 0
     while True:
-        g = random_cubic_3connected(n, rng, ensure_unbalanced=True)
-        if not is_k_unbalanced(g, 2):
+        g = random_cubic_3connected(n, rng)
+        if not is_k_unbalanced(g, 2):  # also skips the balanced draws
             continue
         if found == index:
             return g

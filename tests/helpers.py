@@ -7,11 +7,13 @@ import random
 
 from typing import Optional
 
-from sgflow.core import (MINUS, PLUS, SignedGraph, edge_connectivity,
-                         is_k_unbalanced, spanning_forest, uncontract)
+from sgflow.core import (MINUS, PLUS, SignedGraph, delete_edges,
+                         edge_connectivity, is_k_unbalanced, spanning_forest,
+                         uncontract)
 from sgflow.duality import PROJECTIVE, to_default_orientation
 from sgflow.oracle import _all_boundaries, satisfy_boundary
-from sgflow.structures import NegativeSun, build_negative_sun
+from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
+                               order_cycle)
 
 
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 8,
@@ -172,6 +174,19 @@ def reference_is_A_connected(g: SignedGraph, A) -> tuple:
         if satisfy_boundary(g, A, beta) is None:
             return "no", beta, count
     return "yes", None, count
+
+
+def reference_cycles_within(g: SignedGraph, edges) -> list:
+    """The cycles of g inside an edge set, by enumerating the subgraph:
+    delete the other edges, list the subgraph's cycles, map their edges
+    back through the deletion's edge map and sort by (length, edges)."""
+    keep = set(edges)
+    res = delete_edges(g, set(range(g.m)) - keep)
+    back = {ne: e for e, ne in enumerate(res.edge_map) if ne is not None}
+    out = [order_cycle(g, {back[e] for e in c.edges})
+           for c in all_cycles(res.graph)]
+    out.sort(key=lambda c: (len(c), c.edges))
+    return out
 
 
 def reference_is_cubic_3connected(g: SignedGraph) -> bool:

@@ -172,6 +172,15 @@ def test_internal_errors_exit_4_and_hypothesis_refusals_exit_2(
     code, out, err = run(capsys, "check", "balance", path)
     assert (code, out, err) == (4, "", "internal error: invariant broken\n")
 
+    # Petersen has a positive 5-cycle, a precondition decompose_general
+    # reports only for bad input; a broken invariant stays a bug
+    monkeypatch.setattr(sgflow.decompose, "verify_partition",
+                        lambda g, cert: (False, "forced"))
+    ppath = write_graph(tmp_path, petersen(), "petersen.sg")
+    code, out, err = run(capsys, "decompose", "general", ppath)
+    assert (code, out, err) == (
+        4, "", "internal error: internal invariant breach: forced\n")
+
 
 def test_unknown_group_exits_2(tmp_path, capsys):
     gpath = write_graph(tmp_path, petersen())

@@ -369,11 +369,22 @@ def test_verifier_rejects_values_outside_the_group():
         flows.verify_avoidance(g, cert)
 
 
+@pytest.mark.parametrize("spec", ["Z6", "Z8", "Z11"])
+def test_connect_searches_on_a_single_vertex(spec):
+    # two negative loops meet connect's hypotheses, but cubicize needs two
+    # vertices: the constructive groups go to the exhaustive search too
+    g = SignedGraph(1, ((0, 0, MINUS), (0, 0, MINUS)))
+    A = parse_group(spec)
+    cert = flows.connect(g, A, [A.zero] * g.m)
+    assert cert.strategy == "oracle" and cert.flow is not None
+    assert flows.verify_avoidance(g, cert)
+
+
 def _cubic_2unbalanced(n, seed):
     rng = random.Random(seed)
     while True:
-        g = random_cubic_3connected(n, rng, ensure_unbalanced=True)
-        if is_k_unbalanced(g, 2):
+        g = random_cubic_3connected(n, rng)
+        if is_k_unbalanced(g, 2):  # also skips the balanced draws
             return g
 
 

@@ -54,8 +54,9 @@ def test_random_cubic_3connected_properties():
         assert g.n == n
         assert all(g.degree(v) == 3 for v in range(n))
         assert edge_connectivity(g) >= 3
-    g = random_cubic_3connected(10, rng, ensure_unbalanced=True)
-    assert not is_balanced(g).balanced
+    # signs are drawn at random, so redrawing soon gives an unbalanced graph
+    assert any(not is_balanced(random_cubic_3connected(10, rng)).balanced
+               for _ in range(20))
 
 
 def test_random_cubic_generator_is_seed_deterministic():

@@ -1,15 +1,13 @@
-"""Degree reduction to cubic graphs and moving flows back across it."""
+"""Degree reduction to cubic graphs and restricting flows back by a slice."""
 
 import pytest
 
 from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
                          SignedGraph, contract, edge_connectivity,
-                         is_k_unbalanced, uncontract)
-from sgflow.generators import petersen_2neg
-from sgflow.groups import boundary, parse_group
+                         is_k_unbalanced)
+from sgflow.groups import is_flow, parse_group
 from sgflow.oracle import has_nz_A_flow
-from sgflow.reduce import (choose_uncontraction_half, cubicize,
-                           restrict_flow_after_uncontraction)
+from sgflow.reduce import cubicize
 
 
 def k5_with_negative_triangle() -> SignedGraph:
@@ -55,39 +53,13 @@ def test_cubicize_rejects_graphs_outside_preconditions():
         cubicize(pendant)
 
 
-def test_restrict_flow_after_uncontraction():
-    g = petersen_2neg()
+def test_flow_on_cubicized_graph_slices_to_a_flow():
+    # cubicize keeps g's edges as edges 0..m-1, so connect restricts a flow
+    # by dropping the appended edges; a nowhere-zero flow puts a nonzero
+    # value on each of them
+    g = k5_with_negative_triangle()
+    h = cubicize(g).graph
     A = parse_group("Z6")
-    # manufacture an uncontraction by hand: split a degree-3 vertex is not
-    # allowed, so go the other way: contract an edge, then flows on g
-    # restrict to the contracted graph through the uncontraction view
-    v = 0
-    # raise the degree of v by contracting an incident edge of the OTHER end
-    res = contract(g, 0)  # merge 0 and 1
-    gq = res.graph
-    w = res.vertex_map[0]
-    h_e = min(gq.halfedges_at(w))
-    unc = uncontract(gq, w, h_e, choose_uncontraction_half(gq, w, h_e))
-    f2 = has_nz_A_flow(unc.graph, A)
-    assert f2 is not None
-    f = restrict_flow_after_uncontraction(gq, unc.graph, f2, A)
-    assert len(f) == gq.m
-    b = boundary(gq, Orientation.default(gq), f, A)
-    b2 = boundary(unc.graph, Orientation.default(unc.graph), f2, A)
-    assert b[:gq.n] == b2[:gq.n]
-
-
-def test_restrict_rejects_nonzero_boundary_at_new_vertex():
-    g = petersen_2neg()
-    A = parse_group("Z5")
-    res = contract(g, 0)
-    gq = res.graph
-    w = res.vertex_map[0]
-    h_e = min(gq.halfedges_at(w))
-    unc = uncontract(gq, w, h_e, choose_uncontraction_half(gq, w, h_e))
-    f2 = [(1,)] * unc.graph.m  # arbitrary non-flow values
-    b2 = boundary(unc.graph, Orientation.default(unc.graph), f2, A)
-    if b2[unc.graph.n - 1] != A.zero:
-        with pytest.raises(ValueError):
-            restrict_flow_after_uncontraction(gq, unc.graph, f2, A)
-
+    f = has_nz_A_flow(h, A)
+    assert f is not None and h.m > g.m
+    assert is_flow(g, Orientation.default(g), f[:g.m], A)

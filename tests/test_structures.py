@@ -1,14 +1,16 @@
-"""Cycles, closures, thetas, bridges, peripheral cycles and negative suns."""
+"""Cycles, closures, thetas, peripheral cycles and negative suns."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, reference_cycles_within
 from sgflow.core import MINUS, PLUS, SignedGraph
 from sgflow.generators import petersen
 from sgflow.structures import (all_cycles, as_negative_sun,
-                               build_negative_sun, cycle_sign, find_theta,
+                               build_negative_sun, cycle_sign,
+                               cycles_within, find_theta,
                                fundamental_cycle, is_k_base, is_peripheral,
                                k_closure, order_cycle,
                                positive_cycle_in_theta)
@@ -21,6 +23,26 @@ def test_petersen_has_57_cycles():
     for c in cycles:
         by_len[len(c)] = by_len.get(len(c), 0) + 1
     assert by_len == {5: 12, 6: 10, 8: 15, 9: 20}
+
+
+@st.composite
+def graphs_with_edge_subsets(draw):
+    """n = 1..7 vertices, loops of either sign and parallel edges, and a
+    random subset of the edges."""
+    n = draw(st.integers(1, 7))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
+                          max_size=12))
+    g = SignedGraph(n, tuple(edges))
+    subset = draw(st.sets(st.integers(0, g.m - 1))) if g.m else set()
+    return g, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_edge_subsets())
+def test_cycles_within_matches_subgraph_enumeration(case):
+    g, subset = case
+    assert cycles_within(g, subset) == reference_cycles_within(g, subset)
 
 
 def test_order_cycle_recovers_traversal_order():
