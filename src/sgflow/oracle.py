@@ -4,27 +4,39 @@ Everything here is exact backtracking at desk scale, and all of it runs
 through one kernel, `_search`.  It orders the edges cotree first, then
 tree, and assigns one edge at a time: the first open edge that is the last
 open one at some vertex, whose residual boundary forces its value, or else
-the first open edge.  A branch dies as soon as a vertex with no open edge
-keeps a nonzero residual.  Branching effectively happens only on cotree
+the first open edge.  Which edge comes next depends only on which edges
+are assigned, never on their values, so the kernel plans the whole order
+once per call: per depth the edge, its (vertex, coefficient) pairs and the
+endpoints it saturates.  The depth-first search then walks that plan, and
+a saturated endpoint's residual forces the edge's value, so a branch dies
+as soon as no value fits.  Branching effectively happens only on cotree
 edges, so Petersen-sized instances finish quickly.
 
-The kernel takes a value list per edge and the arithmetic of its values.
-There are two value domains: elements of a finite abelian group (forced
-values come from negation or halving) for `satisfy_boundary` and
-`has_nz_A_flow`, and bounded integers (forced values come from exact
-division) for `has_nz_k_flow` and `flows.z2_to_3flow`.
+The kernel takes a value list per edge and the arithmetic of its values,
+which are integers in both of its domains.  `has_nz_k_flow` and
+`flows.z2_to_3flow` search bounded plain integers (forced values come from
+exact division).  `satisfy_boundary` and `has_nz_A_flow` search integer
+codes of group elements: digit i of a code has radix 2 n_i for the cyclic
+factor Z_{n_i}, so the sum of two codes never carries and one lookup row
+of 2^r |A| entries (r factors) reduces it.  Negation, multiples and
+halving are rows too, built once per group (`_group_codes`).
 
 Exact A-connectivity does not search boundary by boundary.  By the
 Jaeger-Linial-Payan-Tarsi reduction (JCTB 1992), a graph is A-connected
 iff nowhere-zero maps reach every A-boundary, so `is_A_connected` builds
 the set of boundaries they reach in one sweep, `_reachable_boundaries`: a
 bitset over A^n that grows edge by edge, each edge taking the union of the
-set shifted by every nonzero value it can carry.
+set shifted by every nonzero value it can carry.  The zero boundary comes
+first in the order that names the witness, so one search for a
+nowhere-zero flow, on a budget that keeps it within the sweep's cost,
+settles a "no" there before any sweep.
 """
 
 from __future__ import annotations
 
-import operator
+import functools
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -39,35 +51,74 @@ MAX_FLOW_EDGES = 18
 
 
 class _Arithmetic(NamedTuple):
-    """The values the kernel searches over: zero, addition, subtraction,
-    integer multiples (c, x) -> c x, and solve(c, r) -> every x with
-    c x = r, for a coefficient c in {-2, -1, 1, 2}."""
+    """How the kernel computes with its values, all integers with zero 0.
 
-    zero: object
-    add: Callable
-    sub: Callable
-    mul: Callable
-    solve: Callable
+    terms is None for plain integers, where a residual r takes r - c x
+    when an edge with coefficient c takes x.  For group codes, terms[c]
+    maps the code of x to the code of -c x, and r takes
+    reduce[r + terms[c][x]]; c is one of -2, -1, 0, 1, 2.  solve[c] maps a
+    residual r to every x with c x = r, in order, for c nonzero.
+    """
+
+    terms: Optional[dict[int, Sequence[int]]]
+    reduce: Optional[Sequence[int]]
+    solve: dict[int, Callable[[int], Sequence[int]]]
 
 
-_INTEGERS = _Arithmetic(0, operator.add, operator.sub, operator.mul,
-                        lambda c, r: [] if r % c else [r // c])
+def _solve_integers(c: int) -> Callable[[int], Sequence[int]]:
+    return lambda r: () if r % c else (r // c,)
 
 
-def _group_arithmetic(A: AbelianGroup) -> _Arithmetic:
-    def solve(c: int, r: Elem) -> list[Elem]:
-        if c == 1:
-            return [r]
-        if c == -1:
-            return [A.neg(r)]
-        return A.halving_preimages(r if c > 0 else A.neg(r))
+_INTEGERS = _Arithmetic(None, None,
+                        {c: _solve_integers(c) for c in (-2, -1, 1, 2)})
 
-    return _Arithmetic(A.zero, A.add, A.sub, A.smul, solve)
+
+class _GroupCodes(NamedTuple):
+    """Integer codes of a group's elements and the kernel's arithmetic on
+    them.  Digit i of a code is the element's residue mod n_i, with radix
+    2 n_i and digit 0 most significant, so codes follow the lexicographic
+    order of the elements."""
+
+    code: dict[Elem, int]
+    elem: dict[int, Elem]
+    ar: _Arithmetic
+
+
+@functools.lru_cache(maxsize=16)
+def _group_codes(A: AbelianGroup) -> _GroupCodes:
+    """Rows of 2^r |A| entries for r cyclic factors: one reduces the sum
+    of two codes digit by digit, and per coefficient c one holds the
+    multiples -c x and one the solutions of c x = r.  No table is indexed
+    by a pair of elements."""
+    reduce = [0]
+    weights: list[int] = []
+    size = 1
+    for n in reversed(A.factors):
+        reduce = [r + (d % n) * size for d in range(2 * n) for r in reduce]
+        weights.insert(0, size)
+        size *= 2 * n
+    elems = list(A.elements())
+    code = {a: sum(x * w for x, w in zip(a, weights)) for a in elems}
+    terms, solve = {0: (0,) * size}, {}
+    for c in (-2, -1, 1, 2):
+        row = [0] * size
+        sols: list[tuple[int, ...]] = [()] * size
+        for a in elems:  # in order, so solutions come in element order
+            row[code[a]] = code[A.smul(-c, a)]
+            r = code[A.smul(c, a)]
+            sols[r] = sols[r] + (code[a],)
+        terms[c], solve[c] = tuple(row), tuple(sols).__getitem__
+    return _GroupCodes(code, {x: a for a, x in code.items()},
+                       _Arithmetic(terms, tuple(reduce), solve))
+
+
+class _OverBudget(Exception):
+    """The search branched on more free edges than its budget allows."""
 
 
 def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
-            domains: Sequence[Sequence], beta: Sequence,
-            ar: _Arithmetic) -> Optional[list]:
+            domains: Sequence[Sequence[int]], beta: Sequence[int],
+            ar: _Arithmetic, budget: float = math.inf) -> Optional[list]:
     """Values f(e) in domains[e], for the edges listed (in increasing
     order), whose boundary under tau is beta, edges not listed carrying
     nothing; None if there are none.  The returned list is indexed by edge
@@ -79,70 +130,94 @@ def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     unassigned one.  Its candidates are the values every such endpoint
     forces, in solve order, that its domain holds; or, with no such
     endpoint, its domain in order.
+
+    The next edge depends only on which edges are assigned, so the plan
+    (per depth: the edge, its nonzero (vertex, coefficient) pairs and the
+    endpoints it saturates) is worked out once, before the search walks
+    it.  A vertex that no listed edge touches keeps its beta, so a nonzero
+    one there means None at once.
+
+    budget caps how often the search may branch on an edge that no
+    endpoint forces; past it, the search raises _OverBudget.
     """
-    zero, add, sub, mul, solve = ar
+    terms, reduce, solve = ar
+    plain = terms is None
     # coefficient of edge e at vertex v: sum of tau over its half-edges at v
     coeff: list[dict[int, int]] = [{} for _ in range(g.m)]
     remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
     for e in edges:
+        u, v = g.ends(e)  # half-edge 2e is at u, 2e + 1 at v
         c = coeff[e]
-        for h in (2 * e, 2 * e + 1):
-            v = g.halfedge_vertex(h)
-            c[v] = c.get(v, 0) + tau(h)
+        c[u] = tau(2 * e)
+        c[v] = c.get(v, 0) + tau(2 * e + 1)
         for v in c:
             remaining[v] += 1
-    residual = list(beta)
-    f: list = [None] * g.m
+    if any(beta[v] and not remaining[v] for v in range(g.n)):
+        return None
     tree = spanning_forest(g, edges)
     in_tree = set(tree)
     order = [e for e in edges if e not in in_tree] + sorted(tree)
 
-    def candidates(e: int) -> Sequence:
-        """Values compatible with every saturated endpoint of e."""
+    # per depth: the edge, the two (vertex, coefficient) pairs it changes,
+    # padded with a spare slot n that stays 0, and what its saturated
+    # endpoints need
+    plan = []
+    allowed: dict[int, set] = {}  # membership of each domain list
+    unplanned = list(order)
+    while unplanned:
+        # first edge with an endpoint where it is the last open one
+        i = next((i for i, e in enumerate(unplanned)
+                  if 1 in map(remaining.__getitem__, coeff[e])), 0)
+        e = unplanned.pop(i)
+        saturated = [(v, c) for v, c in coeff[e].items() if remaining[v] == 1]
+        for v in coeff[e]:
+            remaining[v] -= 1
+        (u, cu), (w, cw) = ([(v, c) for v, c in coeff[e].items() if c]
+                            + [(g.n, 0)] * 2)[:2]
+        dom = domains[e]
+        if id(dom) not in allowed:
+            allowed[id(dom)] = set(dom)
+        plan.append((
+            e, u, cu if plain else terms[cu], w, cw if plain else terms[cw],
+            [v for v, c in saturated if not c],
+            [(v, solve[c]) for v, c in saturated if c],
+            dom, allowed[id(dom)]))
+
+    residual = list(beta) + [0]
+    f: list = [None] * g.m
+    depth = len(plan)
+
+    def dfs(d: int) -> bool:
+        nonlocal budget
+        if d == depth:
+            return True
+        e, u, cu, w, cw, zeros, forcing, dom, ok = plan[d]
+        for v in zeros:  # a loop adding nothing at its saturated vertex
+            if residual[v]:
+                return False
         cands = None
-        for v, c in coeff[e].items():
-            if remaining[v] != 1:
-                continue
-            r = residual[v]
-            if c == 0:
-                if r != zero:
-                    return []
-                continue
-            vals = solve(c, r)
+        for v, sol in forcing:
+            vals = sol(residual[v])
             cands = vals if cands is None else [x for x in cands if x in vals]
         if cands is None:
-            return domains[e]
-        return [x for x in cands if x in domains[e]]
-
-    def pick() -> int:
-        first = None
-        for e in order:
-            if f[e] is not None:
+            cands = dom
+            budget -= 1
+            if budget < 0:
+                raise _OverBudget
+        ru, rw = residual[u], residual[w]
+        for x in cands:
+            if x not in ok:  # a forced value outside the domain
                 continue
-            if any(remaining[v] == 1 for v in coeff[e]):
-                return e
-            if first is None:
-                first = e
-        return first
-
-    def dfs(done: int) -> bool:
-        if done == len(order):
-            return all(r == zero for r in residual)
-        e = pick()
-        for val in candidates(e):
-            f[e] = val
-            ok = True
-            for v, c in coeff[e].items():
-                residual[v] = sub(residual[v], mul(c, val))
-                remaining[v] -= 1
-                if remaining[v] == 0 and residual[v] != zero:
-                    ok = False
-            if ok and dfs(done + 1):
+            if plain:
+                residual[u] = ru - cu * x
+                residual[w] = rw - cw * x
+            else:
+                residual[u] = reduce[ru + cu[x]]
+                residual[w] = reduce[rw + cw[x]]
+            if dfs(d + 1):
+                f[e] = x
                 return True
-            for v, c in coeff[e].items():
-                residual[v] = add(residual[v], mul(c, val))
-                remaining[v] += 1
-        f[e] = None
+        residual[u], residual[w] = ru, rw
         return False
 
     return f if dfs(0) else None
@@ -161,19 +236,39 @@ def satisfy_boundary(
     With allow_zero, edges may carry zero (useful when only the avoidance
     of fbar matters, not nowhere-zeroness).
 
-    beta must be an A-boundary (sum = 2a for some a); this is a necessary
-    condition for solvability and is checked up front.
+    beta must give an element of A for every vertex, fbar one for every
+    edge, and beta must be an A-boundary (sum = 2a for some a), a
+    necessary condition for solvability; ValueError otherwise.
     """
+    if len(beta) != g.n:
+        raise ValueError(f"beta has {len(beta)} entries for {g.n} vertices")
+    if fbar is not None and len(fbar) != g.m:
+        raise ValueError(f"fbar has {len(fbar)} entries for {g.m} edges")
+    for a in itertools.chain(beta, fbar or ()):
+        if not A.contains(a):
+            raise ValueError(f"{a} is not an element of {A}")
     if is_A_boundary(A, beta) is None:
         raise ValueError("beta is not an A-boundary (sum not of the form 2a)")
     if g.m > 2 * MAX_FLOW_EDGES:
         raise DeskScaleError(f"{g.m} edges exceeds search limit")
     if tau is None:
         tau = Orientation.default(g)
-    domain = [a for a in A.elements() if allow_zero or a != A.zero]
-    domains = [domain if fbar is None else [a for a in domain if a != fbar[e]]
+    return _search_group(g, A, beta, fbar, tau, allow_zero)
+
+
+def _search_group(g: SignedGraph, A: AbelianGroup, beta: Sequence[Elem],
+                  fbar: Optional[Sequence[Elem]], tau: Orientation,
+                  allow_zero: bool, budget: float = math.inf
+                  ) -> Optional[list[Elem]]:
+    """satisfy_boundary's search on checked inputs, through element codes."""
+    code, elem, ar = _group_codes(A)
+    domain = [x for x in code.values() if allow_zero or x]  # zero's code is 0
+    domains = [domain if fbar is None
+               else [x for x in domain if x != code[tuple(fbar[e])]]
                for e in range(g.m)]
-    return _search(g, tau, range(g.m), domains, beta, _group_arithmetic(A))
+    f = _search(g, tau, range(g.m), domains, [code[tuple(b)] for b in beta],
+                ar, budget)
+    return None if f is None else [elem[x] for x in f]
 
 
 def has_nz_A_flow(g: SignedGraph, A: AbelianGroup,
@@ -204,8 +299,6 @@ class ConnectivityVerdict:
 
 def _all_boundaries(g: SignedGraph, A: AbelianGroup):
     """Every beta with sum(beta) in 2A, zero boundary first."""
-    import itertools
-
     doubled = sorted({A.add(a, a) for a in A.elements()})
     elems = sorted(A.elements())
     for head in itertools.product(elems, repeat=g.n - 1):
@@ -286,10 +379,12 @@ def is_A_connected(
     seed: int = 0,
 ) -> ConnectivityVerdict:
     """Exact mode (samples=None): whether nowhere-zero maps reach every
-    A-boundary (no forbidden map), from one sweep over the reachable
-    boundaries; "no" names the first boundary missed in `_all_boundaries`
-    order and counts the boundaries up to it.  Sampling mode: random
-    (beta, fbar) pairs, verdict "sampled-yes" if none fails.
+    A-boundary (no forbidden map): one budgeted search for a nowhere-zero
+    flow and, if it finds one or runs past its budget, one sweep over the
+    reachable boundaries.  "no" names the first boundary missed in
+    `_all_boundaries` order (the zero map when no flow exists) and counts
+    the boundaries up to it.  Sampling mode: random (beta, fbar) pairs,
+    verdict "sampled-yes" if none fails.
     """
     if samples is None:
         if g.n > MAX_EXACT_VERTICES or A.order > MAX_EXACT_GROUP_ORDER:
@@ -300,6 +395,18 @@ def is_A_connected(
             raise DeskScaleError(f"{g.m} edges exceeds search limit")
         if g.n == 0:
             raise ValueError("a graph with no vertices has no boundaries")
+        # The zero boundary comes first in _all_boundaries order, so one
+        # search for a nowhere-zero flow can settle a "no" before the sweep.
+        # A free branching costs about 10 us and the sweep about 10 ns per
+        # vertex map (n = 8, Z6 and Z9), so the search may branch once per
+        # 2^10 maps: at worst it costs about what the sweep does.
+        zero = [A.zero] * g.n
+        try:
+            if _search_group(g, A, zero, None, Orientation.default(g), False,
+                             budget=A.order ** g.n >> 10) is None:
+                return ConnectivityVerdict("no", witness_beta=zero, checked=1)
+        except _OverBudget:
+            pass
         reach = _reachable_boundaries(g, A)
         # every boundary sums to an element of 2A, so reach holds no other map
         doubled = len({A.add(a, a) for a in A.elements()})

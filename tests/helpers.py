@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from sgflow.core import (MINUS, PLUS, SignedGraph, delete_edges,
+from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, delete_edges,
                          edge_connectivity, is_k_unbalanced, spanning_forest,
                          uncontract)
 from sgflow.duality import PROJECTIVE, to_default_orientation
@@ -174,6 +175,109 @@ def reference_is_A_connected(g: SignedGraph, A) -> tuple:
         if satisfy_boundary(g, A, beta) is None:
             return "no", beta, count
     return "yes", None, count
+
+
+# The search kernel as it was before it planned its edge order once per call
+# and ran on element codes: it scans for the next edge at every node and
+# computes with group elements as tuples.  sgflow.oracle._search must return
+# the same lists.
+
+REFERENCE_INTEGERS = (0, operator.add, operator.sub, operator.mul,
+                      lambda c, r: [] if r % c else [r // c])
+
+
+def reference_group_arithmetic(A) -> tuple:
+    def solve(c: int, r):
+        if c == 1:
+            return [r]
+        if c == -1:
+            return [A.neg(r)]
+        return A.halving_preimages(r if c > 0 else A.neg(r))
+
+    return (A.zero, A.add, A.sub, A.smul, solve)
+
+
+def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
+                     domains: Sequence[Sequence], beta: Sequence,
+                     ar: tuple) -> Optional[list]:
+    """Values f(e) in domains[e], for the edges listed (in increasing
+    order), whose boundary under tau is beta, edges not listed carrying
+    nothing; None if there are none.  The returned list is indexed by edge
+    and holds None for edges not listed.
+
+    The edge order is the cotree of a spanning forest of the edges, then
+    the forest's edges, sorted.  The next edge is the first unassigned one
+    with an endpoint where it is the last open edge, else the first
+    unassigned one.  Its candidates are the values every such endpoint
+    forces, in solve order, that its domain holds; or, with no such
+    endpoint, its domain in order.
+    """
+    zero, add, sub, mul, solve = ar
+    # coefficient of edge e at vertex v: sum of tau over its half-edges at v
+    coeff: list[dict[int, int]] = [{} for _ in range(g.m)]
+    remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
+    for e in edges:
+        c = coeff[e]
+        for h in (2 * e, 2 * e + 1):
+            v = g.halfedge_vertex(h)
+            c[v] = c.get(v, 0) + tau(h)
+        for v in c:
+            remaining[v] += 1
+    residual = list(beta)
+    f: list = [None] * g.m
+    tree = spanning_forest(g, edges)
+    in_tree = set(tree)
+    order = [e for e in edges if e not in in_tree] + sorted(tree)
+
+    def candidates(e: int) -> Sequence:
+        """Values compatible with every saturated endpoint of e."""
+        cands = None
+        for v, c in coeff[e].items():
+            if remaining[v] != 1:
+                continue
+            r = residual[v]
+            if c == 0:
+                if r != zero:
+                    return []
+                continue
+            vals = solve(c, r)
+            cands = vals if cands is None else [x for x in cands if x in vals]
+        if cands is None:
+            return domains[e]
+        return [x for x in cands if x in domains[e]]
+
+    def pick() -> int:
+        first = None
+        for e in order:
+            if f[e] is not None:
+                continue
+            if any(remaining[v] == 1 for v in coeff[e]):
+                return e
+            if first is None:
+                first = e
+        return first
+
+    def dfs(done: int) -> bool:
+        if done == len(order):
+            return all(r == zero for r in residual)
+        e = pick()
+        for val in candidates(e):
+            f[e] = val
+            ok = True
+            for v, c in coeff[e].items():
+                residual[v] = sub(residual[v], mul(c, val))
+                remaining[v] -= 1
+                if remaining[v] == 0 and residual[v] != zero:
+                    ok = False
+            if ok and dfs(done + 1):
+                return True
+            for v, c in coeff[e].items():
+                residual[v] = add(residual[v], mul(c, val))
+                remaining[v] += 1
+        f[e] = None
+        return False
+
+    return f if dfs(0) else None
 
 
 def reference_cycles_within(g: SignedGraph, edges) -> list:

@@ -1,20 +1,23 @@
 """Exact backtracking oracles: boundary satisfaction, flows, connectivity."""
 
+import itertools
 import operator
 import random
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from helpers import CUBIC_GRAPHS, brute_boundaries, random_connected_graph, \
-    random_elem, reference_is_A_connected, theorem_instances
+from helpers import CUBIC_GRAPHS, REFERENCE_INTEGERS, brute_boundaries, \
+    random_connected_graph, random_elem, reference_group_arithmetic, \
+    reference_is_A_connected, reference_search, theorem_instances
 from sgflow.core import DeskScaleError, MINUS, PLUS, Orientation, SignedGraph
 from sgflow.flows import z2_to_3flow
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
 from sgflow.groups import boundary, integer_boundary, is_A_boundary, is_flow, \
     is_nowhere_zero, parse_group
-from sgflow.oracle import (MAX_EXACT_VERTICES, has_nz_A_flow, has_nz_k_flow,
-                           is_A_connected, satisfy_boundary)
+from sgflow.oracle import (MAX_EXACT_VERTICES, _INTEGERS, _OverBudget,
+                           _group_codes, _search, _search_group, has_nz_A_flow,
+                           has_nz_k_flow, is_A_connected, satisfy_boundary)
 from sgflow.structures import all_cycles
 
 
@@ -56,6 +59,26 @@ def test_satisfy_boundary_rejects_non_boundaries():
         satisfy_boundary(g, A, bad)
 
 
+def test_satisfy_boundary_rejects_values_outside_the_group():
+    g, A = k4(), parse_group("Z6")
+    with pytest.raises(ValueError, match=r"\(7,\) is not an element of Z6"):
+        satisfy_boundary(g, A, [(7,), (5,), (0,), (0,)])
+
+
+def test_satisfy_boundary_rejects_forbidden_values_outside_the_group():
+    g, A = k4(), parse_group("Z6")
+    with pytest.raises(ValueError, match=r"\(9,\) is not an element of Z6"):
+        satisfy_boundary(g, A, [A.zero] * g.n, fbar=[(9,)] + [(1,)] * 5)
+
+
+def test_satisfy_boundary_rejects_maps_of_the_wrong_length():
+    g, A = k4(), parse_group("Z6")
+    with pytest.raises(ValueError, match="fbar has 5 entries for 6 edges"):
+        satisfy_boundary(g, A, [A.zero] * g.n, fbar=[(1,)] * 5)
+    with pytest.raises(ValueError, match="beta has 3 entries for 4 vertices"):
+        satisfy_boundary(g, A, [A.zero] * 3)
+
+
 def test_flow_existence_on_small_graphs():
     tri = SignedGraph(3, ((0, 1, PLUS), (1, 2, PLUS), (0, 2, PLUS)))
     assert has_nz_k_flow(tri, 2) is not None
@@ -79,6 +102,31 @@ def test_pendant_edge_blocks_zero_boundary():
     verdict = is_A_connected(g, A)
     assert verdict.status == "no"
     assert is_A_boundary(A, verdict.witness_beta) is not None
+
+
+def test_exact_mode_settles_a_missed_zero_boundary_by_one_search():
+    # a pendant edge leaves the zero boundary unreachable: the first
+    # boundary in _all_boundaries order is the witness, found without a sweep
+    verdict = is_A_connected(negsun(4), parse_group("Z9"))
+    assert verdict.status == "no"
+    assert verdict.witness_beta == [(0,)] * 8
+    assert verdict.checked == 1
+
+
+def test_zero_boundary_search_stops_at_its_budget():
+    # two doubled K4s joined by a bridge: no nowhere-zero flow, and the
+    # search only learns it after every branch on one side, so it goes past
+    # its budget and the sweep gives the same verdict
+    edges = [(u, v, PLUS) for base in (0, 4)
+             for u, v in itertools.combinations(range(base, base + 4), 2)] * 2
+    g = SignedGraph(8, tuple(edges + [(3, 4, PLUS)]))
+    A = parse_group("Z6")
+    with pytest.raises(_OverBudget):
+        _search_group(g, A, [A.zero] * g.n, None, Orientation.default(g),
+                      False, budget=A.order ** g.n >> 10)
+    verdict = is_A_connected(g, A)
+    assert (verdict.status, verdict.witness_beta, verdict.checked) == \
+        ("no", [A.zero] * g.n, 1)
 
 
 def test_k4_negative_triangle_is_z6_connected():
@@ -209,6 +257,82 @@ def test_z2_to_3flow_matches_every_map(inst, data):
     if psi is not None:
         assert integer_boundary(g, tau, psi) == [0] * g.n
         assert all(psi[e] in domains[e] for e in range(g.m))
+
+
+# -- the planned kernel against the kernel that scans at every node -------------
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.sampled_from(GROUPS), st.booleans(),
+       st.booleans(), st.data())
+def test_search_on_group_codes_matches_the_reference(inst, spec, with_fbar,
+                                                     allow_zero, data):
+    g, tau = inst
+    A = parse_group(spec)
+    edges = [e for e in range(g.m) if data.draw(st.booleans())]
+    if data.draw(st.booleans()):  # reached by a map on the listed edges
+        f0 = _elements(data.draw, A, g.m)
+        beta = boundary(g, tau, [f0[e] if e in edges else A.zero
+                                 for e in range(g.m)], A)
+    else:  # anything, so untouched vertices may hold nonzero values
+        beta = _elements(data.draw, A, g.n)
+    fbar = _elements(data.draw, A, g.m) if with_fbar else None
+    # in any order: the forced values then come in another order than an
+    # edge's free ones, so the output depends on which edge goes next
+    domains = [data.draw(st.permutations(
+        [x for x in A.elements() if (allow_zero or x != A.zero)
+         and (fbar is None or x != fbar[e])])) for e in range(g.m)]
+    touched = {v for e in edges for v in g.ends(e)}
+    event(f"untouched vertex with nonzero beta: "
+          f"{any(beta[v] != A.zero for v in range(g.n) if v not in touched)}")
+    want = reference_search(g, tau, edges, domains, beta,
+                            reference_group_arithmetic(A))
+    event(f"found: {want is not None}")
+    code, elem, ar = _group_codes(A)
+    got = _search(g, tau, edges, [[code[x] for x in d] for d in domains],
+                  [code[b] for b in beta], ar)
+    assert (None if got is None
+            else [None if x is None else elem[x] for x in got]) == want
+
+
+def test_search_forces_a_loop_in_its_planned_turn():
+    # the negative loop at vertex 1 is forced only once both parallel edges
+    # are assigned; its two halvings then come in element order, not in the
+    # reversed domain order a free branch on it would take first
+    g = SignedGraph(2, ((0, 1, PLUS), (0, 1, PLUS), (1, 1, MINUS)))
+    A = parse_group("Z2xZ2")
+    tau = Orientation.default(g)
+    dom = sorted((x for x in A.elements() if x != A.zero), reverse=True)
+    want = reference_search(g, tau, range(3), [dom] * 3, [A.zero] * 2,
+                            reference_group_arithmetic(A))
+    assert want == [(1, 1), (1, 1), (0, 1)]
+    code, elem, ar = _group_codes(A)
+    got = _search(g, tau, range(3), [[code[x] for x in dom]] * 3, [0, 0], ar)
+    assert [elem[x] for x in got] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.integers(2, 4), st.booleans(), st.data())
+def test_search_on_integers_matches_the_reference(inst, k, carrier, data):
+    g, tau = inst
+    edges = [e for e in range(g.m) if data.draw(st.booleans())]
+    if carrier:  # z2_to_3flow's domains: +-1 on a support, |x| <= 2 elsewhere
+        domains = [data.draw(st.sampled_from(([1, -1], [0, 1, -1, 2, -2])))
+                   for _ in range(g.m)]
+    else:  # has_nz_k_flow's domain, in any order
+        domains = [data.draw(st.permutations([x for x in range(1 - k, k)
+                                              if x]))] * g.m
+    kind = data.draw(st.sampled_from(("zero", "reached", "any")))
+    if kind == "zero":
+        beta = [0] * g.n
+    elif kind == "reached":
+        beta = integer_boundary(g, tau, [
+            data.draw(st.sampled_from(domains[e])) if e in edges else 0
+            for e in range(g.m)])
+    else:
+        beta = [data.draw(st.integers(-3, 3)) for _ in range(g.n)]
+    want = reference_search(g, tau, edges, domains, beta, REFERENCE_INTEGERS)
+    event(f"found: {want is not None}")
+    assert _search(g, tau, edges, domains, beta, _INTEGERS) == want
 
 
 # -- the boundary sweep against one search per boundary ---------------------------
