@@ -276,8 +276,8 @@ def test_search_on_group_codes_matches_the_reference(inst, spec, with_fbar,
     else:  # anything, so untouched vertices may hold nonzero values
         beta = _elements(data.draw, A, g.n)
     fbar = _elements(data.draw, A, g.m) if with_fbar else None
-    # in any order: the forced values then come in another order than an
-    # edge's free ones, so the output depends on which edge goes next
+    # in any order, so that forced values (in solve order) and free ones
+    # (in domain order) come in different orders
     domains = [data.draw(st.permutations(
         [x for x in A.elements() if (allow_zero or x != A.zero)
          and (fbar is None or x != fbar[e])])) for e in range(g.m)]
