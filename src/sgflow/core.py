@@ -8,20 +8,25 @@ the second.  Loops have both half-edges at the same vertex.
 Graphs are immutable values: minor operations (switching, contraction,
 uncontraction, deletion) return a new graph together with translation maps
 from old to new indices.
+
+Questions about an edge set of g take the set as data over g's own indices,
+so no subgraph is built to answer them: spanning_forest is the one
+union-find, component_count counts components with it, and is_balanced
+colours only the listed edges.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 PLUS = 1
 MINUS = -1
 
-# Exhaustive routines refuse larger inputs rather than silently degrade.
+# Exhaustive vertex-subset scans refuse larger inputs rather than silently
+# degrade.
 DESK_VERTEX_LIMIT = 16
-DESK_EDGE_LIMIT = 32
 
 
 class DeskScaleError(Exception):
@@ -88,13 +93,6 @@ class SignedGraph:
         """Loops count twice."""
         return len(self.halfedges_at(v))
 
-    def edges_between(self, u: int, v: int) -> list[int]:
-        return [e for e, (a, b, _) in enumerate(self.edges)
-                if {a, b} == ({u, v} if u != v else {u}) and (a, b) in ((u, v), (v, u))]
-
-    def negative_edges(self) -> list[int]:
-        return [e for e in range(self.m) if self.sigma(e) == MINUS]
-
     def with_signs(self, sigma: dict[int, int] | Sequence[int]) -> "SignedGraph":
         if isinstance(sigma, dict):
             new = tuple((u, v, sigma.get(e, s)) for e, (u, v, s) in enumerate(self.edges))
@@ -106,38 +104,6 @@ class SignedGraph:
         return self.n == other.n and all(
             (u, v) == (u2, v2) for (u, v, _), (u2, v2, _) in zip(self.edges, other.edges)
         ) and self.m == other.m
-
-    # -- connectivity helpers --------------------------------------------
-
-    def components(self, skip_edges: Iterable[int] = (), skip_vertices: Iterable[int] = ()) -> list[set[int]]:
-        skip_e = set(skip_edges)
-        skip_v = set(skip_vertices)
-        seen: set[int] = set()
-        comps = []
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(self.n) if v not in skip_v}
-        for e, (u, w, _) in enumerate(self.edges):
-            if e in skip_e or u in skip_v or w in skip_v:
-                continue
-            adj[u].append((e, w))
-            adj[w].append((e, u))
-        for s in adj:
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            seen.add(s)
-            while stack:
-                x = stack.pop()
-                for _, y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.add(y)
-                        stack.append(y)
-            comps.append(comp)
-        return comps
-
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
 
 
 def spanning_forest(g: SignedGraph, edges: Iterable[int]) -> list[int]:
@@ -161,9 +127,18 @@ def spanning_forest(g: SignedGraph, edges: Iterable[int]) -> list[int]:
     return forest
 
 
-def checked_desk_scale(g: SignedGraph, vlimit: int = DESK_VERTEX_LIMIT, elimit: int = DESK_EDGE_LIMIT) -> None:
-    if g.n > vlimit or g.m > elimit:
-        raise DeskScaleError(f"graph with {g.n} vertices / {g.m} edges exceeds limit ({vlimit}, {elimit})")
+def component_count(g: SignedGraph, edges: Iterable[int],
+                    vertices: Collection[int]) -> int:
+    """Components of the graph on `vertices` with the given edges, whose
+    ends must lie in `vertices`: one per vertex, less one per forest edge."""
+    return len(vertices) - len(spanning_forest(g, edges))
+
+
+def checked_desk_scale(g: SignedGraph) -> None:
+    """Refuse graphs whose 2^n vertex subsets are too many to scan."""
+    if g.n > DESK_VERTEX_LIMIT:
+        raise DeskScaleError(f"graph with {g.n} vertices exceeds the limit"
+                             f" of {DESK_VERTEX_LIMIT} vertices")
 
 
 @dataclass(frozen=True)
@@ -193,28 +168,6 @@ class Orientation:
         for e in range(g.m):
             if self.tau[2 * e] * self.tau[2 * e + 1] != -g.sigma(e):
                 raise ValueError(f"orientation inconsistent with sign on edge {e}")
-
-    def switch_at(self, g: SignedGraph, v: int) -> "Orientation":
-        """Flip every half-edge at v (changes the signature of edges at v)."""
-        t = list(self.tau)
-        for h in g.halfedges_at(v):
-            t[h] = -t[h]
-        return Orientation(tuple(t))
-
-
-@dataclass(frozen=True)
-class EdgeCut:
-    side: frozenset[int]
-    cut_edges: frozenset[int]
-
-    @staticmethod
-    def from_side(g: SignedGraph, side: Iterable[int]) -> "EdgeCut":
-        s = frozenset(side)
-        return EdgeCut(s, frozenset(delta(g, s)))
-
-    def validate(self, g: SignedGraph) -> None:
-        if self.cut_edges != frozenset(delta(g, self.side)):
-            raise ValueError("inconsistent cut: cut_edges != delta(side)")
 
 
 def delta(g: SignedGraph, side: Iterable[int]) -> list[int]:
@@ -257,8 +210,10 @@ class BalanceResult:
     negative_cycle: Optional[tuple[int, ...]] = None  # witness edge set (closed walk order)
 
 
-def is_balanced(g: SignedGraph) -> BalanceResult:
-    """2-colouring over sign parity: assign s(v) so that s(u)s(v) = sigma(e).
+def is_balanced(g: SignedGraph, edges: Optional[Iterable[int]] = None
+                ) -> BalanceResult:
+    """2-colouring over sign parity: assign s(v) so that s(u)s(v) = sigma(e)
+    on every listed edge (all of g's by default), taken in the given order.
 
     Balanced iff consistent; the switching set is {v: s(v) = -1}.  On
     conflict, the tree path between the endpoints plus the offending edge
@@ -266,14 +221,15 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
     """
     colour = [0] * g.n  # 0 unknown, else +-1
     parent: dict[int, tuple[int, int]] = {}  # v -> (parent vertex, edge)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
-    for e, (u, w, s) in enumerate(g.edges):
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for e in range(g.m) if edges is None else edges:
+        u, w, s = g.edges[e]
         if u == w:
             if s == MINUS:
                 return BalanceResult(False, negative_cycle=(e,))
             continue
-        adj[u].append((e, w))
-        adj[w].append((e, u))
+        adj[u].append((e, w, s))
+        adj[w].append((e, u, s))
     for root in range(g.n):
         if colour[root]:
             continue
@@ -281,8 +237,8 @@ def is_balanced(g: SignedGraph) -> BalanceResult:
         stack = [root]
         while stack:
             x = stack.pop()
-            for e, y in adj[x]:
-                want = colour[x] * g.sigma(e)
+            for e, y, s in adj[x]:
+                want = colour[x] * s
                 if colour[y] == 0:
                     colour[y] = want
                     parent[y] = (x, e)
@@ -398,7 +354,7 @@ def edge_connectivity(g: SignedGraph) -> int:
     """
     if g.n <= 1:
         return g.m + 1 if g.n == 1 else 0  # conventionally infinite; callers compare with small k
-    if not g.is_connected():
+    if component_count(g, range(g.m), range(g.n)) > 1:
         return 0
     w = [[0] * g.n for _ in range(g.n)]
     for u, v, _ in g.edges:
@@ -443,7 +399,7 @@ def _has_cycle(g: SignedGraph, vertices: set[int]) -> bool:
 
 def is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:
     """No edge-cut of size < k separating two cycles (exhaustive bipartition scan)."""
-    checked_desk_scale(g, elimit=1 << 30)
+    checked_desk_scale(g)
     for mask in range(1, 1 << (g.n - 1)):
         side = {v for v in range(g.n - 1) if mask >> v & 1}
         rest = set(range(g.n)) - side

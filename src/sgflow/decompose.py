@@ -16,16 +16,21 @@ that leaves at most one bridge (a non-isolated component of C - E(P)),
 moves the two end-edges of P into A and the rest of P into B, and shrinks
 C.  The tree/2-base mode runs until C is empty; the sun modes run until
 C is a negative sun, which becomes the protected edge set F.
+
+Every question about an edge set (is it connected, 2-connected, balanced)
+takes the set as data over g's own indices: core.component_count counts
+components with the one union-find, core.is_balanced colours only the
+listed edges, and no subgraph is built.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional
 
 from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
-                   checked_desk_scale, delete_edges, delta, is_balanced,
+                   checked_desk_scale, component_count, delta, is_balanced,
                    is_cubic_3connected, spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
                          cycles_within, find_peripheral_cycle, k_closure)
@@ -43,18 +48,11 @@ class PartitionCertificate:
     f: frozenset[int] = frozenset()
 
 
-# -- subgraph helpers -------------------------------------------------------------
-
-def _edge_subgraph_vertices(g: SignedGraph, es: Iterable[int]) -> set[int]:
-    out = set()
-    for e in es:
-        u, v = g.ends(e)
-        out.add(u)
-        out.add(v)
-    return out
-
+# -- edge-set helpers -------------------------------------------------------------
 
 def _sub_degrees(g: SignedGraph, es: Iterable[int]) -> dict[int, int]:
+    """Degree of each end of the edge set within it (loops count twice);
+    its keys are the edge set's vertices."""
     deg: dict[int, int] = {}
     for e in es:
         for h in (2 * e, 2 * e + 1):
@@ -63,15 +61,9 @@ def _sub_degrees(g: SignedGraph, es: Iterable[int]) -> dict[int, int]:
     return deg
 
 
-def _edge_subgraph(g: SignedGraph, es: Iterable[int]) -> SignedGraph:
-    """The edge set viewed as its own signed graph (vertices = the ends),
-    keeping g's vertex indexing so results translate back directly."""
-    return delete_edges(g, set(range(g.m)) - set(es)).graph
-
-
 def _is_2_connected_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
     es = set(es)
-    verts = _edge_subgraph_vertices(g, es)
+    verts = set(_sub_degrees(g, es))
     if len(verts) < 3:
         # a digon (two parallel edges) counts as 2-connected; a single
         # edge or nothing does not
@@ -80,27 +72,19 @@ def _is_2_connected_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
             key = tuple(sorted(g.ends(e)))
             pairs[key] = pairs.get(key, 0) + 1
         return any(c >= 2 for c in pairs.values())
-    sub = _edge_subgraph(g, es)
-    if len([c for c in sub.components() if any(v in verts for v in c)]) != 1:
+    if component_count(g, es, verts) != 1:
         return False
     for v in verts:
-        comps = sub.components(skip_vertices={v})
-        if len([c for c in comps if c & verts]) > 1:
+        rest = [e for e in es if v not in g.ends(e)]
+        if component_count(g, rest, verts - {v}) > 1:
             return False
     return True
 
 
-def _spans_and_connected(g: SignedGraph, es: Iterable[int]) -> bool:
-    es = set(es)
-    verts = _edge_subgraph_vertices(g, es)
-    if verts != set(range(g.n)):
-        return False
-    sub = _edge_subgraph(g, es)
-    return len(sub.components()) == 1
-
-
-def _unbalanced_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
-    return not is_balanced(_edge_subgraph(g, es)).balanced
+def _spans_and_connected(g: SignedGraph, es: Collection[int]) -> bool:
+    """Connected and touching every vertex: a lone vertex needs an edge
+    (a loop) of the set."""
+    return component_count(g, es, range(g.n)) == 1 and (g.n > 1 or bool(es))
 
 
 # -- working partition invariants ----------------------------------------------------
@@ -125,23 +109,21 @@ def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
     _check(not (wp.a & wp.b or wp.a & wp.c or wp.b & wp.c), "parts overlap")
     _check(_is_2_connected_edge_set(g, wp.a | wp.b), "(a) A+B not 2-connected")
     if wp.c:
-        sub = _edge_subgraph(g, wp.c)
-        verts = _edge_subgraph_vertices(g, wp.c)
-        _check(len([x for x in sub.components() if x & verts]) == 1, "(b) C disconnected")
         degs = _sub_degrees(g, wp.c)
+        _check(component_count(g, wp.c, degs) == 1, "(b) C disconnected")
         _check(all(d in (1, 3) for d in degs.values()), "(b) C degree not in {1,3}")
         if mode in (BASE_SUN, GENERAL):
-            _check(_unbalanced_edge_set(g, wp.c), "(b) C balanced")
+            _check(not is_balanced(g, wp.c).balanced, "(b) C balanced")
     _check(_spans_and_connected(g, wp.a | wp.c), "(c) A+C not spanning/connected")
     if mode in (BASE_SUN, GENERAL):
-        _check(_unbalanced_edge_set(g, wp.a | wp.c), "(c) A+C has no negative cycle")
+        _check(not is_balanced(g, wp.a | wp.c).balanced, "(c) A+C has no negative cycle")
     closure = k_closure(g, wp.b, 2).closure
     _check(wp.a <= closure, "(d) 2-closure of B misses part of A")
     if require_cycle_in_b:
         # an edge left out of a spanning forest closes a cycle
         _check(len(spanning_forest(g, wp.b)) < len(wp.b), "(e) B contains no cycle")
         if mode == BASE_SUN or (mode == TREE_2BASE and not is_balanced(g).balanced):
-            _check(_unbalanced_edge_set(g, wp.b), "(e) B has no negative cycle")
+            _check(not is_balanced(g, wp.b).balanced, "(e) B has no negative cycle")
 
 
 # -- improving paths ------------------------------------------------------------------
@@ -173,42 +155,26 @@ def _paths_between_degree_one(g: SignedGraph, c_edges: set[int]):
                 stack.append((w, path + (e,), seen | {w}))
 
 
-def _bridges_of_removed_path(g: SignedGraph, c_edges: set[int],
-                             path: Sequence[int]) -> list[frozenset[int]]:
-    """Edge sets of the non-trivial components of C - E(P)."""
-    rest = c_edges - set(path)
-    if not rest:
-        return []
-    sub = _edge_subgraph(g, rest)
-    comps = sub.components()
-    out = []
-    for comp in comps:
-        es = frozenset(e for e in rest if set(g.ends(e)) <= comp)
-        if es:
-            out.append(es)
-    return out
-
-
 def improving_path(g: SignedGraph, c_edges: set[int],
                    protect_negative: bool = False) -> tuple[int, ...]:
     """A path between two degree-1 vertices of C leaving at most one
     bridge; with protect_negative, the remainder C - E(P) must stay
     unbalanced (the surviving bridge carries a negative cycle).
 
-    Candidates are ranked by the lexicographic bridge-size order from the
-    decomposition arguments (largest surviving bridge first)."""
+    Every vertex of C - E(P) lies on one of its edges, so each of its
+    components is a bridge: at most one bridge means at most one
+    component, and that component is C - E(P) itself.  Candidates are
+    ranked by the lexicographic bridge-size order from the decomposition
+    arguments (largest surviving bridge first)."""
     best: Optional[tuple] = None
     for path in _paths_between_degree_one(g, c_edges):
-        bridges = _bridges_of_removed_path(g, c_edges, path)
-        if len(bridges) > 1:
+        rest = c_edges.difference(path)
+        verts = _sub_degrees(g, rest)
+        if component_count(g, rest, verts) > 1:
             continue
-        if protect_negative:
-            if not bridges or not _unbalanced_edge_set(g, bridges[0]):
-                continue
-        size = 0
-        if bridges:
-            size = len(bridges[0]) + len(_edge_subgraph_vertices(g, bridges[0]))
-        key = (-size, len(path), path)
+        if protect_negative and is_balanced(g, rest).balanced:
+            continue
+        key = (-len(rest) - len(verts), len(path), path)
         if best is None or key < best[0]:
             best = (key, path)
     if best is None:
@@ -228,7 +194,7 @@ def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int
     or |X| >= 3, |delta(X)| = 4 and G[X] plane-embeddable with its degree-2
     vertices on a common face.  None if no such X exists.  Scans every
     vertex subset, so graphs past desk scale raise DeskScaleError."""
-    checked_desk_scale(g, elimit=1 << 30)
+    checked_desk_scale(g)
     import networkx as nx
 
     for mask in range(1, 1 << g.n):
@@ -240,8 +206,8 @@ def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int
             continue
         if len(cut) == 4 and len(x) < 3:
             continue
-        sub = _edge_subgraph(g, _induced_edges(g, x))
-        if not is_balanced(sub).balanced:
+        inside = _induced_edges(g, x)
+        if not is_balanced(g, inside).balanced:
             continue
         if len(cut) == 3:
             return frozenset(x), 3
@@ -249,7 +215,7 @@ def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int
         # == planarity after adding an apex joined to those vertices
         nxg = nx.MultiGraph()
         nxg.add_nodes_from(x)
-        for e in _induced_edges(g, x):
+        for e in inside:
             u, v = g.ends(e)
             nxg.add_edge(u, v)
         deg2 = [v for v in x if nxg.degree(v) == 2]
@@ -388,7 +354,7 @@ def decompose_general(g: SignedGraph) -> PartitionCertificate:
     # invariant (AssertionError) is a bug and passes through unchanged.
     short_pos = next((c for c in cycles if c.sign == PLUS and len(c) <= 5), None)
     try:
-        cert = _decompose_general_dispatch(g, cycles)
+        cert = _decompose_general_dispatch(g)
     except ValueError as exc:
         if short_pos is not None:
             raise ValueError(
@@ -399,12 +365,11 @@ def decompose_general(g: SignedGraph) -> PartitionCertificate:
     return _verified(g, cert)
 
 
-def _decompose_general_dispatch(g: SignedGraph, cycles: Sequence[CycleRef]
-                                ) -> PartitionCertificate:
+def _decompose_general_dispatch(g: SignedGraph) -> PartitionCertificate:
     if is_balanced(g).balanced:
         base = decompose_tree_2base(g)
     elif has_two_disjoint_cycles(g) is None:
-        d = find_peripheral_cycle(g, want_sign=MINUS, cycles=cycles)
+        d = find_peripheral_cycle(g, want_sign=MINUS)
         if d is None:
             raise AssertionError("unbalanced 3-connected graph without a"
                                  " negative peripheral cycle")
@@ -490,13 +455,13 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
             return False, "2-closure of X2 is not E - F"
         if not _is_2_connected_edge_set(g, closure):
             return False, "2-closure of X2 not 2-connected"
-        if not _unbalanced_edge_set(g, cert.x2):
+        if is_balanced(g, cert.x2).balanced:
             return False, "X2 balanced"
         return True, ""
     if cert.mode == GENERAL:
         if not _spans_and_connected(g, cert.x1):
             return False, "X1 not spanning/connected"
-        if not is_balanced(g).balanced and not _unbalanced_edge_set(g, cert.x1):
+        if not is_balanced(g).balanced and is_balanced(g, cert.x1).balanced:
             return False, "X1 contains no connected base (balanced)"
         if cert.f and not is_degenerate_sun(g, cert.f):
             return False, "F is not a degenerate negative sun"

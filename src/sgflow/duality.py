@@ -64,9 +64,6 @@ class Face:
 
     states: tuple[tuple[int, int], ...]
 
-    def half_edges(self) -> tuple[int, ...]:
-        return tuple(h for h, _ in self.states)
-
 
 def _rot_step(eg: EmbeddedGraph, h: int, direction: int) -> int:
     rot = eg.rotation[eg.graph.halfedge_vertex(h)]
@@ -431,12 +428,6 @@ def k6_projective_embedding() -> EmbeddedGraph:
             rot.append(2 * e if a == key[0] else 2 * e + 1)
         rotation.append(tuple(rot))
     return EmbeddedGraph(g, tuple(rotation), tuple(edge_sign), PROJECTIVE)
-
-
-def build_ps() -> DualCorrespondence:
-    """The projective K6 embedding together with face orientations and a
-    relabelling under which its oriented dual is exactly canonical_ps()."""
-    return match_dual(k6_projective_embedding(), canonical_ps())
 
 
 # -- embedding text format -----------------------------------------------------------

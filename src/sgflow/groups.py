@@ -190,10 +190,6 @@ def is_flow(g: SignedGraph, tau: Orientation, f: Sequence[Elem], A: AbelianGroup
     return all(b == A.zero for b in boundary(g, tau, f, A))
 
 
-def is_nowhere_zero(f: Sequence[Elem], A: AbelianGroup) -> bool:
-    return all(v != A.zero for v in f)
-
-
 def is_A_boundary(A: AbelianGroup, beta: Sequence[Elem]) -> Optional[Elem]:
     """If sum(beta) = 2a for some a, return the lexicographically least
     such a; otherwise None."""

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import (DeskScaleError, SignedGraph, MINUS, PLUS, delete_edges,
+from .core import (DeskScaleError, SignedGraph, MINUS, PLUS, component_count,
                    is_balanced, spanning_forest)
 
 MAX_CYCLE_SPACE_DIM = 20
@@ -252,17 +252,10 @@ def find_theta(g: SignedGraph, x: int, y: int) -> Optional[Theta]:
     return Theta(x, y, (paths[0], paths[1], paths[2]))
 
 
-def _path_sign(g: SignedGraph, path: Sequence[int]) -> int:
-    s = 1
-    for e in path:
-        s *= g.sigma(e)
-    return s
-
-
 def positive_cycle_in_theta(g: SignedGraph, theta: Theta) -> CycleRef:
     """Some pair of the three paths closes a positive cycle: an odd number
     of negative pair-cycles is impossible since signs multiply out."""
-    signs = [_path_sign(g, p) for p in theta.paths]
+    signs = [cycle_sign(g, p) for p in theta.paths]
     for i, j in itertools.combinations(range(3), 2):
         if signs[i] * signs[j] == PLUS:
             return order_cycle(g, set(theta.paths[i]) | set(theta.paths[j]))
@@ -278,13 +271,10 @@ class ClosureResult:
     """Each step is (positive cycle C_i, newly absorbed edges W_i)."""
 
 
-def k_closure(g: SignedGraph, seed: Iterable[int], k: int,
-              cycles: Optional[Sequence[CycleRef]] = None) -> ClosureResult:
+def k_closure(g: SignedGraph, seed: Iterable[int], k: int) -> ClosureResult:
     """Least fixpoint of: absorb E(C) for any positive cycle C with
     1 <= |E(C) - S| <= k.  Order-independent; we scan shortest first."""
-    if cycles is None:
-        cycles = all_cycles(g)
-    positive = [c for c in cycles if c.sign == PLUS]
+    positive = [c for c in all_cycles(g) if c.sign == PLUS]
     cur = set(seed)
     steps: list[tuple[CycleRef, frozenset[int]]] = []
     changed = True
@@ -299,39 +289,35 @@ def k_closure(g: SignedGraph, seed: Iterable[int], k: int,
     return ClosureResult(frozenset(cur), steps)
 
 
-def is_k_base(g: SignedGraph, B: Iterable[int], k: int) -> bool:
-    return k_closure(g, B, k).closure == frozenset(range(g.m))
-
-
 # -- peripheral cycles --------------------------------------------------------------
 
 def is_peripheral(g: SignedGraph, c: CycleRef) -> bool:
     """Induced (chordless) and g - V(C) connected."""
     vc = set(c.vertices)
+    on_c = c.edge_set
+    outside = []
     for e, (u, v, _) in enumerate(g.edges):
-        if e not in c.edge_set and u in vc and v in vc:
-            return False  # chord
-    comps = g.components(skip_vertices=vc)
-    return len(comps) <= 1
+        if u in vc and v in vc:
+            if e not in on_c:
+                return False  # chord
+        elif u not in vc and v not in vc:
+            outside.append(e)
+    return component_count(g, outside, set(range(g.n)) - vc) <= 1
 
 
-def find_peripheral_cycle(
-    g: SignedGraph,
-    want_sign: Optional[int] = None,
-    require_unbalanced_complement: bool = False,
-    cycles: Optional[Sequence[CycleRef]] = None,
-) -> Optional[CycleRef]:
+def find_peripheral_cycle(g: SignedGraph, want_sign: Optional[int] = None,
+                          require_unbalanced_complement: bool = False
+                          ) -> Optional[CycleRef]:
     """First peripheral cycle of the requested sign, optionally with
     g - E(C) still unbalanced."""
-    if cycles is None:
-        cycles = all_cycles(g)
-    for c in cycles:
+    for c in all_cycles(g):
         if want_sign is not None and c.sign != want_sign:
             continue
         if not is_peripheral(g, c):
             continue
         if require_unbalanced_complement:
-            if is_balanced(delete_edges(g, c.edge_set).graph).balanced:
+            on_c = c.edge_set
+            if is_balanced(g, [e for e in range(g.m) if e not in on_c]).balanced:
                 continue
         return c
     return None

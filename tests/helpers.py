@@ -8,9 +8,12 @@ import random
 
 from typing import Optional, Sequence
 
+from hypothesis import strategies as st
+
 from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, delete_edges,
-                         edge_connectivity, is_k_unbalanced, spanning_forest,
-                         uncontract)
+                         edge_connectivity, is_balanced, is_k_unbalanced,
+                         spanning_forest, uncontract)
+from sgflow.decompose import _paths_between_degree_one
 from sgflow.duality import PROJECTIVE, to_default_orientation
 from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
@@ -33,6 +36,25 @@ def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 8,
             continue
         edges.append((u, v, MINUS if rng.random() < neg_prob else PLUS))
     return SignedGraph(n, tuple(edges))
+
+
+@st.composite
+def signed_multigraphs(draw):
+    """n = 1..9 vertices; loops of either sign, parallel edges, isolated
+    vertices and disconnected graphs all occur."""
+    n = draw(st.integers(1, 9))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
+                          max_size=14))
+    return SignedGraph(n, tuple(edges))
+
+
+@st.composite
+def graphs_with_edge_sets(draw):
+    """A signed multigraph and a random subset of its edges."""
+    g = draw(signed_multigraphs())
+    keep = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
+    return g, {e for e in range(g.m) if keep[e]}
 
 
 def host_with_sun(n: int) -> tuple[SignedGraph, NegativeSun]:
@@ -299,8 +321,127 @@ def reference_is_cubic_3connected(g: SignedGraph) -> bool:
     component count per pair (O(n^2 m))."""
     if g.n < 4 or any(g.degree(v) != 3 for v in range(g.n)):
         return False
-    return all(len(g.components(skip_vertices={u, v})) == 1
+    return all(len(components(g, skip_vertices={u, v})) == 1
                for u, v in itertools.combinations(range(g.n), 2))
+
+
+# -- connectivity by depth-first search ------------------------------------------
+# The DFS that sgflow used before every edge-set question went through the
+# union-find (core.spanning_forest), and the edge-set helpers of
+# sgflow.decompose as they were then: each builds the edge set as its own
+# graph and runs the DFS over all of g's vertices.  sgflow.core.component_count,
+# sgflow.decompose._is_2_connected_edge_set and improving_path must agree.
+
+def components(g: SignedGraph, skip_vertices=()) -> list[set[int]]:
+    """Vertex sets of the components of g minus skip_vertices (and the
+    edges at them), by depth-first search."""
+    skip_v = set(skip_vertices)
+    seen: set[int] = set()
+    comps = []
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)
+                                             if v not in skip_v}
+    for e, (u, w, _) in enumerate(g.edges):
+        if u in skip_v or w in skip_v:
+            continue
+        adj[u].append((e, w))
+        adj[w].append((e, u))
+    for s in adj:
+        if s in seen:
+            continue
+        comp = {s}
+        stack = [s]
+        seen.add(s)
+        while stack:
+            x = stack.pop()
+            for _, y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.add(y)
+                    stack.append(y)
+        comps.append(comp)
+    return comps
+
+
+def edge_subgraph(g: SignedGraph, es) -> SignedGraph:
+    """The edge set viewed as its own signed graph (vertices = the ends),
+    keeping g's vertex indexing so results translate back directly."""
+    return delete_edges(g, set(range(g.m)) - set(es)).graph
+
+
+def _edge_subgraph_vertices(g: SignedGraph, es) -> set[int]:
+    out = set()
+    for e in es:
+        u, v = g.ends(e)
+        out.add(u)
+        out.add(v)
+    return out
+
+
+def reference_is_2_connected_edge_set(g: SignedGraph, es) -> bool:
+    es = set(es)
+    verts = _edge_subgraph_vertices(g, es)
+    if len(verts) < 3:
+        # a digon (two parallel edges) counts as 2-connected; a single
+        # edge or nothing does not
+        pairs = {}
+        for e in es:
+            key = tuple(sorted(g.ends(e)))
+            pairs[key] = pairs.get(key, 0) + 1
+        return any(c >= 2 for c in pairs.values())
+    sub = edge_subgraph(g, es)
+    if len([c for c in components(sub) if any(v in verts for v in c)]) != 1:
+        return False
+    for v in verts:
+        comps = components(sub, skip_vertices={v})
+        if len([c for c in comps if c & verts]) > 1:
+            return False
+    return True
+
+
+def _bridges_of_removed_path(g: SignedGraph, c_edges: set[int],
+                             path: Sequence[int]) -> list[frozenset[int]]:
+    """Edge sets of the non-trivial components of C - E(P)."""
+    rest = c_edges - set(path)
+    if not rest:
+        return []
+    sub = edge_subgraph(g, rest)
+    comps = components(sub)
+    out = []
+    for comp in comps:
+        es = frozenset(e for e in rest if set(g.ends(e)) <= comp)
+        if es:
+            out.append(es)
+    return out
+
+
+def reference_improving_path(g: SignedGraph, c_edges: set[int],
+                             protect_negative: bool = False
+                             ) -> tuple[int, ...]:
+    """A path between two degree-1 vertices of C leaving at most one
+    bridge; with protect_negative, the remainder C - E(P) must stay
+    unbalanced (the surviving bridge carries a negative cycle).
+
+    Candidates are ranked by the lexicographic bridge-size order from the
+    decomposition arguments (largest surviving bridge first)."""
+    best: Optional[tuple] = None
+    for path in _paths_between_degree_one(g, c_edges):
+        bridges = _bridges_of_removed_path(g, c_edges, path)
+        if len(bridges) > 1:
+            continue
+        if protect_negative:
+            if not bridges or is_balanced(edge_subgraph(g, bridges[0])
+                                          ).balanced:
+                continue
+        size = 0
+        if bridges:
+            size = len(bridges[0]) + len(_edge_subgraph_vertices(g, bridges[0]))
+        key = (-size, len(path), path)
+        if best is None or key < best[0]:
+            best = (key, path)
+    if best is None:
+        raise ValueError("no improving path exists"
+                         + (" with unbalanced remainder" if protect_negative else ""))
+    return best[1]
 
 
 def coloring_from_flow(eg, dual, f, A) -> list:

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (brute_edge_connectivity, brute_frustration_index,
+                     components, edge_subgraph, graphs_with_edge_sets,
                      random_connected_graph, reference_is_cubic_3connected,
-                     uncontract_edges)
-from sgflow.core import (MINUS, PLUS, EdgeCut, Orientation, SignedGraph,
-                         contract, delete_edges, delta, edge_connectivity,
-                         format_sg, is_balanced, is_cubic_3connected,
-                         is_cyclically_k_edge_connected, is_k_unbalanced,
-                         min_negative_edges, parse_sg, signatures_equivalent,
-                         switch_at, switch_on_set)
+                     signed_multigraphs, uncontract_edges)
+from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph,
+                         component_count, contract, delete_edges, delta,
+                         edge_connectivity, format_sg, is_balanced,
+                         is_cubic_3connected, is_cyclically_k_edge_connected,
+                         is_k_unbalanced, min_negative_edges, parse_sg,
+                         signatures_equivalent, switch_at, switch_on_set)
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
-from sgflow.structures import cycle_sign
+from sgflow.structures import cycle_sign, order_cycle
 
 
 def test_parse_format_round_trip():
@@ -85,17 +86,6 @@ def test_edge_connectivity_values():
     assert edge_connectivity(k4()) == 3
 
 
-@st.composite
-def signed_multigraphs(draw):
-    """n = 1..9 vertices; loops of either sign, parallel edges and
-    disconnected graphs all occur."""
-    n = draw(st.integers(1, 9))
-    end = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
-                          max_size=14))
-    return SignedGraph(n, tuple(edges))
-
-
 @settings(max_examples=300, deadline=None)
 @given(signed_multigraphs())
 def test_min_negative_edges_matches_switching_scan(g):
@@ -110,6 +100,36 @@ def test_min_negative_edges_matches_switching_scan(g):
 @given(signed_multigraphs())
 def test_edge_connectivity_matches_bipartition_scan(g):
     assert edge_connectivity(g) == brute_edge_connectivity(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_edge_sets(), st.data())
+def test_component_count_matches_dfs(case, data):
+    # kills an off-by-one in the forest count and loops taken as forest edges
+    g, es = case
+    sub = edge_subgraph(g, es)
+    assert component_count(g, es, range(g.n)) == len(components(sub))
+    # on a vertex subset, with the edges inside it
+    keep = set(data.draw(st.sets(st.integers(0, g.n - 1))))
+    inside = [e for e in es if set(g.ends(e)) <= keep]
+    assert component_count(g, inside, keep) == len(
+        components(sub, skip_vertices=set(range(g.n)) - keep))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_edge_sets())
+def test_is_balanced_on_an_edge_set_matches_the_subgraph(case):
+    # kills a colouring that reads edges outside the set
+    g, es = case
+    res = is_balanced(g, es)
+    assert res.balanced == is_balanced(edge_subgraph(g, es)).balanced
+    if res.balanced:
+        flip = res.switching_set
+        assert all(s == PLUS for u, v, s in (switch_on_set(g, flip).edges[e]
+                                               for e in es))
+    else:
+        cycle = order_cycle(g, res.negative_cycle)
+        assert cycle.edge_set <= es and cycle.sign == MINUS
 
 
 @st.composite
@@ -138,11 +158,11 @@ def test_cyclic_edge_connectivity():
 def test_delta_and_edge_cut():
     g = k4()
     side = {0, 1}
-    cut = EdgeCut.from_side(g, side)
-    cut.validate(g)
-    assert cut.cut_edges == frozenset(delta(g, side))
+    cut = delta(g, side)
+    assert all((u in side) != (v in side) for u, v, _ in
+               (g.edges[e] for e in cut))
     # K4: each of 0,1 has two edges leaving {0,1}
-    assert len(cut.cut_edges) == 4
+    assert len(cut) == 4
 
 
 def test_contract_positive_edge_merges_ends():
@@ -150,7 +170,8 @@ def test_contract_positive_edge_merges_ends():
     res = contract(g, 0)
     assert res.graph.n == 3 and res.graph.m == 5
     # the two former (0,3),(1,3) edges become parallel
-    assert len(res.graph.edges_between(res.vertex_map[0], res.vertex_map[3])) == 2
+    ends = {res.vertex_map[0], res.vertex_map[3]}
+    assert sum({u, v} == ends for u, v, _ in res.graph.edges) == 2
 
 
 def test_delete_edges_reindexes_with_edge_map():

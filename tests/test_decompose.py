@@ -3,18 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import (graphs_with_edge_sets, reference_improving_path,
+                     reference_is_2_connected_edge_set)
 from sgflow.core import (MINUS, PLUS, DeskScaleError, HypothesisError,
                          SignedGraph)
 from sgflow.decompose import (BASE_SUN, TREE_2BASE, WorkingPartition,
+                              _is_2_connected_edge_set,
                               check_working_partition, decompose_base_sun,
                               decompose_general, decompose_tree_2base,
                               format_certificate, has_two_disjoint_cycles,
-                              parse_certificate, verify_partition,
-                              violating_balanced_cut)
+                              improving_path, parse_certificate,
+                              verify_partition, violating_balanced_cut)
 from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
                                petersen_2neg, random_cubic_3connected)
-from sgflow.structures import as_negative_sun, is_k_base, k_closure
+from sgflow.structures import as_negative_sun, k_closure
 
 
 def test_tree_2base_on_named_graphs():
@@ -23,7 +27,7 @@ def test_tree_2base_on_named_graphs():
         ok, why = verify_partition(g, cert)
         assert ok, why
         assert len(cert.x1) == g.n - 1  # spanning tree
-        assert is_k_base(g, cert.x2, 2)
+        assert k_closure(g, cert.x2, 2).closure == frozenset(range(g.m))
         assert cert.x1 | cert.x2 == frozenset(range(g.m))
         assert not (cert.x1 & cert.x2)
 
@@ -138,3 +142,39 @@ def test_check_working_partition_names_the_broken_invariant(tag, g, mode, a,
         check_working_partition(g, WorkingPartition(set(a), set(b), set(c)),
                                 mode)
     assert str(info.value) == tag
+
+
+# -- edge-set helpers against the subgraph-building versions ----------------------
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_edge_sets())
+def test_2_connectivity_of_an_edge_set_matches_the_reference(case):
+    # kills a 2-connectivity loop that keeps the removed vertex or its edges
+    g, es = case
+    assert _is_2_connected_edge_set(g, es) == reference_is_2_connected_edge_set(
+        g, es)
+
+
+def _outcome(find, *args):
+    try:
+        return find(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_edge_sets(), st.booleans())
+def test_improving_path_matches_the_reference(case, protect_negative):
+    # kills a bridge count that lets two components through
+    g, es = case
+    assert (_outcome(improving_path, g, es, protect_negative)
+            == _outcome(reference_improving_path, g, es, protect_negative))
+
+
+def test_improving_path_ranks_bridges_by_edges_and_vertices():
+    # paths 0-3-2-5 (edges 3, 1, 4) and 1-4-2-5 (edges 5, 0, 4) both leave
+    # three edges: a digon with a pendant edge on three vertices, or a path
+    # on four; the bridge on more vertices wins
+    g = SignedGraph(6, ((4, 2, PLUS), (2, 3, MINUS), (2, 4, PLUS),
+                        (3, 0, PLUS), (5, 2, PLUS), (4, 1, PLUS)))
+    assert improving_path(g, set(range(g.m))) == (5, 0, 4)

@@ -13,8 +13,8 @@ from helpers import CUBIC_GRAPHS, REFERENCE_INTEGERS, brute_boundaries, \
 from sgflow.core import DeskScaleError, MINUS, PLUS, Orientation, SignedGraph
 from sgflow.flows import z2_to_3flow
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
-from sgflow.groups import boundary, integer_boundary, is_A_boundary, is_flow, \
-    is_nowhere_zero, parse_group
+from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
+                           parse_group)
 from sgflow.oracle import (MAX_EXACT_VERTICES, _INTEGERS, _OverBudget,
                            _group_codes, _search, _search_group, has_nz_A_flow,
                            has_nz_k_flow, is_A_connected, satisfy_boundary)
@@ -46,7 +46,7 @@ def test_satisfy_boundary_respects_forbidden_map():
         fbar = [random_elem(rng, A) for _ in range(g.m)]
         f = satisfy_boundary(g, A, [A.zero] * g.n, fbar=fbar)
         assert f is not None
-        assert is_nowhere_zero(f, A)
+        assert A.zero not in f
         assert all(f[e] != fbar[e] for e in range(g.m))
         assert is_flow(g, Orientation.default(g), f, A)
 

@@ -4,13 +4,16 @@ dependency)."""
 import ast
 import importlib
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 
 import sgflow
 
 SRC = Path(sgflow.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
-TRACER = TESTS.parent / "perfbench" / "tracer.py"
+PERFBENCH = TESTS.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _unused_imports(tree: ast.AST) -> list[str]:
@@ -60,3 +63,77 @@ def test_benchmark_tracer_names_resolve():
                if not callable(getattr(importlib.import_module(
                    f"sgflow.{layer}"), name, None))]
     assert missing == []
+
+
+# Definitions under src/ that nothing in src/ or perfbench/ names, on purpose.
+UNREFERENCED_ALLOWED = {
+    "find_theta": "ROADMAP item 1, step 2 takes the closure steps from thetas",
+    "positive_cycle_in_theta": "the same step reads the positive cycle off",
+    "__version__": "package metadata, read by tools rather than by code",
+}
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and assigned names, and the methods of
+    top-level classes; methods named __x__ are hooks the language calls."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, ast.Assign):
+            out += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            out.append(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            out += [m.name for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return out
+
+
+def _names_read(tree: ast.Module) -> Counter:
+    """Every name read, attribute and imported name, and the words of every
+    string that is not a docstring (the benchmark's tracer looks functions
+    up by strings)."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def _unreferenced(defining: list[ast.Module], reading: list[ast.Module]
+                  ) -> list[str]:
+    read: Counter = Counter()
+    for tree in reading:
+        read.update(_names_read(tree))
+    return sorted({name for tree in defining for name in _definitions(tree)
+                   if not read[name]})
+
+
+def test_unreferenced_definition_scan_sees_an_unused_name():
+    lib = ast.parse('"""Doc naming unused."""\nLIMIT = 3\nSPARE = 4\n\n\n'
+                    "def used():\n    return LIMIT\n\n\n"
+                    "def unused():\n    return used()\n\n\n"
+                    "class Box:\n    def __len__(self):\n        return 0\n\n"
+                    "    def size(self):\n        return 1\n")
+    user = ast.parse('SPANS = ("Box",)\n')
+    assert _unreferenced([lib], [lib, user]) == ["SPARE", "size", "unused"]
+
+
+def test_every_definition_under_src_is_named_in_src_or_perfbench():
+    lib = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(path.read_text())
+             for path in sorted(PERFBENCH.glob("*.py"))]
+    assert _unreferenced(lib, lib + bench) == sorted(UNREFERENCED_ALLOWED)

@@ -11,7 +11,7 @@ from sgflow.generators import petersen
 from sgflow.structures import (all_cycles, as_negative_sun,
                                build_negative_sun, cycle_sign,
                                cycles_within, find_theta,
-                               fundamental_cycle, is_k_base, is_peripheral,
+                               fundamental_cycle, is_peripheral,
                                k_closure, order_cycle,
                                positive_cycle_in_theta)
 
@@ -116,8 +116,10 @@ def test_k_closure_steps_are_disjoint_and_grounded():
 
 def test_is_k_base_on_petersen():
     g = petersen(all_positive=True)
-    assert is_k_base(g, range(g.m), 2)
-    assert not is_k_base(g, range(5), 2)  # the outer cycle closes to itself only
+    every = frozenset(range(g.m))
+    assert k_closure(g, range(g.m), 2).closure == every
+    # the outer cycle closes to itself only
+    assert k_closure(g, range(5), 2).closure != every
 
 
 def test_peripheral_cycles_in_petersen():
