@@ -12,22 +12,20 @@ from old to new indices.
 Questions about an edge set of g take the set as data over g's own indices,
 so no subgraph is built to answer them: spanning_forest is the one
 union-find, component_count counts components with it, and is_balanced
-colours only the listed edges.
+colours only the listed edges.  Edge cuts of at most four edges are read
+off XOR labels over a spanning tree (small_cuts), not found by scanning
+vertex subsets.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 PLUS = 1
 MINUS = -1
-
-# Exhaustive vertex-subset scans refuse larger inputs rather than silently
-# degrade.
-DESK_VERTEX_LIMIT = 16
-
 
 class DeskScaleError(Exception):
     """Input exceeds the configured limits for an exhaustive routine."""
@@ -134,13 +132,6 @@ def component_count(g: SignedGraph, edges: Iterable[int],
     return len(vertices) - len(spanning_forest(g, edges))
 
 
-def checked_desk_scale(g: SignedGraph) -> None:
-    """Refuse graphs whose 2^n vertex subsets are too many to scan."""
-    if g.n > DESK_VERTEX_LIMIT:
-        raise DeskScaleError(f"graph with {g.n} vertices exceeds the limit"
-                             f" of {DESK_VERTEX_LIMIT} vertices")
-
-
 @dataclass(frozen=True)
 class Orientation:
     """A direction bit per half-edge: tau(h) = +1 iff h points away from its vertex.
@@ -168,12 +159,6 @@ class Orientation:
         for e in range(g.m):
             if self.tau[2 * e] * self.tau[2 * e + 1] != -g.sigma(e):
                 raise ValueError(f"orientation inconsistent with sign on edge {e}")
-
-
-def delta(g: SignedGraph, side: Iterable[int]) -> list[int]:
-    """delta(X): edges with exactly one endpoint in X.  Loops never qualify."""
-    s = set(side)
-    return [e for e, (u, v, _) in enumerate(g.edges) if (u in s) != (v in s)]
 
 
 # -- switching ------------------------------------------------------------
@@ -397,18 +382,113 @@ def _has_cycle(g: SignedGraph, vertices: set[int]) -> bool:
     return len(spanning_forest(g, es)) < len(es)
 
 
+def _tree_order(g: SignedGraph, forest: Iterable[int], root: int
+                ) -> tuple[list[int], list[int]]:
+    """The vertices of root's tree in the forest, in breadth-first order,
+    and each vertex's edge to its parent (-1 at the root and off the tree)."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for e in forest:
+        u, v, _ = g.edges[e]
+        adj[u].append(e)
+        adj[v].append(e)
+    up = [-1] * g.n
+    order = [root]
+    for x in order:
+        for e in adj[x]:
+            if e != up[x]:
+                y = g.other_end(e, x)
+                up[y] = e
+                order.append(y)
+    return order, up
+
+
+def small_cuts(g: SignedGraph, k: int
+               ) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+    """Each nonempty edge cut delta(X) of at most k <= 4 edges of a
+    connected g, once, as its edges in increasing order and its side X,
+    the side without vertex 0.
+
+    An edge set is a cut exactly when it meets every fundamental cycle of
+    a spanning tree an even number of times.  So each cotree edge gets a
+    bit of its own, and each tree edge the XOR of the bits of the cotree
+    edges whose fundamental cycle runs through it, which is the XOR over
+    its subtree of the bits at each vertex: a set of edges is a cut
+    exactly when its labels XOR to 0 (Pritchard and Thurimella, "Fast
+    computation of small cuts via cycle space sampling", ACM TALG 2011,
+    without the sampling).  A cut of s edges is met once, as its first
+    s // 2 edges followed by a tail of later edges with the same XOR;
+    tails of one or two edges are bucketed by XOR, so the listing takes
+    O(m^2 log m) time plus O(n) per cut for X, the vertices whose tree
+    path from vertex 0 crosses the cut an odd number of times.
+    """
+    if k > 4:
+        raise ValueError(f"small_cuts lists cuts of at most 4 edges, not {k}")
+    forest = spanning_forest(g, range(g.m))
+    if len(forest) != g.n - 1:
+        raise ValueError("small_cuts needs a connected graph")
+    order, up = _tree_order(g, forest, 0)
+    label = [0] * g.m
+    below = [0] * g.n  # the bits at each vertex, then XORed over its subtree
+    bit = 1
+    in_forest = set(forest)
+    for e, (u, v, _) in enumerate(g.edges):
+        if e not in in_forest:
+            label[e] = bit
+            below[u] ^= bit
+            below[v] ^= bit  # a loop's bit cancels: it is on no tree edge
+            bit <<= 1
+    for x in reversed(order[1:]):
+        e = up[x]
+        label[e] = below[x]
+        below[g.other_end(e, x)] ^= below[x]
+
+    def xor(es: tuple[int, ...]) -> int:
+        out = 0
+        for e in es:
+            out ^= label[e]
+        return out
+
+    tails: dict[int, dict[int, list[tuple[int, ...]]]] = {}
+    for size in range(1, (k + 1) // 2 + 1):
+        tails[size] = {}
+        for tail in itertools.combinations(range(g.m), size):
+            tails[size].setdefault(xor(tail), []).append(tail)
+    for s in range(1, k + 1):
+        for head in itertools.combinations(range(g.m), s // 2):
+            bucket = tails[s - s // 2].get(xor(head), [])
+            # tails are sorted: skip those that do not start after the head
+            first = bisect.bisect_left(bucket, (head[-1] + 1,)) if head else 0
+            for tail in bucket[first:]:
+                cut = head + tail
+                odd = [False] * g.n
+                for x in order[1:]:
+                    e = up[x]
+                    odd[x] = odd[g.other_end(e, x)] != (e in cut)
+                yield cut, frozenset(v for v in range(g.n) if odd[v])
+
+
 def is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:
-    """No edge-cut of size < k separating two cycles (exhaustive bipartition scan)."""
-    checked_desk_scale(g)
-    for mask in range(1, 1 << (g.n - 1)):
-        side = {v for v in range(g.n - 1) if mask >> v & 1}
-        rest = set(range(g.n)) - side
-        cut = delta(g, side)
-        if len(cut) >= k:
-            continue
-        if _has_cycle(g, side) and _has_cycle(g, rest):
-            return False
-    return True
+    """No edge cut of fewer than k <= 5 edges has a cycle on each side.
+
+    The empty cut splits two components with cycles.  A lone component
+    with cycles answers for the graph, since the trees beside it lie on
+    no cycle; its cuts come from small_cuts."""
+    if k > 5:
+        raise ValueError(f"cyclic edge connectivity is decided for k <= 5,"
+                         f" not {k}")
+    forest = spanning_forest(g, range(g.m))
+    cotree = set(range(g.m)).difference(forest)
+    if not cotree:
+        return True
+    comp, _ = _tree_order(g, forest, g.edges[min(cotree)][0])
+    index = {v: i for i, v in enumerate(sorted(comp))}
+    if any(g.edges[e][0] not in index for e in cotree):
+        return k < 1
+    h = SignedGraph(len(index), tuple((index[u], index[v], s)
+                                      for u, v, s in g.edges if u in index))
+    every = frozenset(range(h.n))
+    return not any(_has_cycle(h, x) and _has_cycle(h, every - x)
+                   for _, x in small_cuts(h, k - 1))
 
 
 # -- minor operations -------------------------------------------------------

@@ -26,12 +26,14 @@ listed edges, and no subgraph is built.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional
 
 from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
-                   checked_desk_scale, component_count, delta, is_balanced,
-                   is_cubic_3connected, spanning_forest)
+                   component_count, is_balanced, is_cubic_3connected,
+                   is_cyclically_k_edge_connected, small_cuts,
+                   spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
                          cycles_within, find_peripheral_cycle, k_closure)
 
@@ -192,40 +194,46 @@ def _induced_edges(g: SignedGraph, x: set[int]) -> list[int]:
 def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int]]:
     """A vertex set X with G[X] balanced and either |X| >= 2, |delta(X)| = 3,
     or |X| >= 3, |delta(X)| = 4 and G[X] plane-embeddable with its degree-2
-    vertices on a common face.  None if no such X exists.  Scans every
-    vertex subset, so graphs past desk scale raise DeskScaleError."""
-    checked_desk_scale(g)
+    vertices on a common face.  None if no such X exists.  g must be
+    connected.
+
+    Both sides of every 3- and 4-edge cut (core.small_cuts) are tried in
+    increasing order of sum(2^v over X), so the X returned is the first
+    one a scan of every vertex subset in binary order would meet."""
+    every = frozenset(range(g.n))
+    sides = []
+    for cut, x in small_cuts(g, 4):
+        k = len(cut)
+        if k >= 3:
+            # at least 2 vertices for a 3-cut, 3 for a 4-cut
+            sides += [(sum(1 << v for v in side), side, k)
+                      for side in (x, every - x) if len(side) >= k - 1]
+    sides.sort(key=operator.itemgetter(0))
+    for _, x, k in sides:
+        inside = _induced_edges(g, x)
+        if is_balanced(g, inside).balanced and (
+                k == 3 or _plane_with_degree_2_outside(g, x, inside)):
+            return x, k
+    return None
+
+
+def _plane_with_degree_2_outside(g: SignedGraph, x: frozenset[int],
+                                 inside: list[int]) -> bool:
+    """G[X] has a plane embedding with its degree-2 vertices on the outer
+    face: planarity after adding an apex joined to those vertices."""
     import networkx as nx
 
-    for mask in range(1, 1 << g.n):
-        x = {v for v in range(g.n) if mask >> v & 1}
-        if len(x) < 2 or len(x) == g.n:
-            continue
-        cut = delta(g, x)
-        if len(cut) not in (3, 4):
-            continue
-        if len(cut) == 4 and len(x) < 3:
-            continue
-        inside = _induced_edges(g, x)
-        if not is_balanced(g, inside).balanced:
-            continue
-        if len(cut) == 3:
-            return frozenset(x), 3
-        # 4-cut: plane embedding with degree-2 vertices on the outer face
-        # == planarity after adding an apex joined to those vertices
-        nxg = nx.MultiGraph()
-        nxg.add_nodes_from(x)
-        for e in inside:
-            u, v = g.ends(e)
-            nxg.add_edge(u, v)
-        deg2 = [v for v in x if nxg.degree(v) == 2]
-        apex = -1
-        for v in deg2:
-            nxg.add_edge(apex, v)
-        ok, _ = nx.check_planarity(nxg)
-        if ok:
-            return frozenset(x), 4
-    return None
+    nxg = nx.MultiGraph()
+    nxg.add_nodes_from(x)
+    for e in inside:
+        u, v = g.ends(e)
+        nxg.add_edge(u, v)
+    deg2 = [v for v in x if nxg.degree(v) == 2]
+    apex = -1
+    for v in deg2:
+        nxg.add_edge(apex, v)
+    ok, _ = nx.check_planarity(nxg)
+    return ok
 
 
 def has_two_disjoint_cycles(g: SignedGraph, want_negative: bool = False
@@ -346,7 +354,7 @@ def decompose_general(g: SignedGraph) -> PartitionCertificate:
     length at most 5."""
     _check_cubic_3connected(g)
     cycles = all_cycles(g)
-    if not _cyclically_4ec(g):
+    if not is_cyclically_k_edge_connected(g, 4):
         raise ValueError("graph is not cyclically 4-edge-connected")
     # A short positive cycle violates the stated precondition, but the
     # dispatch below often succeeds regardless; keep the witness and only
@@ -395,12 +403,6 @@ def _decompose_general_dispatch(g: SignedGraph) -> PartitionCertificate:
     return PartitionCertificate(GENERAL, base.x1, base.x2, base.f)
 
 
-def _cyclically_4ec(g: SignedGraph) -> bool:
-    from .core import is_cyclically_k_edge_connected
-
-    return is_cyclically_k_edge_connected(g, 4)
-
-
 # -- degenerate sun shape -----------------------------------------------------------------
 
 def is_degenerate_sun(g: SignedGraph, es: Iterable[int]) -> bool:
@@ -437,7 +439,10 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
     if cert.x1 & cert.x2 or cert.x1 | cert.x2 != frozenset(range(g.m)):
         return False, "X1, X2 do not partition E"
     if cert.mode == TREE_2BASE:
-        if len(cert.x1) != g.n - 1 or not _spans_and_connected(g, cert.x1):
+        # n - 1 edges in one component: a spanning tree, the empty one on
+        # a lone vertex included
+        if (len(cert.x1) != g.n - 1
+                or component_count(g, cert.x1, range(g.n)) != 1):
             return False, "X1 not spanning tree"
         if k_closure(g, cert.x2, 2).closure != frozenset(range(g.m)):
             return False, "2-closure of X2 is not E"

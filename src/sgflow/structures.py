@@ -28,8 +28,9 @@ class CycleRef:
     vertices: tuple[int, ...]  # vertices[i] is shared by edges[i-1], edges[i]
     sign: int
 
-    @property
+    @functools.cached_property
     def edge_set(self) -> frozenset[int]:
+        # kept in the instance dict, outside the fields that eq and hash read
         return frozenset(self.edges)
 
     def __len__(self) -> int:

@@ -10,11 +10,12 @@ from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
-from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, delete_edges,
-                         edge_connectivity, is_balanced, is_k_unbalanced,
-                         spanning_forest, uncontract)
-from sgflow.decompose import _paths_between_degree_one
+from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, _has_cycle,
+                         delete_edges, edge_connectivity, is_balanced,
+                         is_k_unbalanced, spanning_forest, uncontract)
+from sgflow.decompose import _induced_edges, _paths_between_degree_one
 from sgflow.duality import PROJECTIVE, to_default_orientation
+from sgflow.generators import random_cubic_3connected
 from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
                                order_cycle)
@@ -47,6 +48,40 @@ def signed_multigraphs(draw):
     edges = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
                           max_size=14))
     return SignedGraph(n, tuple(edges))
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """n = 1..8 vertices: a random tree plus random extra edges, loops of
+    either sign and parallel edges among them."""
+    n = draw(st.integers(1, 8))
+    tree = [(draw(st.integers(0, v - 1)), v, PLUS) for v in range(1, n)]
+    end = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
+                          max_size=8))
+    edges = draw(st.permutations(tree + extra))
+    return SignedGraph(n, tuple(edges))
+
+
+@st.composite
+def signed_cubic_3connected(draw, n_hi: int = 12):
+    """A random cubic 3-connected graph on 4..n_hi vertices with random
+    signs."""
+    n = draw(st.sampled_from(range(4, n_hi + 1, 2)))
+    g = random_cubic_3connected(n, draw(st.randoms(use_true_random=False)))
+    return g.with_signs(draw(st.lists(st.sampled_from((PLUS, MINUS)),
+                                      min_size=g.m, max_size=g.m)))
+
+
+def circular_ladder(rungs: int, negative_rim: bool = False) -> SignedGraph:
+    """The prism over a cycle of the given length: rim u_i = i, rim
+    v_i = rungs + i, rung u_i v_i.  With negative_rim every edge of the u
+    rim is negative, so every 4-cycle (square) is negative."""
+    sign = MINUS if negative_rim else PLUS
+    edges = [(i, (i + 1) % rungs, sign) for i in range(rungs)]
+    edges += [(rungs + i, rungs + (i + 1) % rungs, PLUS) for i in range(rungs)]
+    edges += [(i, rungs + i, PLUS) for i in range(rungs)]
+    return SignedGraph(2 * rungs, tuple(edges))
 
 
 @st.composite
@@ -157,6 +192,63 @@ def brute_edge_connectivity(g: SignedGraph) -> int:
         best = min(best, sum((mask >> u & 1) != (mask >> v & 1)
                              for u, v, _ in g.edges))
     return best
+
+
+def delta(g: SignedGraph, side) -> list[int]:
+    """delta(X): edges with exactly one endpoint in X.  Loops never qualify."""
+    s = set(side)
+    return [e for e, (u, v, _) in enumerate(g.edges) if (u in s) != (v in s)]
+
+
+# The vertex-subset scans that sgflow.core.small_cuts replaced, as they were
+# but for the vertex limit they checked; violating_balanced_cut and
+# is_cyclically_k_edge_connected must return what they return.
+
+def reference_violating_balanced_cut(g: SignedGraph):
+    import networkx as nx
+
+    for mask in range(1, 1 << g.n):
+        x = {v for v in range(g.n) if mask >> v & 1}
+        if len(x) < 2 or len(x) == g.n:
+            continue
+        cut = delta(g, x)
+        if len(cut) not in (3, 4):
+            continue
+        if len(cut) == 4 and len(x) < 3:
+            continue
+        inside = _induced_edges(g, x)
+        if not is_balanced(g, inside).balanced:
+            continue
+        if len(cut) == 3:
+            return frozenset(x), 3
+        # 4-cut: plane embedding with degree-2 vertices on the outer face
+        # == planarity after adding an apex joined to those vertices
+        nxg = nx.MultiGraph()
+        nxg.add_nodes_from(x)
+        for e in inside:
+            u, v = g.ends(e)
+            nxg.add_edge(u, v)
+        deg2 = [v for v in x if nxg.degree(v) == 2]
+        apex = -1
+        for v in deg2:
+            nxg.add_edge(apex, v)
+        ok, _ = nx.check_planarity(nxg)
+        if ok:
+            return frozenset(x), 4
+    return None
+
+
+def reference_is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:
+    """No edge-cut of size < k separating two cycles (exhaustive bipartition scan)."""
+    for mask in range(1, 1 << (g.n - 1)):
+        side = {v for v in range(g.n - 1) if mask >> v & 1}
+        rest = set(range(g.n)) - side
+        cut = delta(g, side)
+        if len(cut) >= k:
+            continue
+        if _has_cycle(g, side) and _has_cycle(g, rest):
+            return False
+    return True
 
 
 def brute_boundaries(g: SignedGraph, tau, domains, zero, add, neg) -> set:

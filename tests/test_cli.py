@@ -11,7 +11,7 @@ import pytest
 import sgflow
 from helpers import CUBIC_GRAPHS, theorem_instances
 from sgflow.cli import main
-from sgflow.core import format_sg, parse_sg
+from sgflow.core import MINUS, PLUS, SignedGraph, format_sg, parse_sg
 from sgflow.duality import format_emb, k6_projective_embedding
 from sgflow.generators import GENERATORS, k4_negative_triangle, negsun, \
     petersen, petersen_2neg
@@ -80,6 +80,18 @@ def test_decompose_then_verify_round_trip(tmp_path, capsys):
     cpath.write_text(out)
     code, out, _ = run(capsys, "verify", str(cpath), gpath)
     assert code == 0 and out.strip() == "OK"
+
+
+def test_verify_accepts_the_empty_spanning_tree_of_one_vertex(tmp_path,
+                                                             capsys):
+    gpath = write_graph(tmp_path, SignedGraph(1, ((0, 0, MINUS),
+                                                  (0, 0, PLUS))))
+    cpath = tmp_path / "cert.txt"
+    for x1, x2, want in (("", "1 2", (0, "OK")),
+                         ("1", "2", (1, "FAIL X1 not spanning tree"))):
+        cpath.write_text(f"part tree-2base\nX1: {x1}\nX2: {x2}\nF:\n")
+        code, out, _ = run(capsys, "verify", str(cpath), gpath)
+        assert (code, out.strip()) == want
 
 
 def test_connect_then_verify_round_trip(tmp_path, capsys):

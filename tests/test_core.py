@@ -5,16 +5,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (brute_edge_connectivity, brute_frustration_index,
-                     components, edge_subgraph, graphs_with_edge_sets,
-                     random_connected_graph, reference_is_cubic_3connected,
-                     signed_multigraphs, uncontract_edges)
+from helpers import (CUBIC_GRAPHS, brute_edge_connectivity,
+                     brute_frustration_index, components,
+                     connected_multigraphs, delta, edge_subgraph,
+                     graphs_with_edge_sets, random_connected_graph,
+                     reference_is_cubic_3connected,
+                     reference_is_cyclically_k_edge_connected,
+                     signed_cubic_3connected, signed_multigraphs,
+                     uncontract_edges)
 from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph,
-                         component_count, contract, delete_edges, delta,
+                         component_count, contract, delete_edges,
                          edge_connectivity, format_sg, is_balanced,
                          is_cubic_3connected, is_cyclically_k_edge_connected,
                          is_k_unbalanced, min_negative_edges, parse_sg,
-                         signatures_equivalent, switch_at, switch_on_set)
+                         signatures_equivalent, small_cuts, switch_at,
+                         switch_on_set)
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
 from sgflow.structures import cycle_sign, order_cycle
 
@@ -153,6 +158,51 @@ def test_cubic_3connectivity_matches_vertex_pair_scan(g):
 
 def test_cyclic_edge_connectivity():
     assert is_cyclically_k_edge_connected(petersen(all_positive=True), 4)
+    with pytest.raises(ValueError, match="k <= 5"):
+        is_cyclically_k_edge_connected(petersen(), 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_multigraphs(), st.integers(0, 5))
+def test_cyclic_connectivity_matches_the_bipartition_scan(g, k):
+    # disconnected graphs with loops: two components with cycles, or one
+    assert (is_cyclically_k_edge_connected(g, k)
+            == reference_is_cyclically_k_edge_connected(g, k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_cubic_3connected(), st.integers(3, 5))
+def test_cyclic_connectivity_on_cubic_graphs_matches_the_scan(g, k):
+    assert (is_cyclically_k_edge_connected(g, k)
+            == reference_is_cyclically_k_edge_connected(g, k))
+
+
+@pytest.mark.parametrize("name", sorted(CUBIC_GRAPHS))
+def test_cyclic_connectivity_of_the_small_cubic_graphs(name):
+    g = CUBIC_GRAPHS[name]
+    for k in range(6):
+        assert (is_cyclically_k_edge_connected(g, k)
+                == reference_is_cyclically_k_edge_connected(g, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_multigraphs(), st.integers(0, 4))
+def test_small_cuts_match_the_bipartition_scan(g, k):
+    # every side without vertex 0 whose cut has 1..k edges, once
+    want = []
+    for mask in range(0, 1 << g.n, 2):
+        side = frozenset(v for v in range(g.n) if mask >> v & 1)
+        cut = tuple(delta(g, side))
+        if 1 <= len(cut) <= k:
+            want.append((cut, side))
+    assert sorted(small_cuts(g, k), key=repr) == sorted(want, key=repr)
+
+
+def test_small_cuts_needs_a_connected_graph_and_k_at_most_4():
+    with pytest.raises(ValueError, match="connected"):
+        list(small_cuts(SignedGraph(2, ((0, 0, PLUS),)), 2))
+    with pytest.raises(ValueError, match="at most 4"):
+        list(small_cuts(k4(), 5))
 
 
 def test_delta_and_edge_cut():

@@ -5,10 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (graphs_with_edge_sets, reference_improving_path,
-                     reference_is_2_connected_edge_set)
-from sgflow.core import (MINUS, PLUS, DeskScaleError, HypothesisError,
-                         SignedGraph)
+from helpers import (CUBIC_GRAPHS, circular_ladder, graphs_with_edge_sets,
+                     reference_improving_path,
+                     reference_is_2_connected_edge_set,
+                     reference_violating_balanced_cut,
+                     signed_cubic_3connected, switching_classes)
+from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
+                         is_cyclically_k_edge_connected)
 from sgflow.decompose import (BASE_SUN, TREE_2BASE, WorkingPartition,
                               _is_2_connected_edge_set,
                               check_working_partition, decompose_base_sun,
@@ -94,10 +97,32 @@ def test_decompose_requires_cubic_3connected_input():
         decompose_tree_2base(negsun(4))
 
 
-def test_balanced_cut_scan_refuses_past_desk_scale():
-    g = random_cubic_3connected(18, random.Random(18))
-    with pytest.raises(DeskScaleError):
-        violating_balanced_cut(g)
+@settings(max_examples=150, deadline=None)
+@given(signed_cubic_3connected())
+def test_violating_balanced_cut_matches_the_subset_scan(g):
+    assert violating_balanced_cut(g) == reference_violating_balanced_cut(g)
+
+
+@pytest.mark.parametrize("name", sorted(CUBIC_GRAPHS))
+def test_violating_balanced_cut_on_every_switching_class(name):
+    for g in switching_classes(CUBIC_GRAPHS[name]):
+        assert violating_balanced_cut(g) == reference_violating_balanced_cut(g)
+
+
+@pytest.mark.parametrize("n", [18, 24])
+def test_small_cut_checks_answer_past_sixteen_vertices(n):
+    # n > 16 used to be refused with DeskScaleError.  The prism over a
+    # cycle has 4-edge cuts around blocks of consecutive rungs and no
+    # nontrivial 3-edge cut; the first square is the balanced side the
+    # scan meets first, unless every square is negative (answers checked
+    # against the scans on 5 and 6 rungs)
+    rungs = n // 2
+    g = circular_ladder(rungs)
+    assert violating_balanced_cut(g) == (frozenset({0, 1, rungs, rungs + 1}),
+                                         4)
+    assert violating_balanced_cut(circular_ladder(rungs, True)) is None
+    assert is_cyclically_k_edge_connected(g, 4)
+    assert not is_cyclically_k_edge_connected(g, 5)
 
 
 # -- working-partition invariants ---------------------------------------------------

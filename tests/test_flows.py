@@ -10,7 +10,8 @@ from helpers import host_with_sun, random_connected_graph, random_fbar
 from sgflow import flows
 from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
                          SignedGraph, is_k_unbalanced, parse_sg)
-from sgflow.decompose import decompose_base_sun
+from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
+                              violating_balanced_cut)
 from sgflow.duality import k6_projective_embedding, match_dual
 from sgflow.generators import (negsun, petersen, petersen_2neg,
                                random_cubic_3connected)
@@ -395,4 +396,21 @@ def test_connect_past_sixteen_vertices(n):
         A = parse_group(spec)
         cert = flows.connect(g, A, random_fbar(random.Random(n), A, g.m))
         assert cert.strategy == "composite"
+        assert flows.verify_avoidance(g, cert)
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_connect_prime_past_sixteen_vertices(n):
+    # the prime route's balanced-cut check used to refuse n > 16 with
+    # DeskScaleError
+    rng = random.Random(f"prime-past-the-wall:{n}")
+    while True:
+        g = _cubic_2unbalanced(n, rng.random())
+        if (has_two_disjoint_cycles(g, want_negative=True) is not None
+                and violating_balanced_cut(g) is None):
+            break
+    for spec in ("Z11", "Z13"):
+        A = parse_group(spec)
+        cert = flows.connect(g, A, random_fbar(random.Random(n), A, g.m))
+        assert cert.strategy == "prime"
         assert flows.verify_avoidance(g, cert)

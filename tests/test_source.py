@@ -52,6 +52,28 @@ def test_tests_have_no_unused_imports():
     assert _unused_imports_under(TESTS, "**/*.py") == {}
 
 
+# A loop over every vertex subset: exponential in n with no named budget.
+VERTEX_SUBSET_SCAN = re.compile(r"1\s*<<\s*\(?\s*g\.n\b")
+
+
+def _vertex_subset_scans(root: Path) -> list[str]:
+    return [f"{path.name}:{no}" for path in sorted(root.glob("*.py"))
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if VERTEX_SUBSET_SCAN.search(line)]
+
+
+def test_vertex_subset_scan_pattern():
+    for line in ("for mask in range(1, 1 << g.n):", "range(1 << (g.n - 1))",
+                 "x = 1<<g.n"):
+        assert VERTEX_SUBSET_SCAN.search(line), line
+    for line in ("1 << v", "1 << g.m", "1 << g.nodes", "g.n << 1"):
+        assert not VERTEX_SUBSET_SCAN.search(line), line
+
+
+def test_sgflow_has_no_vertex_subset_scan():
+    assert _vertex_subset_scans(SRC) == []
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's per-layer tracer looks each span up by name, so a
     # renamed or deleted function would break its --trace 1 runs
