@@ -14,7 +14,10 @@ so no subgraph is built to answer them: spanning_forest is the one
 union-find, component_count counts components with it, and is_balanced
 colours only the listed edges.  Edge cuts of at most four edges are read
 off XOR labels over a spanning tree (small_cuts), not found by scanning
-vertex subsets.
+vertex subsets.  Paths inside an edge set come from two searches over one
+(edge, neighbour) adjacency: shortest_path, breadth-first with ties broken
+by the listed edge order, and simple_paths, every simple path between two
+ends once.
 """
 
 from __future__ import annotations
@@ -132,6 +135,87 @@ def component_count(g: SignedGraph, edges: Iterable[int],
     return len(vertices) - len(spanning_forest(g, edges))
 
 
+def _adjacency(g: SignedGraph, edges: Iterable[int]
+               ) -> list[list[tuple[int, int]]]:
+    """Each vertex's (edge, neighbour) pairs over the listed edges, in the
+    order listed; loops are left out."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for e in edges:
+        u, v, _ = g.edges[e]
+        if u != v:
+            adj[u].append((e, v))
+            adj[v].append((e, u))
+    return adj
+
+
+def shortest_path(g: SignedGraph, edges: Iterable[int], sources: Iterable[int],
+                  targets: Iterable[int]
+                  ) -> Optional[tuple[int, list[int], int]]:
+    """A shortest path inside the edge set from a source to a target, as
+    (source, its edges in order, target), or None if there is none.
+
+    Breadth-first search from the sources in increasing order: each vertex
+    tries its edges in the order listed, and the first target reached ends
+    the search.  The path never re-enters a source, so it has at least one
+    edge and a vertex that is both is never reached; loops are skipped."""
+    adj = _adjacency(g, edges)
+    goal = set(targets)
+    queue = sorted(set(sources))
+    seen = set(queue)
+    prev: dict[int, tuple[int, int]] = {}  # vertex -> (parent vertex, edge)
+    for x in queue:  # the queue grows while it is read
+        for e, y in adj[x]:
+            if y in seen:
+                continue
+            prev[y] = (x, e)
+            if y in goal:
+                path = []
+                cur = y
+                while cur in prev:
+                    cur, pe = prev[cur]
+                    path.append(pe)
+                path.reverse()
+                return cur, path, y
+            seen.add(y)
+            queue.append(y)
+    return None
+
+
+def simple_paths(g: SignedGraph, edges: Iterable[int], ends: Iterable[int]
+                 ) -> Iterator[tuple[int, ...]]:
+    """Every simple path inside the edge set between two distinct vertices
+    of `ends` with no other end on it, as its edges in order, once each:
+    read from its lesser end.  Loops are skipped.
+
+    Depth-first search from each end but the greatest; a branch stops at
+    the first end it reaches, and yields when that end is the greater."""
+    adj = _adjacency(g, edges)
+    order = sorted(set(ends))
+    is_end = set(order)
+    for start in order[:-1]:
+        path: list[int] = []
+        on_path = {start}
+        stack = [(start, iter(adj[start]))]  # the path's vertices
+        while stack:
+            v, pairs = stack[-1]
+            for e, w in pairs:
+                if w in on_path:
+                    continue
+                if w in is_end:
+                    if w > start:
+                        yield (*path, e)
+                    continue
+                path.append(e)
+                on_path.add(w)
+                stack.append((w, iter(adj[w])))
+                break
+            else:
+                stack.pop()
+                on_path.discard(v)
+                if path:
+                    path.pop()
+
+
 @dataclass(frozen=True)
 class Orientation:
     """A direction bit per half-edge: tau(h) = +1 iff h points away from its vertex.
@@ -200,21 +284,19 @@ def is_balanced(g: SignedGraph, edges: Optional[Iterable[int]] = None
     """2-colouring over sign parity: assign s(v) so that s(u)s(v) = sigma(e)
     on every listed edge (all of g's by default), taken in the given order.
 
-    Balanced iff consistent; the switching set is {v: s(v) = -1}.  On
-    conflict, the tree path between the endpoints plus the offending edge
-    is a negative cycle.
+    Balanced iff consistent; the switching set is {v: s(v) = -1}.  A
+    negative loop is a negative cycle by itself; otherwise, on conflict,
+    the path between the endpoints in the search tree plus the offending
+    edge is one, in closed walk order.
     """
-    colour = [0] * g.n  # 0 unknown, else +-1
-    parent: dict[int, tuple[int, int]] = {}  # v -> (parent vertex, edge)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for e in range(g.m) if edges is None else edges:
+    es = range(g.m) if edges is None else list(edges)
+    for e in es:
         u, w, s = g.edges[e]
-        if u == w:
-            if s == MINUS:
-                return BalanceResult(False, negative_cycle=(e,))
-            continue
-        adj[u].append((e, w, s))
-        adj[w].append((e, u, s))
+        if u == w and s == MINUS:
+            return BalanceResult(False, negative_cycle=(e,))
+    adj = _adjacency(g, es)
+    colour = [0] * g.n  # 0 unknown, else +-1
+    tree: list[int] = []
     for root in range(g.n):
         if colour[root]:
             continue
@@ -222,32 +304,15 @@ def is_balanced(g: SignedGraph, edges: Optional[Iterable[int]] = None
         stack = [root]
         while stack:
             x = stack.pop()
-            for e, y, s in adj[x]:
-                want = colour[x] * s
+            for e, y in adj[x]:
+                want = colour[x] * g.edges[e][2]
                 if colour[y] == 0:
                     colour[y] = want
-                    parent[y] = (x, e)
+                    tree.append(e)
                     stack.append(y)
                 elif colour[y] != want:
-                    # negative cycle: tree paths from x and y to their LCA, plus e
-                    def path_up(a: int) -> list[tuple[int, int]]:
-                        out = []
-                        while a in parent:
-                            p, pe = parent[a]
-                            out.append((a, pe))
-                            a = p
-                        out.append((a, -1))
-                        return out
-                    px = path_up(x)
-                    py = path_up(y)
-                    vx = [a for a, _ in px]
-                    vy = {a: i for i, (a, _) in enumerate(py)}
-                    for i, a in enumerate(vx):
-                        if a in vy:
-                            cyc = [pe for _, pe in px[:i]] + [e]
-                            cyc += [pe for _, pe in reversed(py[:vy[a]])]
-                            return BalanceResult(False, negative_cycle=tuple(cyc))
-                    raise AssertionError("LCA not found")
+                    _, path, _ = shortest_path(g, tree, (x,), (y,))
+                    return BalanceResult(False, negative_cycle=(*path, e))
     return BalanceResult(True, switching_set=frozenset(v for v in range(g.n) if colour[v] == MINUS))
 
 
@@ -386,17 +451,12 @@ def _tree_order(g: SignedGraph, forest: Iterable[int], root: int
                 ) -> tuple[list[int], list[int]]:
     """The vertices of root's tree in the forest, in breadth-first order,
     and each vertex's edge to its parent (-1 at the root and off the tree)."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for e in forest:
-        u, v, _ = g.edges[e]
-        adj[u].append(e)
-        adj[v].append(e)
+    adj = _adjacency(g, forest)
     up = [-1] * g.n
     order = [root]
     for x in order:
-        for e in adj[x]:
+        for e, y in adj[x]:
             if e != up[x]:
-                y = g.other_end(e, x)
                 up[y] = e
                 order.append(y)
     return order, up

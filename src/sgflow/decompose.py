@@ -12,10 +12,11 @@ set with the invariants
   (e) B contains a cycle (a negative one in sun mode).
 
 Each round finds a path P through C between two of its degree-1 vertices
-that leaves at most one bridge (a non-isolated component of C - E(P)),
-moves the two end-edges of P into A and the rest of P into B, and shrinks
-C.  The tree/2-base mode runs until C is empty; the sun modes run until
-C is a negative sun, which becomes the protected edge set F.
+(core.simple_paths lists the candidates) that leaves at most one bridge (a
+non-isolated component of C - E(P)), moves the two end-edges of P into A
+and the rest of P into B, and shrinks C.  The tree/2-base mode runs until
+C is empty; the sun modes run until C is a negative sun, which becomes the
+protected edge set F.
 
 Every question about an edge set (is it connected, 2-connected, balanced)
 takes the set as data over g's own indices: core.component_count counts
@@ -32,7 +33,7 @@ from typing import Collection, Iterable, Optional
 
 from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
                    component_count, is_balanced, is_cubic_3connected,
-                   is_cyclically_k_edge_connected, small_cuts,
+                   is_cyclically_k_edge_connected, simple_paths, small_cuts,
                    spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
                          cycles_within, find_peripheral_cycle, k_closure)
@@ -103,10 +104,11 @@ def _check(ok: bool, tag: str) -> None:
         raise AssertionError(tag)
 
 
-def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
-                            require_cycle_in_b: bool = True) -> None:
-    """Check the loop invariants; raises AssertionError with the failing
-    property tag (also under python -O)."""
+def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str
+                            ) -> None:
+    """Check the loop invariants, property (e) only outside GENERAL mode;
+    raises AssertionError with the failing property tag (also under
+    python -O)."""
     _check(wp.a | wp.b | wp.c == set(range(g.m)), "partition does not cover E")
     _check(not (wp.a & wp.b or wp.a & wp.c or wp.b & wp.c), "parts overlap")
     _check(_is_2_connected_edge_set(g, wp.a | wp.b), "(a) A+B not 2-connected")
@@ -121,7 +123,7 @@ def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
         _check(not is_balanced(g, wp.a | wp.c).balanced, "(c) A+C has no negative cycle")
     closure = k_closure(g, wp.b, 2).closure
     _check(wp.a <= closure, "(d) 2-closure of B misses part of A")
-    if require_cycle_in_b:
+    if mode != GENERAL:
         # an edge left out of a spanning forest closes a cycle
         _check(len(spanning_forest(g, wp.b)) < len(wp.b), "(e) B contains no cycle")
         if mode == BASE_SUN or (mode == TREE_2BASE and not is_balanced(g).balanced):
@@ -129,33 +131,6 @@ def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
 
 
 # -- improving paths ------------------------------------------------------------------
-
-def _paths_between_degree_one(g: SignedGraph, c_edges: set[int]):
-    """All simple paths (as edge tuples) inside the edge set c_edges whose
-    ends are degree-1 vertices of the set."""
-    degs = _sub_degrees(g, c_edges)
-    ones = sorted(v for v, d in degs.items() if d == 1)
-    inc: dict[int, list[int]] = {}
-    for e in c_edges:
-        u, v = g.ends(e)
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-
-    for start in ones:
-        stack = [(start, (), {start})]
-        while stack:
-            v, path, seen = stack.pop()
-            if path and degs[v] == 1 and v > start:
-                yield path
-                continue
-            for e in inc.get(v, []):
-                if path and e == path[-1]:
-                    continue
-                w = g.other_end(e, v)
-                if w in seen:
-                    continue
-                stack.append((w, path + (e,), seen | {w}))
-
 
 def improving_path(g: SignedGraph, c_edges: set[int],
                    protect_negative: bool = False) -> tuple[int, ...]:
@@ -169,7 +144,8 @@ def improving_path(g: SignedGraph, c_edges: set[int],
     ranked by the lexicographic bridge-size order from the decomposition
     arguments (largest surviving bridge first)."""
     best: Optional[tuple] = None
-    for path in _paths_between_degree_one(g, c_edges):
+    ones = [v for v, d in _sub_degrees(g, c_edges).items() if d == 1]
+    for path in simple_paths(g, c_edges, ones):
         rest = c_edges.difference(path)
         verts = _sub_degrees(g, rest)
         if component_count(g, rest, verts) > 1:
@@ -273,7 +249,7 @@ def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
                              f" for {mode} found")
     wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
     while True:
-        check_working_partition(g, wp, mode, require_cycle_in_b=mode != GENERAL)
+        check_working_partition(g, wp, mode)
         if sun_mode:
             sun = as_negative_sun(g, wp.c)
             if sun is not None and (mode == GENERAL
@@ -436,15 +412,18 @@ def is_degenerate_sun(g: SignedGraph, es: Iterable[int]) -> bool:
 def verify_partition(g: SignedGraph, cert: PartitionCertificate
                      ) -> tuple[bool, str]:
     """Re-check every mode-specific conclusion from first principles."""
-    if cert.x1 & cert.x2 or cert.x1 | cert.x2 != frozenset(range(g.m)):
+    every = frozenset(range(g.m))
+    if cert.x1 & cert.x2 or cert.x1 | cert.x2 != every:
         return False, "X1, X2 do not partition E"
+    if not cert.f <= every:
+        return False, "F not inside E"
     if cert.mode == TREE_2BASE:
         # n - 1 edges in one component: a spanning tree, the empty one on
         # a lone vertex included
         if (len(cert.x1) != g.n - 1
                 or component_count(g, cert.x1, range(g.n)) != 1):
             return False, "X1 not spanning tree"
-        if k_closure(g, cert.x2, 2).closure != frozenset(range(g.m)):
+        if k_closure(g, cert.x2, 2).closure != every:
             return False, "2-closure of X2 is not E"
         return True, ""
     if cert.mode == BASE_SUN:
@@ -456,7 +435,7 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
         if not cert.f <= cert.x1:
             return False, "F not contained in X1"
         closure = k_closure(g, cert.x2, 2).closure
-        if closure != frozenset(range(g.m)) - cert.f:
+        if closure != every - cert.f:
             return False, "2-closure of X2 is not E - F"
         if not _is_2_connected_edge_set(g, closure):
             return False, "2-closure of X2 not 2-connected"
@@ -471,7 +450,7 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
         if cert.f and not is_degenerate_sun(g, cert.f):
             return False, "F is not a degenerate negative sun"
         closure = k_closure(g, cert.x2, 2).closure
-        if closure != frozenset(range(g.m)) - cert.f:
+        if closure != every - cert.f:
             return False, "2-closure of X2 is not E - F"
         return True, ""
     return False, f"unknown mode {cert.mode}"
@@ -498,18 +477,28 @@ def format_certificate(cert: PartitionCertificate) -> str:
 
 
 def parse_certificate(text: str) -> PartitionCertificate:
-    lines = [ln.strip() for ln in text.splitlines()
-             if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("part "):
+    """Read format_certificate output.  Edge indices must be integers of
+    at least 1; anything else after the header raises ValueError naming
+    a line."""
+    lines = [(ln, raw.strip()) for ln, raw in enumerate(text.splitlines(), 1)
+             if raw.strip() and not raw.startswith("#")]
+    if not lines or not lines[0][1].startswith("part "):
         raise ValueError("expected 'part <mode>' header")
-    mode = lines[0].split()[1]
+    mode = lines[0][1].split()[1]
     if mode not in (TREE_2BASE, BASE_SUN, GENERAL):
         raise ValueError(f"unknown mode {mode!r}")
     parts: dict[str, frozenset[int]] = {"X1:": frozenset(), "X2:": frozenset(),
                                         "F:": frozenset()}
-    for ln in lines[1:]:
-        tokens = ln.split()
-        if tokens[0] not in parts:
-            raise ValueError(f"unknown record {tokens[0]!r}")
-        parts[tokens[0]] = frozenset(int(t) - 1 for t in tokens[1:])
+    for ln, line in lines[1:]:
+        tokens = line.split()
+        try:
+            if tokens[0] not in parts:
+                raise ValueError(f"unknown record {tokens[0]!r}")
+            es = frozenset(int(t) - 1 for t in tokens[1:])
+            if min(es, default=0) < 0:
+                raise ValueError(f"edge index {min(es) + 1} is below 1")
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: bad certificate line {line!r}:"
+                             f" {exc}") from exc
+        parts[tokens[0]] = es
     return PartitionCertificate(mode, parts["X1:"], parts["X2:"], parts["F:"])

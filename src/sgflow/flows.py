@@ -11,6 +11,9 @@ All flows here are sums of elementary pieces:
     by a path carrying 2x that cancels the +-2x leak each negative cycle
     produces at its junction vertex.
 
+The barbell's joining path is a core.shortest_path, and the paths that
+close a sun's return cycles come from core.simple_paths.
+
 The three constructions:
 
   * composite |A| >= 6: fix a spanning tree through quotient-group
@@ -38,7 +41,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (MINUS, PLUS, DeskScaleError, HypothesisError, Orientation,
                    SignedGraph, edge_connectivity, is_k_unbalanced,
-                   switch_on_set)
+                   shortest_path, simple_paths, switch_on_set)
 from .decompose import decompose_base_sun, decompose_tree_2base
 from .duality import (DualCorrespondence, EmbeddedGraph, flow_from_coloring,
                       k6_projective_embedding, match_dual,
@@ -173,40 +176,6 @@ def _barbell_coeffs(g: SignedGraph, tau: Orientation, c1: CycleRef,
     return w
 
 
-def _connecting_path(g: SignedGraph, pool: set[int], c1: CycleRef,
-                     c2: CycleRef) -> Optional[tuple[int, list[int], int]]:
-    """Shortest path inside pool from V(c1) to V(c2), internally disjoint
-    from both cycles; returns (junction1, edge list, junction2)."""
-    v1, v2 = set(c1.vertices), set(c2.vertices)
-    usable = [e for e in pool
-              if e not in c1.edge_set and e not in c2.edge_set
-              and not g.is_loop(e)]
-    prev: dict[int, tuple[int, int]] = {}
-    queue = sorted(v1)
-    seen = set(queue)
-    while queue:
-        x = queue.pop(0)
-        for e in usable:
-            if x not in g.ends(e):
-                continue
-            y = g.other_end(e, x)
-            if y in seen or y in v1:
-                continue
-            prev[y] = (x, e)
-            if y in v2:
-                edges = []
-                cur = y
-                while cur not in v1:
-                    p, pe = prev[cur]
-                    edges.append(pe)
-                    cur = p
-                edges.reverse()
-                return cur, edges, y
-            seen.add(y)
-            queue.append(y)
-    return None
-
-
 def flow_coeffs_through(g: SignedGraph, tau: Orientation, pool: Iterable[int],
                         required: Iterable[int]) -> dict[int, int]:
     """Zero-boundary integer coefficients supported inside pool and nonzero
@@ -229,7 +198,11 @@ def flow_coeffs_through(g: SignedGraph, tau: Orientation, pool: Iterable[int],
             u = min(shared)
             u1, path, u2 = u, [], u
         else:
-            hit = _connecting_path(g, pool, c1, c2)
+            # a shortest pool path from V(c1) to V(c2), internally
+            # disjoint from both cycles
+            usable = [e for e in pool
+                      if e not in c1.edge_set and e not in c2.edge_set]
+            hit = shortest_path(g, usable, c1.vertices, c2.vertices)
             if hit is None:
                 continue
             u1, path, u2 = hit
@@ -384,40 +357,6 @@ def _sun_frame(g: SignedGraph, H: NegativeSun, r: int,
     return SunFrame(g2, tau_s, tau_c, es, vs, ps, ts, sgn, switched)
 
 
-def _simple_paths(g: SignedGraph, src: int, dst: int,
-                  banned: set[int]) -> list[tuple[int, ...]]:
-    """All simple src-dst paths avoiding the banned vertices, as edge
-    tuples, shortest (then lexicographically least) first."""
-    out: list[tuple[int, ...]] = []
-    inc: dict[int, list[int]] = {}
-    for e in range(g.m):
-        u, v = g.ends(e)
-        if u == v or u in banned or v in banned:
-            continue
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-
-    def rec(v: int, used_v: set[int], path: list[int]) -> None:
-        if v == dst:
-            out.append(tuple(path))
-            return
-        for e in inc.get(v, []):
-            w = g.other_end(e, v)
-            if w in used_v:
-                continue
-            used_v.add(w)
-            path.append(e)
-            rec(w, used_v, path)
-            path.pop()
-            used_v.discard(w)
-
-    if src in banned or dst in banned:
-        return []
-    rec(src, {src}, [])
-    out.sort(key=lambda p: (len(p), p))
-    return out
-
-
 def _sun_return_cycle(fr: SunFrame, i: int) -> CycleRef:
     """The positive cycle D_i meeting the sun in exactly {ps[i], es[i],
     ps[i+1]}, closed by a path between the two tips outside V(C)."""
@@ -425,7 +364,15 @@ def _sun_return_cycle(fr: SunFrame, i: int) -> CycleRef:
     n = len(fr.es)
     j = (i + 1) % n
     need = g2.sigma(fr.es[i])  # pendants are positive after switching
-    for path in _simple_paths(g2, fr.ts[j], fr.ts[i], set(fr.vs)):
+    on_c = set(fr.vs)
+    outside = [e for e, (u, v, _) in enumerate(g2.edges)
+               if u not in on_c and v not in on_c]
+    # read each path from ts[j], shortest then least first
+    flip = fr.ts[j] > fr.ts[i]
+    paths = sorted((p[::-1] if flip else p
+                    for p in simple_paths(g2, outside, (fr.ts[j], fr.ts[i]))),
+                   key=lambda p: (len(p), p))
+    for path in paths:
         sign = 1
         for e in path:
             sign *= g2.sigma(e)
@@ -655,11 +602,13 @@ def format_avoidance(cert: AvoidanceCertificate) -> str:
 def parse_avoidance(text: str) -> AvoidanceCertificate:
     """Read format_avoidance output.  The fbar lines must give edges 1..m
     once each, and unless the certificate says unsat the f lines must give
-    the same edges once each, all with elements of the group; anything else
-    raises ValueError naming a line."""
+    the same edges once each, all with elements of the group; eprime must
+    be '-' or an edge 1..m.  Anything else raises ValueError naming a
+    line."""
     strategy: Optional[str] = None
     group: Optional[AbelianGroup] = None
     e_prime: Optional[int] = None
+    e_prime_line = 0
     # keyword -> edge -> (line number, value)
     values: dict[str, dict[int, tuple[int, Elem]]] = {"fbar": {}, "f": {}}
     unsat = False
@@ -677,6 +626,7 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
                 group = parse_group(parts[1])
             elif key == "eprime":
                 e_prime = None if parts[1] == "-" else int(parts[1]) - 1
+                e_prime_line = ln
             elif key in values:
                 e = int(parts[1]) - 1
                 v = tuple(int(x) for x in parts[2].split(","))
@@ -711,6 +661,9 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
         if e >= m:
             raise ValueError(f"line {ln}: f of edge {e + 1} is past the last"
                              f" fbar edge {m}")
+    if e_prime is not None and not 0 <= e_prime < m:
+        raise ValueError(f"line {e_prime_line}: eprime {e_prime + 1} is"
+                         f" outside the edges 1..{m}")
     flow: Optional[list[Elem]] = None
     if not unsat:
         for e in range(m):

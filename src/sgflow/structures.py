@@ -3,7 +3,8 @@
 Cycles are enumerated through the GF(2) cycle space: every simple cycle is
 a symmetric difference of fundamental cycles, so scanning all 2^(m-n+c)
 combinations and keeping the connected 2-regular ones is exhaustive.  Desk
-scale keeps the dimension small (6 for Petersen, 10 for K6).
+scale keeps the dimension small (6 for Petersen, 10 for K6).  A fundamental
+cycle closes its edge with the tree path from core.shortest_path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .core import (DeskScaleError, SignedGraph, MINUS, PLUS, component_count,
-                   is_balanced, spanning_forest)
+                   is_balanced, shortest_path, spanning_forest)
 
 MAX_CYCLE_SPACE_DIM = 20
 ALL_CYCLES_MEMO = 16  # graphs whose cycle lists all_cycles keeps
@@ -102,35 +103,15 @@ def _as_cycle(edges: Sequence[tuple[int, int, int]],
 
 
 def fundamental_cycle(g: SignedGraph, tree: Sequence[int], e: int) -> list[int]:
-    """Edges of the unique cycle in tree + e (e itself if a loop)."""
+    """Edges of the unique cycle in tree + e (e itself if a loop): the tree
+    path from e's second end back to its first, then e."""
     if g.is_loop(e):
         return [e]
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(g.n)}
-    for t in tree:
-        u, v = g.ends(t)
-        adj[u].append((t, v))
-        adj[v].append((t, u))
-    u0, v0 = g.ends(e)
-    # BFS tree path u0 -> v0
-    prev: dict[int, tuple[int, int]] = {u0: (-1, -1)}
-    queue = [u0]
-    while queue:
-        x = queue.pop(0)
-        if x == v0:
-            break
-        for t, y in adj[x]:
-            if y not in prev:
-                prev[y] = (x, t)
-                queue.append(y)
-    if v0 not in prev:
+    u, v = g.ends(e)
+    hit = shortest_path(g, tree, (u,), (v,))
+    if hit is None:
         raise ValueError("edge endpoints in different tree components")
-    path = []
-    cur = v0
-    while cur != u0:
-        p, t = prev[cur]
-        path.append(t)
-        cur = p
-    return path + [e]
+    return hit[1][::-1] + [e]
 
 
 @functools.lru_cache(maxsize=ALL_CYCLES_MEMO)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, _has_cycle,
                          delete_edges, edge_connectivity, is_balanced,
                          is_k_unbalanced, spanning_forest, uncontract)
-from sgflow.decompose import _induced_edges, _paths_between_degree_one
+from sgflow.decompose import _induced_edges
 from sgflow.duality import PROJECTIVE, to_default_orientation
 from sgflow.generators import random_cubic_3connected
 from sgflow.oracle import _all_boundaries, satisfy_boundary
@@ -490,6 +490,110 @@ def reference_is_2_connected_edge_set(g: SignedGraph, es) -> bool:
     return True
 
 
+# -- path walkers -----------------------------------------------------------------
+# The private walkers that sgflow.decompose and sgflow.flows used before every
+# path question went through core.shortest_path and core.simple_paths, as
+# they were then.
+
+def reference_paths_between_degree_one(g: SignedGraph, c_edges: set[int]):
+    """All simple paths (as edge tuples) inside the edge set c_edges whose
+    ends are degree-1 vertices of the set (loops count twice)."""
+    degs: dict[int, int] = {}
+    for e in c_edges:
+        for v in g.ends(e):
+            degs[v] = degs.get(v, 0) + 1
+    ones = sorted(v for v, d in degs.items() if d == 1)
+    inc: dict[int, list[int]] = {}
+    for e in c_edges:
+        u, v = g.ends(e)
+        inc.setdefault(u, []).append(e)
+        inc.setdefault(v, []).append(e)
+
+    for start in ones:
+        stack = [(start, (), {start})]
+        while stack:
+            v, path, seen = stack.pop()
+            if path and degs[v] == 1 and v > start:
+                yield path
+                continue
+            for e in inc.get(v, []):
+                if path and e == path[-1]:
+                    continue
+                w = g.other_end(e, v)
+                if w in seen:
+                    continue
+                stack.append((w, path + (e,), seen | {w}))
+
+
+def reference_simple_paths(g: SignedGraph, src: int, dst: int,
+                           banned: set[int]) -> list[tuple[int, ...]]:
+    """All simple src-dst paths avoiding the banned vertices, as edge
+    tuples, shortest (then lexicographically least) first."""
+    out: list[tuple[int, ...]] = []
+    inc: dict[int, list[int]] = {}
+    for e in range(g.m):
+        u, v = g.ends(e)
+        if u == v or u in banned or v in banned:
+            continue
+        inc.setdefault(u, []).append(e)
+        inc.setdefault(v, []).append(e)
+
+    def rec(v: int, used_v: set[int], path: list[int]) -> None:
+        if v == dst:
+            out.append(tuple(path))
+            return
+        for e in inc.get(v, []):
+            w = g.other_end(e, v)
+            if w in used_v:
+                continue
+            used_v.add(w)
+            path.append(e)
+            rec(w, used_v, path)
+            path.pop()
+            used_v.discard(w)
+
+    if src in banned or dst in banned:
+        return []
+    rec(src, {src}, [])
+    out.sort(key=lambda p: (len(p), p))
+    return out
+
+
+def reference_connecting_path(g: SignedGraph, pool, c1, c2
+                              ) -> Optional[tuple[int, list[int], int]]:
+    """Shortest path inside pool from V(c1) to V(c2), internally disjoint
+    from both cycles; returns (junction1, edge list, junction2).  c1 and c2
+    need only `vertices` and `edge_set`."""
+    v1, v2 = set(c1.vertices), set(c2.vertices)
+    usable = [e for e in pool
+              if e not in c1.edge_set and e not in c2.edge_set
+              and not g.is_loop(e)]
+    prev: dict[int, tuple[int, int]] = {}
+    queue = sorted(v1)
+    seen = set(queue)
+    while queue:
+        x = queue.pop(0)
+        for e in usable:
+            if x not in g.ends(e):
+                continue
+            y = g.other_end(e, x)
+            if y in seen or y in v1:
+                continue
+            prev[y] = (x, e)
+            if y in v2:
+                edges = []
+                cur = y
+                while cur not in v1:
+                    p, pe = prev[cur]
+                    edges.append(pe)
+                    cur = p
+                edges.reverse()
+                return cur, edges, y
+            seen.add(y)
+            queue.append(y)
+    return None
+
+
 def _bridges_of_removed_path(g: SignedGraph, c_edges: set[int],
                              path: Sequence[int]) -> list[frozenset[int]]:
     """Edge sets of the non-trivial components of C - E(P)."""
@@ -516,7 +620,7 @@ def reference_improving_path(g: SignedGraph, c_edges: set[int],
     Candidates are ranked by the lexicographic bridge-size order from the
     decomposition arguments (largest surviving bridge first)."""
     best: Optional[tuple] = None
-    for path in _paths_between_degree_one(g, c_edges):
+    for path in reference_paths_between_degree_one(g, c_edges):
         bridges = _bridges_of_removed_path(g, c_edges, path)
         if len(bridges) > 1:
             continue

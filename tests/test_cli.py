@@ -249,6 +249,46 @@ def test_verify_exits_2_on_value_outside_the_group(tmp_path, capsys):
     assert code == 2 and f"line {i + 1}" in err
 
 
+@pytest.mark.parametrize("value", ["0", "99", "-3"])
+def test_verify_exits_2_on_eprime_outside_the_edges(tmp_path, capsys, value):
+    lines, gpath = _cert_and_graph(tmp_path, capsys)
+    i = lines.index("eprime -")
+    lines[i] = f"eprime {value}"
+    code, _, err = _verify_lines(tmp_path, capsys, lines, gpath)
+    assert code == 2 and f"error: line {i + 1}: eprime {value}" in err
+    lines[i] = "eprime 15"
+    code, out, _ = _verify_lines(tmp_path, capsys, lines, gpath)
+    assert (code, out.strip()) == (0, "OK")
+
+
+def _partition_lines(tmp_path, capsys):
+    gpath = write_graph(tmp_path, petersen_2neg())
+    code, out, _ = run(capsys, "decompose", "base-sun", gpath)
+    assert code == 0
+    return out.splitlines(), gpath
+
+
+@pytest.mark.parametrize("record,index", [("F:", "0"), ("X1:", "-3")])
+def test_verify_exits_2_on_partition_index_below_1(tmp_path, capsys, record,
+                                                   index):
+    # an index of 0 used to parse to -1, which Python reads as the last edge
+    lines, gpath = _partition_lines(tmp_path, capsys)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(record))
+    lines[i] = lines[i].replace(record, f"{record} {index}", 1)
+    code, _, err = _verify_lines(tmp_path, capsys, lines, gpath)
+    assert code == 2 and f"error: line {i + 1}:" in err
+    assert f"edge index {index} is below 1" in err
+
+
+def test_verify_fails_on_a_partition_edge_past_the_last(tmp_path, capsys):
+    # F: 16 on a 15-edge graph used to crash in as_negative_sun
+    lines, gpath = _partition_lines(tmp_path, capsys)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("F:"))
+    lines[i] = "F: 16 " + lines[i].split(None, 2)[2]
+    code, out, _ = _verify_lines(tmp_path, capsys, lines, gpath)
+    assert (code, out.strip()) == (1, "FAIL F not inside E")
+
+
 def test_verify_exits_2_on_certificate_for_fewer_edges(tmp_path, capsys):
     lines, gpath = _cert_and_graph(tmp_path, capsys)
     kept = [ln for ln in lines if not ln.startswith(("fbar 15 ", "f 15 "))]

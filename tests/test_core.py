@@ -1,25 +1,30 @@
 """Signed-graph basics: parsing, switching, balance, connectivity, minors."""
 
+import itertools
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (CUBIC_GRAPHS, brute_edge_connectivity,
                      brute_frustration_index, components,
                      connected_multigraphs, delta, edge_subgraph,
                      graphs_with_edge_sets, random_connected_graph,
-                     reference_is_cubic_3connected,
+                     reference_connecting_path, reference_is_cubic_3connected,
                      reference_is_cyclically_k_edge_connected,
-                     signed_cubic_3connected, signed_multigraphs,
-                     uncontract_edges)
+                     reference_paths_between_degree_one,
+                     reference_simple_paths, signed_cubic_3connected,
+                     signed_multigraphs, uncontract_edges)
+from sgflow import core
 from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph,
                          component_count, contract, delete_edges,
                          edge_connectivity, format_sg, is_balanced,
                          is_cubic_3connected, is_cyclically_k_edge_connected,
                          is_k_unbalanced, min_negative_edges, parse_sg,
-                         signatures_equivalent, small_cuts, switch_at,
-                         switch_on_set)
+                         shortest_path, signatures_equivalent, simple_paths,
+                         small_cuts, switch_at, switch_on_set)
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
 from sgflow.structures import cycle_sign, order_cycle
 
@@ -75,6 +80,11 @@ def test_balance_verdicts():
     res = is_balanced(negsun(4))
     assert not res.balanced
     assert cycle_sign(negsun(4), res.negative_cycle) == MINUS
+    # the witness is in closed walk order: 3-2-0-1 by the tree path, then
+    # the conflicting edge 2 back to 3
+    square = SignedGraph(4, ((0, 1, PLUS), (0, 2, PLUS), (1, 3, MINUS),
+                             (2, 3, PLUS)))
+    assert is_balanced(square).negative_cycle == (3, 1, 0, 2)
 
 
 def test_min_negative_edges_examples():
@@ -135,6 +145,108 @@ def test_is_balanced_on_an_edge_set_matches_the_subgraph(case):
     else:
         cycle = order_cycle(g, res.negative_cycle)
         assert cycle.edge_set <= es and cycle.sign == MINUS
+        # in closed walk order: the cycle's walk from some edge, either way
+        walk = res.negative_cycle
+        turns = {cycle.edges[i:] + cycle.edges[:i] for i in range(len(walk))}
+        assert walk in turns or walk[::-1] in turns
+
+
+# -- path searches against the walkers they replaced ------------------------------
+
+@st.composite
+def graphs_with_ordered_edges_and_ends(draw):
+    """A signed multigraph, a random subset of its edges in a random order,
+    and a random set of its vertices."""
+    g, es = draw(graphs_with_edge_sets())
+    return g, draw(st.permutations(sorted(es))), draw(
+        st.sets(st.integers(0, g.n - 1)))
+
+
+def _pairwise_simple_paths(g, edges, ends):
+    """The old tip-to-tip enumerator run for each pair of ends, with the
+    other ends banned, on the edge set as a graph of its own."""
+    es = sorted(edges)
+    sub = SignedGraph(g.n, tuple(g.edges[e] for e in es))
+    return sorted(tuple(es[i] for i in path)
+                  for a, b in itertools.combinations(sorted(ends), 2)
+                  for path in reference_simple_paths(sub, a, b,
+                                                     set(ends) - {a, b}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_ordered_edges_and_ends())
+def test_simple_paths_match_the_pairwise_enumerator(case):
+    # kills a path through an end, and a path yielded from both its ends
+    g, edges, ends = case
+    assert sorted(simple_paths(g, edges, ends)) == _pairwise_simple_paths(
+        g, edges, ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_edge_sets())
+def test_simple_paths_between_degree_one_ends_match_the_old_enumerator(case):
+    g, es = case
+    degree = Counter(v for e in es for v in g.ends(e))
+    ones = [v for v, d in degree.items() if d == 1]
+    assert sorted(simple_paths(g, es, ones)) == sorted(
+        reference_paths_between_degree_one(g, es))
+
+
+def test_simple_paths_leave_no_end_but_the_lesser_ones(monkeypatch):
+    # kills a search started from the greatest end, and one that runs on
+    # past an end: each reads the adjacency of the greatest end, 1, whose
+    # K4 on 1..4 no path may enter
+    read = []
+    build = core._adjacency
+
+    class Watched(list):
+        def __iter__(self):
+            read.append(self.vertex)
+            return super().__iter__()
+
+    def watched(g, edges):
+        out = [Watched(pairs) for pairs in build(g, edges)]
+        for v, pairs in enumerate(out):
+            pairs.vertex = v
+        return out
+
+    monkeypatch.setattr(core, "_adjacency", watched)
+    k4 = tuple((u, v, PLUS) for u, v in itertools.combinations(range(1, 5), 2))
+    g = SignedGraph(6, ((0, 5, PLUS), (5, 1, MINUS)) + k4)
+    assert list(simple_paths(g, range(g.m), (1, 0))) == [(0, 1)]
+    assert read == [0, 5]
+
+
+@st.composite
+def pools_between_vertex_sets(draw):
+    """A connected signed multigraph, most of its edges in a random order
+    as the pool, and two stand-in cycles as the old path search read them:
+    disjoint nonempty vertex lists in a random order, and at most two pool
+    edges each."""
+    g = draw(connected_multigraphs())
+    assume(g.n >= 2)
+    keep = draw(st.lists(st.sampled_from((True, True, True, False)),
+                         min_size=g.m, max_size=g.m))
+    pool = draw(st.permutations([e for e in range(g.m) if keep[e]]))
+    order = draw(st.permutations(range(g.n)))
+    i = draw(st.integers(1, g.n - 1))
+    j = draw(st.integers(i + 1, g.n))
+    blocked = st.sets(st.sampled_from(pool), max_size=2) if pool else \
+        st.just(set())
+    c1, c2 = (SimpleNamespace(vertices=vs, edge_set=frozenset(draw(blocked)))
+              for vs in (order[:i], order[i:j]))
+    return g, pool, c1, c2
+
+
+@settings(max_examples=300, deadline=None)
+@given(pools_between_vertex_sets())
+def test_shortest_path_matches_the_old_connecting_path(case):
+    # kills ties broken in another order: the pool comes in a random order
+    g, pool, c1, c2 = case
+    usable = [e for e in pool
+              if e not in c1.edge_set and e not in c2.edge_set]
+    assert shortest_path(g, usable, c1.vertices, c2.vertices) == \
+        reference_connecting_path(g, pool, c1, c2)
 
 
 @st.composite
