@@ -191,20 +191,22 @@ def _cmd_dual(args) -> int:
 def _cmd_verify(args) -> int:
     cert_text = _read_text(args.certfile)
     g = _load_graph(args.graphfile)
-    head = cert_text.lstrip().split(None, 1)
-    if not head:
+    # the format is named by the first word that starts no comment
+    head = next((w[0] for w in map(str.split, cert_text.splitlines())
+                 if w and not w[0].startswith("#")), None)
+    if head is None:
         raise ValueError("empty certificate file")
-    if head[0] == "part":
+    if head == "part":
         cert = decompose.parse_certificate(cert_text)
         ok, why = decompose.verify_partition(g, cert)
         print("OK" if ok else f"FAIL {why}")
         return EXIT_OK if ok else EXIT_NO
-    if head[0] == "cert":
+    if head == "cert":
         acert = flows.parse_avoidance(cert_text)
         ok = flows.verify_avoidance(g, acert)
         print("OK" if ok else "FAIL")
         return EXIT_OK if ok else EXIT_NO
-    raise ValueError(f"unrecognized certificate header {head[0]!r}")
+    raise ValueError(f"unrecognized certificate header {head!r}")
 
 
 # -- argument parsing ----------------------------------------------------------

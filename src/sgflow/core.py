@@ -12,18 +12,22 @@ from old to new indices.
 Questions about an edge set of g take the set as data over g's own indices,
 so no subgraph is built to answer them: spanning_forest is the one
 union-find, component_count counts components with it, and is_balanced
-colours only the listed edges.  Edge cuts of at most four edges are read
-off XOR labels over a spanning tree (small_cuts), not found by scanning
-vertex subsets.  Paths inside an edge set come from two searches over one
-(edge, neighbour) adjacency: shortest_path, breadth-first with ties broken
-by the listed edge order, and simple_paths, every simple path between two
-ends once.
+colours only the listed edges.  The cuts are the edge sets whose XOR
+labels over a spanning forest (_cut_labels) XOR to 0: small_cuts lists
+those of at most four edges without scanning vertex subsets, and
+min_negative_edges reads the frustration index off the same labels.
+Paths inside an edge set come from two searches over one (edge,
+neighbour) adjacency: shortest_path, breadth-first with ties broken by the
+listed edge order, and simple_paths, every simple path between two ends
+once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
@@ -342,50 +346,20 @@ def min_negative_edges(g: SignedGraph, budget: int = 2) -> Optional[int]:
     budget").
 
     It equals the fewest edges whose deletion leaves g balanced (Zaslavsky,
-    "Signed graphs", 1982), so this returns the least j <= budget such that
-    deleting some j edges balances g: at most C(m, j) linear-time balance
-    checks per j, polynomial for a fixed budget.
+    "Signed graphs", 1982), and deleting S balances g exactly when S
+    differs from the negative edges by a cut, that is, when the labels of S
+    XOR to the target, the XOR of the negative edges' labels (a negative
+    loop's own bit is in it).  So this returns the least j <= budget such
+    that some j labels XOR to the target: C(m, j) XORs per j.
     """
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    neg_loops = []
-    for e, (u, w, s) in enumerate(g.edges):
-        if u == w:
-            if s == MINUS:
-                neg_loops.append(e)
-            continue
-        adj[u].append((e, w, s))
-        adj[w].append((e, u, s))
+    label, _, _ = _cut_labels(g)
+    target = functools.reduce(operator.xor, (
+        label[e] for e, (_, _, s) in enumerate(g.edges) if s == MINUS), 0)
     for j in range(budget + 1):
-        for drop in itertools.combinations(range(g.m), j):
-            if _balanced_without(adj, neg_loops, drop):
-                return j
+        if any(functools.reduce(operator.xor, drop, 0) == target
+               for drop in itertools.combinations(label, j)):
+            return j
     return None
-
-
-def _balanced_without(adj: list[list[tuple[int, int, int]]],
-                      neg_loops: list[int], drop: tuple[int, ...]) -> bool:
-    """Sign-parity 2-colouring of the graph given by its non-loop adjacency
-    (edge, other end, sign) and its negative loops, with `drop` deleted."""
-    if any(e not in drop for e in neg_loops):
-        return False
-    colour = [0] * len(adj)
-    for root in range(len(adj)):
-        if colour[root]:
-            continue
-        colour[root] = PLUS
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for e, y, s in adj[x]:
-                if e in drop:
-                    continue
-                want = colour[x] * s
-                if not colour[y]:
-                    colour[y] = want
-                    stack.append(y)
-                elif colour[y] != want:
-                    return False
-    return True
 
 
 def is_k_unbalanced(g: SignedGraph, k: int) -> bool:
@@ -447,46 +421,38 @@ def _has_cycle(g: SignedGraph, vertices: set[int]) -> bool:
     return len(spanning_forest(g, es)) < len(es)
 
 
-def _tree_order(g: SignedGraph, forest: Iterable[int], root: int
+def _tree_order(g: SignedGraph, forest: Iterable[int], roots: Iterable[int]
                 ) -> tuple[list[int], list[int]]:
-    """The vertices of root's tree in the forest, in breadth-first order,
-    and each vertex's edge to its parent (-1 at the root and off the tree)."""
+    """The forest's trees from the first of the (distinct) roots each holds,
+    tree by tree in breadth-first order, and each vertex's edge to its
+    parent (-1 at a root and off these trees)."""
     adj = _adjacency(g, forest)
     up = [-1] * g.n
-    order = [root]
-    for x in order:
-        for e, y in adj[x]:
-            if e != up[x]:
-                up[y] = e
-                order.append(y)
+    order: list[int] = []
+    for root in roots:
+        if up[root] >= 0:  # an earlier root's tree holds it
+            continue
+        tree = [root]
+        for x in tree:
+            for e, y in adj[x]:
+                if e != up[x]:
+                    up[y] = e
+                    tree.append(y)
+        order += tree
     return order, up
 
 
-def small_cuts(g: SignedGraph, k: int
-               ) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
-    """Each nonempty edge cut delta(X) of at most k <= 4 edges of a
-    connected g, once, as its edges in increasing order and its side X,
-    the side without vertex 0.
-
-    An edge set is a cut exactly when it meets every fundamental cycle of
-    a spanning tree an even number of times.  So each cotree edge gets a
-    bit of its own, and each tree edge the XOR of the bits of the cotree
-    edges whose fundamental cycle runs through it, which is the XOR over
-    its subtree of the bits at each vertex: a set of edges is a cut
-    exactly when its labels XOR to 0 (Pritchard and Thurimella, "Fast
-    computation of small cuts via cycle space sampling", ACM TALG 2011,
-    without the sampling).  A cut of s edges is met once, as its first
-    s // 2 edges followed by a tail of later edges with the same XOR;
-    tails of one or two edges are bucketed by XOR, so the listing takes
-    O(m^2 log m) time plus O(n) per cut for X, the vertices whose tree
-    path from vertex 0 crosses the cut an odd number of times.
-    """
-    if k > 4:
-        raise ValueError(f"small_cuts lists cuts of at most 4 edges, not {k}")
+def _cut_labels(g: SignedGraph) -> tuple[list[int], list[int], list[int]]:
+    """XOR labels of g's edges over a spanning forest, and the forest's
+    _tree_order from the least vertex of each component.  Each cotree edge,
+    loops included, gets a bit of its own, and each tree edge the XOR of
+    the bits of the cotree edges whose fundamental cycle runs through it
+    (those at the vertices below it).  So an edge set is a cut delta(X),
+    meeting every fundamental cycle evenly, exactly when its labels XOR to 0
+    (Pritchard and Thurimella, "Fast computation of small cuts via cycle
+    space sampling", ACM TALG 2011, without the sampling)."""
     forest = spanning_forest(g, range(g.m))
-    if len(forest) != g.n - 1:
-        raise ValueError("small_cuts needs a connected graph")
-    order, up = _tree_order(g, forest, 0)
+    order, up = _tree_order(g, forest, range(g.n))
     label = [0] * g.m
     below = [0] * g.n  # the bits at each vertex, then XORed over its subtree
     bit = 1
@@ -497,10 +463,32 @@ def small_cuts(g: SignedGraph, k: int
             below[u] ^= bit
             below[v] ^= bit  # a loop's bit cancels: it is on no tree edge
             bit <<= 1
-    for x in reversed(order[1:]):
+    for x in reversed(order):
         e = up[x]
-        label[e] = below[x]
-        below[g.other_end(e, x)] ^= below[x]
+        if e >= 0:
+            label[e] = below[x]
+            below[g.other_end(e, x)] ^= below[x]
+    return label, order, up
+
+
+def small_cuts(g: SignedGraph, k: int
+               ) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+    """Each nonempty edge cut delta(X) of at most k <= 4 edges of a
+    connected g, once, as its edges in increasing order and its side X,
+    the side without vertex 0.
+
+    An edge set is a cut exactly when its labels from _cut_labels XOR to
+    0.  A cut of s edges is met once, as its first s // 2 edges followed
+    by a tail of later edges with the same XOR; tails of one or two edges
+    are bucketed by XOR, so the listing takes O(m^2 log m) time plus O(n)
+    per cut for X, the vertices whose tree path from vertex 0 crosses the
+    cut an odd number of times.
+    """
+    if k > 4:
+        raise ValueError(f"small_cuts lists cuts of at most 4 edges, not {k}")
+    label, order, up = _cut_labels(g)
+    if up.count(-1) != 1:  # one root per component
+        raise ValueError("small_cuts needs a connected graph")
 
     def xor(es: tuple[int, ...]) -> int:
         out = 0
@@ -540,7 +528,7 @@ def is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:
     cotree = set(range(g.m)).difference(forest)
     if not cotree:
         return True
-    comp, _ = _tree_order(g, forest, g.edges[min(cotree)][0])
+    comp, _ = _tree_order(g, forest, (g.edges[min(cotree)][0],))
     index = {v: i for i, v in enumerate(sorted(comp))}
     if any(g.edges[e][0] not in index for e in cotree):
         return k < 1

@@ -418,6 +418,8 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
     if not cert.f <= every:
         return False, "F not inside E"
     if cert.mode == TREE_2BASE:
+        if cert.f:
+            return False, "F not empty"
         # n - 1 edges in one component: a spanning tree, the empty one on
         # a lone vertex included
         if (len(cert.x1) != g.n - 1
@@ -457,13 +459,10 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
 
 
 def _is_connected_base(g: SignedGraph, es: Iterable[int]) -> bool:
+    """Spanning and connected with n edges (so one cycle), and unbalanced."""
     es = set(es)
-    if not _spans_and_connected(g, es):
-        return False
-    if len(es) != g.n:
-        return False
-    cyc = cycles_within(g, es)
-    return len(cyc) == 1 and cyc[0].sign == MINUS
+    return (len(es) == g.n and _spans_and_connected(g, es)
+            and not is_balanced(g, es).balanced)
 
 
 # -- certificate text format ------------------------------------------------------------------
@@ -477,28 +476,37 @@ def format_certificate(cert: PartitionCertificate) -> str:
 
 
 def parse_certificate(text: str) -> PartitionCertificate:
-    """Read format_certificate output.  Edge indices must be integers of
-    at least 1; anything else after the header raises ValueError naming
-    a line."""
-    lines = [(ln, raw.strip()) for ln, raw in enumerate(text.splitlines(), 1)
-             if raw.strip() and not raw.startswith("#")]
+    """Read format_certificate output, skipping blank and '#' lines.  Each
+    record comes at most once and lists distinct edge indices of at least
+    1; anything else after the header raises ValueError naming a line."""
+    lines = [(ln, line) for ln, line
+             in enumerate(map(str.strip, text.splitlines()), 1)
+             if line and not line.startswith("#")]
     if not lines or not lines[0][1].startswith("part "):
         raise ValueError("expected 'part <mode>' header")
     mode = lines[0][1].split()[1]
     if mode not in (TREE_2BASE, BASE_SUN, GENERAL):
         raise ValueError(f"unknown mode {mode!r}")
-    parts: dict[str, frozenset[int]] = {"X1:": frozenset(), "X2:": frozenset(),
-                                        "F:": frozenset()}
+    parts: dict[str, tuple[int, set[int]]] = {}  # record -> (line, edges)
     for ln, line in lines[1:]:
-        tokens = line.split()
+        tag, *tokens = line.split()
+        es: set[int] = set()
         try:
-            if tokens[0] not in parts:
-                raise ValueError(f"unknown record {tokens[0]!r}")
-            es = frozenset(int(t) - 1 for t in tokens[1:])
-            if min(es, default=0) < 0:
-                raise ValueError(f"edge index {min(es) + 1} is below 1")
+            if tag not in ("X1:", "X2:", "F:"):
+                raise ValueError(f"unknown record {tag!r}")
+            if tag in parts:
+                raise ValueError(f"{tag} already given on line {parts[tag][0]}")
+            for t in tokens:
+                e = int(t) - 1
+                if e < 0:
+                    raise ValueError(f"edge index {e + 1} is below 1")
+                if e in es:
+                    raise ValueError(f"edge {e + 1} listed twice")
+                es.add(e)
         except ValueError as exc:
             raise ValueError(f"line {ln}: bad certificate line {line!r}:"
                              f" {exc}") from exc
-        parts[tokens[0]] = es
-    return PartitionCertificate(mode, parts["X1:"], parts["X2:"], parts["F:"])
+        parts[tag] = ln, es
+    x1, x2, f = (frozenset(parts.get(tag, (0, ()))[1])
+                 for tag in ("X1:", "X2:", "F:"))
+    return PartitionCertificate(mode, x1, x2, f)

@@ -182,6 +182,55 @@ def brute_frustration_index(g: SignedGraph) -> int:
     return best
 
 
+# The frustration index as sgflow.core.min_negative_edges computed it before
+# it read the cut-space labels: a sign-parity colouring of g per deletion
+# set, as it was then.
+
+def reference_min_negative_edges(g: SignedGraph, budget: int = 2
+                                 ) -> Optional[int]:
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    neg_loops = []
+    for e, (u, w, s) in enumerate(g.edges):
+        if u == w:
+            if s == MINUS:
+                neg_loops.append(e)
+            continue
+        adj[u].append((e, w, s))
+        adj[w].append((e, u, s))
+    for j in range(budget + 1):
+        for drop in itertools.combinations(range(g.m), j):
+            if reference_balanced_without(adj, neg_loops, drop):
+                return j
+    return None
+
+
+def reference_balanced_without(adj: list[list[tuple[int, int, int]]],
+                               neg_loops: list[int], drop: tuple[int, ...]
+                               ) -> bool:
+    """Sign-parity 2-colouring of the graph given by its non-loop adjacency
+    (edge, other end, sign) and its negative loops, with `drop` deleted."""
+    if any(e not in drop for e in neg_loops):
+        return False
+    colour = [0] * len(adj)
+    for root in range(len(adj)):
+        if colour[root]:
+            continue
+        colour[root] = PLUS
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for e, y, s in adj[x]:
+                if e in drop:
+                    continue
+                want = colour[x] * s
+                if not colour[y]:
+                    colour[y] = want
+                    stack.append(y)
+                elif colour[y] != want:
+                    return False
+    return True
+
+
 def brute_edge_connectivity(g: SignedGraph) -> int:
     """Fewest edges across any bipartition of the vertices; g.m + 1 for a
     single vertex, 0 for no vertices."""

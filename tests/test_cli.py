@@ -289,6 +289,63 @@ def test_verify_fails_on_a_partition_edge_past_the_last(tmp_path, capsys):
     assert (code, out.strip()) == (1, "FAIL F not inside E")
 
 
+def _tree_2base_lines(tmp_path, capsys):
+    gpath = write_graph(tmp_path, GENERATORS["petersen-ps"]())
+    code, out, _ = run(capsys, "decompose", "tree-2base", gpath)
+    assert code == 0
+    return out.splitlines(), gpath
+
+
+def test_verify_fails_a_tree_2base_certificate_with_edges_in_f(tmp_path,
+                                                               capsys):
+    # a tree-2base partition protects no edges: F: 1 2 3 used to verify OK
+    lines, gpath = _tree_2base_lines(tmp_path, capsys)
+    assert lines[3].strip() == "F:"
+    lines[3] = "F: 1 2 3"
+    code, out, _ = _verify_lines(tmp_path, capsys, lines, gpath)
+    assert (code, out.strip()) == (1, "FAIL F not empty")
+
+
+def test_verify_exits_2_on_a_repeated_partition_record(tmp_path, capsys):
+    # the last X1: line used to win
+    lines, gpath = _tree_2base_lines(tmp_path, capsys)
+    code, _, err = _verify_lines(tmp_path, capsys, lines + [lines[1]], gpath)
+    assert code == 2 and "error: line 5:" in err
+    assert "X1: already given on line 2" in err
+
+
+def test_verify_exits_2_on_a_repeated_partition_index(tmp_path, capsys):
+    # repeats used to fold into a set: X2: 1 1 1 2 3 4 5 11 verified OK
+    lines, gpath = _tree_2base_lines(tmp_path, capsys)
+    assert lines[2] == "X2: 1 2 3 4 5 11"
+    lines[2] = "X2: 1 1 1 2 3 4 5 11"
+    code, _, err = _verify_lines(tmp_path, capsys, lines, gpath)
+    assert code == 2 and "error: line 3:" in err
+    assert "edge 1 listed twice" in err
+
+
+def test_verify_skips_an_indented_comment_in_a_partition(tmp_path, capsys):
+    # '  # x' used to be read as the unknown record '#'
+    lines, gpath = _tree_2base_lines(tmp_path, capsys)
+    lines.insert(2, "  # x")
+    code, out, _ = _verify_lines(tmp_path, capsys, lines, gpath)
+    assert (code, out.strip()) == (0, "OK")
+
+
+@pytest.mark.parametrize("kind", ["partition", "avoidance"])
+def test_verify_reads_the_format_past_leading_comments(tmp_path, capsys,
+                                                       kind):
+    # a certificate that began with a comment used to exit 2 with
+    # "unrecognized certificate header '#'"
+    if kind == "partition":
+        lines, gpath = _tree_2base_lines(tmp_path, capsys)
+    else:
+        lines, gpath = _cert_and_graph(tmp_path, capsys)
+    code, out, _ = _verify_lines(tmp_path, capsys,
+                                 ["# note", "", "  #indented"] + lines, gpath)
+    assert (code, out.strip()) == (0, "OK")
+
+
 def test_verify_exits_2_on_certificate_for_fewer_edges(tmp_path, capsys):
     lines, gpath = _cert_and_graph(tmp_path, capsys)
     kept = [ln for ln in lines if not ln.startswith(("fbar 15 ", "f 15 "))]

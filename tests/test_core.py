@@ -14,6 +14,7 @@ from helpers import (CUBIC_GRAPHS, brute_edge_connectivity,
                      graphs_with_edge_sets, random_connected_graph,
                      reference_connecting_path, reference_is_cubic_3connected,
                      reference_is_cyclically_k_edge_connected,
+                     reference_min_negative_edges,
                      reference_paths_between_degree_one,
                      reference_simple_paths, signed_cubic_3connected,
                      signed_multigraphs, uncontract_edges)
@@ -109,6 +110,34 @@ def test_min_negative_edges_matches_switching_scan(g):
         assert min_negative_edges(g, budget) == (index if index <= budget else None)
     for k in range(4):
         assert is_k_unbalanced(g, k) == (index >= k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_multigraphs())
+def test_min_negative_edges_matches_the_colouring_reference(g):
+    # the colouring per deletion set that the cut-space labels replaced
+    for budget in range(4):
+        assert (min_negative_edges(g, budget)
+                == reference_min_negative_edges(g, budget))
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_multigraphs(), st.data())
+def test_cut_labels_xor_to_zero_exactly_on_cuts(g, data):
+    # over a spanning forest with any number of trees: every delta(X), and
+    # nothing else, XORs to 0
+    label, order, up = core._cut_labels(g)
+    assert sorted(order) == list(range(g.n))
+    assert up.count(-1) == len(components(g))  # one root per tree
+    cuts = {frozenset(delta(g, [v for v in range(g.n) if mask >> v & 1]))
+            for mask in range(1 << g.n)}
+    side = data.draw(st.sets(st.integers(0, g.n - 1)))
+    some = data.draw(st.sets(st.integers(0, g.m - 1))) if g.m else set()
+    for es in (some, delta(g, side)):
+        xor = 0
+        for e in es:
+            xor ^= label[e]
+        assert (xor == 0) == (frozenset(es) in cuts)
 
 
 @settings(max_examples=300, deadline=None)
