@@ -26,7 +26,6 @@ listed edges, and no subgraph is built.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional
@@ -36,7 +35,8 @@ from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
                    is_cyclically_k_edge_connected, simple_paths, small_cuts,
                    spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
-                         cycles_within, find_peripheral_cycle, k_closure)
+                         cycles_within, find_peripheral_cycle,
+                         fundamental_cycle, k_closure, order_cycle)
 
 TREE_2BASE = "tree-2base"
 BASE_SUN = "base-sun"
@@ -214,12 +214,24 @@ def _plane_with_degree_2_outside(g: SignedGraph, x: frozenset[int],
 
 def has_two_disjoint_cycles(g: SignedGraph, want_negative: bool = False
                             ) -> Optional[tuple[CycleRef, CycleRef]]:
-    cycles = all_cycles(g)
-    if want_negative:
-        cycles = [c for c in cycles if c.sign == MINUS]
-    for c1, c2 in itertools.combinations(cycles, 2):
-        if not set(c1.vertices) & set(c2.vertices):
-            return c1, c2
+    """Two vertex-disjoint cycles (both negative with want_negative), else
+    None.  The first is the first cycle C in all_cycles order that has a
+    partner: one is left in G - V(C) exactly when its edges are unbalanced
+    (negative mode) or hold more edges than their spanning forest."""
+    for c in all_cycles(g):
+        if want_negative and c.sign != MINUS:
+            continue
+        on_c = set(c.vertices)
+        off = [e for e, (u, v, _) in enumerate(g.edges)
+               if u not in on_c and v not in on_c]
+        if want_negative:
+            witness = is_balanced(g, off).negative_cycle
+        else:
+            forest = spanning_forest(g, off)
+            extra = sorted(set(off).difference(forest))
+            witness = fundamental_cycle(g, forest, extra[0]) if extra else None
+        if witness is not None:
+            return c, order_cycle(g, witness)
     return None
 
 

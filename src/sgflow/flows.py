@@ -369,20 +369,17 @@ def _sun_return_cycle(fr: SunFrame, i: int) -> CycleRef:
                if u not in on_c and v not in on_c]
     # read each path from ts[j], shortest then least first
     flip = fr.ts[j] > fr.ts[i]
-    paths = sorted((p[::-1] if flip else p
-                    for p in simple_paths(g2, outside, (fr.ts[j], fr.ts[i]))),
-                   key=lambda p: (len(p), p))
-    for path in paths:
-        sign = 1
-        for e in path:
-            sign *= g2.sigma(e)
-        if sign != need:
-            continue
-        c = order_cycle(g2, {fr.ps[i], fr.es[i], fr.ps[j]} | set(path))
-        if c.sign == PLUS:
-            return c
-    raise ValueError(f"no positive return cycle for sun position {i}:"
-                     " the sun's complement is not 2-connected enough")
+    path = min((p[::-1] if flip else p
+                for p in simple_paths(g2, outside, (fr.ts[j], fr.ts[i]))
+                if cycle_sign(g2, p) == need),
+               key=lambda p: (len(p), p), default=None)
+    if path is None:
+        raise ValueError(f"no positive return cycle for sun position {i}:"
+                         " the sun's complement is not 2-connected enough")
+    c = order_cycle(g2, {fr.ps[i], fr.es[i], fr.ps[j]} | set(path))
+    if c.sign != PLUS:
+        raise AssertionError(f"return cycle for sun position {i} is negative")
+    return c
 
 
 @dataclass
@@ -394,16 +391,11 @@ class SunFlowResult:
     switched: frozenset[int]
 
 
-def sun_flow(g: SignedGraph, H: NegativeSun, N: Optional[CycleRef], p: int,
-             fbar: Sequence[Elem],
+def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
              tau: Optional[Orientation] = None) -> SunFlowResult:
     """Flow over Z_p clearing the forbidden band on every sun edge except
     at most one special edge e', which is still cleared of fbar(e') itself.
-
-    N is a negative cycle edge-disjoint from the sun (kept by the caller
-    so the rest of its construction has an unbalanced reserve); it is
-    validated but not otherwise used here.  Requires p >= 11: every fixing
-    step must dodge at most 10 values.
+    Requires p >= 11: every fixing step must dodge at most 10 values.
 
     The construction pushes constants around return cycles D_i that meet
     the sun in {e_i', e_i, e_{i+1}'}.  In a reference orientation (built
@@ -430,11 +422,6 @@ def sun_flow(g: SignedGraph, H: NegativeSun, N: Optional[CycleRef], p: int,
     n = H.n
     if len(set(H.pendant_vertices)) != n:
         raise ValueError("sun pendant tips must be distinct")
-    if N is not None:
-        if N.sign != MINUS:
-            raise ValueError("the reserved cycle must be negative")
-        if N.edge_set & H.edge_set:
-            raise ValueError("the reserved cycle must avoid the sun's edges")
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
 
@@ -603,15 +590,15 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
     """Read format_avoidance output.  The fbar lines must give edges 1..m
     once each, and unless the certificate says unsat the f lines must give
     the same edges once each, all with elements of the group; eprime must
-    be '-' or an edge 1..m.  Anything else raises ValueError naming a
-    line."""
+    be '-' or an edge 1..m.  The cert, group, eprime and unsat lines come
+    at most once, and an unsat certificate has no f lines.  Anything else
+    raises ValueError naming a line."""
     strategy: Optional[str] = None
     group: Optional[AbelianGroup] = None
     e_prime: Optional[int] = None
-    e_prime_line = 0
     # keyword -> edge -> (line number, value)
     values: dict[str, dict[int, tuple[int, Elem]]] = {"fbar": {}, "f": {}}
-    unsat = False
+    once: dict[str, int] = {}  # cert, group, eprime, unsat -> line number
     artifacts: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -620,13 +607,14 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
         parts = line.split(None, 2)
         key = parts[0]
         try:
+            if key in once:
+                raise ValueError(f"{key} already given on line {once[key]}")
             if key == "cert":
                 strategy = parts[1]
             elif key == "group":
                 group = parse_group(parts[1])
             elif key == "eprime":
                 e_prime = None if parts[1] == "-" else int(parts[1]) - 1
-                e_prime_line = ln
             elif key in values:
                 e = int(parts[1]) - 1
                 v = tuple(int(x) for x in parts[2].split(","))
@@ -636,12 +624,12 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
                     raise ValueError(f"edge {e + 1} already has its {key} on"
                                      f" line {values[key][e][0]}")
                 values[key][e] = (ln, v)
-            elif key == "unsat":
-                unsat = True
             elif key == "aux":
                 artifacts[parts[1]] = parts[2] if len(parts) > 2 else ""
-            else:
+            elif key != "unsat":
                 raise ValueError(f"unknown keyword {key!r}")
+            if key in ("cert", "group", "eprime", "unsat"):
+                once[key] = ln
         except (IndexError, ValueError) as exc:
             raise ValueError(f"line {ln}: bad certificate line {raw!r}: {exc}") from exc
     if strategy is None or group is None:
@@ -662,10 +650,14 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
             raise ValueError(f"line {ln}: f of edge {e + 1} is past the last"
                              f" fbar edge {m}")
     if e_prime is not None and not 0 <= e_prime < m:
-        raise ValueError(f"line {e_prime_line}: eprime {e_prime + 1} is"
+        raise ValueError(f"line {once['eprime']}: eprime {e_prime + 1} is"
                          f" outside the edges 1..{m}")
+    if "unsat" in once and fvals:
+        ln = min(ln for ln, _ in fvals.values())
+        raise ValueError(f"line {ln}: f line in a certificate that says unsat"
+                         f" on line {once['unsat']}")
     flow: Optional[list[Elem]] = None
-    if not unsat:
+    if "unsat" not in once:
         for e in range(m):
             if e not in fvals:
                 raise ValueError(f"line {fbar[e][0]}: edge {e + 1} has an fbar"
@@ -847,11 +839,8 @@ def connect_prime(g: SignedGraph, p: int,
     sun = as_negative_sun(g, F)
     if sun is None:
         raise AssertionError("base-sun certificate without a sun")
-    reserve = next((c for c in cycles_within(g, B) if c.sign == MINUS), None)
-    if reserve is None:
-        raise AssertionError("base-sun complement lost its negative cycle")
 
-    sf = sun_flow(g, sun, reserve, p, fbar, tau)
+    sf = sun_flow(g, sun, p, fbar, tau)
     phi1 = list(sf.flow)
     e_prime = sf.e_prime
 
@@ -867,20 +856,13 @@ def connect_prime(g: SignedGraph, p: int,
     b1 = [e for e in sorted(B) if phi1[e] == fbar[e]]
     psi = [0] * g.m
     if b1:
+        # T + e holds one circuit of the frame matroid, a positive cycle or
+        # a barbell; its odd coefficients mark the cycles, and the XOR of
+        # those edge sets is an even-degree, even-negative support
         support: set[int] = set()
-        base_cycle = next(c for c in cycles_within(g, T) if c.sign == MINUS)
         for e in b1:
-            pool = T | {e}
-            through = [c for c in cycles_within(g, pool) if e in c.edge_set]
-            pos = [c for c in through if c.sign == PLUS]
-            if pos:
-                support ^= set(pos[0].edge_set)
-            else:
-                # both cycles through e are negative only when the one
-                # through e avoids the base cycle: together they form the
-                # even-negative support of a barbell
-                support ^= set(through[0].edge_set)
-                support ^= set(base_cycle.edge_set)
+            w = flow_coeffs_through(g, tau, T | {e}, {e})
+            support ^= {x for x, c in w.items() if c % 2}
         if not set(b1) <= support:
             raise AssertionError("collision edges fell out of the support")
         carrier = T | set(b1)

@@ -1,9 +1,10 @@
 """Structural objects used by the decomposition and flow machinery.
 
-Cycles are enumerated through the GF(2) cycle space: every simple cycle is
-a symmetric difference of fundamental cycles, so scanning all 2^(m-n+c)
-combinations and keeping the connected 2-regular ones is exhaustive.  Desk
-scale keeps the dimension small (6 for Petersen, 10 for K6).  A fundamental
+The cycles inside an edge set are enumerated through its GF(2) cycle
+space: every simple cycle is a symmetric difference of fundamental cycles,
+so scanning all 2^(|S|-n+c) combinations and keeping the connected
+2-regular ones is exhaustive.  Desk scale keeps the dimension small (6 for
+Petersen, 10 for K6, at most 2 for a connected base plus one edge).  A fundamental
 cycle closes its edge with the tree path from core.shortest_path.
 """
 
@@ -114,19 +115,19 @@ def fundamental_cycle(g: SignedGraph, tree: Sequence[int], e: int) -> list[int]:
     return hit[1][::-1] + [e]
 
 
-@functools.lru_cache(maxsize=ALL_CYCLES_MEMO)
-def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
-    """Every simple cycle of g, by scanning the GF(2) cycle space, sorted by
-    (length, edge sequence).
+def cycles_within(g: SignedGraph, edges: Iterable[int]) -> list[CycleRef]:
+    """The cycles of g that use only the given edges, by scanning the edge
+    set's own GF(2) cycle space, sorted by (length, edge sequence).
 
-    The scan visits the combinations of fundamental cycles in Gray-code
-    order, so each one is one symmetric difference away from the last.
-    Results are memoised per graph value: the pipeline asks for the cycles
-    of the same graph many times.
+    The scan visits the combinations of the set's fundamental cycles in
+    Gray-code order, so each one is one symmetric difference away from the
+    last.  A CycleRef's walk depends only on its edges, so the list is the
+    same whichever forest the scan starts from.
     """
-    tree = spanning_forest(g, range(g.m))
+    es = sorted(set(edges))
+    tree = spanning_forest(g, es)
     in_tree = set(tree)
-    cotree = [e for e in range(g.m) if e not in in_tree]
+    cotree = [e for e in es if e not in in_tree]
     dim = len(cotree)
     if dim > MAX_CYCLE_SPACE_DIM:
         raise DeskScaleError(f"cycle space dimension {dim} too large")
@@ -139,17 +140,14 @@ def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
         if c is not None:
             out.append(c)
     out.sort(key=lambda c: (len(c), c.edges))
-    return tuple(out)
+    return out
 
 
-def cycles_within(g: SignedGraph, edges: Iterable[int]) -> list[CycleRef]:
-    """The cycles of g that use only the given edges, in all_cycles order.
-
-    Read off g's memoised cycle list, so no subgraph is enumerated and the
-    memo keeps g's entry.
-    """
-    es = frozenset(edges)
-    return [c for c in all_cycles(g) if es.issuperset(c.edges)]
+@functools.lru_cache(maxsize=ALL_CYCLES_MEMO)
+def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
+    """Every simple cycle of g, in cycles_within order, memoised per graph
+    value: the pipeline asks for the cycles of the same graph many times."""
+    return tuple(cycles_within(g, range(g.m)))
 
 
 # -- thetas -------------------------------------------------------------------

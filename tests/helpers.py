@@ -444,16 +444,50 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
 
 
 def reference_cycles_within(g: SignedGraph, edges) -> list:
-    """The cycles of g inside an edge set, by enumerating the subgraph:
-    delete the other edges, list the subgraph's cycles, map their edges
-    back through the deletion's edge map and sort by (length, edges)."""
-    keep = set(edges)
-    res = delete_edges(g, set(range(g.m)) - keep)
-    back = {ne: e for e, ne in enumerate(res.edge_map) if ne is not None}
-    out = [order_cycle(g, {back[e] for e in c.edges})
-           for c in all_cycles(res.graph)]
+    """The cycles of g inside an edge set, by brute force: every subset of
+    the set that order_cycle accepts, sorted by (length, edges)."""
+    es = sorted(set(edges))
+    out = []
+    for size in range(1, len(es) + 1):
+        for sub in itertools.combinations(es, size):
+            try:
+                out.append(order_cycle(g, sub))
+            except ValueError:
+                pass
     out.sort(key=lambda c: (len(c), c.edges))
     return out
+
+
+def reference_has_two_disjoint_cycles(g: SignedGraph,
+                                      want_negative: bool = False):
+    """The first pair of vertex-disjoint cycles (both negative with
+    want_negative) among all pairs of all_cycles, else None: the pairing
+    that decompose.has_two_disjoint_cycles replaced."""
+    cycles = [c for c in all_cycles(g)
+              if not want_negative or c.sign == MINUS]
+    for c1, c2 in itertools.combinations(cycles, 2):
+        if not set(c1.vertices) & set(c2.vertices):
+            return c1, c2
+    return None
+
+
+def reference_collision_support(g: SignedGraph, base, b1) -> set[int]:
+    """The prime route's 3-flow support built per collision edge e from
+    the cycles of base + e: the positive cycle through e if there is one,
+    else the cycle through e XOR the base's negative cycle."""
+    base = set(base)
+    base_cycle = next(c for c in reference_cycles_within(g, base)
+                      if c.sign == MINUS)
+    support: set[int] = set()
+    for e in b1:
+        through = [c for c in reference_cycles_within(g, base | {e})
+                   if e in c.edge_set]
+        pos = [c for c in through if c.sign == PLUS]
+        if pos:
+            support ^= set(pos[0].edge_set)
+        else:
+            support ^= set(through[0].edge_set) ^ set(base_cycle.edge_set)
+    return support
 
 
 def reference_is_cubic_3connected(g: SignedGraph) -> bool:

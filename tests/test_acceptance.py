@@ -222,7 +222,7 @@ def test_criterion_7_property_suites(capsys):
             maps = [[A.zero] * g.m] + \
                 [random_fbar(rng, A, g.m) for _ in range(10)]
             for fb in maps:
-                r = flows.sun_flow(g, sun, None, 11, fb)
+                r = flows.sun_flow(g, sun, 11, fb)
                 assert is_flow(g, Orientation.default(g), r.flow, A)
                 for e in sun.edge_set:
                     if e == r.e_prime:

@@ -10,11 +10,12 @@ import pytest
 
 import sgflow
 from helpers import CUBIC_GRAPHS, theorem_instances
+from sgflow import core
 from sgflow.cli import main
 from sgflow.core import MINUS, PLUS, SignedGraph, format_sg, parse_sg
 from sgflow.duality import format_emb, k6_projective_embedding
-from sgflow.generators import GENERATORS, k4_negative_triangle, negsun, \
-    petersen, petersen_2neg
+from sgflow.generators import GENERATORS, k4, k4_negative_triangle, \
+    negsun, petersen, petersen_2neg
 
 
 def run(capsys, *argv):
@@ -60,6 +61,36 @@ def test_check_connectivity_and_unbalancedness(tmp_path, capsys):
     assert code == 0 and "2-unbalanced yes" in out
     code, out, _ = run(capsys, "check", "cyclic-connectivity", path)
     assert code == 0
+
+
+@pytest.mark.parametrize("graph,label,two,code", [
+    (GENERATORS["petersen-ps"](), ">2", "yes", 0),
+    (petersen_2neg(), "2", "yes", 0),
+    (k4_negative_triangle(), "2", "yes", 0),
+    (negsun(4), "1", "no", 1),
+    (k4(), "0", "no", 1),
+])
+def test_check_unbalanced_report(tmp_path, capsys, graph, label, two, code):
+    # frustration index exactly 2 is 2-unbalanced
+    path = write_graph(tmp_path, graph)
+    assert run(capsys, "check", "unbalanced", path) == (
+        code, f"min-negative-edges {label}\n2-unbalanced {two}\n", "")
+
+
+def test_check_unbalanced_labels_the_graph_once(tmp_path, capsys,
+                                                monkeypatch):
+    # is_k_unbalanced after min_negative_edges used to label it again
+    labelled = []
+    cut_labels = core._cut_labels
+
+    def spy(g):
+        labelled.append(g)
+        return cut_labels(g)
+
+    monkeypatch.setattr(core, "_cut_labels", spy)
+    path = write_graph(tmp_path, petersen_2neg())
+    code, _, _ = run(capsys, "check", "unbalanced", path)
+    assert (code, len(labelled)) == (0, 1)
 
 
 def test_closure_report(tmp_path, capsys):
@@ -344,6 +375,43 @@ def test_verify_reads_the_format_past_leading_comments(tmp_path, capsys,
     code, out, _ = _verify_lines(tmp_path, capsys,
                                  ["# note", "", "  #indented"] + lines, gpath)
     assert (code, out.strip()) == (0, "OK")
+
+
+@pytest.mark.parametrize("extra", ["cert prime", "group Z7", "eprime 15"])
+def test_verify_exits_2_on_a_repeated_header_line(tmp_path, capsys, extra):
+    # the last cert, group or eprime line used to win
+    lines, gpath = _cert_and_graph(tmp_path, capsys)
+    key = extra.split()[0]
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(key + " "))
+    code, _, err = _verify_lines(tmp_path, capsys, lines + [extra], gpath)
+    assert code == 2 and f"error: line {len(lines) + 1}:" in err
+    assert f"{key} already given on line {i + 1}" in err
+
+
+def _unsat_lines(tmp_path, capsys):
+    gpath = write_graph(tmp_path, petersen())
+    code, out, _ = run(capsys, "connect", "--group", "Z5", gpath)
+    assert code == 1 and "unsat" in out.splitlines()
+    return out.splitlines(), gpath
+
+
+def test_verify_exits_2_on_a_repeated_unsat_line(tmp_path, capsys):
+    lines, gpath = _unsat_lines(tmp_path, capsys)
+    i = lines.index("unsat")
+    code, _, err = _verify_lines(tmp_path, capsys, lines + ["unsat"], gpath)
+    assert code == 2 and f"error: line {len(lines) + 1}:" in err
+    assert f"unsat already given on line {i + 1}" in err
+
+
+def test_verify_exits_2_on_f_lines_in_an_unsat_certificate(tmp_path, capsys):
+    # the f lines used to be parsed and dropped, and verify printed FAIL
+    lines, gpath = _unsat_lines(tmp_path, capsys)
+    i = lines.index("unsat")
+    flow = [f"f {e + 1} 0" for e in range(15)]
+    code, _, err = _verify_lines(tmp_path, capsys,
+                                 lines[:i + 1] + flow + lines[i + 1:], gpath)
+    assert code == 2 and f"error: line {i + 2}: f line" in err
+    assert f"says unsat on line {i + 1}" in err
 
 
 def test_verify_exits_2_on_certificate_for_fewer_edges(tmp_path, capsys):

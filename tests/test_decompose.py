@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (CUBIC_GRAPHS, circular_ladder, graphs_with_edge_sets,
+from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
+                     graphs_with_edge_sets,
+                     reference_has_two_disjoint_cycles,
                      reference_improving_path,
                      reference_is_2_connected_edge_set,
                      reference_violating_balanced_cut,
@@ -90,6 +92,23 @@ def test_two_disjoint_negative_cycles():
     assert c1.sign == MINUS and c2.sign == MINUS
     assert not (set(c1.vertices) & set(c2.vertices))
     assert has_two_disjoint_cycles(petersen(), want_negative=True) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(signed_cubic_3connected(), connected_multigraphs()),
+       st.booleans())
+def test_two_disjoint_cycles_match_the_pairing(g, want_negative):
+    # the multigraphs have vertices of degree 4 and more, where G - E(C)
+    # keeps cycles through V(C); in a cubic graph it has none
+    pair = has_two_disjoint_cycles(g, want_negative)
+    ref = reference_has_two_disjoint_cycles(g, want_negative)
+    assert (pair is None) == (ref is None)
+    if pair is not None:
+        c1, c2 = pair
+        assert c1 == ref[0]
+        assert not set(c1.vertices) & set(c2.vertices)
+        if want_negative:
+            assert c1.sign == c2.sign == MINUS
 
 
 def test_decompose_requires_cubic_3connected_input():

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import host_with_sun, random_connected_graph, random_fbar
+from golden.make_golden import PRIME_B1, random_fbar as golden_fbar
+from helpers import (host_with_sun, random_connected_graph, random_fbar,
+                     reference_collision_support)
 from sgflow import flows
 from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
                          SignedGraph, is_k_unbalanced, parse_sg)
@@ -162,12 +164,12 @@ def test_sun_flow_clears_the_band_on_sun_edges():
     A = parse_group("Z11")
     for n in (3, 4, 5, 6):
         g, sun = host_with_sun(n)
-        res = flows.sun_flow(g, sun, None, 11, [A.zero] * g.m)
+        res = flows.sun_flow(g, sun, 11, [A.zero] * g.m)
         assert res.case in ("zero-odd", "zero-even")
         assert is_flow(g, Orientation.default(g), res.flow, A)
         for _ in range(15):
             fb = random_fbar(rng, A, g.m)
-            r = flows.sun_flow(g, sun, None, 11, fb)
+            r = flows.sun_flow(g, sun, 11, fb)
             assert is_flow(g, Orientation.default(g), r.flow, A)
             for e in sun.edge_set:
                 if e == r.e_prime:
@@ -180,7 +182,41 @@ def test_sun_flow_requires_a_large_prime():
     g, sun = host_with_sun(4)
     A = parse_group("Z7")
     with pytest.raises(ValueError):
-        flows.sun_flow(g, sun, None, 7, [A.zero] * g.m)
+        flows.sun_flow(g, sun, 7, [A.zero] * g.m)
+
+
+# a cubic 2-unbalanced graph whose one collision edge over Z11 (edge 12,
+# index 11) closes a barbell with the base, path included
+BARBELL_B1 = SignedGraph(14, (
+    (0, 4, 1), (0, 10, -1), (0, 11, 1), (1, 3, -1), (1, 8, -1), (1, 9, -1),
+    (2, 3, 1), (2, 5, -1), (2, 11, 1), (3, 6, 1), (4, 9, -1), (4, 13, 1),
+    (5, 9, 1), (5, 13, 1), (6, 8, -1), (6, 10, -1), (7, 10, 1), (7, 11, 1),
+    (7, 12, -1), (8, 12, -1), (12, 13, 1)))
+BARBELL_B1_FBAR = [(x,) for x in (3, 4, 1, 6, 7, 2, 1, 1, 0, 6, 8, 4, 0, 3,
+                                  8, 8, 5, 4, 2, 1, 4)]
+
+
+@pytest.mark.parametrize("case", [*PRIME_B1, "barbell"])
+def test_prime_collision_support_matches_the_per_edge_cycles(monkeypatch,
+                                                             case):
+    if case == "barbell":
+        g, fbar = BARBELL_B1, BARBELL_B1_FBAR
+    else:
+        g = petersen_2neg()
+        fbar = golden_fbar(f"prime-b1-petersen-2neg-Z11-{case}",
+                           parse_group("Z11"), g.m)
+    supports = []
+    z2_to_3flow = flows.z2_to_3flow
+
+    def spy(h, support, *rest):
+        supports.append(support)
+        return z2_to_3flow(h, support, *rest)
+
+    monkeypatch.setattr(flows, "z2_to_3flow", spy)
+    cert = flows.connect_prime(g, 11, fbar)
+    b1 = [int(e) - 1 for e in cert.artifacts["b1"].split()]
+    assert supports == [reference_collision_support(
+        g, decompose_base_sun(g).x1, b1)]
 
 
 def test_connect_composite_on_petersen_variants():

@@ -52,14 +52,15 @@ def test_tests_have_no_unused_imports():
     assert _unused_imports_under(TESTS, "**/*.py") == {}
 
 
+def _lines_matching(root: Path, pattern: re.Pattern, skip=()) -> list[str]:
+    return [f"{path.name}:{no}" for path in sorted(root.glob("*.py"))
+            if path.name not in skip
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+
+
 # A loop over every vertex subset: exponential in n with no named budget.
 VERTEX_SUBSET_SCAN = re.compile(r"1\s*<<\s*\(?\s*g\.n\b")
-
-
-def _vertex_subset_scans(root: Path) -> list[str]:
-    return [f"{path.name}:{no}" for path in sorted(root.glob("*.py"))
-            for no, line in enumerate(path.read_text().splitlines(), 1)
-            if VERTEX_SUBSET_SCAN.search(line)]
 
 
 def test_vertex_subset_scan_pattern():
@@ -71,7 +72,28 @@ def test_vertex_subset_scan_pattern():
 
 
 def test_sgflow_has_no_vertex_subset_scan():
-    assert _vertex_subset_scans(SRC) == []
+    assert _lines_matching(SRC, VERTEX_SUBSET_SCAN) == []
+
+
+# The whole graph's memoised cycle list.  A cycle question about an edge set
+# goes to structures.cycles_within of that set; only the modules below still
+# read the whole list.
+ALL_CYCLES = re.compile(r"\ball_cycles\b")
+ALL_CYCLES_READERS = ("structures.py", "decompose.py")
+
+
+def test_all_cycles_scan(tmp_path):
+    (tmp_path / "structures.py").write_text("def all_cycles(g):\n    pass\n")
+    (tmp_path / "flows.py").write_text(
+        "from .structures import (cycle_sign,\n    all_cycles)\n"
+        "LIMIT = ALL_CYCLES_MEMO\nx = all_cycles_within\n"
+        "y = structures.all_cycles(g)\n")
+    assert _lines_matching(tmp_path, ALL_CYCLES, ALL_CYCLES_READERS) == [
+        "flows.py:2", "flows.py:5"]
+
+
+def test_only_structures_and_decompose_read_the_whole_cycle_list():
+    assert _lines_matching(SRC, ALL_CYCLES, ALL_CYCLES_READERS) == []
 
 
 def test_benchmark_tracer_names_resolve():
