@@ -687,29 +687,34 @@ def parse_sg(text: str) -> SignedGraph:
     """Signed-graph text format:
 
     line 1: ``sg <n> <m>``; then m lines ``e <u> <v> <+|->`` with 1-based
-    vertex indices.  ``#`` comment lines are ignored.
+    vertex indices.  ``#`` comment lines are ignored.  A bad line raises
+    ValueError naming it.
     """
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty graph file")
-    no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 3 or parts[0] != "sg":
-        raise ValueError(f"line {no}: expected 'sg <n> <m>'")
-    n, m = int(parts[1]), int(parts[2])
+    (no, head), *body = lines
     edges = []
-    for no, ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 4 or parts[0] != "e":
-            raise ValueError(f"line {no}: expected 'e <u> <v> <+|->'")
-        u, v = int(parts[1]) - 1, int(parts[2]) - 1
-        if parts[3] not in "+-":
-            raise ValueError(f"line {no}: sign must be + or -")
-        s = PLUS if parts[3] == "+" else MINUS
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"line {no}: vertex index out of range")
-        edges.append((u, v, s))
+    try:
+        parts = head.split()
+        if len(parts) != 3 or parts[0] != "sg":
+            raise ValueError("expected 'sg <n> <m>'")
+        n, m = int(parts[1]), int(parts[2])
+        if n < 0 or m < 0:
+            raise ValueError("counts must not be negative")
+        for no, ln in body:
+            parts = ln.split()
+            if len(parts) != 4 or parts[0] != "e":
+                raise ValueError("expected 'e <u> <v> <+|->'")
+            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            if parts[3] not in ("+", "-"):
+                raise ValueError("sign must be + or -")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError("vertex index out of range")
+            edges.append((u, v, PLUS if parts[3] == "+" else MINUS))
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
     if len(edges) != m:
         raise ValueError(f"edge count mismatch: header says {m}, found {len(edges)}")
     return SignedGraph(n, tuple(edges))

@@ -435,40 +435,53 @@ def k6_projective_embedding() -> EmbeddedGraph:
 def parse_emb(text: str) -> EmbeddedGraph:
     """Embedding format: ``emb <surface> <n> <m>``, one ``r <v> <h...>``
     line per vertex (1-based vertices; half-edges 1-based, edge e owning
-    2e-1 and 2e), one ``s <e> <+|->`` line per edge."""
+    2e-1 and 2e), one ``s <e> <+|->`` line per edge at most (edges without
+    one are positive).  A bad line raises ValueError naming it."""
     lines = [(i + 1, ln.strip()) for i, ln in enumerate(text.splitlines())]
     lines = [(no, ln) for no, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty embedding file")
-    no, head = lines[0]
-    parts = head.split()
-    if len(parts) != 4 or parts[0] != "emb":
-        raise ValueError(f"line {no}: expected 'emb <surface> <n> <m>'")
-    surface, n, m = parts[1], int(parts[2]), int(parts[3])
-    rotation: list[Optional[tuple[int, ...]]] = [None] * n
-    edge_sign = [PLUS] * m
-    halfedge_vertex: dict[int, int] = {}
-    for no, ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "r":
-            v = int(parts[1]) - 1
-            hs = tuple(int(x) - 1 for x in parts[2:])
-            if not (0 <= v < n) or rotation[v] is not None:
-                raise ValueError(f"line {no}: bad or repeated rotation line")
-            for h in hs:
-                if not (0 <= h < 2 * m) or h in halfedge_vertex:
-                    raise ValueError(f"line {no}: bad half-edge {h + 1}")
-                halfedge_vertex[h] = v
-            rotation[v] = hs
-        elif parts[0] == "s":
-            if len(parts) != 3 or parts[2] not in "+-":
-                raise ValueError(f"line {no}: expected 's <e> <+|->'")
-            e = int(parts[1]) - 1
-            if not (0 <= e < m):
-                raise ValueError(f"line {no}: edge {e + 1} out of range")
-            edge_sign[e] = PLUS if parts[2] == "+" else MINUS
-        else:
-            raise ValueError(f"line {no}: unknown record {parts[0]!r}")
+    (no, head), *body = lines
+    try:
+        parts = head.split()
+        if len(parts) != 4 or parts[0] != "emb":
+            raise ValueError("expected 'emb <surface> <n> <m>'")
+        surface, n, m = parts[1], int(parts[2]), int(parts[3])
+        if n < 0 or m < 0:
+            raise ValueError("counts must not be negative")
+        rotation: list[Optional[tuple[int, ...]]] = [None] * n
+        edge_sign = [PLUS] * m
+        sign_line: dict[int, int] = {}  # edge -> line of its s record
+        halfedge_vertex: dict[int, int] = {}
+        for no, ln in body:
+            parts = ln.split()
+            if parts[0] == "r":
+                if len(parts) < 2:
+                    raise ValueError("expected 'r <v> <h...>'")
+                v = int(parts[1]) - 1
+                hs = tuple(int(x) - 1 for x in parts[2:])
+                if not (0 <= v < n) or rotation[v] is not None:
+                    raise ValueError("bad or repeated rotation line")
+                for h in hs:
+                    if not (0 <= h < 2 * m) or h in halfedge_vertex:
+                        raise ValueError(f"bad half-edge {h + 1}")
+                    halfedge_vertex[h] = v
+                rotation[v] = hs
+            elif parts[0] == "s":
+                if len(parts) != 3 or parts[2] not in ("+", "-"):
+                    raise ValueError("expected 's <e> <+|->'")
+                e = int(parts[1]) - 1
+                if not (0 <= e < m):
+                    raise ValueError(f"edge {e + 1} out of range")
+                if e in sign_line:
+                    raise ValueError(f"edge {e + 1} already has its sign on"
+                                     f" line {sign_line[e]}")
+                sign_line[e] = no
+                edge_sign[e] = PLUS if parts[2] == "+" else MINUS
+            else:
+                raise ValueError(f"unknown record {parts[0]!r}")
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
     if any(r is None for r in rotation) or len(halfedge_vertex) != 2 * m:
         raise ValueError("incomplete rotation data")
     edges = []

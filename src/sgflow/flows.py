@@ -7,12 +7,15 @@ All flows here are sums of elementary pieces:
     coefficient per edge determined by walking the cycle (conservation at a
     shared vertex forces f_next = -tau(h_in) tau(h_out) f_prev; a positive
     cycle closes consistently);
-  * barbell flows: two vertex-disjoint negative cycles carrying x, joined
-    by a path carrying 2x that cancels the +-2x leak each negative cycle
-    produces at its junction vertex.
+  * barbell flows: two negative cycles carrying +-x, meeting at one
+    vertex or joined by a path carrying +-2x that cancels the +-2x leak
+    each negative cycle produces at its junction vertex.
 
-The barbell's joining path is a core.shortest_path, and the paths that
-close a sun's return cycles come from core.simple_paths.
+Both pieces come from circuit_coeffs, as the one circuit of the frame
+matroid inside a connected base plus an edge: a positive cycle or a
+barbell, read off a spanning tree of the base.  A barbell's coefficients
+come from the oracle's search kernel over the barbell's edges, and the
+paths that close a sun's return cycles from core.simple_paths.
 
 The three constructions:
 
@@ -35,13 +38,13 @@ replay: the flow, the forbidden map, and the construction artifacts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (MINUS, PLUS, DeskScaleError, HypothesisError, Orientation,
                    SignedGraph, edge_connectivity, is_k_unbalanced,
-                   shortest_path, simple_paths, switch_on_set)
+                   shortest_path, simple_paths, spanning_forest,
+                   switch_on_set)
 from .decompose import decompose_base_sun, decompose_tree_2base
 from .duality import (DualCorrespondence, EmbeddedGraph, flow_from_coloring,
                       k6_projective_embedding, match_dual,
@@ -50,8 +53,7 @@ from .groups import (AbelianGroup, Elem, integer_boundary, is_flow,
                      is_prime, minimal_subgroup, parse_group)
 from .reduce import cubicize
 from .structures import (CycleRef, NegativeSun, as_negative_sun, cycle_sign,
-                         cycles_within, fundamental_cycle, k_closure,
-                         order_cycle)
+                         fundamental_cycle, k_closure, order_cycle)
 from . import oracle
 
 
@@ -67,29 +69,15 @@ def _half_at(g: SignedGraph, e: int, v: int) -> int:
     raise ValueError(f"edge {e} not incident to vertex {v}")
 
 
-def _walk(g: SignedGraph, tau: Orientation, edges: Sequence[int], start: int,
-          kappa: int) -> tuple[list[int], int]:
-    """Coefficients along the walk from `start` through `edges` that keep
-    the boundary zero at every inner vertex, kappa on the first edge:
-    conservation at the vertex shared by consecutive edges forces
-    kappa_next = -tau(h_in) tau(h_out) kappa_prev.  Also returns the vertex
-    where the walk ends."""
-    out = [kappa]
-    v = g.other_end(edges[0], start)
-    for prev, e in zip(edges, edges[1:]):
-        kappa = -tau(_half_at(g, prev, v)) * tau(_half_at(g, e, v)) * kappa
-        out.append(kappa)
-        v = g.other_end(e, v)
-    return out, v
-
-
 def circulation_coeffs(g: SignedGraph, tau: Orientation,
                        cycle: CycleRef) -> dict[int, int]:
     """Coefficients kappa (+-1 per edge, kappa = +1 on the first edge) such
     that e -> kappa(e) * x is a flow for every x, supported on the cycle.
 
-    Walking once around the cycle (see _walk) comes back to kappa = +1 on
-    the first edge exactly when the cycle is positive.
+    Conservation at the vertex shared by consecutive edges forces
+    kappa_next = -tau(h_in) tau(h_out) kappa_prev, so walking once around
+    the cycle comes back to kappa = +1 on the first edge exactly when the
+    cycle is positive.
     """
     if cycle.sign != PLUS:
         raise ValueError("circulations exist only on positive cycles")
@@ -100,7 +88,12 @@ def circulation_coeffs(g: SignedGraph, tau: Orientation,
             raise ValueError("single-edge cycle must be a loop")
         # positive loop: tau(2e) = -tau(2e+1), so a constant is conserved
         return {e: 1}
-    kappa, _ = _walk(g, tau, cycle.edges + cycle.edges[:1], cycle.vertices[0], 1)
+    es = cycle.edges
+    kappa = [1]
+    for i in range(1, k + 1):
+        v = cycle.vertices[i % k]  # joins es[i - 1] to es[i % k]
+        kappa.append(-tau(_half_at(g, es[i - 1], v))
+                     * tau(_half_at(g, es[i % k], v)) * kappa[-1])
     if kappa[-1] != kappa[0]:
         raise AssertionError("positive cycle failed to close consistently")
     return dict(zip(cycle.edges, kappa))
@@ -113,105 +106,51 @@ def add_scaled(A: AbelianGroup, f: list[Elem], coeffs: dict[int, int],
         f[e] = A.add(f[e], A.smul(c, x))
 
 
-def _rotate_cycle(c: CycleRef, v: int) -> CycleRef:
-    j = c.vertices.index(v)
-    return CycleRef(c.edges[j:] + c.edges[:j], c.vertices[j:] + c.vertices[:j],
-                    c.sign)
+def circuit_coeffs(g: SignedGraph, tau: Orientation, base: Iterable[int],
+                   e: int) -> dict[int, int]:
+    """Zero-boundary integer coefficients on the one circuit of the frame
+    matroid inside base + e, where base is a connected base (a spanning
+    tree plus an edge x closing a negative cycle) and e lies outside it.
 
-
-def _open_cycle(g: SignedGraph, tau: Orientation, c: CycleRef,
-                v: int) -> dict[int, int]:
-    """Walk the cycle from v with +1 on its first edge there; no closure
-    check, so negative cycles are allowed (they leak +-2 at v)."""
-    c = _rotate_cycle(c, v)
-    return dict(zip(c.edges, _walk(g, tau, c.edges, v, 1)[0]))
-
-
-def _leak_at(g: SignedGraph, tau: Orientation, coeffs: dict[int, int],
-             v: int) -> int:
-    """Integer boundary of the coefficient map at v."""
-    total = 0
-    for e, c in coeffs.items():
-        for h in (2 * e, 2 * e + 1):
-            if g.halfedge_vertex(h) == v:
-                total += tau(h) * c
-    return total
-
-
-def _barbell_coeffs(g: SignedGraph, tau: Orientation, c1: CycleRef,
-                    c2: CycleRef, u1: int, path: Sequence[int],
-                    u2: int) -> dict[int, int]:
-    """Zero-boundary integer coefficients on a barbell: +-1 on the two
-    negative cycles, +-2 on the connecting path (empty path when the
-    cycles share the single vertex u1 == u2)."""
-    w = _open_cycle(g, tau, c1, u1)
-    leak1 = _leak_at(g, tau, w, u1)
-    if abs(leak1) != 2:
-        raise AssertionError("negative cycle leak is not +-2")
-    if path:
-        kappa, end = _walk(g, tau, path, u1,
-                           -leak1 * tau(_half_at(g, path[0], u1)))
-        w.update(zip(path, kappa))
-        if end != u2:
-            raise ValueError("path does not end at the second junction")
-        t = tau(_half_at(g, path[-1], u2)) * kappa[-1]
+    With C_e and C_x the fundamental cycles of e and x over the tree, the
+    circuit is C_e when C_e is positive, the positive cycle C_e + C_x of
+    the theta when they share an edge, and otherwise the barbell of the
+    two negative cycles joined at their shared vertex or by the tree path
+    between them.  A circulation takes +1 on its cycle's first edge.  On
+    a barbell, the search kernel fixes +1 on the edge by which c1, the
+    lesser cycle by (length, edges), leaves the junction u1, and finds
+    the only flow that is +-1 on the cycles and +-2 on the path.
+    """
+    base = sorted(base)
+    tree = spanning_forest(g, base)
+    left = set(base).difference(tree)
+    if e in base or len(tree) != g.n - 1 or len(left) != 1:
+        raise AssertionError("base + e is not a connected base plus an edge")
+    (x,) = left
+    ce = frozenset(fundamental_cycle(g, tree, e))
+    cx = frozenset(fundamental_cycle(g, tree, x))
+    if cycle_sign(g, cx) != MINUS:
+        raise AssertionError("the base's cycle is positive")
+    if cycle_sign(g, ce) == PLUS:
+        return circulation_coeffs(g, tau, order_cycle(g, ce))
+    if ce & cx:
+        return circulation_coeffs(g, tau, order_cycle(g, ce ^ cx))
+    c1, c2 = sorted((order_cycle(g, ce), order_cycle(g, cx)),
+                    key=lambda c: (len(c), c.edges))
+    on_cycles = ce | cx
+    shared = set(c1.vertices) & set(c2.vertices)
+    if shared:
+        u1, path = min(shared), []
     else:
-        if u1 != u2:
-            raise ValueError("empty path needs a shared junction vertex")
-        t = leak1
-    w2 = _open_cycle(g, tau, c2, u2)
-    leak2 = _leak_at(g, tau, w2, u2)
-    if abs(leak2) != 2:
-        raise AssertionError("negative cycle leak is not +-2")
-    s = -t // leak2
-    if s * leak2 + t != 0 or abs(s) != 1:
-        raise AssertionError("barbell junction does not cancel")
-    for e, c in w2.items():
-        w[e] = s * c
-    full = [0] * g.m
-    for e, c in w.items():
-        full[e] = c
-    if any(x != 0 for x in integer_boundary(g, tau, full)):
-        raise AssertionError("barbell coefficients are not a flow")
-    return w
-
-
-def flow_coeffs_through(g: SignedGraph, tau: Orientation, pool: Iterable[int],
-                        required: Iterable[int]) -> dict[int, int]:
-    """Zero-boundary integer coefficients supported inside pool and nonzero
-    on every required edge: a circulation on a positive cycle through them
-    if one exists, otherwise a barbell flow covering them."""
-    pool = set(pool)
-    req = set(required)
-    cycles = cycles_within(g, pool)
-    for c in cycles:
-        if c.sign == PLUS and req <= c.edge_set:
-            return dict(circulation_coeffs(g, tau, c))
-    neg = [c for c in cycles if c.sign == MINUS]
-    for c1, c2 in itertools.combinations(neg, 2):
-        if c1.edge_set & c2.edge_set:
-            continue
-        shared = set(c1.vertices) & set(c2.vertices)
-        if len(shared) > 1:
-            continue
-        if shared:
-            u = min(shared)
-            u1, path, u2 = u, [], u
-        else:
-            # a shortest pool path from V(c1) to V(c2), internally
-            # disjoint from both cycles
-            usable = [e for e in pool
-                      if e not in c1.edge_set and e not in c2.edge_set]
-            hit = shortest_path(g, usable, c1.vertices, c2.vertices)
-            if hit is None:
-                continue
-            u1, path, u2 = hit
-        support = set(c1.edge_set) | set(c2.edge_set) | set(path)
-        if not req <= support:
-            continue
-        return _barbell_coeffs(g, tau, c1, c2, u1, path, u2)
-    raise ValueError("no positive cycle or barbell through the required"
-                     " edges inside the pool")
+        u1, path, _ = shortest_path(g, [t for t in tree if t not in on_cycles],
+                                    c1.vertices, c2.vertices)
+    edges = sorted(on_cycles.union(path))
+    domains = [[1, -1, 2, -2]] * g.m
+    domains[c1.edges[c1.vertices.index(u1)]] = [1]
+    f = oracle._search(g, tau, edges, domains, [0] * g.n, oracle._INTEGERS)
+    if f is None:
+        raise AssertionError("the search kernel found no barbell flow")
+    return {t: f[t] for t in edges}
 
 
 # -- integer 3-flows from even-degree supports -----------------------------------
@@ -590,9 +529,9 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
     """Read format_avoidance output.  The fbar lines must give edges 1..m
     once each, and unless the certificate says unsat the f lines must give
     the same edges once each, all with elements of the group; eprime must
-    be '-' or an edge 1..m.  The cert, group, eprime and unsat lines come
-    at most once, and an unsat certificate has no f lines.  Anything else
-    raises ValueError naming a line."""
+    be '-' or an edge 1..m.  The cert, group, eprime and unsat lines, and
+    the aux line of each key, come at most once, and an unsat certificate
+    has no f lines.  Anything else raises ValueError naming a line."""
     strategy: Optional[str] = None
     group: Optional[AbelianGroup] = None
     e_prime: Optional[int] = None
@@ -600,6 +539,7 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
     values: dict[str, dict[int, tuple[int, Elem]]] = {"fbar": {}, "f": {}}
     once: dict[str, int] = {}  # cert, group, eprime, unsat -> line number
     artifacts: dict[str, str] = {}
+    aux_line: dict[str, int] = {}  # aux key -> line number
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -625,6 +565,10 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
                                      f" line {values[key][e][0]}")
                 values[key][e] = (ln, v)
             elif key == "aux":
+                if parts[1] in aux_line:
+                    raise ValueError(f"aux {parts[1]} already given on line"
+                                     f" {aux_line[parts[1]]}")
+                aux_line[parts[1]] = ln
                 artifacts[parts[1]] = parts[2] if len(parts) > 2 else ""
             elif key != "unsat":
                 raise ValueError(f"unknown keyword {key!r}")
@@ -778,11 +722,15 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
         for e in sorted(B):
             if e in (b, bp):
                 continue
-            w = flow_coeffs_through(g, tau, t_prime | {e}, {e})
+            w = circuit_coeffs(g, tau, t_prime, e)
             bad = A.sub(fbar[e], phi1[e])
             a_val = next(v for v in n_elems if A.smul(w[e], v) != bad)
             add_scaled(A, phi2, w, a_val)
-        w = flow_coeffs_through(g, tau, t_prime | {b}, {b, bp})
+        # T + b holds only C_b, which is negative, so the circuit of
+        # T' + b runs through b'
+        w = circuit_coeffs(g, tau, t_prime, b)
+        if bp not in w:
+            raise AssertionError("the circuit of T' + b misses b'")
         a_val = next(
             v for v in n_elems
             if A.add(phi2[b], A.smul(w[b], v)) != A.sub(fbar[b], phi1[b])
@@ -861,7 +809,7 @@ def connect_prime(g: SignedGraph, p: int,
         # those edge sets is an even-degree, even-negative support
         support: set[int] = set()
         for e in b1:
-            w = flow_coeffs_through(g, tau, T | {e}, {e})
+            w = circuit_coeffs(g, tau, T, e)
             support ^= {x for x, c in w.items() if c % 2}
         if not set(b1) <= support:
             raise AssertionError("collision edges fell out of the support")

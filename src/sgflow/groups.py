@@ -220,8 +220,11 @@ def parse_map(text: str, A: AbelianGroup, size: int) -> list[Elem]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected '<index> <coords>'")
-        idx = int(parts[0])
-        coords = tuple(int(c) for c in parts[1].split(","))
+        try:
+            idx = int(parts[0])
+            coords = tuple(int(c) for c in parts[1].split(","))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
         if not (0 <= idx < size):
             raise ValueError(f"line {lineno}: index {idx} out of range")
         if not A.contains(coords):

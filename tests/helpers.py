@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, _has_cycle,
                          delete_edges, edge_connectivity, is_balanced,
                          is_k_unbalanced, spanning_forest, uncontract)
-from sgflow.decompose import _induced_edges
+from sgflow.decompose import _induced_edges, violating_balanced_cut
 from sgflow.duality import PROJECTIVE, to_default_orientation
+from sgflow.flows import _half_at, circulation_coeffs
 from sgflow.generators import random_cubic_3connected
+from sgflow.groups import integer_boundary
 from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
-                               order_cycle)
+                               cycles_within, order_cycle)
 
 
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 8,
@@ -71,6 +73,22 @@ def signed_cubic_3connected(draw, n_hi: int = 12):
     g = random_cubic_3connected(n, draw(st.randoms(use_true_random=False)))
     return g.with_signs(draw(st.lists(st.sampled_from((PLUS, MINUS)),
                                       min_size=g.m, max_size=g.m)))
+
+
+def unbalance_small_sides(g: SignedGraph) -> SignedGraph:
+    """g with signs flipped until decompose.violating_balanced_cut finds
+    no balanced side of a small cut, or m flips are spent: each flip is of
+    the least edge that closes a cycle inside the reported side."""
+    for _ in range(g.m):
+        hit = violating_balanced_cut(g)
+        if hit is None:
+            break
+        inside = _induced_edges(g, hit[0])
+        tree = set(spanning_forest(g, inside))
+        flip = min(e for e in inside if e not in tree)
+        g = g.with_signs([-s if e == flip else s
+                          for e, (_, _, s) in enumerate(g.edges)])
+    return g
 
 
 def circular_ladder(rungs: int, negative_rim: bool = False) -> SignedGraph:
@@ -488,6 +506,104 @@ def reference_collision_support(g: SignedGraph, base, b1) -> set[int]:
         else:
             support ^= set(through[0].edge_set) ^ set(base_cycle.edge_set)
     return support
+
+
+def random_connected_base(g: SignedGraph, rng: random.Random
+                          ) -> Optional[set[int]]:
+    """A random spanning tree of connected g plus a random edge that closes
+    a negative cycle with it, or None if g is balanced."""
+    order = list(range(g.m))
+    rng.shuffle(order)
+    tree = spanning_forest(g, order)
+    closing = [x for x in order if x not in tree
+               and not is_balanced(g, tree + [x]).balanced]
+    return set(tree) | {closing[0]} if closing else None
+
+
+def _reference_walk(g: SignedGraph, tau, edges, start: int,
+                    kappa: int) -> tuple[list[int], int]:
+    """Coefficients along the walk from start through edges that keep the
+    boundary zero at every inner vertex, kappa on the first edge, and the
+    vertex where the walk ends."""
+    out = [kappa]
+    v = g.other_end(edges[0], start)
+    for prev, e in zip(edges, edges[1:]):
+        kappa = -tau(_half_at(g, prev, v)) * tau(_half_at(g, e, v)) * kappa
+        out.append(kappa)
+        v = g.other_end(e, v)
+    return out, v
+
+
+def _reference_open_cycle(g: SignedGraph, tau, c, v: int) -> dict[int, int]:
+    """Walk the cycle from v with +1 on its edge leaving v; a negative
+    cycle leaks +-2 at v."""
+    j = c.vertices.index(v)
+    edges = c.edges[j:] + c.edges[:j]
+    return dict(zip(edges, _reference_walk(g, tau, edges, v, 1)[0]))
+
+
+def _reference_leak_at(g: SignedGraph, tau, coeffs: dict[int, int],
+                       v: int) -> int:
+    return sum(tau(h) * c for e, c in coeffs.items()
+               for h in (2 * e, 2 * e + 1) if g.halfedge_vertex(h) == v)
+
+
+def _reference_barbell_coeffs(g: SignedGraph, tau, c1, c2, u1: int, path,
+                              u2: int) -> dict[int, int]:
+    """+-1 on the two negative cycles and +-2 on the path between them,
+    with +1 on c1's edge leaving u1, by cancelling each cycle's leak."""
+    w = _reference_open_cycle(g, tau, c1, u1)
+    leak1 = _reference_leak_at(g, tau, w, u1)
+    assert abs(leak1) == 2
+    if path:
+        kappa, end = _reference_walk(g, tau, path, u1,
+                                     -leak1 * tau(_half_at(g, path[0], u1)))
+        assert end == u2
+        w.update(zip(path, kappa))
+        t = tau(_half_at(g, path[-1], u2)) * kappa[-1]
+    else:
+        assert u1 == u2
+        t = leak1
+    w2 = _reference_open_cycle(g, tau, c2, u2)
+    leak2 = _reference_leak_at(g, tau, w2, u2)
+    s = -t // leak2
+    assert abs(leak2) == 2 and s * leak2 + t == 0 and abs(s) == 1
+    w.update((e, s * c) for e, c in w2.items())
+    full = [w.get(e, 0) for e in range(g.m)]
+    assert integer_boundary(g, tau, full) == [0] * g.n
+    return w
+
+
+def reference_flow_coeffs_through(g: SignedGraph, tau, pool, required
+                                  ) -> dict[int, int]:
+    """Zero-boundary integer coefficients inside pool, nonzero on every
+    required edge, by scanning pool's cycles: the first positive cycle
+    through them, else the first pair of negative cycles, sharing at most
+    one vertex, whose barbell covers them; the scan that
+    flows.circuit_coeffs replaced."""
+    pool = set(pool)
+    req = set(required)
+    cycles = cycles_within(g, pool)
+    for c in cycles:
+        if c.sign == PLUS and req <= c.edge_set:
+            return circulation_coeffs(g, tau, c)
+    neg = [c for c in cycles if c.sign == MINUS]
+    for c1, c2 in itertools.combinations(neg, 2):
+        shared = set(c1.vertices) & set(c2.vertices)
+        if c1.edge_set & c2.edge_set or len(shared) > 1:
+            continue
+        if shared:
+            u1 = u2 = min(shared)
+            path = []
+        else:
+            hit = reference_connecting_path(g, pool, c1, c2)
+            if hit is None:
+                continue
+            u1, path, u2 = hit
+        if req <= c1.edge_set | c2.edge_set | set(path):
+            return _reference_barbell_coeffs(g, tau, c1, c2, u1, path, u2)
+    raise ValueError("no positive cycle or barbell through the required"
+                     " edges inside the pool")
 
 
 def reference_is_cubic_3connected(g: SignedGraph) -> bool:

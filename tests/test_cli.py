@@ -201,6 +201,19 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize("command, name, text", [
+    ("check balance", "neg.sg", "sg -1 0\n"),  # used to print "balanced"
+    ("check balance", "sign.sg", "sg 2 1\ne 1 2 +-\n"),
+    ("dual", "bare.emb", "emb plane 1 0\nr\n"),  # used to exit 1
+])
+def test_malformed_graph_and_embedding_files_exit_2(tmp_path, capsys, command,
+                                                    name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out) == (2, "") and err.startswith("error: line ")
+
+
 def test_internal_errors_exit_4_and_hypothesis_refusals_exit_2(
         tmp_path, capsys, monkeypatch):
     path = write_graph(tmp_path, negsun(4))
@@ -386,6 +399,15 @@ def test_verify_exits_2_on_a_repeated_header_line(tmp_path, capsys, extra):
     code, _, err = _verify_lines(tmp_path, capsys, lines + [extra], gpath)
     assert code == 2 and f"error: line {len(lines) + 1}:" in err
     assert f"{key} already given on line {i + 1}" in err
+
+
+def test_verify_exits_2_on_a_repeated_aux_key(tmp_path, capsys):
+    lines, gpath = _cert_and_graph(tmp_path, capsys)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith("aux phi1 "))
+    code, _, err = _verify_lines(tmp_path, capsys, lines + ["aux phi1 junk"],
+                                 gpath)
+    assert code == 2 and f"error: line {len(lines) + 1}:" in err
+    assert f"aux phi1 already given on line {i + 1}" in err
 
 
 def _unsat_lines(tmp_path, capsys):

@@ -42,6 +42,26 @@ def test_parse_rejects_bad_input_with_line_number():
         parse_sg("sg 3 2\ne 1 2 +\n")  # missing an edge line
 
 
+def test_parse_sg_compares_the_sign_word_whole():
+    # "+-" is a substring of "+-" and used to read as a negative edge
+    with pytest.raises(ValueError, match=r"^line 3: sign must be \+ or -"):
+        parse_sg("sg 2 1\n# one edge\ne 1 2 +-\n")
+
+
+@pytest.mark.parametrize("head", ["sg -1 0", "sg 3 -1"])
+def test_parse_sg_rejects_negative_counts(head):
+    # "sg -1 0" used to parse as a graph with n = -1
+    with pytest.raises(ValueError, match=r"^line 1: counts must not be"):
+        parse_sg(head + "\n")
+
+
+@pytest.mark.parametrize("text, line", [("sg 3 x\n", 1),
+                                        ("sg 3 1\ne 1 two +\n", 2)])
+def test_parse_sg_names_the_line_of_a_malformed_integer(text, line):
+    with pytest.raises(ValueError, match=rf"^line {line}: invalid literal"):
+        parse_sg(text)
+
+
 def test_halfedge_indexing():
     g = SignedGraph(3, ((0, 1, PLUS), (1, 2, MINUS)))
     assert g.halfedge_vertex(0) == 0 and g.halfedge_vertex(1) == 1

@@ -120,3 +120,37 @@ def test_emb_format_round_trip():
 def test_parse_emb_reports_line_numbers():
     with pytest.raises(ValueError, match="line 2"):
         parse_emb("emb plane 2 1\nr 1 1 5\nr 2 2\ns 1 +\n")
+
+
+K6_EMB = format_emb(k6_projective_embedding()).splitlines()
+
+
+def _emb_with(lines):
+    return "\n".join(K6_EMB[:1] + lines + K6_EMB[1:]) + "\n"
+
+
+@pytest.mark.parametrize("line, why", [
+    ("r", "expected 'r <v> <h...>'"),  # used to raise IndexError
+    ("s 1 +-", "expected 's <e> <\\+\\|->'"),  # used to read as "-"
+    ("r one 1", "invalid literal"),
+    ("s 1x +", "invalid literal"),
+])
+def test_parse_emb_names_the_bad_line(line, why):
+    with pytest.raises(ValueError, match=rf"^line 2: {why}"):
+        parse_emb(_emb_with([line]))
+
+
+@pytest.mark.parametrize("head", ["emb projective -1 0", "emb plane 2 -1",
+                                  "emb plane x 1"])
+def test_parse_emb_rejects_a_bad_header(head):
+    with pytest.raises(ValueError, match=r"^line 1: "):
+        parse_emb(head + "\n")
+
+
+def test_parse_emb_rejects_a_repeated_sign_line():
+    # the last s line of an edge used to win
+    first = next(i for i, ln in enumerate(K6_EMB) if ln.startswith("s 3 ")) + 1
+    lines = K6_EMB + ["s 3 -"]
+    with pytest.raises(ValueError, match=rf"^line {len(lines)}: edge 3 already"
+                       rf" has its sign on line {first}$"):
+        parse_emb("\n".join(lines) + "\n")

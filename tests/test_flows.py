@@ -5,13 +5,18 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from golden.make_golden import PRIME_B1, random_fbar as golden_fbar
-from helpers import (host_with_sun, random_connected_graph, random_fbar,
-                     reference_collision_support)
+from helpers import (host_with_sun, random_connected_base,
+                     random_connected_graph, random_fbar,
+                     reference_collision_support,
+                     reference_flow_coeffs_through, signed_cubic_3connected,
+                     unbalance_small_sides)
 from sgflow import flows
 from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
-                         SignedGraph, is_k_unbalanced, parse_sg)
+                         SignedGraph, is_k_unbalanced, parse_sg,
+                         switch_on_set)
 from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
                               violating_balanced_cut)
 from sgflow.duality import k6_projective_embedding, match_dual
@@ -36,14 +41,16 @@ def test_circulation_on_positive_cycle_has_zero_boundary():
         assert is_flow(g, tau, f, A)
 
 
-def test_flow_coeffs_through_covers_required_edges():
+def test_circuit_coeffs_covers_every_edge_outside_a_base():
     g = petersen_2neg()
     tau = Orientation.default(g)
     A = parse_group("Z11")
-    for e in range(g.m):
-        coeffs = flows.flow_coeffs_through(g, tau, range(g.m), {e})
-        assert coeffs.get(e, 0) != 0
-        assert all(abs(x) <= 2 for x in coeffs.values())
+    base = random_connected_base(g, random.Random(3))
+    for e in set(range(g.m)) - base:
+        coeffs = flows.circuit_coeffs(g, tau, base, e)
+        assert coeffs == reference_flow_coeffs_through(g, tau, base | {e}, {e})
+        assert coeffs[e] != 0 and set(coeffs) <= base | {e}
+        assert all(abs(x) in (1, 2) for x in coeffs.values())
         f = [A.zero] * g.m
         flows.add_scaled(A, f, coeffs, (1,))
         assert is_flow(g, tau, f, A)
@@ -52,16 +59,41 @@ def test_flow_coeffs_through_covers_required_edges():
 def test_barbell_through_both_negative_edges():
     g = petersen_2neg()
     tau = Orientation.default(g)
-    # restrict the pool to the two vertex-disjoint negative 5-cycles plus
-    # one spoke: the only zero-boundary flow through both is a barbell
-    pool = set(range(5)) | set(range(10, 15)) | {5}
-    coeffs = flows.flow_coeffs_through(g, tau, pool, {0, 10})
-    assert coeffs[0] != 0 and coeffs[10] != 0
-    assert any(abs(x) == 2 for x in coeffs.values())  # the connecting path
+    # the outer 5-cycle (negative through edge 0), one spoke and four
+    # pentagram edges: edge 10 closes the negative pentagram, so the circuit
+    # is a barbell whose joining path is the spoke, edge 5
+    base = set(range(5)) | {5} | set(range(11, 15))
+    coeffs = flows.circuit_coeffs(g, tau, base, 10)
+    assert coeffs == {0: 1, 1: -1, 2: -1, 3: -1, 4: -1, 5: -2, 10: -1,
+                      11: 1, 12: 1, 13: 1, 14: 1}
+    assert coeffs == reference_flow_coeffs_through(g, tau, base | {10}, {10})
     A = parse_group("Z7")
     f = [A.zero] * g.m
     flows.add_scaled(A, f, coeffs, (3,))
     assert is_flow(g, tau, f, A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_cubic_3connected(), st.randoms(use_true_random=False))
+def test_circuit_coeffs_matches_the_cycle_space_scan(g, rng):
+    base = random_connected_base(g, rng)
+    assume(base is not None)
+    tau = Orientation.default(g)
+    for e in sorted(set(range(g.m)) - base):
+        assert flows.circuit_coeffs(g, tau, base, e) == \
+            reference_flow_coeffs_through(g, tau, base | {e}, {e})
+
+
+def test_circuit_coeffs_refuses_what_is_not_a_connected_base():
+    g = petersen_2neg()
+    tau = Orientation.default(g)
+    tree = set(range(1, 10))  # a spanning tree without the negative edge
+    with pytest.raises(AssertionError, match="not a connected base"):
+        flows.circuit_coeffs(g, tau, tree, 10)
+    with pytest.raises(AssertionError, match="not a connected base"):
+        flows.circuit_coeffs(g, tau, tree | {0}, 0)
+    with pytest.raises(AssertionError, match="positive"):
+        flows.circuit_coeffs(g, tau, tree | {11}, 12)
 
 
 def _random_valid_support(rng, max_edges=12):
@@ -368,6 +400,16 @@ def test_parse_avoidance_rejects_duplicate_lines():
             flows.parse_avoidance(text)
 
 
+def test_parse_avoidance_rejects_a_repeated_aux_key():
+    # the last aux line of a key used to win silently
+    lines = _petersen_cert_lines()
+    i = _line_of(lines, "aux phi1 ")
+    text = "\n".join(lines + ["aux phi1 junk"]) + "\n"
+    with pytest.raises(ValueError, match=rf"^line {len(lines) + 1}: .*aux phi1"
+                       rf" already given on line {i + 1}$"):
+        flows.parse_avoidance(text)
+
+
 def test_parse_avoidance_rejects_missing_edge_indices():
     lines = _petersen_cert_lines()
     i = _line_of(lines, "fbar 3 ")
@@ -450,3 +492,62 @@ def test_connect_prime_past_sixteen_vertices(n):
         cert = flows.connect(g, A, random_fbar(random.Random(n), A, g.m))
         assert cert.strategy == "prime"
         assert flows.verify_avoidance(g, cert)
+
+
+# -- properties of connect on the theorem's inputs ---------------------------
+
+COMPOSITE_GROUPS = ("Z6", "Z8", "Z9", "Z10", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2")
+
+
+@st.composite
+def connect_instances(draw):
+    """A cubic 3-connected 2-unbalanced graph with n <= 12, a group and a
+    forbidden map.  The group is composite, or Z11 on a graph that meets
+    the prime route's hypotheses: elsewhere Z11 falls back to search,
+    which can take seconds.  Few random signatures meet them, so half the
+    draws unbalance the graph's small balanced sides and take Z11 if that
+    succeeds."""
+    g = draw(signed_cubic_3connected().filter(lambda g: is_k_unbalanced(g, 2)))
+    spec = draw(st.sampled_from(COMPOSITE_GROUPS))
+    if draw(st.booleans()):
+        h = unbalance_small_sides(g)
+        if (violating_balanced_cut(h) is None and is_k_unbalanced(h, 2)
+                and has_two_disjoint_cycles(h, want_negative=True)):
+            g, spec = h, "Z11"
+    A = parse_group(spec)
+    return g, A, random_fbar(draw(st.randoms(use_true_random=False)), A, g.m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connect_instances())
+def test_connect_certificate_round_trips_through_its_text(instance):
+    g, A, fbar = instance
+    cert = flows.connect(g, A, fbar)
+    assert cert.strategy == ("prime" if A.order == 11 else "composite")
+    back = flows.parse_avoidance(flows.format_avoidance(cert))
+    assert back == cert
+    assert flows.verify_avoidance(g, back)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connect_instances(), st.randoms(use_true_random=False))
+def test_connect_under_switching_and_relabelling(instance, rng):
+    g, A, fbar = instance
+    cert = flows.connect(g, A, fbar)
+    side = {v for v in range(g.n) if rng.random() < 0.5}
+    vmap = rng.sample(range(g.n), g.n)
+    emap = rng.sample(range(g.m), g.m)
+    edges, fb, flow = [None] * g.m, [None] * g.m, [None] * g.m
+    for e, (u, v, sign) in enumerate(switch_on_set(g, side).edges):
+        # switching at side negates the default orientation's reading of
+        # an edge whose first end it switches, so f and fbar change sign
+        carry = A.neg if u in side else (lambda x: x)
+        edges[emap[e]] = (vmap[u], vmap[v], sign)
+        fb[emap[e]] = carry(fbar[e])
+        flow[emap[e]] = carry(cert.flow[e])
+    h = SignedGraph(g.n, tuple(edges))
+    assert flows.verify_avoidance(h, flows.AvoidanceCertificate(
+        cert.strategy, A, flow, fb))  # the carried flow still avoids fb
+    moved = flows.connect(h, A, fb)
+    assert moved.strategy == cert.strategy
+    assert flows.verify_avoidance(h, moved)

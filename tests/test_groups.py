@@ -105,3 +105,13 @@ def test_parse_map_rejects_out_of_range_values():
         parse_map("0 4\n", A, 1)
     with pytest.raises(ValueError):
         parse_map("3 1\n", A, 2)  # index past the edge count
+
+
+def test_parse_map_names_the_line_of_a_malformed_integer():
+    A = parse_group("Z2xZ4")
+    assert parse_map("# 0-based\n0 1,3\n2 0,2\n", A, 3) == [
+        (1, 3), (0, 0), (0, 2)]
+    for text, line in (("0 1,3\nx 1,1\n", 2), ("0 1,3\n1 1;1\n", 2),
+                       ("\n\n0 1,\n", 3)):
+        with pytest.raises(ValueError, match=rf"^line {line}: invalid lit"):
+            parse_map(text, A, 3)

@@ -96,6 +96,27 @@ def test_only_structures_and_decompose_read_the_whole_cycle_list():
     assert _lines_matching(SRC, ALL_CYCLES, ALL_CYCLES_READERS) == []
 
 
+# A cycle-space scan of an edge set.  The constructions read each circuit
+# off a spanning tree (flows.circuit_coeffs), so cycle enumeration stays in
+# the modules below, out of flows, oracle, reduce and cli.
+CYCLES_WITHIN = re.compile(r"\bcycles_within\b")
+CYCLES_WITHIN_READERS = ("structures.py", "decompose.py")
+
+
+def test_cycles_within_scan(tmp_path):
+    (tmp_path / "decompose.py").write_text("x = cycles_within(g, es)\n")
+    (tmp_path / "flows.py").write_text(
+        "from .structures import (cycle_sign,\n    cycles_within)\n"
+        "x = reference_cycles_within\ny = all_cycles_within\n"
+        "z = structures.cycles_within(g, es)\n")
+    assert _lines_matching(tmp_path, CYCLES_WITHIN, CYCLES_WITHIN_READERS) \
+        == ["flows.py:2", "flows.py:5"]
+
+
+def test_only_structures_and_decompose_scan_cycle_spaces():
+    assert _lines_matching(SRC, CYCLES_WITHIN, CYCLES_WITHIN_READERS) == []
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's per-layer tracer looks each span up by name, so a
     # renamed or deleted function would break its --trace 1 runs
