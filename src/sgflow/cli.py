@@ -86,11 +86,18 @@ def _cmd_gen(args) -> int:
 
 
 def _parse_edge_list(text: str, m: int) -> set[int]:
+    """The 0-based edges of --seed-edges' 1-based indices; a bad one is
+    named with its place in the list."""
     out = set()
-    for tok in text.replace(",", " ").split():
-        e = int(tok) - 1
+    for i, tok in enumerate(text.replace(",", " ").split(), start=1):
+        try:
+            e = int(tok) - 1
+        except ValueError:
+            raise ValueError(f"--seed-edges entry {i}: {tok!r} is not an"
+                             " integer") from None
         if not (0 <= e < m):
-            raise ValueError(f"edge index {tok} out of range 1..{m}")
+            raise ValueError(f"--seed-edges entry {i}: edge {tok} out of range"
+                             f" 1..{m}")
         out.add(e)
     return out
 
@@ -146,8 +153,8 @@ def _cmd_oracle(args) -> int:
         if args.group is None:
             raise ValueError("a-connected needs --group")
         A = parse_group(args.group)
-        samples = None if args.samples is None else args.samples
-        verdict = oracle.is_A_connected(g, A, samples=samples, seed=args.seed)
+        verdict = oracle.is_A_connected(g, A, samples=args.samples,
+                                        seed=args.seed)
         print(f"a-connected {verdict.status} checked {verdict.checked}")
         if verdict.status == "no":
             beta = " ".join(",".join(map(str, b)) for b in verdict.witness_beta)
@@ -255,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--samples", type=int, default=None,
-                   help="sampling mode: number of (boundary, map) samples")
+                   help="sampling mode: number of (boundary, map) samples,"
+                   " at least 1")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_oracle)

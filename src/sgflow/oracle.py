@@ -6,11 +6,13 @@ tree, and assigns one edge at a time: the first open edge that is the last
 open one at some vertex, whose residual boundary forces its value, or else
 the first open edge.  Which edge comes next depends only on which edges
 are assigned, never on their values, so the kernel plans the whole order
-once per call: per depth the edge, its (vertex, coefficient) pairs and the
-endpoints it saturates.  The depth-first search then walks that plan, and
-a saturated endpoint's residual forces the edge's value, so a branch dies
-as soon as no value fits.  Branching effectively happens only on cotree
-edges, so Petersen-sized instances finish quickly.
+once per (graph, orientation, edges), `_plan`: per depth the edge, its
+(vertex, coefficient) pairs and the endpoints it saturates.  Each search
+is a depth-first walk of a plan, `_walk`, and sampled `is_A_connected`
+walks one plan for all its samples.  A saturated endpoint's residual
+forces the edge's value, so a branch dies as soon as no value fits.
+Branching effectively happens only on cotree edges, so Petersen-sized
+instances finish quickly.
 
 The kernel takes a value list per edge and the arithmetic of its values,
 which are integers in both of its domains.  `has_nz_k_flow` and
@@ -77,11 +79,17 @@ class _GroupCodes(NamedTuple):
     """Integer codes of a group's elements and the kernel's arithmetic on
     them.  Digit i of a code is the element's residue mod n_i, with radix
     2 n_i and digit 0 most significant, so codes follow the lexicographic
-    order of the elements."""
+    order of the elements.
+
+    avoid[allow_zero][x] is the domain of an edge that must avoid the code
+    x: every code but x, and but zero unless allow_zero, in element order;
+    avoid[allow_zero][None] is the domain of an edge that avoids nothing.
+    The kernel never changes a domain, so every search shares these."""
 
     code: dict[Elem, int]
     elem: dict[int, Elem]
     ar: _Arithmetic
+    avoid: tuple[dict[Optional[int], tuple[int, ...]], ...]
 
 
 @functools.lru_cache(maxsize=16)
@@ -99,6 +107,11 @@ def _group_codes(A: AbelianGroup) -> _GroupCodes:
         size *= 2 * n
     elems = list(A.elements())
     code = {a: sum(x * w for x, w in zip(a, weights)) for a in elems}
+    avoid = []
+    for allow_zero in (False, True):
+        every = tuple(x for x in code.values() if allow_zero or x)
+        avoid.append({None: every, **{x: tuple(y for y in every if y != x)
+                                      for x in code.values()}})
     terms, solve = {0: (0,) * size}, {}
     for c in (-2, -1, 1, 2):
         row = [0] * size
@@ -109,37 +122,33 @@ def _group_codes(A: AbelianGroup) -> _GroupCodes:
             sols[r] = sols[r] + (code[a],)
         terms[c], solve[c] = tuple(row), tuple(sols).__getitem__
     return _GroupCodes(code, {x: a for a, x in code.items()},
-                       _Arithmetic(terms, tuple(reduce), solve))
+                       _Arithmetic(terms, tuple(reduce), solve), tuple(avoid))
 
 
 class _OverBudget(Exception):
     """The search branched on more free edges than its budget allows."""
 
 
-def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
-            domains: Sequence[Sequence[int]], beta: Sequence[int],
-            ar: _Arithmetic, budget: float = math.inf) -> Optional[list]:
-    """Values f(e) in domains[e], for the edges listed (in increasing
-    order), whose boundary under tau is beta, edges not listed carrying
-    nothing; None if there are none.  The returned list is indexed by edge
-    and holds None for edges not listed.
+class _Plan(NamedTuple):
+    """What the kernel works out before it looks at any value searched
+    for: a pure function of (graph, orientation, listed edges, arithmetic).
 
-    The edge order is the cotree of a spanning forest of the edges, then
-    the forest's edges, sorted.  The next edge is the first unassigned one
-    with an endpoint where it is the last open edge, else the first
-    unassigned one.  Its candidates are the values every such endpoint
-    forces, in solve order, that its domain holds; or, with no such
-    endpoint, its domain in order.
-
-    The next edge depends only on which edges are assigned, so the plan
-    (per depth: the edge, its nonzero (vertex, coefficient) pairs and the
-    endpoints it saturates) is worked out once, before the search walks
-    it.  A vertex that no listed edge touches keeps its beta, so a nonzero
-    one there means None at once.
-
-    budget caps how often the search may branch on an edge that no
-    endpoint forces; past it, the search raises _OverBudget.
+    bare lists the vertices that no listed edge touches.  steps holds, per
+    depth, the edge, the two (vertex, coefficient term) pairs it changes
+    (padded with a spare slot n that stays 0), the saturated endpoints
+    where it adds nothing, and the (vertex, solve) pairs of the saturated
+    endpoints that force its value.  reduce is the arithmetic's reduce row.
     """
+
+    m: int
+    bare: list[int]
+    steps: list[tuple]
+    reduce: Optional[Sequence[int]]
+
+
+def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
+          ar: _Arithmetic) -> _Plan:
+    """The plan of `_search` over the listed edges under tau."""
     terms, reduce, solve = ar
     plain = terms is None
     # coefficient of edge e at vertex v: sum of tau over its half-edges at v
@@ -152,17 +161,12 @@ def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
         c[v] = c.get(v, 0) + tau(2 * e + 1)
         for v in c:
             remaining[v] += 1
-    if any(beta[v] and not remaining[v] for v in range(g.n)):
-        return None
+    bare = [v for v in range(g.n) if not remaining[v]]
     tree = spanning_forest(g, edges)
     in_tree = set(tree)
     order = [e for e in edges if e not in in_tree] + sorted(tree)
 
-    # per depth: the edge, the two (vertex, coefficient) pairs it changes,
-    # padded with a spare slot n that stays 0, and what its saturated
-    # endpoints need
-    plan = []
-    allowed: dict[int, set] = {}  # membership of each domain list
+    steps = []
     unplanned = list(order)
     while unplanned:
         # first edge with an endpoint where it is the last open one
@@ -174,24 +178,39 @@ def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
             remaining[v] -= 1
         (u, cu), (w, cw) = ([(v, c) for v, c in coeff[e].items() if c]
                             + [(g.n, 0)] * 2)[:2]
-        dom = domains[e]
-        if id(dom) not in allowed:
-            allowed[id(dom)] = set(dom)
-        plan.append((
+        steps.append((
             e, u, cu if plain else terms[cu], w, cw if plain else terms[cw],
             [v for v, c in saturated if not c],
-            [(v, solve[c]) for v, c in saturated if c],
-            dom, allowed[id(dom)]))
+            [(v, solve[c]) for v, c in saturated if c]))
+    return _Plan(g.m, bare, steps, reduce)
+
+
+def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
+          budget: float = math.inf) -> Optional[list]:
+    """`_search` on a plan: the values for the plan's edges, or None.  A
+    bare vertex keeps its beta, so a nonzero one there means None at once.
+    """
+    if any(beta[v] for v in plan.bare):
+        return None
+    reduce = plan.reduce
+    plain = reduce is None
+    walk = []
+    allowed: dict[int, set] = {}  # membership of each domain list
+    for step in plan.steps:
+        dom = domains[step[0]]
+        if id(dom) not in allowed:
+            allowed[id(dom)] = set(dom)
+        walk.append((*step, dom, allowed[id(dom)]))
 
     residual = list(beta) + [0]
-    f: list = [None] * g.m
-    depth = len(plan)
+    f: list = [None] * plan.m
+    depth = len(walk)
 
     def dfs(d: int) -> bool:
         nonlocal budget
         if d == depth:
             return True
-        e, u, cu, w, cw, zeros, forcing, dom, ok = plan[d]
+        e, u, cu, w, cw, zeros, forcing, dom, ok = walk[d]
         for v in zeros:  # a loop adding nothing at its saturated vertex
             if residual[v]:
                 return False
@@ -223,6 +242,32 @@ def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     return f if dfs(0) else None
 
 
+def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
+            domains: Sequence[Sequence[int]], beta: Sequence[int],
+            ar: _Arithmetic, budget: float = math.inf) -> Optional[list]:
+    """Values f(e) in domains[e], for the edges listed (in increasing
+    order), whose boundary under tau is beta, edges not listed carrying
+    nothing; None if there are none.  The returned list is indexed by edge
+    and holds None for edges not listed.
+
+    The edge order is the cotree of a spanning forest of the edges, then
+    the forest's edges, sorted.  The next edge is the first unassigned one
+    with an endpoint where it is the last open edge, else the first
+    unassigned one.  Its candidates are the values every such endpoint
+    forces, in solve order, that its domain holds; or, with no such
+    endpoint, its domain in order.
+
+    The next edge depends only on which edges are assigned, so the plan
+    (`_plan`) is worked out before the search walks it (`_walk`), and a
+    caller that searches one graph and orientation many times may plan
+    once and walk the plan each time.
+
+    budget caps how often the search may branch on an edge that no
+    endpoint forces; past it, the search raises _OverBudget.
+    """
+    return _walk(_plan(g, tau, edges, ar), domains, beta, budget)
+
+
 def satisfy_boundary(
     g: SignedGraph,
     A: AbelianGroup,
@@ -238,8 +283,22 @@ def satisfy_boundary(
 
     beta must give an element of A for every vertex, fbar one for every
     edge, and beta must be an A-boundary (sum = 2a for some a), a
-    necessary condition for solvability; ValueError otherwise.
+    necessary condition for solvability; tau, when given, must orient g
+    (Orientation.check); ValueError otherwise.
     """
+    _check_boundary_inputs(g, A, beta, fbar)
+    if tau is None:
+        tau = Orientation.default(g)
+    else:
+        tau.check(g)
+    return _search_group(_plan(g, tau, range(g.m), _group_codes(A).ar), A,
+                         beta, fbar, allow_zero)
+
+
+def _check_boundary_inputs(g: SignedGraph, A: AbelianGroup,
+                           beta: Sequence[Elem],
+                           fbar: Optional[Sequence[Elem]]) -> None:
+    """satisfy_boundary's checks of beta and fbar, and its edge limit."""
     if len(beta) != g.n:
         raise ValueError(f"beta has {len(beta)} entries for {g.n} vertices")
     if fbar is not None and len(fbar) != g.m:
@@ -251,23 +310,18 @@ def satisfy_boundary(
         raise ValueError("beta is not an A-boundary (sum not of the form 2a)")
     if g.m > 2 * MAX_FLOW_EDGES:
         raise DeskScaleError(f"{g.m} edges exceeds search limit")
-    if tau is None:
-        tau = Orientation.default(g)
-    return _search_group(g, A, beta, fbar, tau, allow_zero)
 
 
-def _search_group(g: SignedGraph, A: AbelianGroup, beta: Sequence[Elem],
-                  fbar: Optional[Sequence[Elem]], tau: Orientation,
-                  allow_zero: bool, budget: float = math.inf
-                  ) -> Optional[list[Elem]]:
-    """satisfy_boundary's search on checked inputs, through element codes."""
-    code, elem, ar = _group_codes(A)
-    domain = [x for x in code.values() if allow_zero or x]  # zero's code is 0
-    domains = [domain if fbar is None
-               else [x for x in domain if x != code[tuple(fbar[e])]]
-               for e in range(g.m)]
-    f = _search(g, tau, range(g.m), domains, [code[tuple(b)] for b in beta],
-                ar, budget)
+def _search_group(plan: _Plan, A: AbelianGroup, beta: Sequence[Elem],
+                  fbar: Optional[Sequence[Elem]], allow_zero: bool,
+                  budget: float = math.inf) -> Optional[list[Elem]]:
+    """satisfy_boundary's search on checked inputs, through element codes,
+    walking a plan of every edge in A's arithmetic."""
+    code, elem, _, avoid = _group_codes(A)
+    domain = avoid[allow_zero]
+    domains = ([domain[None]] * plan.m if fbar is None
+               else [domain[code[tuple(x)]] for x in fbar])
+    f = _walk(plan, domains, [code[tuple(b)] for b in beta], budget)
     return None if f is None else [elem[x] for x in f]
 
 
@@ -383,8 +437,9 @@ def is_A_connected(
     flow and, if it finds one or runs past its budget, one sweep over the
     reachable boundaries.  "no" names the first boundary missed in
     `_all_boundaries` order (the zero map when no flow exists) and counts
-    the boundaries up to it.  Sampling mode: random (beta, fbar) pairs,
-    verdict "sampled-yes" if none fails.
+    the boundaries up to it.  Sampling mode (samples at least 1): seeded
+    random (beta, fbar) pairs, each checked as satisfy_boundary checks its
+    inputs, verdict "sampled-yes" if none fails.
     """
     if samples is None:
         if g.n > MAX_EXACT_VERTICES or A.order > MAX_EXACT_GROUP_ORDER:
@@ -393,8 +448,13 @@ def is_A_connected(
                 f" and group order {MAX_EXACT_GROUP_ORDER}")
         if g.m > 2 * MAX_FLOW_EDGES:
             raise DeskScaleError(f"{g.m} edges exceeds search limit")
-        if g.n == 0:
-            raise ValueError("a graph with no vertices has no boundaries")
+    elif samples < 1:
+        raise ValueError(f"sampling mode needs at least 1 sample, not {samples}")
+    if g.n == 0:
+        raise ValueError("a graph with no vertices has no boundaries")
+    # every search below is of g under the default orientation: plan once
+    plan = _plan(g, Orientation.default(g), range(g.m), _group_codes(A).ar)
+    if samples is None:
         # The zero boundary comes first in _all_boundaries order, so one
         # search for a nowhere-zero flow can settle a "no" before the sweep.
         # A free branching costs about 10 us and the sweep about 10 ns per
@@ -402,7 +462,7 @@ def is_A_connected(
         # 2^10 maps: at worst it costs about what the sweep does.
         zero = [A.zero] * g.n
         try:
-            if _search_group(g, A, zero, None, Orientation.default(g), False,
+            if _search_group(plan, A, zero, None, False,
                              budget=A.order ** g.n >> 10) is None:
                 return ConnectivityVerdict("no", witness_beta=zero, checked=1)
         except _OverBudget:
@@ -433,7 +493,8 @@ def is_A_connected(
         target = rng.choice(doubled)
         beta.append(A.sub(target, A.sum(beta)))
         fbar = [rng.choice(elems) for _ in range(g.m)]
-        if satisfy_boundary(g, A, beta, fbar=fbar) is None:
+        _check_boundary_inputs(g, A, beta, fbar)
+        if _search_group(plan, A, beta, fbar, False) is None:
             return ConnectivityVerdict("no", witness_beta=beta, witness_fbar=fbar,
                                        seed=seed, checked=i + 1)
     return ConnectivityVerdict("sampled-yes", seed=seed, checked=samples)

@@ -53,14 +53,14 @@ def signed_multigraphs(draw):
 
 
 @st.composite
-def connected_multigraphs(draw):
-    """n = 1..8 vertices: a random tree plus random extra edges, loops of
-    either sign and parallel edges among them."""
-    n = draw(st.integers(1, 8))
+def connected_multigraphs(draw, n_hi: int = 8, extra_hi: int = 8):
+    """n = 1..n_hi vertices: a random tree plus at most extra_hi random
+    extra edges, loops of either sign and parallel edges among them."""
+    n = draw(st.integers(1, n_hi))
     tree = [(draw(st.integers(0, v - 1)), v, PLUS) for v in range(1, n)]
     end = st.integers(0, n - 1)
     extra = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
-                          max_size=8))
+                          max_size=extra_hi))
     edges = draw(st.permutations(tree + extra))
     return SignedGraph(n, tuple(edges))
 
@@ -356,6 +356,25 @@ def reference_is_A_connected(g: SignedGraph, A) -> tuple:
         if satisfy_boundary(g, A, beta) is None:
             return "no", beta, count
     return "yes", None, count
+
+
+def reference_sampled_is_A_connected(g: SignedGraph, A, samples: int,
+                                     seed: int) -> tuple:
+    """(status, checked, witness_beta, witness_fbar) of sampled
+    A-connectivity by one satisfy_boundary call per sample, each planning
+    its own search: the same seeded (beta, fbar) pairs in the same order as
+    sgflow.oracle.is_A_connected, which plans once per call."""
+    rng = random.Random(seed)
+    elems = sorted(A.elements())
+    doubled = sorted({A.add(a, a) for a in A.elements()})
+    for i in range(samples):
+        beta = [rng.choice(elems) for _ in range(g.n - 1)]
+        target = rng.choice(doubled)
+        beta.append(A.sub(target, A.sum(beta)))
+        fbar = [rng.choice(elems) for _ in range(g.m)]
+        if satisfy_boundary(g, A, beta, fbar=fbar) is None:
+            return "no", i + 1, beta, fbar
+    return "sampled-yes", samples, None, None
 
 
 # The search kernel as it was before it planned its edge order once per call

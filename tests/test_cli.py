@@ -103,6 +103,17 @@ def test_closure_report(tmp_path, capsys):
     assert out.splitlines()[0] == "closure 15 of 15"
 
 
+@pytest.mark.parametrize("seeds, where", [
+    ("1,x", "--seed-edges entry 2: 'x' is not an integer"),
+    ("3 1 16", "--seed-edges entry 3: edge 16 out of range 1..15"),
+])
+def test_closure_names_a_bad_seed_edge(tmp_path, capsys, seeds, where):
+    path = write_graph(tmp_path, petersen())
+    code, out, err = run(capsys, "closure", "--k", "2", "--seed-edges", seeds,
+                         path)
+    assert (code, out, err) == (2, "", f"error: {where}\n")
+
+
 def test_decompose_then_verify_round_trip(tmp_path, capsys):
     gpath = write_graph(tmp_path, petersen_2neg())
     code, out, _ = run(capsys, "decompose", "base-sun", gpath)
@@ -177,6 +188,15 @@ def test_oracle_a_connected_exact_on_the_prism(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "a-connected", "--group", "Z6", gpath)
     assert code == 0
     assert out == "a-connected yes checked 23328\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_oracle_sampling_needs_at_least_one_sample(tmp_path, capsys, samples):
+    # it used to print "a-connected sampled-yes checked 0" and exit 0
+    gpath = write_graph(tmp_path, petersen())
+    code, out, err = run(capsys, "oracle", "a-connected", "--group", "Z6",
+                         "--samples", samples, gpath)
+    assert (code, out) == (2, "") and "at least 1 sample" in err
 
 
 def test_oracle_respects_desk_scale_limit(tmp_path, capsys):

@@ -9,15 +9,19 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from helpers import CUBIC_GRAPHS, REFERENCE_INTEGERS, brute_boundaries, \
     random_connected_graph, random_elem, reference_group_arithmetic, \
-    reference_is_A_connected, reference_search, theorem_instances
+    reference_is_A_connected, reference_sampled_is_A_connected, \
+    reference_search, connected_multigraphs, signed_cubic_3connected, \
+    theorem_instances
+from sgflow import oracle
 from sgflow.core import DeskScaleError, MINUS, PLUS, Orientation, SignedGraph
 from sgflow.flows import z2_to_3flow
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
 from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
                            parse_group)
 from sgflow.oracle import (MAX_EXACT_VERTICES, _INTEGERS, _OverBudget,
-                           _group_codes, _search, _search_group, has_nz_A_flow,
-                           has_nz_k_flow, is_A_connected, satisfy_boundary)
+                           _group_codes, _plan, _search, _search_group,
+                           has_nz_A_flow, has_nz_k_flow, is_A_connected,
+                           satisfy_boundary)
 from sgflow.structures import all_cycles
 
 
@@ -121,9 +125,10 @@ def test_zero_boundary_search_stops_at_its_budget():
              for u, v in itertools.combinations(range(base, base + 4), 2)] * 2
     g = SignedGraph(8, tuple(edges + [(3, 4, PLUS)]))
     A = parse_group("Z6")
+    plan = _plan(g, Orientation.default(g), range(g.m), _group_codes(A).ar)
     with pytest.raises(_OverBudget):
-        _search_group(g, A, [A.zero] * g.n, None, Orientation.default(g),
-                      False, budget=A.order ** g.n >> 10)
+        _search_group(plan, A, [A.zero] * g.n, None, False,
+                      budget=A.order ** g.n >> 10)
     verdict = is_A_connected(g, A)
     assert (verdict.status, verdict.witness_beta, verdict.checked) == \
         ("no", [A.zero] * g.n, 1)
@@ -148,6 +153,45 @@ def test_sampling_mode_agrees_with_exact_yes():
     verdict = is_A_connected(g, A, samples=200, seed=4)
     assert verdict.status == "sampled-yes"
     assert verdict.checked == 200
+
+
+def test_sampling_mode_plans_its_search_once(monkeypatch):
+    plan, planned = oracle._plan, []
+
+    def counted(*args):
+        planned.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(oracle, "_plan", counted)
+    verdict = is_A_connected(petersen(), parse_group("Z6"), samples=100, seed=1)
+    assert (verdict.status, verdict.checked) == ("sampled-yes", 100)
+    assert len(planned) == 1
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampling_mode_needs_at_least_one_sample(samples):
+    # it used to answer "sampled-yes" with checked 0 or -3
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        is_A_connected(petersen(), parse_group("Z6"), samples=samples)
+
+
+def test_sampling_mode_refuses_a_graph_with_no_vertices():
+    # it used to say "beta has 1 entries for 0 vertices"
+    with pytest.raises(ValueError, match="a graph with no vertices has no"
+                                         " boundaries"):
+        is_A_connected(SignedGraph(0, ()), parse_group("Z6"), samples=5)
+
+
+def test_satisfy_boundary_checks_the_orientation_it_is_given():
+    g, A = petersen(), parse_group("Z6")
+    zero = [A.zero] * g.n
+    with pytest.raises(ValueError, match="orientation size mismatch"):
+        satisfy_boundary(g, A, zero, tau=Orientation((PLUS,) * (2 * g.m - 2)))
+    # +1 on both half-edges of a positive edge makes two tails; the search
+    # used to return the zero map as a flow under it
+    with pytest.raises(ValueError, match="inconsistent with sign on edge"):
+        satisfy_boundary(g, A, zero, tau=Orientation((PLUS,) * (2 * g.m)),
+                         allow_zero=True)
 
 
 def test_desk_scale_limits():
@@ -287,7 +331,7 @@ def test_search_on_group_codes_matches_the_reference(inst, spec, with_fbar,
     want = reference_search(g, tau, edges, domains, beta,
                             reference_group_arithmetic(A))
     event(f"found: {want is not None}")
-    code, elem, ar = _group_codes(A)
+    code, elem, ar, _ = _group_codes(A)
     got = _search(g, tau, edges, [[code[x] for x in d] for d in domains],
                   [code[b] for b in beta], ar)
     assert (None if got is None
@@ -305,7 +349,7 @@ def test_search_forces_a_loop_in_its_planned_turn():
     want = reference_search(g, tau, range(3), [dom] * 3, [A.zero] * 2,
                             reference_group_arithmetic(A))
     assert want == [(1, 1), (1, 1), (0, 1)]
-    code, elem, ar = _group_codes(A)
+    code, elem, ar, _ = _group_codes(A)
     got = _search(g, tau, range(3), [[code[x] for x in dom]] * 3, [0, 0], ar)
     assert [elem[x] for x in got] == want
 
@@ -350,3 +394,24 @@ def test_is_A_connected_matches_one_search_per_boundary(inst, spec):
     event(f"verdict: {want[0]}")
     v = is_A_connected(g, A)
     assert (v.status, v.witness_beta, v.checked) == want
+
+
+# -- sampling mode against one satisfy_boundary call per sample -------------------
+
+SAMPLED_GROUPS = ("Z6", "Z8", "Z9", "Z2xZ2xZ2", "Z3xZ3")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(signed_cubic_3connected(n_hi=10),
+                 connected_multigraphs(n_hi=6, extra_hi=4)),
+       st.sampled_from(SAMPLED_GROUPS), st.integers(1, 12),
+       st.integers(0, 2 ** 16))
+def test_sampling_mode_matches_one_search_per_sample(g, spec, samples, seed):
+    # cubic 3-connected graphs, and connected multigraphs (n <= 6, loops of
+    # both signs and parallel edges) that often answer "no"; at most four
+    # edges beyond a tree keep each exhaustive "no" small
+    A = parse_group(spec)
+    want = reference_sampled_is_A_connected(g, A, samples, seed)
+    event(f"verdict: {want[0]}")
+    v = is_A_connected(g, A, samples=samples, seed=seed)
+    assert (v.status, v.checked, v.witness_beta, v.witness_fbar) == want
