@@ -41,10 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .core import (MINUS, PLUS, DeskScaleError, HypothesisError, Orientation,
-                   SignedGraph, edge_connectivity, is_k_unbalanced,
-                   shortest_path, simple_paths, spanning_forest,
-                   switch_on_set)
+from .core import (MINUS, PLUS, HypothesisError, Orientation, SignedGraph,
+                   edge_connectivity, is_k_unbalanced, shortest_path,
+                   simple_paths, spanning_forest, switch_on_set)
 from .decompose import decompose_base_sun, decompose_tree_2base
 from .duality import (DualCorrespondence, EmbeddedGraph, flow_from_coloring,
                       k6_projective_embedding, match_dual,
@@ -185,8 +184,6 @@ def z2_to_3flow(g: SignedGraph, support: Iterable[int],
         raise ValueError("support has a vertex of odd degree")
     if sum(1 for e in sup if g.sigma(e) == MINUS) % 2:
         raise ValueError("support holds an odd number of negative edges")
-    if len(car) > 2 * oracle.MAX_FLOW_EDGES:
-        raise DeskScaleError(f"carrier with {len(car)} edges exceeds limit")
     if tau is None:
         tau = Orientation.default(g)
     domains = [[1, -1] if e in sup else [0, 1, -1, 2, -2] for e in range(g.m)]
@@ -216,11 +213,11 @@ def forbidden_band(A: AbelianGroup, base: Elem) -> set[Elem]:
 class SunFrame:
     """A sun relabelled, switched and reoriented into the reference frame.
 
-    After switching on `switched`, the cycle's first edge is the unique
-    negative sun edge and all pendants are positive.  Under tau_c the
-    circulation of the return cycle D_i meets the sun in coefficients
-    +1 on e_i and on both adjacent pendants (up to the one parity defect
-    an even cycle must carry at vertex 0).  sgn[e] transfers values
+    After switching, the cycle's first edge is the unique negative sun
+    edge and all pendants are positive.  Under tau_c the circulation of
+    the return cycle D_i meets the sun in coefficients +1 on e_i and on
+    both adjacent pendants (up to the one parity defect an even cycle
+    must carry at vertex 0).  sgn[e] transfers values
     between tau_c and the caller's switched orientation tau_s.
     """
 
@@ -232,7 +229,6 @@ class SunFrame:
     ps: list[int]  # pendant edges, rotated
     ts: list[int]  # pendant tips, rotated
     sgn: list[int]  # per-edge value transfer factor between tau_c and tau_s
-    switched: frozenset[int]
 
 
 def _sun_frame(g: SignedGraph, H: NegativeSun, r: int,
@@ -252,8 +248,7 @@ def _sun_frame(g: SignedGraph, H: NegativeSun, r: int,
     x[vs[0]] = x[vs[1]] ^ (1 if g.sigma(es[0]) == MINUS else 0) ^ 1
     for i in range(n):
         x[ts[i]] = x[vs[i]] ^ (1 if g.sigma(ps[i]) == MINUS else 0)
-    switched = frozenset(v for v in range(g.n) if x[v])
-    g2 = switch_on_set(g, switched)
+    g2 = switch_on_set(g, {v for v in range(g.n) if x[v]})
     for i in range(n):
         want = MINUS if i == 0 else PLUS
         if g2.sigma(es[i]) != want or g2.sigma(ps[i]) != PLUS:
@@ -293,7 +288,7 @@ def _sun_frame(g: SignedGraph, H: NegativeSun, r: int,
     tau_c = Orientation(tuple(tl2))
     tau_c.check(g2)
     sgn = [1 if tau_c(2 * e) == tau_s(2 * e) else -1 for e in range(g.m)]
-    return SunFrame(g2, tau_s, tau_c, es, vs, ps, ts, sgn, switched)
+    return SunFrame(g2, tau_s, tau_c, es, vs, ps, ts, sgn)
 
 
 def _sun_return_cycle(fr: SunFrame, i: int) -> CycleRef:
@@ -326,8 +321,6 @@ class SunFlowResult:
     flow: list[Elem]  # a flow on g, supported on E(H) and the return paths
     e_prime: Optional[int]  # the one sun edge cleared only of fbar itself
     case: str  # "zero-odd", "zero-even" or "nonzero"
-    rotation: int
-    switched: frozenset[int]
 
 
 def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
@@ -381,7 +374,6 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
     fr = _sun_frame(g, H, 0, tau)
     fbc, beta = frame_values(fr)
     one = (1 % p,)
-    rotation = 0
 
     if all(bv == A.zero for bv in beta):
         case = "zero-odd" if n % 2 == 1 else "zero-even"
@@ -408,8 +400,7 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
     else:
         case = "nonzero"
         k0 = next(i for i in range(n) if beta[i] != A.zero)
-        rotation = (k0 - 1) % n
-        fr = _sun_frame(g, H, rotation, tau)
+        fr = _sun_frame(g, H, (k0 - 1) % n, tau)
         fbc, beta = frame_values(fr)
         if beta[1] == A.zero:
             raise AssertionError("rotation failed to place a nonzero boundary")
@@ -466,7 +457,7 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
     f = [f2[e] if fr.sgn[e] == 1 else A.neg(f2[e]) for e in range(g.m)]
     if not is_flow(g, tau, f, A):
         raise AssertionError("sun flow is not a flow in the caller's frame")
-    return SunFlowResult(f, e_prime, case, rotation, fr.switched)
+    return SunFlowResult(f, e_prime, case)
 
 
 # -- certificates -----------------------------------------------------------------
@@ -935,8 +926,8 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     contraction leaves the boundary zero); everything else, a graph with
     fewer than 2 vertices, and a HypothesisError from the prime route's
     decomposition (no two disjoint negative cycles, or a balanced side of
-    a small cut) falls back to exhaustive search, which may also prove
-    that no avoiding flow exists (flow = None).
+    a small cut) falls back to exhaustive search, whose flow is verified,
+    and which may also prove that no avoiding flow exists (flow = None).
     """
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
@@ -973,4 +964,7 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
 
     sol = oracle.satisfy_boundary(g, A, [A.zero] * g.n, fbar=list(fbar),
                                   allow_zero=True)
-    return AvoidanceCertificate("oracle", A, sol, list(fbar))
+    cert = AvoidanceCertificate("oracle", A, sol, list(fbar))
+    if sol is not None and not verify_avoidance(g, cert):  # no re-search
+        raise AssertionError("oracle flow failed to verify")
+    return cert

@@ -1,7 +1,7 @@
 """Ground-truth search for flows and boundary satisfaction.
 
-Everything here is exact backtracking at desk scale, and all of it runs
-through one kernel, `_search`.  It orders the edges cotree first, then
+Everything here is exact backtracking, and all of it runs through one
+kernel, `_search`.  It orders the edges cotree first, then
 tree, and assigns one edge at a time: the first open edge that is the last
 open one at some vertex, whose residual boundary forces its value, or else
 the first open edge.  Which edge comes next depends only on which edges
@@ -32,13 +32,17 @@ set shifted by every nonzero value it can carry.  The zero boundary comes
 first in the order that names the witness, so one search for a
 nowhere-zero flow, on a budget that keeps it within the sweep's cost,
 settles a "no" there before any sweep.
+
+No input is refused for its size, only for its work, by DeskScaleError:
+a search past SEARCH_BUDGET free branchings (on edges that no endpoint
+forces), which bounds every caller of the kernel, and an exact sweep whose
+(edges + 1) |A|^n passes SWEEP_BUDGET.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -46,10 +50,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .core import DeskScaleError, Orientation, SignedGraph, spanning_forest
 from .groups import AbelianGroup, Elem, is_A_boundary
 
-# Hard ceilings for the exact modes.
-MAX_EXACT_VERTICES = 8
-MAX_EXACT_GROUP_ORDER = 9
-MAX_FLOW_EDGES = 18
+# Limits on work: free branchings per search (10-30 us each), and
+# (edges + 1) |A|^n for the exact sweep, its bitset size times edges.
+SEARCH_BUDGET = 2 ** 20
+SWEEP_BUDGET = 2 ** 31
 
 
 class _Arithmetic(NamedTuple):
@@ -125,7 +129,7 @@ def _group_codes(A: AbelianGroup) -> _GroupCodes:
                        _Arithmetic(terms, tuple(reduce), solve), tuple(avoid))
 
 
-class _OverBudget(Exception):
+class _OverBudget(DeskScaleError):
     """The search branched on more free edges than its budget allows."""
 
 
@@ -186,12 +190,13 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
 
 
 def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
-          budget: float = math.inf) -> Optional[list]:
+          budget: Optional[int] = None) -> Optional[list]:
     """`_search` on a plan: the values for the plan's edges, or None.  A
     bare vertex keeps its beta, so a nonzero one there means None at once.
     """
     if any(beta[v] for v in plan.bare):
         return None
+    limit = budget = SEARCH_BUDGET if budget is None else budget
     reduce = plan.reduce
     plain = reduce is None
     walk = []
@@ -222,7 +227,8 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
             cands = dom
             budget -= 1
             if budget < 0:
-                raise _OverBudget
+                raise _OverBudget(f"search budget of {limit} free branchings"
+                                  " spent without an answer")
         ru, rw = residual[u], residual[w]
         for x in cands:
             if x not in ok:  # a forced value outside the domain
@@ -244,7 +250,7 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
 
 def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
             domains: Sequence[Sequence[int]], beta: Sequence[int],
-            ar: _Arithmetic, budget: float = math.inf) -> Optional[list]:
+            ar: _Arithmetic, budget: Optional[int] = None) -> Optional[list]:
     """Values f(e) in domains[e], for the edges listed (in increasing
     order), whose boundary under tau is beta, edges not listed carrying
     nothing; None if there are none.  The returned list is indexed by edge
@@ -263,7 +269,8 @@ def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     once and walk the plan each time.
 
     budget caps how often the search may branch on an edge that no
-    endpoint forces; past it, the search raises _OverBudget.
+    endpoint forces, SEARCH_BUDGET when None; past it, the search raises
+    _OverBudget, a DeskScaleError.
     """
     return _walk(_plan(g, tau, edges, ar), domains, beta, budget)
 
@@ -298,7 +305,7 @@ def satisfy_boundary(
 def _check_boundary_inputs(g: SignedGraph, A: AbelianGroup,
                            beta: Sequence[Elem],
                            fbar: Optional[Sequence[Elem]]) -> None:
-    """satisfy_boundary's checks of beta and fbar, and its edge limit."""
+    """satisfy_boundary's checks of beta and fbar."""
     if len(beta) != g.n:
         raise ValueError(f"beta has {len(beta)} entries for {g.n} vertices")
     if fbar is not None and len(fbar) != g.m:
@@ -308,13 +315,11 @@ def _check_boundary_inputs(g: SignedGraph, A: AbelianGroup,
             raise ValueError(f"{a} is not an element of {A}")
     if is_A_boundary(A, beta) is None:
         raise ValueError("beta is not an A-boundary (sum not of the form 2a)")
-    if g.m > 2 * MAX_FLOW_EDGES:
-        raise DeskScaleError(f"{g.m} edges exceeds search limit")
 
 
 def _search_group(plan: _Plan, A: AbelianGroup, beta: Sequence[Elem],
                   fbar: Optional[Sequence[Elem]], allow_zero: bool,
-                  budget: float = math.inf) -> Optional[list[Elem]]:
+                  budget: Optional[int] = None) -> Optional[list[Elem]]:
     """satisfy_boundary's search on checked inputs, through element codes,
     walking a plan of every edge in A's arithmetic."""
     code, elem, _, avoid = _group_codes(A)
@@ -335,8 +340,6 @@ def has_nz_k_flow(g: SignedGraph, k: int) -> Optional[list[int]]:
     under the default orientation; None if no such flow exists."""
     if k < 2:
         return None
-    if g.m > MAX_FLOW_EDGES:
-        raise DeskScaleError(f"{g.m} edges exceeds search limit")
     domain = [x for x in range(-(k - 1), k) if x != 0]
     return _search(g, Orientation.default(g), range(g.m), [domain] * g.m,
                    [0] * g.n, _INTEGERS)
@@ -438,16 +441,16 @@ def is_A_connected(
     reachable boundaries.  "no" names the first boundary missed in
     `_all_boundaries` order (the zero map when no flow exists) and counts
     the boundaries up to it.  Sampling mode (samples at least 1): seeded
-    random (beta, fbar) pairs, each checked as satisfy_boundary checks its
-    inputs, verdict "sampled-yes" if none fails.
+    random (beta, fbar) pairs, valid by construction (values from A, and
+    beta's last entry puts its sum in 2A), verdict "sampled-yes" if none
+    fails.
     """
     if samples is None:
-        if g.n > MAX_EXACT_VERTICES or A.order > MAX_EXACT_GROUP_ORDER:
+        work = (g.m + 1) * A.order ** g.n
+        if work > SWEEP_BUDGET:
             raise DeskScaleError(
-                f"exact A-connectivity limited to {MAX_EXACT_VERTICES} vertices"
-                f" and group order {MAX_EXACT_GROUP_ORDER}")
-        if g.m > 2 * MAX_FLOW_EDGES:
-            raise DeskScaleError(f"{g.m} edges exceeds search limit")
+                f"exact sweep needs (edges + 1) |A|^n = {work} bit-edges,"
+                f" past its sweep budget of {SWEEP_BUDGET}")
     elif samples < 1:
         raise ValueError(f"sampling mode needs at least 1 sample, not {samples}")
     if g.n == 0:
@@ -493,7 +496,6 @@ def is_A_connected(
         target = rng.choice(doubled)
         beta.append(A.sub(target, A.sum(beta)))
         fbar = [rng.choice(elems) for _ in range(g.m)]
-        _check_boundary_inputs(g, A, beta, fbar)
         if _search_group(plan, A, beta, fbar, False) is None:
             return ConnectivityVerdict("no", witness_beta=beta, witness_fbar=fbar,
                                        seed=seed, checked=i + 1)

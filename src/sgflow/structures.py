@@ -4,8 +4,8 @@ The cycles inside an edge set are enumerated through its GF(2) cycle
 space: every simple cycle is a symmetric difference of fundamental cycles,
 so scanning all 2^(|S|-n+c) combinations and keeping the connected
 2-regular ones is exhaustive.  Desk scale keeps the dimension small (6 for
-Petersen, 10 for K6, at most 2 for a connected base plus one edge).  A fundamental
-cycle closes its edge with the tree path from core.shortest_path.
+Petersen, 10 for K6).  A fundamental cycle closes its edge with the tree
+path from core.shortest_path.
 """
 
 from __future__ import annotations

@@ -110,6 +110,27 @@ def graphs_with_edge_sets(draw):
     return g, {e for e in range(g.m) if keep[e]}
 
 
+def cubic_2unbalanced(n: int, seed) -> SignedGraph:
+    """The first draw of random_cubic_3connected(n) from a seeded rng that
+    is 2-unbalanced."""
+    rng = random.Random(seed)
+    while True:
+        g = random_cubic_3connected(n, rng)
+        if is_k_unbalanced(g, 2):  # also skips the balanced draws
+            return g
+
+
+def doubled_k4_bridge() -> SignedGraph:
+    """Two all-positive K4s with every edge doubled, joined by a bridge
+    (n = 8, m = 25).  The bridge leaves no nowhere-zero flow, and the
+    search kernel learns that only after branching through one side:
+    71 061 free branchings over Z5 and 410 281 over Z6."""
+    edges = [(u, v, PLUS) for base in (0, 4)
+             for u, v in itertools.combinations(range(base, base + 4), 2)
+             for _ in range(2)]
+    return SignedGraph(8, tuple(edges + [(3, 4, PLUS)]))
+
+
 def host_with_sun(n: int) -> tuple[SignedGraph, NegativeSun]:
     """A negative sun on 2n vertices inside a host where the tips are wired
     into a cycle with one extra negative chord, so that tip-to-tip paths

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import sgflow
-from helpers import CUBIC_GRAPHS, theorem_instances
-from sgflow import core
+from helpers import CUBIC_GRAPHS, doubled_k4_bridge, theorem_instances
+from sgflow import core, oracle
 from sgflow.cli import main
 from sgflow.core import MINUS, PLUS, SignedGraph, format_sg, parse_sg
 from sgflow.duality import format_emb, k6_projective_embedding
@@ -199,10 +199,26 @@ def test_oracle_sampling_needs_at_least_one_sample(tmp_path, capsys, samples):
     assert (code, out) == (2, "") and "at least 1 sample" in err
 
 
-def test_oracle_respects_desk_scale_limit(tmp_path, capsys):
+def test_oracle_respects_desk_scale_limit(tmp_path, capsys, monkeypatch):
     gpath = write_graph(tmp_path, petersen())
-    code, _, err = run(capsys, "oracle", "a-connected", "--group", "Z6", gpath)
-    assert code == 3 and "desk-scale" in err
+    code, _, err = run(capsys, "oracle", "a-connected", "--group", "Z7", gpath)
+    assert code == 3 and "desk-scale limit" in err and "sweep budget" in err
+    # the bridge's "no" takes 71 061 free branchings over Z5
+    monkeypatch.setattr(oracle, "SEARCH_BUDGET", 1000)
+    gpath = write_graph(tmp_path, doubled_k4_bridge(), "bridge.sg")
+    code, _, err = run(capsys, "oracle", "nz-flow", "--group", "Z5", gpath)
+    assert code == 3 and "search budget of 1000" in err
+
+
+def test_connect_reports_an_unverified_fallback_flow(tmp_path, capsys,
+                                                     monkeypatch):
+    # a non-flow from the search is an internal error, never a certificate
+    monkeypatch.setattr(oracle, "satisfy_boundary",
+                        lambda g, A, beta, **kwargs: [(1,)] * g.m)
+    gpath = write_graph(tmp_path, petersen())
+    code, out, err = run(capsys, "connect", "--group", "Z5", gpath)
+    assert (code, out) == (4, "")
+    assert "internal error: oracle flow failed to verify" in err
 
 
 def test_dual_command(tmp_path, capsys):

@@ -8,22 +8,21 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from golden.make_golden import PRIME_B1, random_fbar as golden_fbar
-from helpers import (host_with_sun, random_connected_base,
+from helpers import (cubic_2unbalanced, host_with_sun, random_connected_base,
                      random_connected_graph, random_fbar,
                      reference_collision_support,
                      reference_flow_coeffs_through, signed_cubic_3connected,
                      unbalance_small_sides)
-from sgflow import flows
+from sgflow import flows, oracle
 from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
                          SignedGraph, is_k_unbalanced, parse_sg,
-                         switch_on_set)
+                         spanning_forest, switch_on_set)
 from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
                               violating_balanced_cut)
 from sgflow.duality import k6_projective_embedding, match_dual
-from sgflow.generators import (negsun, petersen, petersen_2neg,
-                               random_cubic_3connected)
+from sgflow.generators import negsun, petersen, petersen_2neg
 from sgflow.groups import integer_boundary, is_flow, parse_group
-from sgflow.structures import all_cycles
+from sgflow.structures import all_cycles, cycle_sign, fundamental_cycle
 
 
 def test_circulation_on_positive_cycle_has_zero_boundary():
@@ -458,18 +457,43 @@ def test_connect_searches_on_a_single_vertex(spec):
     assert flows.verify_avoidance(g, cert)
 
 
-def _cubic_2unbalanced(n, seed):
-    rng = random.Random(seed)
-    while True:
-        g = random_cubic_3connected(n, rng)
-        if is_k_unbalanced(g, 2):  # also skips the balanced draws
-            return g
+@pytest.mark.parametrize("spec", ["Z5", "Z7"])
+def test_connect_searches_past_the_old_edge_limit(spec):
+    # 39 edges: the fallback used to exit 3 on "39 edges exceeds search
+    # limit"
+    g = cubic_2unbalanced(26, "past-the-edge-limit")
+    A = parse_group(spec)
+    cert = flows.connect(g, A, random_fbar(random.Random(26), A, g.m))
+    assert cert.strategy == "oracle" and cert.flow is not None
+    assert flows.verify_avoidance(g, cert)
+
+
+def test_z2_to_3flow_takes_a_carrier_past_36_edges():
+    g = cubic_2unbalanced(26, "past-the-edge-limit")
+    tree = spanning_forest(g, range(g.m))
+    sup = next(c for c in (set(fundamental_cycle(g, tree, e))
+                           for e in range(g.m) if e not in tree)
+               if cycle_sign(g, c) == PLUS)
+    psi = flows.z2_to_3flow(g, sup, range(g.m))
+    assert all(abs(psi[e]) == 1 for e in sup)
+    assert all(abs(x) <= 2 for x in psi)
+    assert integer_boundary(g, Orientation.default(g), psi) == [0] * g.n
+
+
+def test_connect_verifies_the_fallback_flow(monkeypatch):
+    # a non-flow from the search is a bug, not an answer: on cubic Petersen
+    # over Z5, 1 on every edge leaves an odd sum of +-1 at every vertex
+    monkeypatch.setattr(oracle, "satisfy_boundary",
+                        lambda g, A, beta, **kwargs: [(1,)] * g.m)
+    A = parse_group("Z5")
+    with pytest.raises(AssertionError, match="oracle flow failed to verify"):
+        flows.connect(petersen(), A, [A.zero] * 15)
 
 
 @pytest.mark.parametrize("n", [20, 24])
 def test_connect_past_sixteen_vertices(n):
     # n > 16 used to be refused with DeskScaleError by the hypothesis checks
-    g = _cubic_2unbalanced(n, f"past-the-wall:{n}")
+    g = cubic_2unbalanced(n, f"past-the-wall:{n}")
     for spec in ("Z6", "Z9"):
         A = parse_group(spec)
         cert = flows.connect(g, A, random_fbar(random.Random(n), A, g.m))
@@ -483,7 +507,7 @@ def test_connect_prime_past_sixteen_vertices(n):
     # DeskScaleError
     rng = random.Random(f"prime-past-the-wall:{n}")
     while True:
-        g = _cubic_2unbalanced(n, rng.random())
+        g = cubic_2unbalanced(n, rng.random())
         if (has_two_disjoint_cycles(g, want_negative=True) is not None
                 and violating_balanced_cut(g) is None):
             break

@@ -1,6 +1,5 @@
 """Exact backtracking oracles: boundary satisfaction, flows, connectivity."""
 
-import itertools
 import operator
 import random
 
@@ -8,17 +7,20 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from helpers import CUBIC_GRAPHS, REFERENCE_INTEGERS, brute_boundaries, \
-    random_connected_graph, random_elem, reference_group_arithmetic, \
+    cubic_2unbalanced, doubled_k4_bridge, random_connected_graph, \
+    random_elem, reference_group_arithmetic, \
     reference_is_A_connected, reference_sampled_is_A_connected, \
     reference_search, connected_multigraphs, signed_cubic_3connected, \
     theorem_instances
 from sgflow import oracle
-from sgflow.core import DeskScaleError, MINUS, PLUS, Orientation, SignedGraph
+from sgflow.core import (DeskScaleError, MINUS, PLUS, Orientation, SignedGraph,
+                         is_k_unbalanced)
 from sgflow.flows import z2_to_3flow
-from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
+from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
+                               petersen_2neg)
 from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
                            parse_group)
-from sgflow.oracle import (MAX_EXACT_VERTICES, _INTEGERS, _OverBudget,
+from sgflow.oracle import (_INTEGERS, _OverBudget, _check_boundary_inputs,
                            _group_codes, _plan, _search, _search_group,
                            has_nz_A_flow, has_nz_k_flow, is_A_connected,
                            satisfy_boundary)
@@ -121,10 +123,7 @@ def test_zero_boundary_search_stops_at_its_budget():
     # two doubled K4s joined by a bridge: no nowhere-zero flow, and the
     # search only learns it after every branch on one side, so it goes past
     # its budget and the sweep gives the same verdict
-    edges = [(u, v, PLUS) for base in (0, 4)
-             for u, v in itertools.combinations(range(base, base + 4), 2)] * 2
-    g = SignedGraph(8, tuple(edges + [(3, 4, PLUS)]))
-    A = parse_group("Z6")
+    g, A = doubled_k4_bridge(), parse_group("Z6")
     plan = _plan(g, Orientation.default(g), range(g.m), _group_codes(A).ar)
     with pytest.raises(_OverBudget):
         _search_group(plan, A, [A.zero] * g.n, None, False,
@@ -194,20 +193,69 @@ def test_satisfy_boundary_checks_the_orientation_it_is_given():
                          allow_zero=True)
 
 
-def test_desk_scale_limits():
-    with pytest.raises(DeskScaleError):
-        is_A_connected(petersen(), parse_group("Z6"))
-    assert petersen().n > MAX_EXACT_VERTICES
-    big = SignedGraph(2, tuple((0, 1, PLUS) for _ in range(40)))
-    with pytest.raises(DeskScaleError):
-        has_nz_k_flow(big, 3)
-    # exact A-connectivity keeps the boundary search's edge limit
-    with pytest.raises(DeskScaleError, match="40 edges exceeds search limit"):
-        is_A_connected(big, parse_group("Z6"))
-    with pytest.raises(DeskScaleError, match="group order 9"):
-        is_A_connected(k4(), parse_group("Z10"))
+def test_desk_scale_limits(monkeypatch):
+    # (15 + 1) 7^10 bit-edges is past SWEEP_BUDGET: refused before any
+    # search is planned
+    def unplanned(*args):
+        raise AssertionError("planned a search past the sweep budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_plan", unplanned)
+        with pytest.raises(DeskScaleError, match="sweep budget"):
+            is_A_connected(petersen(), parse_group("Z7"))
+    # the bridge's "no" takes 71 061 free branchings over Z5
+    g, A = doubled_k4_bridge(), parse_group("Z5")
+    assert has_nz_A_flow(g, A) is None
+    monkeypatch.setattr(oracle, "SEARCH_BUDGET", 1000)
+    with pytest.raises(DeskScaleError, match="search budget of 1000"):
+        has_nz_A_flow(g, A)
     with pytest.raises(ValueError):
         is_A_connected(SignedGraph(0, ()), parse_group("Z6"))
+
+
+def test_exact_mode_answers_petersen_over_z6():
+    # the paper's flagship instance, past the old 8-vertex ceiling
+    verdict = is_A_connected(petersen(), parse_group("Z6"))
+    assert (verdict.status, verdict.checked) == ("yes", 6 ** 9 * 3)
+
+
+@pytest.mark.parametrize("spec, doubled", [("Z10", 5), ("Z12", 6),
+                                           ("Z16", 8)])
+def test_exact_mode_answers_k4_negtri_past_order_nine(spec, doubled):
+    # the old group-order ceiling of 9 refused these
+    verdict = is_A_connected(k4_negative_triangle(), parse_group(spec))
+    assert (verdict.status, verdict.checked) == \
+        ("yes", int(spec[1:]) ** 3 * doubled)
+
+
+def test_has_nz_k_flow_is_not_limited_by_edge_count():
+    # 39 edges: has_nz_k_flow used to refuse past 18
+    g = cubic_2unbalanced(26, "past-the-edge-limit")
+    f = has_nz_k_flow(g, 4)
+    assert f is not None and all(0 < abs(x) < 4 for x in f)
+    assert integer_boundary(g, Orientation.default(g), f) == [0] * g.n
+
+
+@pytest.mark.parametrize("spec", ["Z6", "Z8", "Z9", "Z2xZ2xZ2"])
+def test_sampling_mode_draws_valid_pairs(monkeypatch, spec):
+    # sampled mode does not check the pairs it draws: each must pass the
+    # checks satisfy_boundary gives a caller's input
+    search, drawn = oracle._search_group, []
+
+    def capture(plan, A, beta, fbar, allow_zero, budget=None):
+        drawn.append((beta, fbar))
+        return search(plan, A, beta, fbar, allow_zero, budget)
+
+    monkeypatch.setattr(oracle, "_search_group", capture)
+    A = parse_group(spec)
+    loops = SignedGraph(1, ((0, 0, MINUS), (0, 0, MINUS)))
+    for g in (petersen(), petersen_2neg(), k4_negative_triangle(), loops):
+        assert is_k_unbalanced(g, 2)
+        drawn.clear()
+        verdict = is_A_connected(g, A, samples=40, seed=3)
+        assert len(drawn) == verdict.checked > 0
+        for beta, fbar in drawn:
+            _check_boundary_inputs(g, A, beta, fbar)
 
 
 # -- the search kernel against every map ------------------------------------------

@@ -117,6 +117,56 @@ def test_only_structures_and_decompose_scan_cycle_spaces():
     assert _lines_matching(SRC, CYCLES_WITHIN, CYCLES_WITHIN_READERS) == []
 
 
+# Refusals for scale.  Only the oracle's two budgets, on the work one search
+# or one sweep does, and structures.cycles_within's cycle-space dimension
+# (ROADMAP item 3 removes it) raise DeskScaleError: a check on input size
+# anywhere else would refuse inputs the search answers at once.
+DESK_SCALE_RAISES = {("oracle.py", "_walk"), ("oracle.py", "is_A_connected"),
+                     ("structures.py", "cycles_within")}
+BUDGETS = re.compile(r"\b(SEARCH|SWEEP)_BUDGET\b")
+
+
+def _desk_scale_raises(root: Path) -> set[tuple[str, str]]:
+    """(module, top-level definition) of each raise of DeskScaleError or of
+    a class derived from it."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(root.glob("*.py"))}
+    kinds = {"DeskScaleError"}
+    kinds.update(node.name for tree in trees.values()
+                 for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 and any(getattr(b, "id", None) in kinds for b in node.bases))
+    found = set()
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                exc = getattr(node, "exc", None) \
+                    if isinstance(node, ast.Raise) else None
+                if isinstance(exc, ast.Call):
+                    exc = exc.func
+                if getattr(exc, "id", None) in kinds:
+                    found.add((name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_desk_scale_raise_scan(tmp_path):
+    (tmp_path / "oracle.py").write_text(
+        "class _OverBudget(DeskScaleError):\n    pass\n\n\n"
+        "def _walk(plan):\n    def dfs(d):\n"
+        "        raise _OverBudget('search budget')\n")
+    (tmp_path / "flows.py").write_text(
+        "def z2_to_3flow(g, support, carrier):\n"
+        "    if len(carrier) > 36:\n"
+        "        raise DeskScaleError(f'carrier of {len(carrier)} edges')\n"
+        "    raise ValueError('no flow')\n")
+    assert _desk_scale_raises(tmp_path) == {("oracle.py", "_walk"),
+                                            ("flows.py", "z2_to_3flow")}
+
+
+def test_only_the_budgets_and_the_cycle_scan_refuse_for_scale():
+    assert _desk_scale_raises(SRC) == DESK_SCALE_RAISES
+    assert _lines_matching(SRC, BUDGETS, ("oracle.py",)) == []
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's per-layer tracer looks each span up by name, so a
     # renamed or deleted function would break its --trace 1 runs
