@@ -48,6 +48,9 @@ A_CONNECTED = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z2xZ2",
 # petersen_2neg over Z11 with these seeded maps leaves collisions on B
 # (aux b1 is not "-"), so the prime route runs z2_to_3flow
 PRIME_B1 = (0, 1, 9, 14)
+# cubic(16, 0) meets the prime route's hypotheses, and this seeded map
+# leaves four collisions on B
+PRIME16_B1 = 15
 
 
 def random_fbar(name: str, A, m: int) -> list[tuple[int, ...]]:
@@ -96,6 +99,12 @@ def cases():
             spec = specs[i % len(specs)]
             i += 1
             yield f"cubic{n}-{index}-{spec}", cubic(n, index), spec
+    # sizes where the order in which improving paths are listed matters
+    for n in (16, 20):
+        for index in range(2):
+            for spec in ("Z6", "Z9"):
+                yield f"cubic{n}-{index}-{spec}", cubic(n, index), spec
+    yield f"prime-b1-cubic16-0-Z11-{PRIME16_B1}", cubic(16, 0), "Z11"
     for n, index, k in ((10, 0, 1), (10, 1, 2), (12, 0, 1), (12, 1, 2)):
         for spec in ("Z6", "Z9"):
             yield f"contract{n}-{index}-{k}-{spec}", noncubic(n, index, k), spec
