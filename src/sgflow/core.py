@@ -185,17 +185,23 @@ def shortest_path(g: SignedGraph, edges: Iterable[int], sources: Iterable[int],
     return None
 
 
-def simple_paths(g: SignedGraph, edges: Iterable[int], ends: Iterable[int]
+def simple_paths(g: SignedGraph, edges: Iterable[int], ends: Iterable[int],
+                 max_len: Optional[int] = None
                  ) -> Iterator[tuple[int, ...]]:
     """Every simple path inside the edge set between two distinct vertices
     of `ends` with no other end on it, as its edges in order, once each:
-    read from its lesser end.  Loops are skipped.
+    read from its lesser end.  Loops are skipped.  With max_len (at least
+    1), only the paths of at most max_len edges.
 
     Depth-first search from each end but the greatest; a branch stops at
-    the first end it reaches, and yields when that end is the greater."""
+    the first end it reaches, and yields when that end is the greater.  A
+    branch is not extended to max_len edges, since it could yield only
+    longer paths."""
     adj = _adjacency(g, edges)
     order = sorted(set(ends))
     is_end = set(order)
+    # a simple path has fewer than n edges
+    limit = g.n if max_len is None else max_len
     for start in order[:-1]:
         path: list[int] = []
         on_path = {start}
@@ -208,6 +214,8 @@ def simple_paths(g: SignedGraph, edges: Iterable[int], ends: Iterable[int]
                 if w in is_end:
                     if w > start:
                         yield (*path, e)
+                    continue
+                if len(path) + 1 >= limit:
                     continue
                 path.append(e)
                 on_path.add(w)

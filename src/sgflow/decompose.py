@@ -12,16 +12,20 @@ set with the invariants
   (e) B contains a cycle (a negative one in sun mode).
 
 Each round finds a path P through C between two of its degree-1 vertices
-(core.simple_paths lists the candidates) that leaves at most one bridge (a
-non-isolated component of C - E(P)), moves the two end-edges of P into A
-and the rest of P into B, and shrinks C.  The tree/2-base mode runs until
-C is empty; the sun modes run until C is a negative sun, which becomes the
-protected edge set F.
+that leaves at most one bridge (a non-isolated component of C - E(P)),
+moves the two end-edges of P into A and the rest of P into B, and shrinks
+C.  The bridge left is larger the lighter P is, where P weighs its length
+plus its inner vertices of C-degree 2, which is its length under (b); so
+core.simple_paths lists the candidates up to a length bound that grows
+until some candidate of that weight is valid.  The tree/2-base mode runs
+until C is empty; the sun modes run until C is a negative sun, which
+becomes the protected edge set F.
 
 Every question about an edge set (is it connected, 2-connected, balanced)
 takes the set as data over g's own indices: core.component_count counts
-components with the one union-find, core.is_balanced colours only the
-listed edges, and no subgraph is built.
+components with the one union-find, 2-connectivity is one lowpoint search
+over the set's adjacency lists, core.is_balanced colours only the listed
+edges, and no subgraph is built.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import operator
 from dataclasses import dataclass
 from typing import Collection, Iterable, Optional
 
-from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
+from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _adjacency,
                    component_count, is_balanced, is_cubic_3connected,
                    is_cyclically_k_edge_connected, simple_paths, small_cuts,
                    spanning_forest)
@@ -65,6 +69,14 @@ def _sub_degrees(g: SignedGraph, es: Iterable[int]) -> dict[int, int]:
 
 
 def _is_2_connected_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
+    """The edge set on its own vertices is connected and has no cut
+    vertex, or is a digon: a single edge or nothing is not 2-connected.
+
+    One iterative depth-first search with lowpoints (Hopcroft-Tarjan): a
+    vertex other than the root cuts the graph when a child's subtree has
+    no back edge above it, and the root when it has two children.  Only
+    the edge to the parent is skipped, by its index, so a parallel edge
+    back to the parent is a back edge; loops are left out."""
     es = set(es)
     verts = set(_sub_degrees(g, es))
     if len(verts) < 3:
@@ -75,13 +87,37 @@ def _is_2_connected_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
             key = tuple(sorted(g.ends(e)))
             pairs[key] = pairs.get(key, 0) + 1
         return any(c >= 2 for c in pairs.values())
-    if component_count(g, es, verts) != 1:
-        return False
-    for v in verts:
-        rest = [e for e in es if v not in g.ends(e)]
-        if component_count(g, rest, verts - {v}) > 1:
-            return False
-    return True
+    adj = _adjacency(g, es)
+    root = min(verts)
+    disc = [-1] * g.n  # discovery index
+    low = [0] * g.n
+    disc[root] = 0
+    seen = 1
+    root_children = 0
+    stack = [(root, -1, iter(adj[root]))]  # (vertex, edge from parent, rest)
+    while stack:
+        v, via, pairs = stack[-1]
+        for e, w in pairs:
+            if e == via:
+                continue
+            if disc[w] >= 0:
+                low[v] = min(low[v], disc[w])
+                continue
+            disc[w] = low[w] = seen
+            seen += 1
+            stack.append((w, e, iter(adj[w])))
+            break
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            if u == root:
+                root_children += 1
+            elif low[v] >= disc[u]:
+                return False
+            low[u] = min(low[u], low[v])
+    return seen == len(verts) and root_children == 1
 
 
 def _spans_and_connected(g: SignedGraph, es: Collection[int]) -> bool:
@@ -104,11 +140,13 @@ def _check(ok: bool, tag: str) -> None:
         raise AssertionError(tag)
 
 
-def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str
-                            ) -> None:
+def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
+                            want_sign: Optional[int]) -> None:
     """Check the loop invariants, property (e) only outside GENERAL mode;
     raises AssertionError with the failing property tag (also under
-    python -O)."""
+    python -O).  want_sign is the sign of the peripheral cycle B started
+    from: MINUS in BASE_SUN mode, and in TREE_2BASE mode exactly when g is
+    unbalanced, and then (e) asks for a negative cycle in B."""
     _check(wp.a | wp.b | wp.c == set(range(g.m)), "partition does not cover E")
     _check(not (wp.a & wp.b or wp.a & wp.c or wp.b & wp.c), "parts overlap")
     _check(_is_2_connected_edge_set(g, wp.a | wp.b), "(a) A+B not 2-connected")
@@ -126,7 +164,7 @@ def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str
     if mode != GENERAL:
         # an edge left out of a spanning forest closes a cycle
         _check(len(spanning_forest(g, wp.b)) < len(wp.b), "(e) B contains no cycle")
-        if mode == BASE_SUN or (mode == TREE_2BASE and not is_balanced(g).balanced):
+        if want_sign == MINUS:
             _check(not is_balanced(g, wp.b).balanced, "(e) B has no negative cycle")
 
 
@@ -142,23 +180,38 @@ def improving_path(g: SignedGraph, c_edges: set[int],
     components is a bridge: at most one bridge means at most one
     component, and that component is C - E(P) itself.  Candidates are
     ranked by the lexicographic bridge-size order from the decomposition
-    arguments (largest surviving bridge first)."""
-    best: Optional[tuple] = None
-    ones = [v for v, d in _sub_degrees(g, c_edges).items() if d == 1]
-    for path in simple_paths(g, c_edges, ones):
-        rest = c_edges.difference(path)
-        verts = _sub_degrees(g, rest)
-        if component_count(g, rest, verts) > 1:
-            continue
-        if protect_negative and is_balanced(g, rest).balanced:
-            continue
-        key = (-len(rest) - len(verts), len(path), path)
-        if best is None or key < best[0]:
-            best = (key, path)
-    if best is None:
-        raise ValueError("no improving path exists"
-                         + (" with unbalanced remainder" if protect_negative else ""))
-    return best[1]
+    arguments (largest surviving bridge first), then by length and edges.
+
+    C - E(P) keeps |C| - |P| edges and every vertex of C but the ends of
+    P (C-degree 1) and its inner vertices of C-degree 2, so the bridge is
+    largest when the weight w(P) = |P| + (inner vertices of C-degree 2)
+    is least; w(P) = |P| under invariant (b).  Since w(P) >= |P|, the
+    paths of at most L edges hold every path of weight L: for L = 1, ...,
+    |C| the paths of weight L (at L = |C|, of any greater weight too)
+    are tried in order, and the first valid one is returned."""
+    deg = _sub_degrees(g, c_edges)
+    ones = [v for v, d in deg.items() if d == 1]
+
+    def weight(path: tuple[int, ...]) -> int:
+        # each inner vertex is an end of two path edges, each end of one
+        inner2 = sum(deg[v] == 2 for e in path for v in g.ends(e))
+        return len(path) + inner2 // 2
+
+    size = len(c_edges)
+    for bound in range(1, size + 1):
+        ranked = sorted(
+            (w, len(path), path)
+            for path in simple_paths(g, c_edges, ones, bound)
+            if (w := weight(path)) == bound or bound == size and w > bound)
+        for _, _, path in ranked:
+            rest = c_edges.difference(path)
+            if component_count(g, rest, _sub_degrees(g, rest)) > 1:
+                continue
+            if protect_negative and is_balanced(g, rest).balanced:
+                continue
+            return path
+    raise ValueError("no improving path exists"
+                     + (" with unbalanced remainder" if protect_negative else ""))
 
 
 # -- hypothesis checks -----------------------------------------------------------------
@@ -261,7 +314,7 @@ def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
                              f" for {mode} found")
     wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
     while True:
-        check_working_partition(g, wp, mode)
+        check_working_partition(g, wp, mode, want_sign)
         if sun_mode:
             sun = as_negative_sun(g, wp.c)
             if sun is not None and (mode == GENERAL

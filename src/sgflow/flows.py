@@ -106,10 +106,12 @@ def add_scaled(A: AbelianGroup, f: list[Elem], coeffs: dict[int, int],
 
 
 def circuit_coeffs(g: SignedGraph, tau: Orientation, base: Iterable[int],
-                   e: int) -> dict[int, int]:
-    """Zero-boundary integer coefficients on the one circuit of the frame
-    matroid inside base + e, where base is a connected base (a spanning
-    tree plus an edge x closing a negative cycle) and e lies outside it.
+                   edges: Iterable[int]) -> dict[int, dict[int, int]]:
+    """For each edge e of `edges`, zero-boundary integer coefficients on
+    the one circuit of the frame matroid inside base + e, where base is a
+    connected base (a spanning tree plus an edge x closing a negative
+    cycle) and e lies outside it.  The tree and C_x are read off the base
+    once for all the edges.
 
     With C_e and C_x the fundamental cycles of e and x over the tree, the
     circuit is C_e when C_e is positive, the positive cycle C_e + C_x of
@@ -123,13 +125,22 @@ def circuit_coeffs(g: SignedGraph, tau: Orientation, base: Iterable[int],
     base = sorted(base)
     tree = spanning_forest(g, base)
     left = set(base).difference(tree)
-    if e in base or len(tree) != g.n - 1 or len(left) != 1:
+    if len(tree) != g.n - 1 or len(left) != 1:
         raise AssertionError("base + e is not a connected base plus an edge")
     (x,) = left
-    ce = frozenset(fundamental_cycle(g, tree, e))
     cx = frozenset(fundamental_cycle(g, tree, x))
     if cycle_sign(g, cx) != MINUS:
         raise AssertionError("the base's cycle is positive")
+    return {e: _one_circuit(g, tau, base, tree, cx, e) for e in edges}
+
+
+def _one_circuit(g: SignedGraph, tau: Orientation, base: list[int],
+                 tree: list[int], cx: frozenset[int], e: int
+                 ) -> dict[int, int]:
+    """circuit_coeffs for one edge e, given the base's tree and C_x."""
+    if e in base:
+        raise AssertionError("base + e is not a connected base plus an edge")
+    ce = frozenset(fundamental_cycle(g, tree, e))
     if cycle_sign(g, ce) == PLUS:
         return circulation_coeffs(g, tau, order_cycle(g, ce))
     if ce & cx:
@@ -709,17 +720,18 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
             raise AssertionError("2-unbalanced graph with fewer than two"
                                  " negative fundamental cycles")
         b, bp = negs[0], negs[1]
-        t_prime = T | {bp}
+        circuits = circuit_coeffs(g, tau, T | {bp},
+                                  [e for e in sorted(B) if e != bp])
         for e in sorted(B):
             if e in (b, bp):
                 continue
-            w = circuit_coeffs(g, tau, t_prime, e)
+            w = circuits[e]
             bad = A.sub(fbar[e], phi1[e])
             a_val = next(v for v in n_elems if A.smul(w[e], v) != bad)
             add_scaled(A, phi2, w, a_val)
         # T + b holds only C_b, which is negative, so the circuit of
         # T' + b runs through b'
-        w = circuit_coeffs(g, tau, t_prime, b)
+        w = circuits[b]
         if bp not in w:
             raise AssertionError("the circuit of T' + b misses b'")
         a_val = next(
@@ -799,8 +811,7 @@ def connect_prime(g: SignedGraph, p: int,
         # a barbell; its odd coefficients mark the cycles, and the XOR of
         # those edge sets is an even-degree, even-negative support
         support: set[int] = set()
-        for e in b1:
-            w = circuit_coeffs(g, tau, T, e)
+        for w in circuit_coeffs(g, tau, T, b1).values():
             support ^= {x for x, c in w.items() if c % 2}
         if not set(b1) <= support:
             raise AssertionError("collision edges fell out of the support")

@@ -35,6 +35,11 @@ class CycleRef:
         # kept in the instance dict, outside the fields that eq and hash read
         return frozenset(self.edges)
 
+    @functools.cached_property
+    def mask(self) -> int:
+        """The edge set as an int, bit e for edge e (kept like edge_set)."""
+        return sum(1 << e for e in self.edges)
+
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -251,22 +256,36 @@ class ClosureResult:
     """Each step is (positive cycle C_i, newly absorbed edges W_i)."""
 
 
+def _edges_of(mask: int) -> frozenset[int]:
+    """The edge indices whose bits are set in mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 def k_closure(g: SignedGraph, seed: Iterable[int], k: int) -> ClosureResult:
     """Least fixpoint of: absorb E(C) for any positive cycle C with
-    1 <= |E(C) - S| <= k.  Order-independent; we scan shortest first."""
+    1 <= |E(C) - S| <= k.  Order-independent; we scan shortest first.
+    S is held as an int with bit e for edge e, tested against each
+    cycle's mask."""
     positive = [c for c in all_cycles(g) if c.sign == PLUS]
-    cur = set(seed)
+    cur = 0
+    for e in seed:
+        cur |= 1 << e
     steps: list[tuple[CycleRef, frozenset[int]]] = []
     changed = True
     while changed:
         changed = False
         for c in positive:
-            missing = c.edge_set - cur
-            if 1 <= len(missing) <= k:
+            missing = c.mask & ~cur
+            if missing and missing.bit_count() <= k:
                 cur |= missing
-                steps.append((c, frozenset(missing)))
+                steps.append((c, _edges_of(missing)))
                 changed = True
-    return ClosureResult(frozenset(cur), steps)
+    return ClosureResult(_edges_of(cur), steps)
 
 
 # -- peripheral cycles --------------------------------------------------------------

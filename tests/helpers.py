@@ -501,6 +501,26 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     return f if dfs(0) else None
 
 
+def reference_k_closure(g: SignedGraph, seed, k: int
+                        ) -> tuple[frozenset[int], list]:
+    """structures.k_closure as it was with the absorbed edges held as a
+    set: (closure, steps), scanning the positive cycles shortest first
+    until a whole pass absorbs nothing."""
+    positive = [c for c in all_cycles(g) if c.sign == PLUS]
+    cur = set(seed)
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for c in positive:
+            missing = c.edge_set - cur
+            if 1 <= len(missing) <= k:
+                cur |= missing
+                steps.append((c, frozenset(missing)))
+                changed = True
+    return frozenset(cur), steps
+
+
 def reference_cycles_within(g: SignedGraph, edges) -> list:
     """The cycles of g inside an edge set, by brute force: every subset of
     the set that order_cycle accepts, sorted by (length, edges)."""

@@ -266,6 +266,20 @@ def test_simple_paths_leave_no_end_but_the_lesser_ones(monkeypatch):
     assert read == [0, 5]
 
 
+def test_simple_paths_stop_at_the_length_bound():
+    # a square 0-1-2-3 and a longer way 0-4-5-6-2 between the ends 0 and 2
+    g = SignedGraph(7, ((0, 1, PLUS), (1, 2, PLUS), (2, 3, PLUS),
+                        (3, 0, MINUS), (0, 4, PLUS), (4, 5, PLUS),
+                        (5, 6, PLUS), (6, 2, PLUS)))
+    short = [(0, 1), (3, 2)]
+    assert list(simple_paths(g, range(g.m), (0, 2), 1)) == []
+    for bound in (2, 3):
+        assert sorted(simple_paths(g, range(g.m), (0, 2), bound)) == short
+    every = sorted(simple_paths(g, range(g.m), (0, 2)))
+    assert every == sorted(short + [(4, 5, 6, 7)])
+    assert sorted(simple_paths(g, range(g.m), (0, 2), 4)) == every
+
+
 @st.composite
 def pools_between_vertex_sets(draw):
     """A connected signed multigraph, most of its edges in a random order

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
-                     graphs_with_edge_sets,
+                     cubic_2unbalanced, graphs_with_edge_sets,
                      reference_has_two_disjoint_cycles,
                      reference_improving_path,
                      reference_is_2_connected_edge_set,
                      reference_violating_balanced_cut,
                      signed_cubic_3connected, switching_classes)
+from sgflow import decompose
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
-                         is_cyclically_k_edge_connected)
+                         is_balanced, is_cyclically_k_edge_connected)
 from sgflow.decompose import (BASE_SUN, TREE_2BASE, WorkingPartition,
                               _is_2_connected_edge_set,
                               check_working_partition, decompose_base_sun,
@@ -182,9 +183,13 @@ BROKEN_PARTITIONS = [
                          ids=[case[0] for case in BROKEN_PARTITIONS])
 def test_check_working_partition_names_the_broken_invariant(tag, g, mode, a,
                                                             b, c):
+    # the peel starts from a negative cycle in sun mode and on an unbalanced
+    # graph, and passes that sign down
+    want_sign = MINUS if mode == BASE_SUN or not is_balanced(g).balanced \
+        else None
     with pytest.raises(AssertionError) as info:
         check_working_partition(g, WorkingPartition(set(a), set(b), set(c)),
-                                mode)
+                                mode, want_sign)
     assert str(info.value) == tag
 
 
@@ -197,6 +202,21 @@ def test_2_connectivity_of_an_edge_set_matches_the_reference(case):
     g, es = case
     assert _is_2_connected_edge_set(g, es) == reference_is_2_connected_edge_set(
         g, es)
+
+
+@pytest.mark.parametrize("edges,expected", [
+    # two digons that share vertex 1, a cut vertex
+    (((0, 1), (0, 1), (1, 2), (1, 2)), False),
+    # two triangles that share vertex 0, with a loop at that cut vertex
+    (((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 0)), False),
+    # a triangle with one edge doubled: the digon is a back edge
+    (((0, 1), (0, 1), (1, 2), (2, 0)), True),
+])
+def test_2_connectivity_on_pinned_multigraphs(edges, expected):
+    g = SignedGraph(1 + max(max(e) for e in edges),
+                    tuple((u, v, PLUS) for u, v in edges))
+    assert _is_2_connected_edge_set(g, range(g.m)) is expected
+    assert reference_is_2_connected_edge_set(g, range(g.m)) is expected
 
 
 def _outcome(find, *args):
@@ -213,6 +233,30 @@ def test_improving_path_matches_the_reference(case, protect_negative):
     g, es = case
     assert (_outcome(improving_path, g, es, protect_negative)
             == _outcome(reference_improving_path, g, es, protect_negative))
+
+
+def test_improving_path_on_peel_states_matches_the_reference(monkeypatch):
+    # the random edge sets above almost never keep invariant (b), where a
+    # candidate's weight is its length; these are the states _peel meets
+    states = []
+
+    def recording(g, c_edges, protect_negative=False):
+        path = improving_path(g, c_edges, protect_negative)
+        states.append((g, set(c_edges), protect_negative, path))
+        return path
+
+    monkeypatch.setattr(decompose, "improving_path", recording)
+    for n in range(8, 21, 2):
+        for seed in range(3):
+            g = cubic_2unbalanced(n, seed)
+            decompose_tree_2base(g)
+            try:
+                decompose_base_sun(g)
+            except HypothesisError:
+                pass
+    assert {protect for _, _, protect, _ in states} == {False, True}
+    for g, c_edges, protect_negative, path in states:
+        assert path == reference_improving_path(g, c_edges, protect_negative)
 
 
 def test_improving_path_ranks_bridges_by_edges_and_vertices():

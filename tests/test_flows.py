@@ -45,8 +45,8 @@ def test_circuit_coeffs_covers_every_edge_outside_a_base():
     tau = Orientation.default(g)
     A = parse_group("Z11")
     base = random_connected_base(g, random.Random(3))
-    for e in set(range(g.m)) - base:
-        coeffs = flows.circuit_coeffs(g, tau, base, e)
+    outside = sorted(set(range(g.m)) - base)
+    for e, coeffs in flows.circuit_coeffs(g, tau, base, outside).items():
         assert coeffs == reference_flow_coeffs_through(g, tau, base | {e}, {e})
         assert coeffs[e] != 0 and set(coeffs) <= base | {e}
         assert all(abs(x) in (1, 2) for x in coeffs.values())
@@ -62,7 +62,7 @@ def test_barbell_through_both_negative_edges():
     # pentagram edges: edge 10 closes the negative pentagram, so the circuit
     # is a barbell whose joining path is the spoke, edge 5
     base = set(range(5)) | {5} | set(range(11, 15))
-    coeffs = flows.circuit_coeffs(g, tau, base, 10)
+    coeffs = flows.circuit_coeffs(g, tau, base, [10])[10]
     assert coeffs == {0: 1, 1: -1, 2: -1, 3: -1, 4: -1, 5: -2, 10: -1,
                       11: 1, 12: 1, 13: 1, 14: 1}
     assert coeffs == reference_flow_coeffs_through(g, tau, base | {10}, {10})
@@ -78,9 +78,12 @@ def test_circuit_coeffs_matches_the_cycle_space_scan(g, rng):
     base = random_connected_base(g, rng)
     assume(base is not None)
     tau = Orientation.default(g)
-    for e in sorted(set(range(g.m)) - base):
-        assert flows.circuit_coeffs(g, tau, base, e) == \
-            reference_flow_coeffs_through(g, tau, base | {e}, {e})
+    outside = sorted(set(range(g.m)) - base)
+    circuits = flows.circuit_coeffs(g, tau, base, outside)
+    assert list(circuits) == outside
+    for e in outside:
+        assert circuits[e] == reference_flow_coeffs_through(g, tau,
+                                                            base | {e}, {e})
 
 
 def test_circuit_coeffs_refuses_what_is_not_a_connected_base():
@@ -88,11 +91,11 @@ def test_circuit_coeffs_refuses_what_is_not_a_connected_base():
     tau = Orientation.default(g)
     tree = set(range(1, 10))  # a spanning tree without the negative edge
     with pytest.raises(AssertionError, match="not a connected base"):
-        flows.circuit_coeffs(g, tau, tree, 10)
+        flows.circuit_coeffs(g, tau, tree, [10])
     with pytest.raises(AssertionError, match="not a connected base"):
-        flows.circuit_coeffs(g, tau, tree | {0}, 0)
+        flows.circuit_coeffs(g, tau, tree | {0}, [0])
     with pytest.raises(AssertionError, match="positive"):
-        flows.circuit_coeffs(g, tau, tree | {11}, 12)
+        flows.circuit_coeffs(g, tau, tree | {11}, [12])
 
 
 def _random_valid_support(rng, max_edges=12):

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_connected_graph, reference_cycles_within
+from helpers import (graphs_with_edge_sets, random_connected_graph,
+                     reference_cycles_within, reference_k_closure)
 from sgflow.core import MINUS, PLUS, SignedGraph
 from sgflow.generators import petersen
 from sgflow.structures import (all_cycles, as_negative_sun,
@@ -112,6 +113,16 @@ def test_k_closure_steps_are_disjoint_and_grounded():
             assert len(set(cyc.edges) - seen) <= 2
             seen |= w
         assert seen == set(res.closure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_edge_sets(), st.integers(1, 3))
+def test_k_closure_matches_the_set_scan(case, k):
+    # kills a bit count off by one, and a mask that drops or keeps an edge
+    # it should not; the steps feed flows._fix_over_closure and sg closure
+    g, seed = case
+    res = k_closure(g, seed, k)
+    assert (res.closure, res.steps) == reference_k_closure(g, seed, k)
 
 
 def test_is_k_base_on_petersen():
