@@ -12,7 +12,10 @@ is a depth-first walk of a plan, `_walk`, and sampled `is_A_connected`
 walks one plan for all its samples.  A saturated endpoint's residual
 forces the edge's value, so a branch dies as soon as no value fits.
 Branching effectively happens only on cotree edges, so Petersen-sized
-instances finish quickly.
+instances finish quickly.  A search for a zero boundary over domains closed
+under negation finds its solutions in pairs f, -f, so it tries only half the
+values of its first edge, which roughly halves its "no" proofs and changes
+no answer.
 
 The kernel takes a value list per edge and the arithmetic of its values,
 which are integers in both of its domains.  `has_nz_k_flow` and
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -141,13 +145,15 @@ class _Plan(NamedTuple):
     depth, the edge, the two (vertex, coefficient term) pairs it changes
     (padded with a spare slot n that stays 0), the saturated endpoints
     where it adds nothing, and the (vertex, solve) pairs of the saturated
-    endpoints that force its value.  reduce is the arithmetic's reduce row.
+    endpoints that force its value.  reduce is the arithmetic's reduce row,
+    and neg maps a value to its negative (for codes, the terms[1] row).
     """
 
     m: int
     bare: list[int]
     steps: list[tuple]
     reduce: Optional[Sequence[int]]
+    neg: Callable[[int], int]
 
 
 def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
@@ -186,7 +192,8 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
             e, u, cu if plain else terms[cu], w, cw if plain else terms[cw],
             [v for v, c in saturated if not c],
             [(v, solve[c]) for v, c in saturated if c]))
-    return _Plan(g.m, bare, steps, reduce)
+    return _Plan(g.m, bare, steps, reduce,
+                 operator.neg if plain else terms[1].__getitem__)
 
 
 def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
@@ -206,6 +213,16 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
         if id(dom) not in allowed:
             allowed[id(dom)] = set(dom)
         walk.append((*step, dom, allowed[id(dom)]))
+    # With beta zero and every domain closed under negation, -f is a
+    # solution whenever f is.  So the first solution in search order takes,
+    # on a free first edge, a value x no later than -x in its domain, and
+    # the walk need try no other there.
+    if walk and not any(beta) and not walk[0][5] and not walk[0][6]:
+        neg = plan.neg
+        if all(neg(x) in ok for ok in allowed.values() for x in ok):
+            *head, dom, ok = walk[0]
+            rank = {x: i for i, x in enumerate(dom)}
+            walk[0] = (*head, [x for x in dom if rank[x] <= rank[neg(x)]], ok)
 
     residual = list(beta) + [0]
     f: list = [None] * plan.m
@@ -267,6 +284,11 @@ def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     (`_plan`) is worked out before the search walks it (`_walk`), and a
     caller that searches one graph and orientation many times may plan
     once and walk the plan each time.
+
+    When beta is zero, every listed edge's domain is closed under
+    negation and the first edge is free, the walk tries on that edge only
+    the values x that come no later than -x in its domain: -f is a solution
+    whenever f is, so the first solution takes one of them.
 
     budget caps how often the search may branch on an edge that no
     endpoint forces, SEARCH_BUDGET when None; past it, the search raises

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from golden.make_golden import as_json, oracle_call
+from golden.make_golden import GRAPHS, as_json, oracle_call
 
-from sgflow.core import parse_sg
+from sgflow.core import Orientation, parse_sg
 from sgflow.duality import k6_projective_embedding
-from sgflow.flows import connect, format_avoidance, parse_avoidance
+from sgflow.flows import (connect, format_avoidance, parse_avoidance,
+                          verify_avoidance)
+from sgflow.groups import boundary, integer_boundary, parse_group
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = sorted(p.stem for p in GOLDEN.glob("*.cert"))
@@ -29,6 +31,13 @@ def test_connect_reproduces_golden_certificate(name):
     hint = k6_projective_embedding() if name.startswith("k6hint-") else None
     cert = connect(g, recorded.group, recorded.fbar, embedding=hint)
     assert format_avoidance(cert) == want
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_every_golden_certificate_verifies(name):
+    g = parse_sg((GOLDEN / f"{name}.sg").read_text())
+    cert = parse_avoidance((GOLDEN / f"{name}.cert").read_text())
+    assert verify_avoidance(g, cert)
 
 
 WITNESSES = json.loads((GOLDEN / "oracle_witnesses.json").read_text())
@@ -49,3 +58,36 @@ def test_oracle_witness_file_covers_every_search():
 def test_oracle_reproduces_pinned_witness(index):
     rec = WITNESSES[index]
     assert as_json(oracle_call(rec)) == rec["result"]
+
+
+FLOWS = [i for i, rec in enumerate(WITNESSES)
+         if rec["call"] != "is_A_connected" and rec["result"] is not None]
+
+
+@pytest.mark.parametrize("index", FLOWS)
+def test_every_pinned_flow_meets_its_call(index):
+    # checked by boundary arithmetic alone, not by the search that found it
+    rec = WITNESSES[index]
+    g = GRAPHS[rec["graph"]]()
+    tau = Orientation.default(g)
+    f = rec["result"]
+    assert len(f) == g.m
+    if rec["call"] == "has_nz_k_flow":
+        assert integer_boundary(g, tau, f) == [0] * g.n
+        assert all(1 <= abs(x) <= rec["k"] - 1 for x in f)
+        return
+    if rec["call"] == "z2_to_3flow":
+        assert integer_boundary(g, tau, f) == [0] * g.n
+        sup, car = set(rec["support"]), set(rec["carrier"])
+        assert all(abs(x) == 1 if e in sup else abs(x) <= 2 if e in car
+                   else x == 0 for e, x in enumerate(f))
+        return
+    A = parse_group(rec["group"])
+    f = [tuple(x) for x in f]
+    beta = ([A.zero] * g.n if rec["call"] == "has_nz_A_flow"
+            else [tuple(x) for x in rec["beta"]])
+    assert boundary(g, tau, f, A) == beta
+    if rec.get("fbar") is not None:
+        assert all(x != tuple(y) for x, y in zip(f, rec["fbar"]))
+    if not rec.get("allow_zero"):
+        assert A.zero not in f

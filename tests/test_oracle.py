@@ -203,7 +203,7 @@ def test_desk_scale_limits(monkeypatch):
         patch.setattr(oracle, "_plan", unplanned)
         with pytest.raises(DeskScaleError, match="sweep budget"):
             is_A_connected(petersen(), parse_group("Z7"))
-    # the bridge's "no" takes 71 061 free branchings over Z5
+    # the bridge's "no" takes 35 531 free branchings over Z5
     g, A = doubled_k4_bridge(), parse_group("Z5")
     assert has_nz_A_flow(g, A) is None
     monkeypatch.setattr(oracle, "SEARCH_BUDGET", 1000)
@@ -384,6 +384,60 @@ def test_search_on_group_codes_matches_the_reference(inst, spec, with_fbar,
                   [code[b] for b in beta], ar)
     assert (None if got is None
             else [None if x is None else elem[x] for x in got]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_instances(), st.sampled_from(GROUPS),
+       st.sampled_from(("none", "zero", "any")), st.booleans(), st.data())
+def test_zero_boundary_search_matches_the_reference(inst, spec, fbar_kind,
+                                                    allow_zero, data):
+    # beta = 0: with fbar None, or all zero and zero allowed, every domain is
+    # closed under negation and the kernel tries only half of its first
+    # edge's values; any other fbar breaks that and the kernel must not
+    g, tau = inst
+    A = parse_group(spec)
+    edges = [e for e in range(g.m) if data.draw(st.booleans())]
+    fbar = (None if fbar_kind == "none" else [A.zero] * g.m
+            if fbar_kind == "zero" else _elements(data.draw, A, g.m))
+    domains = [data.draw(st.permutations(
+        [x for x in A.elements() if (allow_zero or x != A.zero)
+         and (fbar is None or x != fbar[e])])) for e in range(g.m)]
+    event("closed under negation: "
+          f"{all(A.neg(x) in d for d in domains for x in d)}")
+    want = reference_search(g, tau, edges, domains, [A.zero] * g.n,
+                            reference_group_arithmetic(A))
+    event(f"found: {want is not None}")
+    code, elem, ar, _ = _group_codes(A)
+    got = _search(g, tau, edges, [[code[x] for x in d] for d in domains],
+                  [0] * g.n, ar)
+    assert (None if got is None
+            else [None if x is None else elem[x] for x in got]) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.data())
+def test_zero_boundary_search_with_a_pinned_edge_matches_the_reference(inst,
+                                                                      data):
+    # the barbell search of flows.circuit_coeffs: +-1 and +-2 in any order,
+    # one edge pinned to 1, so not every domain is closed under negation
+    g, tau = inst
+    assume(g.m)
+    domains = [data.draw(st.permutations([1, -1, 2, -2])) for _ in range(g.m)]
+    domains[data.draw(st.integers(0, g.m - 1))] = [1]
+    edges = [e for e in range(g.m) if data.draw(st.booleans())]
+    want = reference_search(g, tau, edges, domains, [0] * g.n,
+                            REFERENCE_INTEGERS)
+    event(f"found: {want is not None}")
+    assert _search(g, tau, edges, domains, [0] * g.n, _INTEGERS) == want
+
+
+def test_petersen_has_no_5_flow_within_its_measured_effort():
+    # the largest "no" of the benchmark; the sign symmetry halves its first
+    # edge's values, so the proof takes half the free branchings it did
+    g = petersen()
+    domain = [x for x in range(-4, 5) if x]
+    assert _search(g, Orientation.default(g), range(g.m), [domain] * g.m,
+                   [0] * g.n, _INTEGERS, budget=3362) is None
 
 
 def test_search_forces_a_loop_in_its_planned_turn():
