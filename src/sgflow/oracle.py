@@ -1,21 +1,21 @@
 """Ground-truth search for flows and boundary satisfaction.
 
 Everything here is exact backtracking, and all of it runs through one
-kernel, `_search`.  It orders the edges cotree first, then
-tree, and assigns one edge at a time: the first open edge that is the last
-open one at some vertex, whose residual boundary forces its value, or else
-the first open edge.  Which edge comes next depends only on which edges
-are assigned, never on their values, so the kernel plans the whole order
-once per (graph, orientation, edges), `_plan`: per depth the edge, its
-(vertex, coefficient) pairs and the endpoints it saturates.  Each search
-is a depth-first walk of a plan, `_walk`, and sampled `is_A_connected`
-walks one plan for all its samples.  A saturated endpoint's residual
-forces the edge's value, so a branch dies as soon as no value fits.
-Branching effectively happens only on cotree edges, so Petersen-sized
-instances finish quickly.  A search for a zero boundary over domains closed
-under negation finds its solutions in pairs f, -f, so it tries only half the
-values of its first edge, which roughly halves its "no" proofs and changes
-no answer.
+kernel, `_search`.  It orders the edges breadth first: by the place of
+their later end in a breadth-first order of the vertices, so each vertex's
+edges come together and endpoints fill up early.  It assigns one edge at a
+time: the first open edge that is the last open one at some vertex, whose
+residual boundary forces its value, or else the first open edge.  Which
+edge comes next depends only on which edges are assigned, never on their
+values, so the kernel plans the whole order once per (graph, orientation,
+edges), `_plan`: per depth the edge, its (vertex, coefficient) pairs and
+the endpoints it saturates.  Each search is a depth-first walk of a plan,
+`_walk`, and sampled `is_A_connected` walks one plan for all its samples.
+A saturated endpoint's residual forces the edge's value, so a branch dies
+as soon as no value fits.  A search for a zero boundary over domains closed
+under negation finds its solutions in pairs f, -f, so it tries only half
+the values of its first edge, which roughly halves its "no" proofs and
+changes no answer.
 
 The kernel takes a value list per edge and the arithmetic of its values,
 which are integers in both of its domains.  `has_nz_k_flow` and
@@ -51,7 +51,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import DeskScaleError, Orientation, SignedGraph, spanning_forest
+from .core import (DeskScaleError, Orientation, SignedGraph, _tree_order,
+                   spanning_forest)
 from .groups import AbelianGroup, Elem, is_A_boundary
 
 # Limits on work: free branchings per search (10-30 us each), and
@@ -158,7 +159,8 @@ class _Plan(NamedTuple):
 
 def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
           ar: _Arithmetic) -> _Plan:
-    """The plan of `_search` over the listed edges under tau."""
+    """The plan of `_search` over the listed edges under tau: the edges
+    breadth first, each next one forced where some endpoint allows."""
     terms, reduce, solve = ar
     plain = terms is None
     # coefficient of edge e at vertex v: sum of tau over its half-edges at v
@@ -172,9 +174,16 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
         for v in c:
             remaining[v] += 1
     bare = [v for v in range(g.n) if not remaining[v]]
-    tree = spanning_forest(g, edges)
-    in_tree = set(tree)
-    order = [e for e in edges if e not in in_tree] + sorted(tree)
+    bfs, _ = _tree_order(g, spanning_forest(g, edges), range(g.n))
+    place = [0] * g.n
+    for i, v in enumerate(bfs):
+        place[v] = i
+
+    def later_end_first(e: int) -> tuple[int, int, int]:
+        a, b = place[g.edges[e][0]], place[g.edges[e][1]]
+        return max(a, b), min(a, b), e
+
+    order = sorted(edges, key=later_end_first)
 
     steps = []
     unplanned = list(order)
@@ -273,12 +282,14 @@ def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     nothing; None if there are none.  The returned list is indexed by edge
     and holds None for edges not listed.
 
-    The edge order is the cotree of a spanning forest of the edges, then
-    the forest's edges, sorted.  The next edge is the first unassigned one
-    with an endpoint where it is the last open edge, else the first
-    unassigned one.  Its candidates are the values every such endpoint
-    forces, in solve order, that its domain holds; or, with no such
-    endpoint, its domain in order.
+    The vertices are placed in the breadth-first order of a spanning
+    forest of the edges (core._tree_order from every vertex in turn), and
+    the edges go in order of the place of their later end, then of their
+    earlier end, then of their index.  The next edge is the first
+    unassigned one with an endpoint where it is the last open edge, else
+    the first unassigned one.  Its candidates are the values every such
+    endpoint forces, in solve order, that its domain holds; or, with no
+    such endpoint, its domain in order.
 
     The next edge depends only on which edges are assigned, so the plan
     (`_plan`) is worked out before the search walks it (`_walk`), and a

@@ -124,7 +124,7 @@ def doubled_k4_bridge() -> SignedGraph:
     """Two all-positive K4s with every edge doubled, joined by a bridge
     (n = 8, m = 25).  The bridge leaves no nowhere-zero flow, and the
     search kernel learns that only after branching through one side:
-    71 061 free branchings over Z5 and 410 281 over Z6."""
+    30 305 free branchings over Z5 and 213 661 over Z6."""
     edges = [(u, v, PLUS) for base in (0, 4)
              for u, v in itertools.combinations(range(base, base + 4), 2)
              for _ in range(2)]
@@ -400,8 +400,10 @@ def reference_sampled_is_A_connected(g: SignedGraph, A, samples: int,
 
 # The search kernel as it was before it planned its edge order once per call
 # and ran on element codes: it scans for the next edge at every node and
-# computes with group elements as tuples.  sgflow.oracle._search must return
-# the same lists.
+# computes with group elements as tuples.  It orders the edges breadth first,
+# as the kernel does, but tries every value of every edge: it knows nothing
+# of the kernel's sign symmetry on zero boundaries, so it checks that rule
+# too.  sgflow.oracle._search must return the same lists.
 
 REFERENCE_INTEGERS = (0, operator.add, operator.sub, operator.mul,
                       lambda c, r: [] if r % c else [r // c])
@@ -426,12 +428,15 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     nothing; None if there are none.  The returned list is indexed by edge
     and holds None for edges not listed.
 
-    The edge order is the cotree of a spanning forest of the edges, then
-    the forest's edges, sorted.  The next edge is the first unassigned one
-    with an endpoint where it is the last open edge, else the first
-    unassigned one.  Its candidates are the values every such endpoint
-    forces, in solve order, that its domain holds; or, with no such
-    endpoint, its domain in order.
+    The vertices are placed in breadth-first order over a spanning forest
+    of the edges, one tree at a time from the least vertex it holds, each
+    vertex taking its forest edges in increasing order.  The edges go in
+    order of the place of their later end, then of their earlier end, then
+    of their index.  The next edge is the first unassigned one with an
+    endpoint where it is the last open edge, else the first unassigned one.
+    Its candidates are the values every such endpoint forces, in solve
+    order, that its domain holds; or, with no such endpoint, its domain in
+    order.
     """
     zero, add, sub, mul, solve = ar
     # coefficient of edge e at vertex v: sum of tau over its half-edges at v
@@ -446,9 +451,22 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
             remaining[v] += 1
     residual = list(beta)
     f: list = [None] * g.m
-    tree = spanning_forest(g, edges)
-    in_tree = set(tree)
-    order = [e for e in edges if e not in in_tree] + sorted(tree)
+    tree = sorted(spanning_forest(g, edges))
+    place: dict[int, int] = {}  # breadth-first place of each vertex
+    for root in range(g.n):
+        if root in place:
+            continue
+        place[root] = len(place)
+        queue = [root]
+        for x in queue:
+            for e in tree:
+                u, v = g.ends(e)
+                y = v if u == x else u if v == x else None
+                if y is not None and y not in place:
+                    place[y] = len(place)
+                    queue.append(y)
+    order = sorted(edges, key=lambda e: (max(place[v] for v in g.ends(e)),
+                                         min(place[v] for v in g.ends(e)), e))
 
     def candidates(e: int) -> Sequence:
         """Values compatible with every saturated endpoint of e."""
