@@ -175,9 +175,7 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
             remaining[v] += 1
     bare = [v for v in range(g.n) if not remaining[v]]
     bfs, _ = _tree_order(g, spanning_forest(g, edges), range(g.n))
-    place = [0] * g.n
-    for i, v in enumerate(bfs):
-        place[v] = i
+    place = {v: i for i, v in enumerate(bfs)}
 
     def later_end_first(e: int) -> tuple[int, int, int]:
         a, b = place[g.edges[e][0]], place[g.edges[e][1]]

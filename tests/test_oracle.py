@@ -379,14 +379,24 @@ def test_search_on_group_codes_matches_the_reference(inst, spec, with_fbar,
     else:  # anything, so untouched vertices may hold nonzero values
         beta = _elements(data.draw, A, g.n)
     fbar = _elements(data.draw, A, g.m) if with_fbar else None
-    # in any order, so that forced values (in solve order) and free ones
-    # (in domain order) come in different orders
-    domains = [data.draw(st.permutations(
-        [x for x in A.elements() if (allow_zero or x != A.zero)
-         and (fbar is None or x != fbar[e])])) for e in range(g.m)]
     touched = {v for e in edges for v in g.ends(e)}
     event(f"untouched vertex with nonzero beta: "
           f"{any(beta[v] != A.zero for v in range(g.n) if v not in touched)}")
+    _search_matches_the_reference(g, tau, A, edges, beta, fbar, allow_zero,
+                                  data.draw)
+
+
+def _search_matches_the_reference(g, tau, A, edges, beta, fbar, allow_zero,
+                                  draw):
+    """The kernel on codes against reference_search on elements, with the
+    domains fbar and allow_zero give drawn in any order, so that forced
+    values (in solve order) and free ones (in domain order) come in
+    different orders."""
+    domains = [draw(st.permutations(
+        [x for x in A.elements() if (allow_zero or x != A.zero)
+         and (fbar is None or x != fbar[e])])) for e in range(g.m)]
+    event("closed under negation: "
+          f"{all(A.neg(x) in d for d in domains for x in d)}")
     want = reference_search(g, tau, edges, domains, beta,
                             reference_group_arithmetic(A))
     event(f"found: {want is not None}")
@@ -397,49 +407,34 @@ def test_search_on_group_codes_matches_the_reference(inst, spec, with_fbar,
             else [None if x is None else elem[x] for x in got]) == want
 
 
-@settings(max_examples=300, deadline=None)
-@given(small_instances(), st.sampled_from(GROUPS),
-       st.sampled_from(("none", "zero", "any")), st.booleans(), st.data())
+@settings(max_examples=500, deadline=None)
+@given(small_instances(), st.sampled_from(("Z3", "Z4", "Z5", "Z6")),
+       st.sampled_from(("none", "zero", "some")), st.booleans(), st.data())
 def test_zero_boundary_search_matches_the_reference(inst, spec, fbar_kind,
                                                     allow_zero, data):
     # beta = 0: with fbar None, or all zero and zero allowed, every domain is
     # closed under negation and the kernel tries only half of its first
-    # edge's values; any other fbar breaks that and the kernel must not
+    # edge's values; fbar nonzero on some edges breaks that (often on edges
+    # after the first), and the kernel must then try them all.  Groups with
+    # an element other than its own negative only: elsewhere no value drops
     g, tau = inst
     A = parse_group(spec)
     edges = [e for e in range(g.m) if data.draw(st.booleans())]
-    fbar = (None if fbar_kind == "none" else [A.zero] * g.m
-            if fbar_kind == "zero" else _elements(data.draw, A, g.m))
-    domains = [data.draw(st.permutations(
-        [x for x in A.elements() if (allow_zero or x != A.zero)
-         and (fbar is None or x != fbar[e])])) for e in range(g.m)]
-    event("closed under negation: "
-          f"{all(A.neg(x) in d for d in domains for x in d)}")
-    want = reference_search(g, tau, edges, domains, [A.zero] * g.n,
-                            reference_group_arithmetic(A))
-    event(f"found: {want is not None}")
-    code, elem, ar, _ = _group_codes(A)
-    got = _search(g, tau, edges, [[code[x] for x in d] for d in domains],
-                  [0] * g.n, ar)
-    assert (None if got is None
-            else [None if x is None else elem[x] for x in got]) == want
+    fbar = None if fbar_kind == "none" else [A.zero] * g.m
+    if fbar_kind == "some":
+        fbar = [x if data.draw(st.booleans()) else A.zero
+                for x in _elements(data.draw, A, g.m)]
+    _search_matches_the_reference(g, tau, A, edges, [A.zero] * g.n, fbar,
+                                  allow_zero, data.draw)
 
 
-@settings(max_examples=200, deadline=None)
-@given(small_instances(), st.data())
-def test_zero_boundary_search_with_a_pinned_edge_matches_the_reference(inst,
-                                                                      data):
-    # the barbell search of flows.circuit_coeffs: +-1 and +-2 in any order,
-    # one edge pinned to 1, so not every domain is closed under negation
-    g, tau = inst
-    assume(g.m)
-    domains = [data.draw(st.permutations([1, -1, 2, -2])) for _ in range(g.m)]
-    domains[data.draw(st.integers(0, g.m - 1))] = [1]
-    edges = [e for e in range(g.m) if data.draw(st.booleans())]
-    want = reference_search(g, tau, edges, domains, [0] * g.n,
-                            REFERENCE_INTEGERS)
-    event(f"found: {want is not None}")
-    assert _search(g, tau, edges, domains, [0] * g.n, _INTEGERS) == want
+def test_zero_boundary_search_tries_both_signs_where_fbar_breaks_them():
+    # the one flow is (2, 1): fbar rules out its negative (1, 2), so the
+    # first edge must still try 2, which comes after -2 = 1
+    g = SignedGraph(2, ((1, 0, MINUS), (0, 1, MINUS)))
+    A = parse_group("Z3")
+    assert satisfy_boundary(g, A, [A.zero] * 2, fbar=[(0,), (2,)],
+                            allow_zero=True) == [(2,), (1,)]
 
 
 def test_petersen_has_no_5_flow_within_its_measured_effort():
@@ -469,13 +464,20 @@ def test_search_forces_a_loop_in_its_planned_turn():
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_instances(), st.integers(2, 4), st.booleans(), st.data())
-def test_search_on_integers_matches_the_reference(inst, k, carrier, data):
+@given(small_instances(), st.integers(2, 4),
+       st.sampled_from(("k-flow", "carrier", "barbell")), st.data())
+def test_search_on_integers_matches_the_reference(inst, k, family, data):
     g, tau = inst
     edges = [e for e in range(g.m) if data.draw(st.booleans())]
-    if carrier:  # z2_to_3flow's domains: +-1 on a support, |x| <= 2 elsewhere
+    if family == "carrier":  # z2_to_3flow's: +-1 on a support, up to 2 off it
         domains = [data.draw(st.sampled_from(([1, -1], [0, 1, -1, 2, -2])))
                    for _ in range(g.m)]
+    elif family == "barbell":  # circuit_coeffs': one edge pinned to 1, so not
+        # every domain is closed under negation
+        domains = [data.draw(st.permutations([1, -1, 2, -2]))
+                   for _ in range(g.m)]
+        if g.m:
+            domains[data.draw(st.integers(0, g.m - 1))] = [1]
     else:  # has_nz_k_flow's domain, in any order
         domains = [data.draw(st.permutations([x for x in range(1 - k, k)
                                               if x]))] * g.m
