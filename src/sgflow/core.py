@@ -5,9 +5,10 @@ with a signature sigma: E -> {+1, -1}.  Every edge e consists of two
 half-edges 2e and 2e+1; half-edge 2e sits at the first endpoint, 2e+1 at
 the second.  Loops have both half-edges at the same vertex.
 
-Graphs are immutable values: minor operations (switching, contraction,
-uncontraction, deletion) return a new graph together with translation maps
-from old to new indices.
+Graphs are immutable values, so every operation returns a new graph.
+switch_on_set and uncontract keep every index (uncontract appends its new
+vertex and edge); contract_set contracts an edge set in one pass and returns
+the vertex map, edge map and switching parity that translate old indices.
 
 Questions about an edge set of g take the set as data over g's own indices,
 so no subgraph is built to answer them: spanning_forest is the one
@@ -258,18 +259,6 @@ class Orientation:
 
 
 # -- switching ------------------------------------------------------------
-
-def switch_at(g: SignedGraph, v: int) -> SignedGraph:
-    """Negate the sign of every non-loop edge incident to v."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"unknown vertex {v}")
-    new = []
-    for u, w, s in g.edges:
-        if (u == v) != (w == v):
-            s = -s
-        new.append((u, w, s))
-    return SignedGraph(g.n, tuple(new))
-
 
 def switch_on_set(g: SignedGraph, side: Iterable[int]) -> SignedGraph:
     """Switch at every vertex of `side`; exactly delta(side) changes sign."""
@@ -552,126 +541,67 @@ def is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:
 @dataclass
 class MinorResult:
     graph: SignedGraph
-    vertex_map: tuple[Optional[int], ...]  # old vertex -> new vertex
+    vertex_map: tuple[int, ...]  # old vertex -> new vertex
     edge_map: tuple[Optional[int], ...]  # old edge -> new edge (None if deleted)
     # parity of switches applied at each old vertex during the operation
     # (negative edges are switched positive before identification)
-    switch_parity: tuple[int, ...] = ()
-
-
-def contract(g: SignedGraph, e: int) -> MinorResult:
-    """Contract a non-loop edge.
-
-    A negative edge is first made positive by switching at its lower-index
-    endpoint; the endpoints are then identified.  Positive loops created by
-    the identification are deleted, negative loops are kept.
-    """
-    if g.is_loop(e):
-        raise ValueError("cannot contract a loop")
-    parity = [0] * g.n
-    if g.sigma(e) == MINUS:
-        u, v = g.ends(e)
-        parity[min(u, v)] = 1
-        g = switch_at(g, min(u, v))
-    u, v = g.ends(e)
-    keep, gone = min(u, v), max(u, v)
-    vmap: list[Optional[int]] = []
-    nxt = 0
-    for x in range(g.n):
-        if x == gone:
-            vmap.append(None)
-            continue
-        vmap.append(nxt)
-        nxt += 1
-    vmap[gone] = vmap[keep]
-    new_edges = []
-    emap: list[Optional[int]] = []
-    for i, (a, b, s) in enumerate(g.edges):
-        if i == e:
-            emap.append(None)
-            continue
-        na, nb = vmap[a], vmap[b]
-        if na == nb and s == PLUS and (a == gone) != (b == gone):
-            # positive loop created by the identification
-            emap.append(None)
-            continue
-        emap.append(len(new_edges))
-        new_edges.append((na, nb, s))
-    return MinorResult(SignedGraph(nxt, tuple(new_edges)), tuple(vmap), tuple(emap),
-                       tuple(parity))
+    switch_parity: tuple[int, ...]
 
 
 def contract_set(g: SignedGraph, edge_set: Iterable[int]) -> MinorResult:
-    """Contract every edge of edge_set (G/X).
+    """Contract every edge of edge_set (G/X) in one pass over g.
 
-    Each component of the contracted subgraph is switched so a spanning
-    forest of it is all-positive first; remaining edges of the set become
-    loops, deleted if positive and kept if negative.
+    The set's edges are taken in increasing order over vertex classes, each
+    named by its least vertex; an edge within one class joins nothing.  An
+    edge joining two classes is made positive, if it is negative under the
+    switches so far, by switching the whole class with the lesser least
+    vertex, which then absorbs the other.  The classes become the new
+    vertices, in order of least vertex.  The other edges keep their order
+    and their switched signs, except that a positive edge within one class
+    is deleted where it became a loop or is in the set; negative ones are
+    kept as loops.
     """
-    todo = set(edge_set)
-    vmap = list(range(g.n))
-    emap: list[Optional[int]] = list(range(g.m))
+    in_set = set(edge_set)
+    cls = list(range(g.n))  # each vertex's class, named by its least vertex
+    members = [[v] for v in range(g.n)]
     parity = [0] * g.n
-    cur = g
-    while True:
-        pick = None
-        for e in sorted(todo):
-            ne = emap[e]
-            if ne is not None and not cur.is_loop(ne):
-                pick = e
-                break
-        if pick is None:
-            break
-        res = contract(cur, emap[pick])
-        for v in range(g.n):
-            if vmap[v] is not None:
-                parity[v] ^= res.switch_parity[vmap[v]]
-        cur = res.graph
-        vmap = [res.vertex_map[x] if x is not None else None for x in vmap]
-        emap = [res.edge_map[x] if x is not None else None for x in emap]
-        todo.discard(pick)
-    # remaining set members are loops now: delete positive, keep negative
-    del_loops = set()
-    for e in sorted(todo):
-        ne = emap[e]
-        if ne is not None and cur.sigma(ne) == PLUS:
-            del_loops.add(ne)
-    if del_loops:
-        res = delete_edges(cur, del_loops)
-        cur = res.graph
-        vmap = [res.vertex_map[x] if x is not None else None for x in vmap]
-        emap = [res.edge_map[x] if x is not None else None for x in emap]
-    return MinorResult(cur, tuple(vmap), tuple(emap), tuple(parity))
-
-
-def delete_edges(g: SignedGraph, edge_set: Iterable[int]) -> MinorResult:
-    drop = set(edge_set)
+    joined = set()
+    for e in sorted(in_set):
+        u, v, s = g.edges[e]
+        a, b = sorted((cls[u], cls[v]))
+        if a == b:
+            continue
+        joined.add(e)
+        if (s == MINUS) != (parity[u] != parity[v]):  # negative so far
+            for x in members[a]:
+                parity[x] ^= 1
+        for x in members[b]:
+            cls[x] = a
+        members[a] += members[b]
+    index = {c: i for i, c in enumerate(sorted(set(cls)))}
+    vmap = tuple(index[c] for c in cls)
     new_edges = []
     emap: list[Optional[int]] = []
-    for e, ed in enumerate(g.edges):
-        if e in drop:
+    for e, (u, v, s) in enumerate(g.edges):
+        if parity[u] != parity[v]:
+            s = -s
+        a, b = vmap[u], vmap[v]
+        if e in joined or (a == b and s == PLUS and (u != v or e in in_set)):
             emap.append(None)
-        else:
-            emap.append(len(new_edges))
-            new_edges.append(ed)
-    return MinorResult(SignedGraph(g.n, tuple(new_edges)), tuple(range(g.n)), tuple(emap))
+            continue
+        emap.append(len(new_edges))
+        new_edges.append((a, b, s))
+    return MinorResult(SignedGraph(len(index), tuple(new_edges)), vmap,
+                       tuple(emap), tuple(parity))
 
 
-@dataclass
-class UncontractResult:
-    graph: SignedGraph
-    new_vertex: int
-    new_edge: int
-    edge_map: tuple[int, ...]  # old edge -> new edge (indices preserved here)
-
-
-def uncontract(g: SignedGraph, v: int, h_e: int, h_f: int) -> UncontractResult:
+def uncontract(g: SignedGraph, v: int, h_e: int, h_f: int) -> SignedGraph:
     """Uncontract at v with the two half-edges h_e, h_f (both at v).
 
-    Adds a new vertex v' of degree 3: the two half-edges are re-attached to
-    v', and a new positive edge vv' is added.  Requires deg(v) >= 4.
-    Passing the two halves of a loop at v turns it into an edge vv'...v'
-    style structure per the half-edge bookkeeping.
+    Adds a new vertex v' = g.n of degree 3: the two half-edges are
+    re-attached to v', and a new positive edge vv' = g.m is appended, so
+    every old edge keeps its index.  Requires deg(v) >= 4.  The two halves
+    of a loop at v make it a loop at v'.
     """
     if g.degree(v) < 4:
         raise ValueError(f"degree of {v} is below 4")
@@ -685,8 +615,7 @@ def uncontract(g: SignedGraph, v: int, h_e: int, h_f: int) -> UncontractResult:
     for h in (h_e, h_f):
         edges[h // 2][h % 2] = vp
     edges.append([v, vp, PLUS])
-    new = SignedGraph(g.n + 1, tuple(tuple(ed) for ed in edges))
-    return UncontractResult(new, vp, new.m - 1, tuple(range(g.m)))
+    return SignedGraph(g.n + 1, tuple(tuple(ed) for ed in edges))
 
 
 # -- text format -------------------------------------------------------------

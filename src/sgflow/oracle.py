@@ -9,8 +9,10 @@ residual boundary forces its value, or else the first open edge.  Which
 edge comes next depends only on which edges are assigned, never on their
 values, so the kernel plans the whole order once per (graph, orientation,
 edges), `_plan`: per depth the edge, its (vertex, coefficient) pairs and
-the endpoints it saturates.  Each search is a depth-first walk of a plan,
-`_walk`, and sampled `is_A_connected` walks one plan for all its samples.
+the endpoints it saturates.  A positive loop changes no boundary, so it
+is left out of the plan and takes its first value once a walk succeeds.
+Each search is a depth-first walk of a plan, `_walk`, and sampled
+`is_A_connected` walks one plan for all its samples.
 A saturated endpoint's residual forces the edge's value, so a branch dies
 as soon as no value fits.  A search for a zero boundary over domains closed
 under negation finds its solutions in pairs f, -f, so it tries only half
@@ -142,16 +144,19 @@ class _Plan(NamedTuple):
     """What the kernel works out before it looks at any value searched
     for: a pure function of (graph, orientation, listed edges, arithmetic).
 
-    bare lists the vertices that no listed edge touches.  steps holds, per
+    bare lists the vertices where no listed edge has a nonzero
+    coefficient, and idle the listed edges with no nonzero coefficient
+    (positive loops), which no boundary constrains.  steps holds, per
     depth, the edge, the two (vertex, coefficient term) pairs it changes
-    (padded with a spare slot n that stays 0), the saturated endpoints
-    where it adds nothing, and the (vertex, solve) pairs of the saturated
-    endpoints that force its value.  reduce is the arithmetic's reduce row,
-    and neg maps a value to its negative (for codes, the terms[1] row).
+    (padded with a spare slot n that stays 0) and the (vertex, solve)
+    pairs of the saturated endpoints that force its value.  reduce is the
+    arithmetic's reduce row, and neg maps a value to its negative (for
+    codes, the terms[1] row).
     """
 
     m: int
     bare: list[int]
+    idle: list[int]
     steps: list[tuple]
     reduce: Optional[Sequence[int]]
     neg: Callable[[int], int]
@@ -166,11 +171,16 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     # coefficient of edge e at vertex v: sum of tau over its half-edges at v
     coeff: list[dict[int, int]] = [{} for _ in range(g.m)]
     remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
+    idle, planned = [], []
     for e in edges:
         u, v = g.ends(e)  # half-edge 2e is at u, 2e + 1 at v
         c = coeff[e]
         c[u] = tau(2 * e)
         c[v] = c.get(v, 0) + tau(2 * e + 1)
+        if not c[v]:  # a positive loop
+            idle.append(e)
+            continue
+        planned.append(e)
         for v in c:
             remaining[v] += 1
     bare = [v for v in range(g.n) if not remaining[v]]
@@ -181,7 +191,7 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
         a, b = place[g.edges[e][0]], place[g.edges[e][1]]
         return max(a, b), min(a, b), e
 
-    order = sorted(edges, key=later_end_first)
+    order = sorted(planned, key=later_end_first)
 
     steps = []
     unplanned = list(order)
@@ -193,22 +203,23 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
         saturated = [(v, c) for v, c in coeff[e].items() if remaining[v] == 1]
         for v in coeff[e]:
             remaining[v] -= 1
-        (u, cu), (w, cw) = ([(v, c) for v, c in coeff[e].items() if c]
-                            + [(g.n, 0)] * 2)[:2]
+        (u, cu), (w, cw) = (list(coeff[e].items()) + [(g.n, 0)])[:2]
         steps.append((
             e, u, cu if plain else terms[cu], w, cw if plain else terms[cw],
-            [v for v, c in saturated if not c],
-            [(v, solve[c]) for v, c in saturated if c]))
-    return _Plan(g.m, bare, steps, reduce,
+            [(v, solve[c]) for v, c in saturated]))
+    return _Plan(g.m, bare, idle, steps, reduce,
                  operator.neg if plain else terms[1].__getitem__)
 
 
 def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
           budget: Optional[int] = None) -> Optional[list]:
     """`_search` on a plan: the values for the plan's edges, or None.  A
-    bare vertex keeps its beta, so a nonzero one there means None at once.
+    bare vertex keeps its beta, so a nonzero one there means None at once,
+    and so does an idle edge with an empty domain; the others take the
+    first value of their domain.
     """
-    if any(beta[v] for v in plan.bare):
+    if any(beta[v] for v in plan.bare) or not all(
+            domains[e] for e in plan.idle):
         return None
     limit = budget = SEARCH_BUDGET if budget is None else budget
     reduce = plan.reduce
@@ -224,7 +235,7 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
     # solution whenever f is.  So the first solution in search order takes,
     # on a free first edge, a value x no later than -x in its domain, and
     # the walk need try no other there.
-    if walk and not any(beta) and not walk[0][5] and not walk[0][6]:
+    if walk and not any(beta) and not walk[0][5]:
         neg = plan.neg
         if all(neg(x) in ok for ok in allowed.values() for x in ok):
             *head, dom, ok = walk[0]
@@ -239,10 +250,7 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
         nonlocal budget
         if d == depth:
             return True
-        e, u, cu, w, cw, zeros, forcing, dom, ok = walk[d]
-        for v in zeros:  # a loop adding nothing at its saturated vertex
-            if residual[v]:
-                return False
+        e, u, cu, w, cw, forcing, dom, ok = walk[d]
         cands = None
         for v, sol in forcing:
             vals = sol(residual[v])
@@ -269,7 +277,11 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
         residual[u], residual[w] = ru, rw
         return False
 
-    return f if dfs(0) else None
+    if not dfs(0):
+        return None
+    for e in plan.idle:
+        f[e] = domains[e][0]
+    return f
 
 
 def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
@@ -287,7 +299,10 @@ def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     unassigned one with an endpoint where it is the last open edge, else
     the first unassigned one.  Its candidates are the values every such
     endpoint forces, in solve order, that its domain holds; or, with no
-    such endpoint, its domain in order.
+    such endpoint, its domain in order.  An edge with coefficient 0 at
+    every end (a positive loop) changes no boundary, so it is left out of
+    this order and takes the first value of its domain once the others
+    are found.
 
     The next edge depends only on which edges are assigned, so the plan
     (`_plan`) is worked out before the search walks it (`_walk`), and a

@@ -11,20 +11,24 @@ the input graph by slicing off the appended edges (see flows.connect).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .core import (HypothesisError, SignedGraph, edge_connectivity,
                    is_k_unbalanced, uncontract)
 
 
-def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int) -> int:
+def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int
+                              ) -> Optional[int]:
     """Partner half-edge h' at v such that uncontracting {h_e, h'} keeps
-    the graph 2-unbalanced and 3-edge-connected.
+    the graph 2-unbalanced and 3-edge-connected, the least one; None if
+    there is none.
 
     g must be 2-unbalanced and 3-edge-connected, which the caller checks
     (cubicize's input, or the previous step's verified candidate).  Every
-    candidate is verified directly; at most one can fail
-    2-unbalancedness and at least two preserve 3-edge-connectivity, so a
-    valid partner always exists.
+    candidate is verified directly.  The argument that at most one fails
+    2-unbalancedness and at least two preserve 3-edge-connectivity, so
+    that a partner exists, does not hold with loops at v: there h_e can
+    have none, and cubicize tries the next half-edge.
     """
     if g.degree(v) < 4:
         raise ValueError(f"degree of {v} is below 4")
@@ -33,10 +37,10 @@ def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int) -> int:
     for h in sorted(g.halfedges_at(v)):
         if h == h_e:
             continue
-        cand = uncontract(g, v, h_e, h).graph
+        cand = uncontract(g, v, h_e, h)
         if edge_connectivity(cand) >= 3 and is_k_unbalanced(cand, 2):
             return h
-    raise AssertionError("no valid uncontraction partner: preconditions violated?")
+    return None
 
 
 @dataclass
@@ -62,7 +66,9 @@ def cubicize(g: SignedGraph) -> CubicizeResult:
     raises HypothesisError.  Each step strictly decreases the total degree
     excess sum |deg(v) - 3| and leaves every degree at least 3, so this
     terminates with a cubic graph; the output of each step is re-verified
-    to be 2-unbalanced and 3-edge-connected by the partner choice.
+    to be 2-unbalanced and 3-edge-connected by the partner choice.  Each
+    step splits the first vertex of degree at least 4, pairing the least
+    half-edge there that has a valid partner with its least partner.
     """
     if g.n < 2:
         raise HypothesisError("need at least 2 vertices (single-vertex graphs"
@@ -77,9 +83,14 @@ def cubicize(g: SignedGraph) -> CubicizeResult:
         v = next((x for x in range(cur.n) if cur.degree(x) >= 4), None)
         if v is None:
             break
-        h_e = min(cur.halfedges_at(v))
-        h_f = choose_uncontraction_half(cur, v, h_e)
-        res = uncontract(cur, v, h_e, h_f)
-        history.append(UncontractionStep(v, h_e, h_f, res.new_vertex, res.new_edge))
-        cur = res.graph
+        # the least half-edge at v that has a partner, with its least one
+        for h_e in sorted(cur.halfedges_at(v)):
+            h_f = choose_uncontraction_half(cur, v, h_e)
+            if h_f is not None:
+                break
+        else:
+            raise AssertionError("no valid uncontraction pair at vertex"
+                                 f" {v}: preconditions violated?")
+        history.append(UncontractionStep(v, h_e, h_f, cur.n, cur.m))
+        cur = uncontract(cur, v, h_e, h_f)
     return CubicizeResult(cur, history)

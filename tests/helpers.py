@@ -10,8 +10,8 @@ from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
-from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph, _has_cycle,
-                         delete_edges, edge_connectivity, is_balanced,
+from sgflow.core import (MINUS, PLUS, MinorResult, Orientation, SignedGraph,
+                         _has_cycle, edge_connectivity, is_balanced,
                          is_k_unbalanced, spanning_forest, uncontract)
 from sgflow.decompose import _induced_edges, violating_balanced_cut
 from sgflow.duality import PROJECTIVE, to_default_orientation
@@ -183,7 +183,7 @@ def theorem_instances(g: SignedGraph) -> list[SignedGraph]:
             if edge_connectivity(h) >= 3 and is_k_unbalanced(h, 2)]
 
 
-def uncontract_edges(g: SignedGraph, v: int, e: int, f: int):
+def uncontract_edges(g: SignedGraph, v: int, e: int, f: int) -> SignedGraph:
     """core.uncontract by edges: e, f must be distinct non-loop edges at v."""
     if e == f:
         raise ValueError("edges must differ")
@@ -194,6 +194,123 @@ def uncontract_edges(g: SignedGraph, v: int, e: int, f: int):
             raise ValueError(f"edge {ed} not incident to {v}")
         hs.append(cand[0])
     return uncontract(g, v, hs[0], hs[1])
+
+
+# -- contraction one edge at a time ------------------------------------------------
+# sgflow.core.contract_set as it was before it contracted the set in one
+# pass: one edge at a time, each step a new graph with its own index maps,
+# composed as it goes, and the leftover positive loops of the set deleted
+# last.  contract_set must return the same four fields.
+
+def _reference_switch_at(g: SignedGraph, v: int) -> SignedGraph:
+    """Negate the sign of every non-loop edge incident to v."""
+    if not (0 <= v < g.n):
+        raise ValueError(f"unknown vertex {v}")
+    new = []
+    for u, w, s in g.edges:
+        if (u == v) != (w == v):
+            s = -s
+        new.append((u, w, s))
+    return SignedGraph(g.n, tuple(new))
+
+
+def _reference_contract(g: SignedGraph, e: int) -> MinorResult:
+    """Contract a non-loop edge.
+
+    A negative edge is first made positive by switching at its lower-index
+    endpoint; the endpoints are then identified.  Positive loops created by
+    the identification are deleted, negative loops are kept.
+    """
+    if g.is_loop(e):
+        raise ValueError("cannot contract a loop")
+    parity = [0] * g.n
+    if g.sigma(e) == MINUS:
+        u, v = g.ends(e)
+        parity[min(u, v)] = 1
+        g = _reference_switch_at(g, min(u, v))
+    u, v = g.ends(e)
+    keep, gone = min(u, v), max(u, v)
+    vmap: list[Optional[int]] = []
+    nxt = 0
+    for x in range(g.n):
+        if x == gone:
+            vmap.append(None)
+            continue
+        vmap.append(nxt)
+        nxt += 1
+    vmap[gone] = vmap[keep]
+    new_edges = []
+    emap: list[Optional[int]] = []
+    for i, (a, b, s) in enumerate(g.edges):
+        if i == e:
+            emap.append(None)
+            continue
+        na, nb = vmap[a], vmap[b]
+        if na == nb and s == PLUS and (a == gone) != (b == gone):
+            # positive loop created by the identification
+            emap.append(None)
+            continue
+        emap.append(len(new_edges))
+        new_edges.append((na, nb, s))
+    return MinorResult(SignedGraph(nxt, tuple(new_edges)), tuple(vmap),
+                       tuple(emap), tuple(parity))
+
+
+def _reference_delete_edges(g: SignedGraph, edge_set) -> MinorResult:
+    drop = set(edge_set)
+    new_edges = []
+    emap: list[Optional[int]] = []
+    for e, ed in enumerate(g.edges):
+        if e in drop:
+            emap.append(None)
+        else:
+            emap.append(len(new_edges))
+            new_edges.append(ed)
+    return MinorResult(SignedGraph(g.n, tuple(new_edges)), tuple(range(g.n)),
+                       tuple(emap), ())
+
+
+def reference_contract_set(g: SignedGraph, edge_set) -> MinorResult:
+    """Contract every edge of edge_set (G/X).
+
+    Each component of the contracted subgraph is switched so a spanning
+    forest of it is all-positive first; remaining edges of the set become
+    loops, deleted if positive and kept if negative.
+    """
+    todo = set(edge_set)
+    vmap = list(range(g.n))
+    emap: list[Optional[int]] = list(range(g.m))
+    parity = [0] * g.n
+    cur = g
+    while True:
+        pick = None
+        for e in sorted(todo):
+            ne = emap[e]
+            if ne is not None and not cur.is_loop(ne):
+                pick = e
+                break
+        if pick is None:
+            break
+        res = _reference_contract(cur, emap[pick])
+        for v in range(g.n):
+            if vmap[v] is not None:
+                parity[v] ^= res.switch_parity[vmap[v]]
+        cur = res.graph
+        vmap = [res.vertex_map[x] if x is not None else None for x in vmap]
+        emap = [res.edge_map[x] if x is not None else None for x in emap]
+        todo.discard(pick)
+    # remaining set members are loops now: delete positive, keep negative
+    del_loops = set()
+    for e in sorted(todo):
+        ne = emap[e]
+        if ne is not None and cur.sigma(ne) == PLUS:
+            del_loops.add(ne)
+    if del_loops:
+        res = _reference_delete_edges(cur, del_loops)
+        cur = res.graph
+        vmap = [res.vertex_map[x] if x is not None else None for x in vmap]
+        emap = [res.edge_map[x] if x is not None else None for x in emap]
+    return MinorResult(cur, tuple(vmap), tuple(emap), tuple(parity))
 
 
 def random_elem(rng: random.Random, A) -> tuple:
@@ -403,7 +520,8 @@ def reference_sampled_is_A_connected(g: SignedGraph, A, samples: int,
 # computes with group elements as tuples.  It orders the edges breadth first,
 # as the kernel does, but tries every value of every edge: it knows nothing
 # of the kernel's sign symmetry on zero boundaries, so it checks that rule
-# too.  sgflow.oracle._search must return the same lists.
+# too.  Like the kernel, it leaves positive loops out of its order.
+# sgflow.oracle._search must return the same lists.
 
 REFERENCE_INTEGERS = (0, operator.add, operator.sub, operator.mul,
                       lambda c, r: [] if r % c else [r // c])
@@ -436,17 +554,23 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     endpoint where it is the last open edge, else the first unassigned one.
     Its candidates are the values every such endpoint forces, in solve
     order, that its domain holds; or, with no such endpoint, its domain in
-    order.
+    order.  An edge whose coefficients are all 0 (a positive loop) is left
+    out of the order and, once the others are found, takes the first
+    value of its domain; with an empty domain there is no solution.
     """
     zero, add, sub, mul, solve = ar
     # coefficient of edge e at vertex v: sum of tau over its half-edges at v
     coeff: list[dict[int, int]] = [{} for _ in range(g.m)]
     remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
+    idle = []
     for e in edges:
         c = coeff[e]
         for h in (2 * e, 2 * e + 1):
             v = g.halfedge_vertex(h)
             c[v] = c.get(v, 0) + tau(h)
+        if not any(c.values()):
+            idle.append(e)
+            continue
         for v in c:
             remaining[v] += 1
     residual = list(beta)
@@ -465,8 +589,9 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
                 if y is not None and y not in place:
                     place[y] = len(place)
                     queue.append(y)
-    order = sorted(edges, key=lambda e: (max(place[v] for v in g.ends(e)),
-                                         min(place[v] for v in g.ends(e)), e))
+    order = sorted(set(edges) - set(idle),
+                   key=lambda e: (max(place[v] for v in g.ends(e)),
+                                  min(place[v] for v in g.ends(e)), e))
 
     def candidates(e: int) -> Sequence:
         """Values compatible with every saturated endpoint of e."""
@@ -474,12 +599,7 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
         for v, c in coeff[e].items():
             if remaining[v] != 1:
                 continue
-            r = residual[v]
-            if c == 0:
-                if r != zero:
-                    return []
-                continue
-            vals = solve(c, r)
+            vals = solve(c, residual[v])
             cands = vals if cands is None else [x for x in cands if x in vals]
         if cands is None:
             return domains[e]
@@ -516,7 +636,11 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
         f[e] = None
         return False
 
-    return f if dfs(0) else None
+    if not dfs(0) or not all(domains[e] for e in idle):
+        return None
+    for e in idle:
+        f[e] = domains[e][0]
+    return f
 
 
 def reference_k_closure(g: SignedGraph, seed, k: int
@@ -734,7 +858,9 @@ def components(g: SignedGraph, skip_vertices=()) -> list[set[int]]:
 def edge_subgraph(g: SignedGraph, es) -> SignedGraph:
     """The edge set viewed as its own signed graph (vertices = the ends),
     keeping g's vertex indexing so results translate back directly."""
-    return delete_edges(g, set(range(g.m)) - set(es)).graph
+    keep = set(es)
+    return SignedGraph(g.n, tuple(ed for e, ed in enumerate(g.edges)
+                                  if e in keep))
 
 
 def _edge_subgraph_vertices(g: SignedGraph, es) -> set[int]:

@@ -14,18 +14,18 @@ from helpers import (CUBIC_GRAPHS, brute_edge_connectivity,
                      graphs_with_edge_sets, random_connected_graph,
                      reference_connecting_path, reference_is_cubic_3connected,
                      reference_is_cyclically_k_edge_connected,
-                     reference_min_negative_edges,
+                     reference_contract_set, reference_min_negative_edges,
                      reference_paths_between_degree_one,
                      reference_simple_paths, signed_cubic_3connected,
                      signed_multigraphs, uncontract_edges)
 from sgflow import core
 from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph,
-                         component_count, contract, delete_edges,
-                         edge_connectivity, format_sg, is_balanced,
-                         is_cubic_3connected, is_cyclically_k_edge_connected,
-                         is_k_unbalanced, min_negative_edges, parse_sg,
-                         shortest_path, signatures_equivalent, simple_paths,
-                         small_cuts, switch_at, switch_on_set)
+                         component_count, contract_set, edge_connectivity,
+                         format_sg, is_balanced, is_cubic_3connected,
+                         is_cyclically_k_edge_connected, is_k_unbalanced,
+                         min_negative_edges, parse_sg, shortest_path,
+                         signatures_equivalent, simple_paths, small_cuts,
+                         switch_on_set)
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
 from sgflow.structures import cycle_sign, order_cycle
 
@@ -79,7 +79,7 @@ def test_default_orientation_encodes_signs():
 
 def test_switch_at_is_an_involution():
     g = k4_negative_triangle()
-    assert switch_at(switch_at(g, 1), 1).edges == g.edges
+    assert switch_on_set(switch_on_set(g, {1}), {1}).edges == g.edges
 
 
 def test_switching_preserves_cycle_signs():
@@ -392,23 +392,11 @@ def test_delta_and_edge_cut():
 
 def test_contract_positive_edge_merges_ends():
     g = k4()
-    res = contract(g, 0)
+    res = contract_set(g, [0])
     assert res.graph.n == 3 and res.graph.m == 5
     # the two former (0,3),(1,3) edges become parallel
     ends = {res.vertex_map[0], res.vertex_map[3]}
     assert sum({u, v} == ends for u, v, _ in res.graph.edges) == 2
-
-
-def test_delete_edges_reindexes_with_edge_map():
-    g = k4_negative_triangle()
-    res = delete_edges(g, {1, 3})
-    assert res.graph.m == 4
-    for e in range(g.m):
-        ne = res.edge_map[e]
-        if e in (1, 3):
-            assert ne is None
-        else:
-            assert res.graph.edges[ne] == g.edges[e]
 
 
 def test_uncontract_then_contract_restores_graph():
@@ -420,8 +408,26 @@ def test_uncontract_then_contract_restores_graph():
         if g.degree(v) < 4 or len(inc) < 2:
             continue
         e, f = rng.sample(inc, 2)
-        res = uncontract_edges(g, v, e, f)
-        back = contract(res.graph, res.new_edge).graph
+        h = uncontract_edges(g, v, e, f)
+        assert h.n == g.n + 1 and h.edges[g.m] == (v, g.n, PLUS)
+        back = contract_set(h, [g.m]).graph
         assert back.n == g.n and back.m == g.m
         assert sorted((min(u, w), max(u, w), s) for u, w, s in back.edges) == \
             sorted((min(u, w), max(u, w), s) for u, w, s in g.edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_contract_set_matches_contracting_one_edge_at_a_time(n, data):
+    # multigraphs with loops and parallel edges of both signs, and any edge
+    # subset: the set's own loops, edges that become loops as it closes
+    # cycles, and negative edges that switch a whole class all occur
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.sampled_from((PLUS, MINUS)))
+    g = SignedGraph(n, tuple(data.draw(st.lists(pair, max_size=12))))
+    es = data.draw(st.sets(st.integers(0, g.m - 1))) if g.m else set()
+    got, want = contract_set(g, es), reference_contract_set(g, es)
+    assert got.graph == want.graph
+    assert got.vertex_map == want.vertex_map
+    assert got.edge_map == want.edge_map
+    assert got.switch_parity == want.switch_parity

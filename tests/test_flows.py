@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from golden.make_golden import PRIME_B1, random_fbar as golden_fbar
 from helpers import (cubic_2unbalanced, host_with_sun, random_connected_base,
@@ -15,8 +15,8 @@ from helpers import (cubic_2unbalanced, host_with_sun, random_connected_base,
                      unbalance_small_sides)
 from sgflow import flows, oracle
 from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
-                         SignedGraph, is_k_unbalanced, parse_sg,
-                         spanning_forest, switch_on_set)
+                         SignedGraph, edge_connectivity, is_k_unbalanced,
+                         parse_sg, spanning_forest, switch_on_set)
 from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
                               violating_balanced_cut)
 from sgflow.duality import k6_projective_embedding, match_dual
@@ -458,6 +458,58 @@ def test_connect_searches_on_a_single_vertex(spec):
     cert = flows.connect(g, A, [A.zero] * g.m)
     assert cert.strategy == "oracle" and cert.flow is not None
     assert flows.verify_avoidance(g, cert)
+
+
+# Composite groups only: connect constructs its flow there, or searches on a
+# single vertex, so no slow exhaustive "no" can come up.
+LOOP_GROUPS = ("Z6", "Z8", "Z9", "Z2xZ2xZ2")
+
+
+@st.composite
+def theorem_multigraphs(draw):
+    """A multigraph that meets connect's hypotheses, 3-edge-connected and
+    2-unbalanced, on n <= 6 vertices and m <= 12 edges; loops of both
+    signs and parallel edges occur."""
+    n = draw(st.integers(1, 6))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
+                          min_size=-(-3 * n // 2), max_size=12))
+    g = SignedGraph(n, tuple(edges))
+    assume(edge_connectivity(g) >= 3 and is_k_unbalanced(g, 2))
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(theorem_multigraphs(), st.sampled_from(LOOP_GROUPS), st.data())
+def test_connect_on_multigraphs_with_loops(g, spec, data):
+    A = parse_group(spec)
+    elems = sorted(A.elements())
+    fbar = [data.draw(st.sampled_from(elems)) for _ in range(g.m)]
+    event(f"loops: {any(u == v for u, v, _ in g.edges)}")
+    cert = flows.connect(g, A, fbar)
+    event(f"strategy: {cert.strategy}")
+    assert cert.flow is not None and flows.verify_avoidance(g, cert)
+
+
+@pytest.mark.parametrize("spec", ["Z8", "Z9"])
+def test_connect_cubicizes_past_a_half_edge_with_no_partner(spec):
+    # cubicize used to pair the least half-edge at vertex 0, which has no
+    # valid partner here, and raised AssertionError
+    g = parse_sg("sg 2 4\ne 1 2 -\ne 2 1 +\ne 1 2 +\ne 1 1 -\n")
+    A = parse_group(spec)
+    cert = flows.connect(g, A, [A.zero] * g.m)
+    assert cert.strategy == "composite" and flows.verify_avoidance(g, cert)
+
+
+def test_connect_on_twelve_loops_at_one_vertex():
+    # the nine positive loops used to be branched on inside the search,
+    # which then spent its budget without an answer
+    g = SignedGraph(1, tuple((0, 0, MINUS if e in (1, 2, 7) else PLUS)
+                             for e in range(12)))
+    A = parse_group("Z9")
+    fbar = [(x,) for x in (2, 6, 7, 2, 1, 7, 7, 0, 1, 4, 6, 5)]
+    cert = flows.connect(g, A, fbar)
+    assert cert.strategy == "oracle" and flows.verify_avoidance(g, cert)
 
 
 @pytest.mark.parametrize("spec", ["Z5", "Z7"])

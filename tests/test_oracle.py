@@ -531,3 +531,41 @@ def test_sampling_mode_matches_one_search_per_sample(g, spec, samples, seed):
     event(f"verdict: {want[0]}")
     v = is_A_connected(g, A, samples=samples, seed=seed)
     assert (v.status, v.checked, v.witness_beta, v.witness_fbar) == want
+
+
+# -- positive loops ---------------------------------------------------------------
+
+# One vertex with twelve loops, edges 1, 2 and 7 negative, and a forbidden map
+# over Z9 that has an avoiding flow.
+TWELVE_LOOPS = SignedGraph(1, tuple((0, 0, MINUS if e in (1, 2, 7) else PLUS)
+                                    for e in range(12)))
+TWELVE_LOOPS_FBAR = [(x,) for x in (2, 6, 7, 2, 1, 7, 7, 0, 1, 4, 6, 5)]
+
+
+def test_plan_leaves_positive_loops_out():
+    g = TWELVE_LOOPS
+    plan = _plan(g, Orientation.default(g), range(g.m),
+                 _group_codes(parse_group("Z9")).ar)
+    assert plan.idle == [0, 3, 4, 5, 6, 8, 9, 10, 11]
+    assert [step[0] for step in plan.steps] == [1, 2, 7]
+
+
+def test_positive_loops_take_their_first_value_without_branching():
+    # the loops used to be branched on inside the walk, so every "no" below
+    # them was repeated per value: the search spent SEARCH_BUDGET without an
+    # answer.  Now it branches on edge 1 once and on edge 2 once per value
+    # of edge 1, and edge 7 is forced.
+    g, A = TWELVE_LOOPS, parse_group("Z9")
+    plan = _plan(g, Orientation.default(g), range(g.m), _group_codes(A).ar)
+    f = _search_group(plan, A, [A.zero], TWELVE_LOOPS_FBAR, True, budget=10)
+    assert f is not None and is_flow(g, Orientation.default(g), f, A)
+    assert all(f[e] != TWELVE_LOOPS_FBAR[e] for e in range(g.m))
+    for e in plan.idle:  # the least element other than fbar(e)
+        assert f[e] == ((1,) if TWELVE_LOOPS_FBAR[e] == A.zero else A.zero)
+
+
+def test_a_positive_loop_with_an_empty_domain_has_no_value():
+    g = SignedGraph(1, ((0, 0, PLUS),))
+    A = parse_group("Z2")
+    assert satisfy_boundary(g, A, [A.zero], fbar=[(1,)]) is None
+    assert satisfy_boundary(g, A, [A.zero], fbar=[(0,)]) == [(1,)]

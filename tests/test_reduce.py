@@ -3,11 +3,11 @@
 import pytest
 
 from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
-                         SignedGraph, contract, edge_connectivity,
-                         is_k_unbalanced)
+                         SignedGraph, contract_set, edge_connectivity,
+                         is_k_unbalanced, parse_sg)
 from sgflow.groups import is_flow, parse_group
 from sgflow.oracle import has_nz_A_flow
-from sgflow.reduce import cubicize
+from sgflow.reduce import choose_uncontraction_half, cubicize
 
 
 def k5_with_negative_triangle() -> SignedGraph:
@@ -35,7 +35,7 @@ def test_cubicize_history_contracts_back():
     res = cubicize(g)
     cur = res.graph
     for step in reversed(res.history):
-        cur = contract(cur, step.new_edge).graph
+        cur = contract_set(cur, [step.new_edge]).graph
     assert cur.n == g.n and cur.m == g.m
     assert sorted((min(u, v), max(u, v), s) for u, v, s in cur.edges) == \
         sorted((min(u, v), max(u, v), s) for u, v, s in g.edges)
@@ -63,3 +63,17 @@ def test_flow_on_cubicized_graph_slices_to_a_flow():
     f = has_nz_A_flow(h, A)
     assert f is not None and h.m > g.m
     assert is_flow(g, Orientation.default(g), f[:g.m], A)
+
+
+def test_cubicize_skips_a_half_edge_with_no_partner():
+    # three parallel edges and a negative loop at vertex 0: no partner of
+    # half-edge 0 keeps the graph 3-edge-connected and 2-unbalanced, so the
+    # first step pairs the next half-edge, 3, with the loop's half-edge 6
+    g = parse_sg("sg 2 4\ne 1 2 -\ne 2 1 +\ne 1 2 +\ne 1 1 -\n")
+    assert choose_uncontraction_half(g, 0, 0) is None
+    res = cubicize(g)
+    assert [(s.vertex, s.half_e, s.half_f, s.new_vertex, s.new_edge)
+            for s in res.history] == [(0, 3, 6, 2, 4), (0, 0, 8, 3, 5)]
+    h = res.graph
+    assert all(h.degree(v) == 3 for v in range(h.n))
+    assert edge_connectivity(h) >= 3 and is_k_unbalanced(h, 2)
