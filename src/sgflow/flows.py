@@ -14,8 +14,12 @@ All flows here are sums of elementary pieces:
 Both pieces come from circuit_coeffs, as the one circuit of the frame
 matroid inside a connected base plus an edge: a positive cycle or a
 barbell, read off a spanning tree of the base.  A barbell's coefficients
-come from the oracle's search kernel over the barbell's edges, and the
-paths that close a sun's return cycles from core.simple_paths.
+come from the oracle's integer search (oracle.integer_flow) over the
+barbell's edges, and the paths that close a sun's return cycles from
+core.simple_paths.
+
+Every flow is read in the default orientation, as groups.boundary reads
+it; only the sun flow works in a frame of its own and carries its flow back.
 
 The three constructions:
 
@@ -105,7 +109,7 @@ def add_scaled(A: AbelianGroup, f: list[Elem], coeffs: dict[int, int],
         f[e] = A.add(f[e], A.smul(c, x))
 
 
-def circuit_coeffs(g: SignedGraph, tau: Orientation, base: Iterable[int],
+def circuit_coeffs(g: SignedGraph, base: Iterable[int],
                    edges: Iterable[int]) -> dict[int, dict[int, int]]:
     """For each edge e of `edges`, zero-boundary integer coefficients on
     the one circuit of the frame matroid inside base + e, where base is a
@@ -131,20 +135,21 @@ def circuit_coeffs(g: SignedGraph, tau: Orientation, base: Iterable[int],
     cx = frozenset(fundamental_cycle(g, tree, x))
     if cycle_sign(g, cx) != MINUS:
         raise AssertionError("the base's cycle is positive")
-    return {e: _one_circuit(g, tau, base, tree, cx, e) for e in edges}
+    return {e: _one_circuit(g, base, tree, cx, e) for e in edges}
 
 
-def _one_circuit(g: SignedGraph, tau: Orientation, base: list[int],
-                 tree: list[int], cx: frozenset[int], e: int
-                 ) -> dict[int, int]:
+def _one_circuit(g: SignedGraph, base: list[int], tree: list[int],
+                 cx: frozenset[int], e: int) -> dict[int, int]:
     """circuit_coeffs for one edge e, given the base's tree and C_x."""
     if e in base:
         raise AssertionError("base + e is not a connected base plus an edge")
     ce = frozenset(fundamental_cycle(g, tree, e))
     if cycle_sign(g, ce) == PLUS:
-        return circulation_coeffs(g, tau, order_cycle(g, ce))
+        return circulation_coeffs(g, Orientation.default(g),
+                                  order_cycle(g, ce))
     if ce & cx:
-        return circulation_coeffs(g, tau, order_cycle(g, ce ^ cx))
+        return circulation_coeffs(g, Orientation.default(g),
+                                  order_cycle(g, ce ^ cx))
     c1, c2 = sorted((order_cycle(g, ce), order_cycle(g, cx)),
                     key=lambda c: (len(c), c.edges))
     on_cycles = ce | cx
@@ -157,7 +162,7 @@ def _one_circuit(g: SignedGraph, tau: Orientation, base: list[int],
     edges = sorted(on_cycles.union(path))
     domains = [[1, -1, 2, -2]] * g.m
     domains[c1.edges[c1.vertices.index(u1)]] = [1]
-    f = oracle._search(g, tau, edges, domains, [0] * g.n, oracle._INTEGERS)
+    f = oracle.integer_flow(g, edges, domains)
     if f is None:
         raise AssertionError("the search kernel found no barbell flow")
     return {t: f[t] for t in edges}
@@ -166,15 +171,14 @@ def _one_circuit(g: SignedGraph, tau: Orientation, base: list[int],
 # -- integer 3-flows from even-degree supports -----------------------------------
 
 def z2_to_3flow(g: SignedGraph, support: Iterable[int],
-                carrier: Iterable[int],
-                tau: Optional[Orientation] = None) -> list[int]:
+                carrier: Iterable[int]) -> list[int]:
     """Integer flow psi with psi(e) = +-1 exactly on support, |psi| <= 2 on
-    the rest of the carrier, 0 elsewhere, and zero boundary under tau.
+    the rest of the carrier, 0 elsewhere, and zero boundary.
 
     Preconditions: support is inside the carrier, every vertex meets an
     even number of support edges, and support holds an even number of
-    negative edges.  Found by the oracle's backtracking kernel over the
-    carrier edges.
+    negative edges.  Found by the oracle's integer search over the carrier
+    edges.
 
     Raises ValueError when a precondition fails, and also when none does
     but no such psi exists: the parity conditions are necessary, not
@@ -195,16 +199,13 @@ def z2_to_3flow(g: SignedGraph, support: Iterable[int],
         raise ValueError("support has a vertex of odd degree")
     if sum(1 for e in sup if g.sigma(e) == MINUS) % 2:
         raise ValueError("support holds an odd number of negative edges")
-    if tau is None:
-        tau = Orientation.default(g)
     domains = [[1, -1] if e in sup else [0, 1, -1, 2, -2] for e in range(g.m)]
-    psi = oracle._search(g, tau, sorted(car), domains, [0] * g.n,
-                         oracle._INTEGERS)
+    psi = oracle.integer_flow(g, sorted(car), domains)
     if psi is None:
         raise ValueError("no flow with values +-1 on the support and at most"
                          " 2 in size on the carrier")
     out = [0 if x is None else x for x in psi]
-    if any(x != 0 for x in integer_boundary(g, tau, out)):
+    if any(x != 0 for x in integer_boundary(g, out)):
         raise AssertionError("search returned a non-flow")
     if any(abs(out[e]) != 1 for e in sup):
         raise AssertionError("support edge without a +-1 value")
@@ -228,12 +229,13 @@ class SunFrame:
     edge and all pendants are positive.  Under tau_c the circulation of
     the return cycle D_i meets the sun in coefficients +1 on e_i and on
     both adjacent pendants (up to the one parity defect an even cycle
-    must carry at vertex 0).  sgn[e] transfers values
-    between tau_c and the caller's switched orientation tau_s.
+    must carry at vertex 0).  sgn[e] transfers values between tau_c and
+    tau_s, the default orientation of the unswitched graph carried through
+    the switch.
     """
 
     graph: SignedGraph  # the switched graph
-    tau_s: Orientation  # caller's orientation carried through the switch
+    tau_s: Orientation  # default orientation carried through the switch
     tau_c: Orientation  # reference orientation
     es: list[int]  # cycle edges, rotated
     vs: list[int]  # cycle vertices, rotated
@@ -242,8 +244,7 @@ class SunFrame:
     sgn: list[int]  # per-edge value transfer factor between tau_c and tau_s
 
 
-def _sun_frame(g: SignedGraph, H: NegativeSun, r: int,
-               tau: Orientation) -> SunFrame:
+def _sun_frame(g: SignedGraph, H: NegativeSun, r: int) -> SunFrame:
     n = H.n
     idx = [(i + r) % n for i in range(n)]
     vs = [H.cycle_vertices[k] for k in idx]
@@ -265,7 +266,7 @@ def _sun_frame(g: SignedGraph, H: NegativeSun, r: int,
         if g2.sigma(es[i]) != want or g2.sigma(ps[i]) != PLUS:
             raise AssertionError("switching normalisation failed")
 
-    tl = list(tau.tau)
+    tl = list(Orientation.default(g).tau)
     for h in range(2 * g.m):
         if x[g.halfedge_vertex(h)]:
             tl[h] = -tl[h]
@@ -334,8 +335,8 @@ class SunFlowResult:
     case: str  # "zero-odd", "zero-even" or "nonzero"
 
 
-def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
-             tau: Optional[Orientation] = None) -> SunFlowResult:
+def sun_flow(g: SignedGraph, H: NegativeSun, p: int,
+             fbar: Sequence[Elem]) -> SunFlowResult:
     """Flow over Z_p clearing the forbidden band on every sun edge except
     at most one special edge e', which is still cleared of fbar(e') itself.
     Requires p >= 11: every fixing step must dodge at most 10 values.
@@ -359,8 +360,6 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
     if not is_prime(p) or p < 11:
         raise ValueError(f"need a prime p >= 11, got {p}")
     A = AbelianGroup((p,))
-    if tau is None:
-        tau = Orientation.default(g)
     H.validate(g)
     n = H.n
     if len(set(H.pendant_vertices)) != n:
@@ -382,7 +381,7 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
             beta.append(total)
         return fbc, beta
 
-    fr = _sun_frame(g, H, 0, tau)
+    fr = _sun_frame(g, H, 0)
     fbc, beta = frame_values(fr)
     one = (1 % p,)
 
@@ -411,7 +410,7 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
     else:
         case = "nonzero"
         k0 = next(i for i in range(n) if beta[i] != A.zero)
-        fr = _sun_frame(g, H, (k0 - 1) % n, tau)
+        fr = _sun_frame(g, H, (k0 - 1) % n)
         fbc, beta = frame_values(fr)
         if beta[1] == A.zero:
             raise AssertionError("rotation failed to place a nonzero boundary")
@@ -464,10 +463,10 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int, fbar: Sequence[Elem],
             raise AssertionError("special edge landed on its forbidden value")
 
     # transfer out of the reference frame: per-edge sign back to the
-    # caller's orientation, which switching leaves a valid flow frame
+    # default orientation, which switching leaves a valid flow frame
     f = [f2[e] if fr.sgn[e] == 1 else A.neg(f2[e]) for e in range(g.m)]
-    if not is_flow(g, tau, f, A):
-        raise AssertionError("sun flow is not a flow in the caller's frame")
+    if not is_flow(g, f, A):
+        raise AssertionError("sun flow is not a flow in the default frame")
     return SunFlowResult(f, e_prime, case)
 
 
@@ -503,7 +502,7 @@ def verify_avoidance(g: SignedGraph, cert: AvoidanceCertificate) -> bool:
         return sol is None
     if len(cert.flow) != g.m:
         raise ValueError("certificate flow size mismatch")
-    if not is_flow(g, Orientation.default(g), cert.flow, A):
+    if not is_flow(g, cert.flow, A):
         return False
     return all(cert.flow[e] != cert.fbar[e] for e in range(g.m))
 
@@ -616,7 +615,7 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
 
 # -- fixing over closure steps ---------------------------------------------------
 
-def _fix_over_closure(g: SignedGraph, tau: Orientation, A: AbelianGroup,
+def _fix_over_closure(g: SignedGraph, A: AbelianGroup,
                       phi: list[Elem], seed: Iterable[int], cover: set[int],
                       V: AbelianGroup, lift: Callable[[Elem], Elem],
                       ruled_out: Callable[[int], Iterable[Elem]],
@@ -639,6 +638,7 @@ def _fix_over_closure(g: SignedGraph, tau: Orientation, A: AbelianGroup,
         raise AssertionError("2-closure of the seed missed edges it must"
                              f" cover: {sorted(cover - absorbed)}")
     values = sorted(V.elements())
+    tau = Orientation.default(g)
     fixed: set[int] = set()
     for cyc, w in reversed(steps):
         if fixed.intersection(cyc.edges):
@@ -682,7 +682,6 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
         raise ValueError(f"|A| = {A.order} is not composite >= 6")
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
-    tau = Orientation.default(g)
     ms = minimal_subgroup(A)
     Q = ms.quotient
     if Q.order < 3:
@@ -693,7 +692,7 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
     B = set(part.x2)
     phi1: list[Elem] = [A.zero] * g.m
     _fix_over_closure(
-        g, tau, A, phi1, B, T, Q, ms.represent,
+        g, A, phi1, B, T, Q, ms.represent,
         lambda e: [Q.sub(ms.project(fbar[e]), ms.project(phi1[e]))], 2)
     for e in T:
         if ms.same_coset(phi1[e], fbar[e]):
@@ -720,7 +719,7 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
             raise AssertionError("2-unbalanced graph with fewer than two"
                                  " negative fundamental cycles")
         b, bp = negs[0], negs[1]
-        circuits = circuit_coeffs(g, tau, T | {bp},
+        circuits = circuit_coeffs(g, T | {bp},
                                   [e for e in sorted(B) if e != bp])
         for e in sorted(B):
             if e in (b, bp):
@@ -741,7 +740,7 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
         add_scaled(A, phi2, w, a_val)
 
     phi = [A.add(phi1[e], phi2[e]) for e in range(g.m)]
-    if not is_flow(g, tau, phi, A):
+    if not is_flow(g, phi, A):
         raise AssertionError("composite construction produced a non-flow")
     for e in range(g.m):
         if phi[e] == fbar[e]:
@@ -781,7 +780,6 @@ def connect_prime(g: SignedGraph, p: int,
     A = AbelianGroup((p,))
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
-    tau = Orientation.default(g)
 
     part = decompose_base_sun(g)
     T = set(part.x1)
@@ -791,12 +789,12 @@ def connect_prime(g: SignedGraph, p: int,
     if sun is None:
         raise AssertionError("base-sun certificate without a sun")
 
-    sf = sun_flow(g, sun, p, fbar, tau)
+    sf = sun_flow(g, sun, p, fbar)
     phi1 = list(sf.flow)
     e_prime = sf.e_prime
 
     absorbed = _fix_over_closure(
-        g, tau, A, phi1, B, T - F, A, lambda x: x,
+        g, A, phi1, B, T - F, A, lambda x: x,
         lambda e: [A.sub(y, phi1[e]) for y in forbidden_band(A, fbar[e])], 10)
     for e in T:
         if e in F and e == e_prime and e not in absorbed:
@@ -811,13 +809,13 @@ def connect_prime(g: SignedGraph, p: int,
         # a barbell; its odd coefficients mark the cycles, and the XOR of
         # those edge sets is an even-degree, even-negative support
         support: set[int] = set()
-        for w in circuit_coeffs(g, tau, T, b1).values():
+        for w in circuit_coeffs(g, T, b1).values():
             support ^= {x for x, c in w.items() if c % 2}
         if not set(b1) <= support:
             raise AssertionError("collision edges fell out of the support")
         carrier = T | set(b1)
         try:
-            psi = z2_to_3flow(g, support, carrier, tau)
+            psi = z2_to_3flow(g, support, carrier)
         except ValueError as exc:
             # the support is built from cycles of the base, which joins them
             raise AssertionError(f"z2_to_3flow refused the base: {exc}") \
@@ -836,7 +834,7 @@ def connect_prime(g: SignedGraph, p: int,
         phi = shifted(-1)
         if any(phi[e] == fbar[e] for e in range(g.m)):
             raise AssertionError("both psi signs collide: 12 = 0 mod p?")
-    if not is_flow(g, tau, phi, A):
+    if not is_flow(g, phi, A):
         raise AssertionError("prime construction produced a non-flow")
     artifacts = {
         "sun-case": sf.case,
@@ -911,7 +909,7 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     coloring = [x for x in c]  # type: ignore[misc]
     f_dual = flow_from_coloring(corr.embedding, dual, coloring, A)
     f = corr.push_flow(f_dual, A)
-    if not is_flow(g, Orientation.default(g), f, A):
+    if not is_flow(g, f, A):
         raise AssertionError("projective construction produced a non-flow")
     for e in range(g.m):
         if f[e] == fbar[e]:
@@ -928,7 +926,8 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
             ) -> AvoidanceCertificate:
     """Find a flow avoiding fbar on a 3-edge-connected 2-unbalanced graph.
 
-    These two hypotheses are checked here, once, and every layer below
+    fbar must give an element of A for every edge (ValueError otherwise).
+    The two hypotheses are checked here, once, and every layer below
     trusts them; a graph outside them raises HypothesisError.  Strategy
     order: an explicit embedding hint takes the projective route;
     composite |A| >= 6 and prime |A| >= 11 run their constructions on the
@@ -942,6 +941,10 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     """
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
+    for e, x in enumerate(fbar):
+        if not A.contains(x):
+            raise ValueError(f"fbar of edge {e + 1} is {x}, not an element"
+                             f" of {A}")
     if edge_connectivity(g) < 3:
         raise HypothesisError("graph is not 3-edge-connected")
     if not is_k_unbalanced(g, 2):

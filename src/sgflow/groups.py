@@ -4,6 +4,9 @@ Groups are direct sums of cyclic groups Z_{n1} x ... x Z_{nr}; elements are
 plain tuples of residues (mixed radix).  Elements are ordered
 lexicographically, which fixes every "least valid value" choice made by
 the flow constructors.
+
+Boundaries are read in the default orientation, the one every layer uses:
+reversing an edge only negates its value, so no question needs another.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .core import Orientation, SignedGraph
+from .core import MINUS, SignedGraph
 
 Elem = Tuple[int, ...]
 
@@ -169,25 +172,22 @@ def minimal_subgroup(A: AbelianGroup) -> MinimalSubgroup:
 
 # -- flows and boundaries ------------------------------------------------------
 
-def boundary(g: SignedGraph, tau: Orientation, f: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
-    """Boundary of an edge map: bd(v) = sum over half-edges h at v of tau(h) f(e_h).
-
-    Both half-edges of a loop contribute, so a negative loop with both
-    halves outward contributes 2 f(e).
+def boundary(g: SignedGraph, f: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
+    """Boundary of an edge map in the default orientation: each edge adds
+    f(e) at its first end and -sigma(e) f(e) at its second, so a negative
+    loop adds 2 f(e) at its vertex and a positive loop adds nothing.
     """
     if len(f) != g.m:
         raise ValueError("edge map not total")
     out = [A.zero for _ in range(g.n)]
-    for e in range(g.m):
-        for h in (2 * e, 2 * e + 1):
-            v = g.halfedge_vertex(h)
-            val = f[e] if tau(h) == 1 else A.neg(f[e])
-            out[v] = A.add(out[v], val)
+    for (u, v, sign), x in zip(g.edges, f):
+        out[u] = A.add(out[u], x)
+        out[v] = A.add(out[v], x if sign == MINUS else A.neg(x))
     return out
 
 
-def is_flow(g: SignedGraph, tau: Orientation, f: Sequence[Elem], A: AbelianGroup) -> bool:
-    return all(b == A.zero for b in boundary(g, tau, f, A))
+def is_flow(g: SignedGraph, f: Sequence[Elem], A: AbelianGroup) -> bool:
+    return all(b == A.zero for b in boundary(g, f, A))
 
 
 def is_A_boundary(A: AbelianGroup, beta: Sequence[Elem]) -> Optional[Elem]:
@@ -198,11 +198,12 @@ def is_A_boundary(A: AbelianGroup, beta: Sequence[Elem]) -> Optional[Elem]:
     return min(pre) if pre else None
 
 
-def integer_boundary(g: SignedGraph, tau: Orientation, f: Sequence[int]) -> list[int]:
+def integer_boundary(g: SignedGraph, f: Sequence[int]) -> list[int]:
+    """`boundary` of an integer edge map."""
     out = [0] * g.n
-    for e in range(g.m):
-        for h in (2 * e, 2 * e + 1):
-            out[g.halfedge_vertex(h)] += tau(h) * f[e]
+    for (u, v, sign), x in zip(g.edges, f, strict=True):
+        out[u] += x
+        out[v] -= sign * x
     return out
 
 

@@ -1,18 +1,21 @@
 """Ground-truth search for flows and boundary satisfaction.
 
 Everything here is exact backtracking, and all of it runs through one
-kernel, `_search`.  It orders the edges breadth first: by the place of
-their later end in a breadth-first order of the vertices, so each vertex's
-edges come together and endpoints fill up early.  It assigns one edge at a
-time: the first open edge that is the last open one at some vertex, whose
-residual boundary forces its value, or else the first open edge.  Which
-edge comes next depends only on which edges are assigned, never on their
-values, so the kernel plans the whole order once per (graph, orientation,
-edges), `_plan`: per depth the edge, its (vertex, coefficient) pairs and
-the endpoints it saturates.  A positive loop changes no boundary, so it
-is left out of the plan and takes its first value once a walk succeeds.
-Each search is a depth-first walk of a plan, `_walk`, and sampled
-`is_A_connected` walks one plan for all its samples.
+kernel.  Boundaries are read in the default orientation, where an edge has
+coefficient +1 at its first end and -sigma(e) at its second (2 at the
+vertex of a negative loop, nothing for a positive loop), `_end_coeffs`.
+The kernel orders the edges breadth first: by the place of their later
+end in a breadth-first order of the vertices, so each vertex's edges come
+together and endpoints fill up early.  It assigns one edge at a time: the
+first open edge that is the last open one at some vertex, whose residual
+boundary forces its value, or else the first open edge.  Which edge comes
+next depends only on which edges are assigned, never on their values, so
+the kernel plans the whole order once per (graph, edges), `_plan`: per
+depth the edge, its (vertex, coefficient) pairs and the endpoints it
+saturates.  A positive loop changes no boundary, so it is left out of the
+plan and takes its first value once a walk succeeds.  Each search is a
+depth-first walk of a plan, `_walk`, and sampled `is_A_connected` walks
+one plan for all its samples.
 A saturated endpoint's residual forces the edge's value, so a branch dies
 as soon as no value fits.  A search for a zero boundary over domains closed
 under negation finds its solutions in pairs f, -f, so it tries only half
@@ -20,13 +23,14 @@ the values of its first edge, which roughly halves its "no" proofs and
 changes no answer.
 
 The kernel takes a value list per edge and the arithmetic of its values,
-which are integers in both of its domains.  `has_nz_k_flow` and
-`flows.z2_to_3flow` search bounded plain integers (forced values come from
-exact division).  `satisfy_boundary` and `has_nz_A_flow` search integer
-codes of group elements: digit i of a code has radix 2 n_i for the cyclic
-factor Z_{n_i}, so the sum of two codes never carries and one lookup row
-of 2^r |A| entries (r factors) reduces it.  Negation, multiples and
-halving are rows too, built once per group (`_group_codes`).
+which are integers in both of its domains.  `integer_flow` searches
+bounded plain integers for a zero boundary (forced values come from exact
+division), for `has_nz_k_flow` and the constructions in `flows`.
+`satisfy_boundary` and `has_nz_A_flow` search integer codes of group
+elements: digit i of a code has radix 2 n_i for the cyclic factor
+Z_{n_i}, so the sum of two codes never carries and one lookup row of
+2^r |A| entries (r factors) reduces it.  Negation, multiples and halving
+are rows too, built once per group (`_group_codes`).
 
 Exact A-connectivity does not search boundary by boundary.  By the
 Jaeger-Linial-Payan-Tarsi reduction (JCTB 1992), a graph is A-connected
@@ -53,7 +57,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import (DeskScaleError, Orientation, SignedGraph, _tree_order,
+from .core import (DeskScaleError, MINUS, SignedGraph, _tree_order,
                    spanning_forest)
 from .groups import AbelianGroup, Elem, is_A_boundary
 
@@ -142,7 +146,7 @@ class _OverBudget(DeskScaleError):
 
 class _Plan(NamedTuple):
     """What the kernel works out before it looks at any value searched
-    for: a pure function of (graph, orientation, listed edges, arithmetic).
+    for: a pure function of (graph, listed edges, arithmetic).
 
     bare lists the vertices where no listed edge has a nonzero
     coefficient, and idle the listed edges with no nonzero coefficient
@@ -162,25 +166,25 @@ class _Plan(NamedTuple):
     neg: Callable[[int], int]
 
 
-def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
-          ar: _Arithmetic) -> _Plan:
-    """The plan of `_search` over the listed edges under tau: the edges
+def _end_coeffs(g: SignedGraph, e: int) -> dict[int, int]:
+    """Edge e's coefficient at each end in the default orientation, the
+    first end first: +1 there and -sigma(e) at the second end; 2 for a
+    negative loop and nothing for a positive one."""
+    u, v, sign = g.edges[e]
+    if u != v:
+        return {u: 1, v: -sign}
+    return {u: 2} if sign == MINUS else {}
+
+
+def _plan(g: SignedGraph, edges: Sequence[int], ar: _Arithmetic) -> _Plan:
+    """The plan of a search over the listed edges (see `_walk`): the edges
     breadth first, each next one forced where some endpoint allows."""
     terms, reduce, solve = ar
     plain = terms is None
-    # coefficient of edge e at vertex v: sum of tau over its half-edges at v
-    coeff: list[dict[int, int]] = [{} for _ in range(g.m)]
+    coeff = {e: _end_coeffs(g, e) for e in edges}
+    idle = [e for e in edges if not coeff[e]]  # positive loops
     remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
-    idle, planned = [], []
-    for e in edges:
-        u, v = g.ends(e)  # half-edge 2e is at u, 2e + 1 at v
-        c = coeff[e]
-        c[u] = tau(2 * e)
-        c[v] = c.get(v, 0) + tau(2 * e + 1)
-        if not c[v]:  # a positive loop
-            idle.append(e)
-            continue
-        planned.append(e)
+    for c in coeff.values():
         for v in c:
             remaining[v] += 1
     bare = [v for v in range(g.n) if not remaining[v]]
@@ -191,7 +195,7 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
         a, b = place[g.edges[e][0]], place[g.edges[e][1]]
         return max(a, b), min(a, b), e
 
-    order = sorted(planned, key=later_end_first)
+    order = sorted((e for e in edges if coeff[e]), key=later_end_first)
 
     steps = []
     unplanned = list(order)
@@ -213,10 +217,37 @@ def _plan(g: SignedGraph, tau: Orientation, edges: Sequence[int],
 
 def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
           budget: Optional[int] = None) -> Optional[list]:
-    """`_search` on a plan: the values for the plan's edges, or None.  A
-    bare vertex keeps its beta, so a nonzero one there means None at once,
-    and so does an idle edge with an empty domain; the others take the
-    first value of their domain.
+    """Values f(e) in domains[e], for the edges of the plan (listed in
+    increasing order), whose boundary is beta, edges not listed carrying
+    nothing; None if there are none.  The returned list is indexed by edge
+    and holds None for edges not listed.
+
+    The vertices are placed in the breadth-first order of a spanning
+    forest of the edges (core._tree_order from every vertex in turn), and
+    the edges go in order of the place of their later end, then of their
+    earlier end, then of their index.  The next edge is the first
+    unassigned one with an endpoint where it is the last open edge, else
+    the first unassigned one.  Its candidates are the values every such
+    endpoint forces, in solve order, that its domain holds; or, with no
+    such endpoint, its domain in order.  An edge with coefficient 0 at
+    every end (a positive loop) changes no boundary, so it is left out of
+    this order and takes the first value of its domain once the others
+    are found; with an empty domain there is no solution.  A vertex no
+    listed edge changes keeps its beta, so a nonzero one there means None.
+
+    The next edge depends only on which edges are assigned, so the plan
+    (`_plan`) is worked out before the search walks it, and a caller that
+    searches one graph many times may plan once and walk the plan each
+    time.
+
+    When beta is zero, every listed edge's domain is closed under
+    negation and the first edge is free, the walk tries on that edge only
+    the values x that come no later than -x in its domain: -f is a solution
+    whenever f is, so the first solution takes one of them.
+
+    budget caps how often the search may branch on an edge that no
+    endpoint forces, SEARCH_BUDGET when None; past it, the search raises
+    _OverBudget, a DeskScaleError.
     """
     if any(beta[v] for v in plan.bare) or not all(
             domains[e] for e in plan.idle):
@@ -284,41 +315,13 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
     return f
 
 
-def _search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
-            domains: Sequence[Sequence[int]], beta: Sequence[int],
-            ar: _Arithmetic, budget: Optional[int] = None) -> Optional[list]:
-    """Values f(e) in domains[e], for the edges listed (in increasing
-    order), whose boundary under tau is beta, edges not listed carrying
-    nothing; None if there are none.  The returned list is indexed by edge
-    and holds None for edges not listed.
-
-    The vertices are placed in the breadth-first order of a spanning
-    forest of the edges (core._tree_order from every vertex in turn), and
-    the edges go in order of the place of their later end, then of their
-    earlier end, then of their index.  The next edge is the first
-    unassigned one with an endpoint where it is the last open edge, else
-    the first unassigned one.  Its candidates are the values every such
-    endpoint forces, in solve order, that its domain holds; or, with no
-    such endpoint, its domain in order.  An edge with coefficient 0 at
-    every end (a positive loop) changes no boundary, so it is left out of
-    this order and takes the first value of its domain once the others
-    are found.
-
-    The next edge depends only on which edges are assigned, so the plan
-    (`_plan`) is worked out before the search walks it (`_walk`), and a
-    caller that searches one graph and orientation many times may plan
-    once and walk the plan each time.
-
-    When beta is zero, every listed edge's domain is closed under
-    negation and the first edge is free, the walk tries on that edge only
-    the values x that come no later than -x in its domain: -f is a solution
-    whenever f is, so the first solution takes one of them.
-
-    budget caps how often the search may branch on an edge that no
-    endpoint forces, SEARCH_BUDGET when None; past it, the search raises
-    _OverBudget, a DeskScaleError.
-    """
-    return _walk(_plan(g, tau, edges, ar), domains, beta, budget)
+def integer_flow(g: SignedGraph, edges: Sequence[int],
+                 domains: Sequence[Sequence[int]]) -> Optional[list]:
+    """Integers f(e) in domains[e], for the edges listed (in increasing
+    order), with zero boundary, edges not listed carrying nothing; None if
+    there are none.  The list is indexed by edge and holds None for edges
+    not listed.  The search is `_walk`'s."""
+    return _walk(_plan(g, edges, _INTEGERS), domains, [0] * g.n)
 
 
 def satisfy_boundary(
@@ -326,7 +329,6 @@ def satisfy_boundary(
     A: AbelianGroup,
     beta: Sequence[Elem],
     fbar: Optional[Sequence[Elem]] = None,
-    tau: Optional[Orientation] = None,
     allow_zero: bool = False,
 ) -> Optional[list[Elem]]:
     """Find a nowhere-zero f with boundary beta and f(e) != fbar(e), or None.
@@ -336,16 +338,11 @@ def satisfy_boundary(
 
     beta must give an element of A for every vertex, fbar one for every
     edge, and beta must be an A-boundary (sum = 2a for some a), a
-    necessary condition for solvability; tau, when given, must orient g
-    (Orientation.check); ValueError otherwise.
+    necessary condition for solvability; ValueError otherwise.
     """
     _check_boundary_inputs(g, A, beta, fbar)
-    if tau is None:
-        tau = Orientation.default(g)
-    else:
-        tau.check(g)
-    return _search_group(_plan(g, tau, range(g.m), _group_codes(A).ar), A,
-                         beta, fbar, allow_zero)
+    return _search_group(_plan(g, range(g.m), _group_codes(A).ar), A, beta,
+                         fbar, allow_zero)
 
 
 def _check_boundary_inputs(g: SignedGraph, A: AbelianGroup,
@@ -382,13 +379,11 @@ def has_nz_A_flow(g: SignedGraph, A: AbelianGroup,
 
 
 def has_nz_k_flow(g: SignedGraph, k: int) -> Optional[list[int]]:
-    """Integer flow with values in {-(k-1),...,-1,1,...,k-1}, zero boundary
-    under the default orientation; None if no such flow exists."""
-    if k < 2:
-        return None
+    """Integer flow with values in {-(k-1),...,-1,1,...,k-1}; None if no
+    such flow exists.  For k < 2 that set is empty, so only a graph with no
+    edges has one, the empty map."""
     domain = [x for x in range(-(k - 1), k) if x != 0]
-    return _search(g, Orientation.default(g), range(g.m), [domain] * g.m,
-                   [0] * g.n, _INTEGERS)
+    return integer_flow(g, range(g.m), [domain] * g.m)
 
 
 @dataclass
@@ -411,14 +406,13 @@ def _all_boundaries(g: SignedGraph, A: AbelianGroup):
 
 
 def _reachable_boundaries(g: SignedGraph, A: AbelianGroup) -> int:
-    """The boundaries of every nowhere-zero map under the default
-    orientation, as a bitset over A^n.
+    """The boundaries of every nowhere-zero map, as a bitset over A^n.
 
     The bit of a vertex map beta is its mixed-radix code: one digit per
     vertex, vertex 0 most significant, each digit the lexicographic rank
     of beta(v), itself made of the element's factor digits.  Adding a
-    value a to edge e adds c_v a at each endpoint v, where c_v is the sum
-    of tau over e's half-edges at v, which rolls every factor digit of v.
+    value a to edge e adds c_v a at each endpoint v, where c_v is its
+    coefficient there (`_end_coeffs`), which rolls every factor digit of v.
     Starting from the zero map, each edge replaces the set with the union
     of its copies rolled by every nonzero a.  Edges go in decreasing order
     of their lower end, so the set stays within the digits of the vertices
@@ -454,14 +448,10 @@ def _reachable_boundaries(g: SignedGraph, A: AbelianGroup) -> int:
             out |= spread(x, steps, i + 1, nonzero or k > 0)
         return out
 
-    tau = Orientation.default(g)
     reach = 1  # the zero map
     for e in sorted(range(g.m), key=lambda e: -min(g.ends(e))):
         size = max(size, order ** (g.n - min(g.ends(e))))
-        coeff: dict[int, int] = {}
-        for h in (2 * e, 2 * e + 1):
-            v = g.halfedge_vertex(h)
-            coeff[v] = coeff.get(v, 0) + tau(h)
+        coeff = _end_coeffs(g, e)
         steps = []
         for i, q in enumerate(factors):
             rolls = []
@@ -501,8 +491,8 @@ def is_A_connected(
         raise ValueError(f"sampling mode needs at least 1 sample, not {samples}")
     if g.n == 0:
         raise ValueError("a graph with no vertices has no boundaries")
-    # every search below is of g under the default orientation: plan once
-    plan = _plan(g, Orientation.default(g), range(g.m), _group_codes(A).ar)
+    # every search below is of all of g: plan once
+    plan = _plan(g, range(g.m), _group_codes(A).ar)
     if samples is None:
         # The zero boundary comes first in _all_boundaries order, so one
         # search for a nowhere-zero flow can settle a "no" before the sweep.

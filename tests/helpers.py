@@ -17,7 +17,6 @@ from sgflow.decompose import _induced_edges, violating_balanced_cut
 from sgflow.duality import PROJECTIVE, to_default_orientation
 from sgflow.flows import _half_at, circulation_coeffs
 from sgflow.generators import random_cubic_3connected
-from sgflow.groups import integer_boundary
 from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
                                cycles_within, order_cycle)
@@ -521,7 +520,8 @@ def reference_sampled_is_A_connected(g: SignedGraph, A, samples: int,
 # as the kernel does, but tries every value of every edge: it knows nothing
 # of the kernel's sign symmetry on zero boundaries, so it checks that rule
 # too.  Like the kernel, it leaves positive loops out of its order.
-# sgflow.oracle._search must return the same lists.
+# The kernel (sgflow.oracle._walk on sgflow.oracle._plan) must return the same
+# lists under the default orientation.
 
 REFERENCE_INTEGERS = (0, operator.add, operator.sub, operator.mul,
                       lambda c, r: [] if r % c else [r // c])
@@ -771,8 +771,7 @@ def _reference_barbell_coeffs(g: SignedGraph, tau, c1, c2, u1: int, path,
     s = -t // leak2
     assert abs(leak2) == 2 and s * leak2 + t == 0 and abs(s) == 1
     w.update((e, s * c) for e, c in w2.items())
-    full = [w.get(e, 0) for e in range(g.m)]
-    assert integer_boundary(g, tau, full) == [0] * g.n
+    assert all(_reference_leak_at(g, tau, w, v) == 0 for v in range(g.n))
     return w
 
 

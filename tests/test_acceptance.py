@@ -11,7 +11,7 @@ import time
 from helpers import CUBIC_GRAPHS, host_with_sun, random_connected_graph, \
     random_elem, random_fbar, theorem_instances, uncontract_edges
 from sgflow import flows
-from sgflow.core import (MINUS, Orientation, SignedGraph, contract_set,
+from sgflow.core import (MINUS, SignedGraph, contract_set,
                          signatures_equivalent, switch_on_set)
 from sgflow.decompose import (decompose_base_sun, decompose_tree_2base,
                               verify_partition)
@@ -98,11 +98,10 @@ def test_criterion_4_projective_route_and_coloring_transfer(capsys):
         eg = k6_projective_embedding()
         d = oriented_dual(eg)
         A = parse_group("Z6")
-        tau = Orientation.default(d.graph)
         for _ in range(1000):
             c = [random_elem(rng, A) for _ in range(6)]
             f = flow_from_coloring(eg, d, c, A)
-            assert is_flow(d.graph, tau, f, A)
+            assert is_flow(d.graph, f, A)
 
 
 def test_criterion_5_decomposition_certificates(capsys):
@@ -189,7 +188,7 @@ def test_criterion_7_property_suites(capsys):
             g = random_connected_graph(rng, n_lo=3, n_hi=6, extra_hi=3)
             A = parse_group(rng.choice(["Z4", "Z5", "Z6", "Z2xZ4", "Z9"]))
             f = random_fbar(rng, A, g.m)
-            b = boundary(g, Orientation.default(g), f, A)
+            b = boundary(g, f, A)
             assert is_A_boundary(A, b) is not None
         # the 2-closure does not depend on edge labelling
         for _ in range(10 ** 3):
@@ -222,7 +221,7 @@ def test_criterion_7_property_suites(capsys):
                 [random_fbar(rng, A, g.m) for _ in range(10)]
             for fb in maps:
                 r = flows.sun_flow(g, sun, 11, fb)
-                assert is_flow(g, Orientation.default(g), r.flow, A)
+                assert is_flow(g, r.flow, A)
                 for e in sun.edge_set:
                     if e == r.e_prime:
                         assert r.flow[e] != fb[e]
@@ -255,6 +254,6 @@ def test_criterion_8_three_flows_from_even_supports(capsys):
             psi = flows.z2_to_3flow(g, sup, carrier)
             assert all(abs(psi[e]) == 1 for e in sup)
             assert all(abs(psi[e]) <= 2 for e in carrier)
-            assert integer_boundary(g, Orientation.default(g), psi) == \
+            assert integer_boundary(g, psi) == \
                 [0] * g.n
             done += 1

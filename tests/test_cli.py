@@ -174,6 +174,14 @@ def test_oracle_k_flow_on_petersen(tmp_path, capsys):
     assert code == 0 and out.startswith("flow")
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_oracle_k_flow_below_two_without_edges(tmp_path, capsys, k):
+    # the empty map is a flow there; it used to print UNSAT and exit 1
+    gpath = write_graph(tmp_path, SignedGraph(2, ()))
+    code, out, _ = run(capsys, "oracle", "k-flow", "--k", k, gpath)
+    assert (code, out) == (0, "flow\n")
+
+
 def test_oracle_a_connected_exact(tmp_path, capsys):
     gpath = write_graph(tmp_path, k4_negative_triangle())
     code, out, _ = run(capsys, "oracle", "a-connected", "--group", "Z6", gpath)

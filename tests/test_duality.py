@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import coloring_from_flow, random_elem
-from sgflow.core import PLUS, Orientation, SignedGraph, min_negative_edges
+from sgflow.core import PLUS, SignedGraph, min_negative_edges
 from sgflow.duality import (PLANE, EmbeddedGraph, canonical_ps,
                             flow_from_coloring, format_emb,
                             k6_projective_embedding, match_dual,
@@ -60,11 +60,10 @@ def test_flow_from_coloring_yields_flows():
     d = oriented_dual(eg)
     A = parse_group("Z6")
     rng = random.Random(31)
-    tau = Orientation.default(d.graph)
     for _ in range(100):
         c = [random_elem(rng, A) for _ in range(eg.graph.n)]
         f = flow_from_coloring(eg, d, c, A)
-        assert is_flow(d.graph, tau, f, A)
+        assert is_flow(d.graph, f, A)
 
 
 def test_proper_coloring_gives_nowhere_zero_flow():

@@ -37,7 +37,7 @@ def test_circulation_on_positive_cycle_has_zero_boundary():
         assert all(abs(x) == 1 for x in coeffs.values())
         f = [A.zero] * g.m
         flows.add_scaled(A, f, coeffs, (2,))
-        assert is_flow(g, tau, f, A)
+        assert is_flow(g, f, A)
 
 
 def test_circuit_coeffs_covers_every_edge_outside_a_base():
@@ -46,13 +46,13 @@ def test_circuit_coeffs_covers_every_edge_outside_a_base():
     A = parse_group("Z11")
     base = random_connected_base(g, random.Random(3))
     outside = sorted(set(range(g.m)) - base)
-    for e, coeffs in flows.circuit_coeffs(g, tau, base, outside).items():
+    for e, coeffs in flows.circuit_coeffs(g, base, outside).items():
         assert coeffs == reference_flow_coeffs_through(g, tau, base | {e}, {e})
         assert coeffs[e] != 0 and set(coeffs) <= base | {e}
         assert all(abs(x) in (1, 2) for x in coeffs.values())
         f = [A.zero] * g.m
         flows.add_scaled(A, f, coeffs, (1,))
-        assert is_flow(g, tau, f, A)
+        assert is_flow(g, f, A)
 
 
 def test_barbell_through_both_negative_edges():
@@ -62,14 +62,14 @@ def test_barbell_through_both_negative_edges():
     # pentagram edges: edge 10 closes the negative pentagram, so the circuit
     # is a barbell whose joining path is the spoke, edge 5
     base = set(range(5)) | {5} | set(range(11, 15))
-    coeffs = flows.circuit_coeffs(g, tau, base, [10])[10]
+    coeffs = flows.circuit_coeffs(g, base, [10])[10]
     assert coeffs == {0: 1, 1: -1, 2: -1, 3: -1, 4: -1, 5: -2, 10: -1,
                       11: 1, 12: 1, 13: 1, 14: 1}
     assert coeffs == reference_flow_coeffs_through(g, tau, base | {10}, {10})
     A = parse_group("Z7")
     f = [A.zero] * g.m
     flows.add_scaled(A, f, coeffs, (3,))
-    assert is_flow(g, tau, f, A)
+    assert is_flow(g, f, A)
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,7 +79,7 @@ def test_circuit_coeffs_matches_the_cycle_space_scan(g, rng):
     assume(base is not None)
     tau = Orientation.default(g)
     outside = sorted(set(range(g.m)) - base)
-    circuits = flows.circuit_coeffs(g, tau, base, outside)
+    circuits = flows.circuit_coeffs(g, base, outside)
     assert list(circuits) == outside
     for e in outside:
         assert circuits[e] == reference_flow_coeffs_through(g, tau,
@@ -88,14 +88,13 @@ def test_circuit_coeffs_matches_the_cycle_space_scan(g, rng):
 
 def test_circuit_coeffs_refuses_what_is_not_a_connected_base():
     g = petersen_2neg()
-    tau = Orientation.default(g)
     tree = set(range(1, 10))  # a spanning tree without the negative edge
     with pytest.raises(AssertionError, match="not a connected base"):
-        flows.circuit_coeffs(g, tau, tree, [10])
+        flows.circuit_coeffs(g, tree, [10])
     with pytest.raises(AssertionError, match="not a connected base"):
-        flows.circuit_coeffs(g, tau, tree | {0}, [0])
+        flows.circuit_coeffs(g, tree | {0}, [0])
     with pytest.raises(AssertionError, match="positive"):
-        flows.circuit_coeffs(g, tau, tree | {11}, [12])
+        flows.circuit_coeffs(g, tree | {11}, [12])
 
 
 def _random_valid_support(rng, max_edges=12):
@@ -129,7 +128,7 @@ def test_z2_to_3flow_on_random_supports():
         assert all(abs(psi[e]) == 1 for e in sup)
         assert all(abs(psi[e]) <= 2 for e in car)
         assert all(psi[e] == 0 for e in range(g.m) if e not in car)
-        assert integer_boundary(g, Orientation.default(g), psi) == [0] * g.n
+        assert integer_boundary(g, psi) == [0] * g.n
         done += 1
 
 
@@ -200,11 +199,11 @@ def test_sun_flow_clears_the_band_on_sun_edges():
         g, sun = host_with_sun(n)
         res = flows.sun_flow(g, sun, 11, [A.zero] * g.m)
         assert res.case in ("zero-odd", "zero-even")
-        assert is_flow(g, Orientation.default(g), res.flow, A)
+        assert is_flow(g, res.flow, A)
         for _ in range(15):
             fb = random_fbar(rng, A, g.m)
             r = flows.sun_flow(g, sun, 11, fb)
-            assert is_flow(g, Orientation.default(g), r.flow, A)
+            assert is_flow(g, r.flow, A)
             for e in sun.edge_set:
                 if e == r.e_prime:
                     assert r.flow[e] != fb[e]
@@ -357,6 +356,22 @@ def test_connect_rejects_graphs_outside_scope():
 
     with pytest.raises(HypothesisError):
         flows.connect(k4(), A, [A.zero] * 6)  # balanced
+
+
+@pytest.mark.parametrize("fbar, edge", [([(7,)] * 15, 1),
+                                        ([(1, 2)] * 15, 1),
+                                        ([(1,)] * 4 + [(-1,)] * 11, 5)])
+def test_connect_refuses_forbidden_values_outside_the_group(monkeypatch, fbar,
+                                                            edge):
+    # the first two used to run the whole composite construction and fail
+    # only in its last check, "certificate holds a value outside Z6"
+    def undecomposed(g):
+        raise AssertionError("decomposed a graph for a bad forbidden map")
+
+    monkeypatch.setattr(flows, "decompose_tree_2base", undecomposed)
+    with pytest.raises(ValueError, match=f"fbar of edge {edge} is .* not an"
+                                         " element of Z6"):
+        flows.connect(petersen(), parse_group("Z6"), fbar)
 
 
 def test_certificate_text_round_trip():
@@ -532,7 +547,7 @@ def test_z2_to_3flow_takes_a_carrier_past_36_edges():
     psi = flows.z2_to_3flow(g, sup, range(g.m))
     assert all(abs(psi[e]) == 1 for e in sup)
     assert all(abs(x) <= 2 for x in psi)
-    assert integer_boundary(g, Orientation.default(g), psi) == [0] * g.n
+    assert integer_boundary(g, psi) == [0] * g.n
 
 
 def test_connect_verifies_the_fallback_flow(monkeypatch):

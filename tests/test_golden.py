@@ -9,7 +9,7 @@ import pytest
 
 from golden.make_golden import GRAPHS, as_json, oracle_call
 
-from sgflow.core import Orientation, parse_sg
+from sgflow.core import parse_sg
 from sgflow.duality import k6_projective_embedding
 from sgflow.flows import (connect, format_avoidance, parse_avoidance,
                           verify_avoidance)
@@ -69,15 +69,14 @@ def test_every_pinned_flow_meets_its_call(index):
     # checked by boundary arithmetic alone, not by the search that found it
     rec = WITNESSES[index]
     g = GRAPHS[rec["graph"]]()
-    tau = Orientation.default(g)
     f = rec["result"]
     assert len(f) == g.m
     if rec["call"] == "has_nz_k_flow":
-        assert integer_boundary(g, tau, f) == [0] * g.n
+        assert integer_boundary(g, f) == [0] * g.n
         assert all(1 <= abs(x) <= rec["k"] - 1 for x in f)
         return
     if rec["call"] == "z2_to_3flow":
-        assert integer_boundary(g, tau, f) == [0] * g.n
+        assert integer_boundary(g, f) == [0] * g.n
         sup, car = set(rec["support"]), set(rec["carrier"])
         assert all(abs(x) == 1 if e in sup else abs(x) <= 2 if e in car
                    else x == 0 for e, x in enumerate(f))
@@ -86,7 +85,7 @@ def test_every_pinned_flow_meets_its_call(index):
     f = [tuple(x) for x in f]
     beta = ([A.zero] * g.n if rec["call"] == "has_nz_A_flow"
             else [tuple(x) for x in rec["beta"]])
-    assert boundary(g, tau, f, A) == beta
+    assert boundary(g, f, A) == beta
     if rec.get("fbar") is not None:
         assert all(x != tuple(y) for x, y in zip(f, rec["fbar"]))
     if not rec.get("allow_zero"):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from helpers import random_connected_graph, random_elem, random_fbar
-from sgflow.core import Orientation
 from sgflow.groups import (boundary, format_map, integer_boundary,
                            is_A_boundary, is_flow, is_prime,
                            minimal_subgroup, parse_group, parse_map)
@@ -63,7 +62,7 @@ def test_boundary_sum_is_a_doubled_element():
         g = random_connected_graph(rng)
         A = parse_group(rng.choice(["Z5", "Z6", "Z2xZ4", "Z9"]))
         f = random_fbar(rng, A, g.m)
-        b = boundary(g, Orientation.default(g), f, A)
+        b = boundary(g, f, A)
         assert is_A_boundary(A, b) is not None
 
 
@@ -75,7 +74,7 @@ def test_is_flow_and_nowhere_zero():
     A = parse_group("Z6")
     f = has_nz_A_flow(g, A)
     assert f is not None
-    assert is_flow(g, Orientation.default(g), f, A)
+    assert is_flow(g, f, A)
     assert A.zero not in f
 
 
@@ -87,8 +86,7 @@ def test_integer_boundary_and_k_flow():
     assert has_nz_k_flow(g, 3) is None  # positive K4 needs 4 values
     f = has_nz_k_flow(g, 4)
     assert f is not None
-    tau = Orientation.default(g)
-    assert integer_boundary(g, tau, f) == [0] * g.n
+    assert integer_boundary(g, f) == [0] * g.n
     assert all(0 < abs(x) < 4 for x in f)
 
 

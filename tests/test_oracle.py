@@ -21,7 +21,7 @@ from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
 from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
                            parse_group)
 from sgflow.oracle import (_INTEGERS, _OverBudget, _check_boundary_inputs,
-                           _group_codes, _plan, _search, _search_group,
+                           _group_codes, _plan, _search_group, _walk,
                            has_nz_A_flow, has_nz_k_flow, is_A_connected,
                            satisfy_boundary)
 from sgflow.structures import all_cycles
@@ -34,12 +34,12 @@ def test_satisfy_boundary_returns_verified_solutions():
         g = random_connected_graph(rng, n_lo=3, n_hi=6)
         A = parse_group(rng.choice(["Z4", "Z5", "Z6", "Z2xZ2"]))
         f0 = [random_elem(rng, A) for _ in range(g.m)]
-        beta = boundary(g, Orientation.default(g), f0, A)
+        beta = boundary(g, f0, A)
         tried += 1
         f = satisfy_boundary(g, A, beta, allow_zero=True)
         # f0 itself satisfies beta, so a solution must exist
         assert f is not None
-        assert boundary(g, Orientation.default(g), f, A) == beta
+        assert boundary(g, f, A) == beta
         found += 1
     assert found == tried
 
@@ -54,7 +54,7 @@ def test_satisfy_boundary_respects_forbidden_map():
         assert f is not None
         assert A.zero not in f
         assert all(f[e] != fbar[e] for e in range(g.m))
-        assert is_flow(g, Orientation.default(g), f, A)
+        assert is_flow(g, f, A)
 
 
 def test_satisfy_boundary_rejects_non_boundaries():
@@ -93,6 +93,16 @@ def test_flow_existence_on_small_graphs():
     assert has_nz_k_flow(k4(), 4) is not None
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_k_flow_below_two_exists_only_without_edges(k):
+    # no nonzero value lies strictly between -k and k, so the empty map on a
+    # graph with no edges is the one such flow; it used to answer None there
+    assert has_nz_k_flow(SignedGraph(2, ()), k) == []
+    assert has_nz_k_flow(SignedGraph(1, ((0, 0, PLUS),)), k) is None
+    parallel = SignedGraph(2, ((0, 1, PLUS), (0, 1, PLUS)))
+    assert has_nz_k_flow(parallel, k) is None
+
+
 def test_positive_petersen_needs_a_5_flow():
     g = petersen(all_positive=True)
     assert has_nz_k_flow(g, 4) is None
@@ -124,7 +134,7 @@ def test_zero_boundary_search_stops_at_its_budget():
     # search only learns it after every branch on one side, so it goes past
     # its budget and the sweep gives the same verdict
     g, A = doubled_k4_bridge(), parse_group("Z6")
-    plan = _plan(g, Orientation.default(g), range(g.m), _group_codes(A).ar)
+    plan = _plan(g, range(g.m), _group_codes(A).ar)
     with pytest.raises(_OverBudget):
         _search_group(plan, A, [A.zero] * g.n, None, False,
                       budget=A.order ** g.n >> 10)
@@ -181,18 +191,6 @@ def test_sampling_mode_refuses_a_graph_with_no_vertices():
         is_A_connected(SignedGraph(0, ()), parse_group("Z6"), samples=5)
 
 
-def test_satisfy_boundary_checks_the_orientation_it_is_given():
-    g, A = petersen(), parse_group("Z6")
-    zero = [A.zero] * g.n
-    with pytest.raises(ValueError, match="orientation size mismatch"):
-        satisfy_boundary(g, A, zero, tau=Orientation((PLUS,) * (2 * g.m - 2)))
-    # +1 on both half-edges of a positive edge makes two tails; the search
-    # used to return the zero map as a flow under it
-    with pytest.raises(ValueError, match="inconsistent with sign on edge"):
-        satisfy_boundary(g, A, zero, tau=Orientation((PLUS,) * (2 * g.m)),
-                         allow_zero=True)
-
-
 def test_desk_scale_limits(monkeypatch):
     # (15 + 1) 7^10 bit-edges is past SWEEP_BUDGET: refused before any
     # search is planned
@@ -233,7 +231,7 @@ def test_has_nz_k_flow_is_not_limited_by_edge_count():
     g = cubic_2unbalanced(26, "past-the-edge-limit")
     f = has_nz_k_flow(g, 4)
     assert f is not None and all(0 < abs(x) < 4 for x in f)
-    assert integer_boundary(g, Orientation.default(g), f) == [0] * g.n
+    assert integer_boundary(g, f) == [0] * g.n
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -244,7 +242,7 @@ def test_nz_k_flow_at_larger_k_on_39_edges(seed, k):
     g = cubic_2unbalanced(26, seed)
     f = has_nz_k_flow(g, k)
     assert f is not None and all(1 <= abs(x) <= k - 1 for x in f)
-    assert integer_boundary(g, Orientation.default(g), f) == [0] * g.n
+    assert integer_boundary(g, f) == [0] * g.n
 
 
 @pytest.mark.parametrize("spec", ["Z6", "Z8", "Z9", "Z2xZ2xZ2"])
@@ -276,20 +274,14 @@ GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2")
 
 @st.composite
 def small_instances(draw):
-    """A graph with m <= 6 edges (loops of both signs and parallel edges
-    occur) and an orientation that reverses a random set of its edges, so
-    a negative loop can meet its vertex with coefficient 2 or -2."""
+    """A graph with m <= 6 edges: loops of both signs and parallel edges
+    occur, so in the default orientation a negative loop meets its vertex
+    with coefficient 2."""
     n = draw(st.integers(1, 4))
     end = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
                           max_size=6))
-    g = SignedGraph(n, tuple(edges))
-    flips = draw(st.lists(st.booleans(), min_size=g.m, max_size=g.m))
-    tau = list(Orientation.default(g).tau)
-    for e, flip in enumerate(flips):
-        if flip:
-            tau[2 * e], tau[2 * e + 1] = -tau[2 * e], -tau[2 * e + 1]
-    return g, Orientation(tuple(tau))
+    return SignedGraph(n, tuple(edges))
 
 
 def _elements(draw, A, count):
@@ -300,9 +292,8 @@ def _elements(draw, A, count):
 @settings(max_examples=300, deadline=None)
 @given(small_instances(), st.sampled_from(GROUPS), st.booleans(),
        st.booleans(), st.data())
-def test_satisfy_boundary_matches_every_map(inst, spec, with_fbar,
+def test_satisfy_boundary_matches_every_map(g, spec, with_fbar,
                                             allow_zero, data):
-    g, tau = inst
     A = parse_group(spec)
     head = _elements(data.draw, A, g.n - 1)
     (a,) = _elements(data.draw, A, 1)
@@ -311,36 +302,34 @@ def test_satisfy_boundary_matches_every_map(inst, spec, with_fbar,
     domains = [[x for x in A.elements()
                 if (allow_zero or x != A.zero)
                 and (fbar is None or x != fbar[e])] for e in range(g.m)]
-    exists = tuple(beta) in brute_boundaries(g, tau, domains, A.zero, A.add,
-                                             A.neg)
+    exists = tuple(beta) in brute_boundaries(g, Orientation.default(g),
+                                             domains, A.zero, A.add, A.neg)
     event(f"exists: {exists}")
-    f = satisfy_boundary(g, A, beta, fbar=fbar, tau=tau, allow_zero=allow_zero)
+    f = satisfy_boundary(g, A, beta, fbar=fbar, allow_zero=allow_zero)
     assert (f is not None) == exists
     if f is not None:
-        assert boundary(g, tau, f, A) == beta
+        assert boundary(g, f, A) == beta
         assert all(f[e] in domains[e] for e in range(g.m))
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_instances(), st.integers(2, 4))
-def test_has_nz_k_flow_matches_every_map(inst, k):
-    g, _ = inst
-    tau = Orientation.default(g)
+def test_has_nz_k_flow_matches_every_map(g, k):
     values = [x for x in range(1 - k, k) if x]
-    exists = (0,) * g.n in brute_boundaries(g, tau, [values] * g.m, 0,
-                                            operator.add, operator.neg)
+    exists = (0,) * g.n in brute_boundaries(g, Orientation.default(g),
+                                            [values] * g.m, 0, operator.add,
+                                            operator.neg)
     event(f"exists: {exists}")
     f = has_nz_k_flow(g, k)
     assert (f is not None) == exists
     if f is not None:
-        assert integer_boundary(g, tau, f) == [0] * g.n
+        assert integer_boundary(g, f) == [0] * g.n
         assert all(x in values for x in f)
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_instances(), st.data())
-def test_z2_to_3flow_matches_every_map(inst, data):
-    g, tau = inst
+def test_z2_to_3flow_matches_every_map(g, data):
     sup: set[int] = set()  # a cycle-space element: even degree everywhere
     for c in all_cycles(g):
         if data.draw(st.booleans()):
@@ -349,16 +338,17 @@ def test_z2_to_3flow_matches_every_map(inst, data):
     car = sup | {e for e in range(g.m) if data.draw(st.booleans())}
     domains = [[1, -1] if e in sup else [0, 1, -1, 2, -2] if e in car
                else [0] for e in range(g.m)]
-    exists = (0,) * g.n in brute_boundaries(g, tau, domains, 0, operator.add,
+    exists = (0,) * g.n in brute_boundaries(g, Orientation.default(g),
+                                            domains, 0, operator.add,
                                             operator.neg)
     event(f"exists: {exists}")
     try:
-        psi = z2_to_3flow(g, sup, car, tau)
+        psi = z2_to_3flow(g, sup, car)
     except ValueError:
         psi = None
     assert (psi is not None) == exists
     if psi is not None:
-        assert integer_boundary(g, tau, psi) == [0] * g.n
+        assert integer_boundary(g, psi) == [0] * g.n
         assert all(psi[e] in domains[e] for e in range(g.m))
 
 
@@ -367,27 +357,25 @@ def test_z2_to_3flow_matches_every_map(inst, data):
 @settings(max_examples=300, deadline=None)
 @given(small_instances(), st.sampled_from(GROUPS), st.booleans(),
        st.booleans(), st.data())
-def test_search_on_group_codes_matches_the_reference(inst, spec, with_fbar,
+def test_search_on_group_codes_matches_the_reference(g, spec, with_fbar,
                                                      allow_zero, data):
-    g, tau = inst
     A = parse_group(spec)
     edges = [e for e in range(g.m) if data.draw(st.booleans())]
     if data.draw(st.booleans()):  # reached by a map on the listed edges
         f0 = _elements(data.draw, A, g.m)
-        beta = boundary(g, tau, [f0[e] if e in edges else A.zero
-                                 for e in range(g.m)], A)
+        beta = boundary(g, [f0[e] if e in edges else A.zero
+                            for e in range(g.m)], A)
     else:  # anything, so untouched vertices may hold nonzero values
         beta = _elements(data.draw, A, g.n)
     fbar = _elements(data.draw, A, g.m) if with_fbar else None
     touched = {v for e in edges for v in g.ends(e)}
     event(f"untouched vertex with nonzero beta: "
           f"{any(beta[v] != A.zero for v in range(g.n) if v not in touched)}")
-    _search_matches_the_reference(g, tau, A, edges, beta, fbar, allow_zero,
+    _search_matches_the_reference(g, A, edges, beta, fbar, allow_zero,
                                   data.draw)
 
 
-def _search_matches_the_reference(g, tau, A, edges, beta, fbar, allow_zero,
-                                  draw):
+def _search_matches_the_reference(g, A, edges, beta, fbar, allow_zero, draw):
     """The kernel on codes against reference_search on elements, with the
     domains fbar and allow_zero give drawn in any order, so that forced
     values (in solve order) and free ones (in domain order) come in
@@ -397,12 +385,12 @@ def _search_matches_the_reference(g, tau, A, edges, beta, fbar, allow_zero,
          and (fbar is None or x != fbar[e])])) for e in range(g.m)]
     event("closed under negation: "
           f"{all(A.neg(x) in d for d in domains for x in d)}")
-    want = reference_search(g, tau, edges, domains, beta,
+    want = reference_search(g, Orientation.default(g), edges, domains, beta,
                             reference_group_arithmetic(A))
     event(f"found: {want is not None}")
     code, elem, ar, _ = _group_codes(A)
-    got = _search(g, tau, edges, [[code[x] for x in d] for d in domains],
-                  [code[b] for b in beta], ar)
+    got = _walk(_plan(g, edges, ar), [[code[x] for x in d] for d in domains],
+                [code[b] for b in beta])
     assert (None if got is None
             else [None if x is None else elem[x] for x in got]) == want
 
@@ -410,21 +398,20 @@ def _search_matches_the_reference(g, tau, A, edges, beta, fbar, allow_zero,
 @settings(max_examples=500, deadline=None)
 @given(small_instances(), st.sampled_from(("Z3", "Z4", "Z5", "Z6")),
        st.sampled_from(("none", "zero", "some")), st.booleans(), st.data())
-def test_zero_boundary_search_matches_the_reference(inst, spec, fbar_kind,
+def test_zero_boundary_search_matches_the_reference(g, spec, fbar_kind,
                                                     allow_zero, data):
     # beta = 0: with fbar None, or all zero and zero allowed, every domain is
     # closed under negation and the kernel tries only half of its first
     # edge's values; fbar nonzero on some edges breaks that (often on edges
     # after the first), and the kernel must then try them all.  Groups with
     # an element other than its own negative only: elsewhere no value drops
-    g, tau = inst
     A = parse_group(spec)
     edges = [e for e in range(g.m) if data.draw(st.booleans())]
     fbar = None if fbar_kind == "none" else [A.zero] * g.m
     if fbar_kind == "some":
         fbar = [x if data.draw(st.booleans()) else A.zero
                 for x in _elements(data.draw, A, g.m)]
-    _search_matches_the_reference(g, tau, A, edges, [A.zero] * g.n, fbar,
+    _search_matches_the_reference(g, A, edges, [A.zero] * g.n, fbar,
                                   allow_zero, data.draw)
 
 
@@ -443,8 +430,8 @@ def test_petersen_has_no_5_flow_within_its_measured_effort():
     # and with the sign symmetry
     g = petersen()
     domain = [x for x in range(-4, 5) if x]
-    assert _search(g, Orientation.default(g), range(g.m), [domain] * g.m,
-                   [0] * g.n, _INTEGERS, budget=1696) is None
+    assert _walk(_plan(g, range(g.m), _INTEGERS), [domain] * g.m, [0] * g.n,
+                 budget=1696) is None
 
 
 def test_search_forces_a_loop_in_its_planned_turn():
@@ -453,21 +440,19 @@ def test_search_forces_a_loop_in_its_planned_turn():
     # reversed domain order a free branch on it would take first
     g = SignedGraph(2, ((0, 1, PLUS), (0, 1, PLUS), (1, 1, MINUS)))
     A = parse_group("Z2xZ2")
-    tau = Orientation.default(g)
     dom = sorted((x for x in A.elements() if x != A.zero), reverse=True)
-    want = reference_search(g, tau, range(3), [dom] * 3, [A.zero] * 2,
-                            reference_group_arithmetic(A))
+    want = reference_search(g, Orientation.default(g), range(3), [dom] * 3,
+                            [A.zero] * 2, reference_group_arithmetic(A))
     assert want == [(1, 1), (1, 1), (0, 1)]
     code, elem, ar, _ = _group_codes(A)
-    got = _search(g, tau, range(3), [[code[x] for x in dom]] * 3, [0, 0], ar)
+    got = _walk(_plan(g, range(3), ar), [[code[x] for x in dom]] * 3, [0, 0])
     assert [elem[x] for x in got] == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_instances(), st.integers(2, 4),
        st.sampled_from(("k-flow", "carrier", "barbell")), st.data())
-def test_search_on_integers_matches_the_reference(inst, k, family, data):
-    g, tau = inst
+def test_search_on_integers_matches_the_reference(g, k, family, data):
     edges = [e for e in range(g.m) if data.draw(st.booleans())]
     if family == "carrier":  # z2_to_3flow's: +-1 on a support, up to 2 off it
         domains = [data.draw(st.sampled_from(([1, -1], [0, 1, -1, 2, -2])))
@@ -485,14 +470,15 @@ def test_search_on_integers_matches_the_reference(inst, k, family, data):
     if kind == "zero":
         beta = [0] * g.n
     elif kind == "reached":
-        beta = integer_boundary(g, tau, [
+        beta = integer_boundary(g, [
             data.draw(st.sampled_from(domains[e])) if e in edges else 0
             for e in range(g.m)])
     else:
         beta = [data.draw(st.integers(-3, 3)) for _ in range(g.n)]
-    want = reference_search(g, tau, edges, domains, beta, REFERENCE_INTEGERS)
+    want = reference_search(g, Orientation.default(g), edges, domains, beta,
+                            REFERENCE_INTEGERS)
     event(f"found: {want is not None}")
-    assert _search(g, tau, edges, domains, beta, _INTEGERS) == want
+    assert _walk(_plan(g, edges, _INTEGERS), domains, beta) == want
 
 
 # -- the boundary sweep against one search per boundary ---------------------------
@@ -502,9 +488,9 @@ SWEEP_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2", "Z2xZ4")
 
 @settings(max_examples=200, deadline=None)
 @given(small_instances(), st.sampled_from(SWEEP_GROUPS))
-def test_is_A_connected_matches_one_search_per_boundary(inst, spec):
-    g, _ = inst  # n <= 4, m <= 6, loops of both signs, parallel edges and
-    # isolated vertices all occur; exact mode uses the default orientation
+def test_is_A_connected_matches_one_search_per_boundary(g, spec):
+    # n <= 4, m <= 6: loops of both signs, parallel edges and isolated
+    # vertices all occur
     A = parse_group(spec)
     want = reference_is_A_connected(g, A)
     event(f"verdict: {want[0]}")
@@ -544,8 +530,7 @@ TWELVE_LOOPS_FBAR = [(x,) for x in (2, 6, 7, 2, 1, 7, 7, 0, 1, 4, 6, 5)]
 
 def test_plan_leaves_positive_loops_out():
     g = TWELVE_LOOPS
-    plan = _plan(g, Orientation.default(g), range(g.m),
-                 _group_codes(parse_group("Z9")).ar)
+    plan = _plan(g, range(g.m), _group_codes(parse_group("Z9")).ar)
     assert plan.idle == [0, 3, 4, 5, 6, 8, 9, 10, 11]
     assert [step[0] for step in plan.steps] == [1, 2, 7]
 
@@ -556,9 +541,9 @@ def test_positive_loops_take_their_first_value_without_branching():
     # answer.  Now it branches on edge 1 once and on edge 2 once per value
     # of edge 1, and edge 7 is forced.
     g, A = TWELVE_LOOPS, parse_group("Z9")
-    plan = _plan(g, Orientation.default(g), range(g.m), _group_codes(A).ar)
+    plan = _plan(g, range(g.m), _group_codes(A).ar)
     f = _search_group(plan, A, [A.zero], TWELVE_LOOPS_FBAR, True, budget=10)
-    assert f is not None and is_flow(g, Orientation.default(g), f, A)
+    assert f is not None and is_flow(g, f, A)
     assert all(f[e] != TWELVE_LOOPS_FBAR[e] for e in range(g.m))
     for e in plan.idle:  # the least element other than fbar(e)
         assert f[e] == ((1,) if TWELVE_LOOPS_FBAR[e] == A.zero else A.zero)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
-                         SignedGraph, contract_set, edge_connectivity,
-                         is_k_unbalanced, parse_sg)
+from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
+                         contract_set, edge_connectivity, is_k_unbalanced,
+                         parse_sg)
 from sgflow.groups import is_flow, parse_group
 from sgflow.oracle import has_nz_A_flow
 from sgflow.reduce import choose_uncontraction_half, cubicize
@@ -62,7 +62,7 @@ def test_flow_on_cubicized_graph_slices_to_a_flow():
     A = parse_group("Z6")
     f = has_nz_A_flow(h, A)
     assert f is not None and h.m > g.m
-    assert is_flow(g, Orientation.default(g), f[:g.m], A)
+    assert is_flow(g, f[:g.m], A)
 
 
 def test_cubicize_skips_a_half_edge_with_no_partner():

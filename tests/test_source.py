@@ -167,6 +167,86 @@ def test_only_the_budgets_and_the_cycle_scan_refuse_for_scale():
     assert _lines_matching(SRC, BUDGETS, ("oracle.py",)) == []
 
 
+# One orientation: boundaries, searches and constructions read every flow in
+# the default orientation.  Only circulation_coeffs, which the sun flow calls
+# in its reference frame, and the oriented dual take one.
+TAU_TAKERS = {("flows.py", "circulation_coeffs"), ("duality.py", "*")}
+
+
+def _tau_parameters(root: Path) -> list[str]:
+    """module:function of each function or lambda with a parameter named
+    tau, other than those TAU_TAKERS allows."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                     + [a.vararg, a.kwarg] if x is not None]
+            name = getattr(node, "name", "<lambda>")
+            if "tau" in names and not {(path.name, name), (path.name, "*")} \
+                    & TAU_TAKERS:
+                found.append(f"{path.name}:{name}")
+    return found
+
+
+def test_tau_parameter_scan(tmp_path):
+    (tmp_path / "flows.py").write_text(
+        "def circulation_coeffs(g, tau, cycle):\n    pass\n\n\n"
+        "def z2_to_3flow(g, support, carrier, tau=None):\n"
+        "    key = lambda *, tau: tau\n")
+    (tmp_path / "duality.py").write_text("def to_default(g, tau):\n    pass\n")
+    (tmp_path / "groups.py").write_text(
+        "def boundary(g, f, A, **tau):\n    tau_s = 1\n")
+    assert _tau_parameters(tmp_path) == [
+        "flows.py:z2_to_3flow", "flows.py:<lambda>", "groups.py:boundary"]
+
+
+def test_only_circulations_and_the_dual_take_an_orientation():
+    assert _tau_parameters(SRC) == []
+
+
+# The search kernel's internals stay inside oracle: the other modules reach
+# it through public names such as oracle.integer_flow.
+def _oracle_internals_named(root: Path) -> list[str]:
+    """module:line of each oracle._x attribute, or name imported by
+    ``from .oracle import _x``, outside oracle.py."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                hit = getattr(node.value, "id", None) == "oracle" \
+                    and node.attr.startswith("_")
+            elif isinstance(node, ast.ImportFrom):
+                hit = (node.module or "").split(".")[-1] == "oracle" and any(
+                    alias.name.startswith("_") for alias in node.names)
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_oracle_internals_scan(tmp_path):
+    (tmp_path / "oracle.py").write_text("x = oracle._plan\n")
+    (tmp_path / "flows.py").write_text(
+        "from . import oracle\nfrom .oracle import integer_flow\n"
+        "f = oracle._walk(oracle.integer_flow)\n"
+        "from .oracle import (integer_flow,\n    _INTEGERS)\n")
+    (tmp_path / "cli.py").write_text(
+        "from sgflow.oracle import _plan\nx = plan._walk\n")
+    assert _oracle_internals_named(tmp_path) == [
+        "cli.py:1", "flows.py:3", "flows.py:4"]
+
+
+def test_only_oracle_names_its_internals():
+    assert _oracle_internals_named(SRC) == []
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's per-layer tracer looks each span up by name, so a
     # renamed or deleted function would break its --trace 1 runs
@@ -182,7 +262,7 @@ def test_benchmark_tracer_names_resolve():
 
 # Definitions under src/ that nothing in src/ or perfbench/ names, on purpose.
 UNREFERENCED_ALLOWED = {
-    "find_theta": "ROADMAP item 1, step 2 takes the closure steps from thetas",
+    "find_theta": "ROADMAP item 3, step 3 takes the closure steps from thetas",
     "positive_cycle_in_theta": "the same step reads the positive cycle off",
     "__version__": "package metadata, read by tools rather than by code",
 }
