@@ -3,9 +3,9 @@
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 for success or
 an affirmative verdict, 1 for a negative verdict, 2 for input errors
 (including an input outside the theorem's hypotheses), 3 when a
-desk-scale limit refuses the instance, and 4 for an internal error (a
-broken invariant, which is a bug).  Graph files use the ``sg`` text
-format; ``-`` (the default) reads from stdin so commands pipe.
+desk-scale limit refuses the instance or memory runs out, and 4 for an
+internal error (a broken invariant, which is a bug).  Graph files use the
+``sg`` text format; ``-`` (the default) reads from stdin so commands pipe.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def _cmd_check(args) -> int:
         print(f"2-unbalanced {'yes' if two else 'no'}")
         return EXIT_OK if two else EXIT_NO
     if args.kind == "connectivity":
-        k = edge_connectivity(g)
-        print(f"edge-connectivity {k}")
+        k = edge_connectivity(g)  # exact up to 4
+        print(f"edge-connectivity {'>4' if k > 4 else k}")
         return EXIT_OK if k >= 3 else EXIT_NO
     if args.kind == "cyclic-connectivity":
         ok = is_cyclically_k_edge_connected(g, 4)
@@ -296,6 +296,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except DeskScaleError as exc:
         print(f"desk-scale limit: {exc}", file=sys.stderr)
+        return EXIT_SCALE
+    except MemoryError:
+        print("desk-scale limit: out of memory", file=sys.stderr)
         return EXIT_SCALE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

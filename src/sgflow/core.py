@@ -15,7 +15,8 @@ so no subgraph is built to answer them: spanning_forest is the one
 union-find, component_count counts components with it, and is_balanced
 colours only the listed edges.  The cuts are the edge sets whose XOR
 labels over a spanning forest (_cut_labels) XOR to 0: small_cuts lists
-those of at most four edges without scanning vertex subsets, and
+those of at most four edges without scanning vertex subsets,
+edge_connectivity reads a least cut off that listing, and
 min_negative_edges reads the frustration index off the same labels.
 Paths inside an edge set come from two searches over one (edge,
 neighbour) adjacency: shortest_path, breadth-first with ties broken by the
@@ -367,46 +368,33 @@ def is_k_unbalanced(g: SignedGraph, k: int) -> bool:
 # -- connectivity ----------------------------------------------------------
 
 def edge_connectivity(g: SignedGraph) -> int:
-    """Global min cut of the underlying multigraph (signs ignored).
+    """Size of a least edge cut of the underlying multigraph (signs
+    ignored), if at most 4, else 5 ("at least 5"); 0 when disconnected.
 
-    Stoer-Wagner (JACM 1997) on the edge multiplicities between vertex
-    pairs: each phase orders the remaining vertices by maximum adjacency,
-    takes the cut around the last one, and merges the last two; O(n^3).
+    The non-loop edges at a vertex form a cut, so below the least non-loop
+    degree (capped at 5) the first cut small_cuts lists, in nondecreasing
+    size, is a least one; with none there, the cap is the answer.  On a
+    cubic graph that asks only for cuts of one or two edges.
     """
     if g.n <= 1:
         return g.m + 1 if g.n == 1 else 0  # conventionally infinite; callers compare with small k
     if component_count(g, range(g.m), range(g.n)) > 1:
         return 0
-    w = [[0] * g.n for _ in range(g.n)]
+    degree = [0] * g.n
     for u, v, _ in g.edges:
         if u != v:
-            w[u][v] += 1
-            w[v][u] += 1
-    alive = list(range(g.n))
-    best = g.m
-    while len(alive) > 1:
-        conn = {v: w[alive[0]][v] for v in alive[1:]}
-        s = t = alive[0]
-        while conn:
-            s, t = t, max(conn, key=conn.__getitem__)
-            cut = conn.pop(t)  # edges from t to every vertex ordered before it
-            wt = w[t]
-            for v in conn:
-                conn[v] += wt[v]
-        best = min(best, cut)
-        ws, wt = w[s], w[t]
-        for v in alive:
-            ws[v] += wt[v]
-            w[v][s] = ws[v]
-        ws[s] = 0
-        alive.remove(t)
-    return best
+            degree[u] += 1
+            degree[v] += 1
+    cap = min(*degree, 5)
+    return next((len(cut) for cut, _ in small_cuts(g, cap - 1)), cap)
 
 
 def is_cubic_3connected(g: SignedGraph) -> bool:
     """Cubic and 3-connected, for n >= 4.  Such a graph is simple (a loop or
     a digon leaves a cut of at most two edges), and a simple cubic graph's
-    vertex and edge connectivity agree, so one min-cut call decides it."""
+    vertex and edge connectivity agree, so one edge_connectivity call (on
+    cubic input, one small_cuts listing of cuts of at most two edges)
+    decides it."""
     return (g.n >= 4 and all(g.degree(v) == 3 for v in range(g.n))
             and edge_connectivity(g) >= 3)
 
@@ -472,7 +460,8 @@ def small_cuts(g: SignedGraph, k: int
                ) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
     """Each nonempty edge cut delta(X) of at most k <= 4 edges of a
     connected g, once, as its edges in increasing order and its side X,
-    the side without vertex 0.
+    the side without vertex 0.  Cut sizes never decrease along the
+    listing, so the first cut is a least one.
 
     An edge set is a cut exactly when its labels from _cut_labels XOR to
     0.  A cut of s edges is met once, as its first s // 2 edges followed

@@ -449,8 +449,9 @@ def parse_emb(text: str) -> EmbeddedGraph:
         surface, n, m = parts[1], int(parts[2]), int(parts[3])
         if n < 0 or m < 0:
             raise ValueError("counts must not be negative")
-        rotation: list[Optional[tuple[int, ...]]] = [None] * n
-        edge_sign = [PLUS] * m
+        # records are collected before anything is sized by the header
+        rotation: dict[int, tuple[int, ...]] = {}
+        edge_sign: dict[int, int] = {}
         sign_line: dict[int, int] = {}  # edge -> line of its s record
         halfedge_vertex: dict[int, int] = {}
         for no, ln in body:
@@ -460,7 +461,7 @@ def parse_emb(text: str) -> EmbeddedGraph:
                     raise ValueError("expected 'r <v> <h...>'")
                 v = int(parts[1]) - 1
                 hs = tuple(int(x) - 1 for x in parts[2:])
-                if not (0 <= v < n) or rotation[v] is not None:
+                if not (0 <= v < n) or v in rotation:
                     raise ValueError("bad or repeated rotation line")
                 for h in hs:
                     if not (0 <= h < 2 * m) or h in halfedge_vertex:
@@ -482,13 +483,19 @@ def parse_emb(text: str) -> EmbeddedGraph:
                 raise ValueError(f"unknown record {parts[0]!r}")
     except ValueError as exc:
         raise ValueError(f"line {no}: {exc}") from None
-    if any(r is None for r in rotation) or len(halfedge_vertex) != 2 * m:
-        raise ValueError("incomplete rotation data")
+    if len(rotation) != n:
+        raise ValueError(f"rotation count mismatch: header says {n} vertices,"
+                         f" found {len(rotation)} r lines")
+    if len(halfedge_vertex) != 2 * m:
+        raise ValueError(f"half-edge count mismatch: header says {m} edges"
+                         f" ({2 * m} half-edges), found {len(halfedge_vertex)}")
     edges = []
     for e in range(m):
         edges.append((halfedge_vertex[2 * e], halfedge_vertex[2 * e + 1], PLUS))
     g = SignedGraph(n, tuple(edges))
-    return EmbeddedGraph(g, tuple(r for r in rotation), tuple(edge_sign), surface)
+    return EmbeddedGraph(g, tuple(rotation[v] for v in range(n)),
+                         tuple(edge_sign.get(e, PLUS) for e in range(m)),
+                         surface)
 
 
 def format_emb(eg: EmbeddedGraph) -> str:

@@ -61,6 +61,12 @@ def test_check_connectivity_and_unbalancedness(tmp_path, capsys):
     assert code == 0 and "2-unbalanced yes" in out
     code, out, _ = run(capsys, "check", "cyclic-connectivity", path)
     assert code == 0
+    # exact up to 4, as min-negative-edges is up to 2
+    k7 = SignedGraph(7, tuple((u, v, PLUS) for u in range(7)
+                              for v in range(u + 1, 7)))
+    path = write_graph(tmp_path, k7, "k7.sg")
+    assert run(capsys, "check", "connectivity", path) == (
+        0, "edge-connectivity >4\n", "")
 
 
 @pytest.mark.parametrize("graph,label,two,code", [
@@ -256,6 +262,29 @@ def test_malformed_graph_and_embedding_files_exit_2(tmp_path, capsys, command,
     path.write_text(text)
     code, out, err = run(capsys, *command.split(), str(path))
     assert (code, out) == (2, "") and err.startswith("error: line ")
+
+
+@pytest.mark.parametrize("head", ["emb projective 6 99999999999",
+                                  "emb projective 99999999999 15"])
+def test_an_embedding_header_past_its_records_exits_2(tmp_path, capsys, head):
+    # the header's counts used to size lists before any record was read,
+    # and the MemoryError exited 1
+    path = tmp_path / "big.emb"
+    lines = format_emb(k6_projective_embedding()).splitlines()
+    path.write_text("\n".join([head] + lines[1:]) + "\n")
+    code, out, err = run(capsys, "dual", str(path))
+    assert (code, out) == (2, "") and err.startswith("error: ") \
+        and "count mismatch: header says 99999999999" in err
+
+
+def test_running_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(sgflow.cli, "_cmd_check", exhausted)
+    path = write_graph(tmp_path, negsun(4))
+    code, out, err = run(capsys, "check", "balance", path)
+    assert (code, out, err) == (3, "", "desk-scale limit: out of memory\n")
 
 
 def test_internal_errors_exit_4_and_hypothesis_refusals_exit_2(

@@ -116,10 +116,26 @@ def test_min_negative_edges_examples():
     assert not is_k_unbalanced(k4(), 1)
 
 
+def _complete(n: int, first: int = 0) -> list[tuple[int, int, int]]:
+    return [(u, v, PLUS) for u, v in
+            itertools.combinations(range(first, first + n), 2)]
+
+
 def test_edge_connectivity_values():
     assert edge_connectivity(petersen()) == 3
     assert edge_connectivity(negsun(4)) == 1
     assert edge_connectivity(k4()) == 3
+    # exact up to 4, and 5 for "at least 5"
+    assert edge_connectivity(SignedGraph(6, tuple(_complete(6)))) == 5
+    assert edge_connectivity(SignedGraph(8, tuple(_complete(8)))) == 5
+    joins = [(i, 6 + i, PLUS) for i in range(4)]
+    two_k6 = SignedGraph(12, tuple(_complete(6) + _complete(6, 6) + joins))
+    assert edge_connectivity(two_k6) == 4
+    # loops are not part of vertex 0's cut: its non-loop degree is 4
+    triangle = SignedGraph(3, tuple(
+        2 * [(0, 1, PLUS), (1, 2, PLUS), (0, 2, MINUS)]
+        + [(0, 0, PLUS), (0, 0, MINUS)]))
+    assert edge_connectivity(triangle) == 4
 
 
 @settings(max_examples=300, deadline=None)
@@ -163,7 +179,10 @@ def test_cut_labels_xor_to_zero_exactly_on_cuts(g, data):
 @settings(max_examples=300, deadline=None)
 @given(signed_multigraphs())
 def test_edge_connectivity_matches_bipartition_scan(g):
-    assert edge_connectivity(g) == brute_edge_connectivity(g)
+    # exact up to 4, and 5 for "at least 5", past one vertex
+    brute = brute_edge_connectivity(g)
+    assert edge_connectivity(g) == (min(brute, 5) if g.n >= 2 else brute)
+    assert (edge_connectivity(g) >= 3) == (brute >= 3)
 
 
 @settings(max_examples=300, deadline=None)
@@ -370,7 +389,10 @@ def test_small_cuts_match_the_bipartition_scan(g, k):
         cut = tuple(delta(g, side))
         if 1 <= len(cut) <= k:
             want.append((cut, side))
-    assert sorted(small_cuts(g, k), key=repr) == sorted(want, key=repr)
+    got = list(small_cuts(g, k))
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+    sizes = [len(cut) for cut, _ in got]
+    assert sizes == sorted(sizes)  # so the first cut is a least one
 
 
 def test_small_cuts_needs_a_connected_graph_and_k_at_most_4():
