@@ -6,6 +6,13 @@ an affirmative verdict, 1 for a negative verdict, 2 for input errors
 desk-scale limit refuses the instance or memory runs out, and 4 for an
 internal error (a broken invariant, which is a bug).  Graph files use the
 ``sg`` text format; ``-`` (the default) reads from stdin so commands pipe.
+
+Each command imports only the modules it runs, at the top of its handler:
+every ``sg`` process starts cold, and compiling the construction stack
+(flows, decompose, structures, duality, reduce) costs more than a small
+command.  Module level holds core, groups and generators, whose
+GENERATORS the parser lists; ``sg verify`` of an avoidance certificate
+needs only groups, where the certificate lives.
 """
 
 from __future__ import annotations
@@ -14,15 +21,11 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import decompose, flows, oracle
 from .core import (DeskScaleError, SignedGraph, edge_connectivity, format_sg,
                    is_balanced, is_cyclically_k_edge_connected,
                    min_negative_edges, parse_sg)
-from .duality import format_emb, k6_projective_embedding, match_dual, \
-    oriented_dual, parse_emb
 from .generators import GENERATORS, negsun
 from .groups import format_map, parse_group, parse_map
-from .structures import k_closure
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -79,6 +82,8 @@ def _cmd_gen(args) -> int:
             raise ValueError("negsun needs a size argument, e.g. 'sg gen negsun 4'")
         sys.stdout.write(format_sg(negsun(args.n)))
     elif name == "k6-projective":
+        from .duality import format_emb, k6_projective_embedding
+
         sys.stdout.write(format_emb(k6_projective_embedding()))
     else:
         sys.stdout.write(format_sg(GENERATORS[name]()))
@@ -103,6 +108,8 @@ def _parse_edge_list(text: str, m: int) -> set[int]:
 
 
 def _cmd_closure(args) -> int:
+    from .structures import k_closure
+
     g = _load_graph(args.file)
     seed = _parse_edge_list(args.seed_edges, g.m)
     res = k_closure(g, seed, args.k)
@@ -116,6 +123,8 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from . import decompose
+
     g = _load_graph(args.file)
     if args.mode == "tree-2base":
         cert = decompose.decompose_tree_2base(g)
@@ -130,6 +139,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_connect(args) -> int:
+    from . import flows
+
     g = _load_graph(args.file)
     A = parse_group(args.group)
     if args.forbidden is not None:
@@ -141,6 +152,8 @@ def _cmd_connect(args) -> int:
         kind, _, path = args.hint.partition(":")
         if kind != "projective" or not path:
             raise ValueError("hint must look like projective:EMBFILE")
+        from .duality import match_dual, parse_emb
+
         embedding = match_dual(parse_emb(_read_text(path)), g)
     cert = flows.connect(g, A, fbar, embedding=embedding)
     sys.stdout.write(flows.format_avoidance(cert))
@@ -148,6 +161,8 @@ def _cmd_connect(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     g = _load_graph(args.file)
     if args.kind == "a-connected":
         if args.group is None:
@@ -189,6 +204,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_dual(args) -> int:
+    from .duality import oriented_dual, parse_emb
+
     eg = parse_emb(_read_text(args.embfile))
     res = oriented_dual(eg)
     sys.stdout.write(format_sg(res.graph))
@@ -204,13 +221,16 @@ def _cmd_verify(args) -> int:
     if head is None:
         raise ValueError("empty certificate file")
     if head == "part":
+        from . import decompose
+
         cert = decompose.parse_certificate(cert_text)
         ok, why = decompose.verify_partition(g, cert)
         print("OK" if ok else f"FAIL {why}")
         return EXIT_OK if ok else EXIT_NO
     if head == "cert":
-        acert = flows.parse_avoidance(cert_text)
-        ok = flows.verify_avoidance(g, acert)
+        from .groups import parse_avoidance, verify_avoidance
+
+        ok = verify_avoidance(g, parse_avoidance(cert_text))
         print("OK" if ok else "FAIL")
         return EXIT_OK if ok else EXIT_NO
     raise ValueError(f"unrecognized certificate header {head!r}")

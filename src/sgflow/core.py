@@ -100,6 +100,15 @@ class SignedGraph:
         """Loops count twice."""
         return len(self.halfedges_at(v))
 
+    def degrees(self) -> list[int]:
+        """Every vertex's degree, in one pass over the edges; loops count
+        twice, as in degree."""
+        out = [0] * self.n
+        for u, v, _ in self.edges:
+            out[u] += 1
+            out[v] += 1
+        return out
+
     def with_signs(self, sigma: dict[int, int] | Sequence[int]) -> "SignedGraph":
         if isinstance(sigma, dict):
             new = tuple((u, v, sigma.get(e, s)) for e, (u, v, s) in enumerate(self.edges))
@@ -395,7 +404,7 @@ def is_cubic_3connected(g: SignedGraph) -> bool:
     vertex and edge connectivity agree, so one edge_connectivity call (on
     cubic input, one small_cuts listing of cuts of at most two edges)
     decides it."""
-    return (g.n >= 4 and all(g.degree(v) == 3 for v in range(g.n))
+    return (g.n >= 4 and all(d == 3 for d in g.degrees())
             and edge_connectivity(g) >= 3)
 
 

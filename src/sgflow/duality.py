@@ -337,21 +337,7 @@ def match_dual(eg: EmbeddedGraph, target: SignedGraph) -> DualCorrespondence:
     raise ValueError("no face orientation/relabelling matches the target")
 
 
-# -- the K6 / Petersen bundle -------------------------------------------------------
-
-def canonical_ps() -> SignedGraph:
-    """Petersen graph: vertices 0-4 an (all-negative) outer 5-cycle,
-    vertices 5-9 the inner pentagram, positive spokes.  Edges 0-4 cycle,
-    5-9 spokes, 10-14 pentagram."""
-    edges = []
-    for i in range(5):
-        edges.append((i, (i + 1) % 5, MINUS))
-    for i in range(5):
-        edges.append((i, 5 + i, PLUS))
-    for i in range(5):
-        edges.append((5 + i, 5 + (i + 2) % 5, PLUS))
-    return SignedGraph(10, tuple(edges))
-
+# -- K6 on the projective plane -------------------------------------------------------
 
 _PHI = (1 + math.sqrt(5)) / 2
 
@@ -380,7 +366,9 @@ def k6_projective_embedding() -> EmbeddedGraph:
     icosahedron: the 6 antipodal point pairs are the vertices, the 30
     icosahedral edges fold to the 15 edges of K6, and an edge gets
     embedding sign -1 when it runs from a representative point to the
-    antipode of the other representative."""
+    antipode of the other representative.  Its oriented dual is the
+    Petersen graph: match_dual identifies it with generators.canonical_ps,
+    whose docstring gives that labelling."""
     pts = _icosahedron_points()
     neg = {i: pts.index(tuple(-x for x in pts[i])) for i in range(12)}
     reps: list[int] = []

@@ -37,12 +37,14 @@ The three constructions:
     convert the tension to a flow.
 
 Everything returns an AvoidanceCertificate that an independent checker can
-replay: the flow, the forbidden map, and the construction artifacts.
+replay: the flow, the forbidden map, and the construction artifacts.  The
+certificate, its text format and its checker are defined in groups, which
+no construction imports, and are re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import (MINUS, PLUS, HypothesisError, Orientation, SignedGraph,
@@ -52,12 +54,17 @@ from .decompose import decompose_base_sun, decompose_tree_2base
 from .duality import (DualCorrespondence, EmbeddedGraph, flow_from_coloring,
                       k6_projective_embedding, match_dual,
                       to_default_orientation)
-from .groups import (AbelianGroup, Elem, integer_boundary, is_flow,
-                     is_prime, minimal_subgroup, parse_group)
+from .groups import (AbelianGroup, AvoidanceCertificate, Elem, format_elem,
+                     integer_boundary, is_flow, is_prime, minimal_subgroup,
+                     verify_avoidance)
 from .reduce import cubicize
 from .structures import (CycleRef, NegativeSun, as_negative_sun, cycle_sign,
                          fundamental_cycle, k_closure, order_cycle)
-from . import oracle
+from . import groups, oracle
+
+# the certificate's text format, re-exported from groups
+format_avoidance = groups.format_avoidance
+parse_avoidance = groups.parse_avoidance
 
 
 # -- elementary flow pieces ----------------------------------------------------
@@ -470,149 +477,6 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int,
     return SunFlowResult(f, e_prime, case)
 
 
-# -- certificates -----------------------------------------------------------------
-
-@dataclass
-class AvoidanceCertificate:
-    """A replayable record of one avoidance run.
-
-    flow is None when the fallback search proved no avoiding flow exists;
-    artifacts holds strategy-specific intermediates as text for replay.
-    """
-
-    strategy: str  # "composite", "prime", "projective" or "oracle"
-    group: AbelianGroup
-    flow: Optional[list[Elem]]
-    fbar: list[Elem]
-    e_prime: Optional[int] = None
-    artifacts: dict[str, str] = field(default_factory=dict)
-
-
-def verify_avoidance(g: SignedGraph, cert: AvoidanceCertificate) -> bool:
-    """Independent check: boundary zero and f(e) != fbar(e) everywhere; for an
-    unsat certificate, re-run the exhaustive search and confirm emptiness."""
-    A = cert.group
-    if len(cert.fbar) != g.m:
-        raise ValueError("certificate forbidden map size mismatch")
-    if not all(map(A.contains, cert.fbar + (cert.flow or []))):
-        raise ValueError(f"certificate holds a value outside {A}")
-    if cert.flow is None:
-        sol = oracle.satisfy_boundary(g, A, [A.zero] * g.n, fbar=cert.fbar,
-                                      allow_zero=True)
-        return sol is None
-    if len(cert.flow) != g.m:
-        raise ValueError("certificate flow size mismatch")
-    if not is_flow(g, cert.flow, A):
-        return False
-    return all(cert.flow[e] != cert.fbar[e] for e in range(g.m))
-
-
-def _fmt_elem(v: Elem) -> str:
-    return ",".join(str(x) for x in v)
-
-
-def format_avoidance(cert: AvoidanceCertificate) -> str:
-    lines = [f"cert {cert.strategy}", f"group {cert.group}"]
-    lines.append(f"eprime {cert.e_prime + 1 if cert.e_prime is not None else '-'}")
-    for e, v in enumerate(cert.fbar):
-        lines.append(f"fbar {e + 1} {_fmt_elem(v)}")
-    if cert.flow is None:
-        lines.append("unsat")
-    else:
-        for e, v in enumerate(cert.flow):
-            lines.append(f"f {e + 1} {_fmt_elem(v)}")
-    for k in sorted(cert.artifacts):
-        lines.append(f"aux {k} {cert.artifacts[k]}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_avoidance(text: str) -> AvoidanceCertificate:
-    """Read format_avoidance output.  The fbar lines must give edges 1..m
-    once each, and unless the certificate says unsat the f lines must give
-    the same edges once each, all with elements of the group; eprime must
-    be '-' or an edge 1..m.  The cert, group, eprime and unsat lines, and
-    the aux line of each key, come at most once, and an unsat certificate
-    has no f lines.  Anything else raises ValueError naming a line."""
-    strategy: Optional[str] = None
-    group: Optional[AbelianGroup] = None
-    e_prime: Optional[int] = None
-    # keyword -> edge -> (line number, value)
-    values: dict[str, dict[int, tuple[int, Elem]]] = {"fbar": {}, "f": {}}
-    once: dict[str, int] = {}  # cert, group, eprime, unsat -> line number
-    artifacts: dict[str, str] = {}
-    aux_line: dict[str, int] = {}  # aux key -> line number
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 2)
-        key = parts[0]
-        try:
-            if key in once:
-                raise ValueError(f"{key} already given on line {once[key]}")
-            if key == "cert":
-                strategy = parts[1]
-            elif key == "group":
-                group = parse_group(parts[1])
-            elif key == "eprime":
-                e_prime = None if parts[1] == "-" else int(parts[1]) - 1
-            elif key in values:
-                e = int(parts[1]) - 1
-                v = tuple(int(x) for x in parts[2].split(","))
-                if e < 0:
-                    raise ValueError(f"edge index {e + 1} is below 1")
-                if e in values[key]:
-                    raise ValueError(f"edge {e + 1} already has its {key} on"
-                                     f" line {values[key][e][0]}")
-                values[key][e] = (ln, v)
-            elif key == "aux":
-                if parts[1] in aux_line:
-                    raise ValueError(f"aux {parts[1]} already given on line"
-                                     f" {aux_line[parts[1]]}")
-                aux_line[parts[1]] = ln
-                artifacts[parts[1]] = parts[2] if len(parts) > 2 else ""
-            elif key != "unsat":
-                raise ValueError(f"unknown keyword {key!r}")
-            if key in ("cert", "group", "eprime", "unsat"):
-                once[key] = ln
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {ln}: bad certificate line {raw!r}: {exc}") from exc
-    if strategy is None or group is None:
-        raise ValueError("certificate is missing its cert/group header")
-    fbar, fvals = values["fbar"], values["f"]
-    for key, entries in values.items():
-        for e, (ln, v) in entries.items():
-            if not group.contains(v):
-                raise ValueError(f"line {ln}: {key} of edge {e + 1} is not an"
-                                 f" element of {group}")
-    m = max(fbar, default=-1) + 1
-    for e in range(m):
-        if e not in fbar:
-            raise ValueError(f"line {fbar[m - 1][0]}: fbar of edge {m} given,"
-                             f" but edge {e + 1} has no fbar line")
-    for e, (ln, _) in sorted(fvals.items()):
-        if e >= m:
-            raise ValueError(f"line {ln}: f of edge {e + 1} is past the last"
-                             f" fbar edge {m}")
-    if e_prime is not None and not 0 <= e_prime < m:
-        raise ValueError(f"line {once['eprime']}: eprime {e_prime + 1} is"
-                         f" outside the edges 1..{m}")
-    if "unsat" in once and fvals:
-        ln = min(ln for ln, _ in fvals.values())
-        raise ValueError(f"line {ln}: f line in a certificate that says unsat"
-                         f" on line {once['unsat']}")
-    flow: Optional[list[Elem]] = None
-    if "unsat" not in once:
-        for e in range(m):
-            if e not in fvals:
-                raise ValueError(f"line {fbar[e][0]}: edge {e + 1} has an fbar"
-                                 f" line but no f line")
-        flow = [fvals[e][1] for e in range(m)]
-    return AvoidanceCertificate(strategy, group, flow,
-                                [fbar[e][1] for e in range(m)], e_prime,
-                                artifacts)
-
-
 # -- fixing over closure steps ---------------------------------------------------
 
 def _fix_over_closure(g: SignedGraph, A: AbelianGroup,
@@ -746,9 +610,9 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
         if phi[e] == fbar[e]:
             raise AssertionError(f"composite construction hit fbar on edge {e}")
     artifacts = {
-        "phi1": " ".join(_fmt_elem(v) for v in phi1),
-        "phi2": " ".join(_fmt_elem(v) for v in phi2),
-        "subgroup": " ".join(_fmt_elem(v) for v in n_elems),
+        "phi1": " ".join(format_elem(v) for v in phi1),
+        "phi2": " ".join(format_elem(v) for v in phi2),
+        "subgroup": " ".join(format_elem(v) for v in n_elems),
     }
     return AvoidanceCertificate("composite", A, phi, list(fbar),
                                 artifacts=artifacts)
@@ -838,7 +702,7 @@ def connect_prime(g: SignedGraph, p: int,
         raise AssertionError("prime construction produced a non-flow")
     artifacts = {
         "sun-case": sf.case,
-        "phi1": " ".join(_fmt_elem(v) for v in phi1),
+        "phi1": " ".join(format_elem(v) for v in phi1),
         "psi": " ".join(str(v) for v in psi),
         "b1": " ".join(str(e + 1) for e in b1) if b1 else "-",
     }
@@ -914,7 +778,7 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     for e in range(g.m):
         if f[e] == fbar[e]:
             raise AssertionError(f"projective construction hit fbar on edge {e}")
-    artifacts = {"coloring": " ".join(_fmt_elem(v) for v in coloring)}
+    artifacts = {"coloring": " ".join(format_elem(v) for v in coloring)}
     return AvoidanceCertificate("projective", A, f, list(fbar),
                                 artifacts=artifacts)
 

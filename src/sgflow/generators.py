@@ -1,11 +1,31 @@
-"""Named example graphs and random instance generators."""
+"""Named example graphs and random instance generators.
+
+The Petersen graphs share canonical_ps's labelling: vertices 0-4 the outer
+5-cycle and 5-9 the inner pentagram; edges 0-4 the cycle, 5-9 the spokes
+and 10-14 the pentagram.  duality.match_dual matches it to the oriented dual
+of duality.k6_projective_embedding, which is how `sg connect --hint`
+reaches the projective construction on Petersen.
+"""
 
 from __future__ import annotations
 
 import random
 
 from .core import MINUS, PLUS, SignedGraph, is_cubic_3connected
-from .duality import canonical_ps
+
+
+def canonical_ps() -> SignedGraph:
+    """Petersen graph: vertices 0-4 an (all-negative) outer 5-cycle,
+    vertices 5-9 the inner pentagram, positive spokes.  Edges 0-4 cycle,
+    5-9 spokes, 10-14 pentagram."""
+    edges = []
+    for i in range(5):
+        edges.append((i, (i + 1) % 5, MINUS))
+    for i in range(5):
+        edges.append((i, 5 + i, PLUS))
+    for i in range(5):
+        edges.append((5 + i, 5 + (i + 2) % 5, PLUS))
+    return SignedGraph(10, tuple(edges))
 
 
 def petersen(all_positive: bool = False) -> SignedGraph:

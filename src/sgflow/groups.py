@@ -7,12 +7,16 @@ the flow constructors.
 
 Boundaries are read in the default orientation, the one every layer uses:
 reversing an edge only negates its value, so no question needs another.
+
+The avoidance certificate (AvoidanceCertificate, its text format and
+verify_avoidance) lives here, beside is_flow and the map format, so that
+re-checking a certificate loads no construction; flows re-exports it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .core import MINUS, SignedGraph
@@ -237,5 +241,152 @@ def parse_map(text: str, A: AbelianGroup, size: int) -> list[Elem]:
     return vals
 
 
+def format_elem(v: Elem) -> str:
+    """An element as its comma-separated coordinates, as maps and
+    certificates write it."""
+    return ",".join(map(str, v))
+
+
 def format_map(vals: Sequence[Elem]) -> str:
-    return "\n".join(f"{i} {','.join(map(str, v))}" for i, v in enumerate(vals)) + "\n"
+    return "\n".join(f"{i} {format_elem(v)}" for i, v in enumerate(vals)) + "\n"
+
+
+# -- avoidance certificates -----------------------------------------------------
+
+@dataclass
+class AvoidanceCertificate:
+    """A replayable record of one avoidance run.
+
+    flow is None when the fallback search proved no avoiding flow exists;
+    artifacts holds strategy-specific intermediates as text for replay.
+    """
+
+    strategy: str  # "composite", "prime", "projective" or "oracle"
+    group: AbelianGroup
+    flow: Optional[list[Elem]]
+    fbar: list[Elem]
+    e_prime: Optional[int] = None
+    artifacts: dict[str, str] = field(default_factory=dict)
+
+
+def verify_avoidance(g: SignedGraph, cert: AvoidanceCertificate) -> bool:
+    """Independent check: boundary zero and f(e) != fbar(e) everywhere; for an
+    unsat certificate, re-run the exhaustive search and confirm emptiness."""
+    A = cert.group
+    if len(cert.fbar) != g.m:
+        raise ValueError("certificate forbidden map size mismatch")
+    if not all(map(A.contains, cert.fbar + (cert.flow or []))):
+        raise ValueError(f"certificate holds a value outside {A}")
+    if cert.flow is None:
+        from .oracle import satisfy_boundary  # oracle imports this module
+
+        sol = satisfy_boundary(g, A, [A.zero] * g.n, fbar=cert.fbar,
+                               allow_zero=True)
+        return sol is None
+    if len(cert.flow) != g.m:
+        raise ValueError("certificate flow size mismatch")
+    if not is_flow(g, cert.flow, A):
+        return False
+    return all(cert.flow[e] != cert.fbar[e] for e in range(g.m))
+
+
+def format_avoidance(cert: AvoidanceCertificate) -> str:
+    lines = [f"cert {cert.strategy}", f"group {cert.group}"]
+    lines.append(f"eprime {cert.e_prime + 1 if cert.e_prime is not None else '-'}")
+    for e, v in enumerate(cert.fbar):
+        lines.append(f"fbar {e + 1} {format_elem(v)}")
+    if cert.flow is None:
+        lines.append("unsat")
+    else:
+        for e, v in enumerate(cert.flow):
+            lines.append(f"f {e + 1} {format_elem(v)}")
+    for k in sorted(cert.artifacts):
+        lines.append(f"aux {k} {cert.artifacts[k]}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_avoidance(text: str) -> AvoidanceCertificate:
+    """Read format_avoidance output.  The fbar lines must give edges 1..m
+    once each, and unless the certificate says unsat the f lines must give
+    the same edges once each, all with elements of the group; eprime must
+    be '-' or an edge 1..m.  The cert, group, eprime and unsat lines, and
+    the aux line of each key, come at most once, and an unsat certificate
+    has no f lines.  Anything else raises ValueError naming a line."""
+    strategy: Optional[str] = None
+    group: Optional[AbelianGroup] = None
+    e_prime: Optional[int] = None
+    # keyword -> edge -> (line number, value)
+    values: dict[str, dict[int, tuple[int, Elem]]] = {"fbar": {}, "f": {}}
+    once: dict[str, int] = {}  # cert, group, eprime, unsat -> line number
+    artifacts: dict[str, str] = {}
+    aux_line: dict[str, int] = {}  # aux key -> line number
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(None, 2)
+        key = parts[0]
+        try:
+            if key in once:
+                raise ValueError(f"{key} already given on line {once[key]}")
+            if key == "cert":
+                strategy = parts[1]
+            elif key == "group":
+                group = parse_group(parts[1])
+            elif key == "eprime":
+                e_prime = None if parts[1] == "-" else int(parts[1]) - 1
+            elif key in values:
+                e = int(parts[1]) - 1
+                v = tuple(int(x) for x in parts[2].split(","))
+                if e < 0:
+                    raise ValueError(f"edge index {e + 1} is below 1")
+                if e in values[key]:
+                    raise ValueError(f"edge {e + 1} already has its {key} on"
+                                     f" line {values[key][e][0]}")
+                values[key][e] = (ln, v)
+            elif key == "aux":
+                if parts[1] in aux_line:
+                    raise ValueError(f"aux {parts[1]} already given on line"
+                                     f" {aux_line[parts[1]]}")
+                aux_line[parts[1]] = ln
+                artifacts[parts[1]] = parts[2] if len(parts) > 2 else ""
+            elif key != "unsat":
+                raise ValueError(f"unknown keyword {key!r}")
+            if key in ("cert", "group", "eprime", "unsat"):
+                once[key] = ln
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"line {ln}: bad certificate line {raw!r}: {exc}") from exc
+    if strategy is None or group is None:
+        raise ValueError("certificate is missing its cert/group header")
+    fbar, fvals = values["fbar"], values["f"]
+    for key, entries in values.items():
+        for e, (ln, v) in entries.items():
+            if not group.contains(v):
+                raise ValueError(f"line {ln}: {key} of edge {e + 1} is not an"
+                                 f" element of {group}")
+    m = max(fbar, default=-1) + 1
+    for e in range(m):
+        if e not in fbar:
+            raise ValueError(f"line {fbar[m - 1][0]}: fbar of edge {m} given,"
+                             f" but edge {e + 1} has no fbar line")
+    for e, (ln, _) in sorted(fvals.items()):
+        if e >= m:
+            raise ValueError(f"line {ln}: f of edge {e + 1} is past the last"
+                             f" fbar edge {m}")
+    if e_prime is not None and not 0 <= e_prime < m:
+        raise ValueError(f"line {once['eprime']}: eprime {e_prime + 1} is"
+                         f" outside the edges 1..{m}")
+    if "unsat" in once and fvals:
+        ln = min(ln for ln, _ in fvals.values())
+        raise ValueError(f"line {ln}: f line in a certificate that says unsat"
+                         f" on line {once['unsat']}")
+    flow: Optional[list[Elem]] = None
+    if "unsat" not in once:
+        for e in range(m):
+            if e not in fvals:
+                raise ValueError(f"line {fbar[e][0]}: edge {e + 1} has an fbar"
+                                 f" line but no f line")
+        flow = [fvals[e][1] for e in range(m)]
+    return AvoidanceCertificate(strategy, group, flow,
+                                [fbar[e][1] for e in range(m)], e_prime,
+                                artifacts)

@@ -73,14 +73,15 @@ def cubicize(g: SignedGraph) -> CubicizeResult:
     if g.n < 2:
         raise HypothesisError("need at least 2 vertices (single-vertex graphs"
                               " are handled directly by the oracle)")
-    low = next((v for v in range(g.n) if g.degree(v) < 3), None)
+    deg = g.degrees()
+    low = next((v for v in range(g.n) if deg[v] < 3), None)
     if low is not None:
-        raise HypothesisError(f"vertex {low} has degree {g.degree(low)}:"
+        raise HypothesisError(f"vertex {low} has degree {deg[low]}:"
                               f" graph is not 3-edge-connected")
     history: list[UncontractionStep] = []
     cur = g
     while True:
-        v = next((x for x in range(cur.n) if cur.degree(x) >= 4), None)
+        v = next((x for x, d in enumerate(cur.degrees()) if d >= 4), None)
         if v is None:
             break
         # the least half-edge at v that has a partner, with its least one

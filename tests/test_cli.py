@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, report formats, piping, errors."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -10,12 +11,13 @@ import pytest
 
 import sgflow
 from helpers import CUBIC_GRAPHS, doubled_k4_bridge, theorem_instances
-from sgflow import core, oracle
+from sgflow import core, decompose, flows, oracle
 from sgflow.cli import main
 from sgflow.core import MINUS, PLUS, SignedGraph, format_sg, parse_sg
 from sgflow.duality import format_emb, k6_projective_embedding
 from sgflow.generators import GENERATORS, k4, k4_negative_triangle, \
     negsun, petersen, petersen_2neg
+from sgflow.groups import parse_group
 
 
 def run(capsys, *argv):
@@ -524,3 +526,79 @@ def test_cli_import_leaves_networkx_unloaded():
          "import sys, sgflow.cli; print('networkx' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def _sg_in_a_fresh_process(*argv: str) -> tuple[int, str, set[str]]:
+    """Exit code, standard output and loaded sgflow modules (named without
+    the package prefix) of cli.main(argv) run in a new interpreter."""
+    src = Path(sgflow.__file__).resolve().parent.parent
+    script = ("import contextlib, io, json, sys\n"
+              "from sgflow import cli\n"
+              "out = io.StringIO()\n"
+              "with contextlib.redirect_stdout(out):\n"
+              "    code = cli.main(sys.argv[1:])\n"
+              "mods = [m.rpartition('.')[2] for m in sys.modules\n"
+              "        if m.split('.')[0] == 'sgflow']\n"
+              "print(json.dumps([code, out.getvalue(), mods]))\n")
+    res = subprocess.run([sys.executable, "-c", script, *argv],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True)
+    code, out, mods = json.loads(res.stdout)
+    return code, out, set(mods)
+
+
+# what every command loads: the parser lists generators.GENERATORS
+CLI_BASE = {"sgflow", "cli", "core", "groups", "generators"}
+
+
+@pytest.fixture
+def cli_files(tmp_path):
+    """Graphs, an embedding and one certificate of each kind, as files."""
+    files = {"petersen": write_graph(tmp_path, petersen()),
+             "petersen_2neg": write_graph(tmp_path, petersen_2neg(),
+                                          "p2.sg"),
+             "k6": tmp_path / "k6.emb"}
+    files["k6"].write_text(format_emb(k6_projective_embedding()))
+    A = parse_group("Z6")
+    made = {"flow": flows.connect(petersen(), A, [A.zero] * 15),
+            "unsat": flows.connect(petersen(), parse_group("Z5"),
+                                   [(0,)] * 15)}
+    for kind, cert in made.items():
+        files[kind] = tmp_path / f"{kind}.cert"
+        files[kind].write_text(flows.format_avoidance(cert))
+    files["part"] = tmp_path / "part.cert"
+    files["part"].write_text(decompose.format_certificate(
+        decompose.decompose_base_sun(petersen_2neg())))
+    return {key: str(path) for key, path in files.items()}
+
+
+@pytest.mark.parametrize("argv, code, extra", [
+    (("gen", "petersen-ps"), 0, set()),
+    (("check", "balance", "{petersen}"), 1, set()),
+    (("oracle", "k-flow", "--k", "4", "{petersen}"), 1, {"oracle"}),
+    (("verify", "{flow}", "{petersen}"), 0, set()),
+    (("verify", "{unsat}", "{petersen}"), 0, {"oracle"}),
+    # decompose reads its cycles from structures
+    (("verify", "{part}", "{petersen_2neg}"), 0,
+     {"decompose", "structures"}),
+], ids=["gen", "check", "oracle", "verify-flow", "verify-unsat",
+        "verify-part"])
+def test_each_command_loads_only_what_it_runs(cli_files, argv, code, extra):
+    got, _, mods = _sg_in_a_fresh_process(
+        *(a.format(**cli_files) for a in argv))
+    assert (got, mods) == (code, CLI_BASE | extra)
+
+
+@pytest.mark.parametrize("hint", [False, True], ids=["plain", "hint"])
+def test_connect_in_a_fresh_process_builds_a_verifying_certificate(
+        cli_files, tmp_path, capsys, hint):
+    argv = ["connect", "--group", "Z6", cli_files["petersen"]]
+    if hint:
+        argv[3:3] = ["--hint", f"projective:{cli_files['k6']}"]
+    code, out, mods = _sg_in_a_fresh_process(*argv)
+    assert code == 0 and {"flows", "duality"} <= mods
+    assert out.startswith("cert projective" if hint else "cert composite")
+    cpath = tmp_path / "made.cert"
+    cpath.write_text(out)
+    assert run(capsys, "verify", str(cpath), cli_files["petersen"]) == \
+        (0, "OK\n", "")

@@ -350,6 +350,16 @@ def test_cubic_3connectivity_matches_vertex_pair_scan(g):
     assert is_cubic_3connected(g) == reference_is_cubic_3connected(g)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(signed_multigraphs(), cubic_multigraphs()))
+def test_degrees_in_one_pass_match_per_vertex_degree(g):
+    # loops count twice in both; the cubic check reads the one-pass counts
+    assert g.degrees() == [g.degree(v) for v in range(g.n)]
+    per_vertex = (g.n >= 4 and all(g.degree(v) == 3 for v in range(g.n))
+                  and edge_connectivity(g) >= 3)
+    assert is_cubic_3connected(g) == per_vertex
+
+
 def test_cyclic_edge_connectivity():
     assert is_cyclically_k_edge_connected(petersen(all_positive=True), 4)
     with pytest.raises(ValueError, match="k <= 5"):

@@ -6,10 +6,10 @@ import pytest
 
 from helpers import coloring_from_flow, random_elem
 from sgflow.core import PLUS, SignedGraph, min_negative_edges
-from sgflow.duality import (PLANE, EmbeddedGraph, canonical_ps,
-                            flow_from_coloring, format_emb,
-                            k6_projective_embedding, match_dual,
+from sgflow.duality import (PLANE, EmbeddedGraph, flow_from_coloring,
+                            format_emb, k6_projective_embedding, match_dual,
                             oriented_dual, parse_emb, trace_faces)
+from sgflow.generators import canonical_ps
 from sgflow.groups import is_flow, parse_group
 
 

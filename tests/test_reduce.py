@@ -1,7 +1,9 @@
 """Degree reduction to cubic graphs and restricting flows back by a slice."""
 
 import pytest
+from hypothesis import assume, given, settings
 
+from helpers import signed_multigraphs
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          contract_set, edge_connectivity, is_k_unbalanced,
                          parse_sg)
@@ -51,6 +53,17 @@ def test_cubicize_rejects_graphs_outside_preconditions():
                               (0, 2, PLUS)))
     with pytest.raises(HypothesisError, match="vertex 2 has degree 1"):
         cubicize(pendant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_multigraphs())
+def test_cubicize_names_the_first_vertex_of_degree_below_three(g):
+    # the one-pass degree counts pick the vertex the per-vertex scan would
+    low = next((v for v in range(g.n) if g.degree(v) < 3), None)
+    assume(g.n >= 2 and low is not None)
+    with pytest.raises(HypothesisError,
+                       match=f"^vertex {low} has degree {g.degree(low)}:"):
+        cubicize(g)
 
 
 def test_flow_on_cubicized_graph_slices_to_a_flow():
