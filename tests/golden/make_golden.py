@@ -92,6 +92,10 @@ def cases():
         yield f"k6hint-petersen-{spec}", pet, spec
     yield "petersen-2neg-Z11", pet2, "Z11"
     yield "petersen-2neg-Z9", pet2, "Z9"
+    # all-zero maps give the sun flow a zero boundary on the sun's cycle:
+    # an odd sun (zero-odd) here, an even one (zero-even) on cubic(12, 10)
+    yield "petersen-2neg-Z11-zero", pet2, "Z11"
+    yield "cubic12-10-Z11-zero", cubic(12, 10), "Z11"
     specs = COMPOSITE + ("Z11",)
     i = 0
     for n in (8, 10, 12):
