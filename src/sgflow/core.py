@@ -3,12 +3,15 @@
 A signed graph is a multigraph (loops and parallel edges allowed) together
 with a signature sigma: E -> {+1, -1}.  Every edge e consists of two
 half-edges 2e and 2e+1; half-edge 2e sits at the first endpoint, 2e+1 at
-the second.  Loops have both half-edges at the same vertex.
+the second.  Loops have both half-edges at the same vertex.  The library
+reads every flow and boundary in one orientation, the default, which
+end_coeffs states: an edge leaves its first end and, when negative, also
+leaves its second.
 
 Graphs are immutable values, so every operation returns a new graph.
-switch_on_set and uncontract keep every index (uncontract appends its new
-vertex and edge); contract_set contracts an edge set in one pass and returns
-the vertex map, edge map and switching parity that translate old indices.
+uncontract keeps every index (it appends its new vertex and edge);
+contract_set contracts an edge set in one pass and returns the vertex map,
+edge map and switching parity that translate old indices.
 
 Questions about an edge set of g take the set as data over g's own indices,
 so no subgraph is built to answer them: spanning_forest is the one
@@ -239,46 +242,16 @@ def simple_paths(g: SignedGraph, edges: Iterable[int], ends: Iterable[int],
                     path.pop()
 
 
-@dataclass(frozen=True)
-class Orientation:
-    """A direction bit per half-edge: tau(h) = +1 iff h points away from its vertex.
+# -- the default orientation ------------------------------------------------
 
-    A positive edge has tau(h) * tau(h') = -1 (one tail, one head); a
-    negative edge has tau(h) * tau(h') = +1 (both out or both in).
-    """
-
-    tau: tuple[int, ...]
-
-    def __call__(self, h: int) -> int:
-        return self.tau[h]
-
-    @staticmethod
-    def default(g: SignedGraph) -> "Orientation":
-        tau = []
-        for e in range(g.m):
-            tau.append(PLUS)
-            tau.append(-g.sigma(e))
-        return Orientation(tuple(tau))
-
-    def check(self, g: SignedGraph) -> None:
-        if len(self.tau) != 2 * g.m:
-            raise ValueError("orientation size mismatch")
-        for e in range(g.m):
-            if self.tau[2 * e] * self.tau[2 * e + 1] != -g.sigma(e):
-                raise ValueError(f"orientation inconsistent with sign on edge {e}")
-
-
-# -- switching ------------------------------------------------------------
-
-def switch_on_set(g: SignedGraph, side: Iterable[int]) -> SignedGraph:
-    """Switch at every vertex of `side`; exactly delta(side) changes sign."""
-    s = set(side)
-    new = []
-    for u, w, sg in g.edges:
-        if (u in s) != (w in s):
-            sg = -sg
-        new.append((u, w, sg))
-    return SignedGraph(g.n, tuple(new))
+def end_coeffs(g: SignedGraph, e: int) -> dict[int, int]:
+    """Edge e's coefficient at each end in the default orientation, the
+    first end first: +1 there and -sigma(e) at the second end; 2 for a
+    negative loop and nothing for a positive one."""
+    u, v, sign = g.edges[e]
+    if u != v:
+        return {u: 1, v: -sign}
+    return {u: 2} if sign == MINUS else {}
 
 
 # -- balance --------------------------------------------------------------

@@ -12,6 +12,9 @@ The oriented dual takes one vertex per face.  A primal edge e, directed by
 a reference orientation, either agrees with the boundary walk of a face or
 not; the dual edge is positive toward the unique agreeing face, or
 negative (both ends in, or both ends out) when the counts are 2 or 0.
+The dual keeps its own direction at half-edge 2e, one +-1 per edge: a
+value read in its own orientation times that factor is the value read in
+the default orientation, and the same factor converts back.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (MINUS, PLUS, Orientation, SignedGraph,
-                   signatures_equivalent)
+from .core import MINUS, PLUS, SignedGraph, signatures_equivalent
 from .groups import AbelianGroup, Elem
 
 PLANE = "plane"
@@ -128,7 +130,7 @@ def trace_faces(eg: EmbeddedGraph) -> list[Face]:
 @dataclass
 class DualResult:
     graph: SignedGraph  # one vertex per face; edge index = primal edge index
-    tau: Orientation
+    direction: tuple[int, ...]  # per edge: +1 if it leaves its half-edge 2e
     faces: list[Face]
     face_choice: tuple[int, ...]  # +1 = canonical walk direction, -1 = mirrored
 
@@ -171,49 +173,29 @@ def oriented_dual(eg: EmbeddedGraph,
             agree[e][k] = (h % 2 == 0)
 
     edges = []
-    tau_bits = []
+    direction = []
     for e in range(m):
         f1, f2 = side_face[e]
         a1, a2 = agree[e]
-        if a1 != a2:
-            sign = PLUS
-            # positive edge directed toward the agreeing face
-            t1, t2 = (-1, 1) if a1 else (1, -1)
-        elif a1:  # both agree
-            sign = MINUS
-            t1 = t2 = -1
-        else:  # neither agrees
-            sign = MINUS
-            t1 = t2 = 1
-        edges.append((f1, f2, sign))
-        tau_bits.extend([t1, t2])
-    dual = SignedGraph(len(faces), tuple(edges))
-    tau = Orientation(tuple(tau_bits))
-    tau.check(dual)
-    return DualResult(dual, tau, faces, face_choice)
-
-
-def to_default_orientation(g: SignedGraph, tau: Orientation,
-                           f: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
-    """Re-express edge values w.r.t. the default orientation: any two
-    orientations of the same signed graph differ by full-edge flips, and a
-    flip is compensated by negating the value."""
-    default = Orientation.default(g)
-    return [f[e] if tau(2 * e) == default(2 * e) else A.neg(f[e])
-            for e in range(g.m)]
+        edges.append((f1, f2, PLUS if a1 != a2 else MINUS))
+        # a positive edge points toward the agreeing face; a negative one
+        # points into both faces when both agree, out of both when neither
+        # does: either way it enters f1 exactly when f1 agrees
+        direction.append(-1 if a1 else 1)
+    return DualResult(SignedGraph(len(faces), tuple(edges)), tuple(direction),
+                      faces, face_choice)
 
 
 def flow_from_coloring(eg: EmbeddedGraph, dual: DualResult,
                        c: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
     """Tension-to-flow: the dual edge of primal uv (directed u -> v) takes
     the value c(v) - c(u); the result is a flow on the dual in its own
-    orientation, returned re-expressed in the default orientation."""
-    g = eg.graph
-    vals = []
-    for e in range(g.m):
-        u, v = g.ends(e)
-        vals.append(A.sub(c[v], c[u]))
-    return to_default_orientation(dual.graph, dual.tau, vals, A)
+    orientation, returned read in the default orientation."""
+    out = []
+    for (u, v, _), d in zip(eg.graph.edges, dual.direction):
+        x = A.sub(c[v], c[u])
+        out.append(x if d == 1 else A.neg(x))
+    return out
 
 
 # -- dual <-> target correspondence ----------------------------------------------

@@ -5,8 +5,9 @@ All flows here are sums of elementary pieces:
 
   * circulations: a constant x pushed around a positive cycle, with a +-1
     coefficient per edge determined by walking the cycle (conservation at a
-    shared vertex forces f_next = -tau(h_in) tau(h_out) f_prev; a positive
-    cycle closes consistently);
+    shared vertex v forces f_next = -c_v(in) c_v(out) f_prev, where c_v is
+    an edge's coefficient at v, core.end_coeffs; a positive cycle closes
+    consistently);
   * barbell flows: two negative cycles carrying +-x, meeting at one
     vertex or joined by a path carrying +-2x that cancels the +-2x leak
     each negative cycle produces at its junction vertex.
@@ -19,7 +20,9 @@ barbell's edges, and the paths that close a sun's return cycles from
 core.simple_paths.
 
 Every flow is read in the default orientation, as groups.boundary reads
-it; only the sun flow works in a frame of its own and carries its flow back.
+it: the sun flow signs its circulations along the sun instead of choosing
+an orientation, and the projective route reads the oriented dual's values
+through its per-edge direction.  duality loads only when that route runs.
 
 The three constructions:
 
@@ -45,15 +48,13 @@ no construction imports, and are re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence,
+                    Union)
 
-from .core import (MINUS, PLUS, HypothesisError, Orientation, SignedGraph,
-                   edge_connectivity, is_k_unbalanced, shortest_path,
-                   simple_paths, spanning_forest, switch_on_set)
+from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
+                   edge_connectivity, end_coeffs, is_k_unbalanced,
+                   shortest_path, simple_paths, spanning_forest)
 from .decompose import decompose_base_sun, decompose_tree_2base
-from .duality import (DualCorrespondence, EmbeddedGraph, flow_from_coloring,
-                      k6_projective_embedding, match_dual,
-                      to_default_orientation)
 from .groups import (AbelianGroup, AvoidanceCertificate, Elem, format_elem,
                      integer_boundary, is_flow, is_prime, minimal_subgroup,
                      verify_avoidance)
@@ -62,6 +63,9 @@ from .structures import (CycleRef, NegativeSun, as_negative_sun, cycle_sign,
                          fundamental_cycle, k_closure, order_cycle)
 from . import groups, oracle
 
+if TYPE_CHECKING:
+    from .duality import DualCorrespondence, EmbeddedGraph
+
 # the certificate's text format, re-exported from groups
 format_avoidance = groups.format_avoidance
 parse_avoidance = groups.parse_avoidance
@@ -69,25 +73,15 @@ parse_avoidance = groups.parse_avoidance
 
 # -- elementary flow pieces ----------------------------------------------------
 
-def _half_at(g: SignedGraph, e: int, v: int) -> int:
-    """The half-edge of e at v (e must not be a loop)."""
-    u, w = g.ends(e)
-    if u == v:
-        return 2 * e
-    if w == v:
-        return 2 * e + 1
-    raise ValueError(f"edge {e} not incident to vertex {v}")
-
-
-def circulation_coeffs(g: SignedGraph, tau: Orientation,
-                       cycle: CycleRef) -> dict[int, int]:
+def circulation_coeffs(g: SignedGraph, cycle: CycleRef) -> dict[int, int]:
     """Coefficients kappa (+-1 per edge, kappa = +1 on the first edge) such
     that e -> kappa(e) * x is a flow for every x, supported on the cycle.
 
-    Conservation at the vertex shared by consecutive edges forces
-    kappa_next = -tau(h_in) tau(h_out) kappa_prev, so walking once around
-    the cycle comes back to kappa = +1 on the first edge exactly when the
-    cycle is positive.
+    Conservation at the vertex v shared by consecutive edges forces
+    kappa_next = -c_v(prev) c_v(next) kappa_prev, where c_v is an edge's
+    coefficient at v (core.end_coeffs), so walking once around the cycle
+    comes back to kappa = +1 on the first edge exactly when the cycle is
+    positive.
     """
     if cycle.sign != PLUS:
         raise ValueError("circulations exist only on positive cycles")
@@ -96,14 +90,14 @@ def circulation_coeffs(g: SignedGraph, tau: Orientation,
         e = cycle.edges[0]
         if not g.is_loop(e):
             raise ValueError("single-edge cycle must be a loop")
-        # positive loop: tau(2e) = -tau(2e+1), so a constant is conserved
+        # a positive loop adds nothing to the boundary of its vertex
         return {e: 1}
     es = cycle.edges
     kappa = [1]
     for i in range(1, k + 1):
         v = cycle.vertices[i % k]  # joins es[i - 1] to es[i % k]
-        kappa.append(-tau(_half_at(g, es[i - 1], v))
-                     * tau(_half_at(g, es[i % k], v)) * kappa[-1])
+        kappa.append(-end_coeffs(g, es[i - 1])[v]
+                     * end_coeffs(g, es[i % k])[v] * kappa[-1])
     if kappa[-1] != kappa[0]:
         raise AssertionError("positive cycle failed to close consistently")
     return dict(zip(cycle.edges, kappa))
@@ -152,11 +146,9 @@ def _one_circuit(g: SignedGraph, base: list[int], tree: list[int],
         raise AssertionError("base + e is not a connected base plus an edge")
     ce = frozenset(fundamental_cycle(g, tree, e))
     if cycle_sign(g, ce) == PLUS:
-        return circulation_coeffs(g, Orientation.default(g),
-                                  order_cycle(g, ce))
+        return circulation_coeffs(g, order_cycle(g, ce))
     if ce & cx:
-        return circulation_coeffs(g, Orientation.default(g),
-                                  order_cycle(g, ce ^ cx))
+        return circulation_coeffs(g, order_cycle(g, ce ^ cx))
     c1, c2 = sorted((order_cycle(g, ce), order_cycle(g, cx)),
                     key=lambda c: (len(c), c.edges))
     on_cycles = ce | cx
@@ -229,113 +221,6 @@ def forbidden_band(A: AbelianGroup, base: Elem) -> set[Elem]:
 
 
 @dataclass
-class SunFrame:
-    """A sun relabelled, switched and reoriented into the reference frame.
-
-    After switching, the cycle's first edge is the unique negative sun
-    edge and all pendants are positive.  Under tau_c the circulation of
-    the return cycle D_i meets the sun in coefficients +1 on e_i and on
-    both adjacent pendants (up to the one parity defect an even cycle
-    must carry at vertex 0).  sgn[e] transfers values between tau_c and
-    tau_s, the default orientation of the unswitched graph carried through
-    the switch.
-    """
-
-    graph: SignedGraph  # the switched graph
-    tau_s: Orientation  # default orientation carried through the switch
-    tau_c: Orientation  # reference orientation
-    es: list[int]  # cycle edges, rotated
-    vs: list[int]  # cycle vertices, rotated
-    ps: list[int]  # pendant edges, rotated
-    ts: list[int]  # pendant tips, rotated
-    sgn: list[int]  # per-edge value transfer factor between tau_c and tau_s
-
-
-def _sun_frame(g: SignedGraph, H: NegativeSun, r: int) -> SunFrame:
-    n = H.n
-    idx = [(i + r) % n for i in range(n)]
-    vs = [H.cycle_vertices[k] for k in idx]
-    es = [H.cycle_edges[k] for k in idx]
-    ps = [H.pendant_edges[k] for k in idx]
-    ts = [H.pendant_vertices[k] for k in idx]
-
-    # switching parities: make every pendant positive and es[0] the unique
-    # negative cycle edge (the cycle's total sign fixes the last edge)
-    x = [0] * g.n
-    for i in range(1, n - 1):
-        x[vs[i + 1]] = x[vs[i]] ^ (1 if g.sigma(es[i]) == MINUS else 0)
-    x[vs[0]] = x[vs[1]] ^ (1 if g.sigma(es[0]) == MINUS else 0) ^ 1
-    for i in range(n):
-        x[ts[i]] = x[vs[i]] ^ (1 if g.sigma(ps[i]) == MINUS else 0)
-    g2 = switch_on_set(g, {v for v in range(g.n) if x[v]})
-    for i in range(n):
-        want = MINUS if i == 0 else PLUS
-        if g2.sigma(es[i]) != want or g2.sigma(ps[i]) != PLUS:
-            raise AssertionError("switching normalisation failed")
-
-    tl = list(Orientation.default(g).tau)
-    for h in range(2 * g.m):
-        if x[g.halfedge_vertex(h)]:
-            tl[h] = -tl[h]
-    tau_s = Orientation(tuple(tl))
-    tau_s.check(g2)
-
-    # reference half-edge directions at the cycle vertices: s alternates
-    # along the positive edges and crosses es[0] unchanged; for even n the
-    # two requirements clash once, and the defect is parked at vs[0]
-    s = [0] * n
-    s[1] = 1
-    for i in range(2, n):
-        s[i] = -s[i - 1]
-    a = [0] * n  # direction of es[i-1] at vs[i]
-    b = [0] * n  # direction of es[i] at vs[i]
-    pp = [0] * n  # direction of ps[i] at vs[i]
-    for i in range(1, n):
-        a[i] = b[i] = s[i]
-        pp[i] = -s[i]
-    a[0] = -s[n - 1]
-    b[0] = s[1]
-    pp[0] = -s[1] if n % 2 == 1 else b[0]
-
-    tl2 = list(tau_s.tau)
-    for i in range(n):
-        j = (i + 1) % n
-        tl2[_half_at(g2, es[i], vs[i])] = b[i]
-        tl2[_half_at(g2, es[i], vs[j])] = a[j]
-        tl2[_half_at(g2, ps[i], vs[i])] = pp[i]
-        tl2[_half_at(g2, ps[i], ts[i])] = -pp[i]
-    tau_c = Orientation(tuple(tl2))
-    tau_c.check(g2)
-    sgn = [1 if tau_c(2 * e) == tau_s(2 * e) else -1 for e in range(g.m)]
-    return SunFrame(g2, tau_s, tau_c, es, vs, ps, ts, sgn)
-
-
-def _sun_return_cycle(fr: SunFrame, i: int) -> CycleRef:
-    """The positive cycle D_i meeting the sun in exactly {ps[i], es[i],
-    ps[i+1]}, closed by a path between the two tips outside V(C)."""
-    g2 = fr.graph
-    n = len(fr.es)
-    j = (i + 1) % n
-    need = g2.sigma(fr.es[i])  # pendants are positive after switching
-    on_c = set(fr.vs)
-    outside = [e for e, (u, v, _) in enumerate(g2.edges)
-               if u not in on_c and v not in on_c]
-    # read each path from ts[j], shortest then least first
-    flip = fr.ts[j] > fr.ts[i]
-    path = min((p[::-1] if flip else p
-                for p in simple_paths(g2, outside, (fr.ts[j], fr.ts[i]))
-                if cycle_sign(g2, p) == need),
-               key=lambda p: (len(p), p), default=None)
-    if path is None:
-        raise ValueError(f"no positive return cycle for sun position {i}:"
-                         " the sun's complement is not 2-connected enough")
-    c = order_cycle(g2, {fr.ps[i], fr.es[i], fr.ps[j]} | set(path))
-    if c.sign != PLUS:
-        raise AssertionError(f"return cycle for sun position {i} is negative")
-    return c
-
-
-@dataclass
 class SunFlowResult:
     flow: list[Elem]  # a flow on g, supported on E(H) and the return paths
     e_prime: Optional[int]  # the one sun edge cleared only of fbar itself
@@ -348,21 +233,31 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int,
     at most one special edge e', which is still cleared of fbar(e') itself.
     Requires p >= 11: every fixing step must dodge at most 10 values.
 
-    The construction pushes constants around return cycles D_i that meet
-    the sun in {e_i', e_i, e_{i+1}'}.  In a reference orientation (built
-    by _sun_frame) each D_i circulation has coefficient +1 on all three
-    sun edges it meets, which turns the bookkeeping into plain addition:
+    Indices run from 0 and are read mod n: e_i joins the cycle vertices
+    v_i and v_{i+1}, and the pendant e_i' joins v_i to its tip.  The
+    construction pushes constants around return cycles D_i that meet the
+    sun in {e_i', e_i, e_{i+1}'}, each closed by the shortest, then least,
+    path between the two tips that avoids the sun's cycle.  D_i carries
+    the circulation lambda_i, signed along the sun: lambda_0 adds +1 at v_1
+    through e_0, and each later lambda_i agrees with lambda_{i-1} on the
+    pendant e_i' they share.  Pushing y around D_i moves edge e by
+    lambda_i(e) y, so the values of y that would land e in its band are
+    lambda_i(e) (b - f(e)) for b in the band.
 
-      * if fbar has zero boundary on every cycle vertex, pushing
-        fbar(e_i) + 1 around every D_i lands each cycle edge at fbar + 1 and
-        each pendant at fbar + 2 (odd cycle); an even cycle needs one +2
-        bump, leaving offsets 3, 2, 1 on e_n', e_n, e_1';
-      * otherwise the labels are rotated so the boundary at v_2 is
-        nonzero, D_1 carries fbar(e_2') - fbar(e_1) (which then cannot hit
-        fbar(e_2): that is exactly the nonzero boundary at v_2), each
-        D_i for i >= 3 fixes e_i and e_i' at once (<= 10 bad values),
-        and D_0's value hits identical constraints for e_1 and e_2',
-        fixing e_1, e_1', e_2' together; e' = e_2.
+      * If fbar, restricted to the sun, has zero boundary at every cycle
+        vertex, pushing lambda_i(e_i) fbar(e_i) + 1 around every D_i puts
+        each cycle edge e_i at offset 1 from fbar and each pendant e_i' at
+        offset 2, read in the sign of lambda_i and lambda_{i-1} (odd
+        cycle).  An even cycle, where lambda_0 and lambda_{n-1} disagree on
+        e_0', needs a +2 bump on D_{n-1}, which leaves offsets 3, 2, 1 on
+        e_{n-1}', e_{n-1}, e_0'; e' = e_{n-1}'.
+      * Otherwise the labels are rotated so that the boundary at v_1 is
+        nonzero.  D_1 carries lambda_1(e_1') fbar(e_1') - lambda_0(e_0)
+        fbar(e_0), which misses lambda_1(e_1) fbar(e_1) exactly because
+        that boundary is nonzero.  Each D_i for i >= 2 fixes e_i and e_i'
+        at once (<= 10 bad values).  D_0 then meets the same five bad
+        values on e_0 and on e_1', and fixes e_0, e_0' and e_1' together;
+        e' = e_1.
     """
     if not is_prime(p) or p < 11:
         raise ValueError(f"need a prime p >= 11, got {p}")
@@ -373,107 +268,87 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int,
         raise ValueError("sun pendant tips must be distinct")
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
-
-    def frame_values(fr: SunFrame):
-        fbc = [fbar[e] if fr.sgn[e] == 1 else A.neg(fbar[e])
-               for e in range(g.m)]
-        beta = []
-        for i in range(n):
-            v = fr.vs[i]
-            total = A.zero
-            for e in (fr.es[i - 1], fr.es[i], fr.ps[i]):
-                h = _half_at(fr.graph, e, v)
-                val = fbc[e]
-                total = A.add(total, val if fr.tau_c(h) == 1 else A.neg(val))
-            beta.append(total)
-        return fbc, beta
-
-    fr = _sun_frame(g, H, 0)
-    fbc, beta = frame_values(fr)
     one = (1 % p,)
 
-    if all(bv == A.zero for bv in beta):
+    def at(e: int, v: int) -> int:
+        return end_coeffs(g, e)[v]
+
+    # cycle vertices where fbar's boundary on the sun's edges is nonzero
+    ce, pe = H.cycle_edges, H.pendant_edges
+    nonzero = [k for k, v in enumerate(H.cycle_vertices)
+               if A.sum(A.smul(at(e, v), fbar[e])
+                        for e in (ce[k - 1], ce[k], pe[k])) != A.zero]
+    r = (nonzero[0] - 1) % n if nonzero else 0
+    vs, es, ps, ts = ([x[(i + r) % n] for i in range(n)] for x in (
+        H.cycle_vertices, ce, pe, H.pendant_vertices))
+
+    # the return cycles and their signed circulations
+    on_c = set(vs)
+    outside = [e for e, (u, v, _) in enumerate(g.edges)
+               if u not in on_c and v not in on_c]
+    lam: list[dict[int, int]] = []
+    for i in range(n):
+        j = (i + 1) % n
+        need = g.sigma(ps[i]) * g.sigma(es[i]) * g.sigma(ps[j])
+        # read each path from ts[j], shortest then least first
+        flip = ts[j] > ts[i]
+        path = min((q[::-1] if flip else q
+                    for q in simple_paths(g, outside, (ts[j], ts[i]))
+                    if cycle_sign(g, q) == need),
+                   key=lambda q: (len(q), q), default=None)
+        if path is None:
+            raise ValueError(f"no positive return cycle for sun position {i}:"
+                             " the sun's complement is not 2-connected enough")
+        kap = circulation_coeffs(
+            g, order_cycle(g, {ps[i], es[i], ps[j]}.union(path)))
+        s = kap[es[0]] * at(es[0], vs[1]) if i == 0 \
+            else kap[ps[i]] * lam[-1][ps[i]]
+        lam.append({e: s * c for e, c in kap.items()})
+
+    f: list[Elem] = [A.zero] * g.m
+    if not nonzero:
         case = "zero-odd" if n % 2 == 1 else "zero-even"
-        f2: list[Elem] = [A.zero] * g.m
         for i in range(n):
-            D = _sun_return_cycle(fr, i)
-            kap = circulation_coeffs(fr.graph, fr.tau_c, D)
-            if kap[fr.es[i]] == -1:
-                kap = {e: -c for e, c in kap.items()}
             bump = 2 if (n % 2 == 0 and i == n - 1) else 1
-            add_scaled(A, f2, kap, A.add(fbc[fr.es[i]], A.smul(bump, one)))
-        expected: dict[int, int] = {}
-        for i in range(n):
-            expected[fr.es[i]] = 1
-            expected[fr.ps[i]] = 2
+            add_scaled(A, f, lam[i], A.add(A.smul(lam[i][es[i]], fbar[es[i]]),
+                                           A.smul(bump, one)))
+        off = {e: 1 for e in es} | {e: 2 for e in ps}
         if n % 2 == 0:
-            expected[fr.es[n - 1]] = 2
-            expected[fr.ps[n - 1]] = 3
-            expected[fr.ps[0]] = 1
-        for e, off in expected.items():
-            if A.sub(f2[e], fbc[e]) != A.smul(off, one):
-                raise AssertionError(f"sun offset mismatch on edge {e}")
-        e_prime = fr.ps[n - 1] if n % 2 == 0 else None
+            off[es[n - 1]], off[ps[n - 1]], off[ps[0]] = 2, 3, 1
+        for i in range(n):
+            for e, sign in ((es[i], lam[i][es[i]]),
+                            (ps[i], lam[i - 1][ps[i]])):
+                if A.sub(f[e], fbar[e]) != A.smul(sign * off[e], one):
+                    raise AssertionError(f"sun offset mismatch on edge {e}")
+        e_prime = ps[n - 1] if n % 2 == 0 else None
     else:
         case = "nonzero"
-        k0 = next(i for i in range(n) if beta[i] != A.zero)
-        fr = _sun_frame(g, H, (k0 - 1) % n)
-        fbc, beta = frame_values(fr)
-        if beta[1] == A.zero:
-            raise AssertionError("rotation failed to place a nonzero boundary")
-        kaps = []
-        for i in range(n):
-            D = _sun_return_cycle(fr, i)
-            kap = circulation_coeffs(fr.graph, fr.tau_c, D)
-            if kap[fr.es[i]] == -1:
-                kap = {e: -c for e, c in kap.items()}
-            kaps.append(kap)
-        # the e_1/e_2' pairing below needs both pendant coefficients +1
-        if kaps[1][fr.ps[1]] != 1 or kaps[0][fr.ps[1]] != 1:
-            raise AssertionError("reference frame lost the pendant pairing")
-        f2 = [A.zero] * g.m
-        x2 = A.sub(fbc[fr.ps[1]], fbc[fr.es[0]])
-        if x2 == fbc[fr.es[1]]:
+        x = A.sub(A.smul(lam[1][ps[1]], fbar[ps[1]]),
+                  A.smul(lam[0][es[0]], fbar[es[0]]))
+        if x == A.smul(lam[1][es[1]], fbar[es[1]]):
             raise AssertionError("pairing value hit the forbidden value:"
-                                 " boundary at v_2 should be nonzero")
-        add_scaled(A, f2, kaps[1], x2)
+                                 " boundary at v_1 should be nonzero")
+        add_scaled(A, f, lam[1], x)
         elems = sorted(A.elements())
-        for i in range(2, n):
-            bad: set[Elem] = set()
-            for y in forbidden_band(A, fbc[fr.es[i]]):
-                bad.add(A.sub(y, f2[fr.es[i]]))
-            kp = kaps[i][fr.ps[i]]
-            for y in forbidden_band(A, fbc[fr.ps[i]]):
-                bad.add(A.smul(kp, A.sub(y, f2[fr.ps[i]])))
+        steps = [(i, (es[i], ps[i])) for i in range(2, n)]
+        steps.append((0, (es[0], ps[0], ps[1])))
+        for i, fixes in steps:
+            bad = {A.smul(lam[i][e], A.sub(b, f[e]))
+                   for e in fixes for b in forbidden_band(A, fbar[e])}
             if len(bad) > 10:
                 raise AssertionError("more than 10 forbidden values in a"
-                                     " sun fixing step")
-            x = next(v for v in elems if v not in bad)
-            add_scaled(A, f2, kaps[i], x)
-        bad = set()
-        for tgt in (fr.es[0], fr.ps[0], fr.ps[1]):
-            kp = kaps[0][tgt]
-            for y in forbidden_band(A, fbc[tgt]):
-                bad.add(A.smul(kp, A.sub(y, f2[tgt])))
-        if len(bad) > 10:
-            raise AssertionError("final sun step lost the e_1/e_2' pairing")
-        x = next(v for v in elems if v not in bad)
-        add_scaled(A, f2, kaps[0], x)
-        e_prime = fr.es[1]
+                                     f" sun fixing step at position {i}")
+            add_scaled(A, f, lam[i], next(v for v in elems if v not in bad))
+        e_prime = es[1]
         # every sun edge except e' clears the whole band
         for e in H.edge_set:
-            if e == e_prime:
-                continue
-            if f2[e] in forbidden_band(A, fbc[e]):
+            if e != e_prime and f[e] in forbidden_band(A, fbar[e]):
                 raise AssertionError(f"sun edge {e} left inside its band")
-        if f2[e_prime] == fbc[e_prime]:
+        if f[e_prime] == fbar[e_prime]:
             raise AssertionError("special edge landed on its forbidden value")
 
-    # transfer out of the reference frame: per-edge sign back to the
-    # default orientation, which switching leaves a valid flow frame
-    f = [f2[e] if fr.sgn[e] == 1 else A.neg(f2[e]) for e in range(g.m)]
     if not is_flow(g, f, A):
-        raise AssertionError("sun flow is not a flow in the default frame")
+        raise AssertionError("sun flow is not a flow")
     return SunFlowResult(f, e_prime, case)
 
 
@@ -502,13 +377,12 @@ def _fix_over_closure(g: SignedGraph, A: AbelianGroup,
         raise AssertionError("2-closure of the seed missed edges it must"
                              f" cover: {sorted(cover - absorbed)}")
     values = sorted(V.elements())
-    tau = Orientation.default(g)
     fixed: set[int] = set()
     for cyc, w in reversed(steps):
         if fixed.intersection(cyc.edges):
             raise AssertionError("closure step cycle touches an edge a later"
                                  " step fixed")
-        kap = circulation_coeffs(g, tau, cyc)
+        kap = circulation_coeffs(g, cyc)
         bad = {V.smul(kap[e], x) for e in w for x in ruled_out(e)}
         if len(bad) > bound:
             raise AssertionError(f"closure step rules out {len(bad)} values,"
@@ -726,15 +600,17 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
         raise ValueError(f"greedy coloring needs |A| >= 6, got {A.order}")
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
+    from .duality import (flow_from_coloring, k6_projective_embedding,
+                          match_dual)
     if corr is None:
         corr = match_dual(k6_projective_embedding(), g)
     primal = corr.embedding.graph
     dual = corr.dual
 
-    # forbidden values, expressed in the frame flow_from_coloring reads
-    # tensions in (the dual's own orientation)
-    fbar_dd = corr.pull_map(list(fbar), A)
-    fbar_vals = to_default_orientation(dual.graph, dual.tau, fbar_dd, A)
+    # forbidden values in the dual's own orientation, the one the coloring's
+    # tensions are read in
+    fbar_vals = [x if d == 1 else A.neg(x)
+                 for x, d in zip(corr.pull_map(list(fbar), A), dual.direction)]
 
     # 5-degenerate elimination order
     alive = set(range(primal.n))
@@ -815,6 +691,7 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
         raise HypothesisError("graph is not 2-unbalanced")
 
     if embedding is not None:
+        from .duality import DualCorrespondence, match_dual
         corr = embedding if isinstance(embedding, DualCorrespondence) \
             else match_dual(embedding, g)
         return connect_projective(g, A, fbar, corr)

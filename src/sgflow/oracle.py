@@ -3,7 +3,7 @@
 Everything here is exact backtracking, and all of it runs through one
 kernel.  Boundaries are read in the default orientation, where an edge has
 coefficient +1 at its first end and -sigma(e) at its second (2 at the
-vertex of a negative loop, nothing for a positive loop), `_end_coeffs`.
+vertex of a negative loop, nothing for a positive loop), `core.end_coeffs`.
 The kernel orders the edges breadth first: by the place of their later
 end in a breadth-first order of the vertices, so each vertex's edges come
 together and endpoints fill up early.  It assigns one edge at a time: the
@@ -57,7 +57,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import (DeskScaleError, MINUS, SignedGraph, _tree_order,
+from .core import (DeskScaleError, SignedGraph, _tree_order, end_coeffs,
                    spanning_forest)
 from .groups import AbelianGroup, Elem, is_A_boundary
 
@@ -166,22 +166,12 @@ class _Plan(NamedTuple):
     neg: Callable[[int], int]
 
 
-def _end_coeffs(g: SignedGraph, e: int) -> dict[int, int]:
-    """Edge e's coefficient at each end in the default orientation, the
-    first end first: +1 there and -sigma(e) at the second end; 2 for a
-    negative loop and nothing for a positive one."""
-    u, v, sign = g.edges[e]
-    if u != v:
-        return {u: 1, v: -sign}
-    return {u: 2} if sign == MINUS else {}
-
-
 def _plan(g: SignedGraph, edges: Sequence[int], ar: _Arithmetic) -> _Plan:
     """The plan of a search over the listed edges (see `_walk`): the edges
     breadth first, each next one forced where some endpoint allows."""
     terms, reduce, solve = ar
     plain = terms is None
-    coeff = {e: _end_coeffs(g, e) for e in edges}
+    coeff = {e: end_coeffs(g, e) for e in edges}
     idle = [e for e in edges if not coeff[e]]  # positive loops
     remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
     for c in coeff.values():
@@ -412,7 +402,7 @@ def _reachable_boundaries(g: SignedGraph, A: AbelianGroup) -> int:
     vertex, vertex 0 most significant, each digit the lexicographic rank
     of beta(v), itself made of the element's factor digits.  Adding a
     value a to edge e adds c_v a at each endpoint v, where c_v is its
-    coefficient there (`_end_coeffs`), which rolls every factor digit of v.
+    coefficient there (`end_coeffs`), which rolls every factor digit of v.
     Starting from the zero map, each edge replaces the set with the union
     of its copies rolled by every nonzero a.  Edges go in decreasing order
     of their lower end, so the set stays within the digits of the vertices
@@ -451,7 +441,7 @@ def _reachable_boundaries(g: SignedGraph, A: AbelianGroup) -> int:
     reach = 1  # the zero map
     for e in sorted(range(g.m), key=lambda e: -min(g.ends(e))):
         size = max(size, order ** (g.n - min(g.ends(e))))
-        coeff = _end_coeffs(g, e)
+        coeff = end_coeffs(g, e)
         steps = []
         for i, q in enumerate(factors):
             rolls = []

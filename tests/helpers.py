@@ -10,12 +10,12 @@ from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
-from sgflow.core import (MINUS, PLUS, MinorResult, Orientation, SignedGraph,
+from sgflow.core import (MINUS, PLUS, MinorResult, SignedGraph,
                          _has_cycle, edge_connectivity, is_balanced,
                          is_k_unbalanced, spanning_forest, uncontract)
 from sgflow.decompose import _induced_edges, violating_balanced_cut
-from sgflow.duality import PROJECTIVE, to_default_orientation
-from sgflow.flows import _half_at, circulation_coeffs
+from sgflow.duality import PROJECTIVE
+from sgflow.flows import circulation_coeffs
 from sgflow.generators import random_cubic_3connected
 from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
@@ -404,6 +404,37 @@ def delta(g: SignedGraph, side) -> list[int]:
     return [e for e, (u, v, _) in enumerate(g.edges) if (u in s) != (v in s)]
 
 
+def switch_on_set(g: SignedGraph, side) -> SignedGraph:
+    """Switch at every vertex of `side`; exactly delta(side) changes sign."""
+    s = set(side)
+    new = []
+    for u, w, sg in g.edges:
+        if (u in s) != (w in s):
+            sg = -sg
+        new.append((u, w, sg))
+    return SignedGraph(g.n, tuple(new))
+
+
+# The references below read the default orientation half-edge by half-edge,
+# independently of sgflow.core.end_coeffs, which states it per edge end.
+
+def default_tau(g: SignedGraph):
+    """The default orientation as a direction per half-edge, +1 where the
+    edge leaves its vertex: every edge leaves its first end (half-edge 2e),
+    and a negative edge also leaves its second (2e + 1)."""
+    return lambda h: PLUS if h % 2 == 0 else -g.sigma(h // 2)
+
+
+def _half_at(g: SignedGraph, e: int, v: int) -> int:
+    """The half-edge of e at v (e must not be a loop)."""
+    u, w = g.ends(e)
+    if u == v:
+        return 2 * e
+    if w == v:
+        return 2 * e + 1
+    raise ValueError(f"edge {e} not incident to vertex {v}")
+
+
 # The vertex-subset scans that sgflow.core.small_cuts replaced, as they were
 # but for the vertex limit they checked; violating_balanced_cut and
 # is_cyclically_k_edge_connected must return what they return.
@@ -455,14 +486,16 @@ def reference_is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:
     return True
 
 
-def brute_boundaries(g: SignedGraph, tau, domains, zero, add, neg) -> set:
-    """Boundaries under tau of every map with f(e) in domains[e].
+def brute_boundaries(g: SignedGraph, domains, zero, add, neg) -> set:
+    """Boundaries in the default orientation of every map with f(e) in
+    domains[e].
 
     Edge by edge, every value of the edge is added to every boundary the
     earlier edges reach; maps that agree on the boundary so far are merged,
     which keeps the set small without skipping any map.  The search order,
     pruning and forcing of sgflow.oracle play no part here.
     """
+    tau = default_tau(g)
     reach = {(zero,) * g.n}
     for e in range(g.m):
         step = []
@@ -538,11 +571,11 @@ def reference_group_arithmetic(A) -> tuple:
     return (A.zero, A.add, A.sub, A.smul, solve)
 
 
-def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
+def reference_search(g: SignedGraph, edges: Sequence[int],
                      domains: Sequence[Sequence], beta: Sequence,
                      ar: tuple) -> Optional[list]:
     """Values f(e) in domains[e], for the edges listed (in increasing
-    order), whose boundary under tau is beta, edges not listed carrying
+    order), whose boundary in the default orientation is beta, edges not listed carrying
     nothing; None if there are none.  The returned list is indexed by edge
     and holds None for edges not listed.
 
@@ -559,6 +592,7 @@ def reference_search(g: SignedGraph, tau: Orientation, edges: Sequence[int],
     value of its domain; with an empty domain there is no solution.
     """
     zero, add, sub, mul, solve = ar
+    tau = default_tau(g)
     # coefficient of edge e at vertex v: sum of tau over its half-edges at v
     coeff: list[dict[int, int]] = [{} for _ in range(g.m)]
     remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
@@ -775,19 +809,20 @@ def _reference_barbell_coeffs(g: SignedGraph, tau, c1, c2, u1: int, path,
     return w
 
 
-def reference_flow_coeffs_through(g: SignedGraph, tau, pool, required
+def reference_flow_coeffs_through(g: SignedGraph, pool, required
                                   ) -> dict[int, int]:
     """Zero-boundary integer coefficients inside pool, nonzero on every
     required edge, by scanning pool's cycles: the first positive cycle
     through them, else the first pair of negative cycles, sharing at most
     one vertex, whose barbell covers them; the scan that
     flows.circuit_coeffs replaced."""
+    tau = default_tau(g)
     pool = set(pool)
     req = set(required)
     cycles = cycles_within(g, pool)
     for c in cycles:
         if c.sign == PLUS and req <= c.edge_set:
-            return circulation_coeffs(g, tau, c)
+            return circulation_coeffs(g, c)
     neg = [c for c in cycles if c.sign == MINUS]
     for c1, c2 in itertools.combinations(neg, 2):
         shared = set(c1.vertices) & set(c2.vertices)
@@ -1053,7 +1088,7 @@ def coloring_from_flow(eg, dual, f, A) -> list:
             raise ValueError("projective potentials need a group without"
                              " order-2 elements")
     # back to the dual's own orientation, then read tensions
-    vals = to_default_orientation(dual.graph, dual.tau, f, A)
+    vals = [x if d == 1 else A.neg(x) for x, d in zip(f, dual.direction)]
     g = eg.graph
     c: list[Optional[tuple]] = [None] * g.n
     c[0] = A.zero

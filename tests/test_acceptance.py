@@ -9,10 +9,11 @@ import random
 import time
 
 from helpers import CUBIC_GRAPHS, host_with_sun, random_connected_graph, \
-    random_elem, random_fbar, theorem_instances, uncontract_edges
+    random_elem, random_fbar, switch_on_set, theorem_instances, \
+    uncontract_edges
 from sgflow import flows
 from sgflow.core import (MINUS, SignedGraph, contract_set,
-                         signatures_equivalent, switch_on_set)
+                         signatures_equivalent)
 from sgflow.decompose import (decompose_base_sun, decompose_tree_2base,
                               verify_partition)
 from sgflow.duality import (flow_from_coloring, k6_projective_embedding,

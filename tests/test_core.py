@@ -10,22 +10,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (CUBIC_GRAPHS, brute_edge_connectivity,
                      brute_frustration_index, components,
-                     connected_multigraphs, delta, edge_subgraph,
+                     connected_multigraphs, default_tau, delta, edge_subgraph,
                      graphs_with_edge_sets, random_connected_graph,
                      reference_connecting_path, reference_is_cubic_3connected,
                      reference_is_cyclically_k_edge_connected,
                      reference_contract_set, reference_min_negative_edges,
                      reference_paths_between_degree_one,
                      reference_simple_paths, signed_cubic_3connected,
-                     signed_multigraphs, uncontract_edges)
+                     signed_multigraphs, switch_on_set, uncontract_edges)
 from sgflow import core
-from sgflow.core import (MINUS, PLUS, Orientation, SignedGraph,
-                         component_count, contract_set, edge_connectivity,
+from sgflow.core import (MINUS, PLUS, SignedGraph, component_count,
+                         contract_set, edge_connectivity, end_coeffs,
                          format_sg, is_balanced, is_cubic_3connected,
                          is_cyclically_k_edge_connected, is_k_unbalanced,
                          min_negative_edges, parse_sg, shortest_path,
-                         signatures_equivalent, simple_paths, small_cuts,
-                         switch_on_set)
+                         signatures_equivalent, simple_paths, small_cuts)
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
 from sgflow.structures import cycle_sign, order_cycle
 
@@ -70,11 +69,18 @@ def test_halfedge_indexing():
 
 
 def test_default_orientation_encodes_signs():
-    g = k4_negative_triangle()
-    tau = Orientation.default(g)
-    for e in range(g.m):
-        assert tau(2 * e) * tau(2 * e + 1) == -g.sigma(e)
-    tau.check(g)
+    # a positive edge leaves one end and enters the other, a negative one
+    # leaves both; a loop's two ends add up at its vertex
+    g = SignedGraph(3, ((0, 1, MINUS), (1, 2, PLUS), (2, 0, PLUS),
+                        (1, 1, MINUS), (2, 2, PLUS)))
+    tau = default_tau(g)
+    for e, (u, v, sign) in enumerate(g.edges):
+        assert tau(2 * e) * tau(2 * e + 1) == -sign
+        at = {}
+        for h, x in ((2 * e, u), (2 * e + 1, v)):
+            at[x] = at.get(x, 0) + tau(h)
+        assert end_coeffs(g, e) == {x: c for x, c in at.items() if c}
+    assert end_coeffs(g, 3) == {1: 2} and end_coeffs(g, 4) == {}
 
 
 def test_switch_at_is_an_involution():

@@ -9,30 +9,29 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from golden.make_golden import PRIME_B1, random_fbar as golden_fbar
 from helpers import (cubic_2unbalanced, host_with_sun, random_connected_base,
-                     random_connected_graph, random_fbar,
+                     random_connected_graph, random_elem, random_fbar,
                      reference_collision_support,
                      reference_flow_coeffs_through, signed_cubic_3connected,
-                     unbalance_small_sides)
+                     switch_on_set, unbalance_small_sides)
 from sgflow import flows, oracle
-from sgflow.core import (MINUS, PLUS, HypothesisError, Orientation,
-                         SignedGraph, edge_connectivity, is_k_unbalanced,
-                         parse_sg, spanning_forest, switch_on_set)
+from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
+                         edge_connectivity, is_k_unbalanced, parse_sg,
+                         spanning_forest)
 from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
                               violating_balanced_cut)
 from sgflow.duality import k6_projective_embedding, match_dual
 from sgflow.generators import negsun, petersen, petersen_2neg
-from sgflow.groups import integer_boundary, is_flow, parse_group
+from sgflow.groups import boundary, integer_boundary, is_flow, parse_group
 from sgflow.structures import all_cycles, cycle_sign, fundamental_cycle
 
 
 def test_circulation_on_positive_cycle_has_zero_boundary():
     g = petersen()
-    tau = Orientation.default(g)
     A = parse_group("Z5")
     for c in all_cycles(g):
         if c.sign != PLUS:
             continue
-        coeffs = flows.circulation_coeffs(g, tau, c)
+        coeffs = flows.circulation_coeffs(g, c)
         assert set(coeffs) == set(c.edges)
         assert all(abs(x) == 1 for x in coeffs.values())
         f = [A.zero] * g.m
@@ -42,12 +41,11 @@ def test_circulation_on_positive_cycle_has_zero_boundary():
 
 def test_circuit_coeffs_covers_every_edge_outside_a_base():
     g = petersen_2neg()
-    tau = Orientation.default(g)
     A = parse_group("Z11")
     base = random_connected_base(g, random.Random(3))
     outside = sorted(set(range(g.m)) - base)
     for e, coeffs in flows.circuit_coeffs(g, base, outside).items():
-        assert coeffs == reference_flow_coeffs_through(g, tau, base | {e}, {e})
+        assert coeffs == reference_flow_coeffs_through(g, base | {e}, {e})
         assert coeffs[e] != 0 and set(coeffs) <= base | {e}
         assert all(abs(x) in (1, 2) for x in coeffs.values())
         f = [A.zero] * g.m
@@ -57,7 +55,6 @@ def test_circuit_coeffs_covers_every_edge_outside_a_base():
 
 def test_barbell_through_both_negative_edges():
     g = petersen_2neg()
-    tau = Orientation.default(g)
     # the outer 5-cycle (negative through edge 0), one spoke and four
     # pentagram edges: edge 10 closes the negative pentagram, so the circuit
     # is a barbell whose joining path is the spoke, edge 5
@@ -65,7 +62,7 @@ def test_barbell_through_both_negative_edges():
     coeffs = flows.circuit_coeffs(g, base, [10])[10]
     assert coeffs == {0: 1, 1: -1, 2: -1, 3: -1, 4: -1, 5: -2, 10: -1,
                       11: 1, 12: 1, 13: 1, 14: 1}
-    assert coeffs == reference_flow_coeffs_through(g, tau, base | {10}, {10})
+    assert coeffs == reference_flow_coeffs_through(g, base | {10}, {10})
     A = parse_group("Z7")
     f = [A.zero] * g.m
     flows.add_scaled(A, f, coeffs, (3,))
@@ -77,13 +74,12 @@ def test_barbell_through_both_negative_edges():
 def test_circuit_coeffs_matches_the_cycle_space_scan(g, rng):
     base = random_connected_base(g, rng)
     assume(base is not None)
-    tau = Orientation.default(g)
     outside = sorted(set(range(g.m)) - base)
     circuits = flows.circuit_coeffs(g, base, outside)
     assert list(circuits) == outside
     for e in outside:
-        assert circuits[e] == reference_flow_coeffs_through(g, tau,
-                                                            base | {e}, {e})
+        assert circuits[e] == reference_flow_coeffs_through(g, base | {e},
+                                                            {e})
 
 
 def test_circuit_coeffs_refuses_what_is_not_a_connected_base():
@@ -193,22 +189,41 @@ def test_forbidden_band_size():
 
 
 def test_sun_flow_clears_the_band_on_sun_edges():
+    # all-zero maps and flows have zero boundary on the sun, so they take
+    # the zero cases; random maps take the nonzero case
     rng = random.Random(7)
     A = parse_group("Z11")
-    for n in (3, 4, 5, 6):
+    for n in range(3, 10):
         g, sun = host_with_sun(n)
-        res = flows.sun_flow(g, sun, 11, [A.zero] * g.m)
-        assert res.case in ("zero-odd", "zero-even")
-        assert is_flow(g, res.flow, A)
-        for _ in range(15):
-            fb = random_fbar(rng, A, g.m)
+        quiet = "zero-odd" if n % 2 else "zero-even"
+        flows_on_g = []
+        for _ in range(5):
+            base = random_connected_base(g, rng)
+            f = [A.zero] * g.m
+            for w in flows.circuit_coeffs(g, base, sorted(
+                    set(range(g.m)) - base)).values():
+                flows.add_scaled(A, f, w, random_elem(rng, A))
+            flows_on_g.append(f)
+        maps = [[A.zero] * g.m] + flows_on_g \
+            + [random_fbar(rng, A, g.m) for _ in range(15)]
+        cases = set()
+        for fb in maps:
             r = flows.sun_flow(g, sun, 11, fb)
+            cases.add(r.case)
+            beta = boundary(g, fb, A)
+            assert r.case == (quiet if all(beta[v] == A.zero for v in
+                                           sun.cycle_vertices) else "nonzero")
+            assert (r.e_prime is None) == (r.case == "zero-odd")
+            if r.e_prime is not None:
+                assert r.e_prime in (sun.pendant_edges if r.case == "zero-even"
+                                     else sun.cycle_edges)
             assert is_flow(g, r.flow, A)
             for e in sun.edge_set:
                 if e == r.e_prime:
                     assert r.flow[e] != fb[e]
                 else:
                     assert r.flow[e] not in flows.forbidden_band(A, fb[e])
+        assert cases == {quiet, "nonzero"}
 
 
 def test_sun_flow_requires_a_large_prime():

@@ -13,7 +13,7 @@ from helpers import CUBIC_GRAPHS, REFERENCE_INTEGERS, brute_boundaries, \
     reference_search, connected_multigraphs, signed_cubic_3connected, \
     theorem_instances
 from sgflow import oracle
-from sgflow.core import (DeskScaleError, MINUS, PLUS, Orientation, SignedGraph,
+from sgflow.core import (DeskScaleError, MINUS, PLUS, SignedGraph,
                          is_k_unbalanced)
 from sgflow.flows import z2_to_3flow
 from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
@@ -302,8 +302,8 @@ def test_satisfy_boundary_matches_every_map(g, spec, with_fbar,
     domains = [[x for x in A.elements()
                 if (allow_zero or x != A.zero)
                 and (fbar is None or x != fbar[e])] for e in range(g.m)]
-    exists = tuple(beta) in brute_boundaries(g, Orientation.default(g),
-                                             domains, A.zero, A.add, A.neg)
+    exists = tuple(beta) in brute_boundaries(g, domains, A.zero, A.add,
+                                             A.neg)
     event(f"exists: {exists}")
     f = satisfy_boundary(g, A, beta, fbar=fbar, allow_zero=allow_zero)
     assert (f is not None) == exists
@@ -316,9 +316,8 @@ def test_satisfy_boundary_matches_every_map(g, spec, with_fbar,
 @given(small_instances(), st.integers(2, 4))
 def test_has_nz_k_flow_matches_every_map(g, k):
     values = [x for x in range(1 - k, k) if x]
-    exists = (0,) * g.n in brute_boundaries(g, Orientation.default(g),
-                                            [values] * g.m, 0, operator.add,
-                                            operator.neg)
+    exists = (0,) * g.n in brute_boundaries(g, [values] * g.m, 0,
+                                            operator.add, operator.neg)
     event(f"exists: {exists}")
     f = has_nz_k_flow(g, k)
     assert (f is not None) == exists
@@ -338,8 +337,7 @@ def test_z2_to_3flow_matches_every_map(g, data):
     car = sup | {e for e in range(g.m) if data.draw(st.booleans())}
     domains = [[1, -1] if e in sup else [0, 1, -1, 2, -2] if e in car
                else [0] for e in range(g.m)]
-    exists = (0,) * g.n in brute_boundaries(g, Orientation.default(g),
-                                            domains, 0, operator.add,
+    exists = (0,) * g.n in brute_boundaries(g, domains, 0, operator.add,
                                             operator.neg)
     event(f"exists: {exists}")
     try:
@@ -385,7 +383,7 @@ def _search_matches_the_reference(g, A, edges, beta, fbar, allow_zero, draw):
          and (fbar is None or x != fbar[e])])) for e in range(g.m)]
     event("closed under negation: "
           f"{all(A.neg(x) in d for d in domains for x in d)}")
-    want = reference_search(g, Orientation.default(g), edges, domains, beta,
+    want = reference_search(g, edges, domains, beta,
                             reference_group_arithmetic(A))
     event(f"found: {want is not None}")
     code, elem, ar, _ = _group_codes(A)
@@ -441,7 +439,7 @@ def test_search_forces_a_loop_in_its_planned_turn():
     g = SignedGraph(2, ((0, 1, PLUS), (0, 1, PLUS), (1, 1, MINUS)))
     A = parse_group("Z2xZ2")
     dom = sorted((x for x in A.elements() if x != A.zero), reverse=True)
-    want = reference_search(g, Orientation.default(g), range(3), [dom] * 3,
+    want = reference_search(g, range(3), [dom] * 3,
                             [A.zero] * 2, reference_group_arithmetic(A))
     assert want == [(1, 1), (1, 1), (0, 1)]
     code, elem, ar, _ = _group_codes(A)
@@ -475,8 +473,7 @@ def test_search_on_integers_matches_the_reference(g, k, family, data):
             for e in range(g.m)])
     else:
         beta = [data.draw(st.integers(-3, 3)) for _ in range(g.n)]
-    want = reference_search(g, Orientation.default(g), edges, domains, beta,
-                            REFERENCE_INTEGERS)
+    want = reference_search(g, edges, domains, beta, REFERENCE_INTEGERS)
     event(f"found: {want is not None}")
     assert _walk(_plan(g, edges, _INTEGERS), domains, beta) == want
 

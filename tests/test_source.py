@@ -168,14 +168,11 @@ def test_only_the_budgets_and_the_cycle_scan_refuse_for_scale():
 
 
 # One orientation: boundaries, searches and constructions read every flow in
-# the default orientation.  Only circulation_coeffs, which the sun flow calls
-# in its reference frame, and the oriented dual take one.
-TAU_TAKERS = {("flows.py", "circulation_coeffs"), ("duality.py", "*")}
-
-
+# the default orientation, which core.end_coeffs states, so no function
+# takes one.
 def _tau_parameters(root: Path) -> list[str]:
     """module:function of each function or lambda with a parameter named
-    tau, other than those TAU_TAKERS allows."""
+    tau."""
     found = []
     for path in sorted(root.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -185,26 +182,25 @@ def _tau_parameters(root: Path) -> list[str]:
             a = node.args
             names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
                      + [a.vararg, a.kwarg] if x is not None]
-            name = getattr(node, "name", "<lambda>")
-            if "tau" in names and not {(path.name, name), (path.name, "*")} \
-                    & TAU_TAKERS:
-                found.append(f"{path.name}:{name}")
+            if "tau" in names:
+                found.append(f"{path.name}:{getattr(node, 'name', '<lambda>')}")
     return found
 
 
 def test_tau_parameter_scan(tmp_path):
     (tmp_path / "flows.py").write_text(
-        "def circulation_coeffs(g, tau, cycle):\n    pass\n\n\n"
+        "def circulation_coeffs(g, cycle):\n    pass\n\n\n"
         "def z2_to_3flow(g, support, carrier, tau=None):\n"
         "    key = lambda *, tau: tau\n")
-    (tmp_path / "duality.py").write_text("def to_default(g, tau):\n    pass\n")
+    (tmp_path / "duality.py").write_text(
+        "def oriented_dual(eg, direction=None):\n    tau = direction\n")
     (tmp_path / "groups.py").write_text(
         "def boundary(g, f, A, **tau):\n    tau_s = 1\n")
     assert _tau_parameters(tmp_path) == [
         "flows.py:z2_to_3flow", "flows.py:<lambda>", "groups.py:boundary"]
 
 
-def test_only_circulations_and_the_dual_take_an_orientation():
+def test_no_function_under_src_takes_an_orientation():
     assert _tau_parameters(SRC) == []
 
 
