@@ -10,9 +10,12 @@ internal error (a broken invariant, which is a bug).  Graph files use the
 Each command imports only the modules it runs, at the top of its handler:
 every ``sg`` process starts cold, and compiling the construction stack
 (flows, decompose, structures, duality, reduce) costs more than a small
-command.  Module level holds core, groups and generators, whose
-GENERATORS the parser lists; ``sg verify`` of an avoidance certificate
-needs only groups, where the certificate lives.
+command.  Module level holds only core and generators, whose GENERATORS
+the parser lists, so ``sg gen`` and ``sg check`` load nothing else; groups
+loads with ``connect``, ``oracle`` and ``verify`` of an avoidance
+certificate, which lives there.  The library's records are plain classes
+with hand-written methods, so no command imports the standard library's
+record decorator, nor the inspect, ast and dis that it pulls in.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .core import (DeskScaleError, SignedGraph, edge_connectivity, format_sg,
                    is_balanced, is_cyclically_k_edge_connected,
                    min_negative_edges, parse_sg)
 from .generators import GENERATORS, negsun
-from .groups import format_map, parse_group, parse_map
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -140,6 +142,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_connect(args) -> int:
     from . import flows
+    from .groups import parse_group, parse_map
 
     g = _load_graph(args.file)
     A = parse_group(args.group)
@@ -162,6 +165,7 @@ def _cmd_connect(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from . import oracle
+    from .groups import format_map, parse_group
 
     g = _load_graph(args.file)
     if args.kind == "a-connected":

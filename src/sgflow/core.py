@@ -33,7 +33,6 @@ import bisect
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 PLUS = 1
@@ -47,19 +46,54 @@ class HypothesisError(ValueError):
     """The input lies outside a theorem's or a construction's hypotheses."""
 
 
-@dataclass(frozen=True)
-class SignedGraph:
-    """Signed multigraph with dense vertex indices 0..n-1 and edge indices 0..m-1."""
+# How a Frozen subclass's __init__ sets its attributes.  Writing to
+# self.__dict__ instead would build the instance's dict, which makes every
+# later attribute read slower.
+_setattr = object.__setattr__
 
-    n: int
-    edges: tuple[tuple[int, int, int], ...]  # (u, v, sigma)
 
-    def __post_init__(self):
-        for u, v, s in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+class Frozen:
+    """Base of the values that are hashed: assigning or deleting an
+    attribute raises AttributeError, so a value keeps its hash."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable:"
+                             f" cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable:"
+                             f" cannot delete {name!r}")
+
+
+class SignedGraph(Frozen):
+    """Signed multigraph with dense vertex indices 0..n-1 and edge indices 0..m-1.
+
+    An immutable value: equal (n, edges) give equal graphs with equal
+    hashes, so a graph built again hits the memos keyed by graphs (the
+    cycle list in structures)."""
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int, int], ...]):
+        for u, v, s in edges:  # (u, v, sigma)
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: {(u, v, s)}")
             if s not in (PLUS, MINUS):
                 raise ValueError(f"bad sign {s}")
+        _setattr(self, "n", n)
+        _setattr(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        # Hypothesis prints falsifying graphs with it
+        return f"SignedGraph(n={self.n!r}, edges={self.edges!r})"
 
     # -- basic accessors -------------------------------------------------
 
@@ -256,11 +290,14 @@ def end_coeffs(g: SignedGraph, e: int) -> dict[int, int]:
 
 # -- balance --------------------------------------------------------------
 
-@dataclass
 class BalanceResult:
-    balanced: bool
-    switching_set: Optional[frozenset[int]] = None  # makes all edges positive
-    negative_cycle: Optional[tuple[int, ...]] = None  # witness edge set (closed walk order)
+    def __init__(self, balanced: bool,
+                 switching_set: Optional[frozenset[int]] = None,
+                 negative_cycle: Optional[tuple[int, ...]] = None):
+        self.balanced = balanced
+        self.switching_set = switching_set  # makes all edges positive
+        # witness edge set (closed walk order)
+        self.negative_cycle = negative_cycle
 
 
 def is_balanced(g: SignedGraph, edges: Optional[Iterable[int]] = None
@@ -300,11 +337,13 @@ def is_balanced(g: SignedGraph, edges: Optional[Iterable[int]] = None
     return BalanceResult(True, switching_set=frozenset(v for v in range(g.n) if colour[v] == MINUS))
 
 
-@dataclass
 class EquivalenceResult:
-    equivalent: bool
-    switching_set: Optional[frozenset[int]] = None
-    differing_cycle: Optional[tuple[int, ...]] = None
+    def __init__(self, equivalent: bool,
+                 switching_set: Optional[frozenset[int]] = None,
+                 differing_cycle: Optional[tuple[int, ...]] = None):
+        self.equivalent = equivalent
+        self.switching_set = switching_set
+        self.differing_cycle = differing_cycle
 
 
 def signatures_equivalent(g1: SignedGraph, g2: SignedGraph) -> EquivalenceResult:
@@ -509,14 +548,16 @@ def is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:
 
 # -- minor operations -------------------------------------------------------
 
-@dataclass
 class MinorResult:
-    graph: SignedGraph
-    vertex_map: tuple[int, ...]  # old vertex -> new vertex
-    edge_map: tuple[Optional[int], ...]  # old edge -> new edge (None if deleted)
-    # parity of switches applied at each old vertex during the operation
-    # (negative edges are switched positive before identification)
-    switch_parity: tuple[int, ...]
+    def __init__(self, graph: SignedGraph, vertex_map: tuple[int, ...],
+                 edge_map: tuple[Optional[int], ...],
+                 switch_parity: tuple[int, ...]):
+        self.graph = graph
+        self.vertex_map = vertex_map  # old vertex -> new vertex
+        self.edge_map = edge_map  # old edge -> new edge (None if deleted)
+        # parity of switches applied at each old vertex during the operation
+        # (negative edges are switched positive before identification)
+        self.switch_parity = switch_parity
 
 
 def contract_set(g: SignedGraph, edge_set: Iterable[int]) -> MinorResult:

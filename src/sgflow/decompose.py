@@ -31,7 +31,6 @@ edges, and no subgraph is built.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Collection, Iterable, Optional
 
 from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _adjacency,
@@ -47,12 +46,21 @@ BASE_SUN = "base-sun"
 GENERAL = "general"
 
 
-@dataclass
 class PartitionCertificate:
-    mode: str
-    x1: frozenset[int]
-    x2: frozenset[int]
-    f: frozenset[int] = frozenset()
+    """Compares by value, so a parsed certificate equals the one written."""
+
+    def __init__(self, mode: str, x1: frozenset[int], x2: frozenset[int],
+                 f: frozenset[int] = frozenset()):
+        self.mode = mode
+        self.x1 = x1
+        self.x2 = x2
+        self.f = f
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.mode, self.x1, self.x2, self.f)
+                == (other.mode, other.x1, other.x2, other.f))
 
 
 # -- edge-set helpers -------------------------------------------------------------
@@ -128,11 +136,11 @@ def _spans_and_connected(g: SignedGraph, es: Collection[int]) -> bool:
 
 # -- working partition invariants ----------------------------------------------------
 
-@dataclass
 class WorkingPartition:
-    a: set[int]
-    b: set[int]
-    c: set[int]
+    def __init__(self, a: set[int], b: set[int], c: set[int]):
+        self.a = a
+        self.b = b
+        self.c = c
 
 
 def _check(ok: bool, tag: str) -> None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import MINUS, PLUS, SignedGraph, signatures_equivalent
@@ -31,40 +30,41 @@ PLANE = "plane"
 PROJECTIVE = "projective"
 
 
-@dataclass(frozen=True)
 class EmbeddedGraph:
-    graph: SignedGraph  # signature unused by the embedding; primal is unsigned
-    rotation: tuple[tuple[int, ...], ...]  # cyclic half-edge order per vertex
-    edge_sign: tuple[int, ...]  # embedding signs, -1 = through the cross-cap
-    surface: str
-
-    def __post_init__(self):
-        if self.surface not in (PLANE, PROJECTIVE):
-            raise ValueError(f"unknown surface {self.surface!r}")
+    def __init__(self, graph: SignedGraph,
+                 rotation: tuple[tuple[int, ...], ...],
+                 edge_sign: tuple[int, ...], surface: str):
+        if surface not in (PLANE, PROJECTIVE):
+            raise ValueError(f"unknown surface {surface!r}")
         seen = set()
-        for v, rot in enumerate(self.rotation):
+        for v, rot in enumerate(rotation):
             for h in rot:
-                if self.graph.halfedge_vertex(h) != v:
+                if graph.halfedge_vertex(h) != v:
                     raise ValueError(f"half-edge {h} listed at wrong vertex {v}")
                 if h in seen:
                     raise ValueError(f"half-edge {h} listed twice")
                 seen.add(h)
-        if len(seen) != 2 * self.graph.m:
+        if len(seen) != 2 * graph.m:
             raise ValueError("rotation system does not cover all half-edges")
-        if len(self.edge_sign) != self.graph.m:
+        if len(edge_sign) != graph.m:
             raise ValueError("edge_sign must be total")
+        # the signature is unused by the embedding; the primal is unsigned
+        self.graph = graph
+        self.rotation = rotation  # cyclic half-edge order per vertex
+        self.edge_sign = edge_sign  # embedding signs, -1 = through the cross-cap
+        self.surface = surface
 
     def expected_faces(self) -> int:
         euler = 2 if self.surface == PLANE else 1
         return euler - self.graph.n + self.graph.m
 
 
-@dataclass
 class Face:
     """One face as its boundary walk of (half-edge, side) states; the state
     (h, s) stands for traversing h's edge away from h's endpoint."""
 
-    states: tuple[tuple[int, int], ...]
+    def __init__(self, states: tuple[tuple[int, int], ...]):
+        self.states = states
 
 
 def _rot_step(eg: EmbeddedGraph, h: int, direction: int) -> int:
@@ -127,12 +127,15 @@ def trace_faces(eg: EmbeddedGraph) -> list[Face]:
     return faces
 
 
-@dataclass
 class DualResult:
-    graph: SignedGraph  # one vertex per face; edge index = primal edge index
-    direction: tuple[int, ...]  # per edge: +1 if it leaves its half-edge 2e
-    faces: list[Face]
-    face_choice: tuple[int, ...]  # +1 = canonical walk direction, -1 = mirrored
+    def __init__(self, graph: SignedGraph, direction: tuple[int, ...],
+                 faces: list[Face], face_choice: tuple[int, ...]):
+        # one vertex per face; edge index = primal edge index
+        self.graph = graph
+        self.direction = direction  # per edge: +1 if it leaves its half-edge 2e
+        self.faces = faces
+        # +1 = canonical walk direction, -1 = mirrored
+        self.face_choice = face_choice
 
 
 def oriented_dual(eg: EmbeddedGraph,
@@ -200,17 +203,19 @@ def flow_from_coloring(eg: EmbeddedGraph, dual: DualResult,
 
 # -- dual <-> target correspondence ----------------------------------------------
 
-@dataclass
 class DualCorrespondence:
     """Exact match between an embedding's oriented dual and a target signed
     graph: the relabelled dual equals the target edge for edge."""
 
-    embedding: EmbeddedGraph
-    dual: DualResult
-    target: SignedGraph
-    face_to_target: tuple[int, ...]  # dual vertex (face) -> target vertex
-    edge_to_target: tuple[int, ...]  # primal/dual edge -> target edge
-    value_sign: tuple[int, ...]  # +1/-1 factor when moving values across
+    def __init__(self, embedding: EmbeddedGraph, dual: DualResult,
+                 target: SignedGraph, face_to_target: tuple[int, ...],
+                 edge_to_target: tuple[int, ...], value_sign: tuple[int, ...]):
+        self.embedding = embedding
+        self.dual = dual
+        self.target = target
+        self.face_to_target = face_to_target  # dual vertex (face) -> target vertex
+        self.edge_to_target = edge_to_target  # primal/dual edge -> target edge
+        self.value_sign = value_sign  # +1/-1 factor when moving values across
 
     def push_flow(self, f_dual_default: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
         out: list[Elem] = [A.zero] * self.target.m

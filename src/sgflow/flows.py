@@ -47,7 +47,6 @@ no construction imports, and are re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence,
                     Union)
 
@@ -220,11 +219,11 @@ def forbidden_band(A: AbelianGroup, base: Elem) -> set[Elem]:
     return {A.add(base, A.smul(d, one)) for d in (0, 3, -3, 6, -6)}
 
 
-@dataclass
 class SunFlowResult:
-    flow: list[Elem]  # a flow on g, supported on E(H) and the return paths
-    e_prime: Optional[int]  # the one sun edge cleared only of fbar itself
-    case: str  # "zero-odd", "zero-even" or "nonzero"
+    def __init__(self, flow: list[Elem], e_prime: Optional[int], case: str):
+        self.flow = flow  # a flow on g, supported on E(H) and the return paths
+        self.e_prime = e_prime  # the one sun edge cleared only of fbar itself
+        self.case = case  # "zero-odd", "zero-even" or "nonzero"
 
 
 def sun_flow(g: SignedGraph, H: NegativeSun, p: int,

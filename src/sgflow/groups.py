@@ -16,21 +16,29 @@ re-checking a certificate loads no construction; flows re-exports it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .core import MINUS, SignedGraph
+from .core import MINUS, Frozen, SignedGraph, _setattr
 
 Elem = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    factors: tuple[int, ...]
+class AbelianGroup(Frozen):
+    """Z_{n_1} x ... x Z_{n_k}, its elements plain tuples.  An immutable
+    value, hashed by the oracle's memos."""
 
-    def __post_init__(self):
-        if not self.factors or any(n < 2 for n in self.factors):
+    def __init__(self, factors: tuple[int, ...]):
+        if not factors or any(n < 2 for n in factors):
             raise ValueError("factors must all be >= 2")
+        _setattr(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
 
     @property
     def order(self) -> int:
@@ -103,7 +111,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and _smallest_prime_factor(n) == n
 
 
-@dataclass(frozen=True)
 class MinimalSubgroup:
     """A subgroup N of prime order p = smallest prime dividing |A|, together
     with quotient access A -> A/N.
@@ -116,9 +123,10 @@ class MinimalSubgroup:
     lexicographically least element of its coset.
     """
 
-    group: AbelianGroup
-    p: int
-    factor_index: int
+    def __init__(self, group: AbelianGroup, p: int, factor_index: int):
+        self.group = group
+        self.p = p
+        self.factor_index = factor_index
 
     @property
     def elements(self) -> tuple[Elem, ...]:
@@ -253,20 +261,32 @@ def format_map(vals: Sequence[Elem]) -> str:
 
 # -- avoidance certificates -----------------------------------------------------
 
-@dataclass
 class AvoidanceCertificate:
     """A replayable record of one avoidance run.
 
     flow is None when the fallback search proved no avoiding flow exists;
     artifacts holds strategy-specific intermediates as text for replay.
+    Certificates compare by value, so a parsed one equals the one written.
     """
 
-    strategy: str  # "composite", "prime", "projective" or "oracle"
-    group: AbelianGroup
-    flow: Optional[list[Elem]]
-    fbar: list[Elem]
-    e_prime: Optional[int] = None
-    artifacts: dict[str, str] = field(default_factory=dict)
+    def __init__(self, strategy: str, group: AbelianGroup,
+                 flow: Optional[list[Elem]], fbar: list[Elem],
+                 e_prime: Optional[int] = None,
+                 artifacts: Optional[dict[str, str]] = None):
+        self.strategy = strategy  # "composite", "prime", "projective" or "oracle"
+        self.group = group
+        self.flow = flow
+        self.fbar = fbar
+        self.e_prime = e_prime
+        self.artifacts = {} if artifacts is None else artifacts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.strategy, self.group, self.flow, self.fbar,
+                 self.e_prime, self.artifacts)
+                == (other.strategy, other.group, other.flow, other.fbar,
+                    other.e_prime, other.artifacts))
 
 
 def verify_avoidance(g: SignedGraph, cert: AvoidanceCertificate) -> bool:

@@ -54,7 +54,6 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (DeskScaleError, SignedGraph, _tree_order, end_coeffs,
@@ -376,13 +375,16 @@ def has_nz_k_flow(g: SignedGraph, k: int) -> Optional[list[int]]:
     return integer_flow(g, range(g.m), [domain] * g.m)
 
 
-@dataclass
 class ConnectivityVerdict:
-    status: str  # "yes", "no", "sampled-yes"
-    witness_beta: Optional[list[Elem]] = None
-    witness_fbar: Optional[list[Elem]] = None
-    seed: Optional[int] = None
-    checked: int = 0
+    def __init__(self, status: str,
+                 witness_beta: Optional[list[Elem]] = None,
+                 witness_fbar: Optional[list[Elem]] = None,
+                 seed: Optional[int] = None, checked: int = 0):
+        self.status = status  # "yes", "no", "sampled-yes"
+        self.witness_beta = witness_beta
+        self.witness_fbar = witness_fbar
+        self.seed = seed
+        self.checked = checked
 
 
 def _all_boundaries(g: SignedGraph, A: AbelianGroup):

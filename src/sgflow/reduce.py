@@ -10,7 +10,6 @@ the input graph by slicing off the appended edges (see flows.connect).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (HypothesisError, SignedGraph, edge_connectivity,
@@ -43,19 +42,21 @@ def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int
     return None
 
 
-@dataclass
 class UncontractionStep:
-    vertex: int
-    half_e: int
-    half_f: int
-    new_vertex: int
-    new_edge: int
+    def __init__(self, vertex: int, half_e: int, half_f: int,
+                 new_vertex: int, new_edge: int):
+        self.vertex = vertex
+        self.half_e = half_e
+        self.half_f = half_f
+        self.new_vertex = new_vertex
+        self.new_edge = new_edge
 
 
-@dataclass
 class CubicizeResult:
-    graph: SignedGraph
-    history: list[UncontractionStep] = field(default_factory=list)
+    def __init__(self, graph: SignedGraph,
+                 history: Optional[list[UncontractionStep]] = None):
+        self.graph = graph
+        self.history = [] if history is None else history
 
 
 def cubicize(g: SignedGraph) -> CubicizeResult:

@@ -12,27 +12,39 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .core import (DeskScaleError, SignedGraph, MINUS, PLUS, component_count,
-                   is_balanced, shortest_path, spanning_forest)
+from .core import (DeskScaleError, Frozen, SignedGraph, MINUS, PLUS,
+                   _setattr, component_count, is_balanced, shortest_path,
+                   spanning_forest)
 
 MAX_CYCLE_SPACE_DIM = 20
 ALL_CYCLES_MEMO = 16  # graphs whose cycle lists all_cycles keeps
 
 
-@dataclass(frozen=True)
-class CycleRef:
-    """A simple cycle as an edge sequence in traversal order."""
+class CycleRef(Frozen):
+    """A simple cycle as an edge sequence in traversal order.  An immutable
+    value: equality and the hash read edges, vertices and sign only."""
 
-    edges: tuple[int, ...]
-    vertices: tuple[int, ...]  # vertices[i] is shared by edges[i-1], edges[i]
-    sign: int
+    def __init__(self, edges: tuple[int, ...], vertices: tuple[int, ...],
+                 sign: int):
+        _setattr(self, "edges", edges)
+        # vertices[i] is shared by edges[i-1], edges[i]
+        _setattr(self, "vertices", vertices)
+        _setattr(self, "sign", sign)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.edges, self.vertices, self.sign)
+                == (other.edges, other.vertices, other.sign))
+
+    def __hash__(self):
+        return hash((self.edges, self.vertices, self.sign))
 
     @functools.cached_property
     def edge_set(self) -> frozenset[int]:
-        # kept in the instance dict, outside the fields that eq and hash read
+        # kept in the instance dict, outside what eq and hash read
         return frozenset(self.edges)
 
     @functools.cached_property
@@ -157,13 +169,15 @@ def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
 
 # -- thetas -------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Theta:
     """Three internally disjoint x-y paths, each an edge sequence."""
 
-    x: int
-    y: int
-    paths: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    def __init__(self, x: int, y: int,
+                 paths: tuple[tuple[int, ...], tuple[int, ...],
+                              tuple[int, ...]]):
+        self.x = x
+        self.y = y
+        self.paths = paths
 
 
 def find_theta(g: SignedGraph, x: int, y: int) -> Optional[Theta]:
@@ -249,11 +263,12 @@ def positive_cycle_in_theta(g: SignedGraph, theta: Theta) -> CycleRef:
 
 # -- k-closure -------------------------------------------------------------------
 
-@dataclass
 class ClosureResult:
-    closure: frozenset[int]
-    steps: list[tuple[CycleRef, frozenset[int]]] = field(default_factory=list)
-    """Each step is (positive cycle C_i, newly absorbed edges W_i)."""
+    def __init__(self, closure: frozenset[int],
+                 steps: Optional[list[tuple[CycleRef, frozenset[int]]]] = None):
+        self.closure = closure
+        # each step is (positive cycle C_i, newly absorbed edges W_i)
+        self.steps = [] if steps is None else steps
 
 
 def _edges_of(mask: int) -> frozenset[int]:
@@ -324,15 +339,18 @@ def find_peripheral_cycle(g: SignedGraph, want_sign: Optional[int] = None,
 
 # -- negative suns -------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class NegativeSun:
     """A negative cycle e_1..e_n (vertices v_1..v_n, e_i from v_i to
     v_{i+1}) with a pendant edge e_i' at each cycle vertex v_i."""
 
-    cycle_edges: tuple[int, ...]
-    cycle_vertices: tuple[int, ...]
-    pendant_edges: tuple[int, ...]
-    pendant_vertices: tuple[int, ...]
+    def __init__(self, cycle_edges: tuple[int, ...],
+                 cycle_vertices: tuple[int, ...],
+                 pendant_edges: tuple[int, ...],
+                 pendant_vertices: tuple[int, ...]):
+        self.cycle_edges = cycle_edges
+        self.cycle_vertices = cycle_vertices
+        self.pendant_edges = pendant_edges
+        self.pendant_vertices = pendant_vertices
 
     @property
     def n(self) -> int:

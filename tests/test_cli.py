@@ -548,7 +548,7 @@ def _sg_in_a_fresh_process(*argv: str) -> tuple[int, str, set[str]]:
 
 
 # what every command loads: the parser lists generators.GENERATORS
-CLI_BASE = {"sgflow", "cli", "core", "groups", "generators"}
+CLI_BASE = {"sgflow", "cli", "core", "generators"}
 
 
 @pytest.fixture
@@ -557,6 +557,8 @@ def cli_files(tmp_path):
     files = {"petersen": write_graph(tmp_path, petersen()),
              "petersen_2neg": write_graph(tmp_path, petersen_2neg(),
                                           "p2.sg"),
+             "k4_negtri": write_graph(tmp_path, k4_negative_triangle(),
+                                      "k4n.sg"),
              "k6": tmp_path / "k6.emb"}
     files["k6"].write_text(format_emb(k6_projective_embedding()))
     A = parse_group("Z6")
@@ -575,9 +577,10 @@ def cli_files(tmp_path):
 @pytest.mark.parametrize("argv, code, extra", [
     (("gen", "petersen-ps"), 0, set()),
     (("check", "balance", "{petersen}"), 1, set()),
-    (("oracle", "k-flow", "--k", "4", "{petersen}"), 1, {"oracle"}),
-    (("verify", "{flow}", "{petersen}"), 0, set()),
-    (("verify", "{unsat}", "{petersen}"), 0, {"oracle"}),
+    (("oracle", "k-flow", "--k", "4", "{petersen}"), 1, {"oracle", "groups"}),
+    # an avoidance certificate lives in groups
+    (("verify", "{flow}", "{petersen}"), 0, {"groups"}),
+    (("verify", "{unsat}", "{petersen}"), 0, {"groups", "oracle"}),
     # decompose reads its cycles from structures
     (("verify", "{part}", "{petersen_2neg}"), 0,
      {"decompose", "structures"}),
@@ -587,6 +590,38 @@ def test_each_command_loads_only_what_it_runs(cli_files, argv, code, extra):
     got, _, mods = _sg_in_a_fresh_process(
         *(a.format(**cli_files) for a in argv))
     assert (got, mods) == (code, CLI_BASE | extra)
+
+
+def _imported_by_sg(*argv: str) -> set[str]:
+    """Modules that ``python -X importtime -m sgflow.cli argv`` imports once
+    site has loaded: the command line that starts each benchmarked sg
+    process."""
+    src = Path(sgflow.__file__).resolve().parent.parent
+    res = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sgflow.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True)
+    assert res.returncode in (0, 1), res.stderr
+    names = [line.rpartition("|")[2].strip()
+             for line in res.stderr.splitlines()
+             if line.startswith("import time:")]
+    return set(names[names.index("site") + 1:])
+
+
+# dataclasses (with inspect, ast, dis and tokenize) would cost a cold sg
+# process more than the records it writes
+@pytest.mark.parametrize("argv", [
+    ("gen", "petersen-ps"),
+    ("connect", "--group", "Z6", "{petersen}"),
+    ("verify", "{flow}", "{petersen}"),
+    ("oracle", "a-connected", "--group", "Z6", "{k4_negtri}"),
+    ("oracle", "k-flow", "--k", "4", "{petersen}"),
+    ("oracle", "nz-flow", "--group", "Z6", "{petersen}"),
+], ids=["gen", "connect", "verify", "a-connected", "k-flow", "nz-flow"])
+def test_cold_sg_imports_neither_dataclasses_nor_inspect(cli_files, argv):
+    mods = _imported_by_sg(*(a.format(**cli_files) for a in argv))
+    assert "sgflow.core" in mods
+    assert mods & {"dataclasses", "inspect"} == set()
 
 
 @pytest.mark.parametrize("hint", [False, True], ids=["plain", "hint"])

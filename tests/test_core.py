@@ -61,6 +61,19 @@ def test_parse_sg_names_the_line_of_a_malformed_integer(text, line):
         parse_sg(text)
 
 
+def test_equal_graphs_built_apart_are_one_immutable_value():
+    g, h = petersen(), petersen()
+    assert g is not h and g == h
+    assert hash(g) == hash(h) == hash((g.n, g.edges))
+    assert g != petersen(all_positive=True)
+    assert g != SignedGraph(g.n, g.edges[:-1])
+    with pytest.raises(AttributeError):
+        g.n = 11
+    with pytest.raises(AttributeError):
+        del g.edges
+    assert (g.n, g.m) == (10, 15)
+
+
 def test_halfedge_indexing():
     g = SignedGraph(3, ((0, 1, PLUS), (1, 2, MINUS)))
     assert g.halfedge_vertex(0) == 0 and g.halfedge_vertex(1) == 1

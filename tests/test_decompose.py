@@ -70,10 +70,15 @@ def test_general_decomposition_on_named_graphs():
 
 def test_certificate_text_round_trip():
     g = petersen_2neg()
-    cert = decompose_base_sun(g)
-    back = parse_certificate(format_certificate(cert))
-    assert back.mode == cert.mode
-    assert back.x1 == cert.x1 and back.x2 == cert.x2 and back.f == cert.f
+    for decomp in (decompose_tree_2base, decompose_base_sun,
+                   decompose_general):
+        cert = decomp(g)
+        back = parse_certificate(format_certificate(cert))
+        assert back.mode == cert.mode
+        assert back.x1 == cert.x1 and back.x2 == cert.x2 and back.f == cert.f
+        assert back == cert
+        back.f = back.f ^ {0}
+        assert back != cert
 
 
 def test_verifier_rejects_tampered_certificates():

@@ -401,7 +401,10 @@ def test_certificate_text_round_trip():
     assert back.flow == cert.flow and back.fbar == cert.fbar
     assert back.e_prime == cert.e_prime
     assert back.artifacts == cert.artifacts
+    assert back == cert
     assert flows.verify_avoidance(g, back)
+    back.artifacts["extra"] = ""
+    assert back != cert
 
 
 def test_verifier_rejects_tampered_flows():

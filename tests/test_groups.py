@@ -5,9 +5,10 @@ import random
 import pytest
 
 from helpers import random_connected_graph, random_elem, random_fbar
-from sgflow.groups import (boundary, format_map, integer_boundary,
-                           is_A_boundary, is_flow, is_prime,
-                           minimal_subgroup, parse_group, parse_map)
+from sgflow.groups import (AbelianGroup, AvoidanceCertificate, boundary,
+                           format_map, integer_boundary, is_A_boundary,
+                           is_flow, is_prime, minimal_subgroup, parse_group,
+                           parse_map)
 
 
 def test_parse_group_specs():
@@ -16,6 +17,25 @@ def test_parse_group_specs():
     assert str(parse_group("Z2xZ4")) == "Z2xZ4"
     with pytest.raises(ValueError):
         parse_group("Q8")
+
+
+def test_groups_are_immutable_values():
+    A, B = parse_group("Z2xZ4"), AbelianGroup((2, 4))
+    assert A is not B and A == B and hash(A) == hash(B)
+    assert A != parse_group("Z4xZ2") and A != parse_group("Z8")
+    assert len({A, B, parse_group("Z8")}) == 2
+    with pytest.raises(AttributeError):
+        A.factors = (8,)
+    with pytest.raises(ValueError):
+        AbelianGroup((1,))
+
+
+def test_fresh_avoidance_certificates_own_their_artifacts():
+    A = parse_group("Z5")
+    one, two = (AvoidanceCertificate("oracle", A, None, [A.zero])
+                for _ in range(2))
+    one.artifacts["seed"] = "1"
+    assert two.artifacts == {} and one.artifacts is not two.artifacts
 
 
 def test_group_arithmetic():

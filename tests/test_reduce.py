@@ -9,7 +9,8 @@ from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          parse_sg)
 from sgflow.groups import is_flow, parse_group
 from sgflow.oracle import has_nz_A_flow
-from sgflow.reduce import choose_uncontraction_half, cubicize
+from sgflow.reduce import (CubicizeResult, UncontractionStep,
+                           choose_uncontraction_half, cubicize)
 
 
 def k5_with_negative_triangle() -> SignedGraph:
@@ -30,6 +31,13 @@ def test_cubicize_produces_cubic_3ec_2unbalanced():
     assert is_k_unbalanced(g2, 2)
     # one step per missing degree: sum(deg - 3) splits
     assert len(res.history) == sum(g.degree(v) - 3 for v in range(g.n))
+
+
+def test_fresh_cubicize_results_own_their_history():
+    g = k5_with_negative_triangle()
+    one, two = CubicizeResult(g), CubicizeResult(g)
+    one.history.append(UncontractionStep(0, 0, 2, 5, 10))
+    assert two.history == [] and one.history is not two.history
 
 
 def test_cubicize_history_contracts_back():

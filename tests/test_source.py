@@ -243,6 +243,40 @@ def test_only_oracle_names_its_internals():
     assert _oracle_internals_named(SRC) == []
 
 
+# Every sg process starts cold: importing dataclasses (with inspect, ast
+# and dis) and running its decorators cost more than the records they
+# write, so the library writes its records by hand.
+def _dataclasses_imports(root: Path) -> list[str]:
+    """module:line of each import of dataclasses."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_dataclasses_import_scan(tmp_path):
+    (tmp_path / "core.py").write_text("import itertools, dataclasses\n")
+    (tmp_path / "flows.py").write_text(
+        "from dataclasses import dataclass, field\n"
+        "def f():\n    import dataclasses as dc\n"
+        "from .dataclasses import record\nimport mydataclasses\n"
+        "x = 'dataclasses'\n")
+    assert _dataclasses_imports(tmp_path) == ["core.py:1", "flows.py:1",
+                                              "flows.py:3"]
+
+
+def test_sgflow_imports_no_dataclasses():
+    assert _dataclasses_imports(SRC) == []
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's per-layer tracer looks each span up by name, so a
     # renamed or deleted function would break its --trace 1 runs

@@ -9,7 +9,8 @@ from helpers import (graphs_with_edge_sets, random_connected_graph,
                      reference_cycles_within, reference_k_closure)
 from sgflow.core import MINUS, PLUS, SignedGraph
 from sgflow.generators import petersen
-from sgflow.structures import (all_cycles, as_negative_sun,
+from sgflow.structures import (ClosureResult, CycleRef, all_cycles,
+                               as_negative_sun,
                                build_negative_sun, cycle_sign,
                                cycles_within, find_theta,
                                fundamental_cycle, is_peripheral,
@@ -24,6 +25,32 @@ def test_petersen_has_57_cycles():
     for c in cycles:
         by_len[len(c)] = by_len.get(len(c), 0) + 1
     assert by_len == {5: 12, 6: 10, 8: 15, 9: 20}
+
+
+def test_an_equal_graph_built_again_hits_the_cycle_memo():
+    first = all_cycles(petersen())
+    hits = all_cycles.cache_info().hits
+    assert all_cycles(petersen()) is first
+    assert all_cycles.cache_info().hits == hits + 1
+
+
+def test_cycle_refs_compare_without_their_cached_edge_sets():
+    c = all_cycles(petersen())[0]
+    d = CycleRef(c.edges, c.vertices, c.sign)
+    assert c.edge_set == frozenset(c.edges) and c.mask
+    assert {"edge_set", "mask"} <= vars(c).keys()
+    assert not {"edge_set", "mask"} & vars(d).keys()
+    assert c == d and hash(c) == hash(d)
+    assert c != CycleRef(c.edges, c.vertices, -c.sign)
+    assert c != CycleRef(c.edges[1:] + c.edges[:1], c.vertices, c.sign)
+    with pytest.raises(AttributeError):
+        d.sign = -d.sign
+
+
+def test_fresh_closure_results_own_their_steps():
+    one, two = ClosureResult(frozenset()), ClosureResult(frozenset())
+    one.steps.append((all_cycles(petersen())[0], frozenset({0})))
+    assert two.steps == [] and one.steps is not two.steps
 
 
 @st.composite
