@@ -155,9 +155,9 @@ def _cmd_connect(args) -> int:
         kind, _, path = args.hint.partition(":")
         if kind != "projective" or not path:
             raise ValueError("hint must look like projective:EMBFILE")
-        from .duality import match_dual, parse_emb
+        from .duality import parse_emb
 
-        embedding = match_dual(parse_emb(_read_text(path)), g)
+        embedding = parse_emb(_read_text(path))
     cert = flows.connect(g, A, fbar, embedding=embedding)
     sys.stdout.write(flows.format_avoidance(cert))
     return EXIT_OK if cert.flow is not None else EXIT_NO
@@ -165,7 +165,7 @@ def _cmd_connect(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from . import oracle
-    from .groups import format_map, parse_group
+    from .groups import format_elem, format_map, parse_group
 
     g = _load_graph(args.file)
     if args.kind == "a-connected":
@@ -176,10 +176,10 @@ def _cmd_oracle(args) -> int:
                                         seed=args.seed)
         print(f"a-connected {verdict.status} checked {verdict.checked}")
         if verdict.status == "no":
-            beta = " ".join(",".join(map(str, b)) for b in verdict.witness_beta)
+            beta = " ".join(map(format_elem, verdict.witness_beta))
             print(f"witness-boundary {beta}")
             if verdict.witness_fbar is not None:
-                fb = " ".join(",".join(map(str, b)) for b in verdict.witness_fbar)
+                fb = " ".join(map(format_elem, verdict.witness_fbar))
                 print(f"witness-forbidden {fb}")
         return EXIT_OK if verdict.status in ("yes", "sampled-yes") else EXIT_NO
     if args.kind == "nz-flow":

@@ -146,12 +146,9 @@ class SignedGraph(Frozen):
             out[v] += 1
         return out
 
-    def with_signs(self, sigma: dict[int, int] | Sequence[int]) -> "SignedGraph":
-        if isinstance(sigma, dict):
-            new = tuple((u, v, sigma.get(e, s)) for e, (u, v, s) in enumerate(self.edges))
-        else:
-            new = tuple((u, v, sigma[e]) for e, (u, v, _) in enumerate(self.edges))
-        return SignedGraph(self.n, new)
+    def with_signs(self, sigma: Sequence[int]) -> "SignedGraph":
+        return SignedGraph(self.n, tuple(
+            (u, v, sigma[e]) for e, (u, v, _) in enumerate(self.edges)))
 
     def same_underlying(self, other: "SignedGraph") -> bool:
         return self.n == other.n and all(

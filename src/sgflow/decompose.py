@@ -402,17 +402,17 @@ def decompose_general(g: SignedGraph) -> PartitionCertificate:
     cyclically 4-edge-connected cubic graph with no positive cycle of
     length at most 5."""
     _check_cubic_3connected(g)
-    cycles = all_cycles(g)
     if not is_cyclically_k_edge_connected(g, 4):
         raise ValueError("graph is not cyclically 4-edge-connected")
     # A short positive cycle violates the stated precondition, but the
-    # dispatch below often succeeds regardless; keep the witness and only
-    # surface it if the run actually gets stuck on bad input.  A broken
-    # invariant (AssertionError) is a bug and passes through unchanged.
-    short_pos = next((c for c in cycles if c.sign == PLUS and len(c) <= 5), None)
+    # dispatch below often succeeds regardless; look for the witness only
+    # if the run actually gets stuck on bad input.  A broken invariant
+    # (AssertionError) is a bug and passes through unchanged.
     try:
         cert = _decompose_general_dispatch(g)
     except ValueError as exc:
+        short_pos = next((c for c in all_cycles(g)
+                          if c.sign == PLUS and len(c) <= 5), None)
         if short_pos is not None:
             raise ValueError(
                 f"positive cycle of length {len(short_pos)}: edges "

@@ -15,12 +15,17 @@ negative (both ends in, or both ends out) when the counts are 2 or 0.
 The dual keeps its own direction at half-edge 2e, one +-1 per edge: a
 value read in its own orientation times that factor is the value read in
 the default orientation, and the same factor converts back.
+
+match_dual finds the face orientations and the relabelling under which
+the oriented dual is a given signed graph, edge for edge; the projective
+route of flows.connect reads its flows through that match.  The one
+embedding built in, K6 on the projective plane, is exact data: its
+derivation from the icosahedron is in k6_projective_embedding's docstring.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Optional, Sequence
 
 from .core import MINUS, PLUS, SignedGraph, signatures_equivalent
@@ -128,14 +133,10 @@ def trace_faces(eg: EmbeddedGraph) -> list[Face]:
 
 
 class DualResult:
-    def __init__(self, graph: SignedGraph, direction: tuple[int, ...],
-                 faces: list[Face], face_choice: tuple[int, ...]):
+    def __init__(self, graph: SignedGraph, direction: tuple[int, ...]):
         # one vertex per face; edge index = primal edge index
         self.graph = graph
         self.direction = direction  # per edge: +1 if it leaves its half-edge 2e
-        self.faces = faces
-        # +1 = canonical walk direction, -1 = mirrored
-        self.face_choice = face_choice
 
 
 def oriented_dual(eg: EmbeddedGraph,
@@ -145,7 +146,8 @@ def oriented_dual(eg: EmbeddedGraph,
     The primal reference orientation directs every edge from its first
     stored endpoint to its second, i.e. along half-edge 2e.  A face
     "agrees" with e if its chosen boundary walk traverses e in that
-    direction (its walk contains a state on half-edge 2e).
+    direction (its walk contains a state on half-edge 2e).  face_choice
+    gives each face's walk direction: +1 the traced one, -1 its mirror.
     """
     faces = trace_faces(eg)
     if face_choice is None:
@@ -185,8 +187,7 @@ def oriented_dual(eg: EmbeddedGraph,
         # points into both faces when both agree, out of both when neither
         # does: either way it enters f1 exactly when f1 agrees
         direction.append(-1 if a1 else 1)
-    return DualResult(SignedGraph(len(faces), tuple(edges)), tuple(direction),
-                      faces, face_choice)
+    return DualResult(SignedGraph(len(faces), tuple(edges)), tuple(direction))
 
 
 def flow_from_coloring(eg: EmbeddedGraph, dual: DualResult,
@@ -207,13 +208,10 @@ class DualCorrespondence:
     """Exact match between an embedding's oriented dual and a target signed
     graph: the relabelled dual equals the target edge for edge."""
 
-    def __init__(self, embedding: EmbeddedGraph, dual: DualResult,
-                 target: SignedGraph, face_to_target: tuple[int, ...],
+    def __init__(self, dual: DualResult, target: SignedGraph,
                  edge_to_target: tuple[int, ...], value_sign: tuple[int, ...]):
-        self.embedding = embedding
         self.dual = dual
         self.target = target
-        self.face_to_target = face_to_target  # dual vertex (face) -> target vertex
         self.edge_to_target = edge_to_target  # primal/dual edge -> target edge
         self.value_sign = value_sign  # +1/-1 factor when moving values across
 
@@ -276,15 +274,14 @@ def match_dual(eg: EmbeddedGraph, target: SignedGraph) -> DualCorrespondence:
     """Find face orientations and a relabelling under which the oriented
     dual of eg is exactly the target signed graph."""
     base = oriented_dual(eg)
+    tgt_sorted = SignedGraph(target.n, tuple(
+        sorted((min(u, v), max(u, v), s) for u, v, s in target.edges)))
     for phi in _isomorphisms(base.graph, target):
+        # phi keeps every multiplicity, so both sorted edge lists run over
+        # the same underlying graph, position by position
         relabel = SignedGraph(target.n, tuple(
             sorted(((min(phi[u], phi[v]), max(phi[u], phi[v]), s)
                     for u, v, s in base.graph.edges))))
-        # compare signatures on the same underlying graph
-        tgt_sorted = SignedGraph(target.n, tuple(
-            sorted((min(u, v), max(u, v), s) for u, v, s in target.edges)))
-        if not relabel.same_underlying(tgt_sorted):
-            continue
         eq = signatures_equivalent(relabel, tgt_sorted)
         if not eq.equivalent:
             continue
@@ -319,34 +316,12 @@ def match_dual(eg: EmbeddedGraph, target: SignedGraph) -> DualCorrespondence:
             value_sign.append(hit[1])
         if len(edge_map) != dual.graph.m:
             continue
-        return DualCorrespondence(eg, dual, target, tuple(phi),
-                                  tuple(edge_map), tuple(value_sign))
+        return DualCorrespondence(dual, target, tuple(edge_map),
+                                  tuple(value_sign))
     raise ValueError("no face orientation/relabelling matches the target")
 
 
 # -- K6 on the projective plane -------------------------------------------------------
-
-_PHI = (1 + math.sqrt(5)) / 2
-
-
-def _icosahedron_points() -> list[tuple[float, float, float]]:
-    pts = []
-    for a, b in itertools.product((1.0, -1.0), repeat=2):
-        pts.append((0.0, a, b * _PHI))
-        pts.append((a, b * _PHI, 0.0))
-        pts.append((b * _PHI, 0.0, a))
-    return pts
-
-
-def _dot(p, q):
-    return sum(x * y for x, y in zip(p, q))
-
-
-def _cross(p, q):
-    return (p[1] * q[2] - p[2] * q[1],
-            p[2] * q[0] - p[0] * q[2],
-            p[0] * q[1] - p[1] * q[0])
-
 
 def k6_projective_embedding() -> EmbeddedGraph:
     """K6 on the projective plane as the antipodal quotient of the
@@ -355,54 +330,24 @@ def k6_projective_embedding() -> EmbeddedGraph:
     embedding sign -1 when it runs from a representative point to the
     antipode of the other representative.  Its oriented dual is the
     Petersen graph: match_dual identifies it with generators.canonical_ps,
-    whose docstring gives that labelling."""
-    pts = _icosahedron_points()
-    neg = {i: pts.index(tuple(-x for x in pts[i])) for i in range(12)}
-    reps: list[int] = []
-    assigned: dict[int, int] = {}
-    for i in range(12):
-        if i not in assigned:
-            assigned[i] = len(reps)
-            assigned[neg[i]] = len(reps)
-            reps.append(i)
-    edge_index: dict[tuple[int, int], int] = {}
-    edges = []
-    for a, b in itertools.combinations(range(6), 2):
-        edge_index[(a, b)] = len(edges)
-        edges.append((a, b, PLUS))
-    g = SignedGraph(6, tuple(edges))
+    whose docstring gives that labelling.
 
-    def adjacent(i: int, j: int) -> bool:
-        d2 = sum((x - y) ** 2 for x, y in zip(pts[i], pts[j]))
-        return abs(d2 - 4.0) < 1e-6
-
-    edge_sign = [PLUS] * 15
-    for (a, b), e in edge_index.items():
-        if not adjacent(reps[a], reps[b]):
-            edge_sign[e] = MINUS
-
-    rotation = []
-    for a in range(6):
-        p = pts[reps[a]]
-        nbrs = [j for j in range(12) if adjacent(reps[a], j)]
-        # order neighbours by angle in the tangent plane at p
-        u1 = _cross(p, pts[nbrs[0]])
-        norm = math.sqrt(_dot(u1, u1))
-        u1 = tuple(x / norm for x in u1)
-        u2 = _cross(tuple(x / math.sqrt(_dot(p, p)) for x in p), u1)
-        ang = []
-        for j in nbrs:
-            q = pts[j]
-            ang.append((math.atan2(_dot(q, u2), _dot(q, u1)), j))
-        ang.sort()
-        rot = []
-        for _, j in ang:
-            b = assigned[j]
-            key = (min(a, b), max(a, b))
-            e = edge_index[key]
-            rot.append(2 * e if a == key[0] else 2 * e + 1)
-        rotation.append(tuple(rot))
-    return EmbeddedGraph(g, tuple(rotation), tuple(edge_sign), PROJECTIVE)
+    The data below is that construction written out.  The icosahedron's
+    points are (0, a, b*phi), (a, b*phi, 0) and (b*phi, 0, a) for a, b in
+    (1, -1) in that order, phi the golden ratio; the first point of each
+    antipodal pair represents it, and vertices are numbered in order of
+    their representatives.  Edges are in itertools.combinations order, all
+    positive.  A vertex's rotation lists its five neighbour points q in
+    increasing atan2(q . u2, q . u1), in the tangent frame at its
+    representative p given by u1 = p x n0 / |p x n0| and u2 = (p / |p|) x u1,
+    where n0 is the first neighbour in point order."""
+    g = SignedGraph(6, tuple((a, b, PLUS)
+                             for a, b in itertools.combinations(range(6), 2)))
+    rotation = ((2, 0, 6, 8, 4), (14, 1, 10, 16, 12), (11, 3, 18, 20, 22),
+                (24, 13, 26, 5, 19), (28, 21, 25, 15, 7), (27, 9, 29, 23, 17))
+    edge_sign = (PLUS, PLUS, MINUS, MINUS, PLUS, PLUS, PLUS, MINUS, MINUS,
+                 MINUS, PLUS, MINUS, MINUS, MINUS, MINUS)
+    return EmbeddedGraph(g, rotation, edge_sign, PROJECTIVE)
 
 
 # -- embedding text format -----------------------------------------------------------

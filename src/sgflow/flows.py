@@ -47,10 +47,9 @@ no construction imports, and are re-exported here.
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence,
-                    Union)
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from .core import (MINUS, PLUS, HypothesisError, SignedGraph,
+from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _adjacency,
                    edge_connectivity, end_coeffs, is_k_unbalanced,
                    shortest_path, simple_paths, spanning_forest)
 from .decompose import decompose_base_sun, decompose_tree_2base
@@ -63,7 +62,7 @@ from .structures import (CycleRef, NegativeSun, as_negative_sun, cycle_sign,
 from . import groups, oracle
 
 if TYPE_CHECKING:
-    from .duality import DualCorrespondence, EmbeddedGraph
+    from .duality import EmbeddedGraph
 
 # the certificate's text format, re-exported from groups
 format_avoidance = groups.format_avoidance
@@ -586,10 +585,11 @@ def connect_prime(g: SignedGraph, p: int,
 # -- projective construction --------------------------------------------------------
 
 def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
-                       corr: Optional[DualCorrespondence] = None
-                       ) -> AvoidanceCertificate:
+                       embedding: EmbeddedGraph) -> AvoidanceCertificate:
     """Avoidance flow for |A| >= 6 on the oriented dual of an embedded
-    primal (plane or projective plane), by greedy coloring.
+    primal (plane or projective plane), by greedy coloring.  match_dual
+    finds the face orientations and relabelling that make the dual g, or
+    raises ValueError.
 
     Each primal edge uv, taken as a tension c(v) - c(u), maps to one dual
     flow value; forbidding one color per already-colored neighbour in a
@@ -599,11 +599,9 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
         raise ValueError(f"greedy coloring needs |A| >= 6, got {A.order}")
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
-    from .duality import (flow_from_coloring, k6_projective_embedding,
-                          match_dual)
-    if corr is None:
-        corr = match_dual(k6_projective_embedding(), g)
-    primal = corr.embedding.graph
+    from .duality import flow_from_coloring, match_dual
+    corr = match_dual(embedding, g)
+    primal = embedding.graph
     dual = corr.dual
 
     # forbidden values in the dual's own orientation, the one the coloring's
@@ -615,10 +613,7 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     alive = set(range(primal.n))
     deg = {v: primal.degree(v) for v in alive}
     elim: list[int] = []
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in alive}
-    for e, (u, v, _) in enumerate(primal.edges):
-        adj[u].append((e, v))
-        adj[v].append((e, u))
+    adj = _adjacency(primal, range(primal.m))
     while alive:
         v = min(alive, key=lambda x: (deg[x], x))
         if deg[v] > 5:
@@ -646,7 +641,7 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
             raise AssertionError("greedy step exhausted the group")
         c[v] = next(x for x in elems if x not in forbid)
     coloring = [x for x in c]  # type: ignore[misc]
-    f_dual = flow_from_coloring(corr.embedding, dual, coloring, A)
+    f_dual = flow_from_coloring(embedding, dual, coloring, A)
     f = corr.push_flow(f_dual, A)
     if not is_flow(g, f, A):
         raise AssertionError("projective construction produced a non-flow")
@@ -661,14 +656,16 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
 # -- dispatcher --------------------------------------------------------------------
 
 def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
-            embedding: Optional[Union[DualCorrespondence, EmbeddedGraph]] = None
+            embedding: Optional[EmbeddedGraph] = None
             ) -> AvoidanceCertificate:
     """Find a flow avoiding fbar on a 3-edge-connected 2-unbalanced graph.
 
     fbar must give an element of A for every edge (ValueError otherwise).
     The two hypotheses are checked here, once, and every layer below
     trusts them; a graph outside them raises HypothesisError.  Strategy
-    order: an explicit embedding hint takes the projective route;
+    order: an embedding hint takes the projective route, which raises
+    ValueError unless the hint's oriented dual, relabelled and switched,
+    is g;
     composite |A| >= 6 and prime |A| >= 11 run their constructions on the
     cubicized graph and restrict the flow to g by a slice (cubicize keeps
     g's edges as edges 0..m-1 and adds only positive edges, whose
@@ -690,10 +687,7 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
         raise HypothesisError("graph is not 2-unbalanced")
 
     if embedding is not None:
-        from .duality import DualCorrespondence, match_dual
-        corr = embedding if isinstance(embedding, DualCorrespondence) \
-            else match_dual(embedding, g)
-        return connect_projective(g, A, fbar, corr)
+        return connect_projective(g, A, fbar, embedding)
 
     composite = A.order >= 6 and not is_prime(A.order)
     if g.n >= 2 and (composite or A.order >= 11):  # or prime >= 11

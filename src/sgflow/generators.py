@@ -2,8 +2,10 @@
 
 The Petersen graphs share canonical_ps's labelling: vertices 0-4 the outer
 5-cycle and 5-9 the inner pentagram; edges 0-4 the cycle, 5-9 the spokes
-and 10-14 the pentagram.  duality.match_dual matches it to the oriented dual
-of duality.k6_projective_embedding, which is how `sg connect --hint`
+and 10-14 the pentagram.  Petersen is the oriented dual of
+duality.k6_projective_embedding (`sg gen k6-projective`) up to relabelling
+and switching: given that embedding as its hint, flows.connect_projective
+finds the match with duality.match_dual, which is how `sg connect --hint`
 reaches the projective construction on Petersen.
 """
 

@@ -101,6 +101,19 @@ def circular_ladder(rungs: int, negative_rim: bool = False) -> SignedGraph:
     return SignedGraph(2 * rungs, tuple(edges))
 
 
+def joined_prisms(rungs: int) -> SignedGraph:
+    """Two copies of circular_ladder(rungs) less vertex 0, with each freed
+    neighbour joined to its copy: cubic and 3-connected, with a 3-edge cut
+    that has cycles on both sides."""
+    prism = circular_ladder(rungs)
+    k = prism.n - 1  # vertex v > 0 of the prism is v - 1 in each copy
+    half = [(u - 1, v - 1, s) for u, v, s in prism.edges if 0 not in (u, v)]
+    freed = [u + v - 1 for u, v, _ in prism.edges if 0 in (u, v)]
+    return SignedGraph(2 * k, tuple(
+        half + [(u + k, v + k, s) for u, v, s in half]
+        + [(w, w + k, PLUS) for w in freed]))
+
+
 @st.composite
 def graphs_with_edge_sets(draw):
     """A signed multigraph and a random subset of its edges."""

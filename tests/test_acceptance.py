@@ -89,14 +89,14 @@ def test_criterion_4_projective_route_and_coloring_transfer(capsys):
     with report(capsys, 4, "projective constructor: 100/100 over Z6 and Z7;"
                 " 1000/1000 random colorings transfer to flows"):
         g = petersen()
+        eg = k6_projective_embedding()
         rng = random.Random(2028)
         for spec in ("Z6", "Z7"):
             A = parse_group(spec)
             for _ in range(100):
                 fb = random_fbar(rng, A, g.m)
-                cert = flows.connect_projective(g, A, fb)
+                cert = flows.connect_projective(g, A, fb, eg)
                 assert flows.verify_avoidance(g, cert)
-        eg = k6_projective_embedding()
         d = oriented_dual(eg)
         A = parse_group("Z6")
         for _ in range(1000):

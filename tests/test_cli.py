@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import sgflow
-from helpers import CUBIC_GRAPHS, doubled_k4_bridge, theorem_instances
+from helpers import CUBIC_GRAPHS, doubled_k4_bridge, joined_prisms, \
+    theorem_instances
 from sgflow import core, decompose, flows, oracle
 from sgflow.cli import main
 from sgflow.core import MINUS, PLUS, SignedGraph, format_sg, parse_sg
@@ -162,6 +163,31 @@ def test_connect_with_projective_hint(tmp_path, capsys):
     code, out, _ = run(capsys, "connect", "--group", "Z6",
                        "--hint", f"projective:{epath}", gpath)
     assert code == 0 and out.startswith("cert projective")
+
+
+@pytest.mark.parametrize("name", ["k4-negtri", "petersen-2neg"])
+def test_connect_with_a_hint_whose_dual_is_not_the_graph_exits_2(
+        tmp_path, capsys, name):
+    # K4's dual would need 4 vertices, not 10; the 2-negative Petersen graph
+    # is the dual's underlying graph in another switching class
+    code, out, _ = run(capsys, "gen", name)
+    gpath = tmp_path / "g.sg"
+    gpath.write_text(out)
+    epath = tmp_path / "k6.emb"
+    epath.write_text(format_emb(k6_projective_embedding()))
+    code, out, err = run(capsys, "connect", "--group", "Z6",
+                         "--hint", f"projective:{epath}", str(gpath))
+    assert (code, out) == (2, "")
+    assert err == ("error: no face orientation/relabelling matches the"
+                   " target\n")
+
+
+def test_decompose_general_rejects_a_3_cut_before_listing_cycles(
+        tmp_path, capsys):
+    gpath = write_graph(tmp_path, joined_prisms(11))
+    code, out, err = run(capsys, "decompose", "general", gpath)
+    assert (code, out) == (2, "")
+    assert err == "error: graph is not cyclically 4-edge-connected\n"
 
 
 def test_connect_reports_unsat_with_exit_1(tmp_path, capsys):

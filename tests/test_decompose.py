@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
-                     cubic_2unbalanced, graphs_with_edge_sets,
+                     cubic_2unbalanced, graphs_with_edge_sets, joined_prisms,
                      reference_has_two_disjoint_cycles,
                      reference_improving_path,
                      reference_is_2_connected_edge_set,
@@ -66,6 +66,15 @@ def test_general_decomposition_on_named_graphs():
         cert = decompose_general(g)
         ok, why = verify_partition(g, cert)
         assert ok, why
+
+
+def test_general_decomposition_checks_cyclic_connectivity_first():
+    # the cycle space has dimension 22, over the listing limit; the 3-cut
+    # between the two prisms is bad input, found without listing cycles
+    g = joined_prisms(11)
+    assert (g.n, g.m) == (42, 63)
+    with pytest.raises(ValueError, match="not cyclically 4-edge-connected"):
+        decompose_general(g)
 
 
 def test_certificate_text_round_trip():

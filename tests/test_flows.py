@@ -19,7 +19,7 @@ from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          spanning_forest)
 from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
                               violating_balanced_cut)
-from sgflow.duality import k6_projective_embedding, match_dual
+from sgflow.duality import k6_projective_embedding
 from sgflow.generators import negsun, petersen, petersen_2neg
 from sgflow.groups import boundary, integer_boundary, is_flow, parse_group
 from sgflow.structures import all_cycles, cycle_sign, fundamental_cycle
@@ -316,11 +316,12 @@ def test_connect_prime_rejects_small_primes():
 def test_connect_projective_on_petersen():
     rng = random.Random(59)
     g = petersen()
+    emb = k6_projective_embedding()
     for spec in ("Z6", "Z7"):
         A = parse_group(spec)
         for _ in range(5):
             fb = random_fbar(rng, A, g.m)
-            cert = flows.connect_projective(g, A, fb)
+            cert = flows.connect_projective(g, A, fb, emb)
             assert cert.strategy == "projective"
             assert flows.verify_avoidance(g, cert)
 
@@ -334,8 +335,8 @@ def test_connect_dispatcher_picks_strategies():
     g2 = petersen_2neg()
     cert = flows.connect(g2, A11, [A11.zero] * g2.m)
     assert cert.strategy == "prime"
-    emb = match_dual(k6_projective_embedding(), g)
-    cert = flows.connect(g, A6, [A6.zero] * g.m, embedding=emb)
+    cert = flows.connect(g, A6, [A6.zero] * g.m,
+                         embedding=k6_projective_embedding())
     assert cert.strategy == "projective"
 
 

@@ -277,6 +277,41 @@ def test_sgflow_imports_no_dataclasses():
     assert _dataclasses_imports(SRC) == []
 
 
+# Exact arithmetic only: group elements, signs and embeddings are integers,
+# so a float under src/ is a rounding tolerance that nothing needs.
+def _float_uses(root: Path) -> list[str]:
+    """module:line of each import of math and each float literal."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                hit = any(alias.name.split(".")[0] == "math"
+                          for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = not node.level and node.module == "math"
+            else:
+                hit = isinstance(node, ast.Constant) \
+                    and isinstance(node.value, float)
+            if hit:
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_float_scan(tmp_path):
+    (tmp_path / "duality.py").write_text(
+        '"""Tolerance 1e-6 in a docstring."""\nimport itertools, math\n'
+        "PHI = (1 + 5 ** 0.5) / 2\nd = abs(x - 4.0) < 1e-6\n"
+        "from .math import det\nn = 10 ** 6 // 3\n")
+    (tmp_path / "groups.py").write_text("from math import gcd\nx = '0.5'\n")
+    assert _float_uses(tmp_path) == ["duality.py:2", "duality.py:3",
+                                     "duality.py:4", "duality.py:4",
+                                     "groups.py:1"]
+
+
+def test_sgflow_has_no_floats():
+    assert _float_uses(SRC) == []
+
+
 def test_benchmark_tracer_names_resolve():
     # the benchmark's per-layer tracer looks each span up by name, so a
     # renamed or deleted function would break its --trace 1 runs
