@@ -336,11 +336,9 @@ def is_balanced(g: SignedGraph, edges: Optional[Iterable[int]] = None
 
 class EquivalenceResult:
     def __init__(self, equivalent: bool,
-                 switching_set: Optional[frozenset[int]] = None,
-                 differing_cycle: Optional[tuple[int, ...]] = None):
+                 switching_set: Optional[frozenset[int]] = None):
         self.equivalent = equivalent
         self.switching_set = switching_set
-        self.differing_cycle = differing_cycle
 
 
 def signatures_equivalent(g1: SignedGraph, g2: SignedGraph) -> EquivalenceResult:
@@ -353,7 +351,7 @@ def signatures_equivalent(g1: SignedGraph, g2: SignedGraph) -> EquivalenceResult
     res = is_balanced(diff)
     if res.balanced:
         return EquivalenceResult(True, switching_set=res.switching_set)
-    return EquivalenceResult(False, differing_cycle=res.negative_cycle)
+    return EquivalenceResult(False)
 
 
 def min_negative_edges(g: SignedGraph, budget: int = 2) -> Optional[int]:

@@ -4,9 +4,10 @@ Embeddings are combinatorial schemes: a cyclic half-edge rotation per
 vertex plus a per-edge sign (-1 = the edge passes through the cross-cap).
 Faces come from the standard trace: from state (h, side) move to the
 partner half-edge, multiply the side by the edge's embedding sign, and
-take the rotation successor (or predecessor on the flipped side).  Each
-face is traced twice, once per direction; orbits are paired off by the
-time-reversal map (h, s) -> (partner(h), -s * sign(e)).
+take the rotation successor (or predecessor on the flipped side).  The
+trace has two orbits per face, one per direction, paired off by the
+time-reversal map (h, s) -> (partner(h), -s * sign(e)); a face keeps the
+first of its pair as its walk.
 
 The oriented dual takes one vertex per face.  A primal edge e, directed by
 a reference orientation, either agrees with the boundary walk of a face or
@@ -16,10 +17,15 @@ The dual keeps its own direction at half-edge 2e, one +-1 per edge: a
 value read in its own orientation times that factor is the value read in
 the default orientation, and the same factor converts back.
 
-match_dual finds the face orientations and the relabelling under which
-the oriented dual is a given signed graph, edge for edge; the projective
-route of flows.connect reads its flows through that match.  The one
-embedding built in, K6 on the projective plane, is exact data: its
+match_dual traces the faces once.  Reversing a face's walk switches the
+dual at that face and negates the direction of each edge whose first end
+it is, so the dual under any face orientations follows from the traced
+one in a pass over its edges.  It returns that dual relabelled to a given
+signed graph, edge e stored as the target stores edge to[e], with the
+storage reversal folded into the direction; the projective route of
+flows.connect reads its flows through to alone.  The vertex-bijection
+search behind it stops at MATCH_BUDGET nodes with DeskScaleError.  The
+one embedding built in, K6 on the projective plane, is exact data: its
 derivation from the icosahedron is in k6_projective_embedding's docstring.
 """
 
@@ -28,7 +34,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from .core import MINUS, PLUS, SignedGraph, signatures_equivalent
+from .core import (MINUS, PLUS, DeskScaleError, SignedGraph,
+                   signatures_equivalent)
 from .groups import AbelianGroup, Elem
 
 PLANE = "plane"
@@ -136,39 +143,29 @@ class DualResult:
     def __init__(self, graph: SignedGraph, direction: tuple[int, ...]):
         # one vertex per face; edge index = primal edge index
         self.graph = graph
-        self.direction = direction  # per edge: +1 if it leaves its half-edge 2e
+        # per edge: a value read in the dual's own orientation times this
+        # factor is the value read in the graph's default orientation
+        self.direction = direction
 
 
-def oriented_dual(eg: EmbeddedGraph,
-                  face_choice: Optional[Sequence[int]] = None) -> DualResult:
-    """Dual signed graph with the agreement rule.
+def oriented_dual(eg: EmbeddedGraph) -> DualResult:
+    """Dual signed graph with the agreement rule, each face walked in its
+    traced direction.
 
     The primal reference orientation directs every edge from its first
     stored endpoint to its second, i.e. along half-edge 2e.  A face
-    "agrees" with e if its chosen boundary walk traverses e in that
-    direction (its walk contains a state on half-edge 2e).  face_choice
-    gives each face's walk direction: +1 the traced one, -1 its mirror.
+    "agrees" with e if its boundary walk traverses e in that direction
+    (its walk contains a state on half-edge 2e).
     """
     faces = trace_faces(eg)
-    if face_choice is None:
-        face_choice = tuple(1 for _ in faces)
-    face_choice = tuple(face_choice)
-    if len(face_choice) != len(faces):
-        raise ValueError("face_choice size mismatch")
-
-    def oriented_states(i: int) -> tuple[tuple[int, int], ...]:
-        if face_choice[i] == 1:
-            return faces[i].states
-        return tuple(_mirror(eg, h, s) for h, s in faces[i].states)
-
     # Each edge e has two "sides": the mirror-pairs {(2e,+),(2e+1,-lam)}
     # and {(2e,-),(2e+1,+lam)}.  side_face[e][k] = face owning side k;
-    # agree[e][k] = whether that face's oriented walk runs along 2e.
+    # agree[e][k] = whether that face's walk runs along 2e.
     m = eg.graph.m
     side_face = [[-1, -1] for _ in range(m)]
     agree = [[False, False] for _ in range(m)]
-    for i in range(len(faces)):
-        for h, s in oriented_states(i):
+    for i, face in enumerate(faces):
+        for h, s in face.states:
             e = h // 2
             if h % 2 == 0:
                 k = 0 if s == 1 else 1
@@ -204,35 +201,15 @@ def flow_from_coloring(eg: EmbeddedGraph, dual: DualResult,
 
 # -- dual <-> target correspondence ----------------------------------------------
 
-class DualCorrespondence:
-    """Exact match between an embedding's oriented dual and a target signed
-    graph: the relabelled dual equals the target edge for edge."""
-
-    def __init__(self, dual: DualResult, target: SignedGraph,
-                 edge_to_target: tuple[int, ...], value_sign: tuple[int, ...]):
-        self.dual = dual
-        self.target = target
-        self.edge_to_target = edge_to_target  # primal/dual edge -> target edge
-        self.value_sign = value_sign  # +1/-1 factor when moving values across
-
-    def push_flow(self, f_dual_default: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
-        out: list[Elem] = [A.zero] * self.target.m
-        for e in range(len(f_dual_default)):
-            v = f_dual_default[e]
-            out[self.edge_to_target[e]] = v if self.value_sign[e] == 1 else A.neg(v)
-        return out
-
-    def pull_map(self, f_target: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
-        out = []
-        for e in range(self.dual.graph.m):
-            v = f_target[self.edge_to_target[e]]
-            out.append(v if self.value_sign[e] == 1 else A.neg(v))
-        return out
+# search nodes _isomorphisms may visit, over every bijection it yields
+MATCH_BUDGET = 2 ** 16
 
 
 def _isomorphisms(g1: SignedGraph, g2: SignedGraph):
     """Backtracking vertex bijections preserving underlying adjacency
-    (multiplicity-aware, signs ignored).  Desk scale only."""
+    (multiplicity-aware, signs ignored).  The search is exponential, so
+    past MATCH_BUDGET nodes it raises DeskScaleError, which leaves open
+    whether a further bijection exists."""
     if g1.n != g2.n or g1.m != g2.m:
         return
     adj1 = [[0] * g1.n for _ in range(g1.n)]
@@ -247,8 +224,14 @@ def _isomorphisms(g1: SignedGraph, g2: SignedGraph):
     deg2 = [sum(r) for r in adj2]
     phi: list[Optional[int]] = [None] * g1.n
     used = [False] * g2.n
+    nodes = 0
 
     def rec(i: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > MATCH_BUDGET:
+            raise DeskScaleError(f"vertex-bijection search past its budget"
+                                 f" of {MATCH_BUDGET} nodes")
         if i == g1.n:
             yield tuple(phi)  # type: ignore[misc]
             return
@@ -270,12 +253,21 @@ def _isomorphisms(g1: SignedGraph, g2: SignedGraph):
     yield from rec(0)
 
 
-def match_dual(eg: EmbeddedGraph, target: SignedGraph) -> DualCorrespondence:
-    """Find face orientations and a relabelling under which the oriented
-    dual of eg is exactly the target signed graph."""
+def match_dual(eg: EmbeddedGraph,
+               target: SignedGraph) -> tuple[DualResult, tuple[int, ...]]:
+    """The oriented dual of eg under the face orientations and relabelling
+    that make it the target, and the edge map to with
+    dual.graph.edges[e] == target.edges[to[e]]; dual.direction reads each
+    value into the target's default orientation.  Raises ValueError when
+    no relabelling and switching match, DeskScaleError when the search
+    for one runs out of budget."""
     base = oriented_dual(eg)
     tgt_sorted = SignedGraph(target.n, tuple(
         sorted((min(u, v), max(u, v), s) for u, v, s in target.edges)))
+    # target edges by ends and sign, each list in index order
+    slots: dict[tuple[int, int, int], list[int]] = {}
+    for te, (u, v, s) in enumerate(target.edges):
+        slots.setdefault((min(u, v), max(u, v), s), []).append(te)
     for phi in _isomorphisms(base.graph, target):
         # phi keeps every multiplicity, so both sorted edge lists run over
         # the same underlying graph, position by position
@@ -285,39 +277,29 @@ def match_dual(eg: EmbeddedGraph, target: SignedGraph) -> DualCorrespondence:
         eq = signatures_equivalent(relabel, tgt_sorted)
         if not eq.equivalent:
             continue
-        # flipping a face's orientation switches the dual at that vertex
-        flips = tuple(-1 if phi[i] in eq.switching_set else 1
-                      for i in range(base.graph.n))
-        dual = oriented_dual(eg, flips)
-        # build the exact edge correspondence and value signs
-        used = [False] * target.m
-        edge_map = []
-        value_sign = []
-        for e in range(dual.graph.m):
-            a, b = dual.graph.ends(e)
-            s = dual.graph.sigma(e)
+        # reversing a face's walk switches the dual at that face and
+        # negates the direction of each edge whose first end it is
+        flip = [phi[i] in eq.switching_set for i in range(base.graph.n)]
+        free = {key: iter(tes) for key, tes in slots.items()}
+        to = []
+        direction = []
+        for e, (a, b, s) in enumerate(base.graph.edges):
+            if flip[a] != flip[b]:
+                s = -s
             ta, tb = phi[a], phi[b]
-            hit = None
-            for te, (u, v, s2) in enumerate(target.edges):
-                if used[te] or s2 != s:
-                    continue
-                if (u, v) == (ta, tb):
-                    hit = (te, 1)
-                    break
-                if (u, v) == (tb, ta):
-                    # reversed storage: harmless for negative edges, value
-                    # negation for positive ones
-                    hit = (te, 1 if s == MINUS else -1)
-                    break
-            if hit is None:
+            te = next(free.get((min(ta, tb), max(ta, tb), s), iter(())), None)
+            if te is None:
                 break
-            used[hit[0]] = True
-            edge_map.append(hit[0])
-            value_sign.append(hit[1])
-        if len(edge_map) != dual.graph.m:
-            continue
-        return DualCorrespondence(dual, target, tuple(edge_map),
-                                  tuple(value_sign))
+            d = -base.direction[e] if flip[a] else base.direction[e]
+            # a positive edge stored the other way round reads its value
+            # negated; a negative one reads the same from either end
+            if s == PLUS and target.edges[te][0] != ta:
+                d = -d
+            to.append(te)
+            direction.append(d)
+        else:
+            dual = SignedGraph(target.n, tuple(target.edges[te] for te in to))
+            return DualResult(dual, tuple(direction)), tuple(to)
     raise ValueError("no face orientation/relabelling matches the target")
 
 

@@ -589,7 +589,7 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     """Avoidance flow for |A| >= 6 on the oriented dual of an embedded
     primal (plane or projective plane), by greedy coloring.  match_dual
     finds the face orientations and relabelling that make the dual g, or
-    raises ValueError.
+    raises ValueError (DeskScaleError when its search runs out of budget).
 
     Each primal edge uv, taken as a tension c(v) - c(u), maps to one dual
     flow value; forbidding one color per already-colored neighbour in a
@@ -600,14 +600,13 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
     from .duality import flow_from_coloring, match_dual
-    corr = match_dual(embedding, g)
+    dual, to = match_dual(embedding, g)
     primal = embedding.graph
-    dual = corr.dual
 
     # forbidden values in the dual's own orientation, the one the coloring's
     # tensions are read in
-    fbar_vals = [x if d == 1 else A.neg(x)
-                 for x, d in zip(corr.pull_map(list(fbar), A), dual.direction)]
+    fbar_vals = [fbar[t] if d == 1 else A.neg(fbar[t])
+                 for t, d in zip(to, dual.direction)]
 
     # 5-degenerate elimination order
     alive = set(range(primal.n))
@@ -641,8 +640,9 @@ def connect_projective(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
             raise AssertionError("greedy step exhausted the group")
         c[v] = next(x for x in elems if x not in forbid)
     coloring = [x for x in c]  # type: ignore[misc]
-    f_dual = flow_from_coloring(embedding, dual, coloring, A)
-    f = corr.push_flow(f_dual, A)
+    f: list[Elem] = [A.zero] * g.m
+    for t, x in zip(to, flow_from_coloring(embedding, dual, coloring, A)):
+        f[t] = x
     if not is_flow(g, f, A):
         raise AssertionError("projective construction produced a non-flow")
     for e in range(g.m):

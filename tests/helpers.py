@@ -14,7 +14,7 @@ from sgflow.core import (MINUS, PLUS, MinorResult, SignedGraph,
                          _has_cycle, edge_connectivity, is_balanced,
                          is_k_unbalanced, spanning_forest, uncontract)
 from sgflow.decompose import _induced_edges, violating_balanced_cut
-from sgflow.duality import PROJECTIVE
+from sgflow.duality import PLANE, PROJECTIVE, EmbeddedGraph
 from sgflow.flows import circulation_coeffs
 from sgflow.generators import random_cubic_3connected
 from sgflow.oracle import _all_boundaries, satisfy_boundary
@@ -426,6 +426,19 @@ def switch_on_set(g: SignedGraph, side) -> SignedGraph:
             sg = -sg
         new.append((u, w, sg))
     return SignedGraph(g.n, tuple(new))
+
+
+def relabelled(g: SignedGraph, rng: random.Random) -> SignedGraph:
+    """g with its vertices and edges permuted, random edges stored the other
+    way round, and a switching at a random vertex set."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v], s) for u, v, s in g.edges]
+    rng.shuffle(edges)
+    edges = [(v, u, s) if rng.random() < 0.5 else (u, v, s)
+             for u, v, s in edges]
+    return switch_on_set(SignedGraph(g.n, tuple(edges)),
+                         [v for v in range(g.n) if rng.random() < 0.5])
 
 
 # The references below read the default orientation half-edge by half-edge,
@@ -1128,3 +1141,49 @@ def coloring_from_flow(eg, dual, f, A) -> list:
             raise ValueError(f"input is not a flow: tension mismatch on"
                              f" edge {e}")
     return c
+
+
+def orientable_double_cover(eg: EmbeddedGraph) -> EmbeddedGraph:
+    """The plane double cover of a projective embedding.  Vertex v lifts to
+    v and v + n, the second with its rotation reversed; edge e lifts to 2e,
+    leaving v's first lift, and 2e + 1, leaving its second, and an edge
+    through the cross-cap ends on the other sheet.  K6's cover is the
+    icosahedron, whose oriented dual is the dodecahedron."""
+    g = eg.graph
+
+    def lift(e: int, sheet: int) -> int:
+        """The lift of edge e that leaves e's first end on that sheet."""
+        return 2 * e + (sheet != 1)
+
+    edges = []
+    for e, (u, v, _) in enumerate(g.edges):
+        for sheet in (1, -1):
+            edges.append((u if sheet == 1 else u + g.n,
+                          v if sheet * eg.edge_sign[e] == 1 else v + g.n, PLUS))
+    rotation = []
+    for sheet in (1, -1):
+        for rot in eg.rotation:
+            lifted = [2 * lift(h // 2, sheet) if h % 2 == 0
+                      else 2 * lift(h // 2, sheet * eg.edge_sign[h // 2]) + 1
+                      for h in rot]
+            rotation.append(tuple(lifted[::sheet]))
+    return EmbeddedGraph(SignedGraph(2 * g.n, tuple(edges)), tuple(rotation),
+                         (PLUS,) * len(edges), PLANE)
+
+
+def renumbered(eg: EmbeddedGraph, rng: random.Random) -> EmbeddedGraph:
+    """eg with its edges renumbered and random edges stored the other way
+    round: the same faces, traced in another order."""
+    g = eg.graph
+    perm = list(range(g.m))
+    rng.shuffle(perm)
+    swap = [rng.random() < 0.5 for _ in range(g.m)]
+    edges: list = [None] * g.m
+    edge_sign: list = [None] * g.m
+    for e, (u, v, s) in enumerate(g.edges):
+        edges[perm[e]] = (v, u, s) if swap[e] else (u, v, s)
+        edge_sign[perm[e]] = eg.edge_sign[e]
+    rotation = tuple(tuple(2 * perm[h // 2] + (h % 2 ^ swap[h // 2])
+                           for h in rot) for rot in eg.rotation)
+    return EmbeddedGraph(SignedGraph(g.n, tuple(edges)), rotation,
+                         tuple(edge_sign), eg.surface)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +12,13 @@ import pytest
 
 import sgflow
 from helpers import CUBIC_GRAPHS, doubled_k4_bridge, joined_prisms, \
-    theorem_instances
+    orientable_double_cover, renumbered, theorem_instances
 from sgflow import core, decompose, flows, oracle
 from sgflow.cli import main
 from sgflow.core import MINUS, PLUS, SignedGraph, format_sg, parse_sg
 from sgflow.duality import format_emb, k6_projective_embedding
 from sgflow.generators import GENERATORS, k4, k4_negative_triangle, \
-    negsun, petersen, petersen_2neg
+    negsun, petersen, petersen_2neg, random_cubic_3connected
 from sgflow.groups import parse_group
 
 
@@ -180,6 +181,23 @@ def test_connect_with_a_hint_whose_dual_is_not_the_graph_exits_2(
     assert (code, out) == (2, "")
     assert err == ("error: no face orientation/relabelling matches the"
                    " target\n")
+
+
+def test_connect_with_a_hint_past_the_search_budget_exits_3(
+        tmp_path, capsys):
+    # the icosahedron's dual, the dodecahedron, is not this cubic graph on
+    # 20 vertices; under this edge numbering saying so takes 539 721 search
+    # nodes, several times the budget, which proves nothing either way
+    eg = renumbered(orientable_double_cover(k6_projective_embedding()),
+                    random.Random(37))
+    gpath = write_graph(tmp_path, random_cubic_3connected(20, random.Random(0)))
+    epath = tmp_path / "ico.emb"
+    epath.write_text(format_emb(eg))
+    code, out, err = run(capsys, "connect", "--group", "Z6",
+                         "--hint", f"projective:{epath}", gpath)
+    assert (code, out) == (3, "")
+    assert err == ("desk-scale limit: vertex-bijection search past its"
+                   " budget of 65536 nodes\n")
 
 
 def test_decompose_general_rejects_a_3_cut_before_listing_cycles(

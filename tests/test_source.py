@@ -118,10 +118,12 @@ def test_only_structures_and_decompose_scan_cycle_spaces():
 
 
 # Refusals for scale.  Only the oracle's two budgets, on the work one search
-# or one sweep does, and structures.cycles_within's cycle-space dimension
-# (ROADMAP item 3 removes it) raise DeskScaleError: a check on input size
-# anywhere else would refuse inputs the search answers at once.
+# or one sweep does, duality's budget on the nodes of its vertex-bijection
+# search, and structures.cycles_within's cycle-space dimension (ROADMAP
+# item 3 removes it) raise DeskScaleError: a check on input size anywhere
+# else would refuse inputs the search answers at once.
 DESK_SCALE_RAISES = {("oracle.py", "_walk"), ("oracle.py", "is_A_connected"),
+                     ("duality.py", "_isomorphisms"),
                      ("structures.py", "cycles_within")}
 BUDGETS = re.compile(r"\b(SEARCH|SWEEP)_BUDGET\b")
 
@@ -168,11 +170,15 @@ def test_only_the_budgets_and_the_cycle_scan_refuse_for_scale():
 
 
 # One orientation: boundaries, searches and constructions read every flow in
-# the default orientation, which core.end_coeffs states, so no function
-# takes one.
+# the default orientation, which core.end_coeffs states, and the oriented
+# dual walks every face in its traced direction, so no function takes an
+# orientation or a face orientation.
+ORIENTATION_PARAMETERS = {"tau", "face_choice"}
+
+
 def _tau_parameters(root: Path) -> list[str]:
     """module:function of each function or lambda with a parameter named
-    tau."""
+    tau or face_choice."""
     found = []
     for path in sorted(root.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -182,7 +188,7 @@ def _tau_parameters(root: Path) -> list[str]:
             a = node.args
             names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
                      + [a.vararg, a.kwarg] if x is not None]
-            if "tau" in names:
+            if ORIENTATION_PARAMETERS.intersection(names):
                 found.append(f"{path.name}:{getattr(node, 'name', '<lambda>')}")
     return found
 
@@ -193,11 +199,13 @@ def test_tau_parameter_scan(tmp_path):
         "def z2_to_3flow(g, support, carrier, tau=None):\n"
         "    key = lambda *, tau: tau\n")
     (tmp_path / "duality.py").write_text(
-        "def oriented_dual(eg, direction=None):\n    tau = direction\n")
+        "def oriented_dual(eg, direction=None):\n    tau = direction\n\n\n"
+        "def match_dual(eg, target, face_choice=None):\n    pass\n")
     (tmp_path / "groups.py").write_text(
         "def boundary(g, f, A, **tau):\n    tau_s = 1\n")
     assert _tau_parameters(tmp_path) == [
-        "flows.py:z2_to_3flow", "flows.py:<lambda>", "groups.py:boundary"]
+        "duality.py:match_dual", "flows.py:z2_to_3flow", "flows.py:<lambda>",
+        "groups.py:boundary"]
 
 
 def test_no_function_under_src_takes_an_orientation():
