@@ -21,6 +21,15 @@ until some candidate of that weight is valid.  The tree/2-base mode runs
 until C is empty; the sun modes run until C is a negative sun, which
 becomes the protected edge set F.
 
+Each round checks the invariants against witnesses the loop holds
+(WorkingPartition), not from scratch: (a) against the start cycle D, the
+last path and V(A + B), since A + B is D plus one ear per round and an
+ear keeps a graph 2-connected (Whitney); (d) against a mask of the part
+of B's 2-closure found so far, extended from B's new edges only until it
+covers A, since the 2-closure is monotone and idempotent; (e) against D,
+which stays in B.  verify_partition re-derives every conclusion at the
+end of each decomposition.
+
 Every question about an edge set (is it connected, 2-connected, balanced)
 takes the set as data over g's own indices: core.component_count counts
 components with the one union-find, 2-connectivity is one lowpoint search
@@ -38,7 +47,7 @@ from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _adjacency,
                    is_cyclically_k_edge_connected, simple_paths, small_cuts,
                    spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
-                         cycles_within, find_peripheral_cycle,
+                         cycles_within, extend_closure, find_peripheral_cycle,
                          fundamental_cycle, k_closure, order_cycle)
 
 TREE_2BASE = "tree-2base"
@@ -137,10 +146,26 @@ def _spans_and_connected(g: SignedGraph, es: Collection[int]) -> bool:
 # -- working partition invariants ----------------------------------------------------
 
 class WorkingPartition:
-    def __init__(self, a: set[int], b: set[int], c: set[int]):
-        self.a = a
-        self.b = b
-        self.c = c
+    """The partition A + B + C of _peel, from the start cycle D (A empty,
+    B = E(D)), with the witnesses check_working_partition reads:
+
+      d         the start cycle D,
+      path      the last path P added (empty in round 0),
+      verts     V(A + B) before P was added,
+      closure   an int mask (bit e for edge e) of the part of B's
+                2-closure found so far,
+      positive  the positive cycles of g, the list that closure scans.
+    """
+
+    def __init__(self, g: SignedGraph, d: CycleRef):
+        self.a: set[int] = set()
+        self.b = set(d.edges)
+        self.c = set(range(g.m)) - d.edge_set
+        self.d = d
+        self.path: tuple[int, ...] = ()
+        self.verts = set(d.vertices)
+        self.closure = d.mask
+        self.positive = [c for c in all_cycles(g) if c.sign == PLUS]
 
 
 def _check(ok: bool, tag: str) -> None:
@@ -148,16 +173,60 @@ def _check(ok: bool, tag: str) -> None:
         raise AssertionError(tag)
 
 
+def _ear_inner(g: SignedGraph, wp: WorkingPartition) -> Optional[list[int]]:
+    """The inner vertices of the last path P if A + B is D in round 0 (no
+    inner vertices then), or if P is an ear of the old A + B added as
+    _peel adds it: a walk whose ends are distinct and on the old V(A + B)
+    and whose inner vertices are distinct and new, with its end-edges in
+    A and its other edges in B.  None otherwise.  An ear keeps a
+    2-connected graph 2-connected (Whitney), and a cycle of two or more
+    edges is 2-connected."""
+    path = wp.path
+    if not path:
+        return [] if len(wp.d) > 1 and wp.a | wp.b == wp.d.edge_set else None
+    u, v = g.ends(path[0])
+    cur = v if len(path) > 1 and u in g.ends(path[1]) else u
+    walk = [cur]
+    for e in path:
+        x, y = g.ends(e)
+        if cur not in (x, y):
+            return None
+        cur = y if cur == x else x
+        walk.append(cur)
+    inner = walk[1:-1]
+    if (walk[0] != walk[-1] and walk[0] in wp.verts
+            and walk[-1] in wp.verts and len(set(inner)) == len(inner)
+            and wp.verts.isdisjoint(inner)
+            and path[0] in wp.a and path[-1] in wp.a
+            and wp.b.issuperset(path[1:-1])):
+        return inner
+    return None
+
+
 def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
                             want_sign: Optional[int]) -> None:
     """Check the loop invariants, property (e) only outside GENERAL mode;
     raises AssertionError with the failing property tag (also under
-    python -O).  want_sign is the sign of the peripheral cycle B started
-    from: MINUS in BASE_SUN mode, and in TREE_2BASE mode exactly when g is
-    unbalanced, and then (e) asks for a negative cycle in B."""
+    python -O).  want_sign is the sign of D: MINUS in BASE_SUN mode, and
+    in TREE_2BASE mode exactly when g is unbalanced, and then (e) asks for
+    a negative cycle in B.
+
+    (a), (d) and (e) read the witnesses of wp rather than the whole graph,
+    and the check moves them past the round it accepts:
+      (a) A + B is D in round 0, and each later round adds an ear
+          (_ear_inner), whose inner vertices join verts;
+      (d) the closure mask takes B's new edges and scans on only until
+          it covers A: the 2-closure is monotone and idempotent, so
+          cl(S + B) = cl(B) for any S inside cl(B), and the mask never
+          leaves cl(B);
+      (e) D lies in B, and is negative when want_sign is MINUS.
+    (b) and (c) are checked on C and A + C from scratch.  tests/helpers.py
+    keeps the from-scratch check of every property as the reference."""
     _check(wp.a | wp.b | wp.c == set(range(g.m)), "partition does not cover E")
     _check(not (wp.a & wp.b or wp.a & wp.c or wp.b & wp.c), "parts overlap")
-    _check(_is_2_connected_edge_set(g, wp.a | wp.b), "(a) A+B not 2-connected")
+    inner = _ear_inner(g, wp)
+    _check(inner is not None, "(a) A+B not 2-connected")
+    wp.verts.update(inner)
     if wp.c:
         degs = _sub_degrees(g, wp.c)
         _check(component_count(g, wp.c, degs) == 1, "(b) C disconnected")
@@ -167,13 +236,17 @@ def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
     _check(_spans_and_connected(g, wp.a | wp.c), "(c) A+C not spanning/connected")
     if mode in (BASE_SUN, GENERAL):
         _check(not is_balanced(g, wp.a | wp.c).balanced, "(c) A+C has no negative cycle")
-    closure = k_closure(g, wp.b, 2).closure
-    _check(wp.a <= closure, "(d) 2-closure of B misses part of A")
+    for e in wp.path[1:-1]:
+        wp.closure |= 1 << e
+    a_mask = 0
+    for e in wp.a:
+        a_mask |= 1 << e
+    wp.closure = extend_closure(wp.positive, wp.closure, 2, a_mask)
+    _check(not a_mask & ~wp.closure, "(d) 2-closure of B misses part of A")
     if mode != GENERAL:
-        # an edge left out of a spanning forest closes a cycle
-        _check(len(spanning_forest(g, wp.b)) < len(wp.b), "(e) B contains no cycle")
+        _check(wp.d.edge_set <= wp.b, "(e) B contains no cycle")
         if want_sign == MINUS:
-            _check(not is_balanced(g, wp.b).balanced, "(e) B has no negative cycle")
+            _check(wp.d.sign == MINUS, "(e) B has no negative cycle")
 
 
 # -- improving paths ------------------------------------------------------------------
@@ -236,7 +309,9 @@ def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int
 
     Both sides of every 3- and 4-edge cut (core.small_cuts) are tried in
     increasing order of sum(2^v over X), so the X returned is the first
-    one a scan of every vertex subset in binary order would meet."""
+    one a scan of every vertex subset in binary order would meet.  A side
+    that holds every vertex of a negative cycle found on an earlier side
+    induces that cycle, so it is skipped without colouring."""
     every = frozenset(range(g.n))
     sides = []
     for cut, x in small_cuts(g, 4):
@@ -246,10 +321,16 @@ def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int
             sides += [(sum(1 << v for v in side), side, k)
                       for side in (x, every - x) if len(side) >= k - 1]
     sides.sort(key=operator.itemgetter(0))
-    for _, x, k in sides:
+    negative: list[int] = []  # vertex masks of the negative cycles found
+    for bits, x, k in sides:
+        if any(not vs & ~bits for vs in negative):
+            continue
         inside = _induced_edges(g, x)
-        if is_balanced(g, inside).balanced and (
-                k == 3 or _plane_with_degree_2_outside(g, x, inside)):
+        cycle = is_balanced(g, inside).negative_cycle
+        if cycle is not None:
+            negative.append(sum(1 << v for v in {w for e in cycle
+                                                   for w in g.ends(e)}))
+        elif k == 3 or _plane_with_degree_2_outside(g, x, inside):
             return x, k
     return None
 
@@ -309,18 +390,21 @@ def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
     peripheral cycle of sign want_sign (any sign when None; in sun modes
     with unbalanced complement) as B, and read off X1, X2 and F.
 
-    Each round moves an improving path out of C and re-checks the working
-    partition (property (e) only outside GENERAL mode).  TREE_2BASE runs
-    until C is empty and takes a spanning tree of A as X1; the sun modes
-    run until C is a negative sun (with distinct pendant tips in BASE_SUN
-    mode), which becomes F inside a connected base X1."""
+    Each round moves an improving path out of C and checks the working
+    partition against its witnesses (property (e) only outside GENERAL
+    mode): the start cycle D, the path just added, V(A + B) before it,
+    and the part of B's 2-closure found so far, scanned over the positive
+    cycles listed once per decomposition.  TREE_2BASE runs until C is
+    empty and takes a spanning tree of A as X1; the sun modes run until C
+    is a negative sun (with distinct pendant tips in BASE_SUN mode), which
+    becomes F inside a connected base X1."""
     sun_mode = mode != TREE_2BASE
     d = find_peripheral_cycle(g, want_sign=want_sign,
                               require_unbalanced_complement=sun_mode)
     if d is None:
         raise AssertionError(f"no peripheral cycle of sign {want_sign}"
                              f" for {mode} found")
-    wp = WorkingPartition(set(), set(d.edges), set(range(g.m)) - d.edge_set)
+    wp = WorkingPartition(g, d)
     while True:
         check_working_partition(g, wp, mode, want_sign)
         if sun_mode:
@@ -331,10 +415,10 @@ def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
         elif not wp.c:
             break
         path = improving_path(g, wp.c, protect_negative=sun_mode)
-        x = {path[0], path[-1]}
-        wp.a |= x
-        wp.b |= set(path) - x
-        wp.c -= set(path)
+        wp.a.update((path[0], path[-1]))
+        wp.b.update(path[1:-1])
+        wp.c.difference_update(path)
+        wp.path = path
     if sun_mode:
         x1 = _connected_base_containing(g, wp.c, wp.a | wp.c)
     else:

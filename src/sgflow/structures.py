@@ -281,16 +281,21 @@ def _edges_of(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def k_closure(g: SignedGraph, seed: Iterable[int], k: int) -> ClosureResult:
-    """Least fixpoint of: absorb E(C) for any positive cycle C with
-    1 <= |E(C) - S| <= k.  Order-independent; we scan shortest first.
-    S is held as an int with bit e for edge e, tested against each
-    cycle's mask."""
-    positive = [c for c in all_cycles(g) if c.sign == PLUS]
-    cur = 0
-    for e in seed:
-        cur |= 1 << e
-    steps: list[tuple[CycleRef, frozenset[int]]] = []
+def extend_closure(positive: Sequence[CycleRef], cur: int, k: int,
+                   cover: int,
+                   steps: Optional[list[tuple[CycleRef, frozenset[int]]]]
+                   = None) -> int:
+    """Absorb into the edge mask cur (bit e for edge e) the edges of each
+    cycle C of `positive` with 1 <= |E(C) - cur| <= k, in list order, pass
+    after pass, until a pass absorbs nothing or cur holds every edge of
+    the mask cover; each absorption (C, newly absorbed edges) is appended
+    to steps when given.
+
+    The k-closure is monotone and idempotent, so cl(S + cur) = cl(cur) for
+    any S inside cl(cur): a cur stopped early still lies inside the
+    closure, and a later call may go on from it with more seed edges."""
+    if not cover & ~cur:
+        return cur
     changed = True
     while changed:
         changed = False
@@ -298,8 +303,26 @@ def k_closure(g: SignedGraph, seed: Iterable[int], k: int) -> ClosureResult:
             missing = c.mask & ~cur
             if missing and missing.bit_count() <= k:
                 cur |= missing
-                steps.append((c, _edges_of(missing)))
+                if steps is not None:
+                    steps.append((c, _edges_of(missing)))
+                if not cover & ~cur:
+                    return cur
                 changed = True
+    return cur
+
+
+def k_closure(g: SignedGraph, seed: Iterable[int], k: int) -> ClosureResult:
+    """Least fixpoint of: absorb E(C) for any positive cycle C with
+    1 <= |E(C) - S| <= k.  Order-independent; we scan shortest first.
+    S is held as an int with bit e for edge e, tested against each
+    cycle's mask; the scan stops once S is all of E, where no cycle has
+    an edge left to absorb."""
+    cur = 0
+    for e in seed:
+        cur |= 1 << e
+    steps: list[tuple[CycleRef, frozenset[int]]] = []
+    cur = extend_closure([c for c in all_cycles(g) if c.sign == PLUS], cur,
+                         k, (1 << g.m) - 1, steps)
     return ClosureResult(_edges_of(cur), steps)
 
 

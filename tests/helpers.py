@@ -11,15 +11,18 @@ from typing import Optional, Sequence
 from hypothesis import strategies as st
 
 from sgflow.core import (MINUS, PLUS, MinorResult, SignedGraph,
-                         _has_cycle, edge_connectivity, is_balanced,
-                         is_k_unbalanced, spanning_forest, uncontract)
-from sgflow.decompose import _induced_edges, violating_balanced_cut
+                         _has_cycle, component_count, edge_connectivity,
+                         is_balanced, is_k_unbalanced, spanning_forest,
+                         uncontract)
+from sgflow.decompose import (BASE_SUN, GENERAL, _check, _induced_edges,
+                              _is_2_connected_edge_set, _spans_and_connected,
+                              _sub_degrees, violating_balanced_cut)
 from sgflow.duality import PLANE, PROJECTIVE, EmbeddedGraph
 from sgflow.flows import circulation_coeffs
 from sgflow.generators import random_cubic_3connected
 from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
-                               cycles_within, order_cycle)
+                               cycles_within, k_closure, order_cycle)
 
 
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 8,
@@ -951,6 +954,32 @@ def reference_is_2_connected_edge_set(g: SignedGraph, es) -> bool:
         if len([c for c in comps if c & verts]) > 1:
             return False
     return True
+
+
+def reference_check_working_partition(g: SignedGraph, wp, mode: str,
+                                      want_sign) -> None:
+    """decompose.check_working_partition as it was before it read the
+    partition's witnesses: every invariant re-derived from A, B and C
+    alone, with the same tags in the same order."""
+    _check(wp.a | wp.b | wp.c == set(range(g.m)), "partition does not cover E")
+    _check(not (wp.a & wp.b or wp.a & wp.c or wp.b & wp.c), "parts overlap")
+    _check(_is_2_connected_edge_set(g, wp.a | wp.b), "(a) A+B not 2-connected")
+    if wp.c:
+        degs = _sub_degrees(g, wp.c)
+        _check(component_count(g, wp.c, degs) == 1, "(b) C disconnected")
+        _check(all(d in (1, 3) for d in degs.values()), "(b) C degree not in {1,3}")
+        if mode in (BASE_SUN, GENERAL):
+            _check(not is_balanced(g, wp.c).balanced, "(b) C balanced")
+    _check(_spans_and_connected(g, wp.a | wp.c), "(c) A+C not spanning/connected")
+    if mode in (BASE_SUN, GENERAL):
+        _check(not is_balanced(g, wp.a | wp.c).balanced, "(c) A+C has no negative cycle")
+    closure = k_closure(g, wp.b, 2).closure
+    _check(wp.a <= closure, "(d) 2-closure of B misses part of A")
+    if mode != GENERAL:
+        # an edge left out of a spanning forest closes a cycle
+        _check(len(spanning_forest(g, wp.b)) < len(wp.b), "(e) B contains no cycle")
+        if want_sign == MINUS:
+            _check(not is_balanced(g, wp.b).balanced, "(e) B has no negative cycle")
 
 
 # -- path walkers -----------------------------------------------------------------

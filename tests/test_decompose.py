@@ -7,15 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
                      cubic_2unbalanced, graphs_with_edge_sets, joined_prisms,
+                     reference_check_working_partition,
                      reference_has_two_disjoint_cycles,
                      reference_improving_path,
                      reference_is_2_connected_edge_set,
                      reference_violating_balanced_cut,
                      signed_cubic_3connected, switching_classes)
-from sgflow import decompose
+from sgflow import decompose, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          is_balanced, is_cyclically_k_edge_connected)
-from sgflow.decompose import (BASE_SUN, TREE_2BASE, WorkingPartition,
+from sgflow.decompose import (BASE_SUN, GENERAL, TREE_2BASE, WorkingPartition,
                               _is_2_connected_edge_set,
                               check_working_partition, decompose_base_sun,
                               decompose_general, decompose_tree_2base,
@@ -24,7 +25,7 @@ from sgflow.decompose import (BASE_SUN, TREE_2BASE, WorkingPartition,
                               verify_partition, violating_balanced_cut)
 from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
                                petersen_2neg, random_cubic_3connected)
-from sgflow.structures import as_negative_sun, k_closure
+from sgflow.structures import as_negative_sun, k_closure, order_cycle
 
 
 def test_tree_2base_on_named_graphs():
@@ -160,51 +161,150 @@ def test_small_cut_checks_answer_past_sixteen_vertices(n):
 
 
 # -- working-partition invariants ---------------------------------------------------
-# Petersen edges: 0-4 the outer 5-cycle (negative in petersen()), 5-9 the
-# spokes, 10-14 the inner pentagram.
+# Petersen edges: 0-4 the outer 5-cycle (negative in petersen()) on vertices
+# 0-4, 5-9 the spokes i to i + 5, 10-14 the inner pentagram.
 
 OUTER, SPOKES, PENTAGRAM = set(range(5)), set(range(5, 10)), set(range(10, 15))
 ALL = OUTER | SPOKES | PENTAGRAM
 PETERSEN, POSITIVE = petersen(), petersen(all_positive=True)
 K5 = SignedGraph(5, tuple((u, v, PLUS) for u in range(5)
-                          for v in range(u + 1, 5)))  # edges 0, 1 meet at 0
+                          for v in range(u + 1, 5)))
+K5_HAMILTON = {0, 4, 7, 9, 3}  # 0-1-2-3-4-0; the rest is the 5-cycle 0-2-4-1-3
+# a triangle D whose vertex 2 has degree 2, so no edge of C reaches it
+SPUR = SignedGraph(5, ((0, 1, PLUS), (1, 2, PLUS), (2, 0, PLUS),
+                       (0, 3, PLUS), (1, 3, PLUS), (3, 4, PLUS)))
+# the first round on Petersen from the outer cycle: the ear 0-5-7-2
+EAR = (5, 10, 7)
+EAR_C = ALL - OUTER - set(EAR)
 BROKEN_PARTITIONS = [
-    # (tag, graph, mode, A, B, C)
-    ("partition does not cover E", PETERSEN, TREE_2BASE, set(), OUTER,
-     SPOKES | PENTAGRAM - {14}),
-    ("parts overlap", PETERSEN, TREE_2BASE, {0}, OUTER, SPOKES | PENTAGRAM),
-    ("(a) A+B not 2-connected", PETERSEN, TREE_2BASE, set(), {0, 1},
-     ALL - {0, 1}),
-    ("(b) C disconnected", PETERSEN, TREE_2BASE, set(), ALL - {10, 11},
-     {10, 11}),
-    ("(b) C degree not in {1,3}", K5, TREE_2BASE, set(), set(range(2, 10)),
-     {0, 1}),
-    ("(b) C balanced", PETERSEN, BASE_SUN, set(), ALL - {10}, {10}),
-    ("(c) A+C not spanning/connected", PETERSEN, TREE_2BASE, set(),
-     ALL - {10}, {10}),
-    ("(c) A+C has no negative cycle", PETERSEN, BASE_SUN,
-     {0, 1, 2, 3} | SPOKES, {4} | PENTAGRAM, set()),
-    ("(d) 2-closure of B misses part of A", POSITIVE, TREE_2BASE,
-     OUTER | SPOKES, PENTAGRAM, set()),
-    ("(e) B contains no cycle", POSITIVE, TREE_2BASE, {3, 4}, {0, 1, 2},
-     SPOKES | PENTAGRAM),
-    ("(e) B has no negative cycle", PETERSEN, TREE_2BASE, set(), PENTAGRAM,
-     OUTER | SPOKES),
+    # (id, tag, graph, mode, D, A, B, C, last path P, vertices of the old
+    # A + B beyond V(D))
+    ("partition does not cover E", "partition does not cover E", PETERSEN,
+     TREE_2BASE, OUTER, set(), OUTER, SPOKES | PENTAGRAM - {14}, (), ()),
+    ("parts overlap", "parts overlap", PETERSEN, TREE_2BASE, OUTER, {0},
+     OUTER, SPOKES | PENTAGRAM, (), ()),
+    ("(a) A+B not 2-connected", "(a) A+B not 2-connected", PETERSEN,
+     TREE_2BASE, OUTER, set(), {0, 1}, ALL - {0, 1}, (), ()),
+    # the ear 0-5-7-9-4 leaves the edge 2-7 as a second bridge
+    ("(b) C disconnected", "(b) C disconnected", PETERSEN, TREE_2BASE, OUTER,
+     {5, 9}, OUTER | {10, 12}, ALL - OUTER - {5, 9, 10, 12}, (5, 10, 12, 9),
+     ()),
+    ("(b) C degree not in {1,3}", "(b) C degree not in {1,3}", K5,
+     TREE_2BASE, K5_HAMILTON, set(), K5_HAMILTON, set(range(10)) - K5_HAMILTON,
+     (), ()),
+    ("(b) C balanced", "(b) C balanced", PETERSEN, BASE_SUN, OUTER, set(),
+     OUTER, SPOKES | PENTAGRAM, (), ()),
+    ("(c) A+C not spanning/connected", "(c) A+C not spanning/connected", SPUR,
+     TREE_2BASE, {0, 1, 2}, set(), {0, 1, 2}, {3, 4, 5}, (), ()),
+    # C is used up, the last ear the chord 7-9, and A holds no outer edge
+    ("(c) A+C has no negative cycle", "(c) A+C has no negative cycle",
+     PETERSEN, BASE_SUN, OUTER, SPOKES | PENTAGRAM - {10}, OUTER | {10},
+     set(), (12,), range(10)),
+    # no 5- or 6-cycle has exactly two edges off the outer cycle
+    ("(d) 2-closure of B misses part of A",
+     "(d) 2-closure of B misses part of A", POSITIVE, TREE_2BASE, OUTER,
+     SPOKES | PENTAGRAM, OUTER, set(), (12,), range(10)),
+    ("(e) B contains no cycle", "(e) B contains no cycle", POSITIVE,
+     TREE_2BASE, OUTER, {3, 4}, {0, 1, 2}, SPOKES | PENTAGRAM, (), ()),
+    ("(e) B has no negative cycle", "(e) B has no negative cycle", PETERSEN,
+     TREE_2BASE, PENTAGRAM, set(), PENTAGRAM, OUTER | SPOKES, (), ()),
+    ("(a) ear inner vertex on A+B", "(a) A+B not 2-connected", PETERSEN,
+     TREE_2BASE, OUTER, {5, 7}, OUTER | {10}, EAR_C, EAR, {7}),
+    # the closed walk 5-7-9-6-8-5 around the pentagram
+    ("(a) ear ends coincide", "(a) A+B not 2-connected", PETERSEN,
+     TREE_2BASE, OUTER, {10, 13}, OUTER | {11, 12, 14}, SPOKES,
+     (10, 12, 14, 11, 13), {5}),
+    ("(e) B lost an edge of D", "(e) B contains no cycle", PETERSEN,
+     TREE_2BASE, OUTER, {3, 5, 7}, OUTER - {3} | {10}, EAR_C, EAR, ()),
 ]
 
 
-@pytest.mark.parametrize("tag,g,mode,a,b,c", BROKEN_PARTITIONS,
+def _partition(g, d, a, b, c, path, more_verts) -> WorkingPartition:
+    """The state after P was added: the closure mask holds D and B, all
+    of it inside the 2-closure of B unless B lost an edge of D."""
+    wp = WorkingPartition(g, order_cycle(g, d))
+    wp.a, wp.b, wp.c, wp.path = set(a), set(b), set(c), path
+    wp.verts.update(more_verts)
+    for e in b:
+        wp.closure |= 1 << e
+    return wp
+
+
+@pytest.mark.parametrize("tag,g,mode,d,a,b,c,path,more_verts",
+                         [case[1:] for case in BROKEN_PARTITIONS],
                          ids=[case[0] for case in BROKEN_PARTITIONS])
-def test_check_working_partition_names_the_broken_invariant(tag, g, mode, a,
-                                                            b, c):
+def test_check_working_partition_names_the_broken_invariant(
+        tag, g, mode, d, a, b, c, path, more_verts):
     # the peel starts from a negative cycle in sun mode and on an unbalanced
     # graph, and passes that sign down
     want_sign = MINUS if mode == BASE_SUN or not is_balanced(g).balanced \
         else None
+    wp = _partition(g, d, a, b, c, path, more_verts)
     with pytest.raises(AssertionError) as info:
-        check_working_partition(g, WorkingPartition(set(a), set(b), set(c)),
-                                mode, want_sign)
+        check_working_partition(g, wp, mode, want_sign)
     assert str(info.value) == tag
+
+
+def _tag(check, *args):
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+class _BothBroken(Exception):
+    """Both checks named the same broken invariant."""
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_cubic_3connected(n_hi=14))
+def test_check_working_partition_matches_the_reference_on_peel_rounds(g):
+    # every round of the three peels, hypotheses met or not: the witness
+    # check and the from-scratch one give the same verdict, and after an
+    # accepted round verts is V(A + B) and the closure mask lies inside
+    # the 2-closure of B and covers A
+    rounds = 0
+
+    def both(g, wp, mode, want_sign):
+        nonlocal rounds
+        rounds += 1
+        tag = _tag(reference_check_working_partition, g, wp, mode, want_sign)
+        assert _tag(check_working_partition, g, wp, mode, want_sign) == tag
+        if tag is not None:
+            raise _BothBroken(tag)
+        assert wp.verts == set(decompose._sub_degrees(g, wp.a | wp.b))
+        found = {e for e in range(g.m) if wp.closure >> e & 1}
+        assert wp.a <= found <= k_closure(g, wp.b, 2).closure
+
+    unbalanced = not is_balanced(g).balanced
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decompose, "check_working_partition", both)
+        for mode, want_sign in ((TREE_2BASE, MINUS if unbalanced else None),
+                                (BASE_SUN, MINUS), (GENERAL, PLUS)):
+            try:
+                decompose._peel(g, mode, want_sign)
+            except (ValueError, _BothBroken):
+                pass  # no improving path, or outside the mode's hypotheses
+            except AssertionError as exc:
+                # a sun mode without a peripheral cycle to start from
+                assert str(exc).startswith("no peripheral cycle"), exc
+    assert rounds
+
+
+def test_a_decomposition_computes_one_closure(monkeypatch):
+    # the peel extends one closure mask; only verify_partition calls
+    # k_closure, once
+    calls = []
+
+    def counting(g, seed, k):
+        calls.append(k)
+        return k_closure(g, seed, k)
+
+    monkeypatch.setattr(structures, "k_closure", counting)
+    monkeypatch.setattr(decompose, "k_closure", counting)
+    decompose_tree_2base(petersen())
+    assert calls == [2]
 
 
 # -- edge-set helpers against the subgraph-building versions ----------------------
