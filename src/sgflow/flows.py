@@ -672,8 +672,9 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     contraction leaves the boundary zero); everything else, a graph with
     fewer than 2 vertices, and a HypothesisError from the prime route's
     decomposition (no two disjoint negative cycles, or a balanced side of
-    a small cut) falls back to exhaustive search, whose flow is verified,
-    and which may also prove that no avoiding flow exists (flow = None).
+    a small cut) falls back to exhaustive search, which may also prove
+    that no avoiding flow exists (flow = None).  Every returned flow,
+    whatever its route, passes verify_avoidance once, here at exit.
     """
     if len(fbar) != g.m:
         raise ValueError("forbidden map must cover every edge")
@@ -686,11 +687,11 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     if not is_k_unbalanced(g, 2):
         raise HypothesisError("graph is not 2-unbalanced")
 
-    if embedding is not None:
-        return connect_projective(g, A, fbar, embedding)
-
     composite = A.order >= 6 and not is_prime(A.order)
-    if g.n >= 2 and (composite or A.order >= 11):  # or prime >= 11
+    cert = None
+    if embedding is not None:
+        cert = connect_projective(g, A, fbar, embedding)
+    elif g.n >= 2 and (composite or A.order >= 11):  # or prime >= 11
         h = cubicize(g).graph
         fb = list(fbar) + [A.zero] * (h.m - g.m)
         try:
@@ -705,14 +706,11 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
             cert.fbar = list(fbar)
             if cert.e_prime is not None and cert.e_prime >= g.m:
                 cert.e_prime = None
-            if not verify_avoidance(g, cert):
-                raise AssertionError(f"restricted {cert.strategy} flow failed"
-                                     " to verify")
-            return cert
-
-    sol = oracle.satisfy_boundary(g, A, [A.zero] * g.n, fbar=list(fbar),
-                                  allow_zero=True)
-    cert = AvoidanceCertificate("oracle", A, sol, list(fbar))
-    if sol is not None and not verify_avoidance(g, cert):  # no re-search
-        raise AssertionError("oracle flow failed to verify")
+    if cert is None:
+        sol = oracle.satisfy_boundary(g, A, [A.zero] * g.n, fbar=list(fbar),
+                                      allow_zero=True)
+        cert = AvoidanceCertificate("oracle", A, sol, list(fbar))
+    # an unsat certificate gets no re-search
+    if cert.flow is not None and not verify_avoidance(g, cert):
+        raise AssertionError(f"{cert.strategy} flow failed to verify")
     return cert

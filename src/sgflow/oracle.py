@@ -379,11 +379,10 @@ class ConnectivityVerdict:
     def __init__(self, status: str,
                  witness_beta: Optional[list[Elem]] = None,
                  witness_fbar: Optional[list[Elem]] = None,
-                 seed: Optional[int] = None, checked: int = 0):
+                 checked: int = 0):
         self.status = status  # "yes", "no", "sampled-yes"
         self.witness_beta = witness_beta
         self.witness_fbar = witness_fbar
-        self.seed = seed
         self.checked = checked
 
 
@@ -526,5 +525,5 @@ def is_A_connected(
         fbar = [rng.choice(elems) for _ in range(g.m)]
         if _search_group(plan, A, beta, fbar, False) is None:
             return ConnectivityVerdict("no", witness_beta=beta, witness_fbar=fbar,
-                                       seed=seed, checked=i + 1)
-    return ConnectivityVerdict("sampled-yes", seed=seed, checked=samples)
+                                       checked=i + 1)
+    return ConnectivityVerdict("sampled-yes", checked=samples)

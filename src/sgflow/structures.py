@@ -11,7 +11,6 @@ path from core.shortest_path.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Iterable, Optional, Sequence
 
 from .core import (DeskScaleError, Frozen, SignedGraph, MINUS, PLUS,
@@ -165,100 +164,6 @@ def all_cycles(g: SignedGraph) -> tuple[CycleRef, ...]:
     """Every simple cycle of g, in cycles_within order, memoised per graph
     value: the pipeline asks for the cycles of the same graph many times."""
     return tuple(cycles_within(g, range(g.m)))
-
-
-# -- thetas -------------------------------------------------------------------
-
-class Theta:
-    """Three internally disjoint x-y paths, each an edge sequence."""
-
-    def __init__(self, x: int, y: int,
-                 paths: tuple[tuple[int, ...], tuple[int, ...],
-                              tuple[int, ...]]):
-        self.x = x
-        self.y = y
-        self.paths = paths
-
-
-def find_theta(g: SignedGraph, x: int, y: int) -> Optional[Theta]:
-    """Three internally vertex-disjoint x-y paths via unit-capacity
-    augmenting paths on the vertex-split digraph (Menger)."""
-    if x == y:
-        raise ValueError("endpoints must differ")
-    # nodes: (v, 0)=in and (v, 1)=out; arcs: in->out cap 1 (cap 3 for x, y),
-    # each edge index e from u to v gives out(u)->in(v) and out(v)->in(u),
-    # cap 1 each, tagged with e for the decomposition step.
-    cap: dict[tuple, int] = {}
-    init: dict[tuple, int] = {}
-    adj: dict[tuple, list[tuple]] = {}
-    tag: dict[tuple, int] = {}
-
-    def add(a, b, c, e=None):
-        cap[(a, b)] = cap.get((a, b), 0) + c
-        init[(a, b)] = init.get((a, b), 0) + c
-        cap.setdefault((b, a), 0)
-        init.setdefault((b, a), 0)
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-        if e is not None:
-            tag[(a, b)] = e
-
-    for v in range(g.n):
-        add((v, 0), (v, 1), 3 if v in (x, y) else 1)
-    for e, (u, v, _) in enumerate(g.edges):
-        if u == v:
-            continue
-        add((u, 1), (v, 0), 1, e)
-        add((v, 1), (u, 0), 1, e)
-    src, snk = (x, 0), (y, 1)
-    for _ in range(3):
-        prev: dict[tuple, Optional[tuple]] = {src: None}
-        queue = [src]
-        while queue:
-            a = queue.pop(0)
-            if a == snk:
-                break
-            for b in adj.get(a, []):
-                if b not in prev and cap.get((a, b), 0) > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if snk not in prev:
-            return None
-        b = snk
-        while b != src:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-    flow = {arc: init[arc] - cap[arc] for arc in init if init[arc] - cap[arc] > 0}
-    paths = []
-    for _ in range(3):
-        path_edges = []
-        node = src
-        while node != snk:
-            nxt = None
-            for b in adj.get(node, []):
-                if flow.get((node, b), 0) > 0:
-                    nxt = b
-                    break
-            if nxt is None:
-                return None  # decomposition failed: should not happen
-            flow[(node, nxt)] -= 1
-            if (node, nxt) in tag:
-                path_edges.append(tag[(node, nxt)])
-            node = nxt
-        paths.append(tuple(path_edges))
-    return Theta(x, y, (paths[0], paths[1], paths[2]))
-
-
-def positive_cycle_in_theta(g: SignedGraph, theta: Theta) -> CycleRef:
-    """Some pair of the three paths closes a positive cycle: an odd number
-    of negative pair-cycles is impossible since signs multiply out."""
-    signs = [cycle_sign(g, p) for p in theta.paths]
-    for i, j in itertools.combinations(range(3), 2):
-        if signs[i] * signs[j] == PLUS:
-            return order_cycle(g, set(theta.paths[i]) | set(theta.paths[j]))
-    raise AssertionError("all three pair-cycles negative: impossible")
 
 
 # -- k-closure -------------------------------------------------------------------

@@ -569,14 +569,21 @@ def test_z2_to_3flow_takes_a_carrier_past_36_edges():
     assert integer_boundary(g, psi) == [0] * g.n
 
 
-def test_connect_verifies_the_fallback_flow(monkeypatch):
-    # a non-flow from the search is a bug, not an answer: on cubic Petersen
-    # over Z5, 1 on every edge leaves an odd sum of +-1 at every vertex
+@pytest.mark.parametrize("route", ["oracle", "projective"])
+def test_connect_verifies_the_fallback_flow(monkeypatch, route):
+    # a non-flow from the search or from the projective construction is a
+    # bug, not an answer: on cubic Petersen, 1 on every edge leaves an odd
+    # sum of +-1 at every vertex
     monkeypatch.setattr(oracle, "satisfy_boundary",
                         lambda g, A, beta, **kwargs: [(1,)] * g.m)
-    A = parse_group("Z5")
-    with pytest.raises(AssertionError, match="oracle flow failed to verify"):
-        flows.connect(petersen(), A, [A.zero] * 15)
+    monkeypatch.setattr(flows, "connect_projective",
+                        lambda g, A, fbar, emb: flows.AvoidanceCertificate(
+                            "projective", A, [(1,)] * g.m, list(fbar)))
+    A = parse_group("Z5" if route == "oracle" else "Z6")
+    hint = k6_projective_embedding() if route == "projective" else None
+    with pytest.raises(AssertionError,
+                       match=f"{route} flow failed to verify"):
+        flows.connect(petersen(), A, [A.zero] * 15, embedding=hint)
 
 
 @pytest.mark.parametrize("n", [20, 24])

@@ -251,6 +251,49 @@ def test_only_oracle_names_its_internals():
     assert _oracle_internals_named(SRC) == []
 
 
+# One breadth-first search: core.shortest_path reads its queue by index and
+# core.simple_paths keeps a stack, so a queue popped from the front, a list's
+# pop(0) or a deque, is a second path search outside core.
+def _front_pops(root: Path) -> list[str]:
+    """module:line of each .pop(0) call and each deque import or attribute,
+    outside core.py."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                hit = (isinstance(node.func, ast.Attribute)
+                       and node.func.attr == "pop" and len(node.args) == 1
+                       and getattr(node.args[0], "value", None) == 0)
+            elif isinstance(node, ast.ImportFrom):
+                hit = any(alias.name == "deque" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                hit = node.attr == "deque"
+            else:
+                continue
+            if hit:
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_front_pop_scan(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "from collections import deque\nx = queue.pop(0)\n")
+    (tmp_path / "structures.py").write_text(
+        "while queue:\n    a = queue.pop(0)\n"
+        "b = stack.pop()\nc = seen.pop(1)\nd = table.pop(0, None)\n")
+    (tmp_path / "flows.py").write_text(
+        "import collections\nfrom collections import (Counter,\n    deque)\n"
+        "q = collections.deque([0])\nx = 'deque'\n")
+    assert _front_pops(tmp_path) == ["flows.py:2", "flows.py:4",
+                                     "structures.py:2"]
+
+
+def test_only_core_searches_breadth_first():
+    assert _front_pops(SRC) == []
+
+
 # Every sg process starts cold: importing dataclasses (with inspect, ast
 # and dis) and running its decorators cost more than the records they
 # write, so the library writes its records by hand.
@@ -335,8 +378,6 @@ def test_benchmark_tracer_names_resolve():
 
 # Definitions under src/ that nothing in src/ or perfbench/ names, on purpose.
 UNREFERENCED_ALLOWED = {
-    "find_theta": "ROADMAP item 3, step 3 takes the closure steps from thetas",
-    "positive_cycle_in_theta": "the same step reads the positive cycle off",
     "__version__": "package metadata, read by tools rather than by code",
 }
 

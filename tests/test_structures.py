@@ -1,4 +1,4 @@
-"""Cycles, closures, thetas, peripheral cycles and negative suns."""
+"""Cycles, closures, peripheral cycles and negative suns."""
 
 import random
 
@@ -12,10 +12,8 @@ from sgflow.generators import petersen
 from sgflow.structures import (ClosureResult, CycleRef, all_cycles,
                                as_negative_sun,
                                build_negative_sun, cycle_sign,
-                               cycles_within, find_theta,
-                               fundamental_cycle, is_peripheral,
-                               k_closure, order_cycle,
-                               positive_cycle_in_theta)
+                               cycles_within, fundamental_cycle,
+                               is_peripheral, k_closure, order_cycle)
 
 
 def test_petersen_has_57_cycles():
@@ -104,17 +102,6 @@ def test_fundamental_cycle_lies_in_tree_plus_edge():
         cyc = fundamental_cycle(g, tree, e)
         assert e in cyc
         assert all(x == e or x in set(tree) for x in cyc)
-
-
-def test_theta_yields_positive_cycle():
-    # two vertices joined by three internally disjoint paths, mixed signs
-    g = SignedGraph(4, ((0, 1, PLUS), (1, 3, PLUS),
-                        (0, 2, MINUS), (2, 3, PLUS),
-                        (0, 3, MINUS)))
-    th = find_theta(g, 0, 3)
-    assert th is not None
-    c = positive_cycle_in_theta(g, th)
-    assert c.sign == PLUS
 
 
 def test_k_closure_absorbs_through_short_positive_cycles():
