@@ -1,12 +1,15 @@
 """Finite abelian groups, edge/vertex maps, flows and boundaries.
 
 Groups are direct sums of cyclic groups Z_{n1} x ... x Z_{nr}; elements are
-plain tuples of residues (mixed radix).  Elements are ordered
-lexicographically, which fixes every "least valid value" choice made by
-the flow constructors.
+plain tuples of residues (mixed radix), for a cyclic group too.  A cyclic
+group computes on the one coordinate of its elements, a product coordinate
+by coordinate.  Elements are ordered lexicographically, which fixes every
+"least valid value" choice made by the flow constructors.
 
 Boundaries are read in the default orientation, the one every layer uses:
 reversing an edge only negates its value, so no question needs another.
+A boundary is computed per coordinate: each coordinate is summed as an
+integer map by integer_boundary and reduced once per vertex.
 
 The avoidance certificate (AvoidanceCertificate, its text format and
 verify_avoidance) lives here, beside is_flow and the map format, so that
@@ -18,19 +21,26 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from .core import MINUS, Frozen, SignedGraph, _setattr
+from .core import Frozen, SignedGraph, _setattr
 
 Elem = Tuple[int, ...]
 
 
 class AbelianGroup(Frozen):
     """Z_{n_1} x ... x Z_{n_k}, its elements plain tuples.  An immutable
-    value, hashed by the oracle's memos."""
+    value, hashed by the oracle's memos.
+
+    A cyclic group (k = 1) computes on the one coordinate of its elements;
+    a product computes coordinate by coordinate.  Both give the same
+    tuples."""
 
     def __init__(self, factors: tuple[int, ...]):
         if not factors or any(n < 2 for n in factors):
             raise ValueError("factors must all be >= 2")
         _setattr(self, "factors", factors)
+        _setattr(self, "zero", (0,) * len(factors))
+        # the order of a cyclic group, 0 for a product
+        _setattr(self, "_cyclic", factors[0] if len(factors) == 1 else 0)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -47,27 +57,33 @@ class AbelianGroup(Frozen):
             out *= n
         return out
 
-    @property
-    def zero(self) -> Elem:
-        return (0,) * len(self.factors)
-
     def elements(self) -> Iterator[Elem]:
         """All elements in lexicographic order."""
         return itertools.product(*(range(n) for n in self.factors))
 
     def add(self, a: Elem, b: Elem) -> Elem:
+        if c := self._cyclic:
+            return ((a[0] + b[0]) % c,)
         return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
 
     def neg(self, a: Elem) -> Elem:
+        if c := self._cyclic:
+            return (-a[0] % c,)
         return tuple((-x) % n for x, n in zip(a, self.factors))
 
     def sub(self, a: Elem, b: Elem) -> Elem:
+        if c := self._cyclic:
+            return ((a[0] - b[0]) % c,)
         return tuple((x - y) % n for x, y, n in zip(a, b, self.factors))
 
     def smul(self, k: int, a: Elem) -> Elem:
+        if c := self._cyclic:
+            return (k * a[0] % c,)
         return tuple((k * x) % n for x, n in zip(a, self.factors))
 
     def contains(self, a: Elem) -> bool:
+        if c := self._cyclic:
+            return len(a) == 1 and 0 <= a[0] < c
         return len(a) == len(self.factors) and all(0 <= x < n for x, n in zip(a, self.factors))
 
     def sum(self, items: Iterable[Elem]) -> Elem:
@@ -187,15 +203,14 @@ def minimal_subgroup(A: AbelianGroup) -> MinimalSubgroup:
 def boundary(g: SignedGraph, f: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
     """Boundary of an edge map in the default orientation: each edge adds
     f(e) at its first end and -sigma(e) f(e) at its second, so a negative
-    loop adds 2 f(e) at its vertex and a positive loop adds nothing.
+    loop adds 2 f(e) at its vertex and a positive loop adds nothing.  Each
+    coordinate goes through integer_boundary and is reduced at the end.
     """
     if len(f) != g.m:
         raise ValueError("edge map not total")
-    out = [A.zero for _ in range(g.n)]
-    for (u, v, sign), x in zip(g.edges, f):
-        out[u] = A.add(out[u], x)
-        out[v] = A.add(out[v], x if sign == MINUS else A.neg(x))
-    return out
+    sums = [integer_boundary(g, [x[i] for x in f])
+            for i in range(len(A.factors))]
+    return [tuple(s % n for s, n in zip(b, A.factors)) for b in zip(*sums)]
 
 
 def is_flow(g: SignedGraph, f: Sequence[Elem], A: AbelianGroup) -> bool:
@@ -357,7 +372,7 @@ def parse_avoidance(text: str) -> AvoidanceCertificate:
                 e_prime = None if parts[1] == "-" else int(parts[1]) - 1
             elif key in values:
                 e = int(parts[1]) - 1
-                v = tuple(int(x) for x in parts[2].split(","))
+                v = tuple(map(int, parts[2].split(",")))
                 if e < 0:
                     raise ValueError(f"edge index {e + 1} is below 1")
                 if e in values[key]:

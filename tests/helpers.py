@@ -336,6 +336,52 @@ def random_fbar(rng: random.Random, A, m: int) -> list[tuple]:
     return [random_elem(rng, A) for _ in range(m)]
 
 
+# -- reference group arithmetic and boundary ----------------------------------
+# sgflow.groups computes a cyclic group on its one coordinate and sums a
+# boundary per coordinate as integers; these tuple-wise forms, the same on
+# every group, must give the same tuples.
+
+class ReferenceGroup:
+    """Coordinate-wise arithmetic on the tuples of Z_{n_1} x ... x Z_{n_k}."""
+
+    def __init__(self, factors: tuple[int, ...]):
+        self.factors = factors
+        self.zero = (0,) * len(factors)
+
+    def add(self, a, b):
+        return tuple((x + y) % n for x, y, n in zip(a, b, self.factors))
+
+    def neg(self, a):
+        return tuple((-x) % n for x, n in zip(a, self.factors))
+
+    def sub(self, a, b):
+        return tuple((x - y) % n for x, y, n in zip(a, b, self.factors))
+
+    def smul(self, k: int, a):
+        return tuple((k * x) % n for x, n in zip(a, self.factors))
+
+    def contains(self, a) -> bool:
+        return len(a) == len(self.factors) and all(
+            0 <= x < n for x, n in zip(a, self.factors))
+
+    def sum(self, items):
+        out = self.zero
+        for a in items:
+            out = self.add(out, a)
+        return out
+
+
+def reference_boundary(g: SignedGraph, f, A) -> list[tuple]:
+    """groups.boundary, one edge at a time in the group: each edge adds
+    f(e) at its first end and -sigma(e) f(e) at its second."""
+    R = ReferenceGroup(A.factors)
+    out = [R.zero for _ in range(g.n)]
+    for (u, v, sign), x in zip(g.edges, f):
+        out[u] = R.add(out[u], x)
+        out[v] = R.add(out[v], x if sign == MINUS else R.neg(x))
+    return out
+
+
 # -- exhaustive test oracles ----------------------------------------------------
 # Exponential scans kept to check the polynomial routines in sgflow.core.
 

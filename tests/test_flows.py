@@ -13,7 +13,7 @@ from helpers import (cubic_2unbalanced, host_with_sun, random_connected_base,
                      reference_collision_support,
                      reference_flow_coeffs_through, signed_cubic_3connected,
                      switch_on_set, unbalance_small_sides)
-from sgflow import flows, oracle
+from sgflow import flows, groups, oracle
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          edge_connectivity, is_k_unbalanced, parse_sg,
                          spanning_forest)
@@ -569,21 +569,54 @@ def test_z2_to_3flow_takes_a_carrier_past_36_edges():
     assert integer_boundary(g, psi) == [0] * g.n
 
 
-@pytest.mark.parametrize("route", ["oracle", "projective"])
+ROUTE_GROUPS = {"oracle": "Z5", "projective": "Z6", "composite": "Z6",
+                "prime": "Z11"}
+
+
+@pytest.mark.parametrize("route", ROUTE_GROUPS)
 def test_connect_verifies_the_fallback_flow(monkeypatch, route):
-    # a non-flow from the search or from the projective construction is a
-    # bug, not an answer: on cubic Petersen, 1 on every edge leaves an odd
-    # sum of +-1 at every vertex
+    # a non-flow from the search or from a construction is a bug, not an
+    # answer, and no construction checks its own finished flow: on cubic
+    # Petersen, 1 on every edge leaves an odd sum of +-1 at every vertex
     monkeypatch.setattr(oracle, "satisfy_boundary",
                         lambda g, A, beta, **kwargs: [(1,)] * g.m)
     monkeypatch.setattr(flows, "connect_projective",
                         lambda g, A, fbar, emb: flows.AvoidanceCertificate(
                             "projective", A, [(1,)] * g.m, list(fbar)))
-    A = parse_group("Z5" if route == "oracle" else "Z6")
+    monkeypatch.setattr(flows, "connect_composite",
+                        lambda g, A, fbar: flows.AvoidanceCertificate(
+                            "composite", A, [(1,)] * g.m, list(fbar)))
+    monkeypatch.setattr(flows, "connect_prime",
+                        lambda g, p, fbar: flows.AvoidanceCertificate(
+                            "prime", parse_group(f"Z{p}"), [(1,)] * g.m,
+                            list(fbar)))
+    A = parse_group(ROUTE_GROUPS[route])
     hint = k6_projective_embedding() if route == "projective" else None
     with pytest.raises(AssertionError,
                        match=f"{route} flow failed to verify"):
         flows.connect(petersen(), A, [A.zero] * 15, embedding=hint)
+
+
+@pytest.mark.parametrize("route,calls", [
+    ("composite", 1), ("projective", 1), ("prime", 2), ("oracle", 1)])
+def test_connect_checks_each_flow_once(monkeypatch, route, calls):
+    # connect's verify_avoidance is the one check of the finished flow; the
+    # prime route's second call is the sun flow checking itself
+    count = []
+
+    def counted(g, f, A):
+        count.append(1)
+        return is_flow(g, f, A)
+
+    monkeypatch.setattr(groups, "is_flow", counted)
+    monkeypatch.setattr(flows, "is_flow", counted)
+    g = petersen_2neg() if route == "prime" else petersen()
+    A = parse_group(ROUTE_GROUPS[route])
+    hint = k6_projective_embedding() if route == "projective" else None
+    fbar = random_fbar(random.Random(route), A, g.m)
+    cert = flows.connect(g, A, fbar, embedding=hint)
+    assert cert.strategy == route and cert.flow is not None
+    assert len(count) == calls
 
 
 @pytest.mark.parametrize("n", [20, 24])

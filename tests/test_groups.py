@@ -3,12 +3,22 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import random_connected_graph, random_elem, random_fbar
+from helpers import (ReferenceGroup, random_connected_graph, random_elem,
+                     random_fbar, reference_boundary, signed_multigraphs)
+from sgflow import flows
+from sgflow.core import MINUS, PLUS, SignedGraph
+from sgflow.duality import k6_projective_embedding
+from sgflow.generators import petersen, petersen_2neg
 from sgflow.groups import (AbelianGroup, AvoidanceCertificate, boundary,
                            format_map, integer_boundary, is_A_boundary,
                            is_flow, is_prime, minimal_subgroup, parse_group,
                            parse_map)
+
+# cyclic groups, which compute on one coordinate, and products
+ARITHMETIC_GROUPS = ("Z2", "Z3", "Z5", "Z6", "Z7", "Z8", "Z9", "Z11", "Z13",
+                     "Z1000", "Z2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2")
 
 
 def test_parse_group_specs():
@@ -24,10 +34,85 @@ def test_groups_are_immutable_values():
     assert A is not B and A == B and hash(A) == hash(B)
     assert A != parse_group("Z4xZ2") and A != parse_group("Z8")
     assert len({A, B, parse_group("Z8")}) == 2
-    with pytest.raises(AttributeError):
-        A.factors = (8,)
+    C = AbelianGroup((6,))
+    assert C == parse_group("Z6") and hash(C) == hash(parse_group("Z6"))
+    for G in (A, C):
+        for name in ("factors", "zero", "order", "_cyclic", "new"):
+            with pytest.raises(AttributeError):
+                setattr(G, name, (8,))
     with pytest.raises(ValueError):
         AbelianGroup((1,))
+
+
+@st.composite
+def groups_with_elements(draw):
+    A = parse_group(draw(st.sampled_from(ARITHMETIC_GROUPS)))
+    elem = st.tuples(*(st.integers(0, n - 1) for n in A.factors))
+    return A, draw(elem), draw(elem), draw(st.lists(elem, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups_with_elements(), st.integers(-20, 20),
+       st.lists(st.integers(-2, 1001), max_size=4).map(tuple))
+def test_group_arithmetic_matches_the_coordinate_wise_reference(case, k,
+                                                                other):
+    A, a, b, items = case
+    R = ReferenceGroup(A.factors)
+    assert A.zero == R.zero
+    assert A.add(a, b) == R.add(a, b)
+    assert A.sub(a, b) == R.sub(a, b)
+    assert A.neg(a) == R.neg(a)
+    assert A.smul(k, a) == R.smul(k, a)
+    assert A.sum(items) == R.sum(items)
+    assert A.contains(a) and R.contains(a)
+    assert A.contains(other) == R.contains(other)
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z6", "Z11", "Z1000"])
+def test_a_cyclic_group_contains_only_its_residues(spec):
+    A = parse_group(spec)
+    n = A.order
+    assert A.contains((0,)) and A.contains((n - 1,))
+    for x in ((), (0, 0), (n,), (-1,)):
+        assert not A.contains(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_multigraphs(), st.sampled_from(ARITHMETIC_GROUPS),
+       st.randoms(use_true_random=False))
+@example(SignedGraph(3, ()), "Z6", random.Random(0))
+@example(SignedGraph(3, ((0, 0, PLUS), (0, 0, MINUS), (0, 1, MINUS),
+                         (1, 1, MINUS))), "Z2xZ4", random.Random(1))
+def test_boundary_matches_the_tuple_wise_reference(g, spec, rng):
+    # loops of both signs, isolated vertices and m = 0 all occur
+    A = parse_group(spec)
+    f = random_fbar(rng, A, g.m)
+    ref = reference_boundary(g, f, A)
+    assert boundary(g, f, A) == ref
+    assert is_flow(g, f, A) == all(b == A.zero for b in ref)
+
+
+@pytest.mark.parametrize("spec,graph,hint", [
+    ("Z6", petersen, False), ("Z2xZ2xZ2", petersen, False),
+    ("Z9", petersen, False), ("Z3xZ3", petersen, False),
+    ("Z11", petersen_2neg, False), ("Z13", petersen_2neg, False),
+    ("Z6", petersen, True), ("Z5", petersen, False)])
+def test_is_flow_agrees_with_the_reference_on_connect_flows(spec, graph,
+                                                             hint):
+    g, A = graph(), parse_group(spec)
+    rng = random.Random(spec)
+    emb = k6_projective_embedding() if hint else None
+    nonzero = [x for x in A.elements() if x != A.zero]
+    for _ in range(3):
+        f = flows.connect(g, A, random_fbar(rng, A, g.m), emb).flow
+        assert is_flow(g, f, A)
+        assert reference_boundary(g, f, A) == [A.zero] * g.n
+        # moving one edge's value breaks the flow at both its ends
+        moved = list(f)
+        e = rng.randrange(g.m)
+        moved[e] = A.add(f[e], rng.choice(nonzero))
+        assert not is_flow(g, moved, A)
+        assert boundary(g, moved, A) == reference_boundary(g, moved, A)
 
 
 def test_fresh_avoidance_certificates_own_their_artifacts():
