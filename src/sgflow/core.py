@@ -18,9 +18,13 @@ so no subgraph is built to answer them: spanning_forest is the one
 union-find, component_count counts components with it, and is_balanced
 colours only the listed edges.  The cuts are the edge sets whose XOR
 labels over a spanning forest (_cut_labels) XOR to 0: small_cuts lists
-those of at most four edges without scanning vertex subsets,
-edge_connectivity reads a least cut off that listing, and
-min_negative_edges reads the frustration index off the same labels.
+those of at most four edges without scanning vertex subsets, and
+min_negative_edges reads the frustration index off the same labels.  A
+zero label is a bridge and two equal labels a 2-edge cut, so
+edge_connectivity reads cuts of one or two edges straight off the labels
+and lists larger ones only where every vertex has more non-loop edges,
+and unmet_hypothesis answers "3-edge-connected and 2-unbalanced" from one
+labelling.
 Paths inside an edge set come from two searches over one (edge,
 neighbour) adjacency: shortest_path, breadth-first with ties broken by the
 listed edge order, and simple_paths, every simple path between two ends
@@ -354,6 +358,12 @@ def signatures_equivalent(g1: SignedGraph, g2: SignedGraph) -> EquivalenceResult
     return EquivalenceResult(False)
 
 
+def _negative_xor(g: SignedGraph, label: Sequence[int]) -> int:
+    """The XOR of the negative edges' labels from _cut_labels."""
+    return functools.reduce(operator.xor, (
+        label[e] for e, (_, _, s) in enumerate(g.edges) if s == MINUS), 0)
+
+
 def min_negative_edges(g: SignedGraph, budget: int = 2) -> Optional[int]:
     """Frustration index: the fewest negative edges over all signatures
     equivalent to g's, if it is at most budget, else None ("exceeds
@@ -367,8 +377,7 @@ def min_negative_edges(g: SignedGraph, budget: int = 2) -> Optional[int]:
     that some j labels XOR to the target: C(m, j) XORs per j.
     """
     label, _, _ = _cut_labels(g)
-    target = functools.reduce(operator.xor, (
-        label[e] for e, (_, _, s) in enumerate(g.edges) if s == MINUS), 0)
+    target = _negative_xor(g, label)
     for j in range(budget + 1):
         if any(functools.reduce(operator.xor, drop, 0) == target
                for drop in itertools.combinations(label, j)):
@@ -387,30 +396,69 @@ def edge_connectivity(g: SignedGraph) -> int:
     """Size of a least edge cut of the underlying multigraph (signs
     ignored), if at most 4, else 5 ("at least 5"); 0 when disconnected.
 
-    The non-loop edges at a vertex form a cut, so below the least non-loop
-    degree (capped at 5) the first cut small_cuts lists, in nondecreasing
-    size, is a least one; with none there, the cap is the answer.  On a
-    cubic graph that asks only for cuts of one or two edges.
+    Cuts of at most two edges are read off the labels from _cut_labels
+    (_least_cut_to_3).  Past them, the non-loop edges at a vertex form a
+    cut, so with the least non-loop degree d (capped at 5) the answer is 3
+    when d is 3, and otherwise the first cut of fewer than d edges that
+    small_cuts lists, in nondecreasing size, or d itself.  A cubic graph
+    therefore costs one labelling and lists no cut.
     """
     if g.n <= 1:
         return g.m + 1 if g.n == 1 else 0  # conventionally infinite; callers compare with small k
-    if component_count(g, range(g.m), range(g.n)) > 1:
-        return 0
+    label, _, up = _cut_labels(g)
+    least = _least_cut_to_3(g, label, up)
+    if least < 3:
+        return least
     degree = [0] * g.n
     for u, v, _ in g.edges:
         if u != v:
             degree[u] += 1
             degree[v] += 1
     cap = min(*degree, 5)
+    if cap == 3:
+        return 3
     return next((len(cut) for cut, _ in small_cuts(g, cap - 1)), cap)
+
+
+def _least_cut_to_3(g: SignedGraph, label: Sequence[int],
+                    up: Sequence[int]) -> int:
+    """min(edge_connectivity(g), 3), read off g's _cut_labels: 0 when the
+    forest has other than one root (g is disconnected or empty), 1 when a
+    label is 0 (a bridge), 2 when two labels are equal (a 2-edge cut).
+    A single vertex keeps edge_connectivity's m + 1."""
+    if up.count(-1) != 1:
+        return 0
+    if g.n == 1:
+        return min(g.m + 1, 3)
+    if 0 in label:
+        return 1
+    return 2 if len(set(label)) < len(label) else 3
+
+
+def unmet_hypothesis(g: SignedGraph) -> Optional[str]:
+    """Why g is outside the theorem's hypotheses, as HypothesisError's
+    message, or None when g is 3-edge-connected and 2-unbalanced.
+
+    One _cut_labels call answers both, in this order: g is 3-edge-connected
+    exactly when _least_cut_to_3 reads 3 off the labels, and 2-unbalanced
+    exactly when no set of at most one edge XORs to the negative edges'
+    XOR (min_negative_edges with budget 1), that is, when that XOR is
+    neither 0 nor a single label.  Equal to asking edge_connectivity(g) >= 3
+    and then is_k_unbalanced(g, 2), which label g once each."""
+    label, _, up = _cut_labels(g)
+    if _least_cut_to_3(g, label, up) < 3:
+        return "graph is not 3-edge-connected"
+    target = _negative_xor(g, label)
+    if target == 0 or target in label:
+        return "graph is not 2-unbalanced"
+    return None
 
 
 def is_cubic_3connected(g: SignedGraph) -> bool:
     """Cubic and 3-connected, for n >= 4.  Such a graph is simple (a loop or
     a digon leaves a cut of at most two edges), and a simple cubic graph's
     vertex and edge connectivity agree, so one edge_connectivity call (on
-    cubic input, one small_cuts listing of cuts of at most two edges)
-    decides it."""
+    cubic input, one labelling and no cut listing) decides it."""
     return (g.n >= 4 and all(d == 3 for d in g.degrees())
             and edge_connectivity(g) >= 3)
 

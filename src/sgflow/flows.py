@@ -52,8 +52,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _adjacency,
-                   edge_connectivity, end_coeffs, is_k_unbalanced,
-                   shortest_path, simple_paths, spanning_forest)
+                   end_coeffs, shortest_path, simple_paths, spanning_forest,
+                   unmet_hypothesis)
 from .decompose import decompose_base_sun, decompose_tree_2base
 from .groups import (AbelianGroup, AvoidanceCertificate, Elem, format_elem,
                      integer_boundary, is_flow, is_prime, minimal_subgroup,
@@ -658,8 +658,9 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     """Find a flow avoiding fbar on a 3-edge-connected 2-unbalanced graph.
 
     fbar must give an element of A for every edge (ValueError otherwise).
-    The two hypotheses are checked here, once, and every layer below
-    trusts them; a graph outside them raises HypothesisError.  Strategy
+    The two hypotheses are checked here, once, from one cut labelling
+    (core.unmet_hypothesis), and every layer below trusts them; a graph
+    outside them raises HypothesisError.  Strategy
     order: an embedding hint takes the projective route, which raises
     ValueError unless the hint's oriented dual, relabelled and switched,
     is g;
@@ -681,10 +682,9 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
         if not A.contains(x):
             raise ValueError(f"fbar of edge {e + 1} is {x}, not an element"
                              f" of {A}")
-    if edge_connectivity(g) < 3:
-        raise HypothesisError("graph is not 3-edge-connected")
-    if not is_k_unbalanced(g, 2):
-        raise HypothesisError("graph is not 2-unbalanced")
+    unmet = unmet_hypothesis(g)
+    if unmet is not None:
+        raise HypothesisError(unmet)
 
     composite = A.order >= 6 and not is_prime(A.order)
     cert = None

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .core import (HypothesisError, SignedGraph, edge_connectivity,
-                   is_k_unbalanced, uncontract)
+from .core import HypothesisError, SignedGraph, uncontract, unmet_hypothesis
 
 
 def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int
@@ -24,7 +23,9 @@ def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int
 
     g must be 2-unbalanced and 3-edge-connected, which the caller checks
     (cubicize's input, or the previous step's verified candidate).  Every
-    candidate is verified directly.  The argument that at most one fails
+    candidate is verified directly, by connect's own entry check
+    (core.unmet_hypothesis), which answers both hypotheses from one cut
+    labelling of the candidate.  The argument that at most one fails
     2-unbalancedness and at least two preserve 3-edge-connectivity, so
     that a partner exists, does not hold with loops at v: there h_e can
     have none, and cubicize tries the next half-edge.
@@ -37,7 +38,7 @@ def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int
         if h == h_e:
             continue
         cand = uncontract(g, v, h_e, h)
-        if edge_connectivity(cand) >= 3 and is_k_unbalanced(cand, 2):
+        if unmet_hypothesis(cand) is None:
             return h
     return None
 

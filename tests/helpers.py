@@ -448,6 +448,17 @@ def reference_balanced_without(adj: list[list[tuple[int, int, int]]],
     return True
 
 
+# connect's entry check as it was before core.unmet_hypothesis answered both
+# hypotheses from one cut labelling: two questions, each labelling g.
+
+def reference_unmet_hypothesis(g: SignedGraph) -> Optional[str]:
+    if edge_connectivity(g) < 3:
+        return "graph is not 3-edge-connected"
+    if not is_k_unbalanced(g, 2):
+        return "graph is not 2-unbalanced"
+    return None
+
+
 def brute_edge_connectivity(g: SignedGraph) -> int:
     """Fewest edges across any bipartition of the vertices; g.m + 1 for a
     single vertex, 0 for no vertices."""

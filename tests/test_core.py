@@ -16,7 +16,8 @@ from helpers import (CUBIC_GRAPHS, brute_edge_connectivity,
                      reference_is_cyclically_k_edge_connected,
                      reference_contract_set, reference_min_negative_edges,
                      reference_paths_between_degree_one,
-                     reference_simple_paths, signed_cubic_3connected,
+                     reference_simple_paths, reference_unmet_hypothesis,
+                     signed_cubic_3connected,
                      signed_multigraphs, switch_on_set, uncontract_edges)
 from sgflow import core
 from sgflow.core import (MINUS, PLUS, SignedGraph, component_count,
@@ -24,7 +25,8 @@ from sgflow.core import (MINUS, PLUS, SignedGraph, component_count,
                          format_sg, is_balanced, is_cubic_3connected,
                          is_cyclically_k_edge_connected, is_k_unbalanced,
                          min_negative_edges, parse_sg, shortest_path,
-                         signatures_equivalent, simple_paths, small_cuts)
+                         signatures_equivalent, simple_paths, small_cuts,
+                         unmet_hypothesis)
 from sgflow.generators import k4, k4_negative_triangle, negsun, petersen
 from sgflow.structures import cycle_sign, order_cycle
 
@@ -202,6 +204,32 @@ def test_edge_connectivity_matches_bipartition_scan(g):
     brute = brute_edge_connectivity(g)
     assert edge_connectivity(g) == (min(brute, 5) if g.n >= 2 else brute)
     assert (edge_connectivity(g) >= 3) == (brute >= 3)
+
+
+def test_unmet_hypothesis_examples():
+    assert unmet_hypothesis(petersen()) is None
+    assert unmet_hypothesis(petersen(all_positive=True)) \
+        == "graph is not 2-unbalanced"
+    # a bridge, and a 2-edge cut: both fail before the signs are read
+    assert unmet_hypothesis(negsun(4)) == "graph is not 3-edge-connected"
+    digon = SignedGraph(2, ((0, 1, MINUS), (0, 1, MINUS), (0, 0, MINUS)))
+    assert unmet_hypothesis(digon) == "graph is not 3-edge-connected"
+    # no vertices, and one vertex with m + 1 < 3
+    assert unmet_hypothesis(SignedGraph(0, ())) \
+        == "graph is not 3-edge-connected"
+    assert unmet_hypothesis(SignedGraph(1, ((0, 0, MINUS),))) \
+        == "graph is not 3-edge-connected"
+    assert unmet_hypothesis(SignedGraph(1, 2 * ((0, 0, MINUS),))) is None
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.just(SignedGraph(0, ())), signed_multigraphs(),
+                 connected_multigraphs(extra_hi=14),
+                 signed_cubic_3connected(n_hi=10)))
+def test_unmet_hypothesis_matches_the_two_checks(g):
+    # one labelling answers what edge_connectivity and is_k_unbalanced
+    # answer with one each: the same verdict, the same message
+    assert unmet_hypothesis(g) == reference_unmet_hypothesis(g)
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,7 +13,7 @@ from helpers import (cubic_2unbalanced, host_with_sun, random_connected_base,
                      reference_collision_support,
                      reference_flow_coeffs_through, signed_cubic_3connected,
                      switch_on_set, unbalance_small_sides)
-from sgflow import flows, groups, oracle
+from sgflow import core, flows, groups, oracle
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          edge_connectivity, is_k_unbalanced, parse_sg,
                          spanning_forest)
@@ -617,6 +617,29 @@ def test_connect_checks_each_flow_once(monkeypatch, route, calls):
     cert = flows.connect(g, A, fbar, embedding=hint)
     assert cert.strategy == route and cert.flow is not None
     assert len(count) == calls
+
+
+@pytest.mark.parametrize("graph,group,route,labellings", [
+    (petersen, "Z6", "composite", 2), (petersen_2neg, "Z11", "prime", 3)])
+def test_connect_labels_the_graph_once_at_entry(monkeypatch, graph, group,
+                                                route, labellings):
+    # both hypotheses come from one cut labelling (core.unmet_hypothesis);
+    # the decomposition's cubic-and-3-connected check labels once more and
+    # the prime route's balanced-cut listing once more.  Asking
+    # edge_connectivity and then is_k_unbalanced at entry labelled it twice.
+    labelled = []
+    cut_labels = core._cut_labels
+
+    def spy(g):
+        labelled.append(g)
+        return cut_labels(g)
+
+    monkeypatch.setattr(core, "_cut_labels", spy)
+    g = graph()
+    A = parse_group(group)
+    cert = flows.connect(g, A, [A.zero] * g.m)
+    assert cert.strategy == route and cert.flow is not None
+    assert labelled == [g] * labellings
 
 
 @pytest.mark.parametrize("n", [20, 24])

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 
 from helpers import signed_multigraphs
+from sgflow import core
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          contract_set, edge_connectivity, is_k_unbalanced,
-                         parse_sg)
+                         parse_sg, uncontract)
 from sgflow.groups import is_flow, parse_group
 from sgflow.oracle import has_nz_A_flow
 from sgflow.reduce import (CubicizeResult, UncontractionStep,
@@ -98,3 +99,25 @@ def test_cubicize_skips_a_half_edge_with_no_partner():
     h = res.graph
     assert all(h.degree(v) == 3 for v in range(h.n))
     assert edge_connectivity(h) >= 3 and is_k_unbalanced(h, 2)
+
+
+@pytest.mark.parametrize("g,partner", [
+    (k5_with_negative_triangle(), 2),
+    (parse_sg("sg 2 4\ne 1 2 -\ne 2 1 +\ne 1 2 +\ne 1 1 -\n"), None)])
+def test_choose_uncontraction_half_labels_each_candidate_once(monkeypatch, g,
+                                                              partner):
+    # each candidate is checked by connect's entry check, one cut labelling
+    # for both hypotheses, up to the first that passes
+    labelled = []
+    cut_labels = core._cut_labels
+
+    def spy(h):
+        labelled.append(h)
+        return cut_labels(h)
+
+    monkeypatch.setattr(core, "_cut_labels", spy)
+    assert choose_uncontraction_half(g, 0, 0) == partner
+    tried = [h for h in sorted(g.halfedges_at(0)) if h != 0]
+    if partner is not None:
+        tried = tried[:tried.index(partner) + 1]
+    assert labelled == [uncontract(g, 0, 0, h) for h in tried]

@@ -117,6 +117,35 @@ def test_only_structures_and_decompose_scan_cycle_spaces():
     assert _lines_matching(SRC, CYCLES_WITHIN, CYCLES_WITHIN_READERS) == []
 
 
+# connect's two hypotheses are asked in one place: core.unmet_hypothesis
+# reads 3-edge-connectivity and 2-unbalance off one cut labelling, for
+# connect's entry check and for every cubicize candidate, so the separate
+# questions, each labelling the graph again, stay out of flows and reduce.
+SEPARATE_HYPOTHESIS_CHECKS = re.compile(
+    r"\b(edge_connectivity|is_k_unbalanced)\b")
+ONE_GATE_MODULES = ("flows.py", "reduce.py")
+
+
+def _separate_hypothesis_checks(root: Path) -> list[str]:
+    return [hit for hit in _lines_matching(root, SEPARATE_HYPOTHESIS_CHECKS)
+            if hit.split(":")[0] in ONE_GATE_MODULES]
+
+
+def test_separate_hypothesis_check_scan(tmp_path):
+    (tmp_path / "core.py").write_text("def edge_connectivity(g):\n    pass\n")
+    (tmp_path / "reduce.py").write_text(
+        "from .core import (SignedGraph,\n    is_k_unbalanced)\n"
+        "x = brute_edge_connectivity(g)\nok = unmet_hypothesis(g)\n"
+        "y = core.edge_connectivity(g) >= 3\n")
+    (tmp_path / "flows.py").write_text("k = is_k_unbalanced_twice\n")
+    assert _separate_hypothesis_checks(tmp_path) == ["reduce.py:2",
+                                                     "reduce.py:5"]
+
+
+def test_flows_and_reduce_ask_both_hypotheses_at_once():
+    assert _separate_hypothesis_checks(SRC) == []
+
+
 # Refusals for scale.  Only the oracle's two budgets, on the work one search
 # or one sweep does, duality's budget on the nodes of its vertex-bijection
 # search, and structures.cycles_within's cycle-space dimension (ROADMAP
