@@ -400,12 +400,12 @@ def edge_connectivity(g: SignedGraph) -> int:
     (_least_cut_to_3).  Past them, the non-loop edges at a vertex form a
     cut, so with the least non-loop degree d (capped at 5) the answer is 3
     when d is 3, and otherwise the first cut of fewer than d edges that
-    small_cuts lists, in nondecreasing size, or d itself.  A cubic graph
-    therefore costs one labelling and lists no cut.
+    _listed_cuts lists off the same labels, in nondecreasing size, or d
+    itself: one labelling in all, and on a cubic graph no listing.
     """
     if g.n <= 1:
         return g.m + 1 if g.n == 1 else 0  # conventionally infinite; callers compare with small k
-    label, _, up = _cut_labels(g)
+    label, order, up = _cut_labels(g)
     least = _least_cut_to_3(g, label, up)
     if least < 3:
         return least
@@ -417,7 +417,8 @@ def edge_connectivity(g: SignedGraph) -> int:
     cap = min(*degree, 5)
     if cap == 3:
         return 3
-    return next((len(cut) for cut, _ in small_cuts(g, cap - 1)), cap)
+    cuts = _listed_cuts(g, cap - 1, label, order, up)
+    return next((len(cut) for cut, _ in cuts), cap)
 
 
 def _least_cut_to_3(g: SignedGraph, label: Sequence[int],
@@ -539,6 +540,13 @@ def small_cuts(g: SignedGraph, k: int
     label, order, up = _cut_labels(g)
     if up.count(-1) != 1:  # one root per component
         raise ValueError("small_cuts needs a connected graph")
+    yield from _listed_cuts(g, k, label, order, up)
+
+
+def _listed_cuts(g: SignedGraph, k: int, label: list[int], order: list[int],
+                 up: list[int]
+                 ) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
+    """small_cuts of a connected g and k <= 4, from g's _cut_labels."""
 
     def xor(es: tuple[int, ...]) -> int:
         out = 0

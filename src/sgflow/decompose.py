@@ -466,17 +466,17 @@ def _connected_base_containing(g: SignedGraph, must: set[int],
 def decompose_base_sun(g: SignedGraph) -> PartitionCertificate:
     """Partition E into a connected base X1 containing a negative sun F
     and a remainder X2 with 2-closure E - F, 2-connected and unbalanced.
-    Raises HypothesisError unless g is cubic and 3-connected, has two
-    vertex-disjoint negative cycles and no balanced side of a 3- or
-    4-edge-cut (see violating_balanced_cut)."""
+    Raises HypothesisError unless g is cubic and 3-connected, has no
+    balanced side of a 3- or 4-edge-cut (see violating_balanced_cut) and
+    has two vertex-disjoint negative cycles, checked in that order."""
     _check_cubic_3connected(g)
-    if has_two_disjoint_cycles(g, want_negative=True) is None:
-        raise HypothesisError("graph has no two disjoint negative cycles")
     bad = violating_balanced_cut(g)
     if bad is not None:
         x, k = bad
         raise HypothesisError(f"hypothesis violated: balanced side"
                               f" {sorted(x)} of a {k}-edge-cut")
+    if has_two_disjoint_cycles(g, want_negative=True) is None:
+        raise HypothesisError("graph has no two disjoint negative cycles")
     return _verified(g, _peel(g, BASE_SUN, MINUS))
 
 
@@ -574,6 +574,7 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
         return False, "X1, X2 do not partition E"
     if not cert.f <= every:
         return False, "F not inside E"
+    closure = k_closure(g, cert.x2, 2).closure
     if cert.mode == TREE_2BASE:
         if cert.f:
             return False, "F not empty"
@@ -582,7 +583,7 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
         if (len(cert.x1) != g.n - 1
                 or component_count(g, cert.x1, range(g.n)) != 1):
             return False, "X1 not spanning tree"
-        if k_closure(g, cert.x2, 2).closure != every:
+        if closure != every:
             return False, "2-closure of X2 is not E"
         return True, ""
     if cert.mode == BASE_SUN:
@@ -593,7 +594,6 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
             return False, "F is not a negative sun"
         if not cert.f <= cert.x1:
             return False, "F not contained in X1"
-        closure = k_closure(g, cert.x2, 2).closure
         if closure != every - cert.f:
             return False, "2-closure of X2 is not E - F"
         if not _is_2_connected_edge_set(g, closure):
@@ -608,7 +608,6 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
             return False, "X1 contains no connected base (balanced)"
         if cert.f and not is_degenerate_sun(g, cert.f):
             return False, "F is not a degenerate negative sun"
-        closure = k_closure(g, cert.x2, 2).closure
         if closure != every - cert.f:
             return False, "2-closure of X2 is not E - F"
         return True, ""

@@ -22,15 +22,15 @@ under negation finds its solutions in pairs f, -f, so it tries only half
 the values of its first edge, which roughly halves its "no" proofs and
 changes no answer.
 
-The kernel takes a value list per edge and the arithmetic of its values,
-which are integers in both of its domains.  `integer_flow` searches
-bounded plain integers for a zero boundary (forced values come from exact
-division), for `has_nz_k_flow` and the constructions in `flows`.
-`satisfy_boundary` and `has_nz_A_flow` search integer codes of group
-elements: digit i of a code has radix 2 n_i for the cyclic factor
-Z_{n_i}, so the sum of two codes never carries and one lookup row of
-2^r |A| entries (r factors) reduces it.  Negation, multiples and halving
-are rows too, built once per group (`_group_codes`).
+The kernel takes a value list per edge and has one arithmetic: its
+values are integer codes of group elements.  Digit i of a code has radix
+2 n_i for the cyclic factor Z_{n_i}, so the sum of two codes never carries
+and one lookup row of 2^r |A| entries (r factors) reduces it.  Negation,
+multiples and halving are rows too, built once per group (`_group_codes`).
+`satisfy_boundary` and `has_nz_A_flow` search the codes of A.
+`integer_flow`, for `has_nz_k_flow` and the constructions in `flows`,
+searches bounded integers as the codes of Z_N, for an odd N large enough
+that the flows mod N are the integer flows.
 
 Exact A-connectivity does not search boundary by boundary.  By the
 Jaeger-Linial-Payan-Tarsi reduction (JCTB 1992), a graph is A-connected
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -66,44 +65,22 @@ SEARCH_BUDGET = 2 ** 20
 SWEEP_BUDGET = 2 ** 31
 
 
-class _Arithmetic(NamedTuple):
-    """How the kernel computes with its values, all integers with zero 0.
-
-    terms is None for plain integers, where a residual r takes r - c x
-    when an edge with coefficient c takes x.  For group codes, terms[c]
-    maps the code of x to the code of -c x, and r takes
-    reduce[r + terms[c][x]]; c is one of -2, -1, 0, 1, 2.  solve[c] maps a
-    residual r to every x with c x = r, in order, for c nonzero.
-    """
-
-    terms: Optional[dict[int, Sequence[int]]]
-    reduce: Optional[Sequence[int]]
-    solve: dict[int, Callable[[int], Sequence[int]]]
-
-
-def _solve_integers(c: int) -> Callable[[int], Sequence[int]]:
-    return lambda r: () if r % c else (r // c,)
-
-
-_INTEGERS = _Arithmetic(None, None,
-                        {c: _solve_integers(c) for c in (-2, -1, 1, 2)})
-
-
 class _GroupCodes(NamedTuple):
     """Integer codes of a group's elements and the kernel's arithmetic on
     them.  Digit i of a code is the element's residue mod n_i, with radix
     2 n_i and digit 0 most significant, so codes follow the lexicographic
-    order of the elements.
+    order of the elements, and an element of Z_n has its residue as code.
 
-    avoid[allow_zero][x] is the domain of an edge that must avoid the code
-    x: every code but x, and but zero unless allow_zero, in element order;
-    avoid[allow_zero][None] is the domain of an edge that avoids nothing.
-    The kernel never changes a domain, so every search shares these."""
+    When an edge with coefficient c takes x, a residual r takes
+    reduce[r + terms[c][x]], where terms[c] maps the code of x to the code
+    of -c x; c is one of -2, -1, 0, 1, 2.  solve[c] maps a residual r to
+    every x with c x = r, in element order, for c nonzero."""
 
     code: dict[Elem, int]
     elem: dict[int, Elem]
-    ar: _Arithmetic
-    avoid: tuple[dict[Optional[int], tuple[int, ...]], ...]
+    terms: dict[int, Sequence[int]]
+    reduce: Sequence[int]
+    solve: dict[int, Callable[[int], Sequence[int]]]
 
 
 @functools.lru_cache(maxsize=16)
@@ -121,11 +98,6 @@ def _group_codes(A: AbelianGroup) -> _GroupCodes:
         size *= 2 * n
     elems = list(A.elements())
     code = {a: sum(x * w for x, w in zip(a, weights)) for a in elems}
-    avoid = []
-    for allow_zero in (False, True):
-        every = tuple(x for x in code.values() if allow_zero or x)
-        avoid.append({None: every, **{x: tuple(y for y in every if y != x)
-                                      for x in code.values()}})
     terms, solve = {0: (0,) * size}, {}
     for c in (-2, -1, 1, 2):
         row = [0] * size
@@ -135,8 +107,19 @@ def _group_codes(A: AbelianGroup) -> _GroupCodes:
             r = code[A.smul(c, a)]
             sols[r] = sols[r] + (code[a],)
         terms[c], solve[c] = tuple(row), tuple(sols).__getitem__
-    return _GroupCodes(code, {x: a for a, x in code.items()},
-                       _Arithmetic(terms, tuple(reduce), solve), tuple(avoid))
+    return _GroupCodes(code, {x: a for a, x in code.items()}, terms,
+                       tuple(reduce), solve)
+
+
+@functools.lru_cache(maxsize=16)
+def _avoiding(A: AbelianGroup) -> tuple[dict, dict]:
+    """satisfy_boundary's domains, apart from _group_codes as they hold
+    |A|^2 codes: [allow_zero][x] holds, in element order, every code but x,
+    and but zero unless allow_zero; [allow_zero][None] every such code."""
+    codes = tuple(_group_codes(A).code.values())  # zero first
+    return tuple({None: every, **{x: tuple(y for y in every if y != x)
+                                  for x in codes}}
+                 for every in (codes[1:], codes))
 
 
 class _OverBudget(DeskScaleError):
@@ -145,31 +128,29 @@ class _OverBudget(DeskScaleError):
 
 class _Plan(NamedTuple):
     """What the kernel works out before it looks at any value searched
-    for: a pure function of (graph, listed edges, arithmetic).
+    for: a pure function of (graph, listed edges, group codes).
 
     bare lists the vertices where no listed edge has a nonzero
     coefficient, and idle the listed edges with no nonzero coefficient
     (positive loops), which no boundary constrains.  steps holds, per
-    depth, the edge, the two (vertex, coefficient term) pairs it changes
-    (padded with a spare slot n that stays 0) and the (vertex, solve)
-    pairs of the saturated endpoints that force its value.  reduce is the
-    arithmetic's reduce row, and neg maps a value to its negative (for
-    codes, the terms[1] row).
+    depth, the edge, the two (vertex, terms row) pairs it changes (padded
+    with a spare slot n that stays 0) and the (vertex, solve) pairs of the
+    saturated endpoints that force its value.  reduce is the codes' reduce
+    row, and neg their terms[1] row, which maps a code to its negative.
     """
 
     m: int
     bare: list[int]
     idle: list[int]
     steps: list[tuple]
-    reduce: Optional[Sequence[int]]
-    neg: Callable[[int], int]
+    reduce: Sequence[int]
+    neg: Sequence[int]
 
 
-def _plan(g: SignedGraph, edges: Sequence[int], ar: _Arithmetic) -> _Plan:
+def _plan(g: SignedGraph, edges: Sequence[int], codes: _GroupCodes) -> _Plan:
     """The plan of a search over the listed edges (see `_walk`): the edges
     breadth first, each next one forced where some endpoint allows."""
-    terms, reduce, solve = ar
-    plain = terms is None
+    terms, solve = codes.terms, codes.solve
     coeff = {e: end_coeffs(g, e) for e in edges}
     idle = [e for e in edges if not coeff[e]]  # positive loops
     remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
@@ -197,11 +178,9 @@ def _plan(g: SignedGraph, edges: Sequence[int], ar: _Arithmetic) -> _Plan:
         for v in coeff[e]:
             remaining[v] -= 1
         (u, cu), (w, cw) = (list(coeff[e].items()) + [(g.n, 0)])[:2]
-        steps.append((
-            e, u, cu if plain else terms[cu], w, cw if plain else terms[cw],
-            [(v, solve[c]) for v, c in saturated]))
-    return _Plan(g.m, bare, idle, steps, reduce,
-                 operator.neg if plain else terms[1].__getitem__)
+        steps.append((e, u, terms[cu], w, terms[cw],
+                      [(v, solve[c]) for v, c in saturated]))
+    return _Plan(g.m, bare, idle, steps, codes.reduce, terms[1])
 
 
 def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
@@ -242,8 +221,7 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
             domains[e] for e in plan.idle):
         return None
     limit = budget = SEARCH_BUDGET if budget is None else budget
-    reduce = plan.reduce
-    plain = reduce is None
+    reduce, neg = plan.reduce, plan.neg
     walk = []
     allowed: dict[int, set] = {}  # membership of each domain list
     for step in plan.steps:
@@ -256,11 +234,10 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
     # on a free first edge, a value x no later than -x in its domain, and
     # the walk need try no other there.
     if walk and not any(beta) and not walk[0][5]:
-        neg = plan.neg
-        if all(neg(x) in ok for ok in allowed.values() for x in ok):
+        if all(neg[x] in ok for ok in allowed.values() for x in ok):
             *head, dom, ok = walk[0]
             rank = {x: i for i, x in enumerate(dom)}
-            walk[0] = (*head, [x for x in dom if rank[x] <= rank[neg(x)]], ok)
+            walk[0] = (*head, [x for x in dom if rank[x] <= rank[neg[x]]], ok)
 
     residual = list(beta) + [0]
     f: list = [None] * plan.m
@@ -285,12 +262,8 @@ def _walk(plan: _Plan, domains: Sequence[Sequence[int]], beta: Sequence[int],
         for x in cands:
             if x not in ok:  # a forced value outside the domain
                 continue
-            if plain:
-                residual[u] = ru - cu * x
-                residual[w] = rw - cw * x
-            else:
-                residual[u] = reduce[ru + cu[x]]
-                residual[w] = reduce[rw + cw[x]]
+            residual[u] = reduce[ru + cu[x]]
+            residual[w] = reduce[rw + cw[x]]
             if dfs(d + 1):
                 f[e] = x
                 return True
@@ -309,8 +282,27 @@ def integer_flow(g: SignedGraph, edges: Sequence[int],
     """Integers f(e) in domains[e], for the edges listed (in increasing
     order), with zero boundary, edges not listed carrying nothing; None if
     there are none.  The list is indexed by edge and holds None for edges
-    not listed.  The search is `_walk`'s."""
-    return _walk(_plan(g, edges, _INTEGERS), domains, [0] * g.n)
+    not listed.
+
+    The search is `_walk`'s on Z_N, for the least odd N above 2 max |d|
+    and above each vertex's load, the sum of |c| max |d| over its listed
+    edges with coefficient c there.  A domain's residues are distinct and
+    keep its order.  A vertex's boundary lies strictly between -N and N,
+    so it is zero iff its residue is; and c, +-1 or +-2, is a unit mod N,
+    so a forced value is the exact quotient or in no domain.  The walk
+    visits the nodes an integer search would, in the same order.
+    """
+    size = {e: max(map(abs, domains[e]), default=0) for e in edges}
+    load = [0] * g.n
+    for e in edges:
+        for v, c in end_coeffs(g, e).items():
+            load[v] += abs(c) * size[e]
+    # the least odd number above every load and twice every value
+    n = (max(2, *load, *(2 * d for d in size.values())) + 1) | 1
+    f = _walk(_plan(g, edges, _group_codes(AbelianGroup((n,)))),
+              [[x % n for x in d] for d in domains], [0] * g.n)
+    return None if f is None else [
+        x if x is None or 2 * x < n else x - n for x in f]
 
 
 def satisfy_boundary(
@@ -330,7 +322,7 @@ def satisfy_boundary(
     necessary condition for solvability; ValueError otherwise.
     """
     _check_boundary_inputs(g, A, beta, fbar)
-    return _search_group(_plan(g, range(g.m), _group_codes(A).ar), A, beta,
+    return _search_group(_plan(g, range(g.m), _group_codes(A)), A, beta,
                          fbar, allow_zero)
 
 
@@ -354,8 +346,8 @@ def _search_group(plan: _Plan, A: AbelianGroup, beta: Sequence[Elem],
                   budget: Optional[int] = None) -> Optional[list[Elem]]:
     """satisfy_boundary's search on checked inputs, through element codes,
     walking a plan of every edge in A's arithmetic."""
-    code, elem, _, avoid = _group_codes(A)
-    domain = avoid[allow_zero]
+    code, elem = _group_codes(A)[:2]
+    domain = _avoiding(A)[allow_zero]
     domains = ([domain[None]] * plan.m if fbar is None
                else [domain[code[tuple(x)]] for x in fbar])
     f = _walk(plan, domains, [code[tuple(b)] for b in beta], budget)
@@ -483,7 +475,7 @@ def is_A_connected(
     if g.n == 0:
         raise ValueError("a graph with no vertices has no boundaries")
     # every search below is of all of g: plan once
-    plan = _plan(g, range(g.m), _group_codes(A).ar)
+    plan = _plan(g, range(g.m), _group_codes(A))
     if samples is None:
         # The zero boundary comes first in _all_boundaries order, so one
         # search for a nowhere-zero flow can settle a "no" before the sweep.

@@ -424,6 +424,21 @@ def test_verify_exits_2_on_eprime_outside_the_edges(tmp_path, capsys, value):
     assert (code, out.strip()) == (0, "OK")
 
 
+def test_decompose_base_sun_names_the_balanced_cut_first(tmp_path, capsys):
+    # Petersen with one negative edge fails both of the prime route's
+    # checks: its negative cycles all run through that edge, and the side
+    # without one of its ends is balanced.  The polynomial cut check runs
+    # first, so its message is the one printed.
+    g = petersen(all_positive=True)
+    g = g.with_signs([MINUS] + [PLUS] * (g.m - 1))
+    assert decompose.has_two_disjoint_cycles(g, want_negative=True) is None
+    code, out, err = run(capsys, "decompose", "base-sun",
+                         write_graph(tmp_path, g))
+    assert (code, out, err) == (
+        2, "", "error: hypothesis violated: balanced side"
+               " [0, 2, 3, 4, 5, 6, 7, 8, 9] of a 3-edge-cut\n")
+
+
 def _partition_lines(tmp_path, capsys):
     gpath = write_graph(tmp_path, petersen_2neg())
     code, out, _ = run(capsys, "decompose", "base-sun", gpath)

@@ -159,6 +159,22 @@ def test_edge_connectivity_values():
     assert edge_connectivity(triangle) == 4
 
 
+def test_edge_connectivity_labels_a_graph_once(monkeypatch):
+    # K6's least non-loop degree is 5, so its 3- and 4-edge cuts are listed,
+    # from the same labels its bridges and 2-edge cuts are read off
+    labelled = []
+    cut_labels = core._cut_labels
+
+    def spy(g):
+        labelled.append(g)
+        return cut_labels(g)
+
+    monkeypatch.setattr(core, "_cut_labels", spy)
+    g = SignedGraph(6, tuple(_complete(6)))
+    assert edge_connectivity(g) == 5
+    assert labelled == [g]
+
+
 @settings(max_examples=300, deadline=None)
 @given(signed_multigraphs())
 def test_min_negative_edges_matches_switching_scan(g):

@@ -20,9 +20,9 @@ from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
                                petersen_2neg)
 from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
                            parse_group)
-from sgflow.oracle import (_INTEGERS, _OverBudget, _check_boundary_inputs,
-                           _group_codes, _plan, _search_group, _walk,
-                           has_nz_A_flow, has_nz_k_flow, is_A_connected,
+from sgflow.oracle import (_OverBudget, _check_boundary_inputs, _group_codes,
+                           _plan, _search_group, _walk, has_nz_A_flow,
+                           has_nz_k_flow, integer_flow, is_A_connected,
                            satisfy_boundary)
 from sgflow.structures import all_cycles
 
@@ -134,7 +134,7 @@ def test_zero_boundary_search_stops_at_its_budget():
     # search only learns it after every branch on one side, so it goes past
     # its budget and the sweep gives the same verdict
     g, A = doubled_k4_bridge(), parse_group("Z6")
-    plan = _plan(g, range(g.m), _group_codes(A).ar)
+    plan = _plan(g, range(g.m), _group_codes(A))
     with pytest.raises(_OverBudget):
         _search_group(plan, A, [A.zero] * g.n, None, False,
                       budget=A.order ** g.n >> 10)
@@ -386,8 +386,10 @@ def _search_matches_the_reference(g, A, edges, beta, fbar, allow_zero, draw):
     want = reference_search(g, edges, domains, beta,
                             reference_group_arithmetic(A))
     event(f"found: {want is not None}")
-    code, elem, ar, _ = _group_codes(A)
-    got = _walk(_plan(g, edges, ar), [[code[x] for x in d] for d in domains],
+    codes = _group_codes(A)
+    code, elem = codes.code, codes.elem
+    got = _walk(_plan(g, edges, codes),
+                [[code[x] for x in d] for d in domains],
                 [code[b] for b in beta])
     assert (None if got is None
             else [None if x is None else elem[x] for x in got]) == want
@@ -422,14 +424,16 @@ def test_zero_boundary_search_tries_both_signs_where_fbar_breaks_them():
                             allow_zero=True) == [(2,), (1,)]
 
 
-def test_petersen_has_no_5_flow_within_its_measured_effort():
+def test_petersen_has_no_5_flow_within_its_measured_effort(monkeypatch):
     # the largest "no" of the benchmark: 6 723 free branchings with the
     # cotree planned first and every first value tried, 1 696 breadth first
-    # and with the sign symmetry
-    g = petersen()
-    domain = [x for x in range(-4, 5) if x]
-    assert _walk(_plan(g, range(g.m), _INTEGERS), [domain] * g.m, [0] * g.n,
-                 budget=1696) is None
+    # and with the sign symmetry, on plain integers and on the codes of Z13
+    # alike
+    monkeypatch.setattr(oracle, "SEARCH_BUDGET", 1696)
+    assert has_nz_k_flow(petersen(), 5) is None
+    monkeypatch.setattr(oracle, "SEARCH_BUDGET", 1695)
+    with pytest.raises(_OverBudget):
+        has_nz_k_flow(petersen(), 5)
 
 
 def test_search_forces_a_loop_in_its_planned_turn():
@@ -442,40 +446,101 @@ def test_search_forces_a_loop_in_its_planned_turn():
     want = reference_search(g, range(3), [dom] * 3,
                             [A.zero] * 2, reference_group_arithmetic(A))
     assert want == [(1, 1), (1, 1), (0, 1)]
-    code, elem, ar, _ = _group_codes(A)
-    got = _walk(_plan(g, range(3), ar), [[code[x] for x in dom]] * 3, [0, 0])
+    codes = _group_codes(A)
+    code, elem = codes.code, codes.elem
+    got = _walk(_plan(g, range(3), codes), [[code[x] for x in dom]] * 3,
+                [0, 0])
     assert [elem[x] for x in got] == want
 
 
+INTEGER_FAMILIES = ("k-flow", "carrier", "barbell")
+
+
+def _integer_domains(g, k, family, draw):
+    """A domain per edge, as has_nz_k_flow, z2_to_3flow and circuit_coeffs
+    give them."""
+    if family == "carrier":  # z2_to_3flow's: +-1 on a support, up to 2 off it
+        return [draw(st.sampled_from(([1, -1], [0, 1, -1, 2, -2])))
+                for _ in range(g.m)]
+    if family == "barbell":  # circuit_coeffs': one edge pinned to 1, so not
+        # every domain is closed under negation
+        domains = [draw(st.permutations([1, -1, 2, -2])) for _ in range(g.m)]
+        if g.m:
+            domains[draw(st.integers(0, g.m - 1))] = [1]
+        return domains
+    # has_nz_k_flow's domain, in any order
+    return [draw(st.permutations([x for x in range(1 - k, k) if x]))] * g.m
+
+
+def _integer_flow_matches_the_reference(g, edges, domains):
+    want = reference_search(g, edges, domains, [0] * g.n, REFERENCE_INTEGERS)
+    event(f"found: {want is not None}")
+    assert integer_flow(g, edges, domains) == want
+
+
 @settings(max_examples=300, deadline=None)
-@given(small_instances(), st.integers(2, 4),
-       st.sampled_from(("k-flow", "carrier", "barbell")), st.data())
+@given(small_instances(), st.integers(2, 4), st.sampled_from(INTEGER_FAMILIES),
+       st.data())
 def test_search_on_integers_matches_the_reference(g, k, family, data):
     edges = [e for e in range(g.m) if data.draw(st.booleans())]
-    if family == "carrier":  # z2_to_3flow's: +-1 on a support, up to 2 off it
-        domains = [data.draw(st.sampled_from(([1, -1], [0, 1, -1, 2, -2])))
-                   for _ in range(g.m)]
-    elif family == "barbell":  # circuit_coeffs': one edge pinned to 1, so not
-        # every domain is closed under negation
-        domains = [data.draw(st.permutations([1, -1, 2, -2]))
-                   for _ in range(g.m)]
-        if g.m:
-            domains[data.draw(st.integers(0, g.m - 1))] = [1]
-    else:  # has_nz_k_flow's domain, in any order
-        domains = [data.draw(st.permutations([x for x in range(1 - k, k)
-                                              if x]))] * g.m
-    kind = data.draw(st.sampled_from(("zero", "reached", "any")))
-    if kind == "zero":
-        beta = [0] * g.n
-    elif kind == "reached":
-        beta = integer_boundary(g, [
-            data.draw(st.sampled_from(domains[e])) if e in edges else 0
-            for e in range(g.m)])
-    else:
-        beta = [data.draw(st.integers(-3, 3)) for _ in range(g.n)]
-    want = reference_search(g, edges, domains, beta, REFERENCE_INTEGERS)
-    event(f"found: {want is not None}")
-    assert _walk(_plan(g, edges, _INTEGERS), domains, beta) == want
+    _integer_flow_matches_the_reference(
+        g, edges, _integer_domains(g, k, family, data.draw))
+
+
+@st.composite
+def loaded_multigraphs(draw):
+    """A vertex 0 of degree at least 6 (a loop counting twice), and at most
+    eight edges in all: edges from vertex 0, negative loops at it and
+    other edges among up to three more vertices, parallel ones included."""
+    n = draw(st.integers(2, 4))
+    other = st.integers(1, n - 1)
+    hub = draw(st.lists(st.one_of(
+        st.tuples(st.just(0), other, st.sampled_from((PLUS, MINUS))),
+        st.just((0, 0, MINUS))), min_size=3, max_size=6))
+    assume(sum(2 if u == v else 1 for u, v, _ in hub) >= 6)
+    end = st.integers(0, n - 1)
+    rest = draw(st.lists(st.tuples(end, end, st.sampled_from((PLUS, MINUS))),
+                         max_size=8 - len(hub)))
+    return SignedGraph(n, tuple(draw(st.permutations(hub + rest))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(loaded_multigraphs(), st.integers(2, 3),
+       st.sampled_from(INTEGER_FAMILIES), st.data())
+def test_integer_flow_at_a_loaded_vertex_matches_the_reference(g, k, family,
+                                                               data):
+    # every edge listed, so vertex 0's load, at least 6 max |d|, sets the
+    # modulus: a modulus no larger than it would let a vertex's values sum
+    # to a nonzero multiple of it
+    event(f"negative loop: {any(u == v and s == MINUS for u, v, s in g.edges)}")
+    _integer_flow_matches_the_reference(
+        g, range(g.m), _integer_domains(g, k, family, data.draw))
+
+
+def test_integer_flow_walks_the_least_odd_modulus_above_every_load(
+        monkeypatch):
+    # the load of a vertex is the sum of |c| max |d| over its edges, and the
+    # modulus also stays above 2 max |d|, so the residues of a domain differ;
+    # integer searches never build satisfy_boundary's avoiding domains
+    walked, codes = [], oracle._group_codes
+
+    def spied(A):
+        walked.append(A.factors)
+        return codes(A)
+
+    def unbuilt(A):
+        raise AssertionError("an integer search built the avoiding domains")
+
+    monkeypatch.setattr(oracle, "_group_codes", spied)
+    monkeypatch.setattr(oracle, "_avoiding", unbuilt)
+    has_nz_k_flow(petersen(), 5)  # 3 edges of at most 4 at each vertex
+    has_nz_k_flow(petersen(), 4)  # loads 9
+    one_edge = SignedGraph(2, ((0, 1, PLUS),))
+    assert has_nz_k_flow(one_edge, 3) is None  # 2 max |d| = 4 above loads 2
+    loops = SignedGraph(1, ((0, 0, MINUS),) * 2)  # each loop counts 2 max |d|
+    f = has_nz_k_flow(loops, 3)
+    assert f is not None and integer_boundary(loops, f) == [0]
+    assert walked == [(13,), (11,), (5,), (9,)]
 
 
 # -- the boundary sweep against one search per boundary ---------------------------
@@ -527,7 +592,7 @@ TWELVE_LOOPS_FBAR = [(x,) for x in (2, 6, 7, 2, 1, 7, 7, 0, 1, 4, 6, 5)]
 
 def test_plan_leaves_positive_loops_out():
     g = TWELVE_LOOPS
-    plan = _plan(g, range(g.m), _group_codes(parse_group("Z9")).ar)
+    plan = _plan(g, range(g.m), _group_codes(parse_group("Z9")))
     assert plan.idle == [0, 3, 4, 5, 6, 8, 9, 10, 11]
     assert [step[0] for step in plan.steps] == [1, 2, 7]
 
@@ -538,7 +603,7 @@ def test_positive_loops_take_their_first_value_without_branching():
     # answer.  Now it branches on edge 1 once and on edge 2 once per value
     # of edge 1, and edge 7 is forced.
     g, A = TWELVE_LOOPS, parse_group("Z9")
-    plan = _plan(g, range(g.m), _group_codes(A).ar)
+    plan = _plan(g, range(g.m), _group_codes(A))
     f = _search_group(plan, A, [A.zero], TWELVE_LOOPS_FBAR, True, budget=10)
     assert f is not None and is_flow(g, f, A)
     assert all(f[e] != TWELVE_LOOPS_FBAR[e] for e in range(g.m))

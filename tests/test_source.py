@@ -269,7 +269,7 @@ def test_oracle_internals_scan(tmp_path):
     (tmp_path / "flows.py").write_text(
         "from . import oracle\nfrom .oracle import integer_flow\n"
         "f = oracle._walk(oracle.integer_flow)\n"
-        "from .oracle import (integer_flow,\n    _INTEGERS)\n")
+        "from .oracle import (integer_flow,\n    _GroupCodes)\n")
     (tmp_path / "cli.py").write_text(
         "from sgflow.oracle import _plan\nx = plan._walk\n")
     assert _oracle_internals_named(tmp_path) == [
