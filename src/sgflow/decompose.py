@@ -338,7 +338,16 @@ def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int
 def _plane_with_degree_2_outside(g: SignedGraph, x: frozenset[int],
                                  inside: list[int]) -> bool:
     """G[X] has a plane embedding with its degree-2 vertices on the outer
-    face: planarity after adding an apex joined to those vertices."""
+    face: planarity after adding an apex joined to those vertices.  A
+    nonplanar graph holds a subdivision of K3,3 (9 edges) or K5 (10), so
+    with at most 8 edges in all the answer is "plane" without a test."""
+    degree = dict.fromkeys(x, 0)
+    for e in inside:
+        for v in g.ends(e):  # a loop counts twice
+            degree[v] += 1
+    deg2 = [v for v in x if degree[v] == 2]
+    if len(inside) + len(deg2) <= 8:
+        return True
     import networkx as nx
 
     nxg = nx.MultiGraph()
@@ -346,7 +355,6 @@ def _plane_with_degree_2_outside(g: SignedGraph, x: frozenset[int],
     for e in inside:
         u, v = g.ends(e)
         nxg.add_edge(u, v)
-    deg2 = [v for v in x if nxg.degree(v) == 2]
     apex = -1
     for v in deg2:
         nxg.add_edge(apex, v)

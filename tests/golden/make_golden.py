@@ -18,7 +18,12 @@ Run from the repository root to rewrite the corpus:
     PYTHONPATH=src python tests/golden/make_golden.py
 
 Rewrite it only when a change to the certificates is intended; a refactor
-must leave every file byte for byte as it is.
+must leave every file byte for byte as it is.  With ``--check`` the corpus
+is written to a temporary directory instead and compared with this one:
+the script lists every file that changed, is missing here or is here
+without being written, and exits 1 if there is any:
+
+    PYTHONPATH=src python tests/golden/make_golden.py --check
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -203,7 +209,8 @@ def witness_records():
             yield {"call": "is_A_connected", "graph": name, "group": spec}
 
 
-def main() -> int:
+def write_corpus(out: Path) -> None:
+    """Write every case and the pinned witnesses into the directory out."""
     emb = k6_projective_embedding()
     for name, g, spec in cases():
         A = parse_group(spec)
@@ -215,8 +222,8 @@ def main() -> int:
         cert = connect(g, A, fbar,
                        embedding=emb if name.startswith("k6hint-") else None)
         dt = time.perf_counter() - t0
-        (HERE / f"{name}.sg").write_text(format_sg(g))
-        (HERE / f"{name}.cert").write_text(format_avoidance(cert))
+        (out / f"{name}.sg").write_text(format_sg(g))
+        (out / f"{name}.cert").write_text(format_avoidance(cert))
         print(f"{name}: {cert.strategy} n={g.n} m={g.m} {dt:.3f}s",
               file=sys.stderr)
     records = []
@@ -224,11 +231,47 @@ def main() -> int:
         rec = as_json(rec)
         rec["result"] = as_json(oracle_call(rec))
         records.append(rec)
-    WITNESSES.write_text(
+    (out / WITNESSES.name).write_text(
         "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
     print(f"{WITNESSES.name}: {len(records)} records", file=sys.stderr)
+
+
+def corpus_files(directory: Path) -> set[str]:
+    """Names of the corpus files in directory: all but this script."""
+    return {p.name for p in directory.iterdir()
+            if p.is_file() and p.name != Path(__file__).name}
+
+
+def check(corpus: Path = HERE) -> int:
+    """Write the corpus to a temporary directory and compare it with the
+    one in corpus; 1 if any file differs, is missing or is extra."""
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        write_corpus(fresh)
+        written, kept = corpus_files(fresh), corpus_files(corpus)
+        changed = sorted(name for name in written & kept
+                         if (fresh / name).read_bytes()
+                         != (corpus / name).read_bytes())
+    missing, extra = sorted(written - kept), sorted(kept - written)
+    for label, names in (("changed", changed), ("missing", missing),
+                         ("extra", extra)):
+        for name in names:
+            print(f"{label}: {name}")
+    if changed or missing or extra:
+        return 1
+    print(f"golden corpus unchanged: {len(written)} files")
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--check"]:
+        return check()
+    if argv:
+        print("usage: make_golden.py [--check]", file=sys.stderr)
+        return 2
+    write_corpus(HERE)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -11,9 +11,9 @@ from typing import Optional, Sequence
 from hypothesis import strategies as st
 
 from sgflow.core import (MINUS, PLUS, MinorResult, SignedGraph,
-                         _has_cycle, component_count, edge_connectivity,
-                         is_balanced, is_k_unbalanced, spanning_forest,
-                         uncontract)
+                         _has_cycle, _tree_order, component_count,
+                         edge_connectivity, end_coeffs, is_balanced,
+                         is_k_unbalanced, spanning_forest, uncontract)
 from sgflow.decompose import (BASE_SUN, GENERAL, _check, _induced_edges,
                               _is_2_connected_edge_set, _spans_and_connected,
                               _sub_degrees, violating_balanced_cut)
@@ -526,8 +526,6 @@ def _half_at(g: SignedGraph, e: int, v: int) -> int:
 # is_cyclically_k_edge_connected must return what they return.
 
 def reference_violating_balanced_cut(g: SignedGraph):
-    import networkx as nx
-
     for mask in range(1, 1 << g.n):
         x = {v for v in range(g.n) if mask >> v & 1}
         if len(x) < 2 or len(x) == g.n:
@@ -542,21 +540,28 @@ def reference_violating_balanced_cut(g: SignedGraph):
             continue
         if len(cut) == 3:
             return frozenset(x), 3
-        # 4-cut: plane embedding with degree-2 vertices on the outer face
-        # == planarity after adding an apex joined to those vertices
-        nxg = nx.MultiGraph()
-        nxg.add_nodes_from(x)
-        for e in inside:
-            u, v = g.ends(e)
-            nxg.add_edge(u, v)
-        deg2 = [v for v in x if nxg.degree(v) == 2]
-        apex = -1
-        for v in deg2:
-            nxg.add_edge(apex, v)
-        ok, _ = nx.check_planarity(nxg)
-        if ok:
+        if reference_plane_with_degree_2_outside(g, x, inside):
             return frozenset(x), 4
     return None
+
+
+def reference_plane_with_degree_2_outside(g: SignedGraph, x, inside) -> bool:
+    """A plane embedding of G[X] with its degree-2 vertices on the outer
+    face, by networkx: planarity after adding an apex joined to those
+    vertices."""
+    import networkx as nx
+
+    nxg = nx.MultiGraph()
+    nxg.add_nodes_from(x)
+    for e in inside:
+        u, v = g.ends(e)
+        nxg.add_edge(u, v)
+    deg2 = [v for v in x if nxg.degree(v) == 2]
+    apex = -1
+    for v in deg2:
+        nxg.add_edge(apex, v)
+    ok, _ = nx.check_planarity(nxg)
+    return ok
 
 
 def reference_is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:
@@ -761,6 +766,129 @@ def reference_search(g: SignedGraph, edges: Sequence[int],
     for e in idle:
         f[e] = domains[e][0]
     return f
+
+
+# The planned kernel as it was before its steps were typed
+# (sgflow.oracle._plan and _walk): every step loops over the solutions each
+# saturated end offers, intersects them, and tests each candidate, free ones
+# too, against a set it builds per walk; every step changes both ends'
+# residuals.  reference_walk counts its free branchings, so the typed kernel
+# can be held to the same effort: it must return the same list, answer
+# within that many, and stop one short of it.
+
+def reference_group_codes(A) -> tuple:
+    """(code, elem, terms, reduce, solve) of sgflow.oracle's element codes,
+    with solve[c] mapping a residual to every x with c x = r, in element
+    order, for every nonzero c."""
+    reduce = [0]
+    weights: list[int] = []
+    size = 1
+    for n in reversed(A.factors):
+        reduce = [r + (d % n) * size for d in range(2 * n) for r in reduce]
+        weights.insert(0, size)
+        size *= 2 * n
+    elems = list(A.elements())
+    code = {a: sum(x * w for x, w in zip(a, weights)) for a in elems}
+    terms, solve = {0: (0,) * size}, {}
+    for c in (-2, -1, 1, 2):
+        row = [0] * size
+        sols: list[tuple[int, ...]] = [()] * size
+        for a in elems:
+            row[code[a]] = code[A.smul(-c, a)]
+            r = code[A.smul(c, a)]
+            sols[r] = sols[r] + (code[a],)
+        terms[c], solve[c] = tuple(row), tuple(sols).__getitem__
+    return code, {x: a for a, x in code.items()}, terms, tuple(reduce), solve
+
+
+def reference_plan(g: SignedGraph, edges: Sequence[int], codes: tuple
+                   ) -> tuple:
+    """(m, bare, idle, steps, reduce, neg): per depth the edge, the two
+    (vertex, terms row) pairs it changes (padded with a spare slot n) and
+    the (vertex, solve) pairs of its saturated ends, found by rescanning
+    the unplanned edges at every depth."""
+    _code, _elem, terms, reduce, solve = codes
+    coeff = {e: end_coeffs(g, e) for e in edges}
+    idle = [e for e in edges if not coeff[e]]
+    remaining = [0] * g.n
+    for c in coeff.values():
+        for v in c:
+            remaining[v] += 1
+    bare = [v for v in range(g.n) if not remaining[v]]
+    bfs, _ = _tree_order(g, spanning_forest(g, edges), range(g.n))
+    place = {v: i for i, v in enumerate(bfs)}
+
+    def later_end_first(e: int) -> tuple[int, int, int]:
+        a, b = place[g.edges[e][0]], place[g.edges[e][1]]
+        return max(a, b), min(a, b), e
+
+    unplanned = sorted((e for e in edges if coeff[e]), key=later_end_first)
+    steps = []
+    while unplanned:
+        i = next((i for i, e in enumerate(unplanned)
+                  if 1 in map(remaining.__getitem__, coeff[e])), 0)
+        e = unplanned.pop(i)
+        saturated = [(v, c) for v, c in coeff[e].items() if remaining[v] == 1]
+        for v in coeff[e]:
+            remaining[v] -= 1
+        (u, cu), (w, cw) = (list(coeff[e].items()) + [(g.n, 0)])[:2]
+        steps.append((e, u, terms[cu], w, terms[cw],
+                      [(v, solve[c]) for v, c in saturated]))
+    return g.m, bare, idle, steps, reduce, terms[1]
+
+
+def reference_walk(plan: tuple, domains: Sequence[Sequence[int]],
+                   beta: Sequence[int]) -> tuple[Optional[list], int]:
+    """(f, free branchings): sgflow.oracle._walk's answer on code lists,
+    with no budget, and how often it branched on an edge no end forces."""
+    m, bare, idle, steps, reduce, neg = plan
+    if any(beta[v] for v in bare) or not all(domains[e] for e in idle):
+        return None, 0
+    walk = []
+    allowed: dict[int, set] = {}
+    for step in steps:
+        dom = domains[step[0]]
+        if id(dom) not in allowed:
+            allowed[id(dom)] = set(dom)
+        walk.append((*step, dom, allowed[id(dom)]))
+    if walk and not any(beta) and not walk[0][5]:
+        if all(neg[x] in ok for ok in allowed.values() for x in ok):
+            *head, dom, ok = walk[0]
+            rank = {x: i for i, x in enumerate(dom)}
+            walk[0] = (*head, [x for x in dom if rank[x] <= rank[neg[x]]], ok)
+    residual = list(beta) + [0]
+    f: list = [None] * m
+    branchings = 0
+
+    def dfs(d: int) -> bool:
+        nonlocal branchings
+        if d == len(walk):
+            return True
+        e, u, cu, w, cw, forcing, dom, ok = walk[d]
+        cands = None
+        for v, sol in forcing:
+            vals = sol(residual[v])
+            cands = vals if cands is None else [x for x in cands if x in vals]
+        if cands is None:
+            cands = dom
+            branchings += 1
+        ru, rw = residual[u], residual[w]
+        for x in cands:
+            if x not in ok:
+                continue
+            residual[u] = reduce[ru + cu[x]]
+            residual[w] = reduce[rw + cw[x]]
+            if dfs(d + 1):
+                f[e] = x
+                return True
+        residual[u], residual[w] = ru, rw
+        return False
+
+    if not dfs(0):
+        return None, branchings
+    for e in idle:
+        f[e] = domains[e][0]
+    return f, branchings
 
 
 def reference_k_closure(g: SignedGraph, seed, k: int

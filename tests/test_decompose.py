@@ -1,9 +1,10 @@
 """Edge-partition certificates: spanning tree + 2-base, base + sun, general."""
 
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
                      cubic_2unbalanced, graphs_with_edge_sets, joined_prisms,
@@ -11,13 +12,15 @@ from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
                      reference_has_two_disjoint_cycles,
                      reference_improving_path,
                      reference_is_2_connected_edge_set,
+                     reference_plane_with_degree_2_outside,
                      reference_violating_balanced_cut,
                      signed_cubic_3connected, switching_classes)
 from sgflow import decompose, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          is_balanced, is_cyclically_k_edge_connected)
 from sgflow.decompose import (BASE_SUN, GENERAL, TREE_2BASE, WorkingPartition,
-                              _is_2_connected_edge_set,
+                              _induced_edges, _is_2_connected_edge_set,
+                              _plane_with_degree_2_outside,
                               check_working_partition, decompose_base_sun,
                               decompose_general, decompose_tree_2base,
                               format_certificate, has_two_disjoint_cycles,
@@ -142,6 +145,54 @@ def test_violating_balanced_cut_matches_the_subset_scan(g):
 def test_violating_balanced_cut_on_every_switching_class(name):
     for g in switching_classes(CUBIC_GRAPHS[name]):
         assert violating_balanced_cut(g) == reference_violating_balanced_cut(g)
+
+
+@st.composite
+def sides_with_edges(draw):
+    """A graph on up to 7 vertices and a side X of at least 3 of them:
+    either a multigraph of up to 14 edges, loops and parallel edges
+    included, or a dense simple graph, where K5 and K3,3 occur."""
+    n = draw(st.integers(3, 7))
+    end = st.integers(0, n - 1)
+    sign = st.sampled_from((PLUS, MINUS))
+    if draw(st.booleans()):
+        edges = draw(st.lists(st.tuples(end, end, sign), max_size=14))
+    else:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(u, v, draw(sign)) for u, v in draw(st.lists(
+            st.sampled_from(pairs), unique=True,
+            min_size=min(len(pairs), 8)))]
+    x = draw(st.sets(st.integers(0, n - 1), min_size=3))
+    return SignedGraph(n, tuple(edges)), frozenset(x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sides_with_edges())
+def test_plane_with_degree_2_outside_matches_networkx(side):
+    g, x = side
+    inside = _induced_edges(g, x)
+    want = reference_plane_with_degree_2_outside(g, x, inside)
+    degree = {v: sum(u == v for e in inside for u in g.ends(e)) for v in x}
+    event(f"at most 8 edges with the apex: "
+          f"{len(inside) + sum(d == 2 for d in degree.values()) <= 8}")
+    event(f"plane: {want}")
+    assert _plane_with_degree_2_outside(g, x, inside) == want
+
+
+def test_plane_with_degree_2_outside_counts_before_networkx(monkeypatch):
+    # K3,3 needs the test; a 4-cycle with its apex (4 + 4 edges) does not
+    k33 = SignedGraph(6, tuple((u, v, PLUS) for u in range(3)
+                               for v in range(3, 6)))
+    assert not _plane_with_degree_2_outside(k33, frozenset(range(6)),
+                                            list(range(9)))
+    square = SignedGraph(5, ((0, 1, PLUS), (1, 2, PLUS), (2, 3, PLUS),
+                             (3, 0, MINUS), (3, 4, PLUS)))
+    monkeypatch.setitem(sys.modules, "networkx", None)  # import fails
+    assert _plane_with_degree_2_outside(square, frozenset(range(4)),
+                                        [0, 1, 2, 3])
+    with pytest.raises(ImportError):
+        _plane_with_degree_2_outside(k33, frozenset(range(6)),
+                                     list(range(9)))
 
 
 @pytest.mark.parametrize("n", [18, 24])

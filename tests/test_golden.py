@@ -3,11 +3,12 @@ byte for byte, and the exact searches every pinned witness
 (tests/golden/make_golden.py wrote both)."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from golden.make_golden import GRAPHS, as_json, oracle_call
+from golden.make_golden import GRAPHS, as_json, check, oracle_call
 
 from sgflow.core import parse_sg
 from sgflow.duality import k6_projective_embedding
@@ -90,3 +91,19 @@ def test_every_pinned_flow_meets_its_call(index):
         assert all(x != tuple(y) for x, y in zip(f, rec["fbar"]))
     if not rec.get("allow_zero"):
         assert A.zero not in f
+
+
+def test_make_golden_check_lists_every_difference(tmp_path, capsys):
+    corpus = tmp_path / "golden"
+    shutil.copytree(GOLDEN, corpus,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert check(corpus) == 0
+    with open(corpus / "petersen-Z6.cert", "a") as f:
+        f.write("\n")
+    (corpus / "cubic8-0-Z6.sg").unlink()
+    (corpus / "stray.cert").write_text("")
+    capsys.readouterr()
+    assert check(corpus) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "changed: petersen-Z6.cert", "missing: cubic8-0-Z6.sg",
+        "extra: stray.cert"]

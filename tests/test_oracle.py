@@ -2,28 +2,29 @@
 
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from helpers import CUBIC_GRAPHS, REFERENCE_INTEGERS, brute_boundaries, \
     cubic_2unbalanced, doubled_k4_bridge, random_connected_graph, \
-    random_elem, reference_group_arithmetic, \
-    reference_is_A_connected, reference_sampled_is_A_connected, \
-    reference_search, connected_multigraphs, signed_cubic_3connected, \
-    theorem_instances
+    random_elem, reference_group_arithmetic, reference_group_codes, \
+    reference_is_A_connected, reference_plan, \
+    reference_sampled_is_A_connected, reference_search, reference_walk, \
+    connected_multigraphs, signed_cubic_3connected, theorem_instances
 from sgflow import oracle
 from sgflow.core import (DeskScaleError, MINUS, PLUS, SignedGraph,
                          is_k_unbalanced)
 from sgflow.flows import z2_to_3flow
 from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
-                               petersen_2neg)
+                               petersen_2neg, random_cubic_3connected)
 from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
                            parse_group)
-from sgflow.oracle import (_OverBudget, _check_boundary_inputs, _group_codes,
-                           _plan, _search_group, _walk, has_nz_A_flow,
-                           has_nz_k_flow, integer_flow, is_A_connected,
-                           satisfy_boundary)
+from sgflow.oracle import (_OverBudget, _check_boundary_inputs, _domain,
+                           _group_codes, _plan, _search_group, _walk,
+                           has_nz_A_flow, has_nz_k_flow, integer_flow,
+                           is_A_connected, satisfy_boundary)
 from sgflow.structures import all_cycles
 
 
@@ -389,7 +390,7 @@ def _search_matches_the_reference(g, A, edges, beta, fbar, allow_zero, draw):
     codes = _group_codes(A)
     code, elem = codes.code, codes.elem
     got = _walk(_plan(g, edges, codes),
-                [[code[x] for x in d] for d in domains],
+                [_domain(code[x] for x in d) for d in domains],
                 [code[b] for b in beta])
     assert (None if got is None
             else [None if x is None else elem[x] for x in got]) == want
@@ -448,8 +449,8 @@ def test_search_forces_a_loop_in_its_planned_turn():
     assert want == [(1, 1), (1, 1), (0, 1)]
     codes = _group_codes(A)
     code, elem = codes.code, codes.elem
-    got = _walk(_plan(g, range(3), codes), [[code[x] for x in dom]] * 3,
-                [0, 0])
+    got = _walk(_plan(g, range(3), codes),
+                [_domain(code[x] for x in dom)] * 3, [0, 0])
     assert [elem[x] for x in got] == want
 
 
@@ -543,6 +544,116 @@ def test_integer_flow_walks_the_least_odd_modulus_above_every_load(
     assert walked == [(13,), (11,), (5,), (9,)]
 
 
+# -- the typed kernel against the kernel before its steps were typed -----------
+
+# Groups of even order offer 0 or 2 halvings at a negative loop (a _SPLIT
+# step); Z13 is the modulus of has_nz_k_flow's k = 5 on Petersen.
+EFFORT_GROUPS = ("Z2", "Z4", "Z6", "Z8", "Z2xZ2", "Z3", "Z5", "Z9", "Z13")
+
+
+def _reported_kinds(plan, domains, beta_codes):
+    """Events for the step kinds, idle edges and the sign halving a walk
+    meets."""
+    kinds = {step.kind for step in plan.steps}
+    for name in ("_FREE", "_FORCED", "_BOTH", "_SPLIT"):
+        event(f"{name} step: {getattr(oracle, name) in kinds}")
+    event(f"positive loop: {bool(plan.idle)}")
+    event("sign halving: " + str(
+        bool(plan.steps) and not any(beta_codes)
+        and plan.steps[0].kind == oracle._FREE
+        and all(plan.neg[x] in domains[s.e] for s in plan.steps
+                for x in domains[s.e])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_instances(), loaded_multigraphs()),
+       st.sampled_from(EFFORT_GROUPS), st.sampled_from(("zero", "reached",
+                                                        "any")),
+       st.booleans(), st.data())
+def test_typed_kernel_spends_the_reference_effort(g, spec, beta_kind,
+                                                  closed, data):
+    # same list as the kernel before its steps were typed, found within the
+    # free branchings that kernel counted and not within one fewer
+    A = parse_group(spec)
+    ref = reference_group_codes(A)
+    code = ref[0]
+    elems = sorted(A.elements())
+    edges = [e for e in range(g.m) if data.draw(st.booleans())]
+    if closed:  # closed under negation: every element, or every nonzero one
+        allow_zero = data.draw(st.booleans())
+        every = [x for x in elems if allow_zero or x != A.zero]
+        domains = [data.draw(st.permutations(every)) for _ in range(g.m)]
+    else:
+        domains = [data.draw(st.lists(st.sampled_from(elems), unique=True))
+                   for _ in range(g.m)]
+    if beta_kind == "zero":
+        beta = [A.zero] * g.n
+    elif beta_kind == "reached":
+        f0 = _elements(data.draw, A, g.m)
+        beta = boundary(g, [f0[e] if e in edges else A.zero
+                            for e in range(g.m)], A)
+    else:
+        beta = _elements(data.draw, A, g.n)
+    lists = [[code[x] for x in d] for d in domains]
+    beta_codes = [code[b] for b in beta]
+    want, count = reference_walk(reference_plan(g, edges, ref), lists,
+                                 beta_codes)
+    event(f"found: {want is not None}")
+    plan = _plan(g, edges, _group_codes(A))
+    _reported_kinds(plan, lists, beta_codes)
+    typed = [_domain(d) for d in lists]
+    assert _walk(plan, typed, beta_codes, budget=count) == want
+    if count:
+        with pytest.raises(_OverBudget):
+            _walk(plan, typed, beta_codes, budget=count - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_instances(), loaded_multigraphs()), st.integers(2, 4),
+       st.sampled_from(INTEGER_FAMILIES), st.data())
+def test_integer_flow_spends_the_reference_effort(g, k, family, data):
+    edges = [e for e in range(g.m) if data.draw(st.booleans())]
+    domains = _integer_domains(g, k, family, data.draw)
+    walked, codes = [], oracle._group_codes
+
+    def spied(A):
+        walked.append(A)
+        return codes(A)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_group_codes", spied)
+        got = integer_flow(g, edges, domains)
+        (A,) = walked
+        n = A.order
+        residues = [[x % n for x in d] for d in domains]
+        want, count = reference_walk(
+            reference_plan(g, edges, reference_group_codes(A)), residues,
+            [0] * g.n)
+        event(f"found: {want is not None}")
+        patch.setattr(oracle, "SEARCH_BUDGET", count)
+        assert integer_flow(g, edges, domains) == got
+        if count:
+            patch.setattr(oracle, "SEARCH_BUDGET", count - 1)
+            with pytest.raises(_OverBudget):
+                integer_flow(g, edges, domains)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [None if x is None else x % n for x in got] == want
+
+
+def test_a_search_over_1500_edges_answers():
+    # the walk recurses once per edge: past the interpreter's default
+    # recursion limit it used to raise RecursionError
+    g = random_cubic_3connected(1000, random.Random(0))
+    A = parse_group("Z7")
+    assert g.m == 1500
+    limit = sys.getrecursionlimit()
+    f = satisfy_boundary(g, A, [A.zero] * g.n, fbar=[A.zero] * g.m)
+    assert f is not None and is_flow(g, f, A)
+    assert all(x != A.zero for x in f)
+    assert sys.getrecursionlimit() == limit  # restored
+
+
 # -- the boundary sweep against one search per boundary ---------------------------
 
 SWEEP_GROUPS = ("Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2", "Z2xZ4")
@@ -558,6 +669,30 @@ def test_is_A_connected_matches_one_search_per_boundary(g, spec):
     event(f"verdict: {want[0]}")
     v = is_A_connected(g, A)
     assert (v.status, v.witness_beta, v.checked) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(loaded_multigraphs(), st.sampled_from(SWEEP_GROUPS))
+def test_is_A_connected_at_a_busy_vertex_matches_one_search_per_boundary(
+        g, spec):
+    # vertex 0 is the busiest, so the sweep gives it the last digit and
+    # must read each witness code in that numbering
+    A = parse_group(spec)
+    want = reference_is_A_connected(g, A)
+    event(f"verdict: {want[0]}")
+    event(f"renumbered: {oracle._digit_places(g) != list(range(g.n))}")
+    v = is_A_connected(g, A)
+    assert (v.status, v.witness_beta, v.checked) == want
+
+
+def test_sweep_places_the_busiest_vertex_last():
+    hub = SignedGraph(8, tuple((0, 1 + i % 7, MINUS if i % 3 else PLUS)
+                               for i in range(36)))
+    # degrees 36, 6, then 5 at the rest
+    assert oracle._digit_places(hub) == [7, 6, 0, 1, 2, 3, 4, 5]
+    # degree ties keep index order, so a regular graph keeps its numbering
+    assert oracle._digit_places(petersen()) == list(range(10))
+    assert oracle._digit_places(k4_negative_triangle()) == [0, 1, 2, 3]
 
 
 # -- sampling mode against one satisfy_boundary call per sample -------------------
@@ -594,7 +729,7 @@ def test_plan_leaves_positive_loops_out():
     g = TWELVE_LOOPS
     plan = _plan(g, range(g.m), _group_codes(parse_group("Z9")))
     assert plan.idle == [0, 3, 4, 5, 6, 8, 9, 10, 11]
-    assert [step[0] for step in plan.steps] == [1, 2, 7]
+    assert [step.e for step in plan.steps] == [1, 2, 7]
 
 
 def test_positive_loops_take_their_first_value_without_branching():
