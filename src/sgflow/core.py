@@ -18,13 +18,15 @@ so no subgraph is built to answer them: spanning_forest is the one
 union-find, component_count counts components with it, and is_balanced
 colours only the listed edges.  The cuts are the edge sets whose XOR
 labels over a spanning forest (_cut_labels) XOR to 0: small_cuts lists
-those of at most four edges without scanning vertex subsets, and
-min_negative_edges reads the frustration index off the same labels.  A
-zero label is a bridge and two equal labels a 2-edge cut, so
+those of at most four edges without scanning vertex subsets, each side a
+vertex bit mask (the XOR of the subtree masks below the cut's tree
+edges), and min_negative_edges reads the frustration index off the same
+labels.  A zero label is a bridge and two equal labels a 2-edge cut, so
 edge_connectivity reads cuts of one or two edges straight off the labels
 and lists larger ones only where every vertex has more non-loop edges,
-and unmet_hypothesis answers "3-edge-connected and 2-unbalanced" from one
-labelling.
+unmet_hypothesis answers "3-edge-connected and 2-unbalanced" from one
+labelling, and _cubic_3connected_labels hands the labelling that decides
+"cubic and 3-connected" to a caller that lists the cuts next.
 Paths inside an edge set come from two searches over one (edge,
 neighbour) adjacency: shortest_path, breadth-first with ties broken by the
 listed edge order, and simple_paths, every simple path between two ends
@@ -458,10 +460,21 @@ def unmet_hypothesis(g: SignedGraph) -> Optional[str]:
 def is_cubic_3connected(g: SignedGraph) -> bool:
     """Cubic and 3-connected, for n >= 4.  Such a graph is simple (a loop or
     a digon leaves a cut of at most two edges), and a simple cubic graph's
-    vertex and edge connectivity agree, so one edge_connectivity call (on
-    cubic input, one labelling and no cut listing) decides it."""
-    return (g.n >= 4 and all(d == 3 for d in g.degrees())
-            and edge_connectivity(g) >= 3)
+    vertex and edge connectivity agree, so one labelling decides it
+    (_cubic_3connected_labels)."""
+    return _cubic_3connected_labels(g) is not None
+
+
+def _cubic_3connected_labels(g: SignedGraph
+                             ) -> Optional[tuple[list[int], list[int], list[int]]]:
+    """g's _cut_labels when g is cubic and 3-connected (is_cubic_3connected),
+    else None; a graph that is not cubic is not labelled.  A caller that
+    asks more of a cubic graph's cuts reads them off these labels."""
+    if g.n < 4 or any(d != 3 for d in g.degrees()):
+        return None
+    labels = _cut_labels(g)
+    label, _, up = labels
+    return labels if _least_cut_to_3(g, label, up) == 3 else None
 
 
 def _has_cycle(g: SignedGraph, vertices: set[int]) -> bool:
@@ -531,22 +544,25 @@ def small_cuts(g: SignedGraph, k: int
     An edge set is a cut exactly when its labels from _cut_labels XOR to
     0.  A cut of s edges is met once, as its first s // 2 edges followed
     by a tail of later edges with the same XOR; tails of one or two edges
-    are bucketed by XOR, so the listing takes O(m^2 log m) time plus O(n)
-    per cut for X, the vertices whose tree path from vertex 0 crosses the
-    cut an odd number of times.
+    are bucketed by XOR, so the listing takes O(m^2 log m) time plus
+    O(|cut|) per cut for X as a bit mask (_listed_cuts).
     """
     if k > 4:
         raise ValueError(f"small_cuts lists cuts of at most 4 edges, not {k}")
     label, order, up = _cut_labels(g)
     if up.count(-1) != 1:  # one root per component
         raise ValueError("small_cuts needs a connected graph")
-    yield from _listed_cuts(g, k, label, order, up)
+    for cut, side in _listed_cuts(g, k, label, order, up):
+        yield cut, frozenset(v for v in range(g.n) if side >> v & 1)
 
 
 def _listed_cuts(g: SignedGraph, k: int, label: list[int], order: list[int],
-                 up: list[int]
-                 ) -> Iterator[tuple[tuple[int, ...], frozenset[int]]]:
-    """small_cuts of a connected g and k <= 4, from g's _cut_labels."""
+                 up: list[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """small_cuts of a connected g and k <= 4, from g's _cut_labels, with
+    each side X as a vertex bit mask (bit v for vertex v).  X is the set
+    of vertices whose tree path from vertex 0 crosses the cut an odd
+    number of times: the XOR of the masks of the subtrees below the cut's
+    tree edges, O(|cut|) per cut."""
 
     def xor(es: tuple[int, ...]) -> int:
         out = 0
@@ -554,6 +570,12 @@ def _listed_cuts(g: SignedGraph, k: int, label: list[int], order: list[int],
             out ^= label[e]
         return out
 
+    below = [0] * g.m  # a tree edge's subtree mask, 0 off the tree
+    subtree = [1 << v for v in range(g.n)]
+    for x in reversed(order[1:]):
+        e = up[x]
+        below[e] = subtree[x]
+        subtree[g.other_end(e, x)] |= subtree[x]
     tails: dict[int, dict[int, list[tuple[int, ...]]]] = {}
     for size in range(1, (k + 1) // 2 + 1):
         tails[size] = {}
@@ -566,11 +588,10 @@ def _listed_cuts(g: SignedGraph, k: int, label: list[int], order: list[int],
             first = bisect.bisect_left(bucket, (head[-1] + 1,)) if head else 0
             for tail in bucket[first:]:
                 cut = head + tail
-                odd = [False] * g.n
-                for x in order[1:]:
-                    e = up[x]
-                    odd[x] = odd[g.other_end(e, x)] != (e in cut)
-                yield cut, frozenset(v for v in range(g.n) if odd[v])
+                side = 0
+                for e in cut:
+                    side ^= below[e]
+                yield cut, side
 
 
 def is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:

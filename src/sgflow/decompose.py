@@ -16,10 +16,10 @@ that leaves at most one bridge (a non-isolated component of C - E(P)),
 moves the two end-edges of P into A and the rest of P into B, and shrinks
 C.  The bridge left is larger the lighter P is, where P weighs its length
 plus its inner vertices of C-degree 2, which is its length under (b); so
-core.simple_paths lists the candidates up to a length bound that grows
-until some candidate of that weight is valid.  The tree/2-base mode runs
-until C is empty; the sun modes run until C is a negative sun, which
-becomes the protected edge set F.
+improving_path lists the candidates once, one edge longer per level, and
+tries those of weight L after level L until one is valid.  The
+tree/2-base mode runs until C is empty; the sun modes run until C is a
+negative sun, which becomes the protected edge set F.
 
 Each round checks the invariants against witnesses the loop holds
 (WorkingPartition), not from scratch: (a) against the start cycle D, the
@@ -35,17 +35,25 @@ takes the set as data over g's own indices: core.component_count counts
 components with the one union-find, 2-connectivity is one lowpoint search
 over the set's adjacency lists, core.is_balanced colours only the listed
 edges, and no subgraph is built.
+
+The base-sun hypotheses read one cut labelling of g (core._cut_labels):
+it decides cubic and 3-connected, lists the 3- and 4-edge cuts with each
+side as a vertex bit mask, and decides whether a side X induces a
+balanced graph, which holds exactly when the negative edges' label XOR
+lies in the span of the labels of the edges with an end outside X.  Only
+a balanced side of a 4-edge cut builds its induced edges, for the
+planarity test, which the planarity module runs where counting edges
+does not settle it.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Collection, Iterable, Optional
 
 from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _adjacency,
-                   component_count, is_balanced, is_cubic_3connected,
-                   is_cyclically_k_edge_connected, simple_paths, small_cuts,
-                   spanning_forest)
+                   _cubic_3connected_labels, _cut_labels, _listed_cuts,
+                   _negative_xor, component_count, is_balanced,
+                   is_cyclically_k_edge_connected, spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
                          cycles_within, extend_closure, find_peripheral_cycle,
                          fundamental_cycle, k_closure, order_cycle)
@@ -267,99 +275,144 @@ def improving_path(g: SignedGraph, c_edges: set[int],
     P (C-degree 1) and its inner vertices of C-degree 2, so the bridge is
     largest when the weight w(P) = |P| + (inner vertices of C-degree 2)
     is least; w(P) = |P| under invariant (b).  Since w(P) >= |P|, the
-    paths of at most L edges hold every path of weight L: for L = 1, ...,
-    |C| the paths of weight L (at L = |C|, of any greater weight too)
-    are tried in order, and the first valid one is returned."""
+    paths of at most L edges hold every path of weight L.  So the paths
+    (core.simple_paths' paths between the degree-1 vertices, read from
+    the lesser end) are listed once, level by level, each level one edge
+    longer, and after level L the paths of weight L (at L = |C|, of any
+    greater weight too) are tried in order of weight, length and edges;
+    the first valid one is returned."""
     deg = _sub_degrees(g, c_edges)
-    ones = [v for v, d in deg.items() if d == 1]
-
-    def weight(path: tuple[int, ...]) -> int:
-        # each inner vertex is an end of two path edges, each end of one
-        inner2 = sum(deg[v] == 2 for e in path for v in g.ends(e))
-        return len(path) + inner2 // 2
-
+    adj = _adjacency(g, c_edges)
+    ends = sorted(v for v, d in deg.items() if d == 1)
+    is_end = set(ends)
+    # the open paths of the level: (last vertex, first vertex, edges,
+    # vertex mask, inner vertices of C-degree 2)
+    level = [(v, v, (), 1 << v, 0) for v in ends[:-1]]
+    found: dict[int, list] = {}  # weight -> [(weight, length, path, inner2)]
     size = len(c_edges)
     for bound in range(1, size + 1):
-        ranked = sorted(
-            (w, len(path), path)
-            for path in simple_paths(g, c_edges, ones, bound)
-            if (w := weight(path)) == bound or bound == size and w > bound)
-        for _, _, path in ranked:
+        grown = []
+        for v, start, path, on, inner2 in level:
+            for e, w in adj[v]:
+                if on >> w & 1:
+                    continue
+                if w in is_end:
+                    if w > start:
+                        found.setdefault(bound + inner2, []).append(
+                            (bound + inner2, bound, (*path, e), inner2))
+                    continue
+                grown.append((w, start, (*path, e), on | 1 << w,
+                              inner2 + (deg[w] == 2)))
+        level = grown
+        if bound < size:
+            ranked = sorted(found.pop(bound, ()))
+        else:
+            ranked = sorted(c for group in found.values() for c in group)
+        for _, _, path, inner2 in ranked:
             rest = c_edges.difference(path)
-            if component_count(g, rest, _sub_degrees(g, rest)) > 1:
+            # C - E(P) has every vertex of C but P's ends and its inner
+            # vertices of C-degree 2
+            if len(deg) - 2 - inner2 - len(spanning_forest(g, rest)) > 1:
                 continue
             if protect_negative and is_balanced(g, rest).balanced:
                 continue
             return path
+        if not level and not found:
+            break
     raise ValueError("no improving path exists"
                      + (" with unbalanced remainder" if protect_negative else ""))
 
 
 # -- hypothesis checks -----------------------------------------------------------------
 
-def _induced_edges(g: SignedGraph, x: set[int]) -> list[int]:
-    return [e for e in range(g.m) if set(g.ends(e)) <= x]
-
-
 def violating_balanced_cut(g: SignedGraph) -> Optional[tuple[frozenset[int], int]]:
     """A vertex set X with G[X] balanced and either |X| >= 2, |delta(X)| = 3,
     or |X| >= 3, |delta(X)| = 4 and G[X] plane-embeddable with its degree-2
     vertices on a common face.  None if no such X exists.  g must be
-    connected.
+    connected."""
+    label, order, up = _cut_labels(g)
+    if up.count(-1) != 1:  # one root per component
+        raise ValueError("violating_balanced_cut needs a connected graph")
+    return _balanced_cut_off_labels(g, label, order, up)
 
-    Both sides of every 3- and 4-edge cut (core.small_cuts) are tried in
-    increasing order of sum(2^v over X), so the X returned is the first
-    one a scan of every vertex subset in binary order would meet.  A side
-    that holds every vertex of a negative cycle found on an earlier side
-    induces that cycle, so it is skipped without colouring."""
-    every = frozenset(range(g.n))
+
+def _balanced_cut_off_labels(g: SignedGraph, label: list[int],
+                             order: list[int], up: list[int]
+                             ) -> Optional[tuple[frozenset[int], int]]:
+    """violating_balanced_cut of a connected g, from g's _cut_labels.
+
+    Both sides of every 3- and 4-edge cut (core._listed_cuts, sides as
+    vertex bit masks) are tried in increasing order of the mask, so the X
+    returned is the first one a scan of every vertex subset in binary
+    order would meet.  G[X] is balanced exactly when the negative edges'
+    label XOR lies in the GF(2) span of the labels of the edges with an
+    end outside X: a switching makes G[X] all positive exactly when the
+    negative edges differ from a cut by edges off G[X] (_label_span_has)."""
+    every = sum(1 << v for v in range(g.n))  # the mask of V
     sides = []
-    for cut, x in small_cuts(g, 4):
+    for cut, x in _listed_cuts(g, 4, label, order, up):
         k = len(cut)
         if k >= 3:
             # at least 2 vertices for a 3-cut, 3 for a 4-cut
-            sides += [(sum(1 << v for v in side), side, k)
-                      for side in (x, every - x) if len(side) >= k - 1]
-    sides.sort(key=operator.itemgetter(0))
-    negative: list[int] = []  # vertex masks of the negative cycles found
-    for bits, x, k in sides:
-        if any(not vs & ~bits for vs in negative):
-            continue
-        inside = _induced_edges(g, x)
-        cycle = is_balanced(g, inside).negative_cycle
-        if cycle is not None:
-            negative.append(sum(1 << v for v in {w for e in cycle
-                                                   for w in g.ends(e)}))
-        elif k == 3 or _plane_with_degree_2_outside(g, x, inside):
-            return x, k
+            sides += [(side, k) for side in (x, every ^ x)
+                      if side.bit_count() >= k - 1]
+    sides.sort()
+    target = _negative_xor(g, label)
+    at = [[] for _ in range(g.n)]  # the labels of the edges at each vertex
+    for e, (u, v, _) in enumerate(g.edges):
+        at[u].append(label[e])
+        at[v].append(label[e])
+    for x, k in sides:
+        labels: set[int] = set()
+        outside = every ^ x
+        while outside:
+            low = outside & -outside
+            labels.update(at[low.bit_length() - 1])
+            outside ^= low
+        if (_label_span_has(labels, target)
+                and (k == 3 or _plane_with_degree_2_outside(g, x))):
+            return frozenset(v for v in range(g.n) if x >> v & 1), k
     return None
 
 
-def _plane_with_degree_2_outside(g: SignedGraph, x: frozenset[int],
-                                 inside: list[int]) -> bool:
-    """G[X] has a plane embedding with its degree-2 vertices on the outer
-    face: planarity after adding an apex joined to those vertices.  A
-    nonplanar graph holds a subdivision of K3,3 (9 edges) or K5 (10), so
-    with at most 8 edges in all the answer is "plane" without a test."""
-    degree = dict.fromkeys(x, 0)
-    for e in inside:
-        for v in g.ends(e):  # a loop counts twice
-            degree[v] += 1
-    deg2 = [v for v in x if degree[v] == 2]
-    if len(inside) + len(deg2) <= 8:
-        return True
-    import networkx as nx
+def _label_span_has(labels: Iterable[int], target: int) -> bool:
+    """Is target the XOR of some of the labels?  Gaussian elimination over
+    GF(2), one basis vector per leading bit."""
+    basis: dict[int, int] = {}
+    for vec in labels:
+        while vec:
+            top = vec.bit_length()
+            other = basis.get(top)
+            if other is None:
+                basis[top] = vec
+                break
+            vec ^= other
+    while target:
+        other = basis.get(target.bit_length())
+        if other is None:
+            return False
+        target ^= other
+    return True
 
-    nxg = nx.MultiGraph()
-    nxg.add_nodes_from(x)
-    for e in inside:
-        u, v = g.ends(e)
-        nxg.add_edge(u, v)
-    apex = -1
-    for v in deg2:
-        nxg.add_edge(apex, v)
-    ok, _ = nx.check_planarity(nxg)
-    return ok
+
+def _plane_with_degree_2_outside(g: SignedGraph, x: int) -> bool:
+    """G[X], X a vertex bit mask, has a plane embedding with its degree-2
+    vertices on the outer face: planarity after adding an apex joined to
+    those vertices.  A nonplanar graph holds a subdivision of K3,3 (9
+    edges) or K5 (10), so with at most 8 edges in all the answer is
+    "plane" without a test; otherwise the planarity module decides."""
+    inside = [(u, v) for u, v, _ in g.edges if x >> u & 1 and x >> v & 1]
+    degree = [0] * g.n
+    for u, v in inside:  # a loop counts twice
+        degree[u] += 1
+        degree[v] += 1
+    apex = g.n
+    inside += [(v, apex) for v in range(g.n) if x >> v & 1 and degree[v] == 2]
+    if len(inside) <= 8:
+        return True
+    from .planarity import is_planar
+
+    return is_planar(g.n + 1, inside)
 
 
 def has_two_disjoint_cycles(g: SignedGraph, want_negative: bool = False
@@ -387,9 +440,13 @@ def has_two_disjoint_cycles(g: SignedGraph, want_negative: bool = False
 
 # -- the decomposition loops ------------------------------------------------------------
 
-def _check_cubic_3connected(g: SignedGraph) -> None:
-    if not is_cubic_3connected(g):
+def _check_cubic_3connected(g: SignedGraph
+                            ) -> tuple[list[int], list[int], list[int]]:
+    """g's _cut_labels; HypothesisError unless g is cubic and 3-connected."""
+    labels = _cubic_3connected_labels(g)
+    if labels is None:
         raise HypothesisError("graph is not cubic and 3-connected")
+    return labels
 
 
 def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
@@ -476,9 +533,9 @@ def decompose_base_sun(g: SignedGraph) -> PartitionCertificate:
     and a remainder X2 with 2-closure E - F, 2-connected and unbalanced.
     Raises HypothesisError unless g is cubic and 3-connected, has no
     balanced side of a 3- or 4-edge-cut (see violating_balanced_cut) and
-    has two vertex-disjoint negative cycles, checked in that order."""
-    _check_cubic_3connected(g)
-    bad = violating_balanced_cut(g)
+    has two vertex-disjoint negative cycles, checked in that order.  The
+    first two checks read one labelling of g."""
+    bad = _balanced_cut_off_labels(g, *_check_cubic_3connected(g))
     if bad is not None:
         x, k = bad
         raise HypothesisError(f"hypothesis violated: balanced side"

@@ -14,7 +14,7 @@ from sgflow.core import (MINUS, PLUS, MinorResult, SignedGraph,
                          _has_cycle, _tree_order, component_count,
                          edge_connectivity, end_coeffs, is_balanced,
                          is_k_unbalanced, spanning_forest, uncontract)
-from sgflow.decompose import (BASE_SUN, GENERAL, _check, _induced_edges,
+from sgflow.decompose import (BASE_SUN, GENERAL, _check,
                               _is_2_connected_edge_set, _spans_and_connected,
                               _sub_degrees, violating_balanced_cut)
 from sgflow.duality import PLANE, PROJECTIVE, EmbeddedGraph
@@ -77,6 +77,11 @@ def signed_cubic_3connected(draw, n_hi: int = 12):
                                       min_size=g.m, max_size=g.m)))
 
 
+def induced_edges(g: SignedGraph, x) -> list[int]:
+    """The edges of G[X], loops included, in index order."""
+    return [e for e in range(g.m) if set(g.ends(e)) <= x]
+
+
 def unbalance_small_sides(g: SignedGraph) -> SignedGraph:
     """g with signs flipped until decompose.violating_balanced_cut finds
     no balanced side of a small cut, or m flips are spent: each flip is of
@@ -85,7 +90,7 @@ def unbalance_small_sides(g: SignedGraph) -> SignedGraph:
         hit = violating_balanced_cut(g)
         if hit is None:
             break
-        inside = _induced_edges(g, hit[0])
+        inside = induced_edges(g, hit[0])
         tree = set(spanning_forest(g, inside))
         flip = min(e for e in inside if e not in tree)
         g = g.with_signs([-s if e == flip else s
@@ -535,7 +540,7 @@ def reference_violating_balanced_cut(g: SignedGraph):
             continue
         if len(cut) == 4 and len(x) < 3:
             continue
-        inside = _induced_edges(g, x)
+        inside = induced_edges(g, x)
         if not is_balanced(g, inside).balanced:
             continue
         if len(cut) == 3:
@@ -549,19 +554,37 @@ def reference_plane_with_degree_2_outside(g: SignedGraph, x, inside) -> bool:
     """A plane embedding of G[X] with its degree-2 vertices on the outer
     face, by networkx: planarity after adding an apex joined to those
     vertices."""
+    degree = dict.fromkeys(x, 0)
+    for e in inside:
+        for v in g.ends(e):
+            degree[v] += 1
+    apex = -1
+    return reference_is_planar(
+        [*x, apex], [g.ends(e) for e in inside]
+        + [(apex, v) for v in x if degree[v] == 2])
+
+
+def reference_is_planar(vertices, edges) -> bool:
+    """networkx's planarity test on the multigraph, loops included."""
     import networkx as nx
 
     nxg = nx.MultiGraph()
-    nxg.add_nodes_from(x)
-    for e in inside:
-        u, v = g.ends(e)
-        nxg.add_edge(u, v)
-    deg2 = [v for v in x if nxg.degree(v) == 2]
-    apex = -1
-    for v in deg2:
-        nxg.add_edge(apex, v)
+    nxg.add_nodes_from(vertices)
+    nxg.add_edges_from(edges)
     ok, _ = nx.check_planarity(nxg)
     return ok
+
+
+def reference_cut_side(g: SignedGraph, cut, order, up) -> frozenset[int]:
+    """The side without vertex 0 of a cut of a connected g, as
+    core.small_cuts found it before sides were bit masks: the vertices
+    whose path from vertex 0 in the _cut_labels tree crosses the cut an
+    odd number of times, by one walk down the tree."""
+    odd = [False] * g.n
+    for x in order[1:]:
+        e = up[x]
+        odd[x] = odd[g.other_end(e, x)] != (e in cut)
+    return frozenset(v for v in range(g.n) if odd[v])
 
 
 def reference_is_cyclically_k_edge_connected(g: SignedGraph, k: int) -> bool:

@@ -589,7 +589,8 @@ def test_cli_import_leaves_networkx_unloaded():
 
 def _sg_in_a_fresh_process(*argv: str) -> tuple[int, str, set[str]]:
     """Exit code, standard output and loaded sgflow modules (named without
-    the package prefix) of cli.main(argv) run in a new interpreter."""
+    the package prefix, and "networkx" if it was loaded) of cli.main(argv)
+    run in a new interpreter."""
     src = Path(sgflow.__file__).resolve().parent.parent
     script = ("import contextlib, io, json, sys\n"
               "from sgflow import cli\n"
@@ -597,7 +598,7 @@ def _sg_in_a_fresh_process(*argv: str) -> tuple[int, str, set[str]]:
               "with contextlib.redirect_stdout(out):\n"
               "    code = cli.main(sys.argv[1:])\n"
               "mods = [m.rpartition('.')[2] for m in sys.modules\n"
-              "        if m.split('.')[0] == 'sgflow']\n"
+              "        if m.split('.')[0] == 'sgflow' or m == 'networkx']\n"
               "print(json.dumps([code, out.getvalue(), mods]))\n")
     res = subprocess.run([sys.executable, "-c", script, *argv],
                          env=dict(os.environ, PYTHONPATH=str(src)),
@@ -649,6 +650,21 @@ def test_each_command_loads_only_what_it_runs(cli_files, argv, code, extra):
     got, _, mods = _sg_in_a_fresh_process(
         *(a.format(**cli_files) for a in argv))
     assert (got, mods) == (code, CLI_BASE | extra)
+
+
+@pytest.mark.parametrize("argv, head", [
+    (("connect", "--group", "Z11", "{petersen_2neg}"), "cert prime"),
+    (("decompose", "base-sun", "{petersen_2neg}"), "part base-sun"),
+], ids=["connect-prime", "decompose-base-sun"])
+def test_the_cut_check_tests_planarity_without_networkx(cli_files, argv,
+                                                        head):
+    # petersen-2neg's 4-edge cut has a side of 8 vertices and 10 edges that
+    # counting cannot settle, so the planarity test runs; networkx, its
+    # test reference, stays unloaded
+    code, out, mods = _sg_in_a_fresh_process(
+        *(a.format(**cli_files) for a in argv))
+    assert code == 0 and out.startswith(head)
+    assert "planarity" in mods and "networkx" not in mods
 
 
 def _imported_by_sg(*argv: str) -> set[str]:

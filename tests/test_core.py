@@ -12,7 +12,8 @@ from helpers import (CUBIC_GRAPHS, brute_edge_connectivity,
                      brute_frustration_index, components,
                      connected_multigraphs, default_tau, delta, edge_subgraph,
                      graphs_with_edge_sets, random_connected_graph,
-                     reference_connecting_path, reference_is_cubic_3connected,
+                     reference_connecting_path, reference_cut_side,
+                     reference_is_cubic_3connected,
                      reference_is_cyclically_k_edge_connected,
                      reference_contract_set, reference_min_negative_edges,
                      reference_paths_between_degree_one,
@@ -466,6 +467,22 @@ def test_small_cuts_match_the_bipartition_scan(g, k):
     assert sorted(got, key=repr) == sorted(want, key=repr)
     sizes = [len(cut) for cut, _ in got]
     assert sizes == sorted(sizes)  # so the first cut is a least one
+
+
+@settings(max_examples=300, deadline=None)
+@given(connected_multigraphs(), st.integers(1, 4))
+def test_listed_cut_masks_are_the_small_cuts_sides(g, k):
+    # a side's mask is the XOR of its cut's subtree masks; it must hold the
+    # vertices the tree walk finds, and be the side small_cuts reports
+    label, order, up = core._cut_labels(g)
+    listed = list(core._listed_cuts(g, k, label, order, up))
+    assert [(cut, frozenset(v for v in range(g.n) if side >> v & 1))
+            for cut, side in listed] == list(small_cuts(g, k))
+    for cut, side in listed:
+        assert side >> g.n == 0 and not side & 1  # vertex 0 is outside
+        x = reference_cut_side(g, cut, order, up)
+        assert side == sum(1 << v for v in x)
+        assert tuple(delta(g, x)) == cut
 
 
 def test_small_cuts_needs_a_connected_graph_and_k_at_most_4():

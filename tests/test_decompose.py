@@ -7,19 +7,21 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
-                     cubic_2unbalanced, graphs_with_edge_sets, joined_prisms,
-                     reference_check_working_partition,
+                     cubic_2unbalanced, graphs_with_edge_sets, induced_edges,
+                     joined_prisms, reference_check_working_partition,
                      reference_has_two_disjoint_cycles,
                      reference_improving_path,
                      reference_is_2_connected_edge_set,
                      reference_plane_with_degree_2_outside,
                      reference_violating_balanced_cut,
-                     signed_cubic_3connected, switching_classes)
-from sgflow import decompose, structures
+                     signed_cubic_3connected, signed_multigraphs,
+                     switching_classes)
+from sgflow import core, decompose, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
-                         is_balanced, is_cyclically_k_edge_connected)
+                         _cut_labels, _negative_xor, is_balanced,
+                         is_cyclically_k_edge_connected)
 from sgflow.decompose import (BASE_SUN, GENERAL, TREE_2BASE, WorkingPartition,
-                              _induced_edges, _is_2_connected_edge_set,
+                              _is_2_connected_edge_set, _label_span_has,
                               _plane_with_degree_2_outside,
                               check_working_partition, decompose_base_sun,
                               decompose_general, decompose_tree_2base,
@@ -141,10 +143,52 @@ def test_violating_balanced_cut_matches_the_subset_scan(g):
     assert violating_balanced_cut(g) == reference_violating_balanced_cut(g)
 
 
+@settings(max_examples=300, deadline=None)
+@given(connected_multigraphs())
+def test_violating_balanced_cut_on_multigraphs_matches_the_subset_scan(g):
+    # loops, parallel edges and vertices of any degree: sides of every
+    # size, negative loops inside a side, 4-cut sides with more than 8
+    # edges
+    got = violating_balanced_cut(g)
+    event(f"found: {got is not None}")
+    assert got == reference_violating_balanced_cut(g)
+
+
 @pytest.mark.parametrize("name", sorted(CUBIC_GRAPHS))
 def test_violating_balanced_cut_on_every_switching_class(name):
     for g in switching_classes(CUBIC_GRAPHS[name]):
         assert violating_balanced_cut(g) == reference_violating_balanced_cut(g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(signed_multigraphs(), st.data())
+def test_label_span_balance_matches_the_colouring(g, data):
+    # G[X] is balanced exactly when the negative edges' label XOR is in the
+    # span of the labels of the edges with an end outside X, on any graph,
+    # disconnected ones included
+    x = data.draw(st.sets(st.integers(0, g.n - 1)))
+    label, _, _ = _cut_labels(g)
+    outside = [label[e] for e, (u, v, _) in enumerate(g.edges)
+               if not {u, v} <= x]
+    want = is_balanced(g, induced_edges(g, x)).balanced
+    event(f"balanced: {want}")
+    assert _label_span_has(outside, _negative_xor(g, label)) == want
+
+
+def test_decompose_base_sun_labels_the_graph_once(monkeypatch):
+    # the cubic-and-3-connected check and the balanced-cut check share one
+    # labelling; each used to label g itself
+    labelled = []
+    cut_labels = core._cut_labels
+
+    def spy(g):
+        labelled.append(g)
+        return cut_labels(g)
+
+    monkeypatch.setattr(core, "_cut_labels", spy)
+    g = petersen_2neg()
+    decompose_base_sun(g)
+    assert labelled == [g]
 
 
 @st.composite
@@ -166,33 +210,33 @@ def sides_with_edges(draw):
     return SignedGraph(n, tuple(edges)), frozenset(x)
 
 
+def _mask(x) -> int:
+    return sum(1 << v for v in x)
+
+
 @settings(max_examples=400, deadline=None)
 @given(sides_with_edges())
 def test_plane_with_degree_2_outside_matches_networkx(side):
     g, x = side
-    inside = _induced_edges(g, x)
+    inside = induced_edges(g, x)
     want = reference_plane_with_degree_2_outside(g, x, inside)
     degree = {v: sum(u == v for e in inside for u in g.ends(e)) for v in x}
     event(f"at most 8 edges with the apex: "
           f"{len(inside) + sum(d == 2 for d in degree.values()) <= 8}")
     event(f"plane: {want}")
-    assert _plane_with_degree_2_outside(g, x, inside) == want
+    assert _plane_with_degree_2_outside(g, _mask(x)) == want
 
 
-def test_plane_with_degree_2_outside_counts_before_networkx(monkeypatch):
-    # K3,3 needs the test; a 4-cycle with its apex (4 + 4 edges) does not
+def test_plane_with_degree_2_outside_needs_no_networkx(monkeypatch):
+    # K3,3 needs the planarity test; a 4-cycle with its apex (4 + 4 edges)
+    # is settled by counting
+    monkeypatch.setitem(sys.modules, "networkx", None)  # import fails
     k33 = SignedGraph(6, tuple((u, v, PLUS) for u in range(3)
                                for v in range(3, 6)))
-    assert not _plane_with_degree_2_outside(k33, frozenset(range(6)),
-                                            list(range(9)))
+    assert not _plane_with_degree_2_outside(k33, _mask(range(6)))
     square = SignedGraph(5, ((0, 1, PLUS), (1, 2, PLUS), (2, 3, PLUS),
                              (3, 0, MINUS), (3, 4, PLUS)))
-    monkeypatch.setitem(sys.modules, "networkx", None)  # import fails
-    assert _plane_with_degree_2_outside(square, frozenset(range(4)),
-                                        [0, 1, 2, 3])
-    with pytest.raises(ImportError):
-        _plane_with_degree_2_outside(k33, frozenset(range(6)),
-                                     list(range(9)))
+    assert _plane_with_degree_2_outside(square, _mask(range(4)))
 
 
 @pytest.mark.parametrize("n", [18, 24])

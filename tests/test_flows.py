@@ -620,13 +620,14 @@ def test_connect_checks_each_flow_once(monkeypatch, route, calls):
 
 
 @pytest.mark.parametrize("graph,group,route,labellings", [
-    (petersen, "Z6", "composite", 2), (petersen_2neg, "Z11", "prime", 3)])
+    (petersen, "Z6", "composite", 2), (petersen_2neg, "Z11", "prime", 2)])
 def test_connect_labels_the_graph_once_at_entry(monkeypatch, graph, group,
                                                 route, labellings):
     # both hypotheses come from one cut labelling (core.unmet_hypothesis);
-    # the decomposition's cubic-and-3-connected check labels once more and
-    # the prime route's balanced-cut listing once more.  Asking
-    # edge_connectivity and then is_k_unbalanced at entry labelled it twice.
+    # the decomposition labels once more, and on the prime route its
+    # cubic-and-3-connected check and its balanced-cut check share that
+    # labelling (they labelled once each).  Asking edge_connectivity and
+    # then is_k_unbalanced at entry labelled it twice.
     labelled = []
     cut_labels = core._cut_labels
 

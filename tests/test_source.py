@@ -323,11 +323,8 @@ def test_only_core_searches_breadth_first():
     assert _front_pops(SRC) == []
 
 
-# Every sg process starts cold: importing dataclasses (with inspect, ast
-# and dis) and running its decorators cost more than the records they
-# write, so the library writes its records by hand.
-def _dataclasses_imports(root: Path) -> list[str]:
-    """module:line of each import of dataclasses."""
+def _imports_of(root: Path, module: str) -> list[str]:
+    """module:line of each import of the named top-level module."""
     found = []
     for path in sorted(root.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -337,11 +334,14 @@ def _dataclasses_imports(root: Path) -> list[str]:
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "dataclasses" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
-    return found
+            if any(name.split(".")[0] == module for name in names):
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
 
 
+# Every sg process starts cold: importing dataclasses (with inspect, ast
+# and dis) and running its decorators cost more than the records they
+# write, so the library writes its records by hand.
 def test_dataclasses_import_scan(tmp_path):
     (tmp_path / "core.py").write_text("import itertools, dataclasses\n")
     (tmp_path / "flows.py").write_text(
@@ -349,12 +349,29 @@ def test_dataclasses_import_scan(tmp_path):
         "def f():\n    import dataclasses as dc\n"
         "from .dataclasses import record\nimport mydataclasses\n"
         "x = 'dataclasses'\n")
-    assert _dataclasses_imports(tmp_path) == ["core.py:1", "flows.py:1",
-                                              "flows.py:3"]
+    assert _imports_of(tmp_path, "dataclasses") == ["core.py:1", "flows.py:1",
+                                                    "flows.py:3"]
 
 
 def test_sgflow_imports_no_dataclasses():
-    assert _dataclasses_imports(SRC) == []
+    assert _imports_of(SRC, "dataclasses") == []
+
+
+# The library has no runtime dependency: planarity is tested in-repo, and
+# networkx is only the tests' reference for it.
+def test_networkx_import_scan(tmp_path):
+    (tmp_path / "decompose.py").write_text(
+        "def plane(g):\n    import networkx as nx\n    return nx\n"
+        "from networkx.algorithms import planarity\n"
+        "from .networkx import shim\nx = 'networkx'\n")
+    (tmp_path / "planarity.py").write_text("import sys, networkx.utils\n")
+    assert _imports_of(tmp_path, "networkx") == ["decompose.py:2",
+                                                 "decompose.py:4",
+                                                 "planarity.py:1"]
+
+
+def test_sgflow_imports_no_networkx():
+    assert _imports_of(SRC, "networkx") == []
 
 
 # Exact arithmetic only: group elements, signs and embeddings are integers,
