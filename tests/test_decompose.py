@@ -475,3 +475,15 @@ def test_improving_path_ranks_bridges_by_edges_and_vertices():
     g = SignedGraph(6, ((4, 2, PLUS), (2, 3, MINUS), (2, 4, PLUS),
                         (3, 0, PLUS), (5, 2, PLUS), (4, 1, PLUS)))
     assert improving_path(g, set(range(g.m))) == (5, 0, 4)
+
+
+def test_improving_path_breaks_a_weight_tie_by_length():
+    # 5-4-0-6 (edges 7, 2, 6) passes vertex 4 of C-degree 2, so it weighs
+    # 3 + 1, as much as 3-1-2-0-6 (edges 3, 4, 0, 6); both leave one bridge
+    # of the same size, and the shorter path wins
+    g = SignedGraph(7, ((0, 2, MINUS), (0, 2, MINUS), (0, 4, PLUS),
+                        (1, 3, MINUS), (1, 2, MINUS), (1, 2, PLUS),
+                        (6, 0, MINUS), (5, 4, MINUS)))
+    c_edges = set(range(g.m))
+    assert improving_path(g, c_edges) == (7, 2, 6)
+    assert reference_improving_path(g, c_edges) == (7, 2, 6)
