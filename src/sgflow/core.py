@@ -30,7 +30,11 @@ labelling, and _cubic_3connected_labels hands the labelling that decides
 Paths inside an edge set come from two searches over one (edge,
 neighbour) adjacency: shortest_path, breadth-first with ties broken by the
 listed edge order, and simple_paths, every simple path between two ends
-once.
+once, one list per length, shortest first, so a caller that wants the
+shortest paths of some kind stops reading at the first length that holds
+one.  _blocks is the one lowpoint search (Hopcroft and Tarjan): the
+blocks of a graph given as vertex pairs, for planarity and for the
+2-connectivity of an edge set.
 """
 
 from __future__ import annotations
@@ -236,47 +240,94 @@ def shortest_path(g: SignedGraph, edges: Iterable[int], sources: Iterable[int],
     return None
 
 
-def simple_paths(g: SignedGraph, edges: Iterable[int], ends: Iterable[int],
-                 max_len: Optional[int] = None
-                 ) -> Iterator[tuple[int, ...]]:
+def simple_paths(g: SignedGraph, edges: Iterable[int], ends: Iterable[int]
+                 ) -> Iterator[list[tuple[tuple[int, ...], int]]]:
     """Every simple path inside the edge set between two distinct vertices
-    of `ends` with no other end on it, as its edges in order, once each:
-    read from its lesser end.  Loops are skipped.  With max_len (at least
-    1), only the paths of at most max_len edges.
+    of `ends` with no other end on it, once each, read from its lesser end:
+    one list per length, shortest first, whose entries are the path's
+    edges in order and the bit mask of its vertices other than its last
+    end.  Loops are skipped.
 
-    Depth-first search from each end but the greatest; a branch stops at
-    the first end it reaches, and yields when that end is the greater.  A
-    branch is not extended to max_len edges, since it could yield only
-    longer paths."""
+    Breadth first over the open paths from each end but the greatest, one
+    edge longer per level; a path stops at the first end it reaches and is
+    listed when that end is the greater.  The lists end when no open path
+    is left, so a caller that stops reading at a length lists no longer
+    path."""
     adj = _adjacency(g, edges)
     order = sorted(set(ends))
     is_end = set(order)
-    # a simple path has fewer than n edges
-    limit = g.n if max_len is None else max_len
-    for start in order[:-1]:
-        path: list[int] = []
-        on_path = {start}
-        stack = [(start, iter(adj[start]))]  # the path's vertices
-        while stack:
-            v, pairs = stack[-1]
-            for e, w in pairs:
-                if w in on_path:
+    # (last vertex, first vertex, edges, mask of the vertices)
+    open_paths = [(v, v, (), 1 << v) for v in order[:-1]]
+    while open_paths:
+        done = []
+        grown = []
+        for v, start, path, on in open_paths:
+            for e, w in adj[v]:
+                if on >> w & 1:
                     continue
                 if w in is_end:
                     if w > start:
-                        yield (*path, e)
+                        done.append(((*path, e), on))
                     continue
-                if len(path) + 1 >= limit:
+                grown.append((w, start, (*path, e), on | 1 << w))
+        yield done
+        open_paths = grown
+
+
+def _blocks(n: int, pairs: Iterable[tuple[int, int]]
+            ) -> list[dict[int, set[int]]]:
+    """The blocks of three or more vertices of the graph on 0..n-1 with the
+    given vertex pairs as edges, each as its adjacency sets; loops and
+    parallel edges are left out, since they never split a block.  One
+    depth-first search with lowpoints (Hopcroft and Tarjan) pops a block's
+    edges off the edge stack when a child has no back edge above its
+    parent."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    disc = [-1] * n
+    low = [0] * n
+    blocks = []
+    seen = 0
+    for root in range(n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = seen
+        seen += 1
+        edges: list[tuple[int, int]] = []
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, rest = stack[-1]
+            for w in rest:
+                if w == parent:
                     continue
-                path.append(e)
-                on_path.add(w)
-                stack.append((w, iter(adj[w])))
-                break
+                if disc[w] < 0:
+                    disc[w] = low[w] = seen
+                    seen += 1
+                    edges.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if disc[w] < disc[v]:
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
             else:
                 stack.pop()
-                on_path.discard(v)
-                if path:
-                    path.pop()
+                if parent < 0:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    block: dict[int, set[int]] = {}
+                    while True:
+                        a, b = edges.pop()
+                        block.setdefault(a, set()).add(b)
+                        block.setdefault(b, set()).add(a)
+                        if (a, b) == (parent, v):
+                            break
+                    if len(block) >= 3:
+                        blocks.append(block)
+    return blocks
 
 
 # -- the default orientation ------------------------------------------------

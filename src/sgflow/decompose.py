@@ -16,10 +16,10 @@ that leaves at most one bridge (a non-isolated component of C - E(P)),
 moves the two end-edges of P into A and the rest of P into B, and shrinks
 C.  The bridge left is larger the lighter P is, where P weighs its length
 plus its inner vertices of C-degree 2, which is its length under (b); so
-improving_path lists the candidates once, one edge longer per level, and
-tries those of weight L after level L until one is valid.  The
-tree/2-base mode runs until C is empty; the sun modes run until C is a
-negative sun, which becomes the protected edge set F.
+improving_path reads the candidates from core.simple_paths, one edge
+longer per level, and tries those of weight L after level L until one is
+valid.  The tree/2-base mode runs until C is empty; the sun modes run
+until C is a negative sun, which becomes the protected edge set F.
 
 Each round checks the invariants against witnesses the loop holds
 (WorkingPartition), not from scratch: (a) against the start cycle D, the
@@ -32,9 +32,10 @@ end of each decomposition.
 
 Every question about an edge set (is it connected, 2-connected, balanced)
 takes the set as data over g's own indices: core.component_count counts
-components with the one union-find, 2-connectivity is one lowpoint search
-over the set's adjacency lists, core.is_balanced colours only the listed
-edges, and no subgraph is built.
+components with the one union-find, 2-connectivity asks the one
+lowpoint search (core._blocks) for a block holding every vertex of the
+set, core.is_balanced colours only the listed edges, and no subgraph is
+built.
 
 The base-sun hypotheses read one cut labelling of g (core._cut_labels):
 it decides cubic and 3-connected, lists the 3- and 4-edge cuts with each
@@ -50,10 +51,11 @@ from __future__ import annotations
 
 from typing import Collection, Iterable, Optional
 
-from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _adjacency,
+from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _blocks,
                    _cubic_3connected_labels, _cut_labels, _listed_cuts,
                    _negative_xor, component_count, is_balanced,
-                   is_cyclically_k_edge_connected, spanning_forest)
+                   is_cyclically_k_edge_connected, simple_paths,
+                   spanning_forest)
 from .structures import (CycleRef, all_cycles, as_negative_sun,
                          cycles_within, extend_closure, find_peripheral_cycle,
                          fundamental_cycle, k_closure, order_cycle)
@@ -96,12 +98,8 @@ def _sub_degrees(g: SignedGraph, es: Iterable[int]) -> dict[int, int]:
 def _is_2_connected_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
     """The edge set on its own vertices is connected and has no cut
     vertex, or is a digon: a single edge or nothing is not 2-connected.
-
-    One iterative depth-first search with lowpoints (Hopcroft-Tarjan): a
-    vertex other than the root cuts the graph when a child's subtree has
-    no back edge above it, and the root when it has two children.  Only
-    the edge to the parent is skipped, by its index, so a parallel edge
-    back to the parent is a back edge; loops are left out."""
+    On three or more vertices that is one block (core._blocks) holding
+    every vertex of the set."""
     es = set(es)
     verts = set(_sub_degrees(g, es))
     if len(verts) < 3:
@@ -112,37 +110,8 @@ def _is_2_connected_edge_set(g: SignedGraph, es: Iterable[int]) -> bool:
             key = tuple(sorted(g.ends(e)))
             pairs[key] = pairs.get(key, 0) + 1
         return any(c >= 2 for c in pairs.values())
-    adj = _adjacency(g, es)
-    root = min(verts)
-    disc = [-1] * g.n  # discovery index
-    low = [0] * g.n
-    disc[root] = 0
-    seen = 1
-    root_children = 0
-    stack = [(root, -1, iter(adj[root]))]  # (vertex, edge from parent, rest)
-    while stack:
-        v, via, pairs = stack[-1]
-        for e, w in pairs:
-            if e == via:
-                continue
-            if disc[w] >= 0:
-                low[v] = min(low[v], disc[w])
-                continue
-            disc[w] = low[w] = seen
-            seen += 1
-            stack.append((w, e, iter(adj[w])))
-            break
-        else:
-            stack.pop()
-            if not stack:
-                break
-            u = stack[-1][0]
-            if u == root:
-                root_children += 1
-            elif low[v] >= disc[u]:
-                return False
-            low[u] = min(low[u], low[v])
-    return seen == len(verts) and root_children == 1
+    blocks = _blocks(g.n, (g.ends(e) for e in es))
+    return len(blocks) == 1 and len(blocks[0]) == len(verts)
 
 
 def _spans_and_connected(g: SignedGraph, es: Collection[int]) -> bool:
@@ -278,47 +247,36 @@ def improving_path(g: SignedGraph, c_edges: set[int],
     paths of at most L edges hold every path of weight L.  So the paths
     (core.simple_paths' paths between the degree-1 vertices, read from
     the lesser end) are listed once, level by level, each level one edge
-    longer, and after level L the paths of weight L (at L = |C|, of any
-    greater weight too) are tried in order of weight, length and edges;
-    the first valid one is returned."""
+    longer, and after level L the paths of weight L (once the levels run
+    out, those of any greater weight too) are tried in order of weight,
+    length and edges; the first valid one is returned.  A path's inner
+    vertices of C-degree 2 are those of its vertex mask, since its first
+    end has C-degree 1."""
     deg = _sub_degrees(g, c_edges)
-    adj = _adjacency(g, c_edges)
-    ends = sorted(v for v, d in deg.items() if d == 1)
-    is_end = set(ends)
-    # the open paths of the level: (last vertex, first vertex, edges,
-    # vertex mask, inner vertices of C-degree 2)
-    level = [(v, v, (), 1 << v, 0) for v in ends[:-1]]
-    found: dict[int, list] = {}  # weight -> [(weight, length, path, inner2)]
-    size = len(c_edges)
-    for bound in range(1, size + 1):
-        grown = []
-        for v, start, path, on, inner2 in level:
-            for e, w in adj[v]:
-                if on >> w & 1:
-                    continue
-                if w in is_end:
-                    if w > start:
-                        found.setdefault(bound + inner2, []).append(
-                            (bound + inner2, bound, (*path, e), inner2))
-                    continue
-                grown.append((w, start, (*path, e), on | 1 << w,
-                              inner2 + (deg[w] == 2)))
-        level = grown
-        if bound < size:
-            ranked = sorted(found.pop(bound, ()))
-        else:
-            ranked = sorted(c for group in found.values() for c in group)
-        for _, _, path, inner2 in ranked:
-            rest = c_edges.difference(path)
-            # C - E(P) has every vertex of C but P's ends and its inner
-            # vertices of C-degree 2
-            if len(deg) - 2 - inner2 - len(spanning_forest(g, rest)) > 1:
-                continue
-            if protect_negative and is_balanced(g, rest).balanced:
-                continue
-            return path
-        if not level and not found:
-            break
+    two = sum(1 << v for v, d in deg.items() if d == 2)
+
+    def lightest_first():
+        # weight -> [(weight, length, path, inner2)]
+        found: dict[int, list] = {}
+        ends = [v for v, d in deg.items() if d == 1]
+        levels = simple_paths(g, c_edges, ends)
+        for length, level in enumerate(levels, 1):
+            for path, on in level:
+                inner2 = (on & two).bit_count()
+                found.setdefault(length + inner2, []).append(
+                    (length + inner2, length, path, inner2))
+            yield from sorted(found.pop(length, ()))
+        yield from sorted(c for group in found.values() for c in group)
+
+    for _, _, path, inner2 in lightest_first():
+        rest = c_edges.difference(path)
+        # C - E(P) has every vertex of C but P's ends and its inner
+        # vertices of C-degree 2
+        if len(deg) - 2 - inner2 - len(spanning_forest(g, rest)) > 1:
+            continue
+        if protect_negative and is_balanced(g, rest).balanced:
+            continue
+        return path
     raise ValueError("no improving path exists"
                      + (" with unbalanced remainder" if protect_negative else ""))
 

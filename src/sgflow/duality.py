@@ -6,8 +6,8 @@ Faces come from the standard trace: from state (h, side) move to the
 partner half-edge, multiply the side by the edge's embedding sign, and
 take the rotation successor (or predecessor on the flipped side).  The
 trace has two orbits per face, one per direction, paired off by the
-time-reversal map (h, s) -> (partner(h), -s * sign(e)); a face keeps the
-first of its pair as its walk.
+time-reversal map (h, s) -> (partner(h), -s * sign(e)); a face is the
+first of its pair, the tuple of its walk's states.
 
 The oriented dual takes one vertex per face.  A primal edge e, directed by
 a reference orientation, either agrees with the boundary walk of a face or
@@ -71,14 +71,6 @@ class EmbeddedGraph:
         return euler - self.graph.n + self.graph.m
 
 
-class Face:
-    """One face as its boundary walk of (half-edge, side) states; the state
-    (h, s) stands for traversing h's edge away from h's endpoint."""
-
-    def __init__(self, states: tuple[tuple[int, int], ...]):
-        self.states = states
-
-
 def _rot_step(eg: EmbeddedGraph, h: int, direction: int) -> int:
     rot = eg.rotation[eg.graph.halfedge_vertex(h)]
     i = rot.index(h)
@@ -102,8 +94,10 @@ def _mirror(eg: EmbeddedGraph, h: int, s: int) -> tuple[int, int]:
     return _partner(h), -s * eg.edge_sign[h // 2]
 
 
-def trace_faces(eg: EmbeddedGraph) -> list[Face]:
-    """All faces; raises if the Euler count does not match the surface."""
+def trace_faces(eg: EmbeddedGraph) -> list[tuple[tuple[int, int], ...]]:
+    """All faces, each as its boundary walk of (half-edge, side) states, the
+    state (h, s) standing for traversing h's edge away from h's endpoint;
+    raises if the Euler count does not match the surface."""
     todo = {(h, s) for h in range(2 * eg.graph.m) for s in (1, -1)}
     orbits: list[tuple[tuple[int, int], ...]] = []
     orbit_of: dict[tuple[int, int], int] = {}
@@ -120,7 +114,7 @@ def trace_faces(eg: EmbeddedGraph) -> list[Face]:
                 break
         orbits.append(tuple(walk))
     # pair each orbit with its mirror image (the same face, other direction)
-    faces: list[Face] = []
+    faces: list[tuple[tuple[int, int], ...]] = []
     taken = set()
     for i, orb in enumerate(orbits):
         if i in taken:
@@ -131,7 +125,7 @@ def trace_faces(eg: EmbeddedGraph) -> list[Face]:
             raise ValueError("self-paired face walk: corrupted embedding data")
         taken.add(i)
         taken.add(j)
-        faces.append(Face(orb))
+        faces.append(orb)
     if len(faces) != eg.expected_faces():
         raise ValueError(
             f"Euler mismatch: traced {len(faces)} faces, expected"
@@ -165,7 +159,7 @@ def oriented_dual(eg: EmbeddedGraph) -> DualResult:
     side_face = [[-1, -1] for _ in range(m)]
     agree = [[False, False] for _ in range(m)]
     for i, face in enumerate(faces):
-        for h, s in face.states:
+        for h, s in face:
             e = h // 2
             if h % 2 == 0:
                 k = 0 if s == 1 else 1

@@ -17,7 +17,8 @@ matroid inside a connected base plus an edge: a positive cycle or a
 barbell, read off a spanning tree of the base.  A barbell's coefficients
 come from the oracle's integer search (oracle.integer_flow) over the
 barbell's edges, and the paths that close a sun's return cycles from
-core.simple_paths.
+core.simple_paths, which lists them shortest first, so the listing stops
+at the first length that holds one of the needed sign.
 
 Every flow is read in the default orientation, as groups.boundary reads
 it: the sun flow signs its circulations along the sun instead of choosing
@@ -290,12 +291,16 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int,
     for i in range(n):
         j = (i + 1) % n
         need = g.sigma(ps[i]) * g.sigma(es[i]) * g.sigma(ps[j])
-        # read each path from ts[j], shortest then least first
+        # read each path from ts[j]: the least of the first length that
+        # holds one of the needed sign, and no longer path is listed
         flip = ts[j] > ts[i]
-        path = min((q[::-1] if flip else q
-                    for q in simple_paths(g, outside, (ts[j], ts[i]))
-                    if cycle_sign(g, q) == need),
-                   key=lambda q: (len(q), q), default=None)
+        path = None
+        for level in simple_paths(g, outside, (ts[j], ts[i])):
+            fits = [q[::-1] if flip else q for q, _ in level
+                    if cycle_sign(g, q) == need]
+            if fits:
+                path = min(fits)
+                break
         if path is None:
             raise ValueError(f"no positive return cycle for sun position {i}:"
                              " the sun's complement is not 2-connected enough")

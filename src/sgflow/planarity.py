@@ -3,13 +3,14 @@ Pertuiset, 1964).
 
 Loops and parallel edges never decide planarity, and a graph is planar
 exactly when each of its blocks is, so is_planar tests the blocks of the
-underlying simple graph one by one.  A block of at most 8 edges is plane
-(K5 has 10 and K3,3 has 9), and a block of more than 3n - 6 is not
-(Euler).  Any other block is embedded one path at a time: from a cycle,
-whose two faces are its two sides, each step takes a fragment (an edge
-off the embedding with both ends on it, or a component off the embedding
-with its attaching edges), lists the faces that hold all its attachments,
-and draws one of its paths between two attachments across such a face,
+underlying simple graph one by one, as core._blocks, the one lowpoint
+search, lists them.  A block of at most 8 edges is plane (K5 has 10 and
+K3,3 has 9), and a block of more than 3n - 6 is not (Euler).  Any other
+block is embedded one path at a time: from a cycle, whose two faces are
+its two sides, each step takes a fragment (an edge off the embedding
+with both ends on it, or a component off the embedding with its
+attaching edges), lists the faces that hold all its attachments, and
+draws one of its paths between two attachments across such a face,
 which splits it in two.  A fragment with no such face proves the block
 nonplanar; a fragment with one face must go there, and when every
 fragment has two or more, any choice keeps a plane block embeddable.
@@ -20,64 +21,12 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .core import _blocks
+
 
 def is_planar(n: int, edges: Iterable[tuple[int, int]]) -> bool:
     """Has the multigraph on vertices 0..n-1 a plane embedding?"""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        if u != v:
-            adj[u].add(v)
-            adj[v].add(u)
-    return all(_block_is_planar(block) for block in _blocks(adj))
-
-
-def _blocks(adj: list[set[int]]) -> list[dict[int, set[int]]]:
-    """The blocks of three or more vertices of a simple graph, each as its
-    adjacency sets: one depth-first search with lowpoints (Hopcroft
-    and Tarjan) that pops a block's edges off the edge stack when a child
-    has no back edge above its parent."""
-    n = len(adj)
-    disc = [-1] * n
-    low = [0] * n
-    blocks = []
-    seen = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = seen
-        seen += 1
-        edges: list[tuple[int, int]] = []
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, rest = stack[-1]
-            for w in rest:
-                if w == parent:
-                    continue
-                if disc[w] < 0:
-                    disc[w] = low[w] = seen
-                    seen += 1
-                    edges.append((v, w))
-                    stack.append((w, v, iter(adj[w])))
-                    break
-                if disc[w] < disc[v]:
-                    edges.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if parent < 0:
-                    continue
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    block: dict[int, set[int]] = {}
-                    while True:
-                        a, b = edges.pop()
-                        block.setdefault(a, set()).add(b)
-                        block.setdefault(b, set()).add(a)
-                        if (a, b) == (parent, v):
-                            break
-                    if len(block) >= 3:
-                        blocks.append(block)
-    return blocks
+    return all(_block_is_planar(block) for block in _blocks(n, edges))
 
 
 def _block_is_planar(adj: dict[int, set[int]]) -> bool:

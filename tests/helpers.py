@@ -16,13 +16,15 @@ from sgflow.core import (MINUS, PLUS, MinorResult, SignedGraph,
                          is_k_unbalanced, spanning_forest, uncontract)
 from sgflow.decompose import (BASE_SUN, GENERAL, _check,
                               _is_2_connected_edge_set, _spans_and_connected,
-                              _sub_degrees, violating_balanced_cut)
+                              _sub_degrees, has_two_disjoint_cycles,
+                              violating_balanced_cut)
 from sgflow.duality import PLANE, PROJECTIVE, EmbeddedGraph
 from sgflow.flows import circulation_coeffs
 from sgflow.generators import random_cubic_3connected
 from sgflow.oracle import _all_boundaries, satisfy_boundary
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
-                               cycles_within, k_closure, order_cycle)
+                               cycle_sign, cycles_within, k_closure,
+                               order_cycle)
 
 
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 8,
@@ -137,6 +139,18 @@ def cubic_2unbalanced(n: int, seed) -> SignedGraph:
     while True:
         g = random_cubic_3connected(n, rng)
         if is_k_unbalanced(g, 2):  # also skips the balanced draws
+            return g
+
+
+def prime_cubic_instance(n: int, seed) -> SignedGraph:
+    """The first draw of cubic_2unbalanced(n) from a seeded rng that meets
+    the prime route's hypotheses: two disjoint negative cycles and no
+    balanced side of a small cut."""
+    rng = random.Random(seed)
+    while True:
+        g = cubic_2unbalanced(n, rng.random())
+        if (has_two_disjoint_cycles(g, want_negative=True) is not None
+                and violating_balanced_cut(g) is None):
             return g
 
 
@@ -573,6 +587,21 @@ def reference_is_planar(vertices, edges) -> bool:
     nxg.add_edges_from(edges)
     ok, _ = nx.check_planarity(nxg)
     return ok
+
+
+def reference_blocks(n: int, pairs) -> list:
+    """networkx's blocks of three or more vertices of the multigraph on
+    0..n-1 with the given vertex pairs as edges, loops left out, each as
+    its sorted vertices and its sorted edges (u < v), in sorted order."""
+    import networkx as nx
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(n))
+    nxg.add_edges_from((u, v) for u, v in pairs if u != v)
+    return sorted((sorted(vs), sorted(tuple(sorted(e)) for e in es))
+                  for vs, es in zip(nx.biconnected_components(nxg),
+                                    nx.biconnected_component_edges(nxg))
+                  if len(vs) >= 3)
 
 
 def reference_cut_side(g: SignedGraph, cut, order, up) -> frozenset[int]:
@@ -1257,6 +1286,19 @@ def reference_simple_paths(g: SignedGraph, src: int, dst: int,
     rec(src, {src}, [])
     out.sort(key=lambda p: (len(p), p))
     return out
+
+
+def reference_sun_return_path(g: SignedGraph, cycle_vertices, src: int,
+                              dst: int, need: int
+                              ) -> Optional[tuple[int, ...]]:
+    """The path that closes a sun's return cycle, as flows.sun_flow chose
+    it while it listed every path: the least by (length, edges) of all
+    simple src-dst paths off the sun's cycle whose signs multiply to need,
+    read from src; None if there is none."""
+    return min((p for p in reference_simple_paths(g, src, dst,
+                                                  set(cycle_vertices))
+                if cycle_sign(g, p) == need),
+               key=lambda p: (len(p), p), default=None)
 
 
 def reference_connecting_path(g: SignedGraph, pool, c1, c2

@@ -16,7 +16,7 @@ from helpers import (CUBIC_GRAPHS, brute_edge_connectivity,
                      reference_is_cubic_3connected,
                      reference_is_cyclically_k_edge_connected,
                      reference_contract_set, reference_min_negative_edges,
-                     reference_paths_between_degree_one,
+                     reference_blocks, reference_paths_between_degree_one,
                      reference_simple_paths, reference_unmet_hypothesis,
                      signed_cubic_3connected,
                      signed_multigraphs, switch_on_set, uncontract_edges)
@@ -305,13 +305,37 @@ def _pairwise_simple_paths(g, edges, ends):
                                                      set(ends) - {a, b}))
 
 
+def _flat(levels):
+    """The paths of simple_paths' levels, in the order listed."""
+    return [path for level in levels for path, _ in level]
+
+
 @settings(max_examples=300, deadline=None)
 @given(graphs_with_ordered_edges_and_ends())
 def test_simple_paths_match_the_pairwise_enumerator(case):
     # kills a path through an end, and a path yielded from both its ends
     g, edges, ends = case
-    assert sorted(simple_paths(g, edges, ends)) == _pairwise_simple_paths(
-        g, edges, ends)
+    assert sorted(_flat(simple_paths(g, edges, ends))) == \
+        _pairwise_simple_paths(g, edges, ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_ordered_edges_and_ends())
+def test_simple_paths_list_each_length_once_with_its_vertex_mask(case):
+    # kills a path on the wrong level, a level left out or repeated, and a
+    # mask with the last end or without the first
+    g, edges, ends = case
+    every = _pairwise_simple_paths(g, edges, ends)
+    levels = list(simple_paths(g, edges, ends))
+    for length, level in enumerate(levels, 1):
+        assert sorted(path for path, _ in level) == [
+            path for path in every if len(path) == length]
+        for path, mask in level:
+            walk = [min(set(ends) & set(g.ends(path[0])))]
+            for e in path:
+                walk.append(g.other_end(e, walk[-1]))
+            assert mask == sum(1 << v for v in walk[:-1])
+    assert max(map(len, every), default=0) <= len(levels)
 
 
 @settings(max_examples=300, deadline=None)
@@ -320,7 +344,7 @@ def test_simple_paths_between_degree_one_ends_match_the_old_enumerator(case):
     g, es = case
     degree = Counter(v for e in es for v in g.ends(e))
     ones = [v for v, d in degree.items() if d == 1]
-    assert sorted(simple_paths(g, es, ones)) == sorted(
+    assert sorted(_flat(simple_paths(g, es, ones))) == sorted(
         reference_paths_between_degree_one(g, es))
 
 
@@ -345,22 +369,30 @@ def test_simple_paths_leave_no_end_but_the_lesser_ones(monkeypatch):
     monkeypatch.setattr(core, "_adjacency", watched)
     k4 = tuple((u, v, PLUS) for u, v in itertools.combinations(range(1, 5), 2))
     g = SignedGraph(6, ((0, 5, PLUS), (5, 1, MINUS)) + k4)
-    assert list(simple_paths(g, range(g.m), (1, 0))) == [(0, 1)]
+    assert _flat(simple_paths(g, range(g.m), (1, 0))) == [(0, 1)]
     assert read == [0, 5]
 
 
-def test_simple_paths_stop_at_the_length_bound():
+def test_simple_paths_list_the_lengths_in_order():
     # a square 0-1-2-3 and a longer way 0-4-5-6-2 between the ends 0 and 2
     g = SignedGraph(7, ((0, 1, PLUS), (1, 2, PLUS), (2, 3, PLUS),
                         (3, 0, MINUS), (0, 4, PLUS), (4, 5, PLUS),
                         (5, 6, PLUS), (6, 2, PLUS)))
-    short = [(0, 1), (3, 2)]
-    assert list(simple_paths(g, range(g.m), (0, 2), 1)) == []
-    for bound in (2, 3):
-        assert sorted(simple_paths(g, range(g.m), (0, 2), bound)) == short
-    every = sorted(simple_paths(g, range(g.m), (0, 2)))
-    assert every == sorted(short + [(4, 5, 6, 7)])
-    assert sorted(simple_paths(g, range(g.m), (0, 2), 4)) == every
+    assert [[path for path, _ in level]
+            for level in simple_paths(g, range(g.m), (0, 2))] == [
+        [], [(0, 1), (3, 2)], [], [(4, 5, 6, 7)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_multigraphs())
+def test_blocks_match_networkx(g):
+    # kills a block popped too early or too late, a block of two vertices
+    # kept, and a loop or a parallel edge taken for a back edge
+    pairs = [g.ends(e) for e in range(g.m)]
+    got = sorted((sorted(block), sorted((u, v) for u in block
+                                        for v in block[u] if u < v))
+                 for block in core._blocks(g.n, pairs))
+    assert got == reference_blocks(g.n, pairs)
 
 
 @st.composite

@@ -34,14 +34,14 @@ def test_planar_k4_has_four_faces():
     eg = planar_k4_embedding()
     faces = trace_faces(eg)
     assert len(faces) == 4 == eg.expected_faces()
-    assert sorted(len(f.states) for f in faces) == [3, 3, 3, 3]
+    assert sorted(len(f) for f in faces) == [3, 3, 3, 3]
 
 
 def test_projective_k6_has_ten_triangular_faces():
     eg = k6_projective_embedding()
     faces = trace_faces(eg)
     assert len(faces) == 10 == eg.expected_faces()
-    assert all(len(f.states) == 3 for f in faces)
+    assert all(len(f) == 3 for f in faces)
 
 
 def test_oriented_dual_of_projective_k6_is_petersen_like():

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from golden.make_golden import PRIME_B1, random_fbar as golden_fbar
-from helpers import (cubic_2unbalanced, host_with_sun, random_connected_base,
-                     random_connected_graph, random_elem, random_fbar,
-                     reference_collision_support,
-                     reference_flow_coeffs_through, signed_cubic_3connected,
-                     switch_on_set, unbalance_small_sides)
+from helpers import (cubic_2unbalanced, host_with_sun, prime_cubic_instance,
+                     random_connected_base, random_connected_graph,
+                     random_elem, random_fbar, reference_collision_support,
+                     reference_flow_coeffs_through, reference_sun_return_path,
+                     signed_cubic_3connected, switch_on_set,
+                     unbalance_small_sides)
 from sgflow import core, flows, groups, oracle
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          edge_connectivity, is_k_unbalanced, parse_sg,
@@ -22,7 +23,8 @@ from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
 from sgflow.duality import k6_projective_embedding
 from sgflow.generators import negsun, petersen, petersen_2neg
 from sgflow.groups import boundary, integer_boundary, is_flow, parse_group
-from sgflow.structures import all_cycles, cycle_sign, fundamental_cycle
+from sgflow.structures import (all_cycles, as_negative_sun, cycle_sign,
+                               fundamental_cycle)
 
 
 def test_circulation_on_positive_cycle_has_zero_boundary():
@@ -231,6 +233,93 @@ def test_sun_flow_requires_a_large_prime():
     A = parse_group("Z7")
     with pytest.raises(ValueError):
         flows.sun_flow(g, sun, 7, [A.zero] * g.m)
+
+
+def _return_paths(g, sun):
+    """Each sun position's return path as the sun flow chose it while it
+    listed every path, and the edge set of the return cycle it closes,
+    keyed by the path's (from, to) tips."""
+    k = sun.n
+    ce, pe, tips = sun.cycle_edges, sun.pendant_edges, sun.pendant_vertices
+    paths = {}
+    for i in range(k):
+        j = (i + 1) % k
+        need = g.sigma(pe[i]) * g.sigma(ce[i]) * g.sigma(pe[j])
+        path = reference_sun_return_path(g, sun.cycle_vertices, tips[j],
+                                         tips[i], need)
+        paths[tips[j], tips[i]] = path, frozenset(path).union(
+            (pe[i], ce[i], pe[j]))
+    return paths
+
+
+def _sun_cycles(monkeypatch):
+    """The edge sets of the return cycles sun_flow circulates on, in the
+    order it builds them."""
+    cycles = []
+    coeffs = flows.circulation_coeffs
+
+    def spy(g, cycle):
+        cycles.append(cycle.edge_set)
+        return coeffs(g, cycle)
+
+    monkeypatch.setattr(flows, "circulation_coeffs", spy)
+    return cycles
+
+
+@pytest.mark.parametrize("n", [10, 16, 22, 28])
+def test_sun_flow_picks_the_shortest_least_return_paths(monkeypatch, n):
+    # the first length holding a path of the needed sign gives the path
+    # and the flow that the least over every path by (length, edges) gave
+    g = prime_cubic_instance(n, f"sun-return-paths:{n}")
+    sun = as_negative_sun(g, decompose_base_sun(g).f)
+    paths = _return_paths(g, sun)
+
+    def reference_lister(g, edges, ends):
+        # one level holding the reference's path, read from the lesser end
+        # as core.simple_paths reads it
+        a, b = ends
+        path = paths[a, b][0]
+        yield [(path if a < b else path[::-1], 0)]
+
+    A = parse_group("Z11")
+    rng = random.Random(n)
+    for fb in [[A.zero] * g.m] + [random_fbar(rng, A, g.m) for _ in range(3)]:
+        cycles = _sun_cycles(monkeypatch)
+        r = flows.sun_flow(g, sun, 11, fb)
+        assert len(cycles) == sun.n
+        assert set(cycles) == {cycle for _, cycle in paths.values()}
+        monkeypatch.setattr(flows, "simple_paths", reference_lister)
+        ref = flows.sun_flow(g, sun, 11, fb)
+        monkeypatch.undo()
+        assert (r.flow, r.e_prime, r.case) == (ref.flow, ref.e_prime,
+                                                ref.case)
+
+
+def test_sun_flow_reads_no_level_past_its_return_path(monkeypatch):
+    # kills a listing of every path before the choice: the tips' ring
+    # holds longer paths of both signs
+    lister = core.simple_paths
+    calls = []  # [edges, ends, levels read]
+
+    def spy(g, edges, ends):
+        calls.append([edges, ends, 0])
+        for level in lister(g, edges, ends):
+            calls[-1][2] += 1
+            yield level
+
+    left_unread = 0
+    for n in range(3, 10):
+        g, sun = host_with_sun(n)
+        calls.clear()
+        cycles = _sun_cycles(monkeypatch)
+        monkeypatch.setattr(flows, "simple_paths", spy)
+        flows.sun_flow(g, sun, 11, [(0,)] * g.m)
+        monkeypatch.undo()
+        # a return cycle is its path and three sun edges
+        assert [read for _, _, read in calls] == [len(c) - 3 for c in cycles]
+        left_unread += sum(len(list(lister(g, edges, ends))) > read
+                           for edges, ends, read in calls)
+    assert left_unread
 
 
 # a cubic 2-unbalanced graph whose one collision edge over Z11 (edge 12,

@@ -280,8 +280,8 @@ def test_only_oracle_names_its_internals():
     assert _oracle_internals_named(SRC) == []
 
 
-# One breadth-first search: core.shortest_path reads its queue by index and
-# core.simple_paths keeps a stack, so a queue popped from the front, a list's
+# One breadth-first search: core.shortest_path and core.simple_paths read
+# their queue or level by index, so a queue popped from the front, a list's
 # pop(0) or a deque, is a second path search outside core.
 def _front_pops(root: Path) -> list[str]:
     """module:line of each .pop(0) call and each deque import or attribute,
@@ -321,6 +321,63 @@ def test_front_pop_scan(tmp_path):
 
 def test_only_core_searches_breadth_first():
     assert _front_pops(SRC) == []
+
+
+# One lowpoint search: core._blocks lists the blocks for planarity and for
+# the 2-connectivity of an edge set, so a table of lowpoints or discovery
+# indices outside core is a second one.
+def _is_table(node: ast.AST) -> bool:
+    """A list or dict display or comprehension, or a list times a count."""
+    if isinstance(node, ast.BinOp):
+        return _is_table(node.left) or _is_table(node.right)
+    return isinstance(node, (ast.List, ast.ListComp, ast.Dict, ast.DictComp))
+
+
+def _bindings(target: ast.AST, value: ast.AST):
+    """Each (name, value) pair an assignment binds, tuples paired off."""
+    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+        for t, v in zip(target.elts, value.elts):
+            yield from _bindings(t, v)
+    else:
+        yield target, value
+
+
+def _lowpoint_tables(root: Path) -> list[str]:
+    """module:line of each table assigned to a name low or disc, outside
+    core.py."""
+    found = []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if any(getattr(t, "id", None) in ("low", "disc") and _is_table(v)
+                   for target in targets
+                   for t, v in _bindings(target, node.value)):
+                found.append((path.name, node.lineno))
+    return [f"{name}:{line}" for name, line in sorted(found)]
+
+
+def test_lowpoint_table_scan(tmp_path):
+    (tmp_path / "core.py").write_text("disc = [-1] * n\nlow = [0] * n\n")
+    (tmp_path / "planarity.py").write_text(
+        "low = mask & -mask\ndisc: list[int] = [-1] * n\n"
+        "low = {v: 0 for v in adj}\nx, low = 1, [0 for _ in adj]\n"
+        "lows = [0] * n\n")
+    (tmp_path / "decompose.py").write_text(
+        "disc, low = [-1] * n, [0] * n\nlow = x\n")
+    assert _lowpoint_tables(tmp_path) == [
+        "decompose.py:1", "planarity.py:2", "planarity.py:3",
+        "planarity.py:4"]
+
+
+def test_only_core_searches_for_lowpoints():
+    assert _lowpoint_tables(SRC) == []
 
 
 def _imports_of(root: Path, module: str) -> list[str]:
