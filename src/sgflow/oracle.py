@@ -18,9 +18,22 @@ first end's value and keeps it only if it zeroes the second end's
 residual too.  A negative loop in a group of even order may have two
 halvings or none, which a split step tries in turn.  A positive loop
 changes no boundary, so it is left out of the plan and takes its first
-value once a walk succeeds.  Each search is a depth-first walk of a plan,
-`_walk`, and sampled `is_A_connected` walks one plan for all its samples.
-A branch dies as soon as no value fits.  A search for a zero boundary over
+value once a walk succeeds.
+
+A forced step is one case of a wider rule.  On a balanced component K of
+the open edges, no assignment changes the signed sum S of the residual
+boundary over K, so a solution needs S = 0.  A free step that leaves such
+a K open, where K was not balanced with the step's edge, closes K: the
+edge's value x must solve a x = S, with a = +-1 or +-2 (a forced step
+closes K = {u}).  A closing step still counts against the budget as a
+free branching, but tries only its domain's values, in domain order,
+that solve the equation of every part it closes; each value it drops
+leads to no solution, so every search returns what it would without the
+rule.  `_plan` finds the parts in one reverse pass over its steps.
+
+Each search is a depth-first walk of a plan, `_walk`, and sampled
+`is_A_connected` walks one plan for all its samples.  A branch dies as
+soon as no value fits.  A search for a zero boundary over
 domains closed under negation finds its solutions in pairs f, -f, so it
 tries only half the values of its first edge, which roughly halves its
 "no" proofs and changes no answer.
@@ -50,7 +63,8 @@ any sweep.
 
 No input is refused for its size, only for its work, by DeskScaleError:
 a search past SEARCH_BUDGET free branchings (on edges that no endpoint
-forces), which bounds every caller of the kernel, and an exact sweep whose
+forces, closing steps included), which bounds every caller of the
+kernel, and an exact sweep whose
 (edges + 1) |A|^n passes SWEEP_BUDGET.
 """
 
@@ -151,12 +165,17 @@ class _OverBudget(DeskScaleError):
 
 
 # The kinds of a planned step, by the endpoints the step saturates (where
-# its edge is the last open one): none, so the edge branches on its domain;
-# one, whose residual has at most one solution x (`_GroupCodes.one`); two,
-# where the first one's solution must also zero the second's residual; one
-# with a residual of two or more solutions (`_GroupCodes.solve`: a negative
-# loop, coefficient 2, in a group of even order).
-_FREE, _FORCED, _BOTH, _SPLIT = range(4)
+# its edge is the last open one): one, whose residual has at most one
+# solution x (`_GroupCodes.one`); two, where the first one's solution must
+# also zero the second's residual; one with a residual of two or more
+# solutions (`_GroupCodes.solve`: a negative loop, coefficient 2, in a group
+# of even order); none, so the edge branches on its domain.  A step of the
+# last kind that closes a balanced part of the open edges branches only on
+# the values that part allows: at most one (`_GroupCodes.one`), or every
+# solution of 2 x = S (`_GroupCodes.solve`, in a group of even order).
+_FORCED, _BOTH, _SPLIT, _FREE, _CLOSE, _CLOSE_SPLIT = range(6)
+# the kinds that read a domain's set; the others read its values in order
+_BY_SET = frozenset((_FORCED, _BOTH, _SPLIT, _CLOSE))
 
 
 class _Step(NamedTuple):
@@ -164,7 +183,11 @@ class _Step(NamedTuple):
     through the terms rows cu and cw; w is the spare slot n, which stays 0,
     when e has one end.  A forced step's saturated end is u, and row is
     the `one` row (the `solve` row for _SPLIT) of its coefficient there;
-    row is None for a free step."""
+    row is None for a free step.  A closing step's row holds its
+    equations, one per balanced part K it closes: (plus, minus, a, sol),
+    where plus and minus list K's vertices by the sign of a switching s of
+    K, a is the sum of s(v) c_v(e) over e's ends v in K, and sol is the
+    `one` row of a (the `solve` row for _CLOSE_SPLIT)."""
 
     kind: int
     e: int
@@ -182,8 +205,9 @@ class _Plan(NamedTuple):
     bare lists the vertices where no listed edge has a nonzero
     coefficient, and idle the listed edges with no nonzero coefficient
     (positive loops), which no boundary constrains.  steps holds one
-    `_Step` per depth.  reduce is the codes' reduce row, and neg their
-    terms[1] row, which maps a code to its negative.
+    `_Step` per depth.  reduce is the codes' reduce row, neg their
+    terms[1] row, which maps a code to its negative, and size the order
+    of the group.
     """
 
     m: int
@@ -192,41 +216,57 @@ class _Plan(NamedTuple):
     steps: list[_Step]
     reduce: Sequence[int]
     neg: Sequence[int]
+    size: int
 
 
 def _plan(g: SignedGraph, edges: Sequence[int], codes: _GroupCodes) -> _Plan:
     """The plan of a search over the listed edges (see `_walk`): the edges
     breadth first, each next one forced where some endpoint allows, each
     step typed by the endpoints it saturates.  The edges that some
-    endpoint forces wait in a heap by their place in that order, so
-    planning takes O(m log m) for m edges."""
+    endpoint forces wait in a heap by their place in that order, and a
+    vertex keeps the XOR of the places of its open edges, which names the
+    last one.  A reverse pass then grows the open edges from the last step
+    back, merging the smaller component into the larger, each vertex
+    keeping its component and its sign in a switching of it; a component
+    that meets an unbalanced cycle is marked.  So planning takes
+    O(m log m) for m edges, plus the vertex lists of the closed parts."""
     terms, one, solve = codes.terms, codes.one, codes.solve
-    coeff = {e: end_coeffs(g, e) for e in edges}
-    idle = [e for e in edges if not coeff[e]]  # positive loops
-    remaining = [0] * g.n  # open incident edges per vertex (loop counts once)
-    at: list[list[int]] = [[] for _ in range(g.n)]  # places of those edges
-    bfs, _ = _tree_order(g, spanning_forest(g, edges), range(g.n))
-    place = {v: i for i, v in enumerate(bfs)}
-
-    def later_end_first(e: int) -> tuple[int, int, int]:
-        a, b = place[g.edges[e][0]], place[g.edges[e][1]]
-        return max(a, b), min(a, b), e
-
-    order = sorted((e for e in edges if coeff[e]), key=later_end_first)
-    for i, e in enumerate(order):
-        for v in coeff[e]:
-            remaining[v] += 1
-            at[v].append(i)
-    bare = [v for v in range(g.n) if not remaining[v]]
-    planned = [False] * len(order)
+    n = g.n
+    bfs, _ = _tree_order(g, spanning_forest(g, edges), range(n))
+    place = [0] * n
+    for i, v in enumerate(bfs):
+        place[v] = i
+    idle, keyed = [], []
+    for e in edges:
+        coeff = end_coeffs(g, e)
+        if not coeff:
+            idle.append(e)  # a positive loop
+            continue
+        (u, cu), (w, cw) = (*coeff.items(), (n, 0))[:2]
+        x, y = place[g.edges[e][0]], place[g.edges[e][1]]
+        # the place of the later end, then of the earlier end, then e
+        keyed.append((x, y, e, u, cu, w, cw) if x > y
+                     else (y, x, e, u, cu, w, cw))
+    keyed.sort()
+    # open incident edges per vertex (a loop counts once), and the XOR of
+    # their places; the spare slot n, a loop's second end, never runs low
+    remaining = [0] * n + [len(keyed) + 2]
+    left = [0] * (n + 1)
+    for i, (_x, _y, _e, u, _cu, w, _cw) in enumerate(keyed):
+        remaining[u] += 1
+        remaining[w] += 1
+        left[u] ^= i
+        left[w] ^= i
+    bare = [v for v in range(n) if not remaining[v]]
     # places of edges that are the last open one at some endpoint; an entry
     # goes stale once its edge is planned
-    ready = [at[v][0] for v in range(g.n) if remaining[v] == 1]
+    ready = [left[v] for v in range(n) if remaining[v] == 1]
     heapq.heapify(ready)
+    planned = [False] * len(keyed)
     first = 0  # no edge before this place is unplanned
 
-    steps = []
-    for _ in order:
+    forward = []  # (kind, e, u, cu, w, cw) per depth
+    for _ in keyed:
         # the first edge with an endpoint where it is the last open one,
         # else the first edge
         while ready and planned[ready[0]]:
@@ -235,24 +275,91 @@ def _plan(g: SignedGraph, edges: Sequence[int], codes: _GroupCodes) -> _Plan:
             first += 1
         i = heapq.heappop(ready) if ready else first
         planned[i] = True
-        e = order[i]
-        ends = list(coeff[e].items())
-        saturated = [(v, c) for v, c in ends if remaining[v] == 1]
-        for v, _c in ends:
-            remaining[v] -= 1
-            if remaining[v] == 1:
-                heapq.heappush(ready, next(j for j in at[v] if not planned[j]))
-        if saturated:  # the saturated ends first
-            ends = saturated + [vc for vc in ends if vc not in saturated]
-        (u, cu), (w, cw) = (ends + [(g.n, 0)])[:2]
-        if not saturated:
-            kind, row = _FREE, None
+        _x, _y, e, u, cu, w, cw = keyed[i]
+        left[u] ^= i
+        left[w] ^= i
+        remaining[u] -= 1
+        remaining[w] -= 1
+        if remaining[u] == 1:
+            heapq.heappush(ready, left[u])
+        if remaining[w] == 1:
+            heapq.heappush(ready, left[w])
+        if remaining[u]:
+            if remaining[w]:
+                kind = _FREE
+            else:  # the saturated end first
+                kind, u, cu, w, cw = _FORCED, w, cw, u, cu
         elif cu not in one:
-            kind, row = _SPLIT, solve[cu]
+            kind = _SPLIT
         else:
-            kind, row = (_BOTH if len(saturated) == 2 else _FORCED), one[cu]
-        steps.append(_Step(kind, e, u, terms[cu], w, terms[cw], row))
-    return _Plan(g.m, bare, idle, steps, codes.reduce, terms[1])
+            kind = _FORCED if remaining[w] else _BOTH
+        forward.append((kind, e, u, cu, w, cw))
+
+    comp = list(range(n))  # a vertex's component of the open edges
+    sign = [1] * n  # and its sign in a switching of that component
+    plus: list[list[int]] = [[v] for v in range(n)]  # a component's vertices
+    minus: list[list[int]] = [[] for _ in range(n)]  # by sign
+    count = [1] * n  # and their number
+    unbalanced = [False] * n
+    steps: list = [None] * len(forward)
+    for d in range(len(forward) - 1, -1, -1):
+        kind, e, u, cu, w, cw = forward[d]
+        ku = comp[u]
+        if w == n:  # a negative loop
+            parts = [(ku, sign[u] * cu)]
+        else:
+            kw = comp[w]
+            au, aw = sign[u] * cu, sign[w] * cw
+            parts = [(ku, au + aw)] if ku == kw else [(ku, au), (kw, aw)]
+        if kind != _FREE:
+            row = one[cu] if kind != _SPLIT else solve[cu]
+        else:  # a part e closes is balanced without e, and a != 0
+            row = [(tuple(plus[k]), tuple(minus[k]), a) for k, a in parts
+                   if a and not unbalanced[k]]
+            if not row:
+                row = None
+            elif row[0][2] in one:
+                kind, row = _CLOSE, tuple(q + (one[q[2]],) for q in row)
+            else:  # one part: e is a negative loop or closes a cycle
+                kind, row = _CLOSE_SPLIT, (row[0] + (solve[row[0][2]],),)
+        steps[d] = _Step(kind, e, u, terms[cu], w, terms[cw], row)
+        # add e to the open edges
+        if len(parts) == 1:
+            if parts[0][1]:
+                unbalanced[ku] = True
+            continue
+        if count[ku] < count[kw]:
+            ku, kw = kw, ku
+        pk, mk = plus[kw], minus[kw]
+        for x in pk:
+            comp[x] = ku
+        for x in mk:
+            comp[x] = ku
+        if au * aw > 0:  # kw's switching flips to agree with ku's on e
+            for x in pk:
+                sign[x] = -1
+            for x in mk:
+                sign[x] = 1
+            pk, mk = mk, pk
+        plus[ku] += pk
+        minus[ku] += mk
+        count[ku] += count[kw]
+        unbalanced[ku] = unbalanced[ku] or unbalanced[kw]
+    return _Plan(g.m, bare, idle, steps, codes.reduce, terms[1],
+                 len(codes.code))
+
+
+def _signed_sum(residual: Sequence[int], reduce: Sequence[int],
+                neg: Sequence[int], part: tuple) -> int:
+    """S for a part a closing step closes: the code of the sum of the
+    residuals at its vertices of sign +1, less those at its vertices of
+    sign -1."""
+    s = 0
+    for v in part[0]:
+        s = reduce[s + residual[v]]
+    for v in part[1]:
+        s = reduce[s + neg[residual[v]]]
+    return s
 
 
 def _walk(plan: _Plan, domains: Sequence, beta: Sequence[int],
@@ -270,50 +377,73 @@ def _walk(plan: _Plan, domains: Sequence, beta: Sequence[int],
     unassigned one with an endpoint where it is the last open edge, else
     the first unassigned one.  Its candidates are the values every such
     endpoint forces, in solve order, that its domain holds; or, with no
-    such endpoint, its domain in order.  An edge with coefficient 0 at
-    every end (a positive loop) changes no boundary, so it is left out of
-    this order and takes the first value of its domain once the others
-    are found; with an empty domain there is no solution.  A vertex no
-    listed edge changes keeps its beta, so a nonzero one there means None.
+    such endpoint, its domain in order, less the values that a part it
+    closes rules out (below).  An edge with coefficient 0 at every end (a
+    positive loop) changes no boundary, so it is left out of this order
+    and takes the first value of its domain once the others are found;
+    with an empty domain there is no solution.  A vertex no listed edge
+    changes keeps its beta, so a nonzero one there means None.
+
+    The closing rule.  Let K be a component of the open edges (those not
+    yet assigned) that is balanced, with a switching s, and let r be the
+    residual boundary.  Each open edge e adds s(u) c_u(e) + s(w) c_w(e) = 0
+    times its value to the sum S of s(v) r(v) over K, so no assignment
+    changes S, and a solution needs S = 0.  When the next edge e has no
+    saturated end, and leaves open a balanced component K that holds an
+    end of e and with e was not balanced (e joined it to another
+    component, or e was its last unbalanced edge), then e's value x must
+    solve a x = S, where a, the sum of s(v) c_v(e) over e's ends v in K,
+    is +-1 or +-2.  Such a step closes K; it closes at most two.  Its
+    candidates are the domain's values, in domain order, that solve
+    every such equation, and the walk drops the others without stepping
+    into them.  Each value dropped would have led to no solution, so the
+    first solution found is the one found without the rule.  A forced
+    step is the case where K is the saturated end alone, with a = c_u
+    and S = r(u).
 
     The next edge depends only on which edges are assigned, so the plan
     (`_plan`) is worked out before the search walks it, and a caller that
     searches one graph many times may plan once and walk the plan each
     time.  Each step of the plan has a kind, and a node does only its
     kind's work.  A free step branches on its domain's values, all of which
-    the domain holds.  A forced step reads its one candidate from a row
-    and keeps it if the domain's set holds it; forced at both ends, it also
-    needs the second end's residual to come out zero.  A saturated end is
-    never read again, so a forced step changes only its other end's
-    residual, and a step forced at both ends changes none.  Each walk
-    pairs the steps with their domains: the values for a free step, the
-    set for a forced one.
+    the domain holds.  A closing step sums K's residuals by sign and reads
+    its one candidate from a row, keeping it if the domain's set holds it
+    and it solves a second equation; or, for 2 x = S in a group of even
+    order, it keeps the domain's values among the solutions, all of them
+    when every element solves it.  A forced step reads its one candidate
+    from a row and keeps it if the domain's set holds it; forced at both
+    ends, it also needs the second end's residual to come out zero.  A
+    saturated end is never read again, so a forced step changes only its
+    other end's residual, and a step forced at both ends changes none.
+    Each walk pairs the steps with their domains: the values for a free
+    step and for 2 x = S, the set for the others.
 
     When beta is zero, every listed edge's domain is closed under
     negation and the first edge is free, the walk tries on that edge only
     the values x that come no later than -x in its domain: -f is a solution
-    whenever f is, so the first solution takes one of them.
+    whenever f is, so the first solution takes one of them.  (A first edge
+    that closes a part has only values with x = -x: there S = 0.)
 
     budget caps how often the search may branch on an edge that no
-    endpoint forces, SEARCH_BUDGET when None; past it, the search raises
-    _OverBudget, a DeskScaleError.  The walk recurses once per step, so it
-    raises the interpreter's recursion limit by the plan's depth while it
-    runs.
+    endpoint forces, closing steps included, SEARCH_BUDGET when None; past
+    it, the search raises _OverBudget, a DeskScaleError.  The walk
+    recurses once per step, so it raises the interpreter's recursion
+    limit by the plan's depth while it runs.
     """
     if any(beta[v] for v in plan.bare) or not all(
             domains[e][0] for e in plan.idle):
         return None
     limit = budget = SEARCH_BUDGET if budget is None else budget
-    reduce = plan.reduce
-    # a free step takes its domain's values, a forced one their set
-    walk = [step + (domains[step.e][step.kind != _FREE],)
+    reduce, neg, size = plan.reduce, plan.neg, plan.size
+    # a free step, or one solving 2 x = S, takes its domain's values, the
+    # others their set
+    walk = [step + (domains[step.e][step.kind in _BY_SET],)
             for step in plan.steps]
     # With beta zero and every domain closed under negation, -f is a
     # solution whenever f is.  So the first solution in search order takes,
     # on a free first edge, a value x no later than -x in its domain, and
     # the walk need try no other there.
     if walk and not any(beta) and walk[0][0] == _FREE:
-        neg = plan.neg
         used = {id(domains[step.e]): domains[step.e] for step in plan.steps}
         if all(neg[x] in ok for _, ok in used.values() for x in ok):
             *head, dom = walk[0]
@@ -335,11 +465,26 @@ def _walk(plan: _Plan, domains: Sequence, beta: Sequence[int],
             if x not in dom:  # no solution (-1), or one outside the domain
                 return False
             residual[w] = reduce[rw + cw[x]]
-        elif kind == _FREE:
+        elif kind >= _FREE:
             budget -= 1
             if budget < 0:
                 raise _OverBudget(f"search budget of {limit} free branchings"
                                   " spent without an answer")
+            if kind == _CLOSE:  # the one value every closed part allows
+                x = -1
+                for part in row:
+                    y = part[3][_signed_sum(residual, reduce, neg, part)]
+                    if y not in dom or (x >= 0 and x != y):
+                        return False
+                    x = y
+                dom = (x,)
+            elif kind == _CLOSE_SPLIT:  # the values x with 2 x = S
+                part = row[0]
+                solutions = part[3][_signed_sum(residual, reduce, neg, part)]
+                if not solutions:
+                    return False
+                if len(solutions) < size:
+                    dom = list(filter(solutions.__contains__, dom))
             ru = residual[u]
             for x in dom:
                 residual[u] = reduce[ru + cu[x]]

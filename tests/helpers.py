@@ -824,9 +824,12 @@ def reference_search(g: SignedGraph, edges: Sequence[int],
 # (sgflow.oracle._plan and _walk): every step loops over the solutions each
 # saturated end offers, intersects them, and tests each candidate, free ones
 # too, against a set it builds per walk; every step changes both ends'
-# residuals.  reference_walk counts its free branchings, so the typed kernel
-# can be held to the same effort: it must return the same list, answer
-# within that many, and stop one short of it.
+# residuals.  A free step also keeps only the values that every balanced
+# part it closes allows (the closing rule of sgflow.oracle._walk), found by
+# a breadth-first search over the open edges at every depth and tested one
+# value at a time.  reference_walk counts its free branchings, so the typed
+# kernel can be held to the same effort: it must return the same list,
+# answer within that many, and stop one short of it.
 
 def reference_group_codes(A) -> tuple:
     """(code, elem, terms, reduce, solve) of sgflow.oracle's element codes,
@@ -856,9 +859,11 @@ def reference_group_codes(A) -> tuple:
 def reference_plan(g: SignedGraph, edges: Sequence[int], codes: tuple
                    ) -> tuple:
     """(m, bare, idle, steps, reduce, neg): per depth the edge, the two
-    (vertex, terms row) pairs it changes (padded with a spare slot n) and
-    the (vertex, solve) pairs of its saturated ends, found by rescanning
-    the unplanned edges at every depth."""
+    (vertex, terms row) pairs it changes (padded with a spare slot n), the
+    (vertex, solve) pairs of its saturated ends, found by rescanning the
+    unplanned edges at every depth, and, with no saturated end, the
+    (switching, terms row of a) pairs of the parts it closes
+    (`reference_closed_parts`)."""
     _code, _elem, terms, reduce, solve = codes
     coeff = {e: end_coeffs(g, e) for e in edges}
     idle = [e for e in edges if not coeff[e]]
@@ -885,8 +890,42 @@ def reference_plan(g: SignedGraph, edges: Sequence[int], codes: tuple
             remaining[v] -= 1
         (u, cu), (w, cw) = (list(coeff[e].items()) + [(g.n, 0)])[:2]
         steps.append((e, u, terms[cu], w, terms[cw],
-                      [(v, solve[c]) for v, c in saturated]))
+                      [(v, solve[c]) for v, c in saturated], []))
+    for d, step in enumerate(steps):
+        if not step[5]:
+            step[6].extend((sorted(s.items()), terms[a]) for s, a in
+                           reference_closed_parts(g, step[0], [
+                               later[0] for later in steps[d + 1:]]))
     return g.m, bare, idle, steps, reduce, terms[1]
+
+
+def reference_closed_parts(g: SignedGraph, e: int, open_edges
+                           ) -> list[tuple[dict[int, int], int]]:
+    """(s, a) for each balanced component K of the open edges that holds
+    an end of e, found breadth first with s a switching of K (s(u) s(v) =
+    sigma on each edge of K, and no negative loop in K), where a, the sum
+    of s(v) c_v(e) over e's ends v in K, is not 0."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for f in open_edges:
+        u, v, sign = g.edges[f]
+        adj.setdefault(u, []).append((v, sign))
+        if u != v:
+            adj.setdefault(v, []).append((u, sign))
+    parts = []
+    for end in dict.fromkeys(g.ends(e)):
+        if any(end in s for s, _a in parts):
+            continue
+        s, balanced, queue = {end: 1}, True, [end]
+        for x in queue:
+            for y, sign in adj.get(x, ()):
+                if y not in s:
+                    s[y] = s[x] * sign
+                    queue.append(y)
+                elif s[y] != s[x] * sign:  # a negative loop, or a cycle
+                    balanced = False
+        a = sum(s[v] * c for v, c in end_coeffs(g, e).items() if v in s)
+        parts.append((s, a if balanced else 0))
+    return [(s, a) for s, a in parts if a]
 
 
 def reference_walk(plan: tuple, domains: Sequence[Sequence[int]],
@@ -916,7 +955,7 @@ def reference_walk(plan: tuple, domains: Sequence[Sequence[int]],
         nonlocal branchings
         if d == len(walk):
             return True
-        e, u, cu, w, cw, forcing, dom, ok = walk[d]
+        e, u, cu, w, cw, forcing, closing, dom, ok = walk[d]
         cands = None
         for v, sol in forcing:
             vals = sol(residual[v])
@@ -924,6 +963,12 @@ def reference_walk(plan: tuple, domains: Sequence[Sequence[int]],
         if cands is None:
             cands = dom
             branchings += 1
+        for signs, row in closing:  # a x = S for the sum S of s(v) r(v)
+            total = 0
+            for v, sv in signs:
+                total = reduce[total + (residual[v] if sv > 0
+                                        else neg[residual[v]])]
+            cands = [x for x in cands if not reduce[total + row[x]]]
         ru, rw = residual[u], residual[w]
         for x in cands:
             if x not in ok:

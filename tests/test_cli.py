@@ -263,7 +263,7 @@ def test_oracle_respects_desk_scale_limit(tmp_path, capsys, monkeypatch):
     gpath = write_graph(tmp_path, petersen())
     code, _, err = run(capsys, "oracle", "a-connected", "--group", "Z7", gpath)
     assert code == 3 and "desk-scale limit" in err and "sweep budget" in err
-    # the bridge's "no" takes 71 061 free branchings over Z5
+    # the bridge's "no" takes 30 305 free branchings over Z5
     monkeypatch.setattr(oracle, "SEARCH_BUDGET", 1000)
     gpath = write_graph(tmp_path, doubled_k4_bridge(), "bridge.sg")
     code, _, err = run(capsys, "oracle", "nz-flow", "--group", "Z5", gpath)

@@ -635,6 +635,18 @@ def test_connect_on_twelve_loops_at_one_vertex():
     assert cert.strategy == "oracle" and flows.verify_avoidance(g, cert)
 
 
+def test_connect_finds_the_flow_its_prime_route_refuses_at_n_20():
+    # the prime route refuses this graph (a balanced side of a small cut),
+    # and the search used to exit 3 at SEARCH_BUDGET; closing steps find
+    # the flow in 63 279 free branchings
+    g = cubic_2unbalanced(20, 3)
+    A = parse_group("Z11")
+    fbar = random_fbar(random.Random(1), A, 30)
+    cert = flows.connect(g, A, fbar)
+    assert cert.strategy == "oracle" and cert.flow is not None
+    assert flows.verify_avoidance(g, cert)
+
+
 @pytest.mark.parametrize("spec", ["Z5", "Z7"])
 def test_connect_searches_past_the_old_edge_limit(spec):
     # 39 edges: the fallback used to exit 3 on "39 edges exceeds search
