@@ -27,8 +27,8 @@ last path and V(A + B), since A + B is D plus one ear per round and an
 ear keeps a graph 2-connected (Whitney); (d) against a mask of the part
 of B's 2-closure found so far, extended from B's new edges only until it
 covers A, since the 2-closure is monotone and idempotent; (e) against D,
-which stays in B.  verify_partition re-derives every conclusion at the
-end of each decomposition.
+which stays in B.  _verified re-derives every conclusion at the end,
+from one 2-closure scan of X2, whose steps the certificate keeps.
 
 Every question about an edge set (is it connected, 2-connected, balanced)
 takes the set as data over g's own indices: core.component_count counts
@@ -56,7 +56,7 @@ from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _blocks,
                    _negative_xor, component_count, is_balanced,
                    is_cyclically_k_edge_connected, simple_paths,
                    spanning_forest)
-from .structures import (CycleRef, all_cycles, as_negative_sun,
+from .structures import (CycleRef, NegativeSun, all_cycles, as_negative_sun,
                          cycles_within, extend_closure, find_peripheral_cycle,
                          fundamental_cycle, k_closure, order_cycle)
 
@@ -66,14 +66,20 @@ GENERAL = "general"
 
 
 class PartitionCertificate:
-    """Compares by value, so a parsed certificate equals the one written."""
+    """Compares by value, so a parsed certificate equals the one written.
+    A decomposition also sets steps, X2's 2-closure steps (they absorb
+    X1 - F), and sun, the NegativeSun F its sun mode stopped on; neither is
+    compared or written, and both are None on a parsed certificate."""
 
     def __init__(self, mode: str, x1: frozenset[int], x2: frozenset[int],
-                 f: frozenset[int] = frozenset()):
+                 f: frozenset[int] = frozenset(),
+                 sun: Optional[NegativeSun] = None):
         self.mode = mode
         self.x1 = x1
         self.x2 = x2
         self.f = f
+        self.sun = sun
+        self.steps: Optional[list[tuple[CycleRef, frozenset[int]]]] = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -428,6 +434,7 @@ def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
         raise AssertionError(f"no peripheral cycle of sign {want_sign}"
                              f" for {mode} found")
     wp = WorkingPartition(g, d)
+    sun = None
     while True:
         check_working_partition(g, wp, mode, want_sign)
         if sun_mode:
@@ -447,14 +454,16 @@ def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
     else:
         x1 = _spanning_tree_within(g, wp.a)
     return PartitionCertificate(mode, x1, frozenset(range(g.m)) - x1,
-                                frozenset(wp.c))
+                                frozenset(wp.c), sun)
 
 
 def _verified(g: SignedGraph, cert: PartitionCertificate
               ) -> PartitionCertificate:
-    ok, reason = verify_partition(g, cert)
+    closure = k_closure(g, cert.x2, 2)
+    ok, reason = _check_partition(g, cert, closure.closure)
     if not ok:
         raise AssertionError(f"internal invariant breach: {reason}")
+    cert.steps = closure.steps
     return cert
 
 
@@ -556,7 +565,7 @@ def _decompose_general_dispatch(g: SignedGraph) -> PartitionCertificate:
         # disjoint negative cycles: run the sun loop from a positive
         # peripheral cycle with unbalanced complement, without property (e)
         return _peel(g, GENERAL, PLUS)
-    return PartitionCertificate(GENERAL, base.x1, base.x2, base.f)
+    return PartitionCertificate(GENERAL, base.x1, base.x2, base.f, base.sun)
 
 
 # -- degenerate sun shape -----------------------------------------------------------------
@@ -592,12 +601,18 @@ def is_degenerate_sun(g: SignedGraph, es: Iterable[int]) -> bool:
 def verify_partition(g: SignedGraph, cert: PartitionCertificate
                      ) -> tuple[bool, str]:
     """Re-check every mode-specific conclusion from first principles."""
+    in_g = cert.x2 & frozenset(range(g.m))  # others fail the partition check
+    return _check_partition(g, cert, k_closure(g, in_g, 2).closure)
+
+
+def _check_partition(g: SignedGraph, cert: PartitionCertificate,
+                     closure: frozenset[int]) -> tuple[bool, str]:
+    """verify_partition, given the 2-closure of X2."""
     every = frozenset(range(g.m))
     if cert.x1 & cert.x2 or cert.x1 | cert.x2 != every:
         return False, "X1, X2 do not partition E"
     if not cert.f <= every:
         return False, "F not inside E"
-    closure = k_closure(g, cert.x2, 2).closure
     if cert.mode == TREE_2BASE:
         if cert.f:
             return False, "F not empty"
@@ -612,8 +627,7 @@ def verify_partition(g: SignedGraph, cert: PartitionCertificate
     if cert.mode == BASE_SUN:
         if not _is_connected_base(g, cert.x1):
             return False, "X1 not a connected base"
-        sun = as_negative_sun(g, cert.f)
-        if sun is None:
+        if as_negative_sun(g, cert.f) is None:
             return False, "F is not a negative sun"
         if not cert.f <= cert.x1:
             return False, "F not contained in X1"

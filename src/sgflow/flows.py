@@ -28,14 +28,14 @@ through its per-edge direction.  duality loads only when that route runs.
 The three constructions:
 
   * composite |A| >= 6: fix a spanning tree through quotient-group
-    circulations over the 2-closure cycles of its complement, then fix the
-    complement with flows valued in a minimal subgroup N (fundamental
-    cycles when |N| = 2, positive cycles / barbells inside a connected
-    base when |N| is odd);
-  * prime |A| = p >= 11: fix the pendant sun of a base-sun decomposition
-    with a sun flow, fix the rest of the base over closure cycles while
-    staying 3-and-6 clear of the forbidden values, then clear the leftover
-    collisions with 3 psi for an integer 3-flow psi;
+    circulations over the 2-closure steps of its complement, read off the
+    decomposition, then fix the complement with flows valued in a minimal
+    subgroup N (fundamental cycles when |N| = 2, positive cycles /
+    barbells inside a connected base when |N| is odd);
+  * prime |A| = p >= 11: fix the pendant sun a base-sun decomposition
+    stopped on with a sun flow, fix the rest of the base over its closure
+    steps while staying 3-and-6 clear of the forbidden values, then clear
+    the leftover collisions with 3 psi for an integer 3-flow psi;
   * projective: when the graph is the oriented dual of a projectively
     embedded primal, greedily color the primal in a 5-degenerate order and
     convert the tension to a flow.
@@ -60,8 +60,8 @@ from .groups import (AbelianGroup, AvoidanceCertificate, Elem, format_elem,
                      integer_boundary, is_flow, is_prime, minimal_subgroup,
                      verify_avoidance)
 from .reduce import cubicize
-from .structures import (CycleRef, NegativeSun, as_negative_sun, cycle_sign,
-                         fundamental_cycle, k_closure, order_cycle)
+from .structures import (CycleRef, NegativeSun, cycle_sign, fundamental_cycle,
+                         order_cycle)
 from . import groups, oracle
 
 if TYPE_CHECKING:
@@ -359,16 +359,16 @@ def sun_flow(g: SignedGraph, H: NegativeSun, p: int,
 
 # -- fixing over closure steps ---------------------------------------------------
 
-def _fix_over_closure(g: SignedGraph, A: AbelianGroup,
-                      phi: list[Elem], seed: Iterable[int], cover: set[int],
+def _fix_over_closure(g: SignedGraph, A: AbelianGroup, phi: list[Elem],
+                      steps: Sequence[tuple[CycleRef, frozenset[int]]],
                       V: AbelianGroup, lift: Callable[[Elem], Elem],
                       ruled_out: Callable[[int], Iterable[Elem]],
-                      bound: int) -> frozenset[int]:
-    """Fix the edges the 2-closure of seed absorbs, last step first: push
-    around each step's positive cycle the least value x of V whose lift
-    into A keeps every edge the step absorbed off its forbidden values.
-    Updates phi in place and returns the absorbed edges, which must cover
-    `cover`.
+                      bound: int) -> None:
+    """Fix the edges a decomposition's closure steps absorb, last step
+    first: push around each step's positive cycle the least value x of V
+    whose lift into A keeps every edge the step absorbed off its forbidden
+    values.  Updates phi in place.  The steps (PartitionCertificate.steps)
+    close X2 to E - F, as the decomposition checked, so they fix X1 - F.
 
     ruled_out(e) lists the values of V that would land edge e on a
     forbidden value if added with coefficient +1 (reading phi as it stands);
@@ -376,11 +376,6 @@ def _fix_over_closure(g: SignedGraph, A: AbelianGroup,
     no edge a later step absorbed, so every edge keeps the value its own
     step gave it.
     """
-    steps = k_closure(g, seed, 2).steps
-    absorbed = frozenset().union(*(w for _, w in steps))
-    if not cover <= absorbed:
-        raise AssertionError("2-closure of the seed missed edges it must"
-                             f" cover: {sorted(cover - absorbed)}")
     values = sorted(V.elements())
     fixed: set[int] = set()
     for cyc, w in reversed(steps):
@@ -394,7 +389,6 @@ def _fix_over_closure(g: SignedGraph, A: AbelianGroup,
                                  f" more than {bound}")
         add_scaled(A, phi, kap, lift(next(v for v in values if v not in bad)))
         fixed |= w
-    return absorbed
 
 
 # -- composite-order construction ---------------------------------------------
@@ -433,11 +427,10 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
         raise AssertionError("quotient of order < 3 despite |A| >= 6")
 
     part = decompose_tree_2base(g)
-    T = set(part.x1)
-    B = set(part.x2)
+    T, B = part.x1, part.x2
     phi1: list[Elem] = [A.zero] * g.m
     _fix_over_closure(
-        g, A, phi1, B, T, Q, ms.represent,
+        g, A, phi1, part.steps, Q, ms.represent,
         lambda e: [Q.sub(ms.project(fbar[e]), ms.project(phi1[e]))], 2)
     for e in T:
         if ms.same_coset(phi1[e], fbar[e]):
@@ -526,26 +519,18 @@ def connect_prime(g: SignedGraph, p: int,
 
     part = decompose_base_sun(g)
     T = set(part.x1)
-    B = set(part.x2)
-    F = set(part.f)
-    sun = as_negative_sun(g, F)
-    if sun is None:
-        raise AssertionError("base-sun certificate without a sun")
-
-    sf = sun_flow(g, sun, p, fbar)
+    sf = sun_flow(g, part.sun, p, fbar)
     phi1 = list(sf.flow)
     e_prime = sf.e_prime
 
-    absorbed = _fix_over_closure(
-        g, A, phi1, B, T - F, A, lambda x: x,
+    _fix_over_closure(
+        g, A, phi1, part.steps, A, lambda x: x,
         lambda e: [A.sub(y, phi1[e]) for y in forbidden_band(A, fbar[e])], 10)
-    for e in T:
-        if e in F and e == e_prime and e not in absorbed:
-            continue
+    for e in T - {e_prime}:
         if phi1[e] in forbidden_band(A, fbar[e]):
             raise AssertionError(f"base edge {e} left inside its band")
 
-    b1 = [e for e in sorted(B) if phi1[e] == fbar[e]]
+    b1 = [e for e in sorted(part.x2) if phi1[e] == fbar[e]]
     psi = [0] * g.m
     if b1:
         # T + e holds one circuit of the frame matroid, a positive cycle or

@@ -348,9 +348,11 @@ def test_internal_errors_exit_4_and_hypothesis_refusals_exit_2(
     assert (code, out, err) == (4, "", "internal error: invariant broken\n")
 
     # Petersen has a positive 5-cycle, a precondition decompose_general
-    # reports only for bad input; a broken invariant stays a bug
-    monkeypatch.setattr(sgflow.decompose, "verify_partition",
-                        lambda g, cert: (False, "forced"))
+    # reports only for bad input; a broken invariant stays a bug.  The
+    # decomposition checks its certificate through verify_partition's
+    # checks, against the one closure scan it keeps the steps of
+    monkeypatch.setattr(sgflow.decompose, "_check_partition",
+                        lambda g, cert, closure: (False, "forced"))
     ppath = write_graph(tmp_path, petersen(), "petersen.sg")
     code, out, err = run(capsys, "decompose", "general", ppath)
     assert (code, out, err) == (

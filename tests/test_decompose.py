@@ -8,14 +8,15 @@ from hypothesis import event, given, settings, strategies as st
 
 from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
                      cubic_2unbalanced, graphs_with_edge_sets, induced_edges,
-                     joined_prisms, reference_check_working_partition,
+                     joined_prisms, prime_cubic_instance,
+                     reference_check_working_partition,
                      reference_has_two_disjoint_cycles,
                      reference_improving_path,
                      reference_is_2_connected_edge_set,
                      reference_plane_with_degree_2_outside,
                      reference_violating_balanced_cut,
                      signed_cubic_3connected, signed_multigraphs,
-                     switching_classes)
+                     switching_classes, theorem_instances)
 from sgflow import core, decompose, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          _cut_labels, _negative_xor, is_balanced,
@@ -388,8 +389,8 @@ def test_check_working_partition_matches_the_reference_on_peel_rounds(g):
 
 
 def test_a_decomposition_computes_one_closure(monkeypatch):
-    # the peel extends one closure mask; only verify_partition calls
-    # k_closure, once
+    # the peel extends one closure mask; only _verified calls k_closure,
+    # once, and leaves the scan's steps on the certificate
     calls = []
 
     def counting(g, seed, k):
@@ -398,8 +399,56 @@ def test_a_decomposition_computes_one_closure(monkeypatch):
 
     monkeypatch.setattr(structures, "k_closure", counting)
     monkeypatch.setattr(decompose, "k_closure", counting)
-    decompose_tree_2base(petersen())
-    assert calls == [2]
+    for decomposition, g in ((decompose_tree_2base, petersen()),
+                             (decompose_base_sun, petersen_2neg())):
+        calls.clear()
+        assert decomposition(g).steps is not None
+        assert calls == [2]
+
+
+def _check_steps_and_sun(graphs) -> set[str]:
+    """Decompose each graph both ways (base-sun where its hypotheses hold)
+    and check that the steps and the sun left on the certificate are those
+    a fresh 2-closure scan of X2 and a fresh reading of F give; returns
+    the modes decomposed."""
+    modes = set()
+    for g in graphs:
+        certs = [decompose_tree_2base(g)]
+        try:
+            certs.append(decompose_base_sun(g))
+        except HypothesisError:
+            pass
+        for cert in certs:
+            modes.add(cert.mode)
+            assert cert.steps == k_closure(g, cert.x2, 2).steps
+            # the steps absorb X1, or X1 - F around the sun
+            assert frozenset().union(*(w for _, w in cert.steps)) \
+                == cert.x1 - cert.f
+            sun = as_negative_sun(g, cert.f)
+            if cert.mode == TREE_2BASE:
+                assert cert.sun is None and sun is None
+            else:
+                assert vars(cert.sun) == vars(sun)
+            back = parse_certificate(format_certificate(cert))
+            assert back == cert
+            assert back.steps is None and back.sun is None
+    return modes
+
+
+@pytest.mark.parametrize("name", sorted(CUBIC_GRAPHS))
+def test_certificate_steps_and_sun_agree_on_theorem_instances(name):
+    graphs = theorem_instances(CUBIC_GRAPHS[name])
+    assert graphs
+    assert TREE_2BASE in _check_steps_and_sun(graphs)
+
+
+@pytest.mark.parametrize("n", range(8, 17, 2))
+def test_certificate_steps_and_sun_agree_on_random_cubic_graphs(n):
+    # few draws meet the base-sun hypotheses; prime_cubic_instance is the
+    # first that does
+    graphs = [cubic_2unbalanced(n, seed) for seed in range(4)]
+    graphs.append(prime_cubic_instance(n, f"steps-and-sun:{n}"))
+    assert _check_steps_and_sun(graphs) == {TREE_2BASE, BASE_SUN}
 
 
 # -- edge-set helpers against the subgraph-building versions ----------------------

@@ -14,7 +14,7 @@ from helpers import (cubic_2unbalanced, host_with_sun, prime_cubic_instance,
                      reference_flow_coeffs_through, reference_sun_return_path,
                      signed_cubic_3connected, switch_on_set,
                      unbalance_small_sides)
-from sgflow import core, flows, groups, oracle
+from sgflow import core, decompose, flows, groups, oracle, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          edge_connectivity, is_k_unbalanced, parse_sg,
                          spanning_forest)
@@ -742,6 +742,29 @@ def test_connect_labels_the_graph_once_at_entry(monkeypatch, graph, group,
     cert = flows.connect(g, A, [A.zero] * g.m)
     assert cert.strategy == route and cert.flow is not None
     assert labelled == [g] * labellings
+
+
+@pytest.mark.parametrize("graph,group,route", [
+    (petersen, "Z6", "composite"), (petersen_2neg, "Z11", "prime")])
+def test_connect_scans_the_2_closure_once(monkeypatch, graph, group, route):
+    # the decomposition's check scans the 2-closure of X2 and leaves its
+    # steps on the certificate, which the construction fixes over; the
+    # construction used to scan the same closure again
+    scanned = []
+    k_closure = structures.k_closure
+
+    def spy(g, seed, k):
+        scanned.append((g, k))
+        return k_closure(g, seed, k)
+
+    for module in (core, decompose, flows, structures):
+        if hasattr(module, "k_closure"):
+            monkeypatch.setattr(module, "k_closure", spy)
+    g = graph()
+    A = parse_group(group)
+    cert = flows.connect(g, A, random_fbar(random.Random(route), A, g.m))
+    assert cert.strategy == route and cert.flow is not None
+    assert scanned == [(g, 2)]
 
 
 @pytest.mark.parametrize("n", [20, 24])

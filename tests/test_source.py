@@ -146,6 +146,31 @@ def test_flows_and_reduce_ask_both_hypotheses_at_once():
     assert _separate_hypothesis_checks(SRC) == []
 
 
+# The constructions fix over the closure steps and around the sun that the
+# decomposition checked and left on its certificate (steps and sun of
+# decompose.PartitionCertificate), so flows neither scans a 2-closure nor
+# reads a sun off an edge set again.
+REDERIVED_DECOMPOSITION = re.compile(r"\b(k_closure|as_negative_sun)\b")
+
+
+def _rederived_decomposition(root: Path) -> list[str]:
+    return [hit for hit in _lines_matching(root, REDERIVED_DECOMPOSITION)
+            if hit.split(":")[0] == "flows.py"]
+
+
+def test_rederived_decomposition_scan(tmp_path):
+    (tmp_path / "decompose.py").write_text("closure = k_closure(g, x2, 2)\n")
+    (tmp_path / "flows.py").write_text(
+        "from .structures import (cycle_sign,\n    k_closure)\n"
+        "x = reference_k_closure\ny = k_closure_steps\nsun = part.sun\n"
+        "sun = structures.as_negative_sun(g, part.f)\n")
+    assert _rederived_decomposition(tmp_path) == ["flows.py:2", "flows.py:6"]
+
+
+def test_flows_reads_the_closure_steps_and_the_sun_off_the_certificate():
+    assert _rederived_decomposition(SRC) == []
+
+
 # Refusals for scale.  Only the oracle's two budgets, on the work one search
 # or one sweep does, duality's budget on the nodes of its vertex-bijection
 # search, and structures.cycles_within's cycle-space dimension (ROADMAP
