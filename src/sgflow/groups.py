@@ -92,10 +92,6 @@ class AbelianGroup(Frozen):
             out = self.add(out, a)
         return out
 
-    def halving_preimages(self, a: Elem) -> list[Elem]:
-        """All x with 2x = a (dense doubling table; groups here are small)."""
-        return [x for x in self.elements() if self.add(x, x) == a]
-
     def __str__(self) -> str:
         return "x".join(f"Z{n}" for n in self.factors)
 
@@ -215,14 +211,6 @@ def boundary(g: SignedGraph, f: Sequence[Elem], A: AbelianGroup) -> list[Elem]:
 
 def is_flow(g: SignedGraph, f: Sequence[Elem], A: AbelianGroup) -> bool:
     return all(b == A.zero for b in boundary(g, f, A))
-
-
-def is_A_boundary(A: AbelianGroup, beta: Sequence[Elem]) -> Optional[Elem]:
-    """If sum(beta) = 2a for some a, return the lexicographically least
-    such a; otherwise None."""
-    total = A.sum(beta)
-    pre = A.halving_preimages(total)
-    return min(pre) if pre else None
 
 
 def integer_boundary(g: SignedGraph, f: Sequence[int]) -> list[int]:

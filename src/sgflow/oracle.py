@@ -32,7 +32,8 @@ leads to no solution, so every search returns what it would without the
 rule.  `_plan` finds the parts in one reverse pass over its steps.
 
 Each search is a depth-first walk of a plan, `_walk`, and sampled
-`is_A_connected` walks one plan for all its samples.  A branch dies as
+`is_A_connected` walks one plan for all its samples, drawing each pair
+directly as codes.  A branch dies as
 soon as no value fits.  A search for a zero boundary over
 domains closed under negation finds its solutions in pairs f, -f, so it
 tries only half the values of its first edge, which roughly halves its
@@ -49,6 +50,12 @@ multiples and the solutions of c x = r are rows too, built once per group
 `integer_flow`, for `has_nz_k_flow` and the constructions in `flows`,
 searches bounded integers as the codes of Z_N, for an odd N large enough
 that the flows mod N are the integer flows.
+
+An A-boundary is read per component K of the graph: its sum over K lies
+in 2A if K is unbalanced, and its sum over K switched to all-positive,
+sum s(v) beta(v), is 0 if K is balanced (Li-Luo-Ma-Zhang, SIAM J.
+Discrete Math. 2018).  The plan's reverse pass ends with every edge open,
+so it lists these components and their switchings (`_Plan.components`).
 
 Exact A-connectivity does not search boundary by boundary.  By the
 Jaeger-Linial-Payan-Tarsi reduction (JCTB 1992), a graph is A-connected
@@ -79,7 +86,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .core import (DeskScaleError, SignedGraph, _tree_order, end_coeffs,
                    spanning_forest)
-from .groups import AbelianGroup, Elem, is_A_boundary
+from .groups import AbelianGroup, Elem
 
 # Limits on work: free branchings per search (2-5 us each), and
 # (edges + 1) |A|^n for the exact sweep, its bitset size times edges.
@@ -99,7 +106,7 @@ class _GroupCodes(NamedTuple):
     most one solution for every r, or two or more for some: one[c][r] is
     the one x, or -1 for none, in the first case, and solve[c][r] every x,
     in element order, in the second.  c = +-1 is always in one, and +-2
-    is when |A| is odd."""
+    is when |A| is odd.  doubled lists the codes of 2A in element order."""
 
     code: dict[Elem, int]
     elem: dict[int, Elem]
@@ -107,6 +114,7 @@ class _GroupCodes(NamedTuple):
     reduce: Sequence[int]
     one: dict[int, Sequence[int]]
     solve: dict[int, Sequence[tuple[int, ...]]]
+    doubled: tuple[int, ...]
 
 
 @functools.lru_cache(maxsize=16)
@@ -138,7 +146,8 @@ def _group_codes(A: AbelianGroup) -> _GroupCodes:
         else:
             solve[c] = tuple(sols)
     return _GroupCodes(code, {x: a for a, x in code.items()}, terms,
-                       tuple(reduce), one, solve)
+                       tuple(reduce), one, solve,
+                       tuple(sorted({terms[-2][x] for x in code.values()})))
 
 
 def _domain(values: Sequence[int]) -> tuple[tuple[int, ...], frozenset]:
@@ -208,6 +217,13 @@ class _Plan(NamedTuple):
     `_Step` per depth.  reduce is the codes' reduce row, neg their
     terms[1] row, which maps a code to its negative, and size the order
     of the group.
+
+    components lists the components of the listed edges, in the order of
+    their last vertices, each as (plus, minus, unbalanced, last): a
+    boundary's sum over plus less its sum over minus (`_signed_sum`) is 0
+    on a balanced component, whose switching gives plus the sign +1 and
+    puts its last vertex there, and lies in 2A on an unbalanced one, whose
+    vertices are all in plus.
     """
 
     m: int
@@ -217,6 +233,7 @@ class _Plan(NamedTuple):
     reduce: Sequence[int]
     neg: Sequence[int]
     size: int
+    components: list[tuple[list[int], list[int], bool, int]]
 
 
 def _plan(g: SignedGraph, edges: Sequence[int], codes: _GroupCodes) -> _Plan:
@@ -228,8 +245,10 @@ def _plan(g: SignedGraph, edges: Sequence[int], codes: _GroupCodes) -> _Plan:
     last one.  A reverse pass then grows the open edges from the last step
     back, merging the smaller component into the larger, each vertex
     keeping its component and its sign in a switching of it; a component
-    that meets an unbalanced cycle is marked.  So planning takes
-    O(m log m) for m edges, plus the vertex lists of the closed parts."""
+    that meets an unbalanced cycle is marked.  The pass ends with every
+    edge open, so its components are those of all the listed edges.  So
+    planning takes O(m log m) for m edges, plus the vertex lists of the
+    closed parts."""
     terms, one, solve = codes.terms, codes.one, codes.solve
     n = g.n
     bfs, _ = _tree_order(g, spanning_forest(g, edges), range(n))
@@ -345,8 +364,18 @@ def _plan(g: SignedGraph, edges: Sequence[int], codes: _GroupCodes) -> _Plan:
         minus[ku] += mk
         count[ku] += count[kw]
         unbalanced[ku] = unbalanced[ku] or unbalanced[kw]
+    components = []
+    for t in range(n - 1, -1, -1):
+        k = comp[t]
+        if count[k]:  # t is the last vertex of k, which is read once
+            count[k] = 0
+            components.append(
+                (plus[k] + minus[k], [], True, t) if unbalanced[k]
+                else (plus[k], minus[k], False, t) if sign[t] > 0
+                else (minus[k], plus[k], False, t))
+    components.reverse()
     return _Plan(g.m, bare, idle, steps, codes.reduce, terms[1],
-                 len(codes.code))
+                 len(codes.code), components)
 
 
 def _signed_sum(residual: Sequence[int], reduce: Sequence[int],
@@ -575,18 +604,23 @@ def satisfy_boundary(
     of fbar matters, not nowhere-zeroness).
 
     beta must give an element of A for every vertex, fbar one for every
-    edge, and beta must be an A-boundary (sum = 2a for some a), a
-    necessary condition for solvability; ValueError otherwise.
+    edge, and beta must be an A-boundary, a necessary condition for
+    solvability; ValueError otherwise.  beta is one when, on each component
+    K of g, its sum over K lies in 2A if K is unbalanced, and sum s(v)
+    beta(v) over K is 0 if K is balanced, s a switching that makes every
+    edge of K positive (Li-Luo-Ma-Zhang, SIAM J. Discrete Math. 2018).
     """
-    _check_boundary_inputs(g, A, beta, fbar)
-    return _search_group(_plan(g, range(g.m), _group_codes(A)), A, beta,
-                         fbar, allow_zero)
+    plan = _plan(g, range(g.m), _group_codes(A))
+    _check_boundary_inputs(g, A, beta, fbar, plan)
+    return _search_group(plan, A, beta, fbar, allow_zero)
 
 
 def _check_boundary_inputs(g: SignedGraph, A: AbelianGroup,
                            beta: Sequence[Elem],
-                           fbar: Optional[Sequence[Elem]]) -> None:
-    """satisfy_boundary's checks of beta and fbar."""
+                           fbar: Optional[Sequence[Elem]],
+                           plan: _Plan) -> None:
+    """satisfy_boundary's checks of beta and fbar, the boundary rule read
+    off the components of plan, a plan of every edge of g over A."""
     if len(beta) != g.n:
         raise ValueError(f"beta has {len(beta)} entries for {g.n} vertices")
     if fbar is not None and len(fbar) != g.m:
@@ -594,8 +628,18 @@ def _check_boundary_inputs(g: SignedGraph, A: AbelianGroup,
     for a in itertools.chain(beta, fbar or ()):
         if not A.contains(a):
             raise ValueError(f"{a} is not an element of {A}")
-    if is_A_boundary(A, beta) is None:
-        raise ValueError("beta is not an A-boundary (sum not of the form 2a)")
+    codes = _group_codes(A)
+    values = [codes.code[tuple(b)] for b in beta]
+    for part in plan.components:
+        s = _signed_sum(values, plan.reduce, plan.neg, part)
+        if part[2] and s not in codes.doubled:
+            raise ValueError(
+                "beta is not an A-boundary: its sum over the unbalanced"
+                f" component of vertex {part[3]} is not of the form 2a")
+        if not part[2] and s:
+            raise ValueError(
+                "beta is not an A-boundary: its switched sum over the"
+                f" balanced component of vertex {part[3]} is not zero")
 
 
 def _search_group(plan: _Plan, A: AbelianGroup, beta: Sequence[Elem],
@@ -635,14 +679,43 @@ class ConnectivityVerdict:
         self.checked = checked
 
 
-def _all_boundaries(g: SignedGraph, A: AbelianGroup):
-    """Every beta with sum(beta) in 2A, zero boundary first."""
-    doubled = sorted({A.add(a, a) for a in A.elements()})
-    elems = sorted(A.elements())
-    for head in itertools.product(elems, repeat=g.n - 1):
-        partial = A.sum(head)
-        for target in doubled:
-            yield list(head) + [A.sub(target, partial)]
+def _free_vertices(plan: _Plan, n: int) -> list[int]:
+    """The vertices an A-boundary takes any value at: all of the n but
+    the last vertex of each component."""
+    last = {part[3] for part in plan.components}
+    return [v for v in range(n) if v not in last]
+
+
+def _complete(plan: _Plan, beta: list[int], targets: Sequence[int]) -> None:
+    """Solve beta, as codes, at each component's last vertex, from its
+    values at the other vertices: so that its signed sum over the
+    component (`_Plan.components`) is that component's entry of targets,
+    in component order."""
+    reduce, neg = plan.reduce, plan.neg
+    for part, target in zip(plan.components, targets):
+        t = part[3]
+        beta[t] = 0  # so that the sum reads the other vertices alone
+        beta[t] = reduce[target + neg[_signed_sum(beta, reduce, neg, part)]]
+
+
+def _all_boundaries(plan: _Plan, codes: _GroupCodes, n: int):
+    """Every A-boundary of the graph of plan, on n vertices, as codes,
+    zero boundary first: the free vertices (`_free_vertices`) take every
+    element, in lexicographic order of their values in vertex order; for
+    each, every unbalanced component's sum takes every element of 2A in
+    element order, the last component's fastest, and each component's last
+    vertex is solved for (`_complete`).  On a connected unbalanced graph,
+    vertices 0 to n - 2 take every element and the sum every element of
+    2A."""
+    free = _free_vertices(plan, n)
+    sums = [codes.doubled if part[2] else (0,) for part in plan.components]
+    beta = [0] * n
+    for head in itertools.product(codes.code.values(), repeat=len(free)):
+        for v, x in zip(free, head):
+            beta[v] = x
+        for targets in itertools.product(*sums):
+            _complete(plan, beta, targets)
+            yield list(beta)
 
 
 def _digit_places(g: SignedGraph) -> list[int]:
@@ -734,9 +807,10 @@ def is_A_connected(
     reachable boundaries.  "no" names the first boundary missed in
     `_all_boundaries` order (the zero map when no flow exists) and counts
     the boundaries up to it.  Sampling mode (samples at least 1): seeded
-    random (beta, fbar) pairs, valid by construction (values from A, and
-    beta's last entry puts its sum in 2A), verdict "sampled-yes" if none
-    fails.
+    random (beta, fbar) pairs, valid by construction (values from A at
+    the free vertices, then a sum from 2A per unbalanced component, each
+    component's last vertex solved for, as `_all_boundaries` orders them),
+    verdict "sampled-yes" if none fails.
     """
     if samples is None:
         work = (g.m + 1) * A.order ** g.n
@@ -749,7 +823,8 @@ def is_A_connected(
     if g.n == 0:
         raise ValueError("a graph with no vertices has no boundaries")
     # every search below is of all of g: plan once
-    plan = _plan(g, range(g.m), _group_codes(A))
+    codes = _group_codes(A)
+    plan = _plan(g, range(g.m), codes)
     if samples is None:
         # The zero boundary comes first in _all_boundaries order, so one
         # search for a nowhere-zero flow can settle a "no" before the sweep.
@@ -765,31 +840,43 @@ def is_A_connected(
             pass
         place = _digit_places(g)
         reach = _reachable_boundaries(g, A, place)
-        # every boundary sums to an element of 2A, so reach holds no other map
-        doubled = len({A.add(a, a) for a in A.elements()})
-        total = A.order ** (g.n - 1) * doubled
+        # every boundary is an A-boundary, so reach holds no other map
+        unbalanced = sum(part[2] for part in plan.components)
+        total = (A.order ** (g.n - len(plan.components))
+                 * len(codes.doubled) ** unbalanced)
         if reach.bit_count() == total:
             return ConnectivityVerdict("yes", checked=total)
-        rank = {a: i for i, a in enumerate(sorted(A.elements()))}
+        rank = {x: i for i, x in enumerate(codes.code.values())}
         stride = [A.order ** (g.n - 1 - p) for p in place]
         bits = reach.to_bytes((A.order ** g.n + 7) // 8, "little")
         count = 0
-        for beta in _all_boundaries(g, A):
+        for beta in _all_boundaries(plan, codes, g.n):
             count += 1
             code = sum(rank[b] * s for b, s in zip(beta, stride))
             if not bits[code >> 3] >> (code & 7) & 1:
-                return ConnectivityVerdict("no", witness_beta=beta, checked=count)
+                return ConnectivityVerdict(
+                    "no", witness_beta=[codes.elem[b] for b in beta],
+                    checked=count)
         raise AssertionError("reachable boundaries miss one, but no boundary"
                              " is missing")
+    # Each pair is drawn as codes, which follow the order of the elements,
+    # so the stream picks what it would pick from the sorted elements.
     rng = random.Random(seed)
-    elems = sorted(A.elements())
-    doubled = sorted({A.add(a, a) for a in A.elements()})
+    choice = rng.choice
+    every = tuple(codes.code.values())
+    avoid = _avoiding(A)[False]
+    free = _free_vertices(plan, g.n)
+    beta = [0] * g.n
     for i in range(samples):
-        beta = [rng.choice(elems) for _ in range(g.n - 1)]
-        target = rng.choice(doubled)
-        beta.append(A.sub(target, A.sum(beta)))
-        fbar = [rng.choice(elems) for _ in range(g.m)]
-        if _search_group(plan, A, beta, fbar, False) is None:
-            return ConnectivityVerdict("no", witness_beta=beta, witness_fbar=fbar,
+        for v in free:
+            beta[v] = choice(every)
+        _complete(plan, beta, [choice(codes.doubled) if part[2] else 0
+                               for part in plan.components])
+        fbar = [choice(every) for _ in range(g.m)]
+        if _walk(plan, [avoid[x] for x in fbar], beta) is None:
+            elem = codes.elem
+            return ConnectivityVerdict("no",
+                                       witness_beta=[elem[x] for x in beta],
+                                       witness_fbar=[elem[x] for x in fbar],
                                        checked=i + 1)
     return ConnectivityVerdict("sampled-yes", checked=samples)

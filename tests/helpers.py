@@ -20,8 +20,9 @@ from sgflow.decompose import (BASE_SUN, GENERAL, _check,
                               violating_balanced_cut)
 from sgflow.duality import PLANE, PROJECTIVE, EmbeddedGraph
 from sgflow.flows import circulation_coeffs
-from sgflow.generators import random_cubic_3connected
-from sgflow.oracle import _all_boundaries, satisfy_boundary
+from sgflow.generators import (k4, k4_negative_triangle,
+                               random_cubic_3connected)
+from sgflow.oracle import satisfy_boundary
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
                                cycle_sign, cycles_within, k_closure,
                                order_cycle)
@@ -163,6 +164,16 @@ def doubled_k4_bridge() -> SignedGraph:
              for u, v in itertools.combinations(range(base, base + 4), 2)
              for _ in range(2)]
     return SignedGraph(8, tuple(edges + [(3, 4, PLUS)]))
+
+
+def two_components() -> SignedGraph:
+    """K4 with a negative triangle on the even vertices and an all-positive
+    K4 on the odd ones: an unbalanced and a balanced component, with their
+    vertices interleaved."""
+    return SignedGraph(8, tuple(
+        (2 * u + side, 2 * v + side, sign)
+        for side, g in enumerate((k4_negative_triangle(), k4()))
+        for u, v, sign in g.edges))
 
 
 def host_with_sun(n: int) -> tuple[SignedGraph, NegativeSun]:
@@ -659,12 +670,107 @@ def brute_boundaries(g: SignedGraph, domains, zero, add, neg) -> set:
     return reach
 
 
+# -- A-boundaries, per component ------------------------------------------------
+# A boundary's sum over a component K of the graph lies in 2A when K is
+# unbalanced, and its sum switched to all-positive is zero when K is
+# balanced.  These forms find the components and switchings by a search of
+# their own and compute in ReferenceGroup; sgflow.oracle reads both off its
+# plan and must accept, enumerate and draw the same boundaries.
+
+def reference_switchings(g: SignedGraph) -> list:
+    """The components of g in the order of their last vertices, each as
+    its vertices in increasing order and a switching s (vertex -> +-1)
+    under which every edge of it is positive, or None if it is
+    unbalanced (a negative loop included)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for u, w, sign in g.edges:
+        adj[u].append((w, sign))
+        adj[w].append((u, sign))
+    s: dict[int, int] = {}
+    out = []
+    for root in range(g.n):
+        if root in s:
+            continue
+        s[root], stack, vertices, balanced = 1, [root], [root], True
+        while stack:
+            x = stack.pop()
+            for y, sign in adj[x]:
+                if y not in s:
+                    s[y] = s[x] * sign
+                    vertices.append(y)
+                    stack.append(y)
+                elif s[y] != s[x] * sign:
+                    balanced = False
+        vertices.sort()
+        out.append((vertices, {v: s[v] for v in vertices} if balanced
+                    else None))
+    return sorted(out, key=lambda comp: comp[0][-1])
+
+
+def reference_is_A_boundary(g: SignedGraph, A, beta) -> bool:
+    """Whether beta sums into 2A on every unbalanced component of g and
+    to zero, switched, on every balanced one."""
+    R = ReferenceGroup(A.factors)
+    doubled = {R.add(a, a) for a in A.elements()}
+    for vertices, s in reference_switchings(g):
+        if s is None:
+            if R.sum(beta[v] for v in vertices) not in doubled:
+                return False
+        elif R.sum(beta[v] if s[v] > 0 else R.neg(beta[v])
+                   for v in vertices) != R.zero:
+            return False
+    return True
+
+
+def reference_complete_boundary(g: SignedGraph, A, head, sums) -> list:
+    """The A-boundary with the values head at the vertices that are not
+    the last of their component, in vertex order, and with the sums given
+    by sums over the unbalanced components, in the order of their last
+    vertices: each last vertex is solved for."""
+    R = ReferenceGroup(A.factors)
+    comps = reference_switchings(g)
+    last = {vertices[-1] for vertices, _ in comps}
+    beta: list = [None] * g.n
+    values, targets = iter(head), iter(sums)
+    for v in range(g.n):
+        if v not in last:
+            beta[v] = next(values)
+    for vertices, s in comps:
+        *rest, t = vertices
+        if s is None:
+            beta[t] = R.sub(next(targets), R.sum(beta[v] for v in rest))
+        else:  # s(t) beta(t) cancels the switched sum over the rest
+            x = R.neg(R.sum(beta[v] if s[v] > 0 else R.neg(beta[v])
+                            for v in rest))
+            beta[t] = x if s[t] > 0 else R.neg(x)
+    return beta
+
+
+def reference_boundary_shape(g: SignedGraph) -> tuple[int, int]:
+    """(vertices that are not the last of their component, unbalanced
+    components): how many values and sums an A-boundary of g is free in."""
+    comps = reference_switchings(g)
+    return g.n - len(comps), sum(s is None for _, s in comps)
+
+
+def reference_boundaries(g: SignedGraph, A):
+    """Every A-boundary of g, zero first, in the order sgflow.oracle's
+    exact mode names its witness: the free values in lexicographic order,
+    and for each the unbalanced components' sums, through 2A in order."""
+    free, unbalanced = reference_boundary_shape(g)
+    elems = sorted(A.elements())
+    doubled = sorted({A.add(a, a) for a in elems})
+    for head in itertools.product(elems, repeat=free):
+        for sums in itertools.product(doubled, repeat=unbalanced):
+            yield reference_complete_boundary(g, A, head, sums)
+
+
 def reference_is_A_connected(g: SignedGraph, A) -> tuple:
     """(status, witness_beta, checked) of exact A-connectivity by one
-    boundary search per A-boundary, in _all_boundaries order: the first
-    boundary no nowhere-zero map satisfies is the witness."""
+    boundary search per A-boundary, in reference_boundaries order: the
+    first boundary no nowhere-zero map satisfies is the witness."""
     count = 0
-    for beta in _all_boundaries(g, A):
+    for beta in reference_boundaries(g, A):
         count += 1
         if satisfy_boundary(g, A, beta) is None:
             return "no", beta, count
@@ -676,14 +782,17 @@ def reference_sampled_is_A_connected(g: SignedGraph, A, samples: int,
     """(status, checked, witness_beta, witness_fbar) of sampled
     A-connectivity by one satisfy_boundary call per sample, each planning
     its own search: the same seeded (beta, fbar) pairs in the same order as
-    sgflow.oracle.is_A_connected, which plans once per call."""
+    sgflow.oracle.is_A_connected, which plans once per call.  A pair draws
+    the free values in vertex order, then a sum from 2A per unbalanced
+    component, then fbar."""
     rng = random.Random(seed)
     elems = sorted(A.elements())
     doubled = sorted({A.add(a, a) for a in A.elements()})
+    free, unbalanced = reference_boundary_shape(g)
     for i in range(samples):
-        beta = [rng.choice(elems) for _ in range(g.n - 1)]
-        target = rng.choice(doubled)
-        beta.append(A.sub(target, A.sum(beta)))
+        head = [rng.choice(elems) for _ in range(free)]
+        sums = [rng.choice(doubled) for _ in range(unbalanced)]
+        beta = reference_complete_boundary(g, A, head, sums)
         fbar = [rng.choice(elems) for _ in range(g.m)]
         if satisfy_boundary(g, A, beta, fbar=fbar) is None:
             return "no", i + 1, beta, fbar
@@ -709,7 +818,8 @@ def reference_group_arithmetic(A) -> tuple:
             return [r]
         if c == -1:
             return [A.neg(r)]
-        return A.halving_preimages(r if c > 0 else A.neg(r))
+        r = r if c > 0 else A.neg(r)
+        return [x for x in A.elements() if A.add(x, x) == r]
 
     return (A.zero, A.add, A.sub, A.smul, solve)
 

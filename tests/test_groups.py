@@ -6,15 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (ReferenceGroup, random_connected_graph, random_elem,
-                     random_fbar, reference_boundary, signed_multigraphs)
+                     random_fbar, reference_boundary, reference_is_A_boundary,
+                     signed_multigraphs)
 from sgflow import flows
 from sgflow.core import MINUS, PLUS, SignedGraph
 from sgflow.duality import k6_projective_embedding
 from sgflow.generators import petersen, petersen_2neg
 from sgflow.groups import (AbelianGroup, AvoidanceCertificate, boundary,
-                           format_map, integer_boundary, is_A_boundary,
-                           is_flow, is_prime, minimal_subgroup, parse_group,
-                           parse_map)
+                           format_map, integer_boundary, is_flow, is_prime,
+                           minimal_subgroup, parse_group, parse_map)
+from sgflow.oracle import _group_codes
 
 # cyclic groups, which compute on one coordinate, and products
 ARITHMETIC_GROUPS = ("Z2", "Z3", "Z5", "Z6", "Z7", "Z8", "Z9", "Z11", "Z13",
@@ -133,11 +134,16 @@ def test_group_arithmetic():
 
 
 def test_halving_preimages():
+    # the search kernel's rows of every x with 2 x = r, in element order
+    def halvings(A, r):
+        codes = _group_codes(A)
+        return [codes.elem[x] for x in codes.solve[2][codes.code[r]]]
+
     Z4 = parse_group("Z4")
-    assert sorted(Z4.halving_preimages((2,))) == [(1,), (3,)]
+    assert halvings(Z4, (2,)) == [(1,), (3,)]
     V = parse_group("Z2xZ2")
-    assert sorted(V.halving_preimages((0, 0))) == sorted(V.elements())
-    assert V.halving_preimages((1, 0)) == []
+    assert halvings(V, (0, 0)) == sorted(V.elements())
+    assert halvings(V, (1, 0)) == []
 
 
 def test_is_prime():
@@ -168,7 +174,7 @@ def test_boundary_sum_is_a_doubled_element():
         A = parse_group(rng.choice(["Z5", "Z6", "Z2xZ4", "Z9"]))
         f = random_fbar(rng, A, g.m)
         b = boundary(g, f, A)
-        assert is_A_boundary(A, b) is not None
+        assert reference_is_A_boundary(g, A, b)
 
 
 def test_is_flow_and_nowhere_zero():

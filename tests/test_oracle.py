@@ -1,27 +1,31 @@
 """Exact backtracking oracles: boundary satisfaction, flows, connectivity."""
 
+import itertools
 import operator
 import random
 import sys
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, \
+    strategies as st
 
 from helpers import CUBIC_GRAPHS, REFERENCE_INTEGERS, brute_boundaries, \
     cubic_2unbalanced, doubled_k4_bridge, random_connected_graph, \
-    random_elem, random_fbar, reference_closed_parts, \
-    reference_group_arithmetic, reference_group_codes, \
+    random_elem, random_fbar, reference_boundaries, \
+    reference_boundary_shape, reference_closed_parts, \
+    reference_complete_boundary, reference_group_arithmetic, \
+    reference_group_codes, reference_is_A_boundary, \
     reference_is_A_connected, reference_plan, \
     reference_sampled_is_A_connected, reference_search, reference_walk, \
     connected_multigraphs, signed_cubic_3connected, signed_multigraphs, \
-    theorem_instances
+    theorem_instances, two_components
 from sgflow import oracle
 from sgflow.core import (DeskScaleError, MINUS, PLUS, SignedGraph,
-                         end_coeffs, is_k_unbalanced)
+                         end_coeffs)
 from sgflow.flows import z2_to_3flow
 from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
                                petersen_2neg, random_cubic_3connected)
-from sgflow.groups import (boundary, integer_boundary, is_A_boundary, is_flow,
+from sgflow.groups import (AbelianGroup, boundary, integer_boundary, is_flow,
                            parse_group)
 from sgflow.oracle import (_OverBudget, _check_boundary_inputs, _domain,
                            _group_codes, _plan, _search_group, _walk,
@@ -120,7 +124,7 @@ def test_pendant_edge_blocks_zero_boundary():
     assert has_nz_A_flow(g, A) is None
     verdict = is_A_connected(g, A)
     assert verdict.status == "no"
-    assert is_A_boundary(A, verdict.witness_beta) is not None
+    assert reference_is_A_boundary(g, A, verdict.witness_beta)
 
 
 def test_exact_mode_settles_a_missed_zero_boundary_by_one_search():
@@ -229,6 +233,75 @@ def test_exact_mode_answers_k4_negtri_past_order_nine(spec, doubled):
         ("yes", int(spec[1:]) ** 3 * doubled)
 
 
+def _brute_positive_k4_boundaries(q: int) -> set:
+    """The boundaries of every nowhere-zero map over Z_q on all-positive K4
+    (each edge adds its value at its first end and takes it at its second),
+    in integers mod q alone."""
+    edges = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
+    reached = set()
+    for f in itertools.product(range(1, q), repeat=len(edges)):
+        b = [0] * 4
+        for (u, v), x in zip(edges, f):
+            b[u] += x
+            b[v] -= x
+        reached.add(tuple(x % q for x in b))
+    return reached
+
+
+@pytest.mark.parametrize("q", [5, 6, 7])
+def test_exact_mode_answers_balanced_k4(q):
+    # a balanced graph's boundaries have zero sum: nowhere-zero maps reach
+    # all q^3 of them.  The sum-in-2A rule asked for more and answered "no"
+    # at checked 2 (witness (0, 0, 0, 1) over Z5 and Z7, (0, 0, 0, 2) over
+    # Z6).
+    reached = _brute_positive_k4_boundaries(q)
+    assert len(reached) == q ** 3
+    assert all(sum(b) % q == 0 for b in reached)
+    verdict = is_A_connected(k4(), parse_group(f"Z{q}"))
+    assert (verdict.status, verdict.checked) == ("yes", q ** 3)
+
+
+def test_balanced_k4_over_an_exponent_2_group_is_still_connected():
+    verdict = is_A_connected(k4(), parse_group("Z2xZ2xZ2"))
+    assert (verdict.status, verdict.checked) == ("yes", 8 ** 3)
+
+
+def test_satisfy_boundary_rejects_a_balanced_graphs_nonzero_sum():
+    # (0, 0, 0, 1) sums into 2A = Z5, but on a balanced graph a boundary
+    # sums to zero; it used to get None, "no flow", instead of the error
+    with pytest.raises(ValueError, match="balanced component of vertex 3"):
+        satisfy_boundary(k4(), parse_group("Z5"), [(0,), (0,), (0,), (1,)])
+
+
+# a negative digon on {0, 2}, balanced once 2 is switched, a negative loop
+# at 1, and vertex 3 alone: a balanced, an unbalanced and a trivial component
+THREE_PARTS = SignedGraph(4, ((0, 2, MINUS), (2, 0, MINUS), (1, 1, MINUS)))
+
+
+@pytest.mark.parametrize("g, spec", [
+    (k4(), "Z4"), (k4_negative_triangle(), "Z4"), (k4(), "Z2xZ2"),
+    (THREE_PARTS, "Z4"), (THREE_PARTS, "Z6"), (two_components(), "Z3")])
+def test_reference_boundaries_are_every_A_boundary_once(g, spec):
+    A = parse_group(spec)
+    listed = [tuple(b) for b in reference_boundaries(g, A)]
+    assert listed[0] == (A.zero,) * g.n
+    every = [b for b in itertools.product(sorted(A.elements()), repeat=g.n)
+             if reference_is_A_boundary(g, A, b)]
+    assert sorted(listed) == every  # so no boundary is listed twice
+
+
+@pytest.mark.parametrize("g, spec", [
+    (k4(), "Z4"), (k4_negative_triangle(), "Z4"), (k4(), "Z2xZ2"),
+    (THREE_PARTS, "Z4"), (THREE_PARTS, "Z6"), (two_components(), "Z3")])
+def test_exact_mode_enumerates_boundaries_in_the_reference_order(g, spec):
+    A = parse_group(spec)
+    codes = _group_codes(A)
+    plan = _plan(g, range(g.m), codes)
+    listed = [[codes.elem[x] for x in b]
+              for b in oracle._all_boundaries(plan, codes, g.n)]
+    assert listed == list(reference_boundaries(g, A))
+
+
 def test_has_nz_k_flow_is_not_limited_by_edge_count():
     # 39 edges: has_nz_k_flow used to refuse past 18
     g = cubic_2unbalanced(26, "past-the-edge-limit")
@@ -248,26 +321,52 @@ def test_nz_k_flow_at_larger_k_on_39_edges(seed, k):
     assert integer_boundary(g, f) == [0] * g.n
 
 
-@pytest.mark.parametrize("spec", ["Z6", "Z8", "Z9", "Z2xZ2xZ2"])
+@pytest.mark.parametrize("spec", ["Z5", "Z6", "Z8", "Z9", "Z2xZ2xZ2"])
 def test_sampling_mode_draws_valid_pairs(monkeypatch, spec):
     # sampled mode does not check the pairs it draws: each must pass the
-    # checks satisfy_boundary gives a caller's input
-    search, drawn = oracle._search_group, []
-
-    def capture(plan, A, beta, fbar, allow_zero, budget=None):
-        drawn.append((beta, fbar))
-        return search(plan, A, beta, fbar, allow_zero, budget)
-
-    monkeypatch.setattr(oracle, "_search_group", capture)
+    # checks satisfy_boundary gives a caller's input, and the per-component
+    # rule of the reference, on balanced and disconnected graphs too
+    walk, drawn = oracle._walk, []
     A = parse_group(spec)
+    codes = _group_codes(A)
+
+    # an edge's domain is _avoiding's for the code of its fbar value
+    fbar_of = {id(d): codes.elem[x] for x, d in
+               oracle._avoiding(A)[False].items() if x is not None}
+
+    def capture(plan, domains, beta, budget=None):
+        drawn.append(([codes.elem[x] for x in beta],
+                      [fbar_of[id(d)] for d in domains]))
+        return walk(plan, domains, beta, budget)
+
+    monkeypatch.setattr(oracle, "_walk", capture)
     loops = SignedGraph(1, ((0, 0, MINUS), (0, 0, MINUS)))
-    for g in (petersen(), petersen_2neg(), k4_negative_triangle(), loops):
-        assert is_k_unbalanced(g, 2)
+    for g in (petersen(), petersen_2neg(), k4_negative_triangle(), loops,
+              k4(), two_components()):
         drawn.clear()
         verdict = is_A_connected(g, A, samples=40, seed=3)
         assert len(drawn) == verdict.checked > 0
+        plan = _plan(g, range(g.m), codes)
         for beta, fbar in drawn:
-            _check_boundary_inputs(g, A, beta, fbar)
+            _check_boundary_inputs(g, A, beta, fbar, plan)
+            assert reference_is_A_boundary(g, A, beta)
+
+
+def test_sampling_mode_draws_without_element_arithmetic(monkeypatch):
+    # inside its loop sampling mode computes on codes: no boundary search
+    # through element tuples, and no sums or differences of elements
+    def banned(*args, **kwargs):
+        raise AssertionError("sampling mode computed with element tuples")
+
+    monkeypatch.setattr(oracle, "_search_group", banned)
+    monkeypatch.setattr(AbelianGroup, "sum", banned)
+    monkeypatch.setattr(AbelianGroup, "sub", banned)
+    for g in (petersen(), k4(), two_components(), negsun(3)):
+        for spec in ("Z6", "Z9", "Z2xZ2xZ2"):
+            verdict = is_A_connected(g, parse_group(spec), samples=30, seed=5)
+            assert verdict.checked > 0
+    assert is_A_connected(negsun(3), parse_group("Z6"), samples=30,
+                          seed=5).status == "no"
 
 
 # -- the search kernel against every map ------------------------------------------
@@ -298,9 +397,10 @@ def _elements(draw, A, count):
 def test_satisfy_boundary_matches_every_map(g, spec, with_fbar,
                                             allow_zero, data):
     A = parse_group(spec)
-    head = _elements(data.draw, A, g.n - 1)
-    (a,) = _elements(data.draw, A, 1)
-    beta = head + [A.sub(A.add(a, a), A.sum(head))]
+    free, unbalanced = reference_boundary_shape(g)
+    head = _elements(data.draw, A, free)
+    beta = reference_complete_boundary(g, A, head, [
+        A.add(a, a) for a in _elements(data.draw, A, unbalanced)])
     fbar = _elements(data.draw, A, g.m) if with_fbar else None
     domains = [[x for x in A.elements()
                 if (allow_zero or x != A.zero)
@@ -847,10 +947,15 @@ SAMPLED_GROUPS = ("Z6", "Z8", "Z9", "Z2xZ2xZ2", "Z3xZ3")
                  connected_multigraphs(n_hi=6, extra_hi=4)),
        st.sampled_from(SAMPLED_GROUPS), st.integers(1, 12),
        st.integers(0, 2 ** 16))
+@example(k4(), "Z6", 12, 0)
+@example(k4(), "Z9", 12, 1)
+@example(two_components(), "Z6", 12, 2)
+@example(two_components(), "Z3xZ3", 12, 3)
 def test_sampling_mode_matches_one_search_per_sample(g, spec, samples, seed):
     # cubic 3-connected graphs, and connected multigraphs (n <= 6, loops of
     # both signs and parallel edges) that often answer "no"; at most four
-    # edges beyond a tree keep each exhaustive "no" small
+    # edges beyond a tree keep each exhaustive "no" small.  All-positive K4
+    # and a graph of two components, one balanced, draw per component.
     A = parse_group(spec)
     want = reference_sampled_is_A_connected(g, A, samples, seed)
     event(f"verdict: {want[0]}")
