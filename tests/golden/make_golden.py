@@ -37,7 +37,7 @@ from pathlib import Path
 
 from sgflow import oracle
 from sgflow.core import (MINUS, contract_set, edge_connectivity, format_sg,
-                         is_k_unbalanced)
+                         is_balanced, is_k_unbalanced)
 from sgflow.duality import k6_projective_embedding
 from sgflow.flows import connect, format_avoidance, z2_to_3flow
 from sgflow.generators import (k4, k4_negative_triangle, petersen,
@@ -177,6 +177,9 @@ def witness_records():
 
     for name, make in GRAPHS.items():
         g = make()
+        # every graph here is connected: a boundary sums into 2A, or, on a
+        # balanced graph, to zero once switched by s
+        switched = is_balanced(g).switching_set
         for spec in ("Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2"):
             A = parse_group(spec)
             yield {"call": "has_nz_A_flow", "graph": name, "group": spec}
@@ -184,10 +187,16 @@ def witness_records():
                    "fbar": draw(A, g.m)}
             for allow_zero in (False, True):
                 head = draw(A, g.n - 1)
-                (a,) = draw(A, 1)
+                (a,) = draw(A, 1)  # drawn on a balanced graph too
+                if switched is None:
+                    last = A.sub(A.add(a, a), A.sum(head))
+                else:
+                    last = A.neg(A.sum(
+                        A.neg(b) if v in switched else b
+                        for v, b in enumerate(head)))
+                    last = A.neg(last) if g.n - 1 in switched else last
                 yield {"call": "satisfy_boundary", "graph": name,
-                       "group": spec,
-                       "beta": head + [A.sub(A.add(a, a), A.sum(head))],
+                       "group": spec, "beta": head + [last],
                        "fbar": draw(A, g.m), "allow_zero": allow_zero}
         for k in (2, 3, 4, 5):
             yield {"call": "has_nz_k_flow", "graph": name, "k": k}
