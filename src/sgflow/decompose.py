@@ -56,9 +56,10 @@ from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _blocks,
                    _negative_xor, component_count, is_balanced,
                    is_cyclically_k_edge_connected, simple_paths,
                    spanning_forest)
-from .structures import (CycleRef, NegativeSun, all_cycles, as_negative_sun,
-                         cycles_within, extend_closure, find_peripheral_cycle,
-                         fundamental_cycle, k_closure, order_cycle)
+from .structures import (ClosureResult, CycleRef, NegativeSun, all_cycles,
+                         as_negative_sun, cycles_within, extend_closure,
+                         find_peripheral_cycle, fundamental_cycle, k_closure,
+                         order_cycle)
 
 TREE_2BASE = "tree-2base"
 BASE_SUN = "base-sun"
@@ -457,9 +458,13 @@ def _peel(g: SignedGraph, mode: str, want_sign: Optional[int]
                                 frozenset(wp.c), sun)
 
 
-def _verified(g: SignedGraph, cert: PartitionCertificate
+def _verified(g: SignedGraph, cert: PartitionCertificate,
+              closure: Optional[ClosureResult] = None
               ) -> PartitionCertificate:
-    closure = k_closure(g, cert.x2, 2)
+    """cert, with X2's 2-closure steps, once _check_partition accepts it;
+    closure is that 2-closure when the caller has found it already."""
+    if closure is None:
+        closure = k_closure(g, cert.x2, 2)
     ok, reason = _check_partition(g, cert, closure.closure)
     if not ok:
         raise AssertionError(f"internal invariant breach: {reason}")
@@ -525,7 +530,7 @@ def decompose_general(g: SignedGraph) -> PartitionCertificate:
     # if the run actually gets stuck on bad input.  A broken invariant
     # (AssertionError) is a bug and passes through unchanged.
     try:
-        cert = _decompose_general_dispatch(g)
+        cert, closure = _decompose_general_dispatch(g)
     except ValueError as exc:
         short_pos = next((c for c in all_cycles(g)
                           if c.sign == PLUS and len(c) <= 5), None)
@@ -535,10 +540,14 @@ def decompose_general(g: SignedGraph) -> PartitionCertificate:
                 f"{sorted(short_pos.edges)} (precondition violated; "
                 f"dispatch failed: {exc})") from exc
         raise
-    return _verified(g, cert)
+    return _verified(g, cert, closure)
 
 
-def _decompose_general_dispatch(g: SignedGraph) -> PartitionCertificate:
+def _decompose_general_dispatch(g: SignedGraph
+                                ) -> tuple[PartitionCertificate,
+                                           Optional[ClosureResult]]:
+    """The certificate, and X2's 2-closure where finding the certificate
+    found it (None where it did not)."""
     if is_balanced(g).balanced:
         base = decompose_tree_2base(g)
     elif has_two_disjoint_cycles(g) is None:
@@ -556,16 +565,19 @@ def _decompose_general_dispatch(g: SignedGraph) -> PartitionCertificate:
                                      " peripheral cycle")
             x1.add(link)
         x2 = frozenset(range(g.m)) - frozenset(x1)
-        f = frozenset(range(g.m)) - k_closure(g, x2, 2).closure
-        return PartitionCertificate(GENERAL, frozenset(x1), x2, f)
+        closure = k_closure(g, x2, 2)
+        f = frozenset(range(g.m)) - closure.closure
+        return PartitionCertificate(GENERAL, frozenset(x1), x2, f), closure
     elif has_two_disjoint_cycles(g, want_negative=True) is not None:
         base = decompose_base_sun(g)
     else:
         # two disjoint cycles, one of them can be made negative, but no two
         # disjoint negative cycles: run the sun loop from a positive
         # peripheral cycle with unbalanced complement, without property (e)
-        return _peel(g, GENERAL, PLUS)
-    return PartitionCertificate(GENERAL, base.x1, base.x2, base.f, base.sun)
+        return _peel(g, GENERAL, PLUS), None
+    # the decomposition verified that X2's 2-closure is E - F
+    return (PartitionCertificate(GENERAL, base.x1, base.x2, base.f, base.sun),
+            ClosureResult(frozenset(range(g.m)) - base.f, base.steps))
 
 
 # -- degenerate sun shape -----------------------------------------------------------------

@@ -75,6 +75,27 @@ def test_general_decomposition_on_named_graphs():
         assert ok, why
 
 
+@pytest.mark.parametrize("g", [petersen(), petersen_2neg(), k4(),
+                               petersen(all_positive=True)],
+                         ids=["petersen", "petersen-2neg", "k4",
+                              "petersen-positive"])
+def test_general_decomposition_scans_the_2_closure_once(monkeypatch, g):
+    # the tree-2base and base-sun certificates it wraps, and its middle
+    # branch's F, come with X2's 2-closure, which its check scanned again
+    calls, closure = [], decompose.k_closure
+
+    def counted(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(decompose, "k_closure", counted)
+    cert = decompose_general(g)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert verify_partition(g, cert) == (True, "")
+    assert cert.steps == k_closure(g, cert.x2, 2).steps
+
+
 def test_general_decomposition_checks_cyclic_connectivity_first():
     # the cycle space has dimension 22, over the listing limit; the 3-cut
     # between the two prisms is bad input, found without listing cycles
