@@ -361,12 +361,11 @@ def test_sampling_mode_draws_without_element_arithmetic(monkeypatch):
     monkeypatch.setattr(oracle, "_search_group", banned)
     monkeypatch.setattr(AbelianGroup, "sum", banned)
     monkeypatch.setattr(AbelianGroup, "sub", banned)
-    for g in (petersen(), k4(), two_components(), negsun(3)):
-        for spec in ("Z6", "Z9", "Z2xZ2xZ2"):
-            verdict = is_A_connected(g, parse_group(spec), samples=30, seed=5)
-            assert verdict.checked > 0
-    assert is_A_connected(negsun(3), parse_group("Z6"), samples=30,
-                          seed=5).status == "no"
+    statuses = {is_A_connected(g, parse_group(spec), samples=30,
+                               seed=5).status
+                for g in (petersen(), k4(), two_components(), negsun(3))
+                for spec in ("Z6", "Z9", "Z2xZ2xZ2")}
+    assert statuses == {"sampled-yes", "no"}  # a "no" decodes its witness
 
 
 # -- the search kernel against every map ------------------------------------------
