@@ -163,17 +163,30 @@ def _cmd_connect(args) -> int:
     return EXIT_OK if cert.flow is not None else EXIT_NO
 
 
+# The options each oracle query reads; it refuses the others, which it
+# would ignore.
+_ORACLE_READS = {"a-connected": ("group", "samples", "seed"),
+                 "nz-flow": ("group",), "k-flow": ("k",)}
+
+
 def _cmd_oracle(args) -> int:
     from . import oracle
     from .groups import format_elem, format_map, parse_group
 
+    for flag in ("group", "k", "samples", "seed"):
+        if getattr(args, flag) is not None \
+                and flag not in _ORACLE_READS[args.kind]:
+            raise ValueError(f"{args.kind} does not read --{flag}")
+    if args.seed is not None and args.samples is None:
+        raise ValueError("--seed needs --samples: exact mode draws nothing")
     g = _load_graph(args.file)
     if args.kind == "a-connected":
         if args.group is None:
             raise ValueError("a-connected needs --group")
         A = parse_group(args.group)
-        verdict = oracle.is_A_connected(g, A, samples=args.samples,
-                                        seed=args.seed)
+        verdict = oracle.is_A_connected(
+            g, A, samples=args.samples,
+            seed=0 if args.seed is None else args.seed)
         print(f"a-connected {verdict.status} checked {verdict.checked}")
         if verdict.status == "no":
             beta = " ".join(map(format_elem, verdict.witness_beta))
@@ -282,13 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_connect)
 
     p = sub.add_parser("oracle", help="exhaustive ground-truth queries")
-    p.add_argument("kind", choices=["a-connected", "nz-flow", "k-flow"])
+    p.add_argument("kind", choices=list(_ORACLE_READS))
     p.add_argument("--group", default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="sampling mode: number of (boundary, map) samples,"
                    " at least 1")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="sampling mode's seed (default 0)")
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_oracle)
 

@@ -33,9 +33,11 @@ rule.  `_plan` finds the parts in one reverse pass over its steps.
 
 Each search is a depth-first walk of a plan, `_walk`, and sampled
 `is_A_connected` walks one plan for all its samples, drawing each pair
-directly as codes.  A branch dies as
-soon as no value fits.  A search for a zero boundary over
-domains closed under negation finds its solutions in pairs f, -f, so it
+directly as codes: seed S draws the pairs `random.Random(S).choice` would
+draw over the codes in element order (`_draw_into`), so its verdicts
+repeat across Python 3.10 to 3.13.  A branch dies as soon as no value
+fits.  A search for a zero boundary over domains closed under negation
+finds its solutions in pairs f, -f, so it
 tries only half the values of its first edge, which roughly halves its
 "no" proofs and changes no answer.
 
@@ -698,6 +700,22 @@ def _complete(plan: _Plan, beta: list[int], targets: Sequence[int]) -> None:
         beta[t] = reduce[target + neg[_signed_sum(beta, reduce, neg, part)]]
 
 
+def _draw_into(getrandbits, seq: Sequence[int], out: list[int],
+               places: Sequence[int]) -> None:
+    """Set out[i], for each i of places in turn, to the element of seq
+    that `random.Random.choice(seq)` draws on the stream of getrandbits: a
+    try of k = len(seq).bit_length() bits, repeated while it reads
+    len(seq) or more (`_randbelow` on CPython 3.10 to 3.13), without
+    choice's two Python frames per draw."""
+    n = len(seq)
+    k = n.bit_length()
+    for i in places:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out[i] = seq[r]
+
+
 def _all_boundaries(plan: _Plan, codes: _GroupCodes, n: int):
     """Every A-boundary of the graph of plan, on n vertices, as codes,
     zero boundary first: the free vertices (`_free_vertices`) take every
@@ -810,7 +828,9 @@ def is_A_connected(
     random (beta, fbar) pairs, valid by construction (values from A at
     the free vertices, then a sum from 2A per unbalanced component, each
     component's last vertex solved for, as `_all_boundaries` orders them),
-    verdict "sampled-yes" if none fails.
+    verdict "sampled-yes" if none fails.  The draws are those
+    `random.Random(seed).choice` makes over the elements in order, so a
+    seed gives the same verdict on Python 3.10 to 3.13.
     """
     if samples is None:
         work = (g.m + 1) * A.order ** g.n
@@ -861,18 +881,18 @@ def is_A_connected(
                              " is missing")
     # Each pair is drawn as codes, which follow the order of the elements,
     # so the stream picks what it would pick from the sorted elements.
-    rng = random.Random(seed)
-    choice = rng.choice
+    bits = random.Random(seed).getrandbits
     every = tuple(codes.code.values())
     avoid = _avoiding(A)[False]
     free = _free_vertices(plan, g.n)
-    beta = [0] * g.n
+    # a balanced component's target sum stays 0; an unbalanced one draws
+    drawn = [j for j, part in enumerate(plan.components) if part[2]]
+    beta, targets, fbar = [0] * g.n, [0] * len(plan.components), [0] * g.m
     for i in range(samples):
-        for v in free:
-            beta[v] = choice(every)
-        _complete(plan, beta, [choice(codes.doubled) if part[2] else 0
-                               for part in plan.components])
-        fbar = [choice(every) for _ in range(g.m)]
+        _draw_into(bits, every, beta, free)
+        _draw_into(bits, codes.doubled, targets, drawn)
+        _complete(plan, beta, targets)
+        _draw_into(bits, every, fbar, range(g.m))
         if _walk(plan, [avoid[x] for x in fbar], beta) is None:
             elem = codes.elem
             return ConnectivityVerdict("no",

@@ -259,6 +259,33 @@ def test_oracle_sampling_needs_at_least_one_sample(tmp_path, capsys, samples):
     assert (code, out) == (2, "") and "at least 1 sample" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("a-connected", "--group", "Z6", "--seed", "7"), "--seed"),
+    (("a-connected", "--group", "Z6", "--k", "4"), "--k"),
+    (("nz-flow", "--group", "Z6", "--samples", "5"), "--samples"),
+    (("nz-flow", "--group", "Z6", "--seed", "0"), "--seed"),
+    (("k-flow", "--k", "4", "--group", "Z6"), "--group"),
+    (("k-flow", "--k", "4", "--samples", "5", "--seed", "1"), "--samples"),
+])
+def test_oracle_refuses_a_flag_its_query_does_not_read(tmp_path, capsys,
+                                                        argv, flag):
+    # each ran without the flag and exited 0 or 1: exact mode for --seed
+    # alone, one search for nz-flow's --samples, k-flow with no group
+    gpath = write_graph(tmp_path, k4_negative_triangle())
+    code, out, err = run(capsys, "oracle", *argv, gpath)
+    assert (code, out) == (2, "") and flag in err
+
+
+def test_oracle_sampling_seeds_0_by_default(tmp_path, capsys):
+    # Petersen is not Z4-connected: the first pair of seed 0 fails, and its
+    # witness of 25 values would differ under another seed
+    gpath = write_graph(tmp_path, petersen())
+    argv = ("oracle", "a-connected", "--group", "Z4", "--samples", "20")
+    code, out, _ = run(capsys, *argv, gpath)
+    assert code == 1 and out.startswith("a-connected no checked 1\n")
+    assert run(capsys, *argv, "--seed", "0", gpath) == (code, out, "")
+
+
 def test_oracle_respects_desk_scale_limit(tmp_path, capsys, monkeypatch):
     gpath = write_graph(tmp_path, petersen())
     code, _, err = run(capsys, "oracle", "a-connected", "--group", "Z7", gpath)

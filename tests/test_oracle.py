@@ -28,7 +28,7 @@ from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
 from sgflow.groups import (AbelianGroup, boundary, integer_boundary, is_flow,
                            parse_group)
 from sgflow.oracle import (_OverBudget, _check_boundary_inputs, _domain,
-                           _group_codes, _plan, _search_group, _walk,
+                           _draw_into, _group_codes, _plan, _search_group, _walk,
                            has_nz_A_flow, has_nz_k_flow, integer_flow,
                            is_A_connected, satisfy_boundary)
 from sgflow.structures import all_cycles
@@ -366,6 +366,53 @@ def test_sampling_mode_draws_without_element_arithmetic(monkeypatch):
                 for g in (petersen(), k4(), two_components(), negsun(3))
                 for spec in ("Z6", "Z9", "Z2xZ2xZ2")}
     assert statuses == {"sampled-yes", "no"}  # a "no" decodes its witness
+
+
+def test_sampling_mode_draws_without_random_choice(monkeypatch):
+    # the draws read getrandbits directly (_draw_into), on choice's stream
+    def banned(self, seq):
+        raise AssertionError("sampling mode drew through Random.choice")
+
+    monkeypatch.setattr(random.Random, "choice", banned)
+    statuses = {is_A_connected(g, parse_group(spec), samples=30,
+                               seed=5).status
+                for g in (petersen(), k4(), two_components(), negsun(3))
+                for spec in ("Z6", "Z9", "Z2xZ2xZ2")}
+    assert statuses == {"sampled-yes", "no"}
+
+
+def draws(rng, n, count):
+    out = [None] * count
+    _draw_into(rng.getrandbits, range(n), out, range(count))
+    return out
+
+
+# lengths 1-64, then powers of two, where a try of n.bit_length() bits reads
+# n or more about half the time, and the lengths one above them
+DRAW_LENGTHS = [*range(1, 65), *(2 ** j for j in range(7, 13)),
+                *(2 ** j + 1 for j in range(7, 13))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 31 + 5])
+def test_draws_pin_random_choices_stream(seed):
+    # sampled verdicts repeat only while _draw_into draws what Random.choice
+    # draws: a change to choice on some CPython fails here
+    for n in DRAW_LENGTHS:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert draws(ours, n, 300) == \
+            [theirs.choice(range(n)) for _ in range(300)], n
+        assert ours.getstate() == theirs.getstate(), n
+
+
+def test_draws_pin_random_choices_stream_across_lengths():
+    # a sample mixes lengths: 9 vertex values of 6, a sum of 3, 15 forbidden
+    # values of 6 (Petersen over Z6); a length of 1 still spends a try
+    ours, theirs = random.Random(3), random.Random(3)
+    for count, n in [(9, 6), (1, 3), (15, 6), (4, 1), (2, 8), (0, 5),
+                     (7, 64), (3, 65)] * 20:
+        assert draws(ours, n, count) == \
+            [theirs.choice(range(n)) for _ in range(count)]
+    assert ours.getstate() == theirs.getstate()
 
 
 # -- the search kernel against every map ------------------------------------------
