@@ -37,9 +37,9 @@ directly as codes: seed S draws the pairs `random.Random(S).choice` would
 draw over the codes in element order (`_draw_into`), so its verdicts
 repeat across Python 3.10 to 3.13.  A branch dies as soon as no value
 fits.  A search for a zero boundary over domains closed under negation
-finds its solutions in pairs f, -f, so it
-tries only half the values of its first edge, which roughly halves its
-"no" proofs and changes no answer.
+finds its solutions in pairs f, -f, so it tries only half the values of
+its first edge, which roughly halves its "no" proofs and changes no
+answer.
 
 The kernel takes a domain per edge, its values in order and the set of
 them, and has one arithmetic: its values are integer codes of group

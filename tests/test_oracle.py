@@ -28,8 +28,8 @@ from sgflow.generators import (k4, k4_negative_triangle, negsun, petersen,
 from sgflow.groups import (AbelianGroup, boundary, integer_boundary, is_flow,
                            parse_group)
 from sgflow.oracle import (_OverBudget, _check_boundary_inputs, _domain,
-                           _draw_into, _group_codes, _plan, _search_group, _walk,
-                           has_nz_A_flow, has_nz_k_flow, integer_flow,
+                           _draw_into, _group_codes, _plan, _search_group,
+                           _walk, has_nz_A_flow, has_nz_k_flow, integer_flow,
                            is_A_connected, satisfy_boundary)
 from sgflow.structures import all_cycles
 
