@@ -70,11 +70,9 @@ def _cmd_check(args) -> int:
         k = edge_connectivity(g)  # exact up to 4
         print(f"edge-connectivity {'>4' if k > 4 else k}")
         return EXIT_OK if k >= 3 else EXIT_NO
-    if args.kind == "cyclic-connectivity":
-        ok = is_cyclically_k_edge_connected(g, 4)
-        print(f"cyclically-4-edge-connected {'yes' if ok else 'no'}")
-        return EXIT_OK if ok else EXIT_NO
-    raise ValueError(f"unknown check {args.kind!r}")
+    ok = is_cyclically_k_edge_connected(g, 4)  # cyclic-connectivity
+    print(f"cyclically-4-edge-connected {'yes' if ok else 'no'}")
+    return EXIT_OK if ok else EXIT_NO
 
 
 def _cmd_gen(args) -> int:
@@ -132,10 +130,8 @@ def _cmd_decompose(args) -> int:
         cert = decompose.decompose_tree_2base(g)
     elif args.mode == "base-sun":
         cert = decompose.decompose_base_sun(g)
-    elif args.mode == "general":
-        cert = decompose.decompose_general(g)
     else:
-        raise ValueError(f"unknown decomposition mode {args.mode!r}")
+        cert = decompose.decompose_general(g)
     sys.stdout.write(decompose.format_certificate(cert))
     return EXIT_OK
 
@@ -206,18 +202,16 @@ def _cmd_oracle(args) -> int:
         print("flow")
         sys.stdout.write(format_map(sol))
         return EXIT_OK
-    if args.kind == "k-flow":
-        if args.k is None:
-            raise ValueError("k-flow needs --k")
-        sol = oracle.has_nz_k_flow(g, args.k)
-        if sol is None:
-            print("UNSAT")
-            return EXIT_NO
-        print("flow")
-        for e, v in enumerate(sol):
-            print(f"{e} {v}")
-        return EXIT_OK
-    raise ValueError(f"unknown oracle query {args.kind!r}")
+    if args.k is None:  # k-flow
+        raise ValueError("k-flow needs --k")
+    sol = oracle.has_nz_k_flow(g, args.k)
+    if sol is None:
+        print("UNSAT")
+        return EXIT_NO
+    print("flow")
+    for e, v in enumerate(sol):
+        print(f"{e} {v}")
+    return EXIT_OK
 
 
 def _cmd_dual(args) -> int:

@@ -527,11 +527,13 @@ def decompose_general(g: SignedGraph) -> PartitionCertificate:
         raise ValueError("graph is not cyclically 4-edge-connected")
     # A short positive cycle violates the stated precondition, but the
     # dispatch below often succeeds regardless; look for the witness only
-    # if the run actually gets stuck on bad input.  A broken invariant
-    # (AssertionError) is a bug and passes through unchanged.
+    # if the dispatch gets stuck, a broken invariant (AssertionError)
+    # included, which bad input explains.  Without a witness the error
+    # passes through unchanged, and a certificate that the final check
+    # rejects is a bug whatever the input.
     try:
         cert, closure = _decompose_general_dispatch(g)
-    except ValueError as exc:
+    except (ValueError, AssertionError) as exc:
         short_pos = next((c for c in all_cycles(g)
                           if c.sign == PLUS and len(c) <= 5), None)
         if short_pos is not None:
@@ -567,6 +569,8 @@ def _decompose_general_dispatch(g: SignedGraph
         x2 = frozenset(range(g.m)) - frozenset(x1)
         closure = k_closure(g, x2, 2)
         f = frozenset(range(g.m)) - closure.closure
+        if f and not is_degenerate_sun(g, f):
+            raise AssertionError("F is not a degenerate negative sun")
         return PartitionCertificate(GENERAL, frozenset(x1), x2, f), closure
     elif has_two_disjoint_cycles(g, want_negative=True) is not None:
         base = decompose_base_sun(g)

@@ -208,6 +208,17 @@ def test_decompose_general_rejects_a_3_cut_before_listing_cycles(
     assert err == "error: graph is not cyclically 4-edge-connected\n"
 
 
+def test_decompose_general_exits_2_on_a_short_positive_cycle(
+        tmp_path, capsys):
+    # K3,3 always has a positive 4-cycle; the decomposition gets stuck on
+    # it, and names it as bad input rather than as an internal error
+    gpath = write_graph(tmp_path, random_cubic_3connected(6, random.Random(0)))
+    code, out, err = run(capsys, "decompose", "general", gpath)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: positive cycle of length 4: edges ")
+    assert "precondition violated" in err
+
+
 def test_connect_reports_unsat_with_exit_1(tmp_path, capsys):
     gpath = write_graph(tmp_path, petersen())
     code, out, _ = run(capsys, "connect", "--group", "Z5", gpath)

@@ -21,7 +21,8 @@ from sgflow import core, decompose, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          _cut_labels, _negative_xor, is_balanced,
                          is_cyclically_k_edge_connected)
-from sgflow.decompose import (BASE_SUN, GENERAL, TREE_2BASE, WorkingPartition,
+from sgflow.decompose import (BASE_SUN, GENERAL, TREE_2BASE,
+                              PartitionCertificate, WorkingPartition,
                               _is_2_connected_edge_set, _label_span_has,
                               _plane_with_degree_2_outside,
                               check_working_partition, decompose_base_sun,
@@ -126,6 +127,89 @@ def test_verifier_rejects_tampered_certificates():
     cert.x2 = cert.x2 - {e}
     ok, why = verify_partition(g, cert)
     assert not ok and why
+
+
+# A negative sun F: the negative triangle 0-1-2 (edge 0 negative) with
+# pendant edges 3, 4 and 5 to vertices 3, 4 and 5.  With a negative
+# triangle on 3, 4, 5 beside it (edges 6-8), X1 = F, X2 its complement
+# is a base-sun and a general certificate; each case below breaks one
+# condition of verify_partition.
+SUN = ((0, 1, MINUS), (1, 2, PLUS), (2, 0, PLUS),
+       (0, 3, PLUS), (1, 4, PLUS), (2, 5, PLUS))
+F = frozenset(range(6))
+TRIANGLE = ((3, 4, PLUS), (4, 5, PLUS), (5, 3, MINUS))
+REJECTIONS = [
+    # (reason, mode, edges after the sun's, X1, F); X2 is E - X1
+    ("", BASE_SUN, TRIANGLE, F, F),
+    ("", GENERAL, TRIANGLE, F, F),
+    ("F not inside E", BASE_SUN, TRIANGLE, F, {9}),
+    ("F not empty", TREE_2BASE, TRIANGLE, F - {0}, {3}),
+    ("X1 not spanning tree", TREE_2BASE, TRIANGLE, F, ()),
+    # X2 = {1, 4, 5, 7} lies on no positive cycle it could grow by
+    ("2-closure of X2 is not E", TREE_2BASE, TRIANGLE, {0, 2, 3, 6, 8}, ()),
+    ("X1 not a connected base", BASE_SUN, TRIANGLE, F - {0}, F),
+    ("F is not a negative sun", BASE_SUN, TRIANGLE, F, ()),
+    # X1 reaches vertex 3 through a new vertex 6, not by F's edge 3
+    ("F not contained in X1", BASE_SUN, TRIANGLE + ((0, 6, PLUS), (6, 3, PLUS)),
+     F - {3} | {9, 10}, F),
+    # edge 9 and F's edge 3 make a positive digon, so the closure takes 3
+    ("2-closure of X2 is not E - F", BASE_SUN, TRIANGLE + ((0, 3, PLUS),), F,
+     F),
+    ("2-closure of X2 not 2-connected", BASE_SUN,
+     ((3, 4, PLUS), (3, 4, PLUS), (4, 5, PLUS), (4, 5, PLUS)), F, F),
+    ("X2 balanced", BASE_SUN, TRIANGLE[:2] + ((5, 3, PLUS),), F, F),
+    ("X1 not spanning/connected", GENERAL, TRIANGLE, (), ()),
+    ("X1 contains no connected base (balanced)", GENERAL, TRIANGLE, F - {0},
+     ()),
+    ("F is not a degenerate negative sun", GENERAL, TRIANGLE, F, {3}),
+    ("2-closure of X2 is not E - F", GENERAL, TRIANGLE, F, ()),
+    ("unknown mode bogus", "bogus", TRIANGLE, F, F),
+]
+
+
+@pytest.mark.parametrize("reason, mode, extra, x1, f", REJECTIONS,
+                         ids=[f"{case[1]}: {case[0] or 'accepted'}"
+                              for case in REJECTIONS])
+def test_verifier_names_each_rejection(reason, mode, extra, x1, f):
+    edges = SUN + extra
+    g = SignedGraph(1 + max(max(u, v) for u, v, _ in edges), edges)
+    x1 = frozenset(x1)
+    cert = PartitionCertificate(mode, x1, frozenset(range(g.m)) - x1,
+                                frozenset(f))
+    assert verify_partition(g, cert) == (not reason, reason)
+
+
+@pytest.mark.parametrize("x1", [F, frozenset()], ids=["overlap", "gap"])
+def test_verifier_rejects_a_split_that_is_no_partition(x1):
+    cert = PartitionCertificate(GENERAL, x1, F - {0})
+    assert verify_partition(SignedGraph(6, SUN), cert) == (
+        False, "X1, X2 do not partition E")
+
+
+def test_general_decomposition_blames_a_short_positive_cycle():
+    # K3,3 has no signing without a positive 4-cycle; the no-two-disjoint-
+    # cycles branch leaves an F that is no degenerate negative sun, which
+    # the precondition's witness explains
+    g = random_cubic_3connected(6, random.Random(0))
+    with pytest.raises(ValueError, match="^positive cycle of length 4: "):
+        decompose_general(g)
+
+
+def test_general_decomposition_passes_a_broken_invariant_through(
+        monkeypatch):
+    def broken(g):
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(decompose, "_decompose_general_dispatch", broken)
+    # every 5-cycle of the all-negative Petersen graph is negative, and
+    # it has no shorter cycle: the precondition holds, so the failure is a
+    # bug; Petersen with one negative edge has a positive 5-cycle
+    g = petersen(all_positive=True)
+    g = SignedGraph(g.n, tuple((u, v, MINUS) for u, v, _ in g.edges))
+    with pytest.raises(AssertionError, match="^forced$"):
+        decompose_general(g)
+    with pytest.raises(ValueError, match="^positive cycle of length 5: "):
+        decompose_general(petersen())
 
 
 def test_two_disjoint_negative_cycles():

@@ -12,7 +12,7 @@ from helpers import (cubic_2unbalanced, host_with_sun, prime_cubic_instance,
                      random_connected_base, random_connected_graph,
                      random_elem, random_fbar, reference_collision_support,
                      reference_flow_coeffs_through, reference_sun_return_path,
-                     signed_cubic_3connected, switch_on_set,
+                     renumbered, signed_cubic_3connected, switch_on_set,
                      unbalance_small_sides)
 from sgflow import core, decompose, flows, groups, oracle, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
@@ -20,7 +20,7 @@ from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          spanning_forest)
 from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
                               violating_balanced_cut)
-from sgflow.duality import k6_projective_embedding
+from sgflow.duality import k6_projective_embedding, oriented_dual
 from sgflow.generators import negsun, petersen, petersen_2neg
 from sgflow.groups import boundary, integer_boundary, is_flow, parse_group
 from sgflow.structures import (all_cycles, as_negative_sun, cycle_sign,
@@ -409,6 +409,24 @@ def test_connect_projective_on_petersen():
     for spec in ("Z6", "Z7"):
         A = parse_group(spec)
         for _ in range(5):
+            fb = random_fbar(rng, A, g.m)
+            cert = flows.connect_projective(g, A, fb, emb)
+            assert cert.strategy == "projective"
+            assert flows.verify_avoidance(g, cert)
+
+
+def test_connect_projective_meets_an_edge_at_either_end():
+    # K6's vertices all have degree 5, so the greedy colours them from 5
+    # down to 0; the hint above stores every edge from its lesser end, so
+    # each edge's first end is coloured last.  A renumbered hint stores
+    # some edges from the greater end, whose second end is coloured last.
+    rng = random.Random(61)
+    for spec in ("Z6", "Z7"):
+        A = parse_group(spec)
+        for _ in range(10):
+            emb = renumbered(k6_projective_embedding(), rng)
+            assert any(u > v for u, v, _ in emb.graph.edges)
+            g = oriented_dual(emb).graph
             fb = random_fbar(rng, A, g.m)
             cert = flows.connect_projective(g, A, fb, emb)
             assert cert.strategy == "projective"

@@ -307,10 +307,20 @@ def test_only_oracle_names_its_internals():
 
 # One breadth-first search: core.shortest_path and core.simple_paths read
 # their queue or level by index, so a queue popped from the front, a list's
-# pop(0) or a deque, is a second path search outside core.
+# pop(0) or a deque, or a list that a loop over it appends to, is a second
+# path search outside core.
+def _grows_while_read(node: ast.For) -> bool:
+    """A for loop over a name whose body appends to or extends that name."""
+    return isinstance(node.iter, ast.Name) and any(
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("append", "extend")
+        and getattr(call.func.value, "id", None) == node.iter.id
+        for stmt in node.body for call in ast.walk(stmt))
+
+
 def _front_pops(root: Path) -> list[str]:
-    """module:line of each .pop(0) call and each deque import or attribute,
-    outside core.py."""
+    """module:line of each .pop(0) call, each deque import or attribute and
+    each for loop over a list it grows, outside core.py."""
     found = []
     for path in sorted(root.glob("*.py")):
         if path.name == "core.py":
@@ -324,6 +334,8 @@ def _front_pops(root: Path) -> list[str]:
                 hit = any(alias.name == "deque" for alias in node.names)
             elif isinstance(node, ast.Attribute):
                 hit = node.attr == "deque"
+            elif isinstance(node, ast.For):
+                hit = _grows_while_read(node)
             else:
                 continue
             if hit:
@@ -342,6 +354,19 @@ def test_front_pop_scan(tmp_path):
         "q = collections.deque([0])\nx = 'deque'\n")
     assert _front_pops(tmp_path) == ["flows.py:2", "flows.py:4",
                                      "structures.py:2"]
+
+
+def test_growing_list_loop_scan(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "for x in queue:\n    queue.append(x + 1)\n")
+    (tmp_path / "planarity.py").write_text(
+        "for x in comp:\n    if x:\n        comp.append(x)\n"
+        "for x in comp:\n    other.append(x)\n"
+        "for x in queue:\n    for y in adj[x]:\n        queue.extend(y)\n"
+        "for x in self.queue:\n    self.queue.append(x)\n"
+        "for x in list(comp):\n    comp.append(x)\n"
+        "for x in comp:\n    pass\nelse:\n    comp.append(0)\n")
+    assert _front_pops(tmp_path) == ["planarity.py:1", "planarity.py:6"]
 
 
 def test_only_core_searches_breadth_first():
