@@ -25,7 +25,8 @@ labels.  A zero label is a bridge and two equal labels a 2-edge cut, so
 edge_connectivity reads cuts of one or two edges straight off the labels
 and lists larger ones only where every vertex has more non-loop edges,
 unmet_hypothesis answers "3-edge-connected and 2-unbalanced" from one
-labelling, and _cubic_3connected_labels hands the labelling that decides
+labelling, which a caller may hold and ask more of, and
+_cubic_3connected_labels hands the labelling that decides
 "cubic and 3-connected" to a caller that lists the cuts next.
 Paths inside an edge set come from two searches over one (edge,
 neighbour) adjacency: shortest_path, breadth-first with ties broken by the
@@ -489,7 +490,9 @@ def _least_cut_to_3(g: SignedGraph, label: Sequence[int],
     return 2 if len(set(label)) < len(label) else 3
 
 
-def unmet_hypothesis(g: SignedGraph) -> Optional[str]:
+def unmet_hypothesis(g: SignedGraph,
+                     labels: Optional[tuple[list[int], list[int], list[int]]]
+                     = None) -> Optional[str]:
     """Why g is outside the theorem's hypotheses, as HypothesisError's
     message, or None when g is 3-edge-connected and 2-unbalanced.
 
@@ -498,8 +501,10 @@ def unmet_hypothesis(g: SignedGraph) -> Optional[str]:
     exactly when no set of at most one edge XORs to the negative edges'
     XOR (min_negative_edges with budget 1), that is, when that XOR is
     neither 0 nor a single label.  Equal to asking edge_connectivity(g) >= 3
-    and then is_k_unbalanced(g, 2), which label g once each."""
-    label, _, up = _cut_labels(g)
+    and then is_k_unbalanced(g, 2), which label g once each.  labels are
+    g's _cut_labels when the caller holds them, to ask more of them
+    (connect hands them on to cubicize)."""
+    label, _, up = _cut_labels(g) if labels is None else labels
     if _least_cut_to_3(g, label, up) < 3:
         return "graph is not 3-edge-connected"
     target = _negative_xor(g, label)

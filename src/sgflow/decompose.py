@@ -204,20 +204,25 @@ def check_working_partition(g: SignedGraph, wp: WorkingPartition, mode: str,
           cl(S + B) = cl(B) for any S inside cl(B), and the mask never
           leaves cl(B);
       (e) D lies in B, and is negative when want_sign is MINUS.
-    (b) and (c) are checked on C and A + C from scratch.  tests/helpers.py
-    keeps the from-scratch check of every property as the reference."""
+    (b) and (c) are checked from scratch by one union-find pass over C
+    and then A, so the forest's edges inside C count C's components.
+    tests/helpers.py keeps the from-scratch check of every property as the
+    reference."""
     _check(wp.a | wp.b | wp.c == set(range(g.m)), "partition does not cover E")
     _check(not (wp.a & wp.b or wp.a & wp.c or wp.b & wp.c), "parts overlap")
     inner = _ear_inner(g, wp)
     _check(inner is not None, "(a) A+B not 2-connected")
     wp.verts.update(inner)
+    forest = spanning_forest(g, [*wp.c, *wp.a])
     if wp.c:
         degs = _sub_degrees(g, wp.c)
-        _check(component_count(g, wp.c, degs) == 1, "(b) C disconnected")
+        in_c = sum(1 for e in forest if e in wp.c)
+        _check(len(degs) - in_c == 1, "(b) C disconnected")
         _check(all(d in (1, 3) for d in degs.values()), "(b) C degree not in {1,3}")
         if mode in (BASE_SUN, GENERAL):
             _check(not is_balanced(g, wp.c).balanced, "(b) C balanced")
-    _check(_spans_and_connected(g, wp.a | wp.c), "(c) A+C not spanning/connected")
+    _check(len(forest) == g.n - 1 and (g.n > 1 or bool(wp.a or wp.c)),
+           "(c) A+C not spanning/connected")
     if mode in (BASE_SUN, GENERAL):
         _check(not is_balanced(g, wp.a | wp.c).balanced, "(c) A+C has no negative cycle")
     for e in wp.path[1:-1]:
@@ -472,11 +477,18 @@ def _verified(g: SignedGraph, cert: PartitionCertificate,
     return cert
 
 
-def decompose_tree_2base(g: SignedGraph) -> PartitionCertificate:
+def decompose_tree_2base(g: SignedGraph, checked: bool = False
+                         ) -> PartitionCertificate:
     """Partition E into a spanning tree X1 and a 2-base X2.  Raises
-    HypothesisError unless g is cubic and 3-connected."""
-    _check_cubic_3connected(g)
-    unbal = not is_balanced(g).balanced
+    HypothesisError unless g is cubic and 3-connected, or checked says g
+    is cubic and passed connect's gate: then g is unbalanced, and
+    3-connected, since no signing of a theta (the cubic graph on 2
+    vertices) is 2-unbalanced."""
+    if checked:
+        unbal = True
+    else:
+        _check_cubic_3connected(g)
+        unbal = not is_balanced(g).balanced
     return _verified(g, _peel(g, TREE_2BASE, MINUS if unbal else None))
 
 

@@ -53,15 +53,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .core import (MINUS, PLUS, HypothesisError, SignedGraph, _adjacency,
-                   end_coeffs, shortest_path, simple_paths, spanning_forest,
-                   unmet_hypothesis)
+                   _cut_labels, end_coeffs, shortest_path, simple_paths,
+                   spanning_forest, unmet_hypothesis)
 from .decompose import decompose_base_sun, decompose_tree_2base
 from .groups import (AbelianGroup, AvoidanceCertificate, Elem, format_elem,
                      integer_boundary, is_flow, is_prime, minimal_subgroup,
                      verify_avoidance)
 from .reduce import cubicize
-from .structures import (CycleRef, NegativeSun, cycle_sign, fundamental_cycle,
-                         order_cycle)
+from .structures import (CycleRef, NegativeSun, cycle_sign,
+                         fundamental_cycles, order_cycle)
 from . import groups, oracle
 
 if TYPE_CHECKING:
@@ -116,8 +116,9 @@ def circuit_coeffs(g: SignedGraph, base: Iterable[int],
     """For each edge e of `edges`, zero-boundary integer coefficients on
     the one circuit of the frame matroid inside base + e, where base is a
     connected base (a spanning tree plus an edge x closing a negative
-    cycle) and e lies outside it.  The tree and C_x are read off the base
-    once for all the edges.
+    cycle) and e lies outside it.  The tree, rooted once for every
+    fundamental cycle, and C_x are read off the base once for all the
+    edges.
 
     With C_e and C_x the fundamental cycles of e and x over the tree, the
     circuit is C_e when C_e is positive, the positive cycle C_e + C_x of
@@ -134,18 +135,21 @@ def circuit_coeffs(g: SignedGraph, base: Iterable[int],
     if len(tree) != g.n - 1 or len(left) != 1:
         raise AssertionError("base + e is not a connected base plus an edge")
     (x,) = left
-    cx = frozenset(fundamental_cycle(g, tree, x))
+    cycle = fundamental_cycles(g, tree)
+    cx = frozenset(cycle(x))
     if cycle_sign(g, cx) != MINUS:
         raise AssertionError("the base's cycle is positive")
-    return {e: _one_circuit(g, base, tree, cx, e) for e in edges}
+    return {e: _one_circuit(g, base, tree, cycle, cx, e) for e in edges}
 
 
 def _one_circuit(g: SignedGraph, base: list[int], tree: list[int],
-                 cx: frozenset[int], e: int) -> dict[int, int]:
-    """circuit_coeffs for one edge e, given the base's tree and C_x."""
+                 cycle: Callable[[int], list[int]], cx: frozenset[int],
+                 e: int) -> dict[int, int]:
+    """circuit_coeffs for one edge e, given the base's tree, its
+    fundamental cycles and C_x."""
     if e in base:
         raise AssertionError("base + e is not a connected base plus an edge")
-    ce = frozenset(fundamental_cycle(g, tree, e))
+    ce = frozenset(cycle(e))
     if cycle_sign(g, ce) == PLUS:
         return circulation_coeffs(g, order_cycle(g, ce))
     if ce & cx:
@@ -394,13 +398,15 @@ def _fix_over_closure(g: SignedGraph, A: AbelianGroup, phi: list[Elem],
 # -- composite-order construction ---------------------------------------------
 
 def connect_composite(g: SignedGraph, A: AbelianGroup,
-                      fbar: Sequence[Elem]) -> AvoidanceCertificate:
+                      fbar: Sequence[Elem], checked: bool = False
+                      ) -> AvoidanceCertificate:
     """Avoidance flow for composite |A| >= 6 on a cubic 3-connected
     2-unbalanced graph.
 
     g must be 2-unbalanced: connect checks its input, and cubicize keeps
     it so.  The tree-2base decomposition refuses a g that is not cubic and
-    3-connected with HypothesisError.
+    3-connected with HypothesisError, unless checked says that g is cubic
+    and passed connect's gate (decompose_tree_2base).
 
     Phase 1 fixes the spanning tree T modulo a minimal subgroup N: the
     2-closure of B = E - T absorbs T through positive cycles C_i adding at
@@ -426,7 +432,7 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
     if Q.order < 3:
         raise AssertionError("quotient of order < 3 despite |A| >= 6")
 
-    part = decompose_tree_2base(g)
+    part = decompose_tree_2base(g, checked)
     T, B = part.x1, part.x2
     phi1: list[Elem] = [A.zero] * g.m
     _fix_over_closure(
@@ -438,11 +444,11 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
 
     phi2: list[Elem] = [A.zero] * g.m
     n_elems = list(ms.elements)
-    tree_list = sorted(T)
+    cycle = fundamental_cycles(g, sorted(T))
     if A.order % 2 == 0:
         nu = next(v for v in n_elems if v != A.zero)
         for e in sorted(B):
-            cyc_edges = fundamental_cycle(g, tree_list, e)
+            cyc_edges = cycle(e)
             bad = A.sub(fbar[e], phi1[e])
             val = next(v for v in (A.zero, nu) if v != bad)
             if val != A.zero:
@@ -452,7 +458,7 @@ def connect_composite(g: SignedGraph, A: AbelianGroup,
                     phi2[ce] = A.add(phi2[ce], nu)
     else:
         negs = [e for e in sorted(B)
-                if cycle_sign(g, fundamental_cycle(g, tree_list, e)) == MINUS]
+                if cycle_sign(g, cycle(e)) == MINUS]
         if len(negs) < 2:
             raise AssertionError("2-unbalanced graph with fewer than two"
                                  " negative fundamental cycles")
@@ -649,7 +655,9 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
 
     fbar must give an element of A for every edge (ValueError otherwise).
     The two hypotheses are checked here, once, from one cut labelling
-    (core.unmet_hypothesis), and every layer below trusts them; a graph
+    (core.unmet_hypothesis), and every layer below trusts them: cubicize
+    extends that labelling to its candidates, and the tree-2base
+    decomposition of the cubic graph checks nothing again.  A graph
     outside them raises HypothesisError.  Strategy
     order: an embedding hint takes the projective route, which raises
     ValueError unless the hint's oriented dual, relabelled and switched,
@@ -672,7 +680,8 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
         if not A.contains(x):
             raise ValueError(f"fbar of edge {e + 1} is {x}, not an element"
                              f" of {A}")
-    unmet = unmet_hypothesis(g)
+    labels = _cut_labels(g)
+    unmet = unmet_hypothesis(g, labels)
     if unmet is not None:
         raise HypothesisError(unmet)
 
@@ -681,10 +690,10 @@ def connect(g: SignedGraph, A: AbelianGroup, fbar: Sequence[Elem],
     if embedding is not None:
         cert = connect_projective(g, A, fbar, embedding)
     elif g.n >= 2 and (composite or A.order >= 11):  # or prime >= 11
-        h = cubicize(g).graph
+        h = cubicize(g, labels[0]).graph
         fb = list(fbar) + [A.zero] * (h.m - g.m)
         try:
-            cert = connect_composite(h, A, fb) if composite \
+            cert = connect_composite(h, A, fb, checked=True) if composite \
                 else connect_prime(h, A.order, fb)
         except HypothesisError:
             if composite:

@@ -5,16 +5,16 @@ space: every simple cycle is a symmetric difference of fundamental cycles,
 so scanning all 2^(|S|-n+c) combinations and keeping the connected
 2-regular ones is exhaustive.  Desk scale keeps the dimension small (6 for
 Petersen, 10 for K6).  A fundamental cycle closes its edge with the tree
-path from core.shortest_path.
+path, climbed from both of its ends in the tree rooted once per forest.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (DeskScaleError, Frozen, SignedGraph, MINUS, PLUS,
-                   _setattr, component_count, is_balanced, shortest_path,
+                   _setattr, _tree_order, component_count, is_balanced,
                    spanning_forest)
 
 MAX_CYCLE_SPACE_DIM = 20
@@ -119,16 +119,41 @@ def _as_cycle(edges: Sequence[tuple[int, int, int]],
     return CycleRef(tuple(walk), tuple(verts), sign)
 
 
-def fundamental_cycle(g: SignedGraph, tree: Sequence[int], e: int) -> list[int]:
+def fundamental_cycle(g: SignedGraph, tree: Iterable[int], e: int) -> list[int]:
     """Edges of the unique cycle in tree + e (e itself if a loop): the tree
     path from e's second end back to its first, then e."""
-    if g.is_loop(e):
-        return [e]
-    u, v = g.ends(e)
-    hit = shortest_path(g, tree, (u,), (v,))
-    if hit is None:
-        raise ValueError("edge endpoints in different tree components")
-    return hit[1][::-1] + [e]
+    return fundamental_cycles(g, tree)(e)
+
+
+def fundamental_cycles(g: SignedGraph, tree: Iterable[int]
+                       ) -> Callable[[int], list[int]]:
+    """fundamental_cycle for any edge of g, off the forest rooted once
+    (core._tree_order): each cycle climbs from both ends of its edge, the
+    deeper end first, until they meet.  ValueError for an edge whose ends
+    lie in different trees."""
+    order, up = _tree_order(g, tree, range(g.n))
+    depth = [0] * g.n
+    for x in order:
+        if up[x] >= 0:
+            depth[x] = depth[g.other_end(up[x], x)] + 1
+
+    def cycle(e: int) -> list[int]:
+        u, v, _ = g.edges[e]
+        from_u: list[int] = []
+        from_v: list[int] = []
+        while u != v:
+            if depth[u] >= depth[v]:
+                if up[u] < 0:  # two roots
+                    raise ValueError("edge endpoints in different tree"
+                                     " components")
+                from_u.append(up[u])
+                u = g.other_end(up[u], u)
+            else:
+                from_v.append(up[v])
+                v = g.other_end(up[v], v)
+        return from_v + from_u[::-1] + [e]
+
+    return cycle
 
 
 def cycles_within(g: SignedGraph, edges: Iterable[int]) -> list[CycleRef]:
@@ -147,7 +172,8 @@ def cycles_within(g: SignedGraph, edges: Iterable[int]) -> list[CycleRef]:
     dim = len(cotree)
     if dim > MAX_CYCLE_SPACE_DIM:
         raise DeskScaleError(f"cycle space dimension {dim} too large")
-    fund = [frozenset(fundamental_cycle(g, tree, e)) for e in cotree]
+    cycle = fundamental_cycles(g, tree)
+    fund = [frozenset(cycle(e)) for e in cotree]
     out = []
     acc: frozenset[int] = frozenset()
     for mask in range(1, 1 << dim):

@@ -5,15 +5,18 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import sys
 
 from typing import Optional, Sequence
 
 from hypothesis import strategies as st
 
-from sgflow.core import (MINUS, PLUS, MinorResult, SignedGraph,
-                         _has_cycle, _tree_order, component_count,
-                         edge_connectivity, end_coeffs, is_balanced,
-                         is_k_unbalanced, spanning_forest, uncontract)
+from sgflow import core
+from sgflow.core import (MINUS, PLUS, HypothesisError, MinorResult,
+                         SignedGraph, _has_cycle, _tree_order,
+                         component_count, edge_connectivity, end_coeffs,
+                         is_balanced, is_k_unbalanced, shortest_path,
+                         spanning_forest, uncontract, unmet_hypothesis)
 from sgflow.decompose import (BASE_SUN, GENERAL, _check,
                               _is_2_connected_edge_set, _spans_and_connected,
                               _sub_degrees, has_two_disjoint_cycles,
@@ -23,6 +26,7 @@ from sgflow.flows import circulation_coeffs
 from sgflow.generators import (k4, k4_negative_triangle,
                                random_cubic_3connected)
 from sgflow.oracle import satisfy_boundary
+from sgflow.reduce import CubicizeResult, UncontractionStep
 from sgflow.structures import (NegativeSun, all_cycles, build_negative_sun,
                                cycle_sign, cycles_within, k_closure,
                                order_cycle)
@@ -478,6 +482,23 @@ def reference_balanced_without(adj: list[list[tuple[int, int, int]]],
     return True
 
 
+def spy_on_labelling(monkeypatch) -> list[SignedGraph]:
+    """The graphs core._cut_labels labels from now on, in order: the spy
+    replaces it under every name an sgflow module bound it to."""
+    labelled: list[SignedGraph] = []
+    cut_labels = core._cut_labels
+
+    def spy(g):
+        labelled.append(g)
+        return cut_labels(g)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "sgflow"
+                and getattr(module, "_cut_labels", None) is cut_labels):
+            monkeypatch.setattr(module, "_cut_labels", spy)
+    return labelled
+
+
 # connect's entry check as it was before core.unmet_hypothesis answered both
 # hypotheses from one cut labelling: two questions, each labelling g.
 
@@ -487,6 +508,57 @@ def reference_unmet_hypothesis(g: SignedGraph) -> Optional[str]:
     if not is_k_unbalanced(g, 2):
         return "graph is not 2-unbalanced"
     return None
+
+
+# sgflow.reduce.cubicize as it was before it extended one labelling of its
+# input: every candidate partner is uncontracted and put to connect's entry
+# check, each labelling the candidate again.
+
+def _reference_partner(g: SignedGraph, v: int, h_e: int) -> Optional[int]:
+    for h in sorted(g.halfedges_at(v)):
+        if h != h_e and unmet_hypothesis(uncontract(g, v, h_e, h)) is None:
+            return h
+    return None
+
+
+def reference_cubicize(g: SignedGraph) -> CubicizeResult:
+    if g.n < 2:
+        raise HypothesisError("need at least 2 vertices (single-vertex graphs"
+                              " are handled directly by the oracle)")
+    deg = g.degrees()
+    low = next((v for v in range(g.n) if deg[v] < 3), None)
+    if low is not None:
+        raise HypothesisError(f"vertex {low} has degree {deg[low]}:"
+                              f" graph is not 3-edge-connected")
+    history: list[UncontractionStep] = []
+    cur = g
+    while True:
+        v = next((x for x, d in enumerate(cur.degrees()) if d >= 4), None)
+        if v is None:
+            break
+        for h_e in sorted(cur.halfedges_at(v)):
+            h_f = _reference_partner(cur, v, h_e)
+            if h_f is not None:
+                break
+        else:
+            raise AssertionError("no valid uncontraction pair at vertex"
+                                 f" {v}: preconditions violated?")
+        history.append(UncontractionStep(v, h_e, h_f, cur.n, cur.m))
+        cur = uncontract(cur, v, h_e, h_f)
+    return CubicizeResult(cur, history)
+
+
+# sgflow.structures.fundamental_cycle as it was before it climbed a rooted
+# tree: a breadth-first search over the tree per edge.
+
+def reference_fundamental_cycle(g: SignedGraph, tree, e: int) -> list[int]:
+    if g.is_loop(e):
+        return [e]
+    u, v = g.ends(e)
+    hit = shortest_path(g, tree, (u,), (v,))
+    if hit is None:
+        raise ValueError("edge endpoints in different tree components")
+    return hit[1][::-1] + [e]
 
 
 def brute_edge_connectivity(g: SignedGraph) -> int:

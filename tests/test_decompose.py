@@ -1,5 +1,6 @@
 """Edge-partition certificates: spanning tree + 2-base, base + sun, general."""
 
+import itertools
 import random
 import sys
 
@@ -20,7 +21,8 @@ from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
 from sgflow import core, decompose, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          _cut_labels, _negative_xor, is_balanced,
-                         is_cyclically_k_edge_connected)
+                         is_cubic_3connected, is_cyclically_k_edge_connected,
+                         unmet_hypothesis)
 from sgflow.decompose import (BASE_SUN, GENERAL, TREE_2BASE,
                               PartitionCertificate, WorkingPartition,
                               _is_2_connected_edge_set, _label_span_has,
@@ -241,6 +243,42 @@ def test_two_disjoint_cycles_match_the_pairing(g, want_negative):
 def test_decompose_requires_cubic_3connected_input():
     with pytest.raises(HypothesisError):
         decompose_tree_2base(negsun(4))
+
+
+@pytest.mark.parametrize("shape", [((0, 1), (0, 1), (0, 1)),
+                                   ((0, 0), (0, 1), (1, 1))])
+def test_gate_refuses_every_signing_of_a_cubic_graph_on_two_vertices(shape):
+    # the theta and the two loops joined by an edge: so a cubic graph that
+    # passed connect's gate has at least 4 vertices, where 3-edge-connected
+    # means 3-connected, which lets the tree-2base decomposition trust it
+    for signs in itertools.product((PLUS, MINUS), repeat=3):
+        g = SignedGraph(2, tuple((u, v, s) for (u, v), s in zip(shape, signs)))
+        assert unmet_hypothesis(g) is not None
+
+
+@st.composite
+def cubic_multigraphs(draw):
+    """A random pairing of the 3n half-edges of n = 2..10 vertices, with
+    random signs: cubic, with loops and parallel edges."""
+    n = draw(st.sampled_from(range(2, 11, 2)))
+    halves = draw(st.permutations([v for v in range(n) for _ in range(3)]))
+    signs = draw(st.lists(st.sampled_from((PLUS, MINUS)),
+                          min_size=3 * n // 2, max_size=3 * n // 2))
+    return SignedGraph(n, tuple((halves[2 * i], halves[2 * i + 1], s)
+                                for i, s in enumerate(signs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(cubic_multigraphs(), signed_cubic_3connected()))
+def test_tree_2base_trusts_exactly_what_the_gate_passed(g):
+    # a cubic graph past the gate is cubic, 3-connected and unbalanced,
+    # so the decomposition handed the gate's result gives the certificate
+    # of its own checks
+    passed = unmet_hypothesis(g) is None
+    event(f"passed the gate: {passed}")
+    if passed:
+        assert is_cubic_3connected(g) and not is_balanced(g).balanced
+        assert decompose_tree_2base(g, checked=True) == decompose_tree_2base(g)
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,12 +12,12 @@ from helpers import (cubic_2unbalanced, host_with_sun, prime_cubic_instance,
                      random_connected_base, random_connected_graph,
                      random_elem, random_fbar, reference_collision_support,
                      reference_flow_coeffs_through, reference_sun_return_path,
-                     renumbered, signed_cubic_3connected, switch_on_set,
-                     unbalance_small_sides)
+                     renumbered, signed_cubic_3connected, spy_on_labelling,
+                     switch_on_set, unbalance_small_sides)
 from sgflow import core, decompose, flows, groups, oracle, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
-                         edge_connectivity, is_k_unbalanced, parse_sg,
-                         spanning_forest)
+                         contract_set, edge_connectivity, is_k_unbalanced,
+                         parse_sg, spanning_forest)
 from sgflow.decompose import (decompose_base_sun, has_two_disjoint_cycles,
                               violating_balanced_cut)
 from sgflow.duality import k6_projective_embedding, oriented_dual
@@ -384,6 +384,15 @@ def test_connect_composite_rejects_small_or_prime_groups():
         flows.connect_composite(g, parse_group("Z7"), [(0,)] * g.m)
 
 
+def test_connect_composite_called_directly_checks_its_input():
+    # connect hands its gate's result down to the decomposition; a direct
+    # call hands none, and a graph that is not cubic is refused
+    g = contract_set(petersen(), [0]).graph
+    A = parse_group("Z6")
+    with pytest.raises(HypothesisError, match="not cubic and 3-connected"):
+        flows.connect_composite(g, A, [A.zero] * g.m)
+
+
 def test_connect_prime_on_doubly_negative_petersen():
     rng = random.Random(53)
     g = petersen_2neg()
@@ -703,7 +712,7 @@ def test_connect_verifies_the_fallback_flow(monkeypatch, route):
                         lambda g, A, fbar, emb: flows.AvoidanceCertificate(
                             "projective", A, [(1,)] * g.m, list(fbar)))
     monkeypatch.setattr(flows, "connect_composite",
-                        lambda g, A, fbar: flows.AvoidanceCertificate(
+                        lambda g, A, fbar, checked: flows.AvoidanceCertificate(
                             "composite", A, [(1,)] * g.m, list(fbar)))
     monkeypatch.setattr(flows, "connect_prime",
                         lambda g, p, fbar: flows.AvoidanceCertificate(
@@ -739,22 +748,17 @@ def test_connect_checks_each_flow_once(monkeypatch, route, calls):
 
 
 @pytest.mark.parametrize("graph,group,route,labellings", [
-    (petersen, "Z6", "composite", 2), (petersen_2neg, "Z11", "prime", 2)])
+    (petersen, "Z6", "composite", 1), (petersen_2neg, "Z11", "prime", 2)])
 def test_connect_labels_the_graph_once_at_entry(monkeypatch, graph, group,
                                                 route, labellings):
-    # both hypotheses come from one cut labelling (core.unmet_hypothesis);
-    # the decomposition labels once more, and on the prime route its
-    # cubic-and-3-connected check and its balanced-cut check share that
-    # labelling (they labelled once each).  Asking edge_connectivity and
-    # then is_k_unbalanced at entry labelled it twice.
-    labelled = []
-    cut_labels = core._cut_labels
-
-    def spy(g):
-        labelled.append(g)
-        return cut_labels(g)
-
-    monkeypatch.setattr(core, "_cut_labels", spy)
+    # both hypotheses come from one cut labelling (core.unmet_hypothesis).
+    # The tree-2base decomposition trusts them and labels no more (it
+    # labelled once more, for its own cubic-and-3-connected check); the
+    # base-sun decomposition labels once more, and its cubic-and-3-connected
+    # check and its balanced-cut check share that labelling (they labelled
+    # once each).  Asking edge_connectivity and then is_k_unbalanced at
+    # entry labelled it twice.
+    labelled = spy_on_labelling(monkeypatch)
     g = graph()
     A = parse_group(group)
     cert = flows.connect(g, A, [A.zero] * g.m)

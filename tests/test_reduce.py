@@ -1,13 +1,17 @@
 """Degree reduction to cubic graphs and restricting flows back by a slice."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import signed_multigraphs
-from sgflow import core
+from helpers import (circular_ladder, reference_cubicize, signed_multigraphs,
+                     spy_on_labelling)
+from sgflow import flows
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          contract_set, edge_connectivity, is_k_unbalanced,
-                         parse_sg, uncontract)
+                         parse_sg)
 from sgflow.groups import is_flow, parse_group
 from sgflow.oracle import has_nz_A_flow
 from sgflow.reduce import (CubicizeResult, UncontractionStep,
@@ -104,20 +108,87 @@ def test_cubicize_skips_a_half_edge_with_no_partner():
 @pytest.mark.parametrize("g,partner", [
     (k5_with_negative_triangle(), 2),
     (parse_sg("sg 2 4\ne 1 2 -\ne 2 1 +\ne 1 2 +\ne 1 1 -\n"), None)])
-def test_choose_uncontraction_half_labels_each_candidate_once(monkeypatch, g,
-                                                              partner):
-    # each candidate is checked by connect's entry check, one cut labelling
-    # for both hypotheses, up to the first that passes
-    labelled = []
-    cut_labels = core._cut_labels
-
-    def spy(h):
-        labelled.append(h)
-        return cut_labels(h)
-
-    monkeypatch.setattr(core, "_cut_labels", spy)
+def test_choose_uncontraction_half_labels_the_graph_once(monkeypatch, g,
+                                                         partner):
+    # called without labels, the partner choice labels g once and reads
+    # every candidate off that labelling; it used to label each candidate
+    # up to the first that passed
+    labelled = spy_on_labelling(monkeypatch)
     assert choose_uncontraction_half(g, 0, 0) == partner
-    tried = [h for h in sorted(g.halfedges_at(0)) if h != 0]
-    if partner is not None:
-        tried = tried[:tried.index(partner) + 1]
-    assert labelled == [uncontract(g, 0, 0, h) for h in tried]
+    assert labelled == [g]
+
+
+def test_connect_labels_a_noncubic_input_once(monkeypatch):
+    # connect's gate labels its input, cubicize extends that labelling
+    # over its five steps and every candidate they weigh, and the
+    # tree-2base decomposition of the cubic graph trusts the gate
+    labelled = spy_on_labelling(monkeypatch)
+    g = k5_with_negative_triangle()
+    A = parse_group("Z6")
+    cert = flows.connect(g, A, [A.zero] * g.m)
+    assert cert.strategy == "composite" and cert.flow is not None
+    assert labelled == [g]
+    assert len(cubicize(g).history) == 5
+
+
+def test_cubicize_labels_only_a_graph_it_splits(monkeypatch):
+    labelled = spy_on_labelling(monkeypatch)
+    cube = circular_ladder(4)
+    assert cubicize(cube).graph == cube and labelled == []
+    g = k5_with_negative_triangle()
+    cubicize(g)
+    assert labelled == [g]
+
+
+@st.composite
+def contracted_ladders(draw):
+    """A circular ladder with random signs and two of its edges
+    contracted: vertices of degree 4 or 5, mostly inside the hypotheses."""
+    g = circular_ladder(draw(st.integers(3, 7)))
+    g = g.with_signs(draw(st.lists(st.sampled_from((PLUS, MINUS)),
+                                   min_size=g.m, max_size=g.m)))
+    pair = draw(st.lists(st.integers(0, g.m - 1), min_size=2, max_size=2,
+                         unique=True))
+    return contract_set(g, pair).graph
+
+
+def _outcome(cubicize_fn, g):
+    """The cubic graph and the history, or the exception's type and text."""
+    try:
+        res = cubicize_fn(g)
+    except (HypothesisError, AssertionError) as exc:
+        return type(exc), str(exc)
+    return res.graph, [(s.vertex, s.half_e, s.half_f, s.new_vertex,
+                        s.new_edge) for s in res.history]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(signed_multigraphs(), contracted_ladders()))
+def test_cubicize_matches_the_check_per_candidate(g):
+    # one labelling, extended step by step, picks the partners that
+    # labelling every candidate afresh picked, and fails where it failed
+    assert _outcome(cubicize, g) == _outcome(reference_cubicize, g)
+
+
+def test_cubicize_matches_the_check_per_candidate_on_ladders():
+    # every pair of contracted edges of the circular ladders with 3 to 5
+    # rungs and a negative rim, most of them inside the hypotheses
+    met = 0
+    for rungs in (3, 4, 5):
+        ladder = circular_ladder(rungs, negative_rim=True)
+        for pair in itertools.combinations(range(ladder.m), 2):
+            g = contract_set(ladder, pair).graph
+            out = _outcome(cubicize, g)
+            assert out == _outcome(reference_cubicize, g)
+            met += isinstance(out[0], SignedGraph) and bool(out[1])
+    assert met >= 200
+
+
+def test_cubicize_refuses_a_graph_its_labelling_puts_outside():
+    # a balanced K5 has no valid candidate: the one labelling says so
+    # before any is tried, with the error the candidate loop raised
+    g = k5_with_negative_triangle().with_signs([PLUS] * 10)
+    with pytest.raises(AssertionError,
+                       match="^no valid uncontraction pair at vertex 0:"):
+        cubicize(g)
+    assert choose_uncontraction_half(g, 0, 0) is None

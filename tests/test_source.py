@@ -119,8 +119,9 @@ def test_only_structures_and_decompose_scan_cycle_spaces():
 
 # connect's two hypotheses are asked in one place: core.unmet_hypothesis
 # reads 3-edge-connectivity and 2-unbalance off one cut labelling, for
-# connect's entry check and for every cubicize candidate, so the separate
-# questions, each labelling the graph again, stay out of flows and reduce.
+# connect's entry check, and cubicize reads every candidate off the same
+# labelling, so the separate questions, each labelling the graph again,
+# stay out of flows and reduce.
 SEPARATE_HYPOTHESIS_CHECKS = re.compile(
     r"\b(edge_connectivity|is_k_unbalanced)\b")
 ONE_GATE_MODULES = ("flows.py", "reduce.py")

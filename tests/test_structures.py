@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (graphs_with_edge_sets, random_connected_graph,
-                     reference_cycles_within, reference_k_closure)
-from sgflow.core import MINUS, PLUS, SignedGraph
+                     reference_cycles_within, reference_fundamental_cycle,
+                     reference_k_closure, signed_multigraphs)
+from sgflow.core import MINUS, PLUS, SignedGraph, spanning_forest
 from sgflow.generators import petersen
 from sgflow.structures import (ClosureResult, CycleRef, all_cycles,
                                as_negative_sun,
                                build_negative_sun, cycle_sign,
                                cycles_within, fundamental_cycle,
-                               is_peripheral, k_closure, order_cycle)
+                               fundamental_cycles, is_peripheral, k_closure, order_cycle)
 
 
 def test_petersen_has_57_cycles():
@@ -89,8 +90,6 @@ def test_order_cycle_rejects_non_cycles():
 
 
 def test_fundamental_cycle_lies_in_tree_plus_edge():
-    from sgflow.core import spanning_forest
-
     rng = random.Random(3)
     for _ in range(100):
         g = random_connected_graph(rng)
@@ -102,6 +101,40 @@ def test_fundamental_cycle_lies_in_tree_plus_edge():
         cyc = fundamental_cycle(g, tree, e)
         assert e in cyc
         assert all(x == e or x in set(tree) for x in cyc)
+
+
+def _cycle_or_refusal(find, e):
+    try:
+        return find(e)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_multigraphs(), st.data())
+def test_fundamental_cycles_climb_the_tree_search_path(g, data):
+    # a forest of some of the edges, loops among them never in it; each
+    # edge's cycle from the rooted forest, or its refusal when its ends
+    # lie in different trees, is the breadth-first search's
+    kept = data.draw(st.lists(st.sampled_from(range(g.m)), unique=True)
+                     if g.m else st.just([]))
+    forest = spanning_forest(g, kept)
+    climb = fundamental_cycles(g, forest)
+    for e in range(g.m):
+        want = _cycle_or_refusal(
+            lambda x: reference_fundamental_cycle(g, forest, x), e)
+        assert _cycle_or_refusal(climb, e) == want
+        assert _cycle_or_refusal(
+            lambda x: fundamental_cycle(g, forest, x), e) == want
+
+
+def test_fundamental_cycles_refuse_ends_in_different_trees():
+    g = SignedGraph(4, ((0, 1, PLUS), (2, 3, PLUS), (1, 2, MINUS),
+                        (3, 3, MINUS)))
+    climb = fundamental_cycles(g, [0, 1])
+    with pytest.raises(ValueError, match="different tree components"):
+        climb(2)
+    assert climb(3) == [3]  # a loop is its own cycle
 
 
 def test_k_closure_absorbs_through_short_positive_cycles():
