@@ -46,11 +46,10 @@ def choose_uncontraction_half(g: SignedGraph, v: int, h_e: int,
     given; a g outside the hypotheses has no partner.  A candidate is
     valid when the new edge's label, label[h_e // 2] ^ label[h' // 2], is
     not barred, which is connect's entry check (core.unmet_hypothesis)
-    of the uncontracted graph.  The argument that
-    at most one fails 2-unbalancedness and at least two preserve
-    3-edge-connectivity, so that a partner exists, does not hold with
-    loops at v: there h_e can have none, and cubicize tries the next
-    half-edge.
+    of the uncontracted graph.  The argument that at most one fails
+    2-unbalancedness and at least two preserve 3-edge-connectivity, so
+    that a partner exists, does not hold with loops at v: there h_e can
+    have none, and cubicize tries the next half-edge.
     """
     halves = g.halfedges_at(v)
     if len(halves) < 4:

@@ -17,8 +17,8 @@ from helpers import (CUBIC_GRAPHS, circular_ladder, connected_multigraphs,
                      reference_plane_with_degree_2_outside,
                      reference_violating_balanced_cut,
                      signed_cubic_3connected, signed_multigraphs,
-                     switching_classes, theorem_instances)
-from sgflow import core, decompose, structures
+                     spy_on_labelling, switching_classes, theorem_instances)
+from sgflow import decompose, structures
 from sgflow.core import (MINUS, PLUS, HypothesisError, SignedGraph,
                          _cut_labels, _negative_xor, is_balanced,
                          is_cubic_3connected, is_cyclically_k_edge_connected,
@@ -322,14 +322,7 @@ def test_label_span_balance_matches_the_colouring(g, data):
 def test_decompose_base_sun_labels_the_graph_once(monkeypatch):
     # the cubic-and-3-connected check and the balanced-cut check share one
     # labelling; each used to label g itself
-    labelled = []
-    cut_labels = core._cut_labels
-
-    def spy(g):
-        labelled.append(g)
-        return cut_labels(g)
-
-    monkeypatch.setattr(core, "_cut_labels", spy)
+    labelled = spy_on_labelling(monkeypatch)
     g = petersen_2neg()
     decompose_base_sun(g)
     assert labelled == [g]
